@@ -23,7 +23,7 @@ import numpy as np
 from . import serialize
 from .core import Constraint, ConstraintSet, StateRegion, TimeWindow
 from .engine import constrain_bernoulli, constrained_marginals
-from .errors import ConfigError, TrajConstrainError
+from .errors import ConfigError, TrajConstrainError, ZeroSupportError
 from .gaussian import step_moments
 from .oracle import oracle_bernoulli, oracle_ppp
 from .rfs import PppTrajectory
@@ -196,6 +196,15 @@ def _fit_track(cfg: dict, window: TimeWindow, mm: MotionModel, sm: SensorModel):
         raise ConfigError(f"track: {exc}") from exc
 
 
+def _constrain_track(bern, cs: ConstraintSet, budget: int, seed: int):
+    """``constrain_bernoulli``, except that a track whose hypotheses meet no
+    constraint time is an error here rather than r = 0."""
+    constrained = constrain_bernoulli(bern, cs, budget, seed)
+    if constrained.report.prob_alive == 0.0:
+        raise ZeroSupportError("no (birth, death) hypothesis of the track overlaps any constraint time")
+    return constrained
+
+
 def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     window = parse_window(cfg)
     mm = parse_motion(cfg)
@@ -203,7 +212,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     bern = _fit_track(cfg, window, mm, sm)
     cs = parse_constraints(cfg, window, mm.dim)
     budget = int(_get(cfg, "mc_budget", required=False, default=100_000))
-    constrained = constrain_bernoulli(bern, cs, budget, seed)
+    constrained = _constrain_track(bern, cs, budget, seed)
 
     u_times, u_means, u_covs, _ = step_moments(bern.density)
     if constrained.degenerate:
@@ -269,7 +278,7 @@ def cmd_oracle(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     corrupt = float(ocfg.get("corrupt_analytic_scale", 1.0))
 
     bern = _fit_track(cfg, window, mm, sm)
-    constrained = constrain_bernoulli(bern, cs, budget, seed)
+    constrained = _constrain_track(bern, cs, budget, seed)
     if corrupt != 1.0:
         constrained.r *= corrupt
     reports = {"bernoulli": oracle_bernoulli(bern, constrained, cs, n, z, seed + 2)}

@@ -5,9 +5,18 @@ constraint gets a spatial satisfaction probability: in conjunct mode the
 joint probability of being inside every active region, in disjunct mode one
 minus the probability of being inside every complement. The constrained
 existence/intensity scale is the original scale times the joint
-temporal-spatial satisfaction probability; a PMBM is constrained by
-constraining its PPP and every Bernoulli while hypothesis weights stay
-untouched.
+temporal-spatial satisfaction probability. A Bernoulli or PPP whose support
+meets no constraint time constrains to r = 0 / mu = 0. A PMBM is constrained
+by constraining its PPP and every Bernoulli while hypothesis weights stay
+untouched; global hypotheses share single-target hypotheses, so each distinct
+density is constrained once per call and its result reused for every slot.
+
+Per pair, both modes go through one probability primitive
+(``gaussian._pattern_probabilities``), which works in this order: marginalize
+each active region onto its bounded coordinates; pin every constraint whose
+1-D bounds settle it within 1e-12 (a pinned violation in conjunct mode gives
+exactly 0); evaluate the rest in closed form when they are single boxes on
+uncorrelated coordinates, else by Monte Carlo on those coordinates alone.
 
 In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets; the partition
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,14 +49,14 @@ from .gaussian import (
     SampleCloud,
     Stratum,
     TrajectoryDensity,
+    _pattern_probabilities,
     alive_probability,
     child_rng,
-    marginal,
+    marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
     moment_match,
     region_probability,
 )
-from .gaussian import _box_prob_independent as _single_box_prob
-from .kernels import pattern_codes
+from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pattern_codes)
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 MAX_ACTIVE_FOR_PARTITIONS = 20
@@ -90,7 +100,13 @@ class ConstraintReport:
 
 @dataclass
 class MarginalMoments:
-    """Per-time-step moment-matched summary of a constrained density."""
+    """Per-time-step moment-matched summary of a constrained density.
+
+    ``ess`` is, per step, the Kish effective sample size (sum w)^2 / sum w^2
+    of the accepted draws alive at that step; the standard error of a step
+    mean is about sd / sqrt(ess), whereas ``n_accepted`` counts every
+    accepted draw, alive at the step or not.
+    """
 
     times: List[int]
     means: np.ndarray
@@ -98,6 +114,7 @@ class MarginalMoments:
     alive_probs: np.ndarray
     acceptance_rate: float
     n_accepted: int
+    ess: np.ndarray
 
 
 @dataclass
@@ -116,6 +133,7 @@ class ConstrainedTrajectoryDensity:
     pair_info: Dict[Pair, PairConstraintInfo]
     degenerate: bool = False
     _cloud_cache: Optional[SampleCloud] = field(default=None, repr=False)
+    _cloud_key: Optional[Tuple[int, int]] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -125,15 +143,18 @@ class ConstrainedTrajectoryDensity:
         return self.base.conditional(pair)
 
     def sample_cloud(self, mc_budget: int = 100_000, rng_seed: int = 0) -> SampleCloud:
-        """Rejection-sample the constrained density; the last cloud is cached."""
+        """Rejection-sample the constrained density; the last cloud is cached
+        under its (mc_budget, rng_seed)."""
         cloud = _rejection_cloud(self, mc_budget, rng_seed)
-        self._cloud_cache = cloud
+        self._cloud_cache, self._cloud_key = cloud, (int(mc_budget), int(rng_seed))
         return cloud
 
     def moment_matched(self, mc_budget: int = 100_000, rng_seed: int = 0) -> TrajectoryDensity:
-        """Gaussian view of the constrained density via sample moment matching."""
-        cloud = self._cloud_cache or self.sample_cloud(mc_budget, rng_seed)
-        return moment_match(cloud)
+        """Gaussian view of the constrained density via sample moment matching;
+        reuses the cached cloud only when it was drawn with the same arguments."""
+        if self._cloud_key == (int(mc_budget), int(rng_seed)):
+            return moment_match(self._cloud_cache)
+        return moment_match(self.sample_cloud(mc_budget, rng_seed))
 
 
 @dataclass
@@ -184,54 +205,17 @@ def _conjunct_pair_prob(
     return PairConstraintInfo(pair, active, p, se)
 
 
-def _partition_cell_probs(
-    gs: GaussianSequence,
-    pair: Pair,
-    cs: ConstraintSet,
-    active: Tuple[int, ...],
-    mc_budget: int,
-    seed: int,
-) -> Tuple[np.ndarray, bool]:
-    """Probabilities of every inside/outside pattern over the active constraints.
-
-    Returns (cells, exact): cells[code] is the probability that exactly the
-    constraints whose bit is set in `code` are satisfied. Exact product path
-    when all regions are single boxes and the marginal covariance over the
-    active times is diagonal; otherwise one common Monte Carlo batch, so the
-    cells sum to 1 exactly.
-    """
+@lru_cache(maxsize=256)
+def _partition_sets(active: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """(inside, outside) constraint indices of every nonempty satisfied set, by code 1..2^m - 1."""
     m = len(active)
-    times = [cs.constraints[i].time for i in active]
-    sub = marginal(gs, pair, times)
-    d = gs.dim
-    sorted_times = sorted(times)
-    col_of = {t: sorted_times.index(t) * d for t in times}
-
-    regions = [cs.constraints[i].region for i in active]
-    off_diag = sub.cov - np.diag(np.diag(sub.cov))
-    if all(r.n_boxes == 1 for r in regions) and not np.any(off_diag):
-        sd = np.sqrt(np.diag(sub.cov))
-        p_in = np.empty(m)
-        for t_idx in range(m):
-            c = col_of[times[t_idx]]
-            p_in[t_idx] = _single_box_prob(regions[t_idx], sub.mean[c : c + d], sd[c : c + d])
-        cells = np.ones(2**m)
-        for code in range(2**m):
-            p = 1.0
-            for t_idx in range(m):
-                p *= p_in[t_idx] if code >> t_idx & 1 else 1.0 - p_in[t_idx]
-            cells[code] = p
-        return cells, True
-
-    rng = child_rng(seed)
-    x = sub.draw(int(mc_budget), rng)
-    masks = np.empty((m, x.shape[0]), dtype=bool)
-    for t_idx in range(m):
-        c = col_of[times[t_idx]]
-        masks[t_idx] = regions[t_idx].contains_batch(x[:, c : c + d])
-    codes = pattern_codes(masks)
-    cells = np.bincount(codes, minlength=2**m).astype(np.float64) / x.shape[0]
-    return cells, False
+    return tuple(
+        (
+            tuple(active[t] for t in range(m) if code >> t & 1),
+            tuple(active[t] for t in range(m) if not code >> t & 1),
+        )
+        for code in range(1, 2**m)
+    )
 
 
 def _disjunct_pair_prob(
@@ -249,19 +233,18 @@ def _disjunct_pair_prob(
             f"{m} active constraints need {2**m - 1} partitions; "
             f"use conjunct mode or coarser constraints (cap {MAX_ACTIVE_FOR_PARTITIONS})"
         )
-    cells, exact = _partition_cell_probs(
-        gs, pair, cs, active, mc_budget, _pair_seed(rng_seed, pair_index)
-    )
-    total_inside = float(cells[1:].sum())
+    items = [(cs.constraints[i].time, cs.constraints[i].region) for i in active]
+    cells, exact = _pattern_probabilities(gs, pair, items, mc_budget, _pair_seed(rng_seed, pair_index))
+    raw = cells[1:]
+    total_inside = float(raw.sum())
     p_spatial = 1.0 - float(cells[0])
     se = 0.0 if exact else math.sqrt(p_spatial * (1.0 - p_spatial) / mc_budget)
-    partitions = []
-    for code in range(1, 2**m):
-        inside = tuple(active[t] for t in range(m) if code >> t & 1)
-        outside = tuple(active[t] for t in range(m) if not code >> t & 1)
-        w = float(cells[code] / total_inside) if total_inside > 0 else 0.0
-        partitions.append(PartitionEntry(inside, outside, w, float(cells[code])))
-    return PairConstraintInfo(pair, active, p_spatial, se, tuple(partitions))
+    weights = raw / total_inside if total_inside > 0 else np.zeros(raw.size)
+    partitions = tuple(
+        PartitionEntry(inside, outside, w, r)
+        for (inside, outside), w, r in zip(_partition_sets(active), weights.tolist(), raw.tolist())
+    )
+    return PairConstraintInfo(pair, active, p_spatial, se, partitions)
 
 
 def constrain_density(
@@ -317,16 +300,28 @@ def constrain_density(
     return ctd, report
 
 
+def _constrain_component(
+    td: TrajectoryDensity, cs: ConstraintSet, mc_budget: int, rng_seed: int
+) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
+    """``constrain_density``, except that a density whose support meets no
+    constraint time gives a degenerate result with an all-zero report."""
+    meets = any(p > 0.0 and active_indices(cs, *pair) for pair, p in td.pmf.items())
+    if td.dim == cs.dim and not meets:
+        ctd = ConstrainedTrajectoryDensity(td, cs, None, {}, degenerate=True)
+        return ctd, ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
+    return constrain_density(td, cs, mc_budget, rng_seed)
+
+
 def constrain_bernoulli(
     b: BernoulliTrajectory,
     cs: ConstraintSet,
     mc_budget: int = 100_000,
     rng_seed: int = 0,
 ) -> ConstrainedBernoulli:
-    """Constrained Bernoulli: r is scaled by the joint satisfaction probability."""
-    ctd, report = constrain_density(b.density, cs, mc_budget, rng_seed)
-    r_c = b.r * report.joint
-    return ConstrainedBernoulli(r_c, ctd, report, degenerate=ctd.degenerate)
+    """Constrained Bernoulli: r is scaled by the joint satisfaction probability
+    (r = 0 when the support meets no constraint time)."""
+    ctd, report = _constrain_component(b.density, cs, mc_budget, rng_seed)
+    return ConstrainedBernoulli(b.r * report.joint, ctd, report, degenerate=ctd.degenerate)
 
 
 def constrain_ppp(
@@ -335,10 +330,10 @@ def constrain_ppp(
     mc_budget: int = 100_000,
     rng_seed: int = 0,
 ) -> ConstrainedPpp:
-    """Constrained PPP: mu is scaled by the joint satisfaction probability."""
-    ctd, report = constrain_density(p.density, cs, mc_budget, rng_seed)
-    mu_c = p.mu * report.joint
-    return ConstrainedPpp(mu_c, ctd, report, degenerate=ctd.degenerate)
+    """Constrained PPP: mu is scaled by the joint satisfaction probability
+    (mu = 0 when the support meets no constraint time)."""
+    ctd, report = _constrain_component(p.density, cs, mc_budget, rng_seed)
+    return ConstrainedPpp(p.mu * report.joint, ctd, report, degenerate=ctd.degenerate)
 
 
 def constrain_pmbm(
@@ -347,15 +342,29 @@ def constrain_pmbm(
     mc_budget: int = 100_000,
     rng_seed: int = 0,
 ) -> ConstrainedPmbm:
-    """Constrained PMBM: componentwise constraining, hypothesis weights unchanged."""
-    ppp_c = constrain_ppp(m.ppp, cs, mc_budget, rng_seed)
-    hyps = [
-        ConstrainedHypothesis(
-            h.weight,
-            [constrain_bernoulli(t, cs, mc_budget, rng_seed) for t in h.tracks],
-        )
-        for h in m.hypotheses
-    ]
+    """Constrained PMBM: componentwise constraining, hypothesis weights unchanged.
+
+    Each distinct density (by object identity) is constrained once and its
+    (density, report) shared by every slot that holds it, scaled by that
+    slot's r or mu; the result equals constraining each slot on its own with
+    the same seed.
+    """
+    done: Dict[int, Tuple[ConstrainedTrajectoryDensity, ConstraintReport]] = {}
+
+    def constrained(td: TrajectoryDensity) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
+        if id(td) not in done:
+            done[id(td)] = _constrain_component(td, cs, mc_budget, rng_seed)
+        return done[id(td)]
+
+    ctd, report = constrained(m.ppp.density)
+    ppp_c = ConstrainedPpp(m.ppp.mu * report.joint, ctd, report, degenerate=ctd.degenerate)
+    hyps = []
+    for h in m.hypotheses:
+        tracks = []
+        for t in h.tracks:
+            ctd, report = constrained(t.density)
+            tracks.append(ConstrainedBernoulli(t.r * report.joint, ctd, report, degenerate=ctd.degenerate))
+        hyps.append(ConstrainedHypothesis(h.weight, tracks))
     return ConstrainedPmbm(ppp_c, hyps)
 
 
@@ -401,6 +410,7 @@ def constrained_marginals(
     means = np.full((len(times), d), np.nan)
     covs = np.full((len(times), d, d), np.nan)
     alive = np.zeros(len(times))
+    ess = np.zeros(len(times))
     for k, t in enumerate(times):
         xs, ws = [], []
         for (b, e), s in cloud.strata.items():
@@ -413,9 +423,10 @@ def constrained_marginals(
         w = np.concatenate(ws)
         total = w.sum()
         alive[k] = total
+        ess[k] = total * total / float((w * w).sum())
         mean = (w[:, None] * x).sum(axis=0) / total
         centered = x - mean
         means[k] = mean
         covs[k] = (w[:, None] * centered).T @ centered / total
     rate = total_accepted / total_drawn if total_drawn else 0.0
-    return MarginalMoments(times, means, covs, alive, rate, total_accepted)
+    return MarginalMoments(times, means, covs, alive, rate, total_accepted, ess)

@@ -3,22 +3,24 @@
 A trajectory density factorizes into a probability mass function over
 (birth, death) pairs and, per pair, a joint Gaussian over the stacked state
 sequence. This module provides marginalization onto time subsets, region
-probabilities (closed form where the constrained coordinates are independent
-single boxes, plain Monte Carlo otherwise), stratified sampling, and moment
-matching of weighted sample clouds.
+probabilities (one primitive, ``_pattern_probabilities``: settle what the 1-D
+bounds settle, closed form where the remaining bounded coordinates are
+independent single boxes, Monte Carlo on those coordinates otherwise),
+stratified sampling, and moment matching of weighted sample clouds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .core import StateRegion, TimeWindow, Trajectory, existence_pairs
 from .errors import DimensionMismatchError
+from .kernels import pattern_codes
 
 Pair = Tuple[int, int]
 
@@ -28,6 +30,9 @@ COMPLEMENT = "complement"
 _PMF_TOL = 1e-12
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-10
+# A constraint whose satisfaction probability the 1-D bounds place within this
+# distance of 0 or 1 is settled (pinned) without sampling.
+_PIN_TOL = 1e-12
 
 
 def child_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -201,18 +206,104 @@ def marginal(gs: GaussianSequence, pair: Pair, times: Sequence[int]) -> Gaussian
     return GaussianSequence(gs.mean[idx], gs.cov[np.ix_(idx, idx)], gs.dim)
 
 
-def _box_prob_independent(region: StateRegion, mean: np.ndarray, sd: np.ndarray) -> float:
-    """Single-box inside probability when per-dimension coordinates are independent."""
-    lo, hi = region.lows[0], region.highs[0]
-    p = 1.0
-    for j in range(region.dim):
-        if not (np.isfinite(lo[j]) or np.isfinite(hi[j])):
-            continue
-        if sd[j] == 0.0:
-            p *= 1.0 if lo[j] <= mean[j] <= hi[j] else 0.0
+def _interval_masses(
+    lows: np.ndarray, highs: np.ndarray, mean: np.ndarray, sd: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """P(low <= x <= high) and P(x outside [low, high]) per coordinate, x ~ N(mean, sd^2).
+
+    Broadcasts over boxes. Each mass is taken from the tail it lies in, so
+    masses near 0 keep their relative precision; sd == 0 is a point mass.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (lows - mean) / sd
+        b = (highs - mean) / sd
+    point = sd == 0.0
+    if np.any(point):
+        a = np.where(point, np.where(lows <= mean, -np.inf, np.inf), a)
+        b = np.where(point, np.where(highs >= mean, np.inf, -np.inf), b)
+    inside = np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    return inside, ndtr(a) + ndtr(-b)
+
+
+def _pattern_probabilities(
+    gs: GaussianSequence,
+    pair: Pair,
+    items: Sequence[Tuple[int, StateRegion]],
+    mc_budget: int,
+    rng_seed: int,
+    want: Optional[Sequence[bool]] = None,
+) -> Tuple[Union[float, np.ndarray], bool]:
+    """Probabilities of inside/outside patterns over constraints (time, region).
+
+    With ``want`` (the required inside-bit of each item) returns (P(pattern ==
+    want), exact). Without it returns (cells, exact), where cells[code] is the
+    probability that exactly the items whose bit is set in ``code`` hold.
+    ``exact`` means standard error 0. The work runs in this order:
+
+    1. Each region is marginalized onto its bounded coordinates only.
+    2. An item is pinned when its 1-D bounds settle it within ``_PIN_TOL``:
+       P(inside) <= sum over boxes of min over dims of P(in the interval),
+       and P(inside) >= max over boxes of 1 - sum over dims of P(outside).
+       A pinned item's bit is fixed; a pinned item against ``want`` gives 0
+       at once.
+    3. The unpinned items are evaluated in closed form when each is a single
+       box and their bounded coordinates are uncorrelated, else by
+       ``mc_budget`` draws of those coordinates alone; the sub-pattern codes
+       are scattered back into the full cells.
+    """
+    variances = np.diag(gs.cov)
+    pinned_code = 0
+    free = []  # (item index, region over its bounded dims, their flat coordinates, 1-D inside masses)
+    for i, (t, region) in enumerate(items):
+        dims = np.flatnonzero(np.any(np.isfinite(region.lows) | np.isfinite(region.highs), axis=0))
+        cols = gs.coords(pair, [t])[dims]
+        lows, highs = region.lows[:, dims], region.highs[:, dims]
+        p_in, p_out = _interval_masses(lows, highs, gs.mean[cols], np.sqrt(variances[cols]))
+        if (1.0 - p_out.sum(axis=1)).max() >= 1.0 - _PIN_TOL:
+            bit = 1
+        elif p_in.min(axis=1, initial=1.0).sum() <= _PIN_TOL:
+            bit = 0
         else:
-            p *= norm.cdf((hi[j] - mean[j]) / sd[j]) - norm.cdf((lo[j] - mean[j]) / sd[j])
-    return float(p)
+            free.append((i, StateRegion(lows, highs), cols, p_in))
+            continue
+        if want is not None and bit != bool(want[i]):
+            return 0.0, True
+        pinned_code |= bit << i
+
+    cols = np.concatenate([c for _, _, c, _ in free]) if free else np.empty(0, dtype=np.intp)
+    cov = gs.cov[np.ix_(cols, cols)]
+    exact = all(r.n_boxes == 1 for _, r, _, _ in free) and not np.any(cov - np.diag(np.diag(cov)))
+    if exact:
+        q = np.array([float(np.prod(p_in[0])) for _, _, _, p_in in free])
+    else:
+        x = GaussianSequence(gs.mean[cols], cov, 1).draw(int(mc_budget), child_rng(rng_seed))
+        masks = np.empty((len(free), x.shape[0]), dtype=bool)
+        start = 0
+        for k, (_, region, _, _) in enumerate(free):
+            masks[k] = region.contains_batch(x[:, start : start + region.dim])
+            start += region.dim
+
+    if want is not None:
+        if exact:
+            return float(np.prod([q[k] if want[i] else 1.0 - q[k] for k, (i, *_) in enumerate(free)])), True
+        hit = np.ones(masks.shape[1], dtype=bool)
+        for k, (i, *_) in enumerate(free):
+            hit &= masks[k] if want[i] else ~masks[k]
+        return float(hit.mean()), False
+
+    sub = np.arange(2 ** len(free))
+    if exact:
+        sub_cells = np.ones(sub.size)
+        for k in range(len(free)):
+            sub_cells *= np.where(sub >> k & 1, q[k], 1.0 - q[k])
+    else:
+        sub_cells = np.bincount(pattern_codes(masks), minlength=sub.size) / masks.shape[1]
+    full = np.full(sub.size, pinned_code)
+    for k, (i, *_) in enumerate(free):
+        full |= (sub >> k & 1) << i
+    cells = np.zeros(2 ** len(items))
+    cells[full] = sub_cells
+    return cells, exact
 
 
 def region_probability(
@@ -225,9 +316,13 @@ def region_probability(
     """Joint probability that each constrained time's state is in its region.
 
     Each entry is (time, region, side) with side "inside" or "complement".
-    Exact product path (standard error 0) when every region is a single box
-    and the marginal covariance over the constrained coordinates is diagonal;
-    plain Monte Carlo on the marginal otherwise.
+    Returns (probability, standard error). Evaluated by
+    ``_pattern_probabilities``: each region is marginalized onto its bounded
+    coordinates; entries that their 1-D bounds settle within 1e-12 are
+    pinned (one pinned against its side gives exactly 0, with no draws);
+    the rest are evaluated in closed form (standard error 0) when they are
+    single boxes on uncorrelated coordinates, else by plain Monte Carlo on
+    their bounded coordinates.
     """
     if not entries:
         raise ValueError("entries must be nonempty")
@@ -236,31 +331,10 @@ def region_probability(
             raise ValueError(f"side must be inside/complement, got {side!r}")
         if region.dim != gs.dim:
             raise DimensionMismatchError(f"region dim {region.dim} != state dim {gs.dim}")
-    times = sorted({t for t, _, _ in entries})
-    sub = marginal(gs, pair, times)
-    d = gs.dim
-    col_of_time = {t: i * d for i, t in enumerate(times)}
-
-    single_box = all(region.n_boxes == 1 for _, region, _ in entries)
-    off_diag = sub.cov - np.diag(np.diag(sub.cov))
-    if single_box and not np.any(off_diag):
-        sd = np.sqrt(np.diag(sub.cov))
-        p = 1.0
-        for t, region, side in entries:
-            c = col_of_time[t]
-            q = _box_prob_independent(region, sub.mean[c : c + d], sd[c : c + d])
-            p *= q if side == INSIDE else 1.0 - q
-        return p, 0.0
-
-    rng = child_rng(rng_seed)
-    x = sub.draw(int(mc_budget), rng)
-    mask = np.ones(x.shape[0], dtype=bool)
-    for t, region, side in entries:
-        c = col_of_time[t]
-        m = region.contains_batch(x[:, c : c + d])
-        mask &= m if side == INSIDE else ~m
-    p = float(mask.mean())
-    se = math.sqrt(p * (1.0 - p) / x.shape[0])
+    items = [(t, region) for t, region, _ in entries]
+    want = [side == INSIDE for _, _, side in entries]
+    p, exact = _pattern_probabilities(gs, pair, items, mc_budget, rng_seed, want)
+    se = 0.0 if exact else math.sqrt(p * (1.0 - p) / int(mc_budget))
     return p, se
 
 

@@ -27,11 +27,16 @@ def points_in_boxes_numpy(points, lows, highs):
 
     points: (n, k) float array; lows/highs: (nb, k) with +-inf marking
     unbounded dimensions. Returns (n,) bool, True where the point lies in
-    at least one closed box.
+    at least one closed box. Only finite bounds are compared, so a box that
+    bounds one coordinate of a k-dim state reads one column.
     """
     inside_any = np.zeros(points.shape[0], dtype=np.bool_)
     for b in range(lows.shape[0]):
-        inside = np.all((points >= lows[b]) & (points <= highs[b]), axis=1)
+        inside = np.ones(points.shape[0], dtype=np.bool_)
+        for j in np.flatnonzero(np.isfinite(lows[b])):
+            inside &= points[:, j] >= lows[b, j]
+        for j in np.flatnonzero(np.isfinite(highs[b])):
+            inside &= points[:, j] <= highs[b, j]
         inside_any |= inside
     return inside_any
 

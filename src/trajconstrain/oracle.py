@@ -167,7 +167,7 @@ def oracle_bernoulli(
                 if n_t < 100:
                     continue
                 for j in range(constrained.density.dim):
-                    eng_se = math.sqrt(mm.covs[k, j, j] / max(mm.n_accepted, 1))
+                    eng_se = math.sqrt(mm.covs[k, j, j] / max(mm.ess[k], 1.0))
                     se_m = math.sqrt(e_se[j] ** 2 + eng_se**2)
                     entries.append(
                         _entry(

@@ -21,6 +21,7 @@ from trajconstrain import (
     constrain_ppp,
     constrained_marginals,
 )
+from trajconstrain import engine
 from trajconstrain.engine import MAX_ACTIVE_FOR_PARTITIONS
 from trajconstrain.errors import (
     DegenerateDensityError,
@@ -222,6 +223,30 @@ class TestRejectionSampling:
         for pair, s in cloud.strata.items():
             assert s.total_weight == pytest.approx(ctd.pmf.prob(pair))
 
+    def test_moment_matched_cache_respects_arguments(self):
+        td = std_density([(0, 1)], [1.0])
+        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        ctd, _ = constrain_density(td, cs)
+        a = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 1))
+        b = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 1))
+        c = ctd.moment_matched(mc_budget=5_000, rng_seed=2).conditional((0, 1))
+        again = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 1))
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.cov, b.cov)
+        assert not np.array_equal(a.mean, c.mean)
+        np.testing.assert_array_equal(a.mean, again.mean)
+
+    def test_step_ess_counts_draws_alive_at_the_step(self):
+        # step 1 is alive only in stratum (0, 1); step 0 in both strata, whose
+        # per-draw weights differ, so its ESS is below the accepted total
+        td = std_density([(0, 0), (0, 1)], [0.3, 0.7])
+        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        ctd, _ = constrain_density(td, cs)
+        mm = constrained_marginals(ctd, mc_budget=20_000, rng_seed=5)
+        n_01 = ctd._cloud_cache.strata[(0, 1)].states.shape[0]
+        assert mm.ess[mm.times.index(1)] == pytest.approx(n_01, rel=1e-12)
+        assert mm.ess[mm.times.index(0)] < mm.n_accepted
+
     def test_marginals_shape_and_alive(self):
         td = std_density([(0, 2)], [1.0])
         cs = ConstraintSet([Constraint(1, HALF_LINE)], "conjunct")
@@ -259,3 +284,58 @@ class TestPmbm:
                 solo = constrain_bernoulli(track, cs, 20_000, rng_seed=9)
                 assert track_c.r == solo.r
                 assert track_c.report == solo.report
+
+    def test_shared_track_constrained_once(self, rng, monkeypatch):
+        window = TimeWindow(0, 3)
+        shared = BernoulliTrajectory(0.6, random_density(rng, window, 1))
+        other = BernoulliTrajectory(0.9, random_density(rng, window, 1))
+        # a second Bernoulli object holding the shared density counts as the same component
+        alias = BernoulliTrajectory(0.3, shared.density)
+        m = PmbmDensity(
+            PppTrajectory(1.5, random_density(rng, window, 1)),
+            (
+                GlobalHypothesis(0.5, (shared, other)),
+                GlobalHypothesis(0.3, (shared,)),
+                GlobalHypothesis(0.2, (other, alias, shared)),
+            ),
+        )
+        cs = ConstraintSet([Constraint(1, HALF_LINE), Constraint(3, HALF_LINE)], "disjunct")
+        calls = []
+        inner = engine.constrain_density
+
+        def counting(td, *args, **kwargs):
+            calls.append(id(td))
+            return inner(td, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "constrain_density", counting)
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=4)
+        assert sorted(calls) == sorted({id(m.ppp.density), id(shared.density), id(other.density)})
+        slots = [(t, tc) for h, hc in zip(m.hypotheses, out.hypotheses) for t, tc in zip(h.tracks, hc.tracks)]
+        for t, tc in slots:
+            assert tc.r == t.r * tc.report.joint
+            first = next(c for s, c in slots if s.density is t.density)
+            assert tc.density is first.density and tc.report == first.report
+        monkeypatch.undo()
+        solo = constrain_bernoulli(alias, cs, 20_000, rng_seed=4)
+        assert out.hypotheses[2].tracks[1].r == solo.r
+
+    def test_track_missing_every_constraint_time(self, rng):
+        window = TimeWindow(0, 5)
+        late = BernoulliTrajectory(0.8, std_density([(0, 1), (1, 2)], [0.5, 0.5]))
+        tracks = tuple(BernoulliTrajectory(r, random_density(rng, window, 1)) for r in (0.4, 0.7))
+        m = PmbmDensity(
+            PppTrajectory(2.0, random_density(rng, window, 1)),
+            (GlobalHypothesis(0.5, tracks), GlobalHypothesis(0.5, (tracks[0], late))),
+        )
+        cs = ConstraintSet([Constraint(4, HALF_LINE), Constraint(5, StateRegion.box([(-1, 1)]))], "conjunct")
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=2)
+        late_c = out.hypotheses[1].tracks[1]
+        assert late_c.r == 0.0 and late_c.degenerate and late_c.density.pmf is None
+        assert late_c.report == engine.ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        for hc, h in zip(out.hypotheses, m.hypotheses):
+            for tc, t in zip(hc.tracks, h.tracks):
+                if t is not late:
+                    solo = constrain_bernoulli(t, cs, 20_000, rng_seed=2)
+                    assert tc.r == solo.r > 0.0 and tc.report == solo.report
+        assert out.ppp.mu == constrain_ppp(m.ppp, cs, 20_000, rng_seed=2).mu
+        assert constrain_ppp(PppTrajectory(3.0, late.density), cs).mu == 0.0

@@ -16,7 +16,7 @@ from trajconstrain import (
     region_probability,
     sample,
 )
-from trajconstrain.gaussian import SampleCloud, Stratum, step_moments
+from trajconstrain.gaussian import SampleCloud, Stratum, _pattern_probabilities, step_moments
 
 from conftest import random_density, random_gaussian_sequence
 
@@ -159,6 +159,150 @@ class TestRegionProbability:
         a = region_probability(gs, (0, 2), entries, 20_000, 42)
         b = region_probability(gs, (0, 2), entries, 20_000, 42)
         assert a == b
+
+
+def _region(rng, dim, mean, kind):
+    """A region around ``mean`` (one state) of the given kind.
+
+    near-1: one box bounding dim 0 only; near-2: one box bounding every dim;
+    multi: two boxes; wide: dim 0 within 2.5-4 sd (probability close to, but
+    not within 1e-12 of, 1); tail: dim 0 beyond 3-4.5 sd (close to 0); far:
+    one box 40 sd away (pinned outside); huge: one box 60 sd wide (pinned
+    inside). The covariances of ``random_gaussian_sequence`` have marginal
+    variances near 1.
+    """
+    bounds = lambda c, w: (float(c - w), float(c + w))
+    if kind == "wide":
+        return StateRegion.box([bounds(mean[0], rng.uniform(2.5, 4.0))] + [None] * (dim - 1))
+    if kind == "tail":
+        return StateRegion.box([(float(mean[0] + rng.uniform(3.0, 4.5)), None)] + [None] * (dim - 1))
+    if kind == "near-1":
+        return StateRegion.box([bounds(mean[0] + rng.normal(0, 0.7), rng.uniform(0.3, 1.5))] + [None] * (dim - 1))
+    if kind == "near-2":
+        return StateRegion.box([bounds(m + rng.normal(0, 0.5), rng.uniform(0.5, 2.0)) for m in mean])
+    if kind == "multi":
+        return StateRegion.boxes(
+            [
+                [bounds(mean[0] - 0.6, 0.7)] + [None] * (dim - 1),
+                [bounds(m + 0.8, 0.9) for m in mean],
+            ]
+        )
+    if kind == "far":
+        return StateRegion.box([(float(mean[0] + 40.0), None)] + [None] * (dim - 1))
+    return StateRegion.box([bounds(m, 60.0) for m in mean])
+
+
+def _brute_cells(gs, pair, items, n, seed):
+    """Inside/outside pattern frequencies of n draws of the full marginal."""
+    times = sorted({t for t, _ in items})
+    sub = marginal(gs, pair, times)
+    d = gs.dim
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(2 ** len(items))
+    for _ in range(4):
+        x = sub.draw(n // 4, rng)
+        codes = np.zeros(x.shape[0], dtype=np.int64)
+        for i, (t, region) in enumerate(items):
+            c = times.index(t) * d
+            codes |= region.contains_batch(x[:, c : c + d]).astype(np.int64) << i
+        counts += np.bincount(codes, minlength=counts.size)
+    return counts / n
+
+
+def _independent_cells(gs, pair, items):
+    """Closed-form cells for single boxes on a diagonal covariance (math.erf)."""
+    def p_inside(t, region):
+        idx = gs.coords(pair, [t])
+        p = 1.0
+        for j, k in enumerate(idx):
+            lo, hi = region.lows[0, j], region.highs[0, j]
+            sd = math.sqrt(gs.cov[k, k])
+            cdf = lambda v: 0.5 * math.erfc(-(v - gs.mean[k]) / (sd * math.sqrt(2.0)))
+            p *= cdf(hi) - cdf(lo)
+        return p
+
+    q = [p_inside(t, r) for t, r in items]
+    cells = np.ones(2 ** len(items))
+    for code in range(cells.size):
+        for i, qi in enumerate(q):
+            cells[code] *= qi if code >> i & 1 else 1.0 - qi
+    return cells
+
+
+class TestPatternProbabilities:
+    N_BRUTE = 1_000_000
+    BUDGET = 100_000
+
+    def test_against_brute_force(self):
+        """Cells and conjunct probabilities of the primitive against 1e6 brute
+        draws of the full marginal, within 4 SE; every result reported exact
+        (SE 0) that the test can also evaluate in closed form, or that is 0 or
+        1, matches to 1e-9. Covers both modes, multi-box regions, regions
+        bounding 1 and 2 dims, pinned items and the closed-form path."""
+        rng = np.random.default_rng(2718)
+        kinds = ["near-1", "near-2", "multi", "wide", "tail", "far", "huge"]
+        paths = set()
+        for i in range(48):
+            dim = 1 + i % 2
+            length = int(rng.integers(1, 4))
+            diag = i % 3 == 0
+            gs = random_gaussian_sequence(rng, (0, length - 1), dim, diag=diag)
+            m = int(rng.integers(1, length + 1))
+            times = sorted(int(t) for t in rng.choice(length, m, replace=False))
+            chosen = [kinds[int(rng.integers(0, 5 if diag else 7))] for _ in times]
+            if diag and i % 2 == 0:
+                chosen[0] = "far" if i % 4 == 0 else "huge"
+            items = []
+            for t, kind in zip(times, chosen):
+                mean = gs.mean[t * dim : (t + 1) * dim]
+                items.append((t, _region(rng, dim, mean, "near-2" if kind == "near-1" and dim == 1 else kind)))
+            brute = _brute_cells(gs, (0, length - 1), items, self.N_BRUTE, 10_000 + i)
+            cells, exact = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i)
+            paths.add("exact" if exact else "mc")
+            assert cells.sum() == pytest.approx(1.0, abs=1e-12)
+            var = cells * (1 - cells) * (0.0 if exact else 1.0 / self.BUDGET) + brute * (1 - brute) / self.N_BRUTE
+            tol = np.maximum(4 * np.sqrt(var), 1e-9)
+            assert np.all(np.abs(cells - brute) <= tol), (i, chosen, cells, brute)
+            if exact and diag and all(r.n_boxes == 1 for _, r in items):
+                np.testing.assert_allclose(cells, _independent_cells(gs, (0, length - 1), items), rtol=0, atol=1e-9)
+
+            want = [bool(b) for b in rng.integers(0, 2, m)]
+            code = sum(w << k for k, w in enumerate(want))
+            p, exact_w = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i, want)
+            var = p * (1 - p) * (0.0 if exact_w else 1.0 / self.BUDGET) + brute[code] * (1 - brute[code]) / self.N_BRUTE
+            assert abs(p - brute[code]) <= max(4 * math.sqrt(var), 1e-9), (i, chosen, want, p, brute[code])
+            if exact_w and diag and all(r.n_boxes == 1 for _, r in items):
+                assert p == pytest.approx(_independent_cells(gs, (0, length - 1), items)[code], abs=1e-9)
+        assert paths == {"exact", "mc"}
+
+    def test_position_gate_on_correlated_state_is_exact(self):
+        # a position-only half-line on a state whose position and velocity
+        # are correlated: the bounded marginal is 1-D, so no Monte Carlo
+        gs = GaussianSequence(np.zeros(2), np.array([[1.0, 0.8], [0.8, 1.0]]), 2)
+        p, se = region_probability(gs, (0, 0), [(0, StateRegion.box([(0, None), None]), "inside")])
+        assert (p, se) == (0.5, 0.0)
+
+    def test_pinned_violation_draws_nothing(self, monkeypatch):
+        def no_draw(self, n, rng):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(GaussianSequence, "draw", no_draw)
+        cov = np.array([[1.0, 0.9], [0.9, 1.0]])
+        gs = GaussianSequence(np.zeros(2), cov, 1)
+        entries = [
+            (0, StateRegion.box([(0, None)]), "inside"),  # unpinned, correlated with step 1
+            (1, StateRegion.box([(50, None)]), "inside"),  # 50 sd away: pinned outside
+        ]
+        assert region_probability(gs, (0, 1), entries) == (0.0, 0.0)
+        # full-space and far-away complements are pinned satisfied, so what is
+        # left is one 1-D half-line in closed form
+        entries = [
+            (0, StateRegion.box([(0, None)]), "inside"),
+            (1, StateRegion.box([(50, None)]), "complement"),
+        ]
+        assert region_probability(gs, (0, 1), entries) == (0.5, 0.0)
+        cells, exact = _pattern_probabilities(gs, (0, 1), [(0, StateRegion.full_space(1)), (1, StateRegion.full_space(1))], 10, 0)
+        assert exact and cells.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestAliveProbability:

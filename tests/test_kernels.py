@@ -47,6 +47,27 @@ class TestPointsInBoxes:
         )
 
 
+    def test_finite_bounds_only_matches_all_dims_formula(self):
+        # reference: the formula that compares every dimension, inf bounds included
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            n, k, nb = int(rng.integers(1, 300)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            pts = rng.normal(0, 2, (n, k))
+            lows = rng.normal(-1, 1, (nb, k))
+            highs = lows + rng.uniform(0.1, 3, (nb, k))
+            lows[rng.random((nb, k)) < 0.4] = -np.inf
+            highs[rng.random((nb, k)) < 0.4] = np.inf
+            # put some coordinates exactly on a finite bound (boxes are closed)
+            for i, j in zip(rng.integers(0, n, 5), rng.integers(0, k, 5)):
+                bound = (lows if rng.random() < 0.5 else highs)[int(rng.integers(0, nb)), j]
+                if np.isfinite(bound):
+                    pts[i, j] = bound
+            expected = np.zeros(n, dtype=bool)
+            for b in range(nb):
+                expected |= np.all((pts >= lows[b]) & (pts <= highs[b]), axis=1)
+            np.testing.assert_array_equal(points_in_boxes_numpy(pts, lows, highs), expected)
+
+
 class TestPatternCodes:
     def test_known_patterns(self):
         masks = np.array([[True, False, True, False], [True, True, False, False]])
