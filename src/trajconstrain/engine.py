@@ -22,10 +22,18 @@ In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets; the partition
 weights are materialized explicitly, and the component densities are realized
 by rejection sampling against the inside/complement indicators.
+
+Per-step constrained marginals (``constrained_marginals``) are exact Gaussian
+given y, the bounded coordinates at the active constraint times: per pair
+only y is drawn by Monte Carlo and accepted by the regions, and each step's
+mean and covariance follow in closed form from the accepted draws' mean and
+covariance. ``sample_cloud`` and ``moment_matched`` draw full sequences,
+because they return joint samples.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConstraintSet, CONJUNCT, DISJUNCT, active_indices, satisfies_batch
+from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion, active_indices, satisfies_batch
 from .errors import (
     DegenerateDensityError,
     DimensionMismatchError,
@@ -49,8 +57,10 @@ from .gaussian import (
     SampleCloud,
     Stratum,
     TrajectoryDensity,
+    _bounded,
     _pattern_probabilities,
-    alive_probability,
+    _step_blocks,
+    _step_mixture,
     child_rng,
     marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
     moment_match,
@@ -60,6 +70,8 @@ from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pa
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 MAX_ACTIVE_FOR_PARTITIONS = 20
+
+logger = logging.getLogger("trajconstrain")
 
 
 @dataclass(frozen=True)
@@ -104,8 +116,9 @@ class MarginalMoments:
 
     ``ess`` is, per step, the Kish effective sample size (sum w)^2 / sum w^2
     of the accepted draws alive at that step; the standard error of a step
-    mean is about sd / sqrt(ess), whereas ``n_accepted`` counts every
-    accepted draw, alive at the step or not.
+    mean is at most about sd / sqrt(ess), whereas ``n_accepted`` counts every
+    accepted draw, alive at the step or not. ``accepted`` holds the accepted
+    draws of each (birth, death) pair; a pair with 0 was dropped.
     """
 
     times: List[int]
@@ -115,6 +128,7 @@ class MarginalMoments:
     acceptance_rate: float
     n_accepted: int
     ess: np.ndarray
+    accepted: Dict[Pair, int]
 
 
 @dataclass
@@ -266,7 +280,8 @@ def constrain_density(
         active = active_indices(cs, *pair)
         if active:
             qualifying.append((j, pair, float(prob), active))
-    prob_alive = sum(p for _, _, p, _ in qualifying)
+    # Summed pmf masses may exceed 1 by rounding; reported probabilities are clipped to [0, 1].
+    prob_alive = min(math.fsum(p for _, _, p, _ in qualifying), 1.0)
     if not qualifying or prob_alive <= 0.0:
         raise ZeroSupportError("no (birth, death) support pair overlaps any constraint time")
 
@@ -282,20 +297,21 @@ def constrain_density(
     # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
     # which is what rejection sampling through the constraint indicators yields.
     masses = np.array([p * pair_info[pair].spatial_prob for _, pair, p, _ in qualifying])
-    joint = float(masses.sum())
+    total = math.fsum(masses)
+    joint = min(total, 1.0)
     joint_var = sum(
         (p * pair_info[pair].spatial_se) ** 2 for _, pair, p, _ in qualifying
     )
     joint_se = math.sqrt(joint_var)
-    prob_spatial = joint / prob_alive
+    prob_spatial = min(joint / prob_alive, 1.0)
     report = ConstraintReport(prob_alive, prob_spatial, joint, joint_se / prob_alive, joint_se)
 
-    if joint <= 0.0:
+    if total <= 0.0:
         ctd = ConstrainedTrajectoryDensity(td, cs, None, pair_info, degenerate=True)
         return ctd, report
     keep = masses > 0.0
     pairs = tuple(pair for (_, pair, _, _), k in zip(qualifying, keep) if k)
-    pmf = BirthDeathPmf(pairs, masses[keep] / joint)
+    pmf = BirthDeathPmf(pairs, masses[keep] / total)
     ctd = ConstrainedTrajectoryDensity(td, cs, pmf, pair_info)
     return ctd, report
 
@@ -368,31 +384,47 @@ def constrain_pmbm(
     return ConstrainedPmbm(ppp_c, hyps)
 
 
+def _acceptance_rate(ctd: ConstrainedTrajectoryDensity, accepted: Dict[Pair, int], drawn: int) -> float:
+    """Overall acceptance rate of the per-pair draws. Logs a warning for pairs
+    that accepted no draw (they are dropped) and raises LowAcceptanceError
+    below 1e-6."""
+    dropped = [pair for pair, n in accepted.items() if n == 0]
+    if dropped:
+        logger.warning(
+            "%d of %d (birth, death) strata accepted no draw and were dropped (constrained mass %.3g)",
+            len(dropped),
+            len(accepted),
+            math.fsum(ctd.pmf.prob(pair) for pair in dropped),
+        )
+    rate = sum(accepted.values()) / drawn if drawn else 0.0
+    if rate < 1e-6:
+        raise LowAcceptanceError(
+            f"acceptance rate {rate} below 1e-6 over budget {drawn}; increase mc_budget"
+        )
+    return rate
+
+
+def _pair_budget(mc_budget: int, prob: float) -> int:
+    return max(int(math.ceil(mc_budget * prob)), 2)
+
+
 def _rejection_cloud(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int) -> SampleCloud:
     if ctd.degenerate or ctd.pmf is None:
         raise DegenerateDensityError("cannot sample a degenerate constrained density")
     strata: Dict[Pair, Stratum] = {}
-    total_drawn = total_accepted = 0
+    accepted: Dict[Pair, int] = {}
+    drawn = 0
     for j, (pair, prob) in enumerate(ctd.pmf.items()):
-        n_pair = max(int(math.ceil(mc_budget * prob)), 2)
+        n_pair = _pair_budget(mc_budget, prob)
         gs = ctd.base.conditional(pair)
-        rng = child_rng(rng_seed, 1, j)
         b, e = pair
-        nu = e - b + 1
-        x = gs.draw(n_pair, rng).reshape(n_pair, nu, ctd.dim)
+        x = gs.draw(n_pair, child_rng(rng_seed, 1, j)).reshape(n_pair, e - b + 1, ctd.dim)
         acc = satisfies_batch(b, e, x, ctd.cs)
-        total_drawn += n_pair
-        n_acc = int(acc.sum())
-        total_accepted += n_acc
-        if n_acc == 0:
-            continue
-        weights = np.full(n_acc, prob / n_acc)
-        strata[pair] = Stratum(x[acc], weights, n_proposed=n_pair)
-    rate = total_accepted / total_drawn if total_drawn else 0.0
-    if rate < 1e-6:
-        raise LowAcceptanceError(
-            f"acceptance rate {rate} below 1e-6 over budget {total_drawn}; increase mc_budget"
-        )
+        drawn += n_pair
+        accepted[pair] = n_acc = int(acc.sum())
+        if n_acc:
+            strata[pair] = Stratum(x[acc], np.full(n_acc, prob / n_acc), n_proposed=n_pair)
+    _acceptance_rate(ctd, accepted, drawn)
     return SampleCloud(ctd.dim, strata)
 
 
@@ -401,32 +433,50 @@ def constrained_marginals(
     mc_budget: int = 100_000,
     rng_seed: int = 0,
 ) -> MarginalMoments:
-    """Per-time-step moment-matched mean/covariance by rejection sampling."""
-    cloud = ctd.sample_cloud(mc_budget, rng_seed)
-    total_drawn = sum(s.n_proposed for s in cloud.strata.values())
-    total_accepted = sum(s.states.shape[0] for s in cloud.strata.values())
-    times = sorted({t for (b, e) in cloud.strata for t in range(b, e + 1)})
-    d = ctd.dim
-    means = np.full((len(times), d), np.nan)
-    covs = np.full((len(times), d, d), np.nan)
-    alive = np.zeros(len(times))
-    ess = np.zeros(len(times))
-    for k, t in enumerate(times):
-        xs, ws = [], []
-        for (b, e), s in cloud.strata.items():
-            if b <= t <= e:
-                xs.append(s.states[:, t - b, :])
-                ws.append(s.weights)
-        if not xs:
+    """Per-time-step moment-matched mean/covariance of the constrained density.
+
+    The constraint indicators read only y, the bounded coordinates at the
+    active constraint times, and given y every state is exactly Gaussian.
+    So per (birth, death) pair only y is drawn (the same per-pair budget and
+    streams as ``sample_cloud``) and accepted by the regions; with accepted
+    mean ybar and covariance Sigma, K = C_xy pinv(S_yy), step t has mean
+    m_t + K_t (ybar - m_y) and covariance P_t - K_t S_yy K_t' + K_t Sigma K_t'
+    (Rao-Blackwellization). Pairs are mixed by their constrained pmf mass.
+    """
+    if ctd.degenerate or ctd.pmf is None:
+        raise DegenerateDensityError("cannot sample a degenerate constrained density")
+    cs, d = ctd.cs, ctd.dim
+    strata = []
+    accepted: Dict[Pair, int] = {}
+    drawn = 0
+    for j, (pair, prob) in enumerate(ctd.pmf.items()):
+        n_pair = _pair_budget(mc_budget, prob)
+        gs = ctd.base.conditional(pair)
+        active = [cs.constraints[i] for i in active_indices(cs, *pair)]
+        bounded = [_bounded(gs, pair, c.time, c.region) for c in active]
+        cols = np.unique(np.concatenate([c for _, _, c in bounded]))
+        m_y, s_yy = gs.mean[cols], gs.cov[np.ix_(cols, cols)]
+        y = GaussianSequence(m_y, s_yy, 1).draw(n_pair, child_rng(rng_seed, 1, j))
+        hits = [StateRegion(lo, hi).contains_batch(y[:, np.searchsorted(cols, c)]) for lo, hi, c in bounded]
+        acc = np.logical_and.reduce(hits) if cs.mode == CONJUNCT else np.logical_or.reduce(hits)
+        y = y[acc]
+        drawn += n_pair
+        accepted[pair] = n_acc = y.shape[0]
+        if n_acc == 0:
             continue
-        x = np.vstack(xs)
-        w = np.concatenate(ws)
-        total = w.sum()
-        alive[k] = total
-        ess[k] = total * total / float((w * w).sum())
-        mean = (w[:, None] * x).sum(axis=0) / total
-        centered = x - mean
-        means[k] = mean
-        covs[k] = (w[:, None] * centered).T @ centered / total
-    rate = total_accepted / total_drawn if total_drawn else 0.0
-    return MarginalMoments(times, means, covs, alive, rate, total_accepted, ess)
+        y_mean = y.mean(axis=0)
+        centered = y - y_mean
+        sigma = centered.T @ centered / n_acc
+        # pinv: S_yy is singular when bounded coordinates are degenerate or collinear.
+        gain = (gs.cov[:, cols] @ np.linalg.pinv(s_yy)).reshape(gs.length, d, cols.size)
+        means = gs.mean.reshape(-1, d) + gain @ (y_mean - m_y)
+        covs = _step_blocks(gs.cov, d) + gain @ (sigma - s_yy) @ gain.transpose(0, 2, 1)
+        strata.append((float(prob), pair, n_acc, means, covs))
+    rate = _acceptance_rate(ctd, accepted, drawn)
+    times, means, covs, alive = _step_mixture([(w, b, m, c) for w, (b, _), _, m, c in strata], d)
+    # Kish ESS per step: each accepted draw of a pair carries weight prob / n_acc.
+    sq = np.zeros(len(times))
+    for w, (b, e), n_acc, _, _ in strata:
+        sq[times.index(b) : times.index(e) + 1] += w * w / n_acc
+    ess = alive * alive / sq
+    return MarginalMoments(times, means, covs, alive, rate, sum(accepted.values()), ess, accepted)

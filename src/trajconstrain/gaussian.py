@@ -206,6 +206,15 @@ def marginal(gs: GaussianSequence, pair: Pair, times: Sequence[int]) -> Gaussian
     return GaussianSequence(gs.mean[idx], gs.cov[np.ix_(idx, idx)], gs.dim)
 
 
+def _bounded(
+    gs: GaussianSequence, pair: Pair, t: int, region: StateRegion
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lows and highs of ``region`` over the dimensions it bounds, and their
+    flat coordinates in ``gs`` at time ``t``; a full-space region bounds none."""
+    dims = np.flatnonzero(np.any(np.isfinite(region.lows) | np.isfinite(region.highs), axis=0))
+    return region.lows[:, dims], region.highs[:, dims], gs.coords(pair, [t])[dims]
+
+
 def _interval_masses(
     lows: np.ndarray, highs: np.ndarray, mean: np.ndarray, sd: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -255,9 +264,7 @@ def _pattern_probabilities(
     pinned_code = 0
     free = []  # (item index, region over its bounded dims, their flat coordinates, 1-D inside masses)
     for i, (t, region) in enumerate(items):
-        dims = np.flatnonzero(np.any(np.isfinite(region.lows) | np.isfinite(region.highs), axis=0))
-        cols = gs.coords(pair, [t])[dims]
-        lows, highs = region.lows[:, dims], region.highs[:, dims]
+        lows, highs, cols = _bounded(gs, pair, t, region)
         p_in, p_out = _interval_masses(lows, highs, gs.mean[cols], np.sqrt(variances[cols]))
         if (1.0 - p_out.sum(axis=1)).max() >= 1.0 - _PIN_TOL:
             bit = 1
@@ -359,6 +366,47 @@ def sample(td: TrajectoryDensity, n: int, rng_seed: int = 0) -> SampleCloud:
     return SampleCloud(td.dim, strata)
 
 
+def _step_blocks(cov: np.ndarray, dim: int) -> np.ndarray:
+    """Per-step diagonal blocks (nu, dim, dim) of a stacked (nu * dim) covariance."""
+    nu = cov.shape[0] // dim
+    steps = np.arange(nu)
+    return cov.reshape(nu, dim, nu, dim)[steps, :, steps, :]
+
+
+def _step_mixture(
+    strata: Sequence[Tuple[float, int, np.ndarray, np.ndarray]], dim: int
+) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Per-time-step mean/covariance of a mixture of strata.
+
+    Each stratum is (weight, birth, per-step means (nu, dim), per-step
+    covariances (nu, dim, dim)) over steps birth..birth + nu - 1. Returns
+    (times, means (T, dim), covs (T, dim, dim), alive weight (T,)) over every
+    step some stratum spans; means and covs are NaN where that weight is 0.
+    """
+    t0 = min(b for _, b, _, _ in strata)
+    span = max(b + m.shape[0] for _, b, m, _ in strata) - t0
+    spanned = np.zeros(span, dtype=bool)
+    w_acc = np.zeros(span)
+    m_acc = np.zeros((span, dim))
+    s_acc = np.zeros((span, dim, dim))
+    for w, b, m, c in strata:
+        steps = slice(b - t0, b - t0 + m.shape[0])
+        spanned[steps] = True
+        if w == 0.0:
+            continue
+        w_acc[steps] += w
+        m_acc[steps] += w * m
+        s_acc[steps] += w * (c + m[:, :, None] * m[:, None, :])
+    keep = np.flatnonzero(spanned)
+    alive = w_acc[keep]
+    live = alive > 0.0
+    means = np.full((keep.size, dim), np.nan)
+    covs = np.full((keep.size, dim, dim), np.nan)
+    means[live] = m_acc[keep][live] / alive[live, None]
+    covs[live] = s_acc[keep][live] / alive[live, None, None] - means[live, :, None] * means[live, None, :]
+    return (t0 + keep).tolist(), means, covs, alive
+
+
 def step_moments(td: TrajectoryDensity) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
     """Per-time-step mixture mean/covariance over pairs alive at each step.
 
@@ -366,31 +414,11 @@ def step_moments(td: TrajectoryDensity) -> Tuple[List[int], np.ndarray, np.ndarr
     are NaN where no support pair is alive.
     """
     d = td.dim
-    times = sorted({t for (b, e) in td.pmf.pairs for t in range(b, e + 1)})
-    means = np.full((len(times), d), np.nan)
-    covs = np.full((len(times), d, d), np.nan)
-    alive = np.zeros(len(times))
-    for k, t in enumerate(times):
-        w_sum = 0.0
-        m_acc = np.zeros(d)
-        s_acc = np.zeros((d, d))
-        for (pair, w), g in zip(td.pmf.items(), td.conditionals):
-            b, e = pair
-            if not (b <= t <= e) or w == 0.0:
-                continue
-            idx = g.coords(pair, [t])
-            m = g.mean[idx]
-            c = g.cov[np.ix_(idx, idx)]
-            w_sum += w
-            m_acc += w * m
-            s_acc += w * (c + np.outer(m, m))
-        if w_sum == 0.0:
-            continue
-        mean = m_acc / w_sum
-        means[k] = mean
-        covs[k] = s_acc / w_sum - np.outer(mean, mean)
-        alive[k] = w_sum
-    return times, means, covs, alive
+    strata = [
+        (float(w), b, g.mean.reshape(-1, d), _step_blocks(g.cov, d))
+        for ((b, _), w), g in zip(td.pmf.items(), td.conditionals)
+    ]
+    return _step_mixture(strata, d)
 
 
 def moment_match(cloud: SampleCloud) -> TrajectoryDensity:

@@ -3,7 +3,8 @@
 Both kernels exist in two variants: a numba ``@njit`` build (default) and a
 pure-numpy fallback. Set ``TRAJCONSTRAIN_NO_NUMBA=1`` in the environment to
 force the numpy path; the fallback is also selected automatically when numba
-is not importable. ``benchmarks/bench_kernels.py`` compares the two.
+is not importable. No speedup of the numba build has been measured; the
+end-to-end benchmark is ``perfbench/`` at the repository root.
 """
 
 import os

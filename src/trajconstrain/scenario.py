@@ -221,17 +221,17 @@ def _smooth_hypothesis(
         means_s[i] = means_f[i] + G @ (means_s[i + 1] - means_p[i + 1])
         covs_s[i] = covs_f[i] + G @ (covs_s[i + 1] - covs_p[i + 1]) @ G.T
         covs_s[i] = 0.5 * (covs_s[i] + covs_s[i].T)
-    # Joint covariance: Cov(x_s, x_t) = G_s ... G_{t-1} P_t for s < t.
+    # Joint covariance: Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t) for s < t, built
+    # one block row at a time from the row below and mirrored into the column.
     joint_mean = means_s.reshape(-1)
     joint_cov = np.zeros((nu * d, nu * d))
-    for t in range(nu):
-        joint_cov[t * d : (t + 1) * d, t * d : (t + 1) * d] = covs_s[t]
-        cross = covs_s[t]
-        for s in range(t - 1, -1, -1):
-            cross = gains[s] @ cross
-            joint_cov[s * d : (s + 1) * d, t * d : (t + 1) * d] = cross
-            joint_cov[t * d : (t + 1) * d, s * d : (s + 1) * d] = cross.T
-    joint_cov = 0.5 * (joint_cov + joint_cov.T)
+    joint_cov[-d:, -d:] = covs_s[-1]
+    for s in range(nu - 2, -1, -1):
+        here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
+        cross = gains[s] @ joint_cov[(s + 1) * d : (s + 2) * d, later]
+        joint_cov[here, here] = covs_s[s]
+        joint_cov[here, later] = cross
+        joint_cov[later, here] = cross.T
     return GaussianSequence(joint_mean, joint_cov, d), log_lik
 
 
@@ -263,10 +263,14 @@ def fit_bernoulli_track(
     pairs: List[Tuple[int, int]] = []
     conds: List[GaussianSequence] = []
     log_w: List[float] = []
-    n_betas = len(list(betas))
+    n_betas = len(betas)
+    d = mm.dim
     for b in betas:
+        # No measurement lies after times[-1] <= e, so the (b, e) smoothed joint
+        # is the leading block of the (b, epss[-1]) joint, with the same likelihood.
+        full, log_lik = _smooth_hypothesis(b, epss[-1], meas, mm, sm)
         for e in epss:
-            gs, log_lik = _smooth_hypothesis(b, e, meas, mm, sm)
+            n = (e - b + 1) * d
             surv = math.log(mm.survival) * (e - b) if mm.survival > 0 else (0.0 if e == b else -np.inf)
             if e == window.gamma:
                 death = 0.0
@@ -274,7 +278,7 @@ def fit_bernoulli_track(
                 death = math.log(1.0 - mm.survival) if mm.survival < 1.0 else -np.inf
             prior = -math.log(n_betas) + surv + death
             pairs.append((b, e))
-            conds.append(gs)
+            conds.append(GaussianSequence(full.mean[:n], full.cov[:n, :n], d))
             log_w.append(log_lik + prior)
     log_w = np.asarray(log_w)
     probs = np.exp(log_w - logsumexp(log_w))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from trajconstrain import (
     constrain_pmbm,
     constrain_ppp,
     constrained_marginals,
+    sample,
+    satisfies_batch,
 )
 from trajconstrain import engine
 from trajconstrain.engine import MAX_ACTIVE_FOR_PARTITIONS
@@ -153,6 +156,16 @@ class TestDisjunct:
 
 
 class TestEdgeCases:
+    def test_report_probabilities_clipped(self):
+        # the pmf's floats sum to 1 + 2^-52; every step is inside full space
+        td = std_density([(0, 0), (0, 1)], [0.5, 0.5 + 2.0**-52])
+        assert math.fsum(td.pmf.probs) > 1.0
+        cs = ConstraintSet([Constraint(0, StateRegion.full_space(1))], "conjunct")
+        ctd, report = constrain_density(td, cs)
+        assert report.prob_alive == report.prob_spatial == report.joint == 1.0
+        assert math.fsum(ctd.pmf.probs) == pytest.approx(1.0, abs=1e-15)
+        assert constrain_bernoulli(BernoulliTrajectory(0.7, td), cs).r <= 0.7
+
     def test_zero_support(self):
         td = std_density([(0, 1)], [1.0])
         cs = ConstraintSet([Constraint(5, HALF_LINE)], "conjunct")
@@ -243,7 +256,7 @@ class TestRejectionSampling:
         cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
         ctd, _ = constrain_density(td, cs)
         mm = constrained_marginals(ctd, mc_budget=20_000, rng_seed=5)
-        n_01 = ctd._cloud_cache.strata[(0, 1)].states.shape[0]
+        n_01 = mm.accepted[(0, 1)]
         assert mm.ess[mm.times.index(1)] == pytest.approx(n_01, rel=1e-12)
         assert mm.ess[mm.times.index(0)] < mm.n_accepted
 
@@ -260,6 +273,119 @@ class TestRejectionSampling:
         n = mm.n_accepted
         assert abs(mm.means[1, 0] - math.sqrt(2 / math.pi)) <= 4 / math.sqrt(n)
         assert abs(mm.means[0, 0]) <= 4 / math.sqrt(n)
+
+
+def degenerate_window_density():
+    """Three pairs over steps 0..4, dim 2, whose conditionals are marginals of
+    one rank-deficient Gaussian: position at step 3 equals position at step 1,
+    and velocity at step 3 is the constant 0.5."""
+    rng = np.random.default_rng(7)
+    a = 0.6 * rng.standard_normal((10, 10))
+    mean = rng.standard_normal(10) * 0.5
+    a[6], mean[6] = a[2], mean[2]
+    a[7], mean[7] = 0.0, 0.5
+    cov = a @ a.T
+    pairs, probs = ((0, 3), (0, 4), (1, 4)), (0.3, 0.5, 0.2)
+    conds = tuple(
+        GaussianSequence(mean[2 * b : 2 * e + 2], cov[2 * b : 2 * e + 2, 2 * b : 2 * e + 2], 2) for b, e in pairs
+    )
+    return TrajectoryDensity(BirthDeathPmf(pairs, np.array(probs)), conds)
+
+
+# Step 1: two boxes bounding the same coordinate (position). Step 3: position
+# (the same variable as at step 1, so S_yy is singular) and velocity (zero
+# variance). Step 4: full space, which bounds no coordinate.
+SPLIT_GATE = StateRegion.boxes([[(-2.0, -0.2), None], [(0.3, 2.0), None]])
+POS_VEL_GATE = StateRegion.box([(-0.5, 1.5), (0.0, 1.0)])
+FULL_2D = StateRegion.full_space(2)
+
+
+def brute_force_step_moments(td, cs, n, seed):
+    """Per-step mean, covariance, their standard errors and draw count of
+    full-sequence draws that satisfy ``cs``, pooled over the pairs alive."""
+    chunks = {}
+    for (b, e), s in sample(td, n, seed).strata.items():
+        kept = s.states[satisfies_batch(b, e, s.states, cs)]
+        for t in range(b, e + 1):
+            chunks.setdefault(t, []).append(kept[:, t - b, :])
+    out = {}
+    for t, parts in chunks.items():
+        x = np.vstack(parts)
+        c = x - x.mean(axis=0)
+        prods = c[:, :, None] * c[:, None, :]
+        k = x.shape[0]
+        out[t] = (x.mean(axis=0), c.std(axis=0) / math.sqrt(k), prods.mean(axis=0), prods.std(axis=0) / math.sqrt(k), k)
+    return out
+
+
+class TestRaoBlackwellMarginals:
+    @pytest.mark.parametrize(
+        "mode, with_full",
+        [("conjunct", True), ("disjunct", True), ("disjunct", False)],
+    )
+    def test_matches_full_sequence_rejection(self, mode, with_full):
+        td = degenerate_window_density()
+        items = [Constraint(1, SPLIT_GATE), Constraint(3, POS_VEL_GATE)]
+        if with_full:
+            items.append(Constraint(4, FULL_2D))
+        cs = ConstraintSet(items, mode)
+        ctd, _ = constrain_density(td, cs, 100_000, rng_seed=1)
+        mm = constrained_marginals(ctd, mc_budget=200_000, rng_seed=2)
+        bf = brute_force_step_moments(td, cs, 400_000, seed=3)
+        assert mm.times == sorted(bf)
+        for k, t in enumerate(mm.times):
+            mean, mean_se, cov, cov_se, n_t = bf[t]
+            # the estimate's own error is at most that of ess plain draws
+            inflate = math.sqrt(1.0 + n_t / mm.ess[k])
+            for got, want, se in ((mm.means[k], mean, mean_se), (mm.covs[k], cov, cov_se)):
+                exact = se < 1e-8  # the zero-variance coordinate, up to the draws' rounding
+                np.testing.assert_allclose(got[exact], want[exact], rtol=0, atol=1e-8)
+                z = (got[~exact] - want[~exact]) / (se[~exact] * inflate)
+                assert np.all(np.abs(z) <= 4.0), (t, z)
+
+    def test_accepted_counts_and_rate(self):
+        td = degenerate_window_density()
+        cs = ConstraintSet([Constraint(1, SPLIT_GATE), Constraint(3, POS_VEL_GATE)], "conjunct")
+        ctd, _ = constrain_density(td, cs, 50_000, rng_seed=1)
+        mm = constrained_marginals(ctd, mc_budget=50_000, rng_seed=2)
+        assert set(mm.accepted) == set(ctd.pmf.pairs)
+        assert mm.n_accepted == sum(mm.accepted.values())
+        drawn = sum(max(math.ceil(50_000 * p), 2) for p in ctd.pmf.probs)
+        assert mm.acceptance_rate == pytest.approx(mm.n_accepted / drawn, rel=1e-12)
+
+
+class TestDroppedStrata:
+    def density(self):
+        # pair (0, 1) meets x >= 0 at step 0 with probability ~1e-9, so it gets
+        # the minimum of 2 draws and accepts neither
+        conds = (
+            GaussianSequence(np.zeros(1), np.eye(1), 1),
+            GaussianSequence(np.array([-6.0, 0.0]), np.eye(2), 1),
+        )
+        td = TrajectoryDensity(BirthDeathPmf(((0, 0), (0, 1)), np.array([0.5, 0.5])), conds)
+        ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE)], "conjunct"))
+        return ctd
+
+    @pytest.mark.parametrize("via", ["sample_cloud", "constrained_marginals"])
+    def test_dropped_strata_logged(self, via, caplog):
+        ctd = self.density()
+        with caplog.at_level(logging.WARNING, logger="trajconstrain"):
+            if via == "sample_cloud":
+                assert set(ctd.sample_cloud(10_000, rng_seed=1).strata) == {(0, 0)}
+            else:
+                assert constrained_marginals(ctd, 10_000, rng_seed=1).accepted[(0, 1)] == 0
+        [record] = [r for r in caplog.records if r.name == "trajconstrain"]
+        assert record.levelno == logging.WARNING
+        assert "1 of 2" in record.getMessage()
+        assert f"{ctd.pmf.prob((0, 1)):.3g}" in record.getMessage()
+
+    def test_nothing_logged_when_every_stratum_accepts(self, caplog):
+        td = std_density([(0, 0), (0, 1)], [0.5, 0.5])
+        ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE)], "conjunct"))
+        with caplog.at_level(logging.WARNING, logger="trajconstrain"):
+            constrained_marginals(ctd, 10_000, rng_seed=1)
+            ctd.sample_cloud(10_000, rng_seed=1)
+        assert not [r for r in caplog.records if r.name == "trajconstrain"]
 
 
 class TestPmbm:

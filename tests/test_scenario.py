@@ -218,6 +218,26 @@ class TestFitBernoulliTrack:
         assert all(b == 0 for b, _ in out.density.pmf.pairs)
         assert {e for _, e in out.density.pmf.pairs} <= {0, 1}
 
+    def test_equals_per_pair_smoother(self, rng):
+        # every hypothesis's conditional and the pmf match a fresh Kalman/RTS
+        # pass over exactly (b, e); the measurements leave a gap at 5..6, and
+        # the window clamps the slack at both ends (births 0..1, deaths 8..10)
+        mm, sm, window = cv_motion(), pos_sensor(), TimeWindow(0, 10)
+        times = [1, 2, 3, 4, 7, 8]
+        meas = [(k, [float(rng.normal(k, 1.0))]) for k in times]
+        out = fit_bernoulli_track(meas, mm, sm, window, slack=3)
+        assert out.density.pmf.pairs == tuple((b, e) for b in (0, 1) for e in (8, 9, 10))
+        by_time = {k: np.asarray(z, dtype=float) for k, z in meas}
+        log_w = []
+        for (b, e), gs in zip(out.density.pmf.pairs, out.density.conditionals):
+            ref, log_lik = _smooth_hypothesis(b, e, by_time, mm, sm)
+            np.testing.assert_allclose(gs.mean, ref.mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(gs.cov, ref.cov, rtol=0, atol=1e-10)
+            death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
+            log_w.append(log_lik - math.log(2) + math.log(mm.survival) * (e - b) + death)
+        w = np.exp(np.asarray(log_w) - max(log_w))
+        np.testing.assert_allclose(out.density.pmf.probs, w / w.sum(), rtol=0, atol=1e-12)
+
     def test_good_track_concentrates_on_truth(self):
         # measurements along a straight line, with a birth prior centered on
         # the state at the first measured step, favor the hypothesis that
