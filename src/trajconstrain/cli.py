@@ -218,10 +218,12 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     if constrained.degenerate:
         c_times, c_means, c_covs = [], None, None
         acceptance = 0.0
+        dropped = 0
     else:
         mmarg = constrained_marginals(constrained.density, budget, seed + 1)
         c_times, c_means, c_covs = mmarg.times, mmarg.means, mmarg.covs
         acceptance = mmarg.acceptance_rate
+        dropped = sum(n == 0 for n in mmarg.accepted.values())
     c_index = {t: k for k, t in enumerate(c_times)}
 
     d = mm.dim
@@ -256,6 +258,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
             "joint_se": constrained.report.joint_se,
         },
         "acceptance_rate": acceptance,
+        "dropped_strata": dropped,
         "mc_budget": budget,
         "seed": seed,
     }

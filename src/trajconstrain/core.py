@@ -108,6 +108,8 @@ class StateRegion:
         self.highs = highs
         self.lows.setflags(write=False)
         self.highs.setflags(write=False)
+        # dimensions some box bounds; a full-space region bounds none
+        self.bounded_dims = np.flatnonzero(bounded.any(axis=0))
 
     @classmethod
     def full_space(cls, dim: int) -> "StateRegion":

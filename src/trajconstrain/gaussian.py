@@ -7,16 +7,20 @@ probabilities (one primitive, ``_pattern_probabilities``: settle what the 1-D
 bounds settle, closed form where the remaining bounded coordinates are
 independent single boxes, Monte Carlo on those coordinates otherwise),
 stratified sampling, and moment matching of weighted sample clouds.
+
+It needs numpy only: the normal CDF of the 1-D bounds is ``_ndtr``, the
+C library's ``erfc`` taken element-wise (the formula of Cephes' ``ndtr``),
+and each pair's bounds go through it in one call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import StateRegion, TimeWindow, Trajectory, existence_pairs
 from .errors import DimensionMismatchError
@@ -33,6 +37,7 @@ _EIG_TOL = 1e-10
 # A constraint whose satisfaction probability the 1-D bounds place within this
 # distance of 0 or 1 is settled (pinned) without sampling.
 _PIN_TOL = 1e-12
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def child_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -80,11 +85,18 @@ class BirthDeathPmf:
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix A with A @ A.T = cov, via eigendecomposition with eigenvalue floor."""
+    """Matrix A with A @ A.T = cov, via eigendecomposition with eigenvalue floor.
+
+    A PSD matrix has a zero row wherever its variance is 0; those rows of A
+    are set to exactly 0, so such coordinates draw exactly their mean instead
+    of eigh's rounding noise.
+    """
     w, v = np.linalg.eigh(cov)
     if w.min(initial=0.0) < -_EIG_TOL:
         raise ValueError(f"covariance has eigenvalue {w.min()} below -{_EIG_TOL}")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    factor[np.diag(cov) == 0.0] = 0.0
+    return factor
 
 
 @dataclass(frozen=True)
@@ -211,8 +223,15 @@ def _bounded(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lows and highs of ``region`` over the dimensions it bounds, and their
     flat coordinates in ``gs`` at time ``t``; a full-space region bounds none."""
-    dims = np.flatnonzero(np.any(np.isfinite(region.lows) | np.isfinite(region.highs), axis=0))
+    dims = region.bounded_dims
     return region.lows[:, dims], region.highs[:, dims], gs.coords(pair, [t])[dims]
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF element-wise: 0.5 erfc(-x / sqrt(2)), as Cephes' ndtr."""
+    x = np.asarray(x, dtype=np.float64)
+    erfc = math.erfc
+    return np.array([0.5 * erfc(-v * _SQRT1_2) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _interval_masses(
@@ -222,6 +241,7 @@ def _interval_masses(
 
     Broadcasts over boxes. Each mass is taken from the tail it lies in, so
     masses near 0 keep their relative precision; sd == 0 is a point mass.
+    One ``_ndtr`` call covers every bound.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (lows - mean) / sd
@@ -230,8 +250,9 @@ def _interval_masses(
     if np.any(point):
         a = np.where(point, np.where(lows <= mean, -np.inf, np.inf), a)
         b = np.where(point, np.where(highs >= mean, np.inf, -np.inf), b)
-    inside = np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
-    return inside, ndtr(a) + ndtr(-b)
+    cdf_a, cdf_neg_a, cdf_b, cdf_neg_b = _ndtr(np.stack((a, -a, b, -b)))
+    inside = np.where(a > 0.0, cdf_neg_a - cdf_neg_b, cdf_b - cdf_a)
+    return inside, cdf_a + cdf_neg_b
 
 
 def _pattern_probabilities(
@@ -260,41 +281,51 @@ def _pattern_probabilities(
        ``mc_budget`` draws of those coordinates alone; the sub-pattern codes
        are scattered back into the full cells.
     """
-    variances = np.diag(gs.cov)
-    pinned_code = 0
-    free = []  # (item index, region over its bounded dims, their flat coordinates, 1-D inside masses)
-    for i, (t, region) in enumerate(items):
-        lows, highs, cols = _bounded(gs, pair, t, region)
-        p_in, p_out = _interval_masses(lows, highs, gs.mean[cols], np.sqrt(variances[cols]))
-        if (1.0 - p_out.sum(axis=1)).max() >= 1.0 - _PIN_TOL:
-            bit = 1
-        elif p_in.min(axis=1, initial=1.0).sum() <= _PIN_TOL:
-            bit = 0
-        else:
-            free.append((i, StateRegion(lows, highs), cols, p_in))
-            continue
-        if want is not None and bit != bool(want[i]):
-            return 0.0, True
-        pinned_code |= bit << i
+    m = len(items)
+    bounded = [_bounded(gs, pair, t, region) for t, region in items]
+    n_boxes = [lows.shape[0] for lows, _, _ in bounded]
+    starts = [0, *itertools.accumulate(lows.size for lows, _, _ in bounded)]
+    # One pass over every item's 1-D bounds, flattened box after box.
+    flat_cols = np.concatenate([cols for (_, _, cols), n in zip(bounded, n_boxes) for _ in range(n)])
+    p_in, p_out = _interval_masses(
+        np.concatenate([lows.ravel() for lows, _, _ in bounded]),
+        np.concatenate([highs.ravel() for _, highs, _ in bounded]),
+        gs.mean[flat_cols],
+        np.sqrt(gs.cov.diagonal()[flat_cols]),
+    )
+    # The bounds of step 2: per box the min of P(in) and the sum of P(outside)
+    # over its dims, then per item the sum and the max over its boxes.
+    box_item = np.repeat(np.arange(m), n_boxes)
+    bound_box = np.repeat(np.arange(box_item.size), np.repeat([cols.size for _, _, cols in bounded], n_boxes))
+    box_in = np.ones(box_item.size)
+    np.minimum.at(box_in, bound_box, p_in)
+    lower = np.full(m, -np.inf)
+    np.maximum.at(lower, box_item, 1.0 - np.bincount(bound_box, p_out, box_item.size))
+    holds = lower >= 1.0 - _PIN_TOL
+    fails = ~holds & (np.bincount(box_item, box_in, m) <= _PIN_TOL)
+    if want is not None and np.any(np.where(want, fails, holds)):
+        return 0.0, True
+    free = np.flatnonzero(~(holds | fails)).tolist()
 
-    cols = np.concatenate([c for _, _, c, _ in free]) if free else np.empty(0, dtype=np.intp)
+    cols = np.concatenate([bounded[i][2] for i in free]) if free else np.empty(0, dtype=np.intp)
     cov = gs.cov[np.ix_(cols, cols)]
-    exact = all(r.n_boxes == 1 for _, r, _, _ in free) and not np.any(cov - np.diag(np.diag(cov)))
+    exact = all(n_boxes[i] == 1 for i in free) and not np.any(cov - np.diag(np.diag(cov)))
     if exact:
-        q = np.array([float(np.prod(p_in[0])) for _, _, _, p_in in free])
+        q = [math.prod(p_in[starts[i] : starts[i + 1]].tolist()) for i in free]
     else:
         x = GaussianSequence(gs.mean[cols], cov, 1).draw(int(mc_budget), child_rng(rng_seed))
         masks = np.empty((len(free), x.shape[0]), dtype=bool)
         start = 0
-        for k, (_, region, _, _) in enumerate(free):
-            masks[k] = region.contains_batch(x[:, start : start + region.dim])
-            start += region.dim
+        for k, i in enumerate(free):
+            lows, highs, _ = bounded[i]
+            masks[k] = StateRegion(lows, highs).contains_batch(x[:, start : start + lows.shape[1]])
+            start += lows.shape[1]
 
     if want is not None:
         if exact:
-            return float(np.prod([q[k] if want[i] else 1.0 - q[k] for k, (i, *_) in enumerate(free)])), True
+            return float(np.prod([q[k] if want[i] else 1.0 - q[k] for k, i in enumerate(free)])), True
         hit = np.ones(masks.shape[1], dtype=bool)
-        for k, (i, *_) in enumerate(free):
+        for k, i in enumerate(free):
             hit &= masks[k] if want[i] else ~masks[k]
         return float(hit.mean()), False
 
@@ -305,10 +336,10 @@ def _pattern_probabilities(
             sub_cells *= np.where(sub >> k & 1, q[k], 1.0 - q[k])
     else:
         sub_cells = np.bincount(pattern_codes(masks), minlength=sub.size) / masks.shape[1]
-    full = np.full(sub.size, pinned_code)
-    for k, (i, *_) in enumerate(free):
+    full = np.full(sub.size, sum(1 << i for i in np.flatnonzero(holds).tolist()))
+    for k, i in enumerate(free):
         full |= (sub >> k & 1) << i
-    cells = np.zeros(2 ** len(items))
+    cells = np.zeros(2**m)
     cells[full] = sub_cells
     return cells, exact
 

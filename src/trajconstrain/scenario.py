@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import TimeWindow, Trajectory
 from .errors import DimensionMismatchError
@@ -281,7 +280,7 @@ def fit_bernoulli_track(
             conds.append(GaussianSequence(full.mean[:n], full.cov[:n, :n], d))
             log_w.append(log_lik + prior)
     log_w = np.asarray(log_w)
-    probs = np.exp(log_w - logsumexp(log_w))
+    probs = np.exp(log_w - log_w.max())
     probs /= probs.sum()
     density = TrajectoryDensity(BirthDeathPmf(tuple(pairs), probs), tuple(conds))
     return BernoulliTrajectory(r0, density)

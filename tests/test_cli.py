@@ -117,6 +117,20 @@ class TestConstrain:
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
         assert (out1 / "constrained.csv").read_bytes() == (out2 / "constrained.csv").read_bytes()
 
+    def test_dropped_strata(self, tmp_path):
+        _, out = run(tmp_path, base_config(), "constrain", subdir="normal")
+        assert json.loads((out / "summary.json").read_text())["dropped_strata"] == 0
+        cfg = base_config()
+        # x >= 5 at step 0 is ~1e-7 likely for the 3 hypotheses born at 0, so
+        # each gets the 2-draw minimum and accepts neither
+        cfg["constraints"]["items"] = [
+            {"time": 0, "boxes": [{"lower": [5.0, None], "upper": [None, None]}]},
+            {"time": 3, "boxes": [{"lower": [0.0, None], "upper": [6.0, None]}]},
+        ]
+        code, out = run(tmp_path, cfg, "constrain", subdir="tiny")
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["dropped_strata"] == 3
+
     def test_zero_support_is_numeric_error(self, tmp_path):
         cfg = base_config()
         # constraint time outside every plausible (birth, death) hypothesis

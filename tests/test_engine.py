@@ -338,8 +338,8 @@ class TestRaoBlackwellMarginals:
             # the estimate's own error is at most that of ess plain draws
             inflate = math.sqrt(1.0 + n_t / mm.ess[k])
             for got, want, se in ((mm.means[k], mean, mean_se), (mm.covs[k], cov, cov_se)):
-                exact = se < 1e-8  # the zero-variance coordinate, up to the draws' rounding
-                np.testing.assert_allclose(got[exact], want[exact], rtol=0, atol=1e-8)
+                exact = se == 0.0  # the zero-variance coordinate, drawn exactly
+                np.testing.assert_allclose(got[exact], want[exact], rtol=0, atol=1e-12)
                 z = (got[~exact] - want[~exact]) / (se[~exact] * inflate)
                 assert np.all(np.abs(z) <= 4.0), (t, z)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from trajconstrain import (
     BirthDeathPmf,
@@ -16,7 +17,14 @@ from trajconstrain import (
     region_probability,
     sample,
 )
-from trajconstrain.gaussian import SampleCloud, Stratum, _pattern_probabilities, step_moments
+from trajconstrain.gaussian import (
+    SampleCloud,
+    Stratum,
+    _interval_masses,
+    _ndtr,
+    _pattern_probabilities,
+    step_moments,
+)
 
 from conftest import random_density, random_gaussian_sequence
 
@@ -54,6 +62,61 @@ class TestGaussianSequence:
         gs = GaussianSequence(np.zeros(2), cov, 1)
         with pytest.raises(ValueError):
             gs.draw(5, np.random.default_rng(0))
+
+    def test_zero_variance_coordinate_draws_its_mean(self, rng):
+        # rank-deficient: coordinate 2 is a constant, coordinate 3 repeats coordinate 0
+        a = rng.standard_normal((5, 5))
+        a[2] = 0.0
+        a[3] = a[0]
+        cov = a @ a.T
+        mean = rng.standard_normal(5)
+        x = GaussianSequence(mean, cov, 1).draw(10_000, np.random.default_rng(3))
+        assert np.all(x[:, 2] == mean[2])
+        # every other coordinate draws as from the plain eigh factor
+        w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+        z = np.random.default_rng(3).standard_normal((10_000, 5))
+        plain = mean + z @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+        others = [0, 1, 3, 4]
+        np.testing.assert_array_equal(x[:, others], plain[:, others])
+
+
+class TestNdtr:
+    def test_matches_scipy(self):
+        tiny = np.logspace(-300, 1.5, 2001)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 200_001), tiny, -tiny])
+        got, ref = _ndtr(x), ndtr(x)
+        rel = np.abs(got - ref) / np.where(ref > 0, ref, 1.0)
+        assert np.max(rel[ref >= 1e-300]) <= 1e-13
+        assert np.max(rel[np.abs(x) <= 10.0]) <= 1e-14
+        assert np.max(np.abs(got - ref)) <= 3e-16
+
+    def test_special_values_and_shape(self):
+        np.testing.assert_array_equal(_ndtr(np.array([-np.inf, 0.0, -0.0, np.inf])), [0.0, 0.5, 0.5, 1.0])
+        for shape in [(), (0,), (2, 3), (4, 0, 2)]:
+            x = np.arange(math.prod(shape), dtype=float).reshape(shape) - 2.0
+            assert _ndtr(x).shape == shape
+            np.testing.assert_allclose(_ndtr(x), ndtr(x), rtol=1e-14, atol=0)
+
+    def test_interval_masses_match_scipy_formula(self, rng):
+        # the per-element formula, with scipy's ndtr, that _interval_masses evaluates in one pass
+        def reference(lows, highs, mean, sd):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a, b = (lows - mean) / sd, (highs - mean) / sd
+            a = np.where(sd == 0.0, np.where(lows <= mean, -np.inf, np.inf), a)
+            b = np.where(sd == 0.0, np.where(highs >= mean, np.inf, -np.inf), b)
+            return np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a)), ndtr(a) + ndtr(-b)
+
+        for _ in range(200):
+            boxes, dims = rng.integers(1, 5), rng.integers(1, 6)
+            mean = rng.normal(0.0, 3.0, dims)
+            sd = rng.uniform(0.01, 3.0, dims) * (rng.random(dims) < 0.8)  # some point masses
+            lows = mean + rng.normal(0.0, 4.0, (boxes, dims)) * np.maximum(sd, 1.0)
+            highs = lows + rng.exponential(3.0, (boxes, dims))
+            lows[rng.random((boxes, dims)) < 0.2] = -np.inf
+            highs[rng.random((boxes, dims)) < 0.2] = np.inf
+            for got, want in zip(_interval_masses(lows, highs, mean, sd), reference(lows, highs, mean, sd)):
+                assert got.shape == (boxes, dims)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 class TestMarginal:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from trajconstrain import TimeWindow
+from trajconstrain import TimeWindow, scenario
 from trajconstrain.scenario import (
     Measurement,
     MotionModel,
@@ -192,6 +193,37 @@ class TestSmoother:
             x = mm.transition @ x
 
 
+def good_track_motion():
+    return MotionModel(
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        0.01 * np.eye(2),
+        0.5,
+        0.2,
+        np.array([4.0, 1.0]),
+        np.diag([0.5, 0.5]),
+    )
+
+
+# (measurements, motion, sensor, window, slack) of the track fits below
+FIT_FIXTURES = {
+    "slack": ([(4, [4.0]), (6, [6.0])], cv_motion(), pos_sensor(), TimeWindow(0, 10), 2),
+    "single": ([(0, [1.0])], cv_motion(), pos_sensor(), TimeWindow(0, 3), 1),
+    "gap": (
+        [(k, [float(z)]) for k, z in zip([1, 2, 3, 4, 7, 8], np.random.default_rng(5).normal([1, 2, 3, 4, 7, 8], 1.0))],
+        cv_motion(),
+        pos_sensor(),
+        TimeWindow(0, 10),
+        3,
+    ),
+    "good": ([(k, [1.0 + 1.0 * k]) for k in range(3, 8)], good_track_motion(), pos_sensor(r=0.01), TimeWindow(0, 10), 3),
+}
+
+
+@pytest.fixture(params=sorted(FIT_FIXTURES))
+def fit_case(request):
+    return FIT_FIXTURES[request.param]
+
+
 class TestFitBernoulliTrack:
     def test_input_validation(self):
         mm, sm, w = cv_motion(), pos_sensor(), TimeWindow(0, 10)
@@ -238,18 +270,42 @@ class TestFitBernoulliTrack:
         w = np.exp(np.asarray(log_w) - max(log_w))
         np.testing.assert_allclose(out.density.pmf.probs, w / w.sum(), rtol=0, atol=1e-12)
 
+    def test_pmf_matches_logsumexp(self, fit_case):
+        # the max-shifted weights equal the logsumexp-normalized ones of the
+        # per-pair smoother's log-likelihoods and birth/survival/death priors
+        meas, mm, sm, window, slack = fit_case
+        out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
+        by_time = {k: np.asarray(z, dtype=float) for k, z in meas}
+        n_betas = len({b for b, _ in out.density.pmf.pairs})
+        log_w = []
+        for b, e in out.density.pmf.pairs:
+            _, log_lik = _smooth_hypothesis(b, e, by_time, mm, sm)
+            death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
+            log_w.append(log_lik - math.log(n_betas) + math.log(mm.survival) * (e - b) + death)
+        ref = np.exp(np.asarray(log_w) - logsumexp(log_w))
+        np.testing.assert_allclose(out.density.pmf.probs, ref / ref.sum(), rtol=0, atol=1e-12)
+
+    def test_pmf_finite_at_tiny_log_weights(self, fit_case, monkeypatch):
+        # every log-weight around -1e4, where exp alone underflows to 0
+        meas, mm, sm, window, slack = fit_case
+        plain = fit_bernoulli_track(meas, mm, sm, window, slack=slack).density.pmf.probs
+        smooth = scenario._smooth_hypothesis
+
+        def shifted(*args):
+            gs, log_lik = smooth(*args)
+            return gs, log_lik - 1e4
+
+        monkeypatch.setattr(scenario, "_smooth_hypothesis", shifted)
+        probs = fit_bernoulli_track(meas, mm, sm, window, slack=slack).density.pmf.probs
+        assert np.all(np.isfinite(probs))
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(probs, plain, rtol=0, atol=1e-9)
+
     def test_good_track_concentrates_on_truth(self):
         # measurements along a straight line, with a birth prior centered on
         # the state at the first measured step, favor the hypothesis that
         # spans exactly the measured steps under low survival
-        mm = MotionModel(
-            np.array([[1.0, 1.0], [0.0, 1.0]]),
-            0.01 * np.eye(2),
-            0.5,
-            0.2,
-            np.array([4.0, 1.0]),
-            np.diag([0.5, 0.5]),
-        )
+        mm = good_track_motion()
         sm = pos_sensor(r=0.01)
         meas = [(k, [1.0 + 1.0 * k]) for k in range(3, 8)]
         out = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, 10), slack=3)
