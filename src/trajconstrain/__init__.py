@@ -28,6 +28,7 @@ from .engine import (
     constrain_pmbm,
     constrain_ppp,
     constrained_marginals,
+    disjunct_partitions,
 )
 from .gaussian import (
     BirthDeathPmf,

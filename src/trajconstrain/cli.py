@@ -22,7 +22,7 @@ import numpy as np
 
 from . import serialize
 from .core import Constraint, ConstraintSet, StateRegion, TimeWindow
-from .engine import constrain_bernoulli, constrained_marginals
+from .engine import constrain_bernoulli, constrain_ppp, constrained_marginals
 from .errors import ConfigError, TrajConstrainError, ZeroSupportError
 from .gaussian import step_moments
 from .oracle import oracle_bernoulli, oracle_ppp
@@ -289,8 +289,6 @@ def cmd_oracle(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     mu = ocfg.get("mu")
     if mu is not None:
         ppp = PppTrajectory(float(mu), bern.density)
-        from .engine import constrain_ppp
-
         cp = constrain_ppp(ppp, cs, budget, seed)
         if corrupt != 1.0:
             cp.mu *= corrupt

@@ -11,17 +11,21 @@ by constraining its PPP and every Bernoulli while hypothesis weights stay
 untouched; global hypotheses share single-target hypotheses, so each distinct
 density is constrained once per call and its result reused for every slot.
 
-Per pair, both modes go through one probability primitive
+Per pair, both modes make one ``region_probability`` call (all entries
+inside, or in disjunct mode with two or more active constraints all in the
+complement). It goes through one probability primitive
 (``gaussian._pattern_probabilities``), which works in this order: marginalize
 each active region onto its bounded coordinates; pin every constraint whose
-1-D bounds settle it within 1e-12 (a pinned violation in conjunct mode gives
-exactly 0); evaluate the rest in closed form when they are single boxes on
+1-D bounds settle it within 1e-12 (one pinned against its side gives exactly
+0); evaluate the rest in closed form when they are single boxes on
 uncorrelated coordinates, else by Monte Carlo on those coordinates alone.
 
 In disjunct mode the constrained conditional is a mixture over partitions of
-the active constraints into satisfied/unsatisfied index sets; the partition
-weights are materialized explicitly, and the component densities are realized
-by rejection sampling against the inside/complement indicators.
+the active constraints into satisfied/unsatisfied index sets. Constraining
+needs only its total mass, 1 - P(every active constraint fails), and samples
+come from rejection against the indicators, so any number of active
+constraints works. The 2^m - 1 partition weights are built only on request,
+by ``disjunct_partitions``, which alone caps m.
 
 Per-step constrained marginals (``constrained_marginals``) are exact Gaussian
 given y, the bounded coordinates at the active constraint times: per pair
@@ -50,6 +54,7 @@ from .errors import (
     ZeroSupportError,
 )
 from .gaussian import (
+    COMPLEMENT,
     INSIDE,
     BirthDeathPmf,
     GaussianSequence,
@@ -92,7 +97,6 @@ class PairConstraintInfo:
     active: Tuple[int, ...]
     spatial_prob: float
     spatial_se: float
-    partitions: Optional[Tuple[PartitionEntry, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -205,62 +209,6 @@ def _pair_seed(rng_seed: int, pair_index: int, query: int = 0) -> int:
     return int(np.random.SeedSequence([int(rng_seed), pair_index, query]).generate_state(1)[0])
 
 
-def _conjunct_pair_prob(
-    gs: GaussianSequence,
-    pair: Pair,
-    cs: ConstraintSet,
-    active: Tuple[int, ...],
-    mc_budget: int,
-    rng_seed: int,
-    pair_index: int,
-) -> PairConstraintInfo:
-    entries = [(cs.constraints[i].time, cs.constraints[i].region, INSIDE) for i in active]
-    p, se = region_probability(gs, pair, entries, mc_budget, _pair_seed(rng_seed, pair_index))
-    return PairConstraintInfo(pair, active, p, se)
-
-
-@lru_cache(maxsize=256)
-def _partition_sets(active: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-    """(inside, outside) constraint indices of every nonempty satisfied set, by code 1..2^m - 1."""
-    m = len(active)
-    return tuple(
-        (
-            tuple(active[t] for t in range(m) if code >> t & 1),
-            tuple(active[t] for t in range(m) if not code >> t & 1),
-        )
-        for code in range(1, 2**m)
-    )
-
-
-def _disjunct_pair_prob(
-    gs: GaussianSequence,
-    pair: Pair,
-    cs: ConstraintSet,
-    active: Tuple[int, ...],
-    mc_budget: int,
-    rng_seed: int,
-    pair_index: int,
-) -> PairConstraintInfo:
-    m = len(active)
-    if m > MAX_ACTIVE_FOR_PARTITIONS:
-        raise PartitionBudgetError(
-            f"{m} active constraints need {2**m - 1} partitions; "
-            f"use conjunct mode or coarser constraints (cap {MAX_ACTIVE_FOR_PARTITIONS})"
-        )
-    items = [(cs.constraints[i].time, cs.constraints[i].region) for i in active]
-    cells, exact = _pattern_probabilities(gs, pair, items, mc_budget, _pair_seed(rng_seed, pair_index))
-    raw = cells[1:]
-    total_inside = float(raw.sum())
-    p_spatial = 1.0 - float(cells[0])
-    se = 0.0 if exact else math.sqrt(p_spatial * (1.0 - p_spatial) / mc_budget)
-    weights = raw / total_inside if total_inside > 0 else np.zeros(raw.size)
-    partitions = tuple(
-        PartitionEntry(inside, outside, w, r)
-        for (inside, outside), w, r in zip(_partition_sets(active), weights.tolist(), raw.tolist())
-    )
-    return PairConstraintInfo(pair, active, p_spatial, se, partitions)
-
-
 def constrain_density(
     td: TrajectoryDensity,
     cs: ConstraintSet,
@@ -287,12 +235,13 @@ def constrain_density(
 
     pair_info: Dict[Pair, PairConstraintInfo] = {}
     for j, pair, _, active in qualifying:
-        gs = td.conditionals[j]
-        if cs.mode == DISJUNCT and len(active) > 1:
-            info = _disjunct_pair_prob(gs, pair, cs, active, mc_budget, rng_seed, j)
-        else:
-            info = _conjunct_pair_prob(gs, pair, cs, active, mc_budget, rng_seed, j)
-        pair_info[pair] = info
+        # A disjunct pair holds unless every active constraint fails. With one
+        # active constraint both modes take P(inside), so they agree exactly.
+        complement = cs.mode == DISJUNCT and len(active) > 1
+        side = COMPLEMENT if complement else INSIDE
+        entries = [(cs.constraints[i].time, cs.constraints[i].region, side) for i in active]
+        p, se = region_probability(td.conditionals[j], pair, entries, mc_budget, _pair_seed(rng_seed, j))
+        pair_info[pair] = PairConstraintInfo(pair, active, 1.0 - p if complement else p, se)
 
     # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
     # which is what rejection sampling through the constraint indicators yields.
@@ -314,6 +263,59 @@ def constrain_density(
     pmf = BirthDeathPmf(pairs, masses[keep] / total)
     ctd = ConstrainedTrajectoryDensity(td, cs, pmf, pair_info)
     return ctd, report
+
+
+@lru_cache(maxsize=256)
+def _partition_sets(active: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """(inside, outside) constraint indices of every nonempty satisfied set, by code 1..2^m - 1."""
+    m = len(active)
+    return tuple(
+        (
+            tuple(active[t] for t in range(m) if code >> t & 1),
+            tuple(active[t] for t in range(m) if not code >> t & 1),
+        )
+        for code in range(1, 2**m)
+    )
+
+
+def disjunct_partitions(
+    ctd: ConstrainedTrajectoryDensity,
+    pair: Pair,
+    mc_budget: int = 100_000,
+    rng_seed: int = 0,
+) -> Tuple[PartitionEntry, ...]:
+    """The disjunct mixture of one (birth, death) pair over partitions of its
+    active constraints into satisfied (inside) and unsatisfied (outside) sets.
+
+    One entry per nonempty satisfied set, in bit-code order 1..2^m - 1:
+    ``raw_weight`` is the probability that exactly those constraints hold and
+    ``weight`` that probability normalized over the entries. Called with the
+    ``mc_budget`` and ``rng_seed`` of the ``constrain_density`` call, it uses
+    the same draws, so the raw weights sum to the pair's ``spatial_prob`` up
+    to rounding. Raises PartitionBudgetError above MAX_ACTIVE_FOR_PARTITIONS
+    active constraints (2^m - 1 entries).
+    """
+    if ctd.cs.mode != DISJUNCT:
+        raise ValueError(f"partitions need a disjunct constraint set, got {ctd.cs.mode!r}")
+    if pair not in ctd.pair_info:
+        raise ValueError(f"pair {pair} meets no constraint time")
+    active = ctd.pair_info[pair].active
+    m = len(active)
+    if m > MAX_ACTIVE_FOR_PARTITIONS:
+        raise PartitionBudgetError(
+            f"{m} active constraints need {2**m - 1} partitions; "
+            f"use conjunct mode or coarser constraints (cap {MAX_ACTIVE_FOR_PARTITIONS})"
+        )
+    j = ctd.base.pmf.pairs.index(pair)
+    items = [(ctd.cs.constraints[i].time, ctd.cs.constraints[i].region) for i in active]
+    cells, _ = _pattern_probabilities(ctd.base.conditionals[j], pair, items, mc_budget, _pair_seed(rng_seed, j))
+    raw = cells[1:]
+    total = float(raw.sum())
+    weights = raw / total if total > 0 else np.zeros(raw.size)
+    return tuple(
+        PartitionEntry(inside, outside, w, r)
+        for (inside, outside), w, r in zip(_partition_sets(active), weights.tolist(), raw.tolist())
+    )
 
 
 def _constrain_component(

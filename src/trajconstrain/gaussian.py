@@ -360,7 +360,8 @@ def region_probability(
     pinned (one pinned against its side gives exactly 0, with no draws);
     the rest are evaluated in closed form (standard error 0) when they are
     single boxes on uncorrelated coordinates, else by plain Monte Carlo on
-    their bounded coordinates.
+    their bounded coordinates. A Monte Carlo estimate of exactly 0 or 1
+    reports a standard error of about 1/mc_budget, not 0.
     """
     if not entries:
         raise ValueError("entries must be nonempty")
@@ -372,8 +373,12 @@ def region_probability(
     items = [(t, region) for t, region, _ in entries]
     want = [side == INSIDE for _, _, side in entries]
     p, exact = _pattern_probabilities(gs, pair, items, mc_budget, rng_seed, want)
-    se = 0.0 if exact else math.sqrt(p * (1.0 - p) / int(mc_budget))
-    return p, se
+    if exact:
+        return p, 0.0
+    n = int(mc_budget)
+    # An estimate of exactly 0 or 1 is moved 1/n inward for its SE (about 1/n, not 0).
+    q = p if 0.0 < p < 1.0 else min(max(p, 1.0 / n), 1.0 - 1.0 / n)
+    return p, math.sqrt(q * (1.0 - q) / n)
 
 
 def alive_probability(pmf: BirthDeathPmf, predicate: Callable[[Pair], bool]) -> float:
@@ -381,20 +386,28 @@ def alive_probability(pmf: BirthDeathPmf, predicate: Callable[[Pair], bool]) -> 
     return float(sum(p for pair, p in pmf.items() if predicate(pair)))
 
 
+def stratified_draws(td: TrajectoryDensity, n: int, rng: np.random.Generator) -> Dict[Pair, np.ndarray]:
+    """n i.i.d. draws of td grouped by (birth, death) pair, each (count, length, dim).
+
+    One multinomial over the pmf, then one ``draw`` per pair with a nonzero
+    count, in pmf order; pairs drawn 0 times are left out.
+    """
+    if n == 0:
+        return {}
+    counts = rng.multinomial(n, td.pmf.probs)
+    return {
+        (b, e): g.draw(int(c), rng).reshape(c, e - b + 1, td.dim)
+        for (b, e), g, c in zip(td.pmf.pairs, td.conditionals, counts)
+        if c
+    }
+
+
 def sample(td: TrajectoryDensity, n: int, rng_seed: int = 0) -> SampleCloud:
     """Stratified i.i.d. sampling: draw (birth, death) from the pmf, then the sequence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = child_rng(rng_seed)
-    counts = rng.multinomial(n, td.pmf.probs)
-    strata: Dict[Pair, Stratum] = {}
-    for pair, g, c in zip(td.pmf.pairs, td.conditionals, counts):
-        if c == 0:
-            continue
-        x = g.draw(int(c), rng)
-        b, e = pair
-        strata[pair] = Stratum(x.reshape(c, e - b + 1, td.dim), np.ones(c))
-    return SampleCloud(td.dim, strata)
+    draws = stratified_draws(td, n, child_rng(rng_seed))
+    return SampleCloud(td.dim, {pair: Stratum(x, np.ones(x.shape[0])) for pair, x in draws.items()})
 
 
 def _step_blocks(cov: np.ndarray, dim: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .engine import (
     constrained_marginals,
 )
 from .errors import LowAcceptanceError
-from .gaussian import Pair, TrajectoryDensity, child_rng
+from .gaussian import Pair, child_rng, stratified_draws
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 
@@ -97,17 +97,6 @@ def _entry(name: str, analytic: float, empirical: float, se: float, z_threshold:
     return OracleEntry(name, analytic, empirical, se, z, abs(z) <= z_threshold)
 
 
-def _sample_strata(density: TrajectoryDensity, n: int, rng: np.random.Generator) -> Dict[Pair, np.ndarray]:
-    """n trajectory draws grouped by (birth, death); values are (n_s, nu, d)."""
-    counts = rng.multinomial(n, density.pmf.probs)
-    out: Dict[Pair, np.ndarray] = {}
-    for (b, e), g, c in zip(density.pmf.pairs, density.conditionals, counts):
-        if c == 0:
-            continue
-        out[(b, e)] = g.draw(int(c), rng).reshape(c, e - b + 1, density.dim)
-    return out
-
-
 def _acceptance_by_pair(
     strata: Dict[Pair, np.ndarray], cs: ConstraintSet
 ) -> Tuple[int, Dict[Pair, int]]:
@@ -135,7 +124,7 @@ def oracle_bernoulli(
     entries: List[OracleEntry] = []
 
     n_exist = int(rng.binomial(n, b.r)) if b.r > 0 else 0
-    strata = _sample_strata(b.density, n_exist, rng) if n_exist else {}
+    strata = stratified_draws(b.density, n_exist, rng)
     accepted, per_pair = _acceptance_by_pair(strata, cs)
     r_hat = accepted / n
     r_c = constrained.r
@@ -217,7 +206,7 @@ def oracle_ppp(
     rng = child_rng(rng_seed, 13)
     counts = rng.poisson(p.mu, size=n_runs)
     total = int(counts.sum())
-    strata = _sample_strata(p.density, total, rng)
+    strata = stratified_draws(p.density, total, rng)
 
     # Flatten acceptance flags back into per-run counts.
     flags = np.empty(total, dtype=bool)
@@ -283,7 +272,7 @@ def oracle_pmbm(
     hyp_pick = rng.choice(len(weights), size=n_card, p=weights / weights.sum())
     total_surv = 0.0
     ppp_counts = rng.poisson(m.ppp.mu, size=n_card)
-    strata = _sample_strata(m.ppp.density, int(ppp_counts.sum()), rng)
+    strata = stratified_draws(m.ppp.density, int(ppp_counts.sum()), rng)
     acc_total, _ = _acceptance_by_pair(strata, cs)
     total_surv += acc_total
     for a, h in enumerate(m.hypotheses):
@@ -294,7 +283,7 @@ def oracle_pmbm(
             n_exist = int(rng.binomial(n_a, t.r)) if t.r > 0 else 0
             if n_exist == 0:
                 continue
-            s = _sample_strata(t.density, n_exist, rng)
+            s = stratified_draws(t.density, n_exist, rng)
             acc, _ = _acceptance_by_pair(s, cs)
             total_surv += acc
     emp = total_surv / n_card

@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import Trajectory
-from .gaussian import TrajectoryDensity, child_rng
+from .gaussian import TrajectoryDensity, child_rng, stratified_draws
 
 _WEIGHT_TOL = 1e-12
 
@@ -83,16 +83,8 @@ class PmbmDensity:
 
 
 def _draw_trajectories(density: TrajectoryDensity, n: int, rng: np.random.Generator) -> List[Trajectory]:
-    if n == 0:
-        return []
-    counts = rng.multinomial(n, density.pmf.probs)
-    out: List[Trajectory] = []
-    for (b, e), g, c in zip(density.pmf.pairs, density.conditionals, counts):
-        if c == 0:
-            continue
-        x = g.draw(int(c), rng).reshape(c, e - b + 1, density.dim)
-        out.extend(Trajectory(b, e, x[i]) for i in range(c))
-    return out
+    draws = stratified_draws(density, n, rng)
+    return [Trajectory(b, e, x[i]) for (b, e), x in draws.items() for i in range(x.shape[0])]
 
 
 def sample_bernoulli(b: BernoulliTrajectory, rng_seed: int = 0) -> List[Trajectory]:

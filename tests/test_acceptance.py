@@ -28,6 +28,7 @@ from trajconstrain import (
     constrain_density,
     constrain_pmbm,
     constrain_ppp,
+    disjunct_partitions,
     satisfies_batch,
     tau_set,
     time_window_constraints,
@@ -241,12 +242,15 @@ def test_criterion_6_disjunct_partitions(rng):
         except ZeroSupportError:
             continue
         for pair, info in ctd.pair_info.items():
-            if info.partitions is None or info.spatial_prob <= 0:
+            if len(info.active) < 2 or info.spatial_prob <= 0:
                 continue
-            w_sum = sum(p.weight for p in info.partitions)
+            partitions = disjunct_partitions(ctd, pair, 100_000, rng_seed=i)
+            w_sum = sum(p.weight for p in partitions)
             if abs(w_sum - 1.0) > 1e-10:
                 failures.append(f"inst {i} pair {pair}: weights sum to {w_sum}")
-            raw_sum = sum(p.raw_weight for p in info.partitions)
+            raw_sum = sum(p.raw_weight for p in partitions)
+            if abs(raw_sum - info.spatial_prob) > 1e-12:
+                failures.append(f"inst {i} pair {pair}: raw sum {raw_sum} vs spatial {info.spatial_prob}")
             entries = [
                 (cs.constraints[j].time, cs.constraints[j].region, COMPLEMENT)
                 for j in info.active
@@ -267,7 +271,10 @@ def test_criterion_6_disjunct_partitions(rng):
         td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.array([1.0])), (gs,))
         cs = ConstraintSet([Constraint(0, region), Constraint(1, region)], "disjunct")
         ctd, _ = constrain_density(td, cs, budget, rng_seed=21)
-        weights = [p.weight for p in ctd.pair_info[(0, 1)].partitions]
+        partitions = disjunct_partitions(ctd, (0, 1), budget, rng_seed=21)
+        weights = [p.weight for p in partitions]
+        if abs(sum(p.raw_weight for p in partitions) - ctd.pair_info[(0, 1)].spatial_prob) > 1e-12:
+            failures.append(f"symmetric case ({region.n_boxes} boxes): raw weights miss spatial_prob")
         if len(weights) != 3 or any(abs(w - 1 / 3) > 1e-3 for w in weights):
             failures.append(f"symmetric case ({region.n_boxes} boxes): weights {weights}")
     _report(6, "disjunct partition weight identities", failures)

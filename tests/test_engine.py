@@ -21,8 +21,10 @@ from trajconstrain import (
     constrain_pmbm,
     constrain_ppp,
     constrained_marginals,
+    disjunct_partitions,
     sample,
     satisfies_batch,
+    time_window_constraints,
 )
 from trajconstrain import engine
 from trajconstrain.engine import MAX_ACTIVE_FOR_PARTITIONS
@@ -110,23 +112,30 @@ class TestDisjunct:
         info = ctd.pair_info[(0, 1)]
         assert info.spatial_se == 0.0
         assert info.spatial_prob == pytest.approx(0.75)
-        assert len(info.partitions) == 3
-        for part in info.partitions:
+        partitions = disjunct_partitions(ctd, (0, 1))
+        assert len(partitions) == 3
+        for part in partitions:
             assert part.weight == pytest.approx(1 / 3)
             assert part.raw_weight == pytest.approx(0.25)
+        assert abs(sum(p.raw_weight for p in partitions) - info.spatial_prob) <= 1e-12
         assert report.joint == pytest.approx(0.75)
 
     def test_partition_weights_normalize(self, rng):
         td = random_density(rng, TimeWindow(0, 4), 1)
         cs = random_constraint_set(rng, TimeWindow(0, 4), 1, mode="disjunct")
         ctd, _ = constrain_density(td, cs, mc_budget=20_000, rng_seed=5)
-        for info in ctd.pair_info.values():
-            if info.partitions is None or info.spatial_prob == 0.0:
+        checked = 0
+        for pair, info in ctd.pair_info.items():
+            if info.spatial_prob == 0.0:
                 continue
-            assert sum(p.weight for p in info.partitions) == pytest.approx(1.0)
-            assert sum(p.raw_weight for p in info.partitions) == pytest.approx(
+            partitions = disjunct_partitions(ctd, pair, mc_budget=20_000, rng_seed=5)
+            assert sum(p.weight for p in partitions) == pytest.approx(1.0)
+            assert sum(p.raw_weight for p in partitions) == pytest.approx(
                 info.spatial_prob
             )
+            assert abs(sum(p.raw_weight for p in partitions) - info.spatial_prob) <= 1e-12
+            checked += len(info.active) > 1
+        assert checked > 0
 
     def test_single_constraint_modes_agree(self, rng):
         td = random_density(rng, TimeWindow(0, 3), 1)
@@ -141,8 +150,54 @@ class TestDisjunct:
         n = MAX_ACTIVE_FOR_PARTITIONS + 1
         td = std_density([(0, n - 1)], [1.0])
         cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(n)], "disjunct")
+        ctd, _ = constrain_density(td, cs)
         with pytest.raises(PartitionBudgetError):
-            constrain_density(td, cs)
+            disjunct_partitions(ctd, (0, n - 1))
+
+    def test_partitions_need_a_disjunct_pair_with_active_constraints(self):
+        td = std_density([(0, 1), (5, 5)], [0.5, 0.5])
+        constraints = [Constraint(0, HALF_LINE), Constraint(1, HALF_LINE)]
+        ctd, _ = constrain_density(td, ConstraintSet(constraints, "conjunct"))
+        with pytest.raises(ValueError):
+            disjunct_partitions(ctd, (0, 1))
+        ctd, _ = constrain_density(td, ConstraintSet(constraints, "disjunct"))
+        with pytest.raises(ValueError):
+            disjunct_partitions(ctd, (5, 5))
+
+    def test_time_window_of_26_steps_is_the_alive_probability(self, monkeypatch):
+        # 26 active constraints are above the partition cap; the answer needs no draw
+        def no_draw(self, n, rng):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(GaussianSequence, "draw", no_draw)
+        td = std_density([(0, 25), (30, 31)], [0.6, 0.4])
+        ctd, report = constrain_density(td, time_window_constraints(0, 25, 1))
+        assert report.prob_alive == pytest.approx(0.6)
+        assert report.joint == report.prob_alive
+        assert report.joint_se == 0.0
+        assert ctd.pmf.pairs == ((0, 25),)
+
+    def test_26_independent_half_lines(self):
+        n = 26
+        td = std_density([(0, n - 1)], [1.0])
+        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(n)], "disjunct")
+        _, report = constrain_density(td, cs)
+        assert report.joint == pytest.approx(1.0 - 2.0**-n, abs=1e-15)
+        assert report.joint_se == 0.0
+
+    def test_constrain_pmbm_builds_no_partition(self, monkeypatch):
+        def no_partition(*args, **kwargs):
+            raise AssertionError("built a PartitionEntry")
+
+        monkeypatch.setattr(engine, "PartitionEntry", no_partition)
+        td = std_density([(0, 1), (0, 2)], [0.5, 0.5])
+        pmbm = PmbmDensity(
+            PppTrajectory(1.0, td),
+            (GlobalHypothesis(1.0, (BernoulliTrajectory(0.7, td),)),),
+        )
+        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(3)], "disjunct")
+        out = constrain_pmbm(pmbm, cs, mc_budget=1_000)
+        assert out.hypotheses[0].tracks[0].report.joint == pytest.approx(0.5 * 0.75 + 0.5 * 0.875)
 
     def test_disjunct_at_least_conjunct(self, rng):
         td = random_density(rng, TimeWindow(0, 4), 2)

@@ -215,6 +215,16 @@ class TestRegionProbability:
         with pytest.raises(ValueError):
             region_probability(gs, (0, 0), [])
 
+    def test_mc_estimate_of_0_or_1_reports_nonzero_se(self):
+        # two boxes force Monte Carlo; the region lies about 6 sd out
+        gs = self.std_normal_steps(1)
+        far = StateRegion.boxes([[(6.0, 7.0)], [(7.0, None)]])
+        n = 1000
+        for side, expected in (("inside", 0.0), ("complement", 1.0)):
+            p, se = region_probability(gs, (0, 0), [(0, far, side)], n, 4)
+            assert p == expected
+            assert se == pytest.approx(math.sqrt((1 / n) * (1 - 1 / n) / n), rel=1e-12)
+
     def test_deterministic_under_seed(self, rng):
         gs = random_gaussian_sequence(rng, (0, 2), 2)
         entries = [(0, StateRegion.box([(-1, 1), None]), "inside"),

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trajconstrain.kernels import (
-    pattern_codes,
-    pattern_codes_numpy,
-    points_in_boxes,
-    points_in_boxes_numpy,
-)
+from trajconstrain.kernels import pattern_codes, points_in_boxes
+
+
+def all_dims_reference(pts, lows, highs):
+    """Box-union membership comparing every dimension, inf bounds included."""
+    expected = np.zeros(pts.shape[0], dtype=bool)
+    for b in range(lows.shape[0]):
+        expected |= np.all((pts >= lows[b]) & (pts <= highs[b]), axis=1)
+    return expected
 
 
 class TestPointsInBoxes:
@@ -19,7 +22,6 @@ class TestPointsInBoxes:
         highs = np.array([[1.0, 1.0]])
         expected = np.array([True, False, False])
         np.testing.assert_array_equal(points_in_boxes(pts, lows, highs), expected)
-        np.testing.assert_array_equal(points_in_boxes_numpy(pts, lows, highs), expected)
 
     def test_union_and_unbounded(self):
         pts = np.array([[0.0], [10.0], [-10.0], [3.0]])
@@ -43,12 +45,11 @@ class TestPointsInBoxes:
     def test_jitted_matches_numpy(self, pts, lows, widths):
         highs = lows + widths
         np.testing.assert_array_equal(
-            points_in_boxes(pts, lows, highs), points_in_boxes_numpy(pts, lows, highs)
+            points_in_boxes(pts, lows, highs), all_dims_reference(pts, lows, highs)
         )
 
 
     def test_finite_bounds_only_matches_all_dims_formula(self):
-        # reference: the formula that compares every dimension, inf bounds included
         rng = np.random.default_rng(3)
         for trial in range(200):
             n, k, nb = int(rng.integers(1, 300)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -62,17 +63,15 @@ class TestPointsInBoxes:
                 bound = (lows if rng.random() < 0.5 else highs)[int(rng.integers(0, nb)), j]
                 if np.isfinite(bound):
                     pts[i, j] = bound
-            expected = np.zeros(n, dtype=bool)
-            for b in range(nb):
-                expected |= np.all((pts >= lows[b]) & (pts <= highs[b]), axis=1)
-            np.testing.assert_array_equal(points_in_boxes_numpy(pts, lows, highs), expected)
+            np.testing.assert_array_equal(
+                points_in_boxes(pts, lows, highs), all_dims_reference(pts, lows, highs)
+            )
 
 
 class TestPatternCodes:
     def test_known_patterns(self):
         masks = np.array([[True, False, True, False], [True, True, False, False]])
         np.testing.assert_array_equal(pattern_codes(masks), [3, 2, 1, 0])
-        np.testing.assert_array_equal(pattern_codes_numpy(masks), [3, 2, 1, 0])
 
     def test_single_row(self):
         masks = np.array([[False, True]])
@@ -81,7 +80,8 @@ class TestPatternCodes:
     @given(arrays(np.bool_, (5, 40)))
     @settings(max_examples=50, deadline=None)
     def test_jitted_matches_numpy(self, masks):
-        np.testing.assert_array_equal(pattern_codes(masks), pattern_codes_numpy(masks))
+        expected = sum(masks[t].astype(np.int64) << t for t in range(masks.shape[0]))
+        np.testing.assert_array_equal(pattern_codes(masks), expected)
 
     def test_codes_cover_range(self):
         rng = np.random.default_rng(0)
