@@ -13,39 +13,36 @@ density is constrained once per call and its result reused for every slot.
 
 Per pair, both modes make one ``region_probability`` call (all entries
 inside, or in disjunct mode with two or more active constraints all in the
-complement). It goes through one probability primitive
-(``gaussian._pattern_probabilities``), which works in this order: marginalize
-each active region onto its bounded coordinates; pin every constraint whose
-1-D bounds settle it within 1e-12 (one pinned against its side gives exactly
-0); evaluate the rest in closed form when they are single boxes on
-uncorrelated coordinates, else by Monte Carlo on those coordinates alone.
+complement), which settles it exactly where it can and by Monte Carlo on the
+bounded coordinates otherwise.
 
 In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets. Constraining
-needs only its total mass, 1 - P(every active constraint fails), and samples
-come from rejection against the indicators, so any number of active
+needs only its total mass, 1 - P(every active constraint fails), and the
+views below accept draws against the indicators, so any number of active
 constraints works. The 2^m - 1 partition weights are built only on request,
 by ``disjunct_partitions``, which alone caps m.
 
-Per-step constrained marginals (``constrained_marginals``) are exact Gaussian
-given y, the bounded coordinates at the active constraint times: per pair
-only y is drawn by Monte Carlo and accepted by the regions, and each step's
-mean and covariance follow in closed form from the accepted draws' mean and
-covariance. ``sample_cloud`` and ``moment_matched`` draw full sequences,
-because they return joint samples.
+The indicators read only y, the bounded coordinates at the active constraint
+times, and given y the whole sequence is exactly Gaussian. So one accepted-y
+draw per pair serves all three views: ``constrained_marginals`` and
+``moment_matched`` take the Gaussian given the accepted draws' mean and
+covariance (Rao-Blackwellization); ``sample_cloud`` completes each accepted y
+to a joint sample by pathwise conditioning.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion, active_indices, satisfies_batch
+from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion, active_indices
+from .core import satisfies_batch  # noqa: F401  (not called here; perfbench/tracing.py patches engine.satisfies_batch)
 from .errors import (
     DegenerateDensityError,
     DimensionMismatchError,
@@ -68,7 +65,6 @@ from .gaussian import (
     _step_mixture,
     child_rng,
     marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
-    moment_match,
     region_probability,
 )
 from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pattern_codes)
@@ -139,10 +135,11 @@ class MarginalMoments:
 class ConstrainedTrajectoryDensity:
     """Indicator-truncated trajectory density under a constraint set.
 
-    Evaluation/sampling goes through the base Gaussians restricted by the
-    constraint indicators; ``pmf`` is the constrained (birth, death) mass.
-    A degenerate instance (zero spatial probability everywhere) carries no
-    pmf.
+    ``pmf`` is the constrained (birth, death) mass. One accepted-y draw per
+    pair (the same for the same ``mc_budget`` and ``rng_seed``) serves all
+    three views: ``constrained_marginals``, ``moment_matched`` and the joint
+    samples of ``sample_cloud``, which come from pathwise conditioning. A
+    degenerate instance (zero spatial probability everywhere) carries no pmf.
     """
 
     base: TrajectoryDensity
@@ -150,29 +147,42 @@ class ConstrainedTrajectoryDensity:
     pmf: Optional[BirthDeathPmf]
     pair_info: Dict[Pair, PairConstraintInfo]
     degenerate: bool = False
-    _cloud_cache: Optional[SampleCloud] = field(default=None, repr=False)
-    _cloud_key: Optional[Tuple[int, int]] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def conditional(self, pair: Pair) -> GaussianSequence:
-        return self.base.conditional(pair)
-
     def sample_cloud(self, mc_budget: int = 100_000, rng_seed: int = 0) -> SampleCloud:
-        """Rejection-sample the constrained density; the last cloud is cached
-        under its (mc_budget, rng_seed)."""
-        cloud = _rejection_cloud(self, mc_budget, rng_seed)
-        self._cloud_cache, self._cloud_key = cloud, (int(mc_budget), int(rng_seed))
-        return cloud
+        """Joint samples from the accepted-y draw that all three views share:
+        each accepted y is completed by pathwise conditioning, x = x* + K (y -
+        x*_y) with x* an unconstrained draw (exact given y), and y is written
+        back exactly, so every sample satisfies the constraints. Each sample
+        of a pair weighs prob / n_acc."""
+        strata: Dict[Pair, Stratum] = {}
+        for prob, (b, e), gs, cols, y, gain in _accepted_y(self, mc_budget, rng_seed)[0]:
+            n_acc = y.shape[0]
+            x = gs.draw(n_acc, child_rng(rng_seed, 2, self.pmf.pairs.index((b, e))))
+            x += (y - x[:, cols]) @ gain.T
+            x[:, cols] = y
+            strata[(b, e)] = Stratum(x.reshape(n_acc, e - b + 1, self.dim), np.full(n_acc, prob / n_acc))
+        return SampleCloud(self.dim, strata)
 
     def moment_matched(self, mc_budget: int = 100_000, rng_seed: int = 0) -> TrajectoryDensity:
-        """Gaussian view of the constrained density via sample moment matching;
-        reuses the cached cloud only when it was drawn with the same arguments."""
-        if self._cloud_key == (int(mc_budget), int(rng_seed)):
-            return moment_match(self._cloud_cache)
-        return moment_match(self.sample_cloud(mc_budget, rng_seed))
+        """Per pair the Gaussian given the accepted y of the draw all three
+        views share (``sample_cloud`` draws joint samples from it by pathwise
+        conditioning; none is drawn here); the pmf is renormalized over the
+        pairs that accepted a draw. Raises ValueError for a pair with a single
+        accepted draw."""
+        pairs, probs, conds = [], [], []
+        for prob, pair, gs, cols, y, gain in _accepted_y(self, mc_budget, rng_seed)[0]:
+            if y.shape[0] == 1:
+                raise ValueError(f"stratum {pair} has fewer than 2 effective samples")
+            pairs.append(pair)
+            probs.append(prob)
+            mean, cov = _given_y(gs, cols, y, gain)
+            conds.append(GaussianSequence(mean, 0.5 * (cov + cov.T), self.dim))
+        probs = np.asarray(probs)
+        return TrajectoryDensity(BirthDeathPmf(tuple(pairs), probs / probs.sum()), tuple(conds))
 
 
 @dataclass
@@ -386,10 +396,40 @@ def constrain_pmbm(
     return ConstrainedPmbm(ppp_c, hyps)
 
 
-def _acceptance_rate(ctd: ConstrainedTrajectoryDensity, accepted: Dict[Pair, int], drawn: int) -> float:
-    """Overall acceptance rate of the per-pair draws. Logs a warning for pairs
-    that accepted no draw (they are dropped) and raises LowAcceptanceError
-    below 1e-6."""
+def _accepted_y(
+    ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
+) -> Tuple[list, Dict[Pair, int], float]:
+    """The one Monte Carlo draw behind every view of a constrained density.
+
+    Per pair j in pmf order, y (the deduplicated bounded coordinates ``cols``
+    at the active constraint times) is drawn ceil(mc_budget * prob) times, at
+    least twice, on stream child_rng(rng_seed, 1, j) and accepted by the
+    regions (all in conjunct mode, any in disjunct). Returns (prob, pair,
+    conditional, cols, accepted y, K = C_xy pinv(S_yy)) per pair that accepted
+    a draw, the accepted counts and the overall rate. Pairs that accepted
+    nothing are logged; a rate below 1e-6 raises LowAcceptanceError.
+    """
+    if ctd.degenerate or ctd.pmf is None:
+        raise DegenerateDensityError("cannot sample a degenerate constrained density")
+    cs = ctd.cs
+    draws = []
+    accepted: Dict[Pair, int] = {}
+    drawn = 0
+    for j, (pair, prob) in enumerate(ctd.pmf.items()):
+        n_pair = max(int(math.ceil(mc_budget * prob)), 2)
+        gs = ctd.base.conditional(pair)
+        active = [cs.constraints[i] for i in active_indices(cs, *pair)]
+        bounded = [_bounded(gs, pair, c.time, c.region) for c in active]
+        cols = np.unique(np.concatenate([c for _, _, c in bounded]))
+        s_yy = gs.cov[np.ix_(cols, cols)]
+        y = GaussianSequence(gs.mean[cols], s_yy, 1).draw(n_pair, child_rng(rng_seed, 1, j))
+        hits = [StateRegion(lo, hi).contains_batch(y[:, np.searchsorted(cols, c)]) for lo, hi, c in bounded]
+        acc = np.logical_and.reduce(hits) if cs.mode == CONJUNCT else np.logical_or.reduce(hits)
+        drawn += n_pair
+        accepted[pair] = int(acc.sum())
+        if accepted[pair]:
+            # pinv: S_yy is singular when bounded coordinates are degenerate or collinear.
+            draws.append((float(prob), pair, gs, cols, y[acc], gs.cov[:, cols] @ np.linalg.pinv(s_yy)))
     dropped = [pair for pair, n in accepted.items() if n == 0]
     if dropped:
         logger.warning(
@@ -403,31 +443,20 @@ def _acceptance_rate(ctd: ConstrainedTrajectoryDensity, accepted: Dict[Pair, int
         raise LowAcceptanceError(
             f"acceptance rate {rate} below 1e-6 over budget {drawn}; increase mc_budget"
         )
-    return rate
+    return draws, accepted, rate
 
 
-def _pair_budget(mc_budget: int, prob: float) -> int:
-    return max(int(math.ceil(mc_budget * prob)), 2)
-
-
-def _rejection_cloud(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int) -> SampleCloud:
-    if ctd.degenerate or ctd.pmf is None:
-        raise DegenerateDensityError("cannot sample a degenerate constrained density")
-    strata: Dict[Pair, Stratum] = {}
-    accepted: Dict[Pair, int] = {}
-    drawn = 0
-    for j, (pair, prob) in enumerate(ctd.pmf.items()):
-        n_pair = _pair_budget(mc_budget, prob)
-        gs = ctd.base.conditional(pair)
-        b, e = pair
-        x = gs.draw(n_pair, child_rng(rng_seed, 1, j)).reshape(n_pair, e - b + 1, ctd.dim)
-        acc = satisfies_batch(b, e, x, ctd.cs)
-        drawn += n_pair
-        accepted[pair] = n_acc = int(acc.sum())
-        if n_acc:
-            strata[pair] = Stratum(x[acc], np.full(n_acc, prob / n_acc), n_proposed=n_pair)
-    _acceptance_rate(ctd, accepted, drawn)
-    return SampleCloud(ctd.dim, strata)
+def _given_y(
+    gs: GaussianSequence, cols: np.ndarray, y: np.ndarray, gain: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the whole sequence when y has the accepted draws'
+    mean ybar and covariance Sigma: m + K (ybar - m_y), P + K (Sigma - S_yy) K'."""
+    y_mean = y.mean(axis=0)
+    centered = y - y_mean
+    sigma = centered.T @ centered / y.shape[0]
+    mean = gs.mean + gain @ (y_mean - gs.mean[cols])
+    cov = gs.cov + gain @ (sigma - gs.cov[np.ix_(cols, cols)]) @ gain.T
+    return mean, cov
 
 
 def constrained_marginals(
@@ -435,50 +464,19 @@ def constrained_marginals(
     mc_budget: int = 100_000,
     rng_seed: int = 0,
 ) -> MarginalMoments:
-    """Per-time-step moment-matched mean/covariance of the constrained density.
-
-    The constraint indicators read only y, the bounded coordinates at the
-    active constraint times, and given y every state is exactly Gaussian.
-    So per (birth, death) pair only y is drawn (the same per-pair budget and
-    streams as ``sample_cloud``) and accepted by the regions; with accepted
-    mean ybar and covariance Sigma, K = C_xy pinv(S_yy), step t has mean
-    m_t + K_t (ybar - m_y) and covariance P_t - K_t S_yy K_t' + K_t Sigma K_t'
-    (Rao-Blackwellization). Pairs are mixed by their constrained pmf mass.
-    """
-    if ctd.degenerate or ctd.pmf is None:
-        raise DegenerateDensityError("cannot sample a degenerate constrained density")
-    cs, d = ctd.cs, ctd.dim
+    """Per-time-step moment-matched mean/covariance of the constrained density:
+    the step blocks of each pair's Gaussian given the accepted y, mixed over
+    pairs by their constrained pmf mass."""
+    draws, accepted, rate = _accepted_y(ctd, mc_budget, rng_seed)
+    d = ctd.dim
     strata = []
-    accepted: Dict[Pair, int] = {}
-    drawn = 0
-    for j, (pair, prob) in enumerate(ctd.pmf.items()):
-        n_pair = _pair_budget(mc_budget, prob)
-        gs = ctd.base.conditional(pair)
-        active = [cs.constraints[i] for i in active_indices(cs, *pair)]
-        bounded = [_bounded(gs, pair, c.time, c.region) for c in active]
-        cols = np.unique(np.concatenate([c for _, _, c in bounded]))
-        m_y, s_yy = gs.mean[cols], gs.cov[np.ix_(cols, cols)]
-        y = GaussianSequence(m_y, s_yy, 1).draw(n_pair, child_rng(rng_seed, 1, j))
-        hits = [StateRegion(lo, hi).contains_batch(y[:, np.searchsorted(cols, c)]) for lo, hi, c in bounded]
-        acc = np.logical_and.reduce(hits) if cs.mode == CONJUNCT else np.logical_or.reduce(hits)
-        y = y[acc]
-        drawn += n_pair
-        accepted[pair] = n_acc = y.shape[0]
-        if n_acc == 0:
-            continue
-        y_mean = y.mean(axis=0)
-        centered = y - y_mean
-        sigma = centered.T @ centered / n_acc
-        # pinv: S_yy is singular when bounded coordinates are degenerate or collinear.
-        gain = (gs.cov[:, cols] @ np.linalg.pinv(s_yy)).reshape(gs.length, d, cols.size)
-        means = gs.mean.reshape(-1, d) + gain @ (y_mean - m_y)
-        covs = _step_blocks(gs.cov, d) + gain @ (sigma - s_yy) @ gain.transpose(0, 2, 1)
-        strata.append((float(prob), pair, n_acc, means, covs))
-    rate = _acceptance_rate(ctd, accepted, drawn)
-    times, means, covs, alive = _step_mixture([(w, b, m, c) for w, (b, _), _, m, c in strata], d)
+    for prob, (b, _), gs, cols, y, gain in draws:
+        mean, cov = _given_y(gs, cols, y, gain)
+        strata.append((prob, b, mean.reshape(-1, d), _step_blocks(cov, d)))
+    times, means, covs, alive = _step_mixture(strata, d)
     # Kish ESS per step: each accepted draw of a pair carries weight prob / n_acc.
     sq = np.zeros(len(times))
-    for w, (b, e), n_acc, _, _ in strata:
-        sq[times.index(b) : times.index(e) + 1] += w * w / n_acc
+    for prob, (b, e), _, _, y, _ in draws:
+        sq[times.index(b) : times.index(e) + 1] += prob * prob / y.shape[0]
     ess = alive * alive / sq
     return MarginalMoments(times, means, covs, alive, rate, sum(accepted.values()), ess, accepted)

@@ -183,7 +183,6 @@ class Stratum:
 
     states: np.ndarray
     weights: np.ndarray
-    n_proposed: Optional[int] = None
 
     @property
     def total_weight(self) -> float:

@@ -97,16 +97,9 @@ def _entry(name: str, analytic: float, empirical: float, se: float, z_threshold:
     return OracleEntry(name, analytic, empirical, se, z, abs(z) <= z_threshold)
 
 
-def _acceptance_by_pair(
-    strata: Dict[Pair, np.ndarray], cs: ConstraintSet
-) -> Tuple[int, Dict[Pair, int]]:
-    accepted = 0
-    per_pair: Dict[Pair, int] = {}
-    for (b, e), states in strata.items():
-        n_acc = int(satisfies_batch(b, e, states, cs).sum())
-        per_pair[(b, e)] = n_acc
-        accepted += n_acc
-    return accepted, per_pair
+def _acceptance_masks(strata: Dict[Pair, np.ndarray], cs: ConstraintSet) -> Dict[Pair, np.ndarray]:
+    """Per pair, which of its draws satisfy ``cs``."""
+    return {(b, e): satisfies_batch(b, e, states, cs) for (b, e), states in strata.items()}
 
 
 def oracle_bernoulli(
@@ -125,7 +118,9 @@ def oracle_bernoulli(
 
     n_exist = int(rng.binomial(n, b.r)) if b.r > 0 else 0
     strata = stratified_draws(b.density, n_exist, rng)
-    accepted, per_pair = _acceptance_by_pair(strata, cs)
+    masks = _acceptance_masks(strata, cs)
+    per_pair = {pair: int(acc.sum()) for pair, acc in masks.items()}
+    accepted = sum(per_pair.values())
     r_hat = accepted / n
     r_c = constrained.r
     se = math.sqrt(max(r_c * (1.0 - r_c), 0.0) / n)
@@ -148,7 +143,7 @@ def oracle_bernoulli(
         except LowAcceptanceError:
             mm = None
         if mm is not None:
-            emp = _empirical_step_moments(strata, cs, constrained.density.dim)
+            emp = _empirical_step_moments(strata, masks)
             for k, t in enumerate(mm.times):
                 if t not in emp:
                     continue
@@ -172,12 +167,12 @@ def oracle_bernoulli(
 
 
 def _empirical_step_moments(
-    strata: Dict[Pair, np.ndarray], cs: ConstraintSet, dim: int
+    strata: Dict[Pair, np.ndarray], masks: Dict[Pair, np.ndarray]
 ) -> Dict[int, Tuple[np.ndarray, np.ndarray, int]]:
     """Accepted-sample mean and its standard error per time step."""
     collected: Dict[int, List[np.ndarray]] = {}
     for (b, e), states in strata.items():
-        acc = satisfies_batch(b, e, states, cs)
+        acc = masks[(b, e)]
         if not acc.any():
             continue
         kept = states[acc]
@@ -273,8 +268,7 @@ def oracle_pmbm(
     total_surv = 0.0
     ppp_counts = rng.poisson(m.ppp.mu, size=n_card)
     strata = stratified_draws(m.ppp.density, int(ppp_counts.sum()), rng)
-    acc_total, _ = _acceptance_by_pair(strata, cs)
-    total_surv += acc_total
+    total_surv += sum(int(acc.sum()) for acc in _acceptance_masks(strata, cs).values())
     for a, h in enumerate(m.hypotheses):
         n_a = int((hyp_pick == a).sum())
         if n_a == 0:
@@ -284,8 +278,7 @@ def oracle_pmbm(
             if n_exist == 0:
                 continue
             s = stratified_draws(t.density, n_exist, rng)
-            acc, _ = _acceptance_by_pair(s, cs)
-            total_surv += acc
+            total_surv += sum(int(acc.sum()) for acc in _acceptance_masks(s, cs).values())
     emp = total_surv / n_card
     # Analytic variance of one realization's surviving count: Poisson part,
     # within-hypothesis Bernoulli part, between-hypothesis spread.
@@ -296,6 +289,12 @@ def oracle_pmbm(
     )
     between = float(np.sum(w * (sums - np.sum(w * sums)) ** 2))
     var_one = constrained.ppp.mu + bern + between
-    se = math.sqrt(max(var_one, 1e-12) / n_card)
+    # The engine's own MC error. Every component is constrained with the same
+    # rng_seed, so their errors may be correlated; a linear sum bounds any case.
+    engine_se = m.ppp.mu * constrained.ppp.report.joint_se + sum(
+        h.weight * sum(t.r * tc.report.joint_se for t, tc in zip(h.tracks, hc.tracks))
+        for h, hc in zip(m.hypotheses, constrained.hypotheses)
+    )
+    se = math.sqrt(max(var_one, 1e-12) / n_card + engine_se**2)
     entries.append(_entry("expected_cardinality", expected, emp, se, z_threshold, n_card))
     return OracleReport(entries, n, rng_seed, z_threshold)

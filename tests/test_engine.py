@@ -34,6 +34,7 @@ from trajconstrain.errors import (
     PartitionBudgetError,
     ZeroSupportError,
 )
+from trajconstrain.gaussian import step_moments
 
 from conftest import random_constraint_set, random_density
 
@@ -263,7 +264,7 @@ class TestRejectionSampling:
         n = 100_000
         mm = ctd.moment_matched(mc_budget=2 * n, rng_seed=4)
         g = mm.conditional((0, 0))
-        n_acc = ctd._cloud_cache.strata[(0, 0)].states.shape[0]
+        n_acc = constrained_marginals(ctd, 2 * n, rng_seed=4).accepted[(0, 0)]
         mean_t, var_t = math.sqrt(2 / math.pi), 1 - 2 / math.pi
         assert abs(g.mean[0] - mean_t) <= 4 * math.sqrt(var_t / n_acc)
         assert abs(g.cov[0, 0] - var_t) <= 4 * math.sqrt(2 * var_t**2 / n_acc)
@@ -303,6 +304,14 @@ class TestRejectionSampling:
         np.testing.assert_array_equal(a.cov, b.cov)
         assert not np.array_equal(a.mean, c.mean)
         np.testing.assert_array_equal(a.mean, again.mean)
+
+    def test_moment_matched_needs_two_draws_per_pair(self):
+        # two draws of y (budget 2), of which seed 0 accepts exactly one
+        td = std_density([(0, 0)], [1.0])
+        ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE)], "conjunct"))
+        assert constrained_marginals(ctd, 2, rng_seed=0).accepted[(0, 0)] == 1
+        with pytest.raises(ValueError, match="fewer than 2"):
+            ctd.moment_matched(2, rng_seed=0)
 
     def test_step_ess_counts_draws_alive_at_the_step(self):
         # step 1 is alive only in stratum (0, 1); step 0 in both strata, whose
@@ -373,26 +382,64 @@ def brute_force_step_moments(td, cs, n, seed):
     return out
 
 
+def cloud_step_moments(cloud):
+    """Per-step weighted mean, covariance and Kish ESS of a sample cloud,
+    pooled over the strata alive at each step."""
+    chunks = {}
+    for (b, e), s in cloud.strata.items():
+        for t in range(b, e + 1):
+            chunks.setdefault(t, []).append((s.states[:, t - b, :], s.weights))
+    times = sorted(chunks)
+    means, covs, ess = [], [], []
+    for t in times:
+        x = np.vstack([x for x, _ in chunks[t]])
+        w = np.concatenate([w for _, w in chunks[t]])
+        m = w @ x / w.sum()
+        c = x - m
+        means.append(m)
+        covs.append((w[:, None] * c).T @ c / w.sum())
+        ess.append(w.sum() ** 2 / (w @ w))
+    return times, np.array(means), np.array(covs), np.array(ess)
+
+
+def view_step_moments(ctd, view, mc_budget, rng_seed):
+    """(times, means, covs, ess) per step of one view of a constrained density."""
+    if view == "sample_cloud":
+        return cloud_step_moments(ctd.sample_cloud(mc_budget, rng_seed))
+    mm = constrained_marginals(ctd, mc_budget, rng_seed)
+    if view == "moment_matched":
+        times, means, covs, _ = step_moments(ctd.moment_matched(mc_budget, rng_seed))
+        return times, means, covs, mm.ess  # the same accepted draws
+    return mm.times, mm.means, mm.covs, mm.ess
+
+
 class TestRaoBlackwellMarginals:
+    # constrained_marginals keeps the bare (mode, with_full) test id
     @pytest.mark.parametrize(
-        "mode, with_full",
-        [("conjunct", True), ("disjunct", True), ("disjunct", False)],
+        "mode, with_full, view",
+        [
+            pytest.param(
+                mode, full, view, id=f"{mode}-{full}" + ("" if view == "constrained_marginals" else f"-{view}")
+            )
+            for view in ("constrained_marginals", "moment_matched", "sample_cloud")
+            for mode, full in (("conjunct", True), ("disjunct", True), ("disjunct", False))
+        ],
     )
-    def test_matches_full_sequence_rejection(self, mode, with_full):
+    def test_matches_full_sequence_rejection(self, mode, with_full, view):
         td = degenerate_window_density()
         items = [Constraint(1, SPLIT_GATE), Constraint(3, POS_VEL_GATE)]
         if with_full:
             items.append(Constraint(4, FULL_2D))
         cs = ConstraintSet(items, mode)
         ctd, _ = constrain_density(td, cs, 100_000, rng_seed=1)
-        mm = constrained_marginals(ctd, mc_budget=200_000, rng_seed=2)
+        times, means, covs, ess = view_step_moments(ctd, view, 200_000, 2)
         bf = brute_force_step_moments(td, cs, 400_000, seed=3)
-        assert mm.times == sorted(bf)
-        for k, t in enumerate(mm.times):
+        assert times == sorted(bf)
+        for k, t in enumerate(times):
             mean, mean_se, cov, cov_se, n_t = bf[t]
             # the estimate's own error is at most that of ess plain draws
-            inflate = math.sqrt(1.0 + n_t / mm.ess[k])
-            for got, want, se in ((mm.means[k], mean, mean_se), (mm.covs[k], cov, cov_se)):
+            inflate = math.sqrt(1.0 + n_t / ess[k])
+            for got, want, se in ((means[k], mean, mean_se), (covs[k], cov, cov_se)):
                 exact = se == 0.0  # the zero-variance coordinate, drawn exactly
                 np.testing.assert_allclose(got[exact], want[exact], rtol=0, atol=1e-12)
                 z = (got[~exact] - want[~exact]) / (se[~exact] * inflate)
@@ -408,6 +455,36 @@ class TestRaoBlackwellMarginals:
         drawn = sum(max(math.ceil(50_000 * p), 2) for p in ctd.pmf.probs)
         assert mm.acceptance_rate == pytest.approx(mm.n_accepted / drawn, rel=1e-12)
 
+    def test_views_share_one_accepted_draw(self, monkeypatch):
+        td = degenerate_window_density()
+        cs = ConstraintSet([Constraint(1, SPLIT_GATE), Constraint(3, POS_VEL_GATE)], "disjunct")
+        ctd, _ = constrain_density(td, cs, 50_000, rng_seed=1)
+        seen = []
+        inner = engine._accepted_y
+
+        def spy(*args):
+            out = inner(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(engine, "_accepted_y", spy)
+        mm = constrained_marginals(ctd, 20_000, rng_seed=6)
+        cloud = ctd.sample_cloud(20_000, rng_seed=6)
+        assert all(n > 0 for n in mm.accepted.values())  # no stratum dropped
+        assert set(cloud.strata) == set(mm.accepted)
+        marginal_draws, cloud_draws = seen
+        for (_, pair, _, cols, y, _), (_, _, _, _, y_cloud, _) in zip(marginal_draws, cloud_draws):
+            np.testing.assert_array_equal(y_cloud, y)
+            (b, e), states = pair, cloud.strata[pair].states
+            assert states.shape[0] == mm.accepted[pair]
+            np.testing.assert_array_equal(states.reshape(states.shape[0], -1)[:, cols], y)
+            assert satisfies_batch(b, e, states, cs).all()
+        monkeypatch.undo()
+        times, means, covs, _ = step_moments(ctd.moment_matched(20_000, rng_seed=6))
+        assert times == mm.times
+        np.testing.assert_allclose(means, mm.means, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(covs, mm.covs, rtol=1e-12, atol=1e-12)
+
 
 class TestDroppedStrata:
     def density(self):
@@ -421,12 +498,15 @@ class TestDroppedStrata:
         ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE)], "conjunct"))
         return ctd
 
-    @pytest.mark.parametrize("via", ["sample_cloud", "constrained_marginals"])
+    @pytest.mark.parametrize("via", ["sample_cloud", "moment_matched", "constrained_marginals"])
     def test_dropped_strata_logged(self, via, caplog):
         ctd = self.density()
         with caplog.at_level(logging.WARNING, logger="trajconstrain"):
             if via == "sample_cloud":
                 assert set(ctd.sample_cloud(10_000, rng_seed=1).strata) == {(0, 0)}
+            elif via == "moment_matched":
+                mm = ctd.moment_matched(10_000, rng_seed=1)
+                assert mm.pmf.pairs == ((0, 0),) and mm.pmf.probs[0] == 1.0
             else:
                 assert constrained_marginals(ctd, 10_000, rng_seed=1).accepted[(0, 1)] == 0
         [record] = [r for r in caplog.records if r.name == "trajconstrain"]

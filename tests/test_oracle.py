@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,52 @@ class TestOraclePmbm:
         assert "expected_cardinality" in names
         assert any(name.startswith("ppp.") for name in names)
         assert any(name.startswith("hyp[1].track[1].") for name in names)
+
+    @staticmethod
+    def mc_pmbm():
+        # correlated 2-D states under a 2-D box: every component is settled by Monte Carlo
+        rng = np.random.default_rng(12)
+        window = TimeWindow(0, 2)
+        tracks = tuple(BernoulliTrajectory(r, random_density(rng, window, 2)) for r in (0.9, 0.8))
+        m = PmbmDensity(
+            PppTrajectory(1.0, random_density(rng, window, 2)),
+            (GlobalHypothesis(0.4, tracks[:1]), GlobalHypothesis(0.6, tracks)),
+        )
+        return m, ConstraintSet([Constraint(1, StateRegion.box([(-1.5, 1.5), (-1.5, 1.5)]))], "conjunct")
+
+    @staticmethod
+    def cardinality_entry(m, out, cs, n):
+        [entry] = [e for e in oracle_pmbm(m, out, cs, n=n, rng_seed=13).entries if e.name == "expected_cardinality"]
+        sums = np.array([sum(t.r for t in h.tracks) for h in out.hypotheses])
+        w = np.array([h.weight for h in out.hypotheses])
+        bern = sum(h.weight * sum(t.r * (1.0 - t.r) for t in h.tracks) for h in out.hypotheses)
+        var_one = out.ppp.mu + bern + float(np.sum(w * (sums - np.sum(w * sums)) ** 2))
+        engine_se = m.ppp.mu * out.ppp.report.joint_se + sum(
+            h.weight * sum(t.r * tc.report.joint_se for t, tc in zip(h.tracks, hc.tracks))
+            for h, hc in zip(m.hypotheses, out.hypotheses)
+        )
+        return entry, var_one / min(n, 50_000), engine_se
+
+    def test_cardinality_se_includes_engine_error(self):
+        m, cs = self.mc_pmbm()
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=3)
+        entry, sampling_var, engine_se = self.cardinality_entry(m, out, cs, 20_000)
+        assert engine_se > 0.0
+        assert entry.se**2 >= (sampling_var + engine_se**2) * (1.0 - 1e-12)
+        # every component exact: the engine adds nothing
+        tracks = tuple(BernoulliTrajectory(r, std_density([(0, 0), (0, 1)], [0.5, 0.5])) for r in (0.9, 0.8))
+        m = PmbmDensity(PppTrajectory(1.0, std_density([(0, 1)], [1.0])), (GlobalHypothesis(1.0, tracks),))
+        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=3)
+        entry, sampling_var, engine_se = self.cardinality_entry(m, out, cs, 20_000)
+        assert engine_se == 0.0
+        assert entry.se == pytest.approx(math.sqrt(sampling_var), rel=1e-12)
+
+    def test_cardinality_detects_corrupted_track(self):
+        m, cs = self.mc_pmbm()
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=3)
+        good = out.hypotheses[1].tracks[1]
+        out.hypotheses[1].tracks[1] = ConstrainedBernoulli(good.r * 1.3, good.density, good.report)
+        entry, _, engine_se = self.cardinality_entry(m, out, cs, 50_000)
+        assert engine_se > 0.0
+        assert not entry.passed, entry
