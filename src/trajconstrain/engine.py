@@ -219,6 +219,11 @@ def _pair_seed(rng_seed: int, pair_index: int, query: int = 0) -> int:
     return int(np.random.SeedSequence([int(rng_seed), pair_index, query]).generate_state(1)[0])
 
 
+def _component_seed(rng_seed: int, k: int) -> int:
+    # The stream of the k-th distinct component of a PMBM, folded like _pair_seed.
+    return int(np.random.SeedSequence([int(rng_seed), k]).generate_state(1)[0])
+
+
 def constrain_density(
     td: TrajectoryDensity,
     cs: ConstraintSet,
@@ -374,14 +379,17 @@ def constrain_pmbm(
 
     Each distinct density (by object identity) is constrained once and its
     (density, report) shared by every slot that holds it, scaled by that
-    slot's r or mu; the result equals constraining each slot on its own with
-    the same seed.
+    slot's r or mu. The distinct densities are numbered k = 0, 1, ... in order
+    of first appearance, the PPP first, and density k is constrained with seed
+    ``_component_seed(rng_seed, k)``, so the components' Monte Carlo errors
+    are independent; the result equals constraining each slot on its own
+    with its component's seed.
     """
     done: Dict[int, Tuple[ConstrainedTrajectoryDensity, ConstraintReport]] = {}
 
     def constrained(td: TrajectoryDensity) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
         if id(td) not in done:
-            done[id(td)] = _constrain_component(td, cs, mc_budget, rng_seed)
+            done[id(td)] = _constrain_component(td, cs, mc_budget, _component_seed(rng_seed, len(done)))
         return done[id(td)]
 
     ctd, report = constrained(m.ppp.density)
@@ -402,12 +410,15 @@ def _accepted_y(
     """The one Monte Carlo draw behind every view of a constrained density.
 
     Per pair j in pmf order, y (the deduplicated bounded coordinates ``cols``
-    at the active constraint times) is drawn ceil(mc_budget * prob) times, at
-    least twice, on stream child_rng(rng_seed, 1, j) and accepted by the
-    regions (all in conjunct mode, any in disjunct). Returns (prob, pair,
-    conditional, cols, accepted y, K = C_xy pinv(S_yy)) per pair that accepted
-    a draw, the accepted counts and the overall rate. Pairs that accepted
-    nothing are logged; a rate below 1e-6 raises LowAcceptanceError.
+    at the active constraint times) is drawn ceil(mc_budget * prob /
+    spatial_prob) times, clipped to [2, mc_budget], on stream
+    child_rng(rng_seed, 1, j) and accepted by the regions (all in conjunct
+    mode, any in disjunct). A pair thus expects about mc_budget * prob
+    accepted draws, however low its spatial probability, unless the cap
+    binds. Returns (prob, pair, conditional, cols, accepted y, K = C_xy
+    pinv(S_yy)) per pair that accepted a draw, the accepted counts and the
+    overall rate. Pairs that accepted nothing are logged; a rate below 1e-6
+    raises LowAcceptanceError.
     """
     if ctd.degenerate or ctd.pmf is None:
         raise DegenerateDensityError("cannot sample a degenerate constrained density")
@@ -416,7 +427,8 @@ def _accepted_y(
     accepted: Dict[Pair, int] = {}
     drawn = 0
     for j, (pair, prob) in enumerate(ctd.pmf.items()):
-        n_pair = max(int(math.ceil(mc_budget * prob)), 2)
+        spatial = ctd.pair_info[pair].spatial_prob
+        n_pair = max(math.ceil(min(mc_budget * prob / spatial, mc_budget)), 2)
         gs = ctd.base.conditional(pair)
         active = [cs.constraints[i] for i in active_indices(cs, *pair)]
         bounded = [_bounded(gs, pair, c.time, c.region) for c in active]

@@ -6,7 +6,8 @@ sequence. This module provides marginalization onto time subsets, region
 probabilities (one primitive, ``_pattern_probabilities``: settle what the 1-D
 bounds settle, closed form where the remaining bounded coordinates are
 independent single boxes, Monte Carlo on those coordinates otherwise),
-stratified sampling, and moment matching of weighted sample clouds.
+stratified sampling (streamed in chunks of at most ``DRAW_CHUNK`` rows, or
+gathered per pair), and moment matching of weighted sample clouds.
 
 It needs numpy only: the normal CDF of the 1-D bounds is ``_ndtr``, the
 C library's ``erfc`` taken element-wise (the formula of Cephes' ``ndtr``),
@@ -18,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +40,9 @@ _EIG_TOL = 1e-10
 # distance of 0 or 1 is settled (pinned) without sampling.
 _PIN_TOL = 1e-12
 _SQRT1_2 = math.sqrt(0.5)
+# Most rows ``stratified_chunks`` draws at once: memory is O(DRAW_CHUNK x
+# sequence dim) however many draws are asked for.
+DRAW_CHUNK = 2**15
 
 
 def child_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -144,11 +149,18 @@ class GaussianSequence:
             idx.extend(range(base, base + self.dim))
         return np.array(idx, dtype=np.intp)
 
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        # Computed on the first draw and kept in the instance dict; not a
+        # field, so equality and serialization ignore it.
+        return _psd_factor(self.cov)
+
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n joint samples, shape (n, length * dim)."""
-        factor = _psd_factor(self.cov)
         z = rng.standard_normal((n, self.mean.size))
-        return self.mean + z @ factor.T
+        x = z @ self._factor.T
+        x += self.mean
+        return x
 
 
 @dataclass(frozen=True)
@@ -385,20 +397,33 @@ def alive_probability(pmf: BirthDeathPmf, predicate: Callable[[Pair], bool]) -> 
     return float(sum(p for pair, p in pmf.items() if predicate(pair)))
 
 
-def stratified_draws(td: TrajectoryDensity, n: int, rng: np.random.Generator) -> Dict[Pair, np.ndarray]:
-    """n i.i.d. draws of td grouped by (birth, death) pair, each (count, length, dim).
+def stratified_chunks(
+    td: TrajectoryDensity, n: int, rng: np.random.Generator
+) -> Iterator[Tuple[Pair, np.ndarray]]:
+    """n i.i.d. draws of td as (pair, states (count, length, dim)) chunks.
 
-    One multinomial over the pmf, then one ``draw`` per pair with a nonzero
-    count, in pmf order; pairs drawn 0 times are left out.
+    One multinomial over the pmf, then each pair with a nonzero count in pmf
+    order, at most ``DRAW_CHUNK`` rows at a time. numpy fills normal draws row
+    by row, so the chunks of a pair take the normals of one draw of its whole
+    count and leave the generator in the same state; only the product with
+    the factor may round differently in the last bit.
     """
     if n == 0:
-        return {}
+        return
     counts = rng.multinomial(n, td.pmf.probs)
-    return {
-        (b, e): g.draw(int(c), rng).reshape(c, e - b + 1, td.dim)
-        for (b, e), g, c in zip(td.pmf.pairs, td.conditionals, counts)
-        if c
-    }
+    for (b, e), g, c in zip(td.pmf.pairs, td.conditionals, counts.tolist()):
+        for start in range(0, c, DRAW_CHUNK):
+            rows = min(DRAW_CHUNK, c - start)
+            yield (b, e), g.draw(rows, rng).reshape(rows, e - b + 1, td.dim)
+
+
+def stratified_draws(td: TrajectoryDensity, n: int, rng: np.random.Generator) -> Dict[Pair, np.ndarray]:
+    """The chunks of ``stratified_chunks`` gathered per pair, in pmf order;
+    pairs drawn 0 times are left out."""
+    chunks: Dict[Pair, List[np.ndarray]] = {}
+    for pair, x in stratified_chunks(td, n, rng):
+        chunks.setdefault(pair, []).append(x)
+    return {pair: xs[0] if len(xs) == 1 else np.concatenate(xs) for pair, xs in chunks.items()}
 
 
 def sample(td: TrajectoryDensity, n: int, rng_seed: int = 0) -> SampleCloud:

@@ -5,6 +5,12 @@ realizations and filtering them through the trajectory-level satisfaction
 test (vectorized ``satisfies_batch``), then compared to the analytic engine
 value with a z-score at a stated threshold. No probability math is shared
 with the engine.
+
+The draws stream: ``stratified_chunks`` yields at most ``DRAW_CHUNK`` rows
+at a time, and each chunk is reduced to acceptance counts and to per-step
+count, mean and sum of squared deviations, merged with Chan, Golub &
+LeVeque's pairwise update ("Algorithms for computing the sample variance",
+Amer. Statist. 1983). Memory is O(chunk x sequence dim), not O(n).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .engine import (
     constrained_marginals,
 )
 from .errors import LowAcceptanceError
-from .gaussian import Pair, child_rng, stratified_draws
+from .gaussian import Pair, TrajectoryDensity, child_rng, stratified_chunks
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 
@@ -97,9 +103,48 @@ def _entry(name: str, analytic: float, empirical: float, se: float, z_threshold:
     return OracleEntry(name, analytic, empirical, se, z, abs(z) <= z_threshold)
 
 
-def _acceptance_masks(strata: Dict[Pair, np.ndarray], cs: ConstraintSet) -> Dict[Pair, np.ndarray]:
-    """Per pair, which of its draws satisfy ``cs``."""
-    return {(b, e): satisfies_batch(b, e, states, cs) for (b, e), states in strata.items()}
+def _merge(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
+    """Count, mean and M2 (sum of squared deviations from the mean) of the
+    union of two samples, from those of each (Chan, Golub & LeVeque's pairwise
+    update). Broadcasts; n_a + n_b must be positive."""
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
+class _StepMoments:
+    """Per-time-step count, mean and M2 of accepted states, merged chunk by chunk."""
+
+    def __init__(self, td: TrajectoryDensity):
+        self.t0 = min(b for b, _ in td.pmf.pairs)
+        span = max(e for _, e in td.pmf.pairs) - self.t0 + 1
+        self.n = np.zeros((span, 1))
+        self.mean = np.zeros((span, td.dim))
+        self.m2 = np.zeros((span, td.dim))
+
+    def add(self, birth: int, kept: np.ndarray) -> None:
+        """Merge accepted states ``kept`` (count, length, dim) born at ``birth``."""
+        steps = slice(birth - self.t0, birth - self.t0 + kept.shape[1])
+        mean = kept.mean(axis=0)
+        centered = kept - mean
+        m2 = np.einsum("ijk,ijk->jk", centered, centered)
+        self.n[steps], self.mean[steps], self.m2[steps] = _merge(
+            self.n[steps], self.mean[steps], self.m2[steps], kept.shape[0], mean, m2
+        )
+
+    def per_step(self, min_count: int) -> Dict[int, Tuple[np.ndarray, np.ndarray, int]]:
+        """Accepted-sample mean, its standard error and the count, per time step
+        with at least ``min_count`` (>= 2) accepted draws alive."""
+        return {
+            self.t0 + k: (self.mean[k], np.sqrt(self.m2[k] / ((n - 1) * n)), n)
+            for k, n in enumerate(self.n[:, 0].astype(int).tolist())
+            if n >= min_count
+        }
+
+
+def _accepted_count(td: TrajectoryDensity, n: int, rng: np.random.Generator, cs: ConstraintSet) -> int:
+    """How many of n draws of td satisfy ``cs``."""
+    return sum(int(satisfies_batch(b, e, states, cs).sum()) for (b, e), states in stratified_chunks(td, n, rng))
 
 
 def oracle_bernoulli(
@@ -117,9 +162,14 @@ def oracle_bernoulli(
     entries: List[OracleEntry] = []
 
     n_exist = int(rng.binomial(n, b.r)) if b.r > 0 else 0
-    strata = stratified_draws(b.density, n_exist, rng)
-    masks = _acceptance_masks(strata, cs)
-    per_pair = {pair: int(acc.sum()) for pair, acc in masks.items()}
+    moments = _StepMoments(b.density) if check_moments and constrained.density.pmf is not None else None
+    per_pair: Dict[Pair, int] = {}
+    for (birth, death), states in stratified_chunks(b.density, n_exist, rng):
+        acc = satisfies_batch(birth, death, states, cs)
+        count = int(acc.sum())
+        per_pair[(birth, death)] = per_pair.get((birth, death), 0) + count
+        if moments is not None and count:
+            moments.add(birth, states[acc])
     accepted = sum(per_pair.values())
     r_hat = accepted / n
     r_c = constrained.r
@@ -143,13 +193,11 @@ def oracle_bernoulli(
         except LowAcceptanceError:
             mm = None
         if mm is not None:
-            emp = _empirical_step_moments(strata, masks)
+            emp = moments.per_step(min_count=100)
             for k, t in enumerate(mm.times):
                 if t not in emp:
                     continue
                 e_mean, e_se, n_t = emp[t]
-                if n_t < 100:
-                    continue
                 for j in range(constrained.density.dim):
                     eng_se = math.sqrt(mm.covs[k, j, j] / max(mm.ess[k], 1.0))
                     se_m = math.sqrt(e_se[j] ** 2 + eng_se**2)
@@ -166,28 +214,6 @@ def oracle_bernoulli(
     return OracleReport(entries, n, rng_seed, z_threshold)
 
 
-def _empirical_step_moments(
-    strata: Dict[Pair, np.ndarray], masks: Dict[Pair, np.ndarray]
-) -> Dict[int, Tuple[np.ndarray, np.ndarray, int]]:
-    """Accepted-sample mean and its standard error per time step."""
-    collected: Dict[int, List[np.ndarray]] = {}
-    for (b, e), states in strata.items():
-        acc = masks[(b, e)]
-        if not acc.any():
-            continue
-        kept = states[acc]
-        for t in range(b, e + 1):
-            collected.setdefault(t, []).append(kept[:, t - b, :])
-    out = {}
-    for t, chunks in collected.items():
-        x = np.vstack(chunks)
-        n_t = x.shape[0]
-        if n_t < 2:
-            continue
-        out[t] = (x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(n_t), n_t)
-    return out
-
-
 def oracle_ppp(
     p: PppTrajectory,
     constrained: ConstrainedPpp,
@@ -201,17 +227,14 @@ def oracle_ppp(
     rng = child_rng(rng_seed, 13)
     counts = rng.poisson(p.mu, size=n_runs)
     total = int(counts.sum())
-    strata = stratified_draws(p.density, total, rng)
 
-    # Flatten acceptance flags back into per-run counts.
+    # Acceptance flags in draw order, then a random assignment of points to runs.
     flags = np.empty(total, dtype=bool)
     offset = 0
-    order = rng.permutation(total)
-    for (b, e), states in strata.items():
-        acc = satisfies_batch(b, e, states, cs)
-        flags[offset : offset + acc.size] = acc
-        offset += acc.size
-    flags = flags[order]  # random assignment of points to runs
+    for (b, e), states in stratified_chunks(p.density, total, rng):
+        flags[offset : offset + states.shape[0]] = satisfies_batch(b, e, states, cs)
+        offset += states.shape[0]
+    flags = flags[rng.permutation(total)]
     run_id = np.repeat(np.arange(n_runs), counts)
     surviving = np.bincount(run_id, weights=flags.astype(np.float64), minlength=n_runs)
     removed = counts - surviving
@@ -265,20 +288,15 @@ def oracle_pmbm(
     )
     weights = np.array([h.weight for h in m.hypotheses])
     hyp_pick = rng.choice(len(weights), size=n_card, p=weights / weights.sum())
-    total_surv = 0.0
     ppp_counts = rng.poisson(m.ppp.mu, size=n_card)
-    strata = stratified_draws(m.ppp.density, int(ppp_counts.sum()), rng)
-    total_surv += sum(int(acc.sum()) for acc in _acceptance_masks(strata, cs).values())
+    total_surv = _accepted_count(m.ppp.density, int(ppp_counts.sum()), rng, cs)
     for a, h in enumerate(m.hypotheses):
         n_a = int((hyp_pick == a).sum())
         if n_a == 0:
             continue
         for t in h.tracks:
             n_exist = int(rng.binomial(n_a, t.r)) if t.r > 0 else 0
-            if n_exist == 0:
-                continue
-            s = stratified_draws(t.density, n_exist, rng)
-            total_surv += sum(int(acc.sum()) for acc in _acceptance_masks(s, cs).values())
+            total_surv += _accepted_count(t.density, n_exist, rng, cs)
     emp = total_surv / n_card
     # Analytic variance of one realization's surviving count: Poisson part,
     # within-hypothesis Bernoulli part, between-hypothesis spread.
@@ -289,12 +307,14 @@ def oracle_pmbm(
     )
     between = float(np.sum(w * (sums - np.sum(w * sums)) ** 2))
     var_one = constrained.ppp.mu + bern + between
-    # The engine's own MC error. Every component is constrained with the same
-    # rng_seed, so their errors may be correlated; a linear sum bounds any case.
-    engine_se = m.ppp.mu * constrained.ppp.report.joint_se + sum(
-        h.weight * sum(t.r * tc.report.joint_se for t, tc in zip(h.tracks, hc.tracks))
-        for h, hc in zip(m.hypotheses, constrained.hypotheses)
-    )
+    # The engine's own MC error. constrain_pmbm gives each distinct component
+    # its own stream, so their errors are independent and add in quadrature;
+    # component k's weight is mu, or the sum of w * r over its slots.
+    scale: Dict[int, List[float]] = {id(m.ppp.density): [m.ppp.mu, constrained.ppp.report.joint_se]}
+    for h, hc in zip(m.hypotheses, constrained.hypotheses):
+        for t, tc in zip(h.tracks, hc.tracks):
+            scale.setdefault(id(t.density), [0.0, tc.report.joint_se])[0] += h.weight * t.r
+    engine_se = math.sqrt(math.fsum((weight * se) ** 2 for weight, se in scale.values()))
     se = math.sqrt(max(var_one, 1e-12) / n_card + engine_se**2)
     entries.append(_entry("expected_cardinality", expected, emp, se, z_threshold, n_card))
     return OracleReport(entries, n, rng_seed, z_threshold)

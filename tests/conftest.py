@@ -11,6 +11,7 @@ from trajconstrain import (
     TrajectoryDensity,
     existence_pairs,
 )
+from trajconstrain.engine import _component_seed
 
 
 def random_gaussian_sequence(rng, pair, dim, diag=False, scale=1.0):
@@ -59,6 +60,15 @@ def random_constraint_set(rng, window, dim, max_constraints=4, mode=None):
     if mode is None:
         mode = "conjunct" if rng.random() < 0.5 else "disjunct"
     return ConstraintSet(constraints, mode)
+
+
+def component_seeds(m, rng_seed):
+    """The seed constrain_pmbm gives each distinct density of m, keyed by id:
+    the k-th in order of first appearance, the PPP first, gets stream k."""
+    seeds = {}
+    for td in [m.ppp.density] + [t.density for h in m.hypotheses for t in h.tracks]:
+        seeds.setdefault(id(td), _component_seed(rng_seed, len(seeds)))
+    return seeds
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ from trajconstrain.gaussian import COMPLEMENT, region_probability
 from trajconstrain.oracle import oracle_bernoulli, oracle_ppp
 from trajconstrain.rfs import validate
 
-from conftest import random_constraint_set, random_density
+from conftest import component_seeds, random_constraint_set, random_density
 
 
 def _report(num: int, desc: str, failures):
@@ -210,12 +210,13 @@ def test_criterion_5_pmbm_closure(rng):
             failures.append(f"inst {i}: validate -> {problems}")
         if [h.weight for h in out.hypotheses] != [h.weight for h in m.hypotheses]:
             failures.append(f"inst {i}: hypothesis weights changed")
-        solo = constrain_ppp(ppp, cs, 20_000, rng_seed=i)
+        seeds = component_seeds(m, i)
+        solo = constrain_ppp(ppp, cs, 20_000, rng_seed=seeds[id(ppp.density)])
         if out.ppp.mu != solo.mu or out.ppp.report != solo.report:
             failures.append(f"inst {i}: ppp component differs from direct constraining")
         for a, (hc, h) in enumerate(zip(out.hypotheses, m.hypotheses)):
             for k, (tc, t) in enumerate(zip(hc.tracks, h.tracks)):
-                solo_b = constrain_bernoulli(t, cs, 20_000, rng_seed=i)
+                solo_b = constrain_bernoulli(t, cs, 20_000, rng_seed=seeds[id(t.density)])
                 if tc.r != solo_b.r or tc.report != solo_b.report:
                     failures.append(f"inst {i}: hyp {a} track {k} differs")
                 elif tc.density.pmf is not None and not np.array_equal(

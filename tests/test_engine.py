@@ -36,7 +36,7 @@ from trajconstrain.errors import (
 )
 from trajconstrain.gaussian import step_moments
 
-from conftest import random_constraint_set, random_density
+from conftest import component_seeds, random_constraint_set, random_density
 
 HALF_LINE = StateRegion.box([(0, None)])
 
@@ -452,7 +452,11 @@ class TestRaoBlackwellMarginals:
         mm = constrained_marginals(ctd, mc_budget=50_000, rng_seed=2)
         assert set(mm.accepted) == set(ctd.pmf.pairs)
         assert mm.n_accepted == sum(mm.accepted.values())
-        drawn = sum(max(math.ceil(50_000 * p), 2) for p in ctd.pmf.probs)
+        # ceil(budget * prob / spatial_prob) y draws per pair, clipped to [2, budget]
+        drawn = sum(
+            min(max(math.ceil(50_000 * p / ctd.pair_info[pair].spatial_prob), 2), 50_000)
+            for pair, p in ctd.pmf.items()
+        )
         assert mm.acceptance_rate == pytest.approx(mm.n_accepted / drawn, rel=1e-12)
 
     def test_views_share_one_accepted_draw(self, monkeypatch):
@@ -522,6 +526,19 @@ class TestDroppedStrata:
             ctd.sample_cloud(10_000, rng_seed=1)
         assert not [r for r in caplog.records if r.name == "trajconstrain"]
 
+    def test_no_stratum_of_material_mass_dropped(self):
+        # a pair draws about budget * prob / spatial_prob y, so it expects about
+        # budget * prob acceptances however rarely it meets the constraints
+        window = TimeWindow(0, 5)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            td = random_density(rng, window)
+            cs = random_constraint_set(rng, window, td.dim)
+            ctd, _ = constrain_density(td, cs, 20_000, rng_seed=seed)
+            accepted = constrained_marginals(ctd, 20_000, rng_seed=seed).accepted
+            dropped = [pair for pair, n in accepted.items() if n == 0 and ctd.pmf.prob(pair) >= 1e-3]
+            assert not dropped, (seed, dropped)
+
 
 class TestPmbm:
     def test_componentwise_and_weights(self, rng):
@@ -536,13 +553,15 @@ class TestPmbm:
         cs = random_constraint_set(rng, TimeWindow(0, 3), 1)
         out = constrain_pmbm(m, cs, 20_000, rng_seed=9)
         assert [h.weight for h in out.hypotheses] == [0.6, 0.4]
-        # identical to constraining each component with the same seed
-        solo_ppp = constrain_ppp(ppp, cs, 20_000, rng_seed=9)
+        # identical to constraining each component with its component's seed
+        seeds = component_seeds(m, 9)
+        assert list(seeds.values()) == [engine._component_seed(9, k) for k in range(3)]
+        solo_ppp = constrain_ppp(ppp, cs, 20_000, rng_seed=seeds[id(ppp.density)])
         assert out.ppp.mu == solo_ppp.mu
         assert out.ppp.report == solo_ppp.report
         for hyp, src in zip(out.hypotheses, m.hypotheses):
             for track_c, track in zip(hyp.tracks, src.tracks):
-                solo = constrain_bernoulli(track, cs, 20_000, rng_seed=9)
+                solo = constrain_bernoulli(track, cs, 20_000, rng_seed=seeds[id(track.density)])
                 assert track_c.r == solo.r
                 assert track_c.report == solo.report
 
@@ -577,7 +596,8 @@ class TestPmbm:
             first = next(c for s, c in slots if s.density is t.density)
             assert tc.density is first.density and tc.report == first.report
         monkeypatch.undo()
-        solo = constrain_bernoulli(alias, cs, 20_000, rng_seed=4)
+        # the alias shares component 1 (PPP 0, shared 1, other 2) and its stream
+        solo = constrain_bernoulli(alias, cs, 20_000, rng_seed=engine._component_seed(4, 1))
         assert out.hypotheses[2].tracks[1].r == solo.r
 
     def test_track_missing_every_constraint_time(self, rng):
@@ -593,10 +613,11 @@ class TestPmbm:
         late_c = out.hypotheses[1].tracks[1]
         assert late_c.r == 0.0 and late_c.degenerate and late_c.density.pmf is None
         assert late_c.report == engine.ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        seeds = component_seeds(m, 2)
         for hc, h in zip(out.hypotheses, m.hypotheses):
             for tc, t in zip(hc.tracks, h.tracks):
                 if t is not late:
-                    solo = constrain_bernoulli(t, cs, 20_000, rng_seed=2)
+                    solo = constrain_bernoulli(t, cs, 20_000, rng_seed=seeds[id(t.density)])
                     assert tc.r == solo.r > 0.0 and tc.report == solo.report
-        assert out.ppp.mu == constrain_ppp(m.ppp, cs, 20_000, rng_seed=2).mu
+        assert out.ppp.mu == constrain_ppp(m.ppp, cs, 20_000, rng_seed=seeds[id(m.ppp.density)]).mu
         assert constrain_ppp(PppTrajectory(3.0, late.density), cs).mu == 0.0

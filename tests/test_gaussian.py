@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from trajconstrain import (
     region_probability,
     sample,
 )
+from trajconstrain import gaussian
 from trajconstrain.gaussian import (
     SampleCloud,
     Stratum,
@@ -78,6 +80,25 @@ class TestGaussianSequence:
         plain = mean + z @ (v * np.sqrt(np.clip(w, 0.0, None))).T
         others = [0, 1, 3, 4]
         np.testing.assert_array_equal(x[:, others], plain[:, others])
+
+    def test_factor_computed_once_per_sequence(self, rng, monkeypatch):
+        calls = []
+        inner = gaussian._psd_factor
+
+        def spy(cov):
+            calls.append(cov)
+            return inner(cov)
+
+        monkeypatch.setattr(gaussian, "_psd_factor", spy)
+        gs = random_gaussian_sequence(rng, (0, 2), 2)
+        twin = GaussianSequence(gs.mean, gs.cov, gs.dim)
+        first = gs.draw(4, np.random.default_rng(5))
+        second = gs.draw(4, np.random.default_rng(5))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(second, first)
+        # the cached factor is no field: repr and serialization ignore it
+        assert [f.name for f in dataclasses.fields(gs)] == ["mean", "cov", "dim"]
+        assert repr(gs) == repr(twin)
 
 
 class TestNdtr:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from trajconstrain import (
     constrain_pmbm,
     constrain_ppp,
 )
+from trajconstrain import gaussian
 from trajconstrain.engine import ConstrainedBernoulli
-from trajconstrain.oracle import oracle_bernoulli, oracle_pmbm, oracle_ppp
+from trajconstrain.oracle import _merge, oracle_bernoulli, oracle_pmbm, oracle_ppp
 
-from conftest import random_constraint_set, random_density
+from conftest import random_constraint_set, random_density, random_gaussian_sequence
 
 HALF_LINE = StateRegion.box([(0, None)])
 
@@ -168,10 +170,18 @@ class TestOraclePmbm:
         w = np.array([h.weight for h in out.hypotheses])
         bern = sum(h.weight * sum(t.r * (1.0 - t.r) for t in h.tracks) for h in out.hypotheses)
         var_one = out.ppp.mu + bern + float(np.sum(w * (sums - np.sum(w * sums)) ** 2))
-        engine_se = m.ppp.mu * out.ppp.report.joint_se + sum(
-            h.weight * sum(t.r * tc.report.joint_se for t, tc in zip(h.tracks, hc.tracks))
+        # constrain_pmbm gives each distinct component its own stream, so the
+        # engine term is a root sum of squares over components (tracks[0] sits
+        # in both hypotheses: its slots add linearly within the component)
+        components = {}
+        for weight, src, constrained in [(m.ppp.mu, m.ppp.density, out.ppp)] + [
+            (h.weight * t.r, t.density, tc)
             for h, hc in zip(m.hypotheses, out.hypotheses)
-        )
+            for t, tc in zip(h.tracks, hc.tracks)
+        ]:
+            total, _ = components.get(id(src), (0.0, None))
+            components[id(src)] = (total + weight, constrained.report.joint_se)
+        engine_se = math.sqrt(sum((w * se) ** 2 for w, se in components.values()))
         return entry, var_one / min(n, 50_000), engine_se
 
     def test_cardinality_se_includes_engine_error(self):
@@ -179,7 +189,7 @@ class TestOraclePmbm:
         out = constrain_pmbm(m, cs, 20_000, rng_seed=3)
         entry, sampling_var, engine_se = self.cardinality_entry(m, out, cs, 20_000)
         assert engine_se > 0.0
-        assert entry.se**2 >= (sampling_var + engine_se**2) * (1.0 - 1e-12)
+        assert entry.se == pytest.approx(math.sqrt(sampling_var + engine_se**2), rel=1e-12)
         # every component exact: the engine adds nothing
         tracks = tuple(BernoulliTrajectory(r, std_density([(0, 0), (0, 1)], [0.5, 0.5])) for r in (0.9, 0.8))
         m = PmbmDensity(PppTrajectory(1.0, std_density([(0, 1)], [1.0])), (GlobalHypothesis(1.0, tracks),))
@@ -197,3 +207,83 @@ class TestOraclePmbm:
         entry, _, engine_se = self.cardinality_entry(m, out, cs, 50_000)
         assert engine_se > 0.0
         assert not entry.passed, entry
+
+
+class TestStreaming:
+    def test_merge_matches_numpy(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(3.0, 2.0, size=(5_000, 6))
+        cuts = np.concatenate(([0, 1], np.sort(rng.choice(np.arange(2, 5_000), 20, replace=False)), [5_000]))
+        n, mean, m2 = 0, np.zeros(6), np.zeros(6)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            chunk = x[lo:hi]
+            c_mean = chunk.mean(axis=0)
+            n, mean, m2 = _merge(n, mean, m2, chunk.shape[0], c_mean, ((chunk - c_mean) ** 2).sum(axis=0))
+        assert n == x.shape[0]
+        np.testing.assert_allclose(mean, np.mean(x, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(np.sqrt(m2 / (n - 1)), np.std(x, axis=0, ddof=1), rtol=1e-12)
+
+    @staticmethod
+    def reports(seed):
+        rng = np.random.default_rng(seed)
+        window = TimeWindow(0, 3)
+        box = StateRegion.box([(-2.0, 2.5), (None, None)])
+        cs = ConstraintSet([Constraint(1, box), Constraint(2, box)], "conjunct")
+        b = BernoulliTrajectory(0.9, random_density(rng, window, 2))
+        p = PppTrajectory(3.0, random_density(rng, window, 2))
+        m = PmbmDensity(p, (GlobalHypothesis(0.7, (b,)), GlobalHypothesis(0.3, ())))
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=seed)
+        return [
+            oracle_bernoulli(b, out.hypotheses[0].tracks[0], cs, n=60_000, rng_seed=seed),
+            oracle_ppp(p, out.ppp, cs, n_runs=5_000, rng_seed=seed),
+            oracle_pmbm(m, out, cs, n=30_000, rng_seed=seed),
+        ]
+
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        whole = self.reports(15)
+        monkeypatch.setattr(gaussian, "DRAW_CHUNK", 1000)
+        td = random_density(np.random.default_rng(0), TimeWindow(0, 1), 1)
+        chunks = list(gaussian.stratified_chunks(td, 5_000, np.random.default_rng(0)))
+        assert max(x.shape[0] for _, x in chunks) == 1000 and len(chunks) > len(td.pmf.pairs)
+        chunked = self.reports(15)
+        assert any(e.name.startswith("mean[") for e in whole[0].entries)
+        for a, b in zip(whole, chunked):
+            assert [e.name for e in a.entries] == [e.name for e in b.entries]
+            for ea, eb in zip(a.entries, b.entries):
+                if ea.name.startswith("mean["):
+                    # the per-step moments merge in another order: rounding only
+                    assert eb.empirical == pytest.approx(ea.empirical, rel=1e-12)
+                    assert eb.se == pytest.approx(ea.se, rel=1e-12)
+                else:  # counts: the same draws up to rounding accept the same way
+                    assert eb == ea
+
+    def test_stratified_draws_gathers_the_chunks(self, monkeypatch):
+        td = random_density(np.random.default_rng(16), TimeWindow(0, 2), 2)
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        whole = gaussian.stratified_draws(td, 20_000, rng_a)
+        monkeypatch.setattr(gaussian, "DRAW_CHUNK", 300)
+        chunked = gaussian.stratified_draws(td, 20_000, rng_b)
+        assert list(whole) == list(chunked)
+        for pair in whole:
+            # the same normals; BLAS may round the product of a shorter block
+            # differently in the last bit
+            np.testing.assert_allclose(chunked[pair], whole[pair], rtol=1e-12, atol=1e-12)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 2e5 draws of a 20-step, dim-2 sequence: one copy of all of them is 64 MB
+        rng = np.random.default_rng(18)
+        gs = random_gaussian_sequence(rng, (0, 19), 2)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 19),), np.array([1.0])), (gs,))
+        box = StateRegion.box([(-1.0, 1.5), (None, None)])
+        cs = ConstraintSet([Constraint(5, box), Constraint(12, box)], "conjunct")
+        b = BernoulliTrajectory(1.0, td)
+        out = constrain_bernoulli(b, cs, 20_000, rng_seed=1)
+        tracemalloc.start()
+        try:
+            rep = oracle_bernoulli(b, out, cs, n=200_000, rng_seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(e.name.startswith("mean[") for e in rep.entries)
+        assert peak < 48e6, peak / 1e6
