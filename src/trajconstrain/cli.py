@@ -55,6 +55,19 @@ def _get(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
+def _parse_int(value, field: str, minimum: int) -> int:
+    """``value`` as an integer of at least ``minimum``, else a ConfigError naming ``field``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{field}: {value!r} is not an integer")
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: {value!r} is not an integer") from None
+    if n < minimum:
+        raise ConfigError(f"{field}: must be at least {minimum}, got {n}")
+    return n
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -72,7 +85,7 @@ def load_config(path: str) -> dict:
 def parse_window(cfg: dict) -> TimeWindow:
     try:
         return TimeWindow(int(_get(cfg, "window.alpha")), int(_get(cfg, "window.gamma")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"window: {exc}") from exc
 
 
@@ -91,7 +104,7 @@ def parse_motion(cfg: dict) -> MotionModel:
         )
     except KeyError as exc:
         raise ConfigError(f"motion: missing field {exc}") from exc
-    except (ValueError, TrajConstrainError) as exc:
+    except (TypeError, ValueError, TrajConstrainError) as exc:
         raise ConfigError(f"motion: {exc}") from exc
 
 
@@ -188,10 +201,9 @@ def _fit_track(cfg: dict, window: TimeWindow, mm: MotionModel, sm: SensorModel):
     for t, _ in pairs:
         if t not in window:
             raise ConfigError(f"track.measurements: time {t} outside window")
+    slack = _parse_int(track.get("slack", 3), "track.slack", 0)
     try:
-        return fit_bernoulli_track(
-            pairs, mm, sm, window, float(track.get("r0", 0.9)), int(track.get("slack", 3))
-        )
+        return fit_bernoulli_track(pairs, mm, sm, window, float(track.get("r0", 0.9)), slack)
     except ValueError as exc:
         raise ConfigError(f"track: {exc}") from exc
 
@@ -211,11 +223,11 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     sm = parse_sensor(cfg)
     bern = _fit_track(cfg, window, mm, sm)
     cs = parse_constraints(cfg, window, mm.dim)
-    budget = int(_get(cfg, "mc_budget", required=False, default=100_000))
+    budget = _parse_int(_get(cfg, "mc_budget", required=False, default=100_000), "mc_budget", 2)
     constrained = _constrain_track(bern, cs, budget, seed)
 
     u_times, u_means, u_covs, _ = step_moments(bern.density)
-    if constrained.degenerate:
+    if constrained.density.degenerate:
         c_times, c_means, c_covs = [], None, None
         acceptance = 0.0
         dropped = 0
@@ -249,7 +261,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     summary = {
         "r": bern.r,
         "r_constrained": constrained.r,
-        "degenerate": constrained.degenerate,
+        "degenerate": constrained.density.degenerate,
         "report": {
             "prob_alive": constrained.report.prob_alive,
             "prob_spatial": constrained.report.prob_spatial,
@@ -273,26 +285,21 @@ def cmd_oracle(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     mm = parse_motion(cfg)
     sm = parse_sensor(cfg)
     cs = parse_constraints(cfg, window, mm.dim)
-    budget = int(_get(cfg, "mc_budget", required=False, default=100_000))
+    budget = _parse_int(_get(cfg, "mc_budget", required=False, default=100_000), "mc_budget", 2)
     ocfg = _get(cfg, "oracle", required=False, default={}) or {}
-    n = int(ocfg.get("n", 200_000))
+    n = _parse_int(ocfg.get("n", 200_000), "oracle.n", 2)
+    n_runs = _parse_int(ocfg.get("n_runs", 10_000), "oracle.n_runs", 2)
     z = float(ocfg.get("z_threshold", 4.0))
-    # Testing hook: scales analytic values to verify the detector trips.
-    corrupt = float(ocfg.get("corrupt_analytic_scale", 1.0))
 
     bern = _fit_track(cfg, window, mm, sm)
     constrained = _constrain_track(bern, cs, budget, seed)
-    if corrupt != 1.0:
-        constrained.r *= corrupt
     reports = {"bernoulli": oracle_bernoulli(bern, constrained, cs, n, z, seed + 2)}
 
     mu = ocfg.get("mu")
     if mu is not None:
         ppp = PppTrajectory(float(mu), bern.density)
         cp = constrain_ppp(ppp, cs, budget, seed)
-        if corrupt != 1.0:
-            cp.mu *= corrupt
-        reports["ppp"] = oracle_ppp(ppp, cp, cs, int(ocfg.get("n_runs", 10_000)), z, seed + 3)
+        reports["ppp"] = oracle_ppp(ppp, cp, cs, n_runs, z, seed + 3)
 
     combined = {k: r.to_dict() for k, r in reports.items()}
     passed = all(r.passed for r in reports.values())
@@ -309,14 +316,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="traj-constrain")
     parser.add_argument("command", choices=["simulate", "constrain", "oracle"])
     parser.add_argument("--config", required=True, help="path to JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--seed", default=None, help="override config seed")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _parse_int(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {"simulate": cmd_simulate, "constrain": cmd_constrain, "oracle": cmd_oracle}[

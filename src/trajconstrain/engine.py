@@ -36,12 +36,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion, active_indices
+from .core import ConstraintSet, CONJUNCT, DISJUNCT, active_indices
 from .core import satisfies_batch  # noqa: F401  (not called here; perfbench/tracing.py patches engine.satisfies_batch)
 from .errors import (
     DegenerateDensityError,
@@ -60,6 +59,7 @@ from .gaussian import (
     Stratum,
     TrajectoryDensity,
     _bounded,
+    _bounded_masks,
     _pattern_probabilities,
     _step_blocks,
     _step_mixture,
@@ -126,9 +126,12 @@ class MarginalMoments:
     covs: np.ndarray
     alive_probs: np.ndarray
     acceptance_rate: float
-    n_accepted: int
     ess: np.ndarray
     accepted: Dict[Pair, int]
+
+    @property
+    def n_accepted(self) -> int:
+        return sum(self.accepted.values())
 
 
 @dataclass
@@ -139,18 +142,22 @@ class ConstrainedTrajectoryDensity:
     pair (the same for the same ``mc_budget`` and ``rng_seed``) serves all
     three views: ``constrained_marginals``, ``moment_matched`` and the joint
     samples of ``sample_cloud``, which come from pathwise conditioning. A
-    degenerate instance (zero spatial probability everywhere) carries no pmf.
+    degenerate instance (zero spatial probability everywhere, or a support
+    meeting no constraint time) carries no pmf; ``degenerate`` derives from it.
     """
 
     base: TrajectoryDensity
     cs: ConstraintSet
     pmf: Optional[BirthDeathPmf]
     pair_info: Dict[Pair, PairConstraintInfo]
-    degenerate: bool = False
 
     @property
     def dim(self) -> int:
         return self.base.dim
+
+    @property
+    def degenerate(self) -> bool:
+        return self.pmf is None
 
     def sample_cloud(self, mc_budget: int = 100_000, rng_seed: int = 0) -> SampleCloud:
         """Joint samples from the accepted-y draw that all three views share:
@@ -190,7 +197,6 @@ class ConstrainedBernoulli:
     r: float
     density: ConstrainedTrajectoryDensity
     report: ConstraintReport
-    degenerate: bool = False
 
 
 @dataclass
@@ -198,7 +204,6 @@ class ConstrainedPpp:
     mu: float
     density: ConstrainedTrajectoryDensity
     report: ConstraintReport
-    degenerate: bool = False
 
 
 @dataclass
@@ -213,10 +218,10 @@ class ConstrainedPmbm:
     hypotheses: List[ConstrainedHypothesis]
 
 
-def _pair_seed(rng_seed: int, pair_index: int, query: int = 0) -> int:
-    # One common stream per (pair, query); folded into a single int seed so
-    # region_probability's child_rng stays deterministic.
-    return int(np.random.SeedSequence([int(rng_seed), pair_index, query]).generate_state(1)[0])
+def _pair_seed(rng_seed: int, pair_index: int) -> int:
+    # One stream per pair, folded into a single int seed so region_probability's
+    # child_rng stays deterministic; the trailing 0 is part of each stream's key.
+    return int(np.random.SeedSequence([int(rng_seed), pair_index, 0]).generate_state(1)[0])
 
 
 def _component_seed(rng_seed: int, k: int) -> int:
@@ -271,26 +276,12 @@ def constrain_density(
     report = ConstraintReport(prob_alive, prob_spatial, joint, joint_se / prob_alive, joint_se)
 
     if total <= 0.0:
-        ctd = ConstrainedTrajectoryDensity(td, cs, None, pair_info, degenerate=True)
-        return ctd, report
+        return ConstrainedTrajectoryDensity(td, cs, None, pair_info), report
     keep = masses > 0.0
     pairs = tuple(pair for (_, pair, _, _), k in zip(qualifying, keep) if k)
     pmf = BirthDeathPmf(pairs, masses[keep] / total)
     ctd = ConstrainedTrajectoryDensity(td, cs, pmf, pair_info)
     return ctd, report
-
-
-@lru_cache(maxsize=256)
-def _partition_sets(active: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-    """(inside, outside) constraint indices of every nonempty satisfied set, by code 1..2^m - 1."""
-    m = len(active)
-    return tuple(
-        (
-            tuple(active[t] for t in range(m) if code >> t & 1),
-            tuple(active[t] for t in range(m) if not code >> t & 1),
-        )
-        for code in range(1, 2**m)
-    )
 
 
 def disjunct_partitions(
@@ -328,8 +319,13 @@ def disjunct_partitions(
     total = float(raw.sum())
     weights = raw / total if total > 0 else np.zeros(raw.size)
     return tuple(
-        PartitionEntry(inside, outside, w, r)
-        for (inside, outside), w, r in zip(_partition_sets(active), weights.tolist(), raw.tolist())
+        PartitionEntry(
+            tuple(active[t] for t in range(m) if code >> t & 1),
+            tuple(active[t] for t in range(m) if not code >> t & 1),
+            w,
+            r,
+        )
+        for code, w, r in zip(range(1, 2**m), weights.tolist(), raw.tolist())
     )
 
 
@@ -340,8 +336,7 @@ def _constrain_component(
     constraint time gives a degenerate result with an all-zero report."""
     meets = any(p > 0.0 and active_indices(cs, *pair) for pair, p in td.pmf.items())
     if td.dim == cs.dim and not meets:
-        ctd = ConstrainedTrajectoryDensity(td, cs, None, {}, degenerate=True)
-        return ctd, ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        return ConstrainedTrajectoryDensity(td, cs, None, {}), ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
     return constrain_density(td, cs, mc_budget, rng_seed)
 
 
@@ -354,7 +349,7 @@ def constrain_bernoulli(
     """Constrained Bernoulli: r is scaled by the joint satisfaction probability
     (r = 0 when the support meets no constraint time)."""
     ctd, report = _constrain_component(b.density, cs, mc_budget, rng_seed)
-    return ConstrainedBernoulli(b.r * report.joint, ctd, report, degenerate=ctd.degenerate)
+    return ConstrainedBernoulli(b.r * report.joint, ctd, report)
 
 
 def constrain_ppp(
@@ -366,7 +361,7 @@ def constrain_ppp(
     """Constrained PPP: mu is scaled by the joint satisfaction probability
     (mu = 0 when the support meets no constraint time)."""
     ctd, report = _constrain_component(p.density, cs, mc_budget, rng_seed)
-    return ConstrainedPpp(p.mu * report.joint, ctd, report, degenerate=ctd.degenerate)
+    return ConstrainedPpp(p.mu * report.joint, ctd, report)
 
 
 def constrain_pmbm(
@@ -393,13 +388,13 @@ def constrain_pmbm(
         return done[id(td)]
 
     ctd, report = constrained(m.ppp.density)
-    ppp_c = ConstrainedPpp(m.ppp.mu * report.joint, ctd, report, degenerate=ctd.degenerate)
+    ppp_c = ConstrainedPpp(m.ppp.mu * report.joint, ctd, report)
     hyps = []
     for h in m.hypotheses:
         tracks = []
         for t in h.tracks:
             ctd, report = constrained(t.density)
-            tracks.append(ConstrainedBernoulli(t.r * report.joint, ctd, report, degenerate=ctd.degenerate))
+            tracks.append(ConstrainedBernoulli(t.r * report.joint, ctd, report))
         hyps.append(ConstrainedHypothesis(h.weight, tracks))
     return ConstrainedPmbm(ppp_c, hyps)
 
@@ -409,18 +404,18 @@ def _accepted_y(
 ) -> Tuple[list, Dict[Pair, int], float]:
     """The one Monte Carlo draw behind every view of a constrained density.
 
-    Per pair j in pmf order, y (the deduplicated bounded coordinates ``cols``
-    at the active constraint times) is drawn ceil(mc_budget * prob /
-    spatial_prob) times, clipped to [2, mc_budget], on stream
-    child_rng(rng_seed, 1, j) and accepted by the regions (all in conjunct
-    mode, any in disjunct). A pair thus expects about mc_budget * prob
-    accepted draws, however low its spatial probability, unless the cap
+    Per pair j in pmf order, y (the bounded coordinates ``cols`` at the active
+    constraint times, ascending as the times are distinct and sorted) is drawn
+    ceil(mc_budget * prob / spatial_prob) times, clipped to [2, mc_budget],
+    on stream child_rng(rng_seed, 1, j) and accepted by the regions (all in
+    conjunct mode, any in disjunct). A pair thus expects about mc_budget *
+    prob accepted draws, however low its spatial probability, unless the cap
     binds. Returns (prob, pair, conditional, cols, accepted y, K = C_xy
     pinv(S_yy)) per pair that accepted a draw, the accepted counts and the
     overall rate. Pairs that accepted nothing are logged; a rate below 1e-6
     raises LowAcceptanceError.
     """
-    if ctd.degenerate or ctd.pmf is None:
+    if ctd.degenerate:
         raise DegenerateDensityError("cannot sample a degenerate constrained density")
     cs = ctd.cs
     draws = []
@@ -430,13 +425,13 @@ def _accepted_y(
         spatial = ctd.pair_info[pair].spatial_prob
         n_pair = max(math.ceil(min(mc_budget * prob / spatial, mc_budget)), 2)
         gs = ctd.base.conditional(pair)
-        active = [cs.constraints[i] for i in active_indices(cs, *pair)]
+        active = sorted((cs.constraints[i] for i in ctd.pair_info[pair].active), key=lambda c: c.time)
         bounded = [_bounded(gs, pair, c.time, c.region) for c in active]
-        cols = np.unique(np.concatenate([c for _, _, c in bounded]))
+        cols = np.concatenate([c for _, _, c in bounded])
         s_yy = gs.cov[np.ix_(cols, cols)]
         y = GaussianSequence(gs.mean[cols], s_yy, 1).draw(n_pair, child_rng(rng_seed, 1, j))
-        hits = [StateRegion(lo, hi).contains_batch(y[:, np.searchsorted(cols, c)]) for lo, hi, c in bounded]
-        acc = np.logical_and.reduce(hits) if cs.mode == CONJUNCT else np.logical_or.reduce(hits)
+        masks = _bounded_masks(bounded, y)
+        acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
         drawn += n_pair
         accepted[pair] = int(acc.sum())
         if accepted[pair]:
@@ -491,4 +486,4 @@ def constrained_marginals(
     for prob, (b, e), _, _, y, _ in draws:
         sq[times.index(b) : times.index(e) + 1] += prob * prob / y.shape[0]
     ess = alive * alive / sq
-    return MarginalMoments(times, means, covs, alive, rate, sum(accepted.values()), ess, accepted)
+    return MarginalMoments(times, means, covs, alive, rate, ess, accepted)

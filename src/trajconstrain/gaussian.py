@@ -238,6 +238,17 @@ def _bounded(
     return region.lows[:, dims], region.highs[:, dims], gs.coords(pair, [t])[dims]
 
 
+def _bounded_masks(bounded: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], y: np.ndarray) -> np.ndarray:
+    """(len(bounded), n) inside masks of ``_bounded`` items on y (n, total
+    columns), whose columns are the items' bounded coordinates side by side."""
+    masks = np.empty((len(bounded), y.shape[0]), dtype=bool)
+    start = 0
+    for k, (lows, highs, _) in enumerate(bounded):
+        masks[k] = StateRegion(lows, highs).contains_batch(y[:, start : start + lows.shape[1]])
+        start += lows.shape[1]
+    return masks
+
+
 def _ndtr(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF element-wise: 0.5 erfc(-x / sqrt(2)), as Cephes' ndtr."""
     x = np.asarray(x, dtype=np.float64)
@@ -325,12 +336,7 @@ def _pattern_probabilities(
         q = [math.prod(p_in[starts[i] : starts[i + 1]].tolist()) for i in free]
     else:
         x = GaussianSequence(gs.mean[cols], cov, 1).draw(int(mc_budget), child_rng(rng_seed))
-        masks = np.empty((len(free), x.shape[0]), dtype=bool)
-        start = 0
-        for k, i in enumerate(free):
-            lows, highs, _ = bounded[i]
-            masks[k] = StateRegion(lows, highs).contains_batch(x[:, start : start + lows.shape[1]])
-            start += lows.shape[1]
+        masks = _bounded_masks([bounded[i] for i in free], x)
 
     if want is not None:
         if exact:
@@ -372,10 +378,12 @@ def region_probability(
     the rest are evaluated in closed form (standard error 0) when they are
     single boxes on uncorrelated coordinates, else by plain Monte Carlo on
     their bounded coordinates. A Monte Carlo estimate of exactly 0 or 1
-    reports a standard error of about 1/mc_budget, not 0.
+    reports a standard error of about 1/mc_budget, not 0 (mc_budget >= 2).
     """
     if not entries:
         raise ValueError("entries must be nonempty")
+    if mc_budget < 2:
+        raise ValueError(f"mc_budget must be >= 2, got {mc_budget}")
     for t, region, side in entries:
         if side not in (INSIDE, COMPLEMENT):
             raise ValueError(f"side must be inside/complement, got {side!r}")

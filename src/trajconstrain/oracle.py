@@ -15,9 +15,8 @@ Amer. Statist. 1983). Memory is O(chunk x sequence dim), not O(n).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,6 +31,9 @@ from .engine import (
 from .errors import LowAcceptanceError
 from .gaussian import Pair, TrajectoryDensity, child_rng, stratified_chunks
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
+
+# Draws behind the engine's step means that oracle_bernoulli checks.
+_MOMENT_BUDGET = 100_000
 
 
 @dataclass
@@ -65,21 +67,8 @@ class OracleReport:
             "seed": self.seed,
             "z_threshold": self.z_threshold,
             "passed": self.passed,
-            "entries": [
-                {
-                    "name": e.name,
-                    "analytic": e.analytic,
-                    "empirical": e.empirical,
-                    "se": e.se,
-                    "z": e.z,
-                    "passed": e.passed,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         lines = [f"{'quantity':<44} {'analytic':>12} {'empirical':>12} {'z':>8}  result"]
@@ -155,9 +144,10 @@ def oracle_bernoulli(
     z_threshold: float = 4.0,
     rng_seed: int = 0,
     check_moments: bool = True,
-    moment_budget: int = 100_000,
 ) -> OracleReport:
-    """Check constrained existence, pair pmf and per-step moments by rejection."""
+    """Check constrained existence, pair pmf and per-step moments by rejection.
+    The engine's step means are ``constrained_marginals`` at ``_MOMENT_BUDGET``
+    draws, seed ``rng_seed + 1``; their SE adds in quadrature to the empirical SE."""
     rng = child_rng(rng_seed, 11)
     entries: List[OracleEntry] = []
 
@@ -189,7 +179,7 @@ def oracle_bernoulli(
 
     if check_moments and constrained.density.pmf is not None and accepted > 50:
         try:
-            mm = constrained_marginals(constrained.density, moment_budget, rng_seed + 1)
+            mm = constrained_marginals(constrained.density, _MOMENT_BUDGET, rng_seed + 1)
         except LowAcceptanceError:
             mm = None
         if mm is not None:

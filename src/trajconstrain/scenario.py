@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import TimeWindow, Trajectory
 from .errors import DimensionMismatchError
-from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, child_rng
+from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _psd_factor, child_rng
 from .rfs import BernoulliTrajectory
 
 
@@ -49,6 +49,8 @@ class MotionModel:
             raise ValueError(f"birth rate {self.birth_rate} must be >= 0")
         if np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() < -1e-10:
             raise ValueError("process noise must be PSD")
+        if np.linalg.eigvalsh(0.5 * (bc + bc.T)).min() < -1e-10:
+            raise ValueError("birth covariance must be PSD")
         object.__setattr__(self, "transition", F)
         object.__setattr__(self, "process_noise", 0.5 * (Q + Q.T))
         object.__setattr__(self, "birth_mean", bm)
@@ -113,11 +115,6 @@ class Scenario:
                 raise ValueError(f"trajectory {t.birth}..{t.death} exceeds window")
 
 
-def _noise_factor(cov: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(cov)
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
 def simulate_truth(mm: MotionModel, window: TimeWindow, rng_seed: int = 0) -> List[Trajectory]:
     """Sample a ground-truth trajectory set from the motion model.
 
@@ -125,8 +122,8 @@ def simulate_truth(mm: MotionModel, window: TimeWindow, rng_seed: int = 0) -> Li
     per listed time step.
     """
     rng = child_rng(rng_seed)
-    q_fac = _noise_factor(mm.process_noise)
-    b_fac = _noise_factor(mm.birth_cov)
+    q_fac = _psd_factor(mm.process_noise)
+    b_fac = _psd_factor(mm.birth_cov)
     alive: List[Tuple[int, List[np.ndarray]]] = []
     done: List[Trajectory] = []
     for k in window.steps():
@@ -160,7 +157,7 @@ def simulate_measurements(
 ) -> Dict[int, List[Measurement]]:
     """Per-step detections (probability ``detection``) plus uniform Poisson clutter."""
     rng = child_rng(rng_seed)
-    r_fac = _noise_factor(sm.noise)
+    r_fac = _psd_factor(sm.noise)
     out: Dict[int, List[Measurement]] = {k: [] for k in window.steps()}
     for k in window.steps():
         for i, traj in enumerate(truth):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from trajconstrain import cli
 from trajconstrain.cli import (
     CSV_SCHEMA,
     EXIT_CONFIG,
@@ -167,6 +168,54 @@ class TestConfigErrors:
         code, _ = run(tmp_path, cfg, "constrain")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, field, value, extra",
+        [
+            ("constrain", "mc_budget", 0, ()),
+            ("constrain", "mc_budget", -5, ()),
+            ("constrain", "mc_budget", 1, ()),
+            ("constrain", "mc_budget", 2.5, ()),
+            ("constrain", "mc_budget", "abc", ()),
+            ("oracle", "mc_budget", 0, ()),
+            ("simulate", "seed", "abc", ()),
+            ("simulate", "seed", -1, ()),
+            ("simulate", "seed", 7, ("--seed", "-1")),
+            ("simulate", "seed", 7, ("--seed", "abc")),
+            ("constrain", "track.slack", "two", ()),
+            ("oracle", "oracle.n", 0, ()),
+            ("oracle", "oracle.n_runs", 0, ()),
+        ],
+    )
+    def test_bad_integer_exits_with_config_error(self, tmp_path, capsys, command, field, value, extra):
+        cfg = base_config()
+        cfg["oracle"]["mu"] = 2.0  # oracle.n_runs is read for the PPP check
+        *parents, key = field.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        code, _ = run(tmp_path, cfg, command, extra)
+        assert code == EXIT_CONFIG
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("window", "alpha", None), ("window", "gamma", [12]), ("motion", "birth_schedule", [1, None])],
+    )
+    def test_integer_of_wrong_type_exits_with_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = base_config()
+        cfg[section][key] = value
+        code, _ = run(tmp_path, cfg, "simulate")
+        assert code == EXIT_CONFIG
+        assert f"config error: {section}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "constrain"])
+    def test_non_psd_birth_cov(self, tmp_path, command):
+        cfg = base_config()
+        cfg["motion"]["birth_cov"] = [[4.0, 0.0], [0.0, -1.0]]
+        code, _ = run(tmp_path, cfg, command)
+        assert code == EXIT_CONFIG
+
 
 class TestOracleCommand:
     def test_pass(self, tmp_path):
@@ -187,10 +236,16 @@ class TestOracleCommand:
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["ppp"]["passed"] is True
 
-    def test_corrupted_analytic_fails(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["oracle"]["corrupt_analytic_scale"] = 1.5
-        code, out = run(tmp_path, cfg, "oracle")
+    def test_corrupted_analytic_fails(self, tmp_path, capsys, monkeypatch):
+        inner = cli.constrain_bernoulli
+
+        def corrupted(*args):
+            out = inner(*args)
+            out.r *= 1.5
+            return out
+
+        monkeypatch.setattr(cli, "constrain_bernoulli", corrupted)
+        code, out = run(tmp_path, base_config(), "oracle")
         assert code == EXIT_ORACLE
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["passed"] is False

@@ -243,9 +243,15 @@ class TestEdgeCases:
         assert ctd.degenerate and ctd.pmf is None
         assert report.joint == 0.0
         out = constrain_bernoulli(BernoulliTrajectory(0.7, td), cs)
-        assert out.degenerate and out.r == 0.0
+        assert out.density.degenerate and out.r == 0.0
         with pytest.raises(DegenerateDensityError):
             ctd.sample_cloud()
+
+    def test_degenerate_is_derived_from_the_pmf(self):
+        td = std_density([(0, 0), (0, 1)], [0.5, 0.5])
+        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        assert engine.ConstrainedTrajectoryDensity(td, cs, None, {}).degenerate
+        assert not engine.ConstrainedTrajectoryDensity(td, cs, td.pmf, {}).degenerate
 
     def test_deterministic(self, rng):
         td = random_density(rng, TimeWindow(0, 4), 2)
@@ -490,6 +496,40 @@ class TestRaoBlackwellMarginals:
         np.testing.assert_allclose(covs, mm.covs, rtol=1e-12, atol=1e-12)
 
 
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_views_ignore_the_order_of_the_constraint_list(self, rng, mode):
+        # The wide gate at step 1 is pinned as holding, so every pair probability
+        # is exact and both orders give the same pmf. Its coordinate still
+        # enters y, correlated with the narrow gate's, so the y draw sees the
+        # column order (a diagonal covariance would hide it).
+        td = random_density(rng, TimeWindow(0, 4), 2)
+        items = [
+            Constraint(3, StateRegion.box([(-1.0, 1.5), None])),
+            Constraint(1, StateRegion.box([(-50.0, 50.0), None])),
+        ]
+        views = []
+        for order in (items, items[::-1]):
+            ctd, report = constrain_density(td, ConstraintSet(order, mode), 20_000, rng_seed=3)
+            assert all(info.spatial_se == 0.0 for info in ctd.pair_info.values())
+            mm = constrained_marginals(ctd, 20_000, rng_seed=4)
+            matched = ctd.moment_matched(20_000, rng_seed=4)
+            cloud = ctd.sample_cloud(20_000, rng_seed=4)
+            views.append(
+                (
+                    report,
+                    ctd.pmf.pairs,
+                    ctd.pmf.probs,
+                    (mm.times, mm.means, mm.covs, mm.alive_probs, mm.ess, mm.acceptance_rate, mm.accepted),
+                    (matched.pmf.pairs, matched.pmf.probs, [(g.mean, g.cov) for g in matched.conditionals]),
+                    {pair: (s.states, s.weights) for pair, s in cloud.strata.items()},
+                )
+            )
+        forward, backward = views
+        assert forward[0] == backward[0]
+        for a, b in zip(forward[1:], backward[1:]):
+            np.testing.assert_equal(a, b)
+
+
 class TestDroppedStrata:
     def density(self):
         # pair (0, 1) meets x >= 0 at step 0 with probability ~1e-9, so it gets
@@ -611,7 +651,7 @@ class TestPmbm:
         cs = ConstraintSet([Constraint(4, HALF_LINE), Constraint(5, StateRegion.box([(-1, 1)]))], "conjunct")
         out = constrain_pmbm(m, cs, 20_000, rng_seed=2)
         late_c = out.hypotheses[1].tracks[1]
-        assert late_c.r == 0.0 and late_c.degenerate and late_c.density.pmf is None
+        assert late_c.r == 0.0 and late_c.density.degenerate and late_c.density.pmf is None
         assert late_c.report == engine.ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
         seeds = component_seeds(m, 2)
         for hc, h in zip(out.hypotheses, m.hypotheses):

@@ -236,6 +236,13 @@ class TestRegionProbability:
         with pytest.raises(ValueError):
             region_probability(gs, (0, 0), [])
 
+    @pytest.mark.parametrize("mc_budget", [0, 1])
+    def test_budget_below_two_rejected(self, mc_budget):
+        # at mc_budget 1 the 1/n rule of the next test would report SE 0
+        gs = self.std_normal_steps(1)
+        with pytest.raises(ValueError, match="mc_budget"):
+            region_probability(gs, (0, 0), [(0, StateRegion.box([(0, None)]), "inside")], mc_budget)
+
     def test_mc_estimate_of_0_or_1_reports_nonzero_se(self):
         # two boxes force Monte Carlo; the region lies about 6 sd out
         gs = self.std_normal_steps(1)

@@ -39,6 +39,19 @@ def pos_sensor(r=0.25, detection=0.9, clutter_rate=1.0):
     )
 
 
+class TestMotionModel:
+    def test_non_psd_birth_cov_rejected(self):
+        with pytest.raises(ValueError, match="birth covariance must be PSD"):
+            MotionModel(np.eye(2), np.eye(2), 0.9, 0.1, np.zeros(2), np.array([[4.0, 0.0], [0.0, -1.0]]))
+
+    def test_zero_variance_birth_cov_accepted(self):
+        mm = MotionModel(np.eye(2), np.eye(2), 0.9, 0.0, np.zeros(2), np.diag([4.0, 0.0]), birth_schedule=(0, 3))
+        truth = simulate_truth(mm, TimeWindow(0, 10), rng_seed=1)
+        assert len(truth) == 2
+        for t in truth:
+            assert t.states[0, 1] == 0.0  # drawn exactly at the birth mean
+
+
 class TestSimulateTruth:
     def test_zero_birth_rate_empty(self):
         mm = cv_motion(birth_rate=0.0)
