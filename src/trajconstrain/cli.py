@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -24,7 +25,7 @@ from . import serialize
 from .core import Constraint, ConstraintSet, StateRegion, TimeWindow
 from .engine import constrain_bernoulli, constrain_ppp, constrained_marginals
 from .errors import ConfigError, TrajConstrainError, ZeroSupportError
-from .gaussian import step_moments
+from .gaussian import CLOSED_FORM, MC, PINNED, step_moments
 from .oracle import oracle_bernoulli, oracle_ppp
 from .rfs import PppTrajectory
 from .scenario import (
@@ -66,6 +67,17 @@ def _parse_int(value, field: str, minimum: int) -> int:
     if n < minimum:
         raise ConfigError(f"{field}: must be at least {minimum}, got {n}")
     return n
+
+
+def _parse_positive(value, field: str) -> float:
+    """``value`` as a finite number > 0, else a ConfigError naming ``field``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: {value!r} is not a number") from None
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConfigError(f"{field}: must be a finite number > 0, got {value!r}")
+    return x
 
 
 def load_config(path: str) -> dict:
@@ -258,6 +270,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
         rows.append(row)
     _write_csv(out_dir / "constrained.csv", header, rows)
 
+    paths = [info.path for info in constrained.density.pair_info.values()]
     summary = {
         "r": bern.r,
         "r_constrained": constrained.r,
@@ -271,6 +284,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
         },
         "acceptance_rate": acceptance,
         "dropped_strata": dropped,
+        "pair_paths": {path: paths.count(path) for path in (PINNED, CLOSED_FORM, MC)},
         "mc_budget": budget,
         "seed": seed,
     }
@@ -289,15 +303,17 @@ def cmd_oracle(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     ocfg = _get(cfg, "oracle", required=False, default={}) or {}
     n = _parse_int(ocfg.get("n", 200_000), "oracle.n", 2)
     n_runs = _parse_int(ocfg.get("n_runs", 10_000), "oracle.n_runs", 2)
-    z = float(ocfg.get("z_threshold", 4.0))
+    z = _parse_positive(ocfg.get("z_threshold", 4.0), "oracle.z_threshold")
+    mu = ocfg.get("mu")
+    if mu is not None:
+        mu = _parse_positive(mu, "oracle.mu")
 
     bern = _fit_track(cfg, window, mm, sm)
     constrained = _constrain_track(bern, cs, budget, seed)
     reports = {"bernoulli": oracle_bernoulli(bern, constrained, cs, n, z, seed + 2)}
 
-    mu = ocfg.get("mu")
     if mu is not None:
-        ppp = PppTrajectory(float(mu), bern.density)
+        ppp = PppTrajectory(mu, bern.density)
         cp = constrain_ppp(ppp, cs, budget, seed)
         reports["ppp"] = oracle_ppp(ppp, cp, cs, n_runs, z, seed + 3)
 

@@ -11,10 +11,13 @@ by constraining its PPP and every Bernoulli while hypothesis weights stay
 untouched; global hypotheses share single-target hypotheses, so each distinct
 density is constrained once per call and its result reused for every slot.
 
-Per pair, both modes make one ``region_probability`` call (all entries
+Per pair, both modes ask for one pattern probability (all constraints
 inside, or in disjunct mode with two or more active constraints all in the
-complement), which settles it exactly where it can and by Monte Carlo on the
-bounded coordinates otherwise.
+complement), which is settled exactly where it can and by Monte Carlo on the
+bounded coordinates otherwise. The pairs of all the densities constrained
+together (one for ``constrain_density``, the distinct components for
+``constrain_pmbm``) go through the primitive in one ``_pattern_batch`` call,
+and each pair records the path that settled it.
 
 In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets. Constraining
@@ -36,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +53,7 @@ from .errors import (
     ZeroSupportError,
 )
 from .gaussian import (
-    COMPLEMENT,
-    INSIDE,
+    MC,
     BirthDeathPmf,
     GaussianSequence,
     Pair,
@@ -59,13 +61,15 @@ from .gaussian import (
     Stratum,
     TrajectoryDensity,
     _bounded,
+    _binomial_se,
     _bounded_masks,
+    _pattern_batch,
     _pattern_probabilities,
     _step_blocks,
     _step_mixture,
     child_rng,
     marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
-    region_probability,
+    region_probability,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.region_probability)
 )
 from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pattern_codes)
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
@@ -87,12 +91,18 @@ class PartitionEntry:
 
 @dataclass(frozen=True)
 class PairConstraintInfo:
-    """Per-(birth, death) constraint data of a constrained density."""
+    """Per-(birth, death) constraint data of a constrained density.
+
+    ``path`` is how the spatial probability was settled: ``"pinned"`` (no
+    constraint left after the 1-D bounds), ``"closed_form"`` or ``"mc"``
+    (``mc_budget`` draws; the only path with ``spatial_se`` > 0).
+    """
 
     pair: Pair
     active: Tuple[int, ...]
     spatial_prob: float
     spatial_se: float
+    path: str
 
 
 @dataclass(frozen=True)
@@ -219,14 +229,91 @@ class ConstrainedPmbm:
 
 
 def _pair_seed(rng_seed: int, pair_index: int) -> int:
-    # One stream per pair, folded into a single int seed so region_probability's
-    # child_rng stays deterministic; the trailing 0 is part of each stream's key.
+    # One stream per pair, folded into a single int seed for the primitive's
+    # child_rng; the trailing 0 is part of each stream's key.
     return int(np.random.SeedSequence([int(rng_seed), pair_index, 0]).generate_state(1)[0])
 
 
 def _component_seed(rng_seed: int, k: int) -> int:
     # The stream of the k-th distinct component of a PMBM, folded like _pair_seed.
     return int(np.random.SeedSequence([int(rng_seed), k]).generate_state(1)[0])
+
+
+def _constrain_densities(
+    tds: Sequence[TrajectoryDensity],
+    cs: ConstraintSet,
+    mc_budget: int,
+    component_seed: Callable[[int], int],
+) -> List[Optional[Tuple[ConstrainedTrajectoryDensity, ConstraintReport]]]:
+    """Constrained density and report of each of ``tds``, with one
+    ``_pattern_batch`` call for the qualifying pairs of them all.
+
+    Pair j of density k draws (when it draws at all) on stream
+    ``_pair_seed(component_seed(k), j)``. A density whose support meets no
+    constraint time with positive mass gives None.
+    """
+    for td in tds:
+        if td.dim != cs.dim:
+            raise DimensionMismatchError(f"density dim {td.dim} != constraint dim {cs.dim}")
+    times = np.array(cs.times)
+    qualifying: List[list] = []
+    conds, pairs, rows, owners = [], [], [], []
+    for k, td in enumerate(tds):
+        births, deaths = np.array(td.pmf.pairs).T
+        active = (births[:, None] <= times) & (times <= deaths[:, None])
+        meets = np.flatnonzero(active.any(axis=1)).tolist()
+        probs = td.pmf.probs.tolist()
+        if not any(probs[j] > 0.0 for j in meets):
+            meets = []
+        qualifying.append([(td.pmf.pairs[j], probs[j], tuple(np.flatnonzero(active[j]).tolist())) for j in meets])
+        conds.extend(td.conditionals[j] for j in meets)
+        pairs.extend(td.pmf.pairs[j] for j in meets)
+        rows.append(active[meets])
+        owners.extend((k, j) for j in meets)
+    active = np.concatenate(rows)
+    # A disjunct pair holds unless every active constraint fails. With one
+    # active constraint both modes take P(inside), so they agree exactly.
+    complement = (cs.mode == DISJUNCT) & (active.sum(axis=1) > 1)
+    want = np.repeat(~complement[:, None], len(cs), axis=1)
+    items = [(c.time, c.region) for c in cs.constraints]
+
+    def seed(p: int) -> int:
+        k, j = owners[p]
+        return _pair_seed(component_seed(k), j)
+
+    settled = iter(zip(_pattern_batch(conds, pairs, items, active, want, mc_budget, seed), complement.tolist()))
+    results: List[Optional[Tuple[ConstrainedTrajectoryDensity, ConstraintReport]]] = []
+    for td, qual in zip(tds, qualifying):
+        if not qual:
+            results.append(None)
+            continue
+        pair_info: Dict[Pair, PairConstraintInfo] = {}
+        for pair, _, act in qual:
+            (p, path), flip = next(settled)
+            se = _binomial_se(p, int(mc_budget)) if path == MC else 0.0
+            pair_info[pair] = PairConstraintInfo(pair, act, 1.0 - p if flip else p, se, path)
+
+        # Summed pmf masses may exceed 1 by rounding; reported probabilities are clipped to [0, 1].
+        prob_alive = min(math.fsum(p for _, p, _ in qual), 1.0)
+        # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
+        # which is what rejection sampling through the constraint indicators yields.
+        masses = np.array([p * pair_info[pair].spatial_prob for pair, p, _ in qual])
+        total = math.fsum(masses)
+        joint = min(total, 1.0)
+        joint_se = math.sqrt(sum((p * pair_info[pair].spatial_se) ** 2 for pair, p, _ in qual))
+        prob_spatial = min(joint / prob_alive, 1.0)
+        report = ConstraintReport(prob_alive, prob_spatial, joint, joint_se / prob_alive, joint_se)
+        pmf = None
+        if total > 0.0:
+            keep = masses > 0.0
+            pmf = BirthDeathPmf(tuple(pair for (pair, _, _), k in zip(qual, keep) if k), masses[keep] / total)
+        results.append((ConstrainedTrajectoryDensity(td, cs, pmf, pair_info), report))
+    return results
+
+
+def _no_support(td: TrajectoryDensity, cs: ConstraintSet) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
+    # A component whose support meets no constraint time constrains to r = 0 / mu = 0.
+    return ConstrainedTrajectoryDensity(td, cs, None, {}), ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def constrain_density(
@@ -241,47 +328,10 @@ def constrain_density(
     time. A zero spatial probability everywhere yields a degenerate (but
     valid) result instead.
     """
-    if td.dim != cs.dim:
-        raise DimensionMismatchError(f"density dim {td.dim} != constraint dim {cs.dim}")
-    qualifying = []
-    for j, (pair, prob) in enumerate(td.pmf.items()):
-        active = active_indices(cs, *pair)
-        if active:
-            qualifying.append((j, pair, float(prob), active))
-    # Summed pmf masses may exceed 1 by rounding; reported probabilities are clipped to [0, 1].
-    prob_alive = min(math.fsum(p for _, _, p, _ in qualifying), 1.0)
-    if not qualifying or prob_alive <= 0.0:
+    (result,) = _constrain_densities([td], cs, mc_budget, lambda _: rng_seed)
+    if result is None:
         raise ZeroSupportError("no (birth, death) support pair overlaps any constraint time")
-
-    pair_info: Dict[Pair, PairConstraintInfo] = {}
-    for j, pair, _, active in qualifying:
-        # A disjunct pair holds unless every active constraint fails. With one
-        # active constraint both modes take P(inside), so they agree exactly.
-        complement = cs.mode == DISJUNCT and len(active) > 1
-        side = COMPLEMENT if complement else INSIDE
-        entries = [(cs.constraints[i].time, cs.constraints[i].region, side) for i in active]
-        p, se = region_probability(td.conditionals[j], pair, entries, mc_budget, _pair_seed(rng_seed, j))
-        pair_info[pair] = PairConstraintInfo(pair, active, 1.0 - p if complement else p, se)
-
-    # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
-    # which is what rejection sampling through the constraint indicators yields.
-    masses = np.array([p * pair_info[pair].spatial_prob for _, pair, p, _ in qualifying])
-    total = math.fsum(masses)
-    joint = min(total, 1.0)
-    joint_var = sum(
-        (p * pair_info[pair].spatial_se) ** 2 for _, pair, p, _ in qualifying
-    )
-    joint_se = math.sqrt(joint_var)
-    prob_spatial = min(joint / prob_alive, 1.0)
-    report = ConstraintReport(prob_alive, prob_spatial, joint, joint_se / prob_alive, joint_se)
-
-    if total <= 0.0:
-        return ConstrainedTrajectoryDensity(td, cs, None, pair_info), report
-    keep = masses > 0.0
-    pairs = tuple(pair for (_, pair, _, _), k in zip(qualifying, keep) if k)
-    pmf = BirthDeathPmf(pairs, masses[keep] / total)
-    ctd = ConstrainedTrajectoryDensity(td, cs, pmf, pair_info)
-    return ctd, report
+    return result
 
 
 def disjunct_partitions(
@@ -336,7 +386,7 @@ def _constrain_component(
     constraint time gives a degenerate result with an all-zero report."""
     meets = any(p > 0.0 and active_indices(cs, *pair) for pair, p in td.pmf.items())
     if td.dim == cs.dim and not meets:
-        return ConstrainedTrajectoryDensity(td, cs, None, {}), ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        return _no_support(td, cs)
     return constrain_density(td, cs, mc_budget, rng_seed)
 
 
@@ -372,28 +422,29 @@ def constrain_pmbm(
 ) -> ConstrainedPmbm:
     """Constrained PMBM: componentwise constraining, hypothesis weights unchanged.
 
-    Each distinct density (by object identity) is constrained once and its
-    (density, report) shared by every slot that holds it, scaled by that
-    slot's r or mu. The distinct densities are numbered k = 0, 1, ... in order
-    of first appearance, the PPP first, and density k is constrained with seed
+    Each distinct density (by object identity) is constrained once, the
+    pairs of all of them in one batch, and its (density, report) shared by
+    every slot that holds it, scaled by that slot's r or mu. The distinct
+    densities are numbered k = 0, 1, ... in order of first appearance, the
+    PPP first, and density k is constrained with seed
     ``_component_seed(rng_seed, k)``, so the components' Monte Carlo errors
     are independent; the result equals constraining each slot on its own
     with its component's seed.
     """
-    done: Dict[int, Tuple[ConstrainedTrajectoryDensity, ConstraintReport]] = {}
+    distinct: Dict[int, TrajectoryDensity] = {}
+    for td in [m.ppp.density] + [t.density for h in m.hypotheses for t in h.tracks]:
+        distinct.setdefault(id(td), td)
+    tds = list(distinct.values())
+    results = _constrain_densities(tds, cs, mc_budget, lambda k: _component_seed(rng_seed, k))
+    done = {id(td): _no_support(td, cs) if r is None else r for td, r in zip(tds, results)}
 
-    def constrained(td: TrajectoryDensity) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
-        if id(td) not in done:
-            done[id(td)] = _constrain_component(td, cs, mc_budget, _component_seed(rng_seed, len(done)))
-        return done[id(td)]
-
-    ctd, report = constrained(m.ppp.density)
+    ctd, report = done[id(m.ppp.density)]
     ppp_c = ConstrainedPpp(m.ppp.mu * report.joint, ctd, report)
     hyps = []
     for h in m.hypotheses:
         tracks = []
         for t in h.tracks:
-            ctd, report = constrained(t.density)
+            ctd, report = done[id(t.density)]
             tracks.append(ConstrainedBernoulli(t.r * report.joint, ctd, report))
         hyps.append(ConstrainedHypothesis(h.weight, tracks))
     return ConstrainedPmbm(ppp_c, hyps)

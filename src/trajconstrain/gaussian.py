@@ -3,20 +3,20 @@
 A trajectory density factorizes into a probability mass function over
 (birth, death) pairs and, per pair, a joint Gaussian over the stacked state
 sequence. This module provides marginalization onto time subsets, region
-probabilities (one primitive, ``_pattern_probabilities``: settle what the 1-D
-bounds settle, closed form where the remaining bounded coordinates are
-independent single boxes, Monte Carlo on those coordinates otherwise),
-stratified sampling (streamed in chunks of at most ``DRAW_CHUNK`` rows, or
-gathered per pair), and moment matching of weighted sample clouds.
+probabilities (one primitive, ``_pattern_batch``, over any number of pairs:
+settle what the 1-D bounds settle, closed form where the remaining bounded
+coordinates are independent single boxes, Monte Carlo on those coordinates
+otherwise; ``region_probability`` is a batch of one pair), stratified
+sampling (streamed in chunks of at most ``DRAW_CHUNK`` rows, or gathered per
+pair), and moment matching of weighted sample clouds.
 
 It needs numpy only: the normal CDF of the 1-D bounds is ``_ndtr``, the
 C library's ``erfc`` taken element-wise (the formula of Cephes' ``ndtr``),
-and each pair's bounds go through it in one call.
+and the bounds of every pair of a batch go through it in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +32,13 @@ Pair = Tuple[int, int]
 
 INSIDE = "inside"
 COMPLEMENT = "complement"
+
+# How a pair's probability was settled: every item pinned by its 1-D bounds
+# (or one pinned against the wanted pattern), the unpinned ones in closed
+# form, or by Monte Carlo draws.
+PINNED = "pinned"
+CLOSED_FORM = "closed_form"
+MC = "mc"
 
 _PMF_TOL = 1e-12
 _SYM_TOL = 1e-10
@@ -277,6 +284,161 @@ def _interval_masses(
     return inside, cdf_a + cdf_neg_b
 
 
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error of a Monte Carlo frequency p of n draws. An estimate of
+    exactly 0 or 1 is moved 1/n inward, so its SE is about 1/n, not 0."""
+    q = p if 0.0 < p < 1.0 else min(max(p, 1.0 / n), 1.0 - 1.0 / n)
+    return math.sqrt(q * (1.0 - q) / n)
+
+
+def _pattern_batch(
+    conds: Sequence[GaussianSequence],
+    pairs: Sequence[Pair],
+    items: Sequence[Tuple[int, StateRegion]],
+    active: np.ndarray,
+    want: Optional[np.ndarray],
+    mc_budget: int,
+    seed: Callable[[int], int],
+) -> List[Tuple[Union[float, np.ndarray], str]]:
+    """Probabilities of inside/outside patterns of many pairs in one pass.
+
+    Pair p (conditional ``conds[p]`` of lifetime ``pairs[p]``) has the items
+    (time, region) where ``active[p]`` is set, in item order; each such time
+    must lie in the lifetime. With ``want`` (the required inside-bit of each
+    (pair, item), same shape as ``active``) each pair gives P(pattern ==
+    want); without it, cells, where cells[code] is the probability that
+    exactly the pair's items whose bit is set in ``code`` hold. Returns (value, path) per pair, path ``PINNED``,
+    ``CLOSED_FORM`` or ``MC``; only ``MC`` has a nonzero standard error.
+
+    1. Each region is marginalized onto its bounded coordinates only: its
+       bounds and bounded dims are flattened once, as a template, and every
+       (pair, item) gathers its means and SDs by index arithmetic.
+    2. An item is pinned when its 1-D bounds settle it within ``_PIN_TOL``:
+       P(inside) <= sum over boxes of min over dims of P(in the interval),
+       and P(inside) >= max over boxes of 1 - sum over dims of P(outside).
+       A pinned item's bit is fixed; a pinned item against ``want`` gives 0
+       at once. One ``_interval_masses`` call covers every bound of every
+       pair.
+    3. A pair's unpinned items are evaluated in closed form when each is a
+       single box and their bounded coordinates are uncorrelated, else by
+       ``mc_budget`` draws of those coordinates alone on stream
+       child_rng(seed(p)), which is asked for only for such pairs; the
+       sub-pattern codes are scattered back into the full cells.
+    """
+    if mc_budget < 2:
+        raise ValueError(f"mc_budget must be >= 2, got {mc_budget}")
+    n = len(conds)
+    if n == 0:
+        return []
+    # The template: per item its bounded dims, and its bounds box after box.
+    dims = [region.bounded_dims for _, region in items]
+    lows = [region.lows[:, d] for (_, region), d in zip(items, dims)]
+    highs = [region.highs[:, d] for (_, region), d in zip(items, dims)]
+    t_nbox = np.array([lo.shape[0] for lo in lows])
+    t_nb = np.array([lo.size for lo in lows])
+    t_start = np.cumsum(t_nb) - t_nb
+    t_ndim = np.array([d.size for d in dims])
+    t_lo = np.concatenate([lo.ravel() for lo in lows])
+    t_hi = np.concatenate([hi.ravel() for hi in highs])
+    t_dim = np.concatenate([np.tile(d, lo.shape[0]) for d, lo in zip(dims, lows)])
+    t_time = np.array([t for t, _ in items])
+
+    births = np.array([b for b, _ in pairs])
+    step_dim = np.array([g.dim for g in conds])
+    sizes = np.array([g.mean.size for g in conds])
+    pp, ii = np.nonzero(active)  # the (pair, item)s, pair after pair
+    # Flat coordinate of each (pair, item)'s step in its conditional.
+    step = (t_time[ii] - births[pp]) * step_dim[pp]
+
+    # Step 2 over every bound: bound -> (pair, item) -> template entry, and box.
+    nb, nbox = t_nb[ii], t_nbox[ii]
+    rep = np.repeat(np.arange(ii.size), nb)
+    tidx = np.repeat(t_start[ii] - (np.cumsum(nb) - nb), nb) + np.arange(rep.size)
+    col = ((np.cumsum(sizes) - sizes)[pp] + step)[rep] + t_dim[tidx]
+    box_item = np.repeat(np.arange(ii.size), nbox)
+    bound_box = np.repeat(np.arange(box_item.size), t_ndim[ii][box_item])
+    mean = np.concatenate([g.mean for g in conds])
+    var = np.concatenate([g.cov.diagonal() for g in conds])
+    p_in, p_out = _interval_masses(t_lo[tidx], t_hi[tidx], mean[col], np.sqrt(var[col]))
+    # The bounds of step 2: per box the min of P(in) and the sum of P(outside)
+    # over its dims, then per item the sum and the max over its boxes.
+    box_in = np.ones(box_item.size)
+    np.minimum.at(box_in, bound_box, p_in)
+    lower = np.full(ii.size, -np.inf)
+    np.maximum.at(lower, box_item, 1.0 - np.bincount(bound_box, p_out, box_item.size))
+    holds = lower >= 1.0 - _PIN_TOL
+    fails = ~holds & (np.bincount(box_item, box_in, ii.size) <= _PIN_TOL)
+    free = ~(holds | fails)
+    if want is not None:
+        w = want[pp, ii]
+        dead = np.bincount(pp, np.where(w, fails, holds), n) > 0
+        free &= ~dead[pp]
+
+    # Step 3. A single-box item's P(inside) is the product over its dims.
+    q = np.ones(ii.size)
+    np.multiply.at(q, rep, p_in)
+    n_free = np.bincount(pp, free, n)
+    multi = np.bincount(pp, free & (nbox > 1), n) > 0
+    n_cols = np.bincount(pp, free * t_ndim[ii], n)
+    first = np.searchsorted(pp, np.arange(n + 1))
+
+    def free_of(p: int) -> np.ndarray:
+        return first[p] + np.flatnonzero(free[first[p] : first[p + 1]])
+
+    def free_cols(ks: np.ndarray) -> np.ndarray:
+        return np.concatenate([step[k] + dims[ii[k]] for k in ks.tolist()])
+
+    paths = [PINNED if nf == 0 else MC if mu else CLOSED_FORM for nf, mu in zip(n_free.tolist(), multi.tolist())]
+    for p in np.flatnonzero(~multi & (n_cols > 1)).tolist():
+        cols = free_cols(free_of(p))
+        cov = conds[p].cov[np.ix_(cols, cols)]
+        if np.any(cov - np.diag(np.diag(cov))):
+            paths[p] = MC
+
+    def draw_masks(p: int) -> Tuple[np.ndarray, np.ndarray]:
+        ks = free_of(p)
+        cols = free_cols(ks)
+        g = conds[p]
+        x = GaussianSequence(g.mean[cols], g.cov[np.ix_(cols, cols)], 1).draw(int(mc_budget), child_rng(seed(p)))
+        return ks, _bounded_masks([(lows[i], highs[i], None) for i in ii[ks].tolist()], x)
+
+    out: List[Tuple[Union[float, np.ndarray], str]] = []
+    if want is not None:
+        value = np.ones(n)
+        np.multiply.at(value, pp[free], np.where(w, q, 1.0 - q)[free])
+        value[dead] = 0.0
+        for p, path in enumerate(paths):
+            if path == MC:
+                ks, masks = draw_masks(p)
+                hit = np.ones(masks.shape[1], dtype=bool)
+                for row, k in zip(masks, ks.tolist()):
+                    hit &= row if w[k] else ~row
+                out.append((float(hit.mean()), MC))
+            else:
+                out.append((float(value[p]), path))
+        return out
+
+    for p, path in enumerate(paths):
+        ks = free_of(p)
+        local = ks - first[p]
+        sub = np.arange(2**ks.size)
+        if path == MC:
+            _, masks = draw_masks(p)
+            sub_cells = np.bincount(pattern_codes(masks), minlength=sub.size) / masks.shape[1]
+        else:
+            sub_cells = np.ones(sub.size)
+            for k, qk in enumerate(q[ks].tolist()):
+                sub_cells *= np.where(sub >> k & 1, qk, 1.0 - qk)
+        held = np.flatnonzero(holds[first[p] : first[p + 1]])
+        full = np.full(sub.size, int(np.sum(1 << held)))
+        for k, i in enumerate(local.tolist()):
+            full |= (sub >> k & 1) << i
+        cells = np.zeros(2 ** (first[p + 1] - first[p]))
+        cells[full] = sub_cells
+        out.append((cells, path))
+    return out
+
+
 def _pattern_probabilities(
     gs: GaussianSequence,
     pair: Pair,
@@ -285,80 +447,14 @@ def _pattern_probabilities(
     rng_seed: int,
     want: Optional[Sequence[bool]] = None,
 ) -> Tuple[Union[float, np.ndarray], bool]:
-    """Probabilities of inside/outside patterns over constraints (time, region).
-
-    With ``want`` (the required inside-bit of each item) returns (P(pattern ==
-    want), exact). Without it returns (cells, exact), where cells[code] is the
-    probability that exactly the items whose bit is set in ``code`` hold.
-    ``exact`` means standard error 0. The work runs in this order:
-
-    1. Each region is marginalized onto its bounded coordinates only.
-    2. An item is pinned when its 1-D bounds settle it within ``_PIN_TOL``:
-       P(inside) <= sum over boxes of min over dims of P(in the interval),
-       and P(inside) >= max over boxes of 1 - sum over dims of P(outside).
-       A pinned item's bit is fixed; a pinned item against ``want`` gives 0
-       at once.
-    3. The unpinned items are evaluated in closed form when each is a single
-       box and their bounded coordinates are uncorrelated, else by
-       ``mc_budget`` draws of those coordinates alone; the sub-pattern codes
-       are scattered back into the full cells.
-    """
-    m = len(items)
-    bounded = [_bounded(gs, pair, t, region) for t, region in items]
-    n_boxes = [lows.shape[0] for lows, _, _ in bounded]
-    starts = [0, *itertools.accumulate(lows.size for lows, _, _ in bounded)]
-    # One pass over every item's 1-D bounds, flattened box after box.
-    flat_cols = np.concatenate([cols for (_, _, cols), n in zip(bounded, n_boxes) for _ in range(n)])
-    p_in, p_out = _interval_masses(
-        np.concatenate([lows.ravel() for lows, _, _ in bounded]),
-        np.concatenate([highs.ravel() for _, highs, _ in bounded]),
-        gs.mean[flat_cols],
-        np.sqrt(gs.cov.diagonal()[flat_cols]),
-    )
-    # The bounds of step 2: per box the min of P(in) and the sum of P(outside)
-    # over its dims, then per item the sum and the max over its boxes.
-    box_item = np.repeat(np.arange(m), n_boxes)
-    bound_box = np.repeat(np.arange(box_item.size), np.repeat([cols.size for _, _, cols in bounded], n_boxes))
-    box_in = np.ones(box_item.size)
-    np.minimum.at(box_in, bound_box, p_in)
-    lower = np.full(m, -np.inf)
-    np.maximum.at(lower, box_item, 1.0 - np.bincount(bound_box, p_out, box_item.size))
-    holds = lower >= 1.0 - _PIN_TOL
-    fails = ~holds & (np.bincount(box_item, box_in, m) <= _PIN_TOL)
-    if want is not None and np.any(np.where(want, fails, holds)):
-        return 0.0, True
-    free = np.flatnonzero(~(holds | fails)).tolist()
-
-    cols = np.concatenate([bounded[i][2] for i in free]) if free else np.empty(0, dtype=np.intp)
-    cov = gs.cov[np.ix_(cols, cols)]
-    exact = all(n_boxes[i] == 1 for i in free) and not np.any(cov - np.diag(np.diag(cov)))
-    if exact:
-        q = [math.prod(p_in[starts[i] : starts[i + 1]].tolist()) for i in free]
-    else:
-        x = GaussianSequence(gs.mean[cols], cov, 1).draw(int(mc_budget), child_rng(rng_seed))
-        masks = _bounded_masks([bounded[i] for i in free], x)
-
-    if want is not None:
-        if exact:
-            return float(np.prod([q[k] if want[i] else 1.0 - q[k] for k, i in enumerate(free)])), True
-        hit = np.ones(masks.shape[1], dtype=bool)
-        for k, i in enumerate(free):
-            hit &= masks[k] if want[i] else ~masks[k]
-        return float(hit.mean()), False
-
-    sub = np.arange(2 ** len(free))
-    if exact:
-        sub_cells = np.ones(sub.size)
-        for k in range(len(free)):
-            sub_cells *= np.where(sub >> k & 1, q[k], 1.0 - q[k])
-    else:
-        sub_cells = np.bincount(pattern_codes(masks), minlength=sub.size) / masks.shape[1]
-    full = np.full(sub.size, sum(1 << i for i in np.flatnonzero(holds).tolist()))
-    for k, i in enumerate(free):
-        full |= (sub >> k & 1) << i
-    cells = np.zeros(2**m)
-    cells[full] = sub_cells
-    return cells, exact
+    """``_pattern_batch`` of one pair with every item active, on stream
+    child_rng(rng_seed): (P(pattern == want) or cells, exact), where exact
+    means standard error 0."""
+    gs.coords(pair, [t for t, _ in items])  # ValueError unless each time is in the pair's lifetime
+    active = np.ones((1, len(items)), dtype=bool)
+    wanted = None if want is None else np.array([want], dtype=bool)
+    ((value, path),) = _pattern_batch([gs], [pair], items, active, wanted, mc_budget, lambda _: rng_seed)
+    return value, path != MC
 
 
 def region_probability(
@@ -371,8 +467,8 @@ def region_probability(
     """Joint probability that each constrained time's state is in its region.
 
     Each entry is (time, region, side) with side "inside" or "complement".
-    Returns (probability, standard error). Evaluated by
-    ``_pattern_probabilities``: each region is marginalized onto its bounded
+    Returns (probability, standard error). Evaluated by ``_pattern_batch``
+    as a batch of one pair: each region is marginalized onto its bounded
     coordinates; entries that their 1-D bounds settle within 1e-12 are
     pinned (one pinned against its side gives exactly 0, with no draws);
     the rest are evaluated in closed form (standard error 0) when they are
@@ -382,8 +478,6 @@ def region_probability(
     """
     if not entries:
         raise ValueError("entries must be nonempty")
-    if mc_budget < 2:
-        raise ValueError(f"mc_budget must be >= 2, got {mc_budget}")
     for t, region, side in entries:
         if side not in (INSIDE, COMPLEMENT):
             raise ValueError(f"side must be inside/complement, got {side!r}")
@@ -392,12 +486,7 @@ def region_probability(
     items = [(t, region) for t, region, _ in entries]
     want = [side == INSIDE for _, _, side in entries]
     p, exact = _pattern_probabilities(gs, pair, items, mc_budget, rng_seed, want)
-    if exact:
-        return p, 0.0
-    n = int(mc_budget)
-    # An estimate of exactly 0 or 1 is moved 1/n inward for its SE (about 1/n, not 0).
-    q = p if 0.0 < p < 1.0 else min(max(p, 1.0 / n), 1.0 - 1.0 / n)
-    return p, math.sqrt(q * (1.0 - q) / n)
+    return p, 0.0 if exact else _binomial_se(p, int(mc_budget))
 
 
 def alive_probability(pmf: BirthDeathPmf, predicate: Callable[[Pair], bool]) -> float:

@@ -132,6 +132,32 @@ class TestConstrain:
         assert code == EXIT_OK
         assert json.loads((out / "summary.json").read_text())["dropped_strata"] == 3
 
+    def test_pair_paths(self, tmp_path, monkeypatch):
+        cfg = base_config()
+        # The hypotheses die at 5, 6 or 7. Death 5 meets only the gate at 3
+        # (closed form); death 6 also the gate at 6, correlated with it
+        # (Monte Carlo); death 7 also a gate 50 sd away, pinned outside (0).
+        cfg["constraints"]["items"] = [
+            {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
+            {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
+            {"time": 7, "boxes": [{"lower": [60.0, None], "upper": [70.0, None]}]},
+        ]
+        seen = []
+        inner = cli.constrain_bernoulli
+
+        def spy(*args):
+            seen.append(inner(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "constrain_bernoulli", spy)
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_OK
+        infos = list(seen[0].density.pair_info.values())
+        paths = json.loads((out / "summary.json").read_text())["pair_paths"]
+        assert paths == {"pinned": 3, "closed_form": 3, "mc": 3}
+        assert paths == {path: sum(i.path == path for i in infos) for path in paths}
+        assert all((i.path == "mc") == (i.spatial_se > 0.0) for i in infos)
+
     def test_zero_support_is_numeric_error(self, tmp_path):
         cfg = base_config()
         # constraint time outside every plausible (birth, death) hypothesis
@@ -195,6 +221,24 @@ class TestConfigErrors:
             node = node[part]
         node[key] = value
         code, _ = run(tmp_path, cfg, command, extra)
+        assert code == EXIT_CONFIG
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("oracle.z_threshold", "x"),
+            ("oracle.z_threshold", 0),
+            ("oracle.mu", "x"),
+            ("oracle.mu", -1),
+            ("oracle.mu", 0),
+            ("oracle.mu", float("inf")),
+        ],
+    )
+    def test_bad_positive_number_exits_with_config_error(self, tmp_path, capsys, field, value):
+        cfg = base_config()
+        cfg["oracle"][field.split(".")[1]] = value
+        code, _ = run(tmp_path, cfg, "oracle")
         assert code == EXIT_CONFIG
         assert f"config error: {field}:" in capsys.readouterr().err
 

@@ -26,7 +26,8 @@ from trajconstrain import (
     satisfies_batch,
     time_window_constraints,
 )
-from trajconstrain import engine
+from trajconstrain import engine, gaussian
+from trajconstrain.core import active_indices
 from trajconstrain.engine import MAX_ACTIVE_FOR_PARTITIONS
 from trajconstrain.errors import (
     DegenerateDensityError,
@@ -36,7 +37,7 @@ from trajconstrain.errors import (
 )
 from trajconstrain.gaussian import step_moments
 
-from conftest import component_seeds, random_constraint_set, random_density
+from conftest import component_seeds, pattern_probabilities_per_pair, random_constraint_set, random_density
 
 HALF_LINE = StateRegion.box([(0, None)])
 
@@ -164,6 +165,19 @@ class TestDisjunct:
         ctd, _ = constrain_density(td, ConstraintSet(constraints, "disjunct"))
         with pytest.raises(ValueError):
             disjunct_partitions(ctd, (5, 5))
+
+    @pytest.mark.parametrize("mc_budget", [0, 1])
+    def test_partitions_reject_a_budget_below_two(self, mc_budget):
+        # a Monte Carlo pair: two correlated steps, two half-line gates
+        gs = GaussianSequence(np.zeros(2), np.array([[1.0, 0.9], [0.9, 1.0]]), 1)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,))
+        cs = ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, HALF_LINE)], "disjunct")
+        ctd, _ = constrain_density(td, cs, 1_000)
+        assert ctd.pair_info[(0, 1)].path == "mc"
+        with pytest.raises(ValueError, match="mc_budget"):
+            disjunct_partitions(ctd, (0, 1), mc_budget)
+        with pytest.raises(ValueError, match="mc_budget"):
+            constrain_density(td, cs, mc_budget)
 
     def test_time_window_of_26_steps_is_the_alive_probability(self, monkeypatch):
         # 26 active constraints are above the partition cap; the answer needs no draw
@@ -621,13 +635,13 @@ class TestPmbm:
         )
         cs = ConstraintSet([Constraint(1, HALF_LINE), Constraint(3, HALF_LINE)], "disjunct")
         calls = []
-        inner = engine.constrain_density
+        inner = engine._constrain_densities
 
-        def counting(td, *args, **kwargs):
-            calls.append(id(td))
-            return inner(td, *args, **kwargs)
+        def counting(tds, *args, **kwargs):
+            calls.extend(id(td) for td in tds)
+            return inner(tds, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "constrain_density", counting)
+        monkeypatch.setattr(engine, "_constrain_densities", counting)
         out = constrain_pmbm(m, cs, 20_000, rng_seed=4)
         assert sorted(calls) == sorted({id(m.ppp.density), id(shared.density), id(other.density)})
         slots = [(t, tc) for h, hc in zip(m.hypotheses, out.hypotheses) for t, tc in zip(h.tracks, hc.tracks)]
@@ -639,6 +653,53 @@ class TestPmbm:
         # the alias shares component 1 (PPP 0, shared 1, other 2) and its stream
         solo = constrain_bernoulli(alias, cs, 20_000, rng_seed=engine._component_seed(4, 1))
         assert out.hypotheses[2].tracks[1].r == solo.r
+
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_pairs_equal_the_per_pair_reference(self, mode):
+        """Every pair of random PMBMs built from the conftest densities, all
+        settled in one batch, equals the per-pair reference bit for bit on
+        its own stream; a component meeting no constraint time gets r = 0."""
+        densities = [random_density(np.random.default_rng(seed)) for seed in range(40)]
+        budget = 2_000
+        paths = set()
+        for trial in range(8):
+            rng = np.random.default_rng(trial)
+            dim = 1 + trial % 2
+            pool = [td for td in densities if td.dim == dim]
+            picked = [pool[i] for i in rng.choice(len(pool), 5, replace=False)]
+            cs = random_constraint_set(rng, TimeWindow(1, 7), dim, max_constraints=4, mode=mode)
+            # alive at step 0 only, and the constraint times are 1..7
+            gs = GaussianSequence(np.zeros(dim), np.eye(dim), dim)
+            late = BernoulliTrajectory(0.5, TrajectoryDensity(BirthDeathPmf(((0, 0),), np.ones(1)), (gs,)))
+            tracks = [BernoulliTrajectory(float(rng.uniform(0.1, 1.0)), td) for td in picked[1:]]
+            m = PmbmDensity(
+                PppTrajectory(2.0, picked[0]),
+                (GlobalHypothesis(0.7, tuple(tracks[:3]) + (late,)), GlobalHypothesis(0.3, tuple(tracks[1:]))),
+            )
+            out = constrain_pmbm(m, cs, budget, rng_seed=trial)
+            seeds = component_seeds(m, trial)
+            comps = [(m.ppp.density, out.ppp)] + [
+                (t.density, tc) for h, hc in zip(m.hypotheses, out.hypotheses) for t, tc in zip(h.tracks, hc.tracks)
+            ]
+            for td, c in comps:
+                if not any(p > 0.0 and active_indices(cs, *pair) for pair, p in td.pmf.items()):
+                    assert c.report.joint == 0.0 and c.density.pair_info == {}
+                    paths.add("no support")
+                for j, pair in enumerate(td.pmf.pairs):
+                    if pair not in c.density.pair_info:
+                        assert not active_indices(cs, *pair)
+                        continue
+                    info = c.density.pair_info[pair]
+                    items = [(cs.constraints[i].time, cs.constraints[i].region) for i in info.active]
+                    flip = mode == "disjunct" and len(items) > 1
+                    p, exact = pattern_probabilities_per_pair(
+                        td.conditionals[j], pair, items, budget, engine._pair_seed(seeds[id(td)], j), [not flip] * len(items)
+                    )
+                    assert info.spatial_prob == (1.0 - p if flip else p)
+                    assert info.spatial_se == (0.0 if exact else gaussian._binomial_se(p, budget))
+                    assert (info.path == "mc") == (not exact) == (info.spatial_se > 0.0)
+                    paths.add(info.path)
+        assert paths == {"no support", "pinned", "closed_form", "mc"}
 
     def test_track_missing_every_constraint_time(self, rng):
         window = TimeWindow(0, 5)

@@ -28,7 +28,7 @@ from trajconstrain.gaussian import (
     step_moments,
 )
 
-from conftest import random_density, random_gaussian_sequence
+from conftest import pattern_probabilities_per_pair, random_density, random_gaussian_sequence
 
 # Frozen oracle value: dense-grid quadrature of the standard bivariate normal
 # with correlation 0.9 over the positive quadrant (4001x4001 grid on [0, 8]^2).
@@ -404,6 +404,69 @@ class TestPatternProbabilities:
         assert region_probability(gs, (0, 1), entries) == (0.5, 0.0)
         cells, exact = _pattern_probabilities(gs, (0, 1), [(0, StateRegion.full_space(1)), (1, StateRegion.full_space(1))], 10, 0)
         assert exact and cells.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+def conftest_densities(diag=False):
+    """The 40 seeded densities of conftest (window 0..2-7, dim 1-2)."""
+    return [random_density(np.random.default_rng(seed), diag=diag) for seed in range(40)]
+
+
+class TestPatternBatch:
+    """``_pattern_batch`` over many pairs equals the per-pair reference of
+    conftest bit for bit, and asks for the stream of Monte Carlo pairs only."""
+
+    BUDGET = 2_000
+    KINDS = ["near-1", "near-2", "multi", "wide", "tail", "far", "huge"]
+
+    def test_equals_the_per_pair_reference(self):
+        seen = set()
+        # Correlated coordinates leave the closed form to 1-D remainders, so
+        # the densities also come with diagonal covariances.
+        for seed, td in enumerate(conftest_densities() + conftest_densities(diag=True)):
+            rng = np.random.default_rng(1000 + seed)
+            last = max(e for _, e in td.pmf.pairs)
+            times = sorted(int(t) for t in rng.choice(last + 1, int(rng.integers(1, min(4, last + 1) + 1)), replace=False))
+            items = []
+            for t in times:
+                alive = next(j for j, (b, e) in enumerate(td.pmf.pairs) if b <= t <= e)
+                (b, _), g = td.pmf.pairs[alive], td.conditionals[alive]
+                mean = g.mean[(t - b) * td.dim : (t - b + 1) * td.dim]
+                items.append((t, _region(rng, td.dim, mean, self.KINDS[int(rng.integers(0, len(self.KINDS)))])))
+            # pairs meeting no item are left out, as the engine leaves them out
+            rows = [(j, [b <= t <= e for t in times]) for j, (b, e) in enumerate(td.pmf.pairs)]
+            rows = [(j, act) for j, act in rows if any(act)]
+            conds = [td.conditionals[j] for j, _ in rows]
+            pairs = [td.pmf.pairs[j] for j, _ in rows]
+            active = np.array([act for _, act in rows])
+            conjunct = np.ones_like(active)
+            disjunct = np.repeat(active.sum(axis=1, keepdims=True) == 1, len(times), axis=1)
+            for want in (conjunct, disjunct, None):
+                asked = []
+
+                def stream(p):
+                    asked.append(p)
+                    return 100 * seed + p
+
+                out = gaussian._pattern_batch(conds, pairs, items, active, want, self.BUDGET, stream)
+                assert len(out) == len(rows)
+                for p, (value, path) in enumerate(out):
+                    its = [items[i] for i in np.flatnonzero(active[p])]
+                    w = None if want is None else want[p][active[p]].tolist()
+                    ref, exact = pattern_probabilities_per_pair(conds[p], pairs[p], its, self.BUDGET, 100 * seed + p, w)
+                    assert exact == (path != gaussian.MC), (seed, p)
+                    if want is None:
+                        assert np.array_equal(value, ref), (seed, p, value, ref)
+                        if path == gaussian.PINNED:
+                            assert sorted(value.tolist())[-1] == 1.0
+                    else:
+                        assert value == ref, (seed, p, value, ref)
+                        if path == gaussian.PINNED:
+                            seen.add("pinned against want" if value == 0.0 else "all pinned")
+                    seen.add(path)
+                    seen.update(f"{r.n_boxes} boxes, {r.bounded_dims.size}-d" for _, r in its)
+                assert asked == [p for p, (_, path) in enumerate(out) if path == gaussian.MC]
+        assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.MC} <= seen
+        assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d"} <= seen
 
 
 class TestAliveProbability:
