@@ -101,6 +101,10 @@ class StateRegion:
             raise ValueError("lows/highs shape mismatch")
         if lows.shape[0] < 1:
             raise ValueError("region needs at least one box")
+        if np.isnan(lows).any() or np.isnan(highs).any():
+            raise ValueError("region bounds must not be NaN")
+        if np.any(lows == np.inf) or np.any(highs == -np.inf):
+            raise ValueError("a lower bound of +inf or an upper bound of -inf leaves the region empty")
         bounded = np.isfinite(lows) | np.isfinite(highs)
         if np.any((lows >= highs) & bounded):
             raise ValueError("each bounded dimension requires lower < upper")

@@ -60,9 +60,10 @@ from .gaussian import (
     SampleCloud,
     Stratum,
     TrajectoryDensity,
-    _bounded,
     _binomial_se,
+    _bounded_cols,
     _bounded_masks,
+    _check_draws,
     _pattern_batch,
     _pattern_probabilities,
     _step_blocks,
@@ -466,6 +467,7 @@ def _accepted_y(
     overall rate. Pairs that accepted nothing are logged; a rate below 1e-6
     raises LowAcceptanceError.
     """
+    _check_draws("mc_budget", mc_budget)
     if ctd.degenerate:
         raise DegenerateDensityError("cannot sample a degenerate constrained density")
     cs = ctd.cs
@@ -477,11 +479,10 @@ def _accepted_y(
         n_pair = max(math.ceil(min(mc_budget * prob / spatial, mc_budget)), 2)
         gs = ctd.base.conditional(pair)
         active = sorted((cs.constraints[i] for i in ctd.pair_info[pair].active), key=lambda c: c.time)
-        bounded = [_bounded(gs, pair, c.time, c.region) for c in active]
-        cols = np.concatenate([c for _, _, c in bounded])
+        cols = np.concatenate([_bounded_cols(pair, gs.dim, c.time, c.region) for c in active])
         s_yy = gs.cov[np.ix_(cols, cols)]
         y = GaussianSequence(gs.mean[cols], s_yy, 1).draw(n_pair, child_rng(rng_seed, 1, j))
-        masks = _bounded_masks(bounded, y)
+        masks = _bounded_masks([c.region for c in active], y)
         acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
         drawn += n_pair
         accepted[pair] = int(acc.sum())

@@ -12,7 +12,7 @@ pair), and moment matching of weighted sample clouds.
 
 It needs numpy only: the normal CDF of the 1-D bounds is ``_ndtr``, the
 C library's ``erfc`` taken element-wise (the formula of Cephes' ``ndtr``),
-and the bounds of every pair of a batch go through it in one call.
+and the bounds of a batch go through it in one call per distinct region.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class BirthDeathPmf:
             raise ValueError("pairs/probs length mismatch")
         if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("duplicate (birth, death) pairs")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if not np.all(probs >= 0):
+            raise ValueError("probabilities must be nonnegative numbers (not NaN)")
         if abs(probs.sum() - 1.0) > _PMF_TOL:
             raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
         for b, e in self.pairs:
@@ -130,6 +130,8 @@ class GaussianSequence:
             raise ValueError(f"cov shape {cov.shape} incompatible with mean size {mean.size}")
         if mean.size % self.dim != 0:
             raise ValueError(f"mean size {mean.size} not a multiple of dim {self.dim}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and cov must be finite")
         asym = np.max(np.abs(cov - cov.T), initial=0.0)
         if asym > _SYM_TOL:
             raise ValueError(f"covariance asymmetry {asym} exceeds {_SYM_TOL}")
@@ -236,23 +238,28 @@ def marginal(gs: GaussianSequence, pair: Pair, times: Sequence[int]) -> Gaussian
     return GaussianSequence(gs.mean[idx], gs.cov[np.ix_(idx, idx)], gs.dim)
 
 
-def _bounded(
-    gs: GaussianSequence, pair: Pair, t: int, region: StateRegion
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lows and highs of ``region`` over the dimensions it bounds, and their
-    flat coordinates in ``gs`` at time ``t``; a full-space region bounds none."""
-    dims = region.bounded_dims
-    return region.lows[:, dims], region.highs[:, dims], gs.coords(pair, [t])[dims]
+def _bounded_cols(pair: Pair, dim: int, t: int, region: StateRegion) -> np.ndarray:
+    """Flat coordinates, in the sequence of ``pair`` with state dim ``dim``,
+    of the dimensions ``region`` bounds at time ``t`` (none for full space)."""
+    return (t - pair[0]) * dim + region.bounded_dims
 
 
-def _bounded_masks(bounded: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], y: np.ndarray) -> np.ndarray:
-    """(len(bounded), n) inside masks of ``_bounded`` items on y (n, total
-    columns), whose columns are the items' bounded coordinates side by side."""
-    masks = np.empty((len(bounded), y.shape[0]), dtype=bool)
+def _check_draws(name: str, n: int) -> None:
+    # A Monte Carlo frequency needs at least 2 draws for its standard error.
+    if n < 2:
+        raise ValueError(f"{name} must be >= 2, got {n}")
+
+
+def _bounded_masks(regions: Sequence[StateRegion], y: np.ndarray) -> np.ndarray:
+    """(len(regions), n) inside masks of ``regions`` on y (n, total columns),
+    whose columns are the regions' bounded coordinates side by side."""
+    masks = np.empty((len(regions), y.shape[0]), dtype=bool)
     start = 0
-    for k, (lows, highs, _) in enumerate(bounded):
-        masks[k] = StateRegion(lows, highs).contains_batch(y[:, start : start + lows.shape[1]])
-        start += lows.shape[1]
+    for k, region in enumerate(regions):
+        dims = region.bounded_dims
+        box = StateRegion(region.lows[:, dims], region.highs[:, dims])
+        masks[k] = box.contains_batch(y[:, start : start + dims.size])
+        start += dims.size
     return masks
 
 
@@ -310,97 +317,83 @@ def _pattern_batch(
     exactly the pair's items whose bit is set in ``code`` hold. Returns (value, path) per pair, path ``PINNED``,
     ``CLOSED_FORM`` or ``MC``; only ``MC`` has a nonzero standard error.
 
-    1. Each region is marginalized onto its bounded coordinates only: its
-       bounds and bounded dims are flattened once, as a template, and every
-       (pair, item) gathers its means and SDs by index arithmetic.
+    1. Each region is marginalized onto its bounded coordinates only, in one
+       pass per distinct region object over every (pair, item) that uses it:
+       the means and SDs at columns ``_bounded_cols`` of each such (pair,
+       item) are gathered into dense (pairs, boxes, bounded dims) arrays, and
+       one ``_interval_masses`` call covers their bounds.
     2. An item is pinned when its 1-D bounds settle it within ``_PIN_TOL``:
        P(inside) <= sum over boxes of min over dims of P(in the interval),
-       and P(inside) >= max over boxes of 1 - sum over dims of P(outside).
-       A pinned item's bit is fixed; a pinned item against ``want`` gives 0
-       at once. One ``_interval_masses`` call covers every bound of every
-       pair.
+       and P(inside) >= max over boxes of 1 - sum over dims of P(outside),
+       each an axis reduction of the pass. A pinned item's bit is fixed; a
+       pinned item against ``want`` gives 0 at once.
     3. A pair's unpinned items are evaluated in closed form when each is a
        single box and their bounded coordinates are uncorrelated, else by
        ``mc_budget`` draws of those coordinates alone on stream
        child_rng(seed(p)), which is asked for only for such pairs; the
        sub-pattern codes are scattered back into the full cells.
     """
-    if mc_budget < 2:
-        raise ValueError(f"mc_budget must be >= 2, got {mc_budget}")
+    _check_draws("mc_budget", mc_budget)
     n = len(conds)
     if n == 0:
         return []
-    # The template: per item its bounded dims, and its bounds box after box.
-    dims = [region.bounded_dims for _, region in items]
-    lows = [region.lows[:, d] for (_, region), d in zip(items, dims)]
-    highs = [region.highs[:, d] for (_, region), d in zip(items, dims)]
-    t_nbox = np.array([lo.shape[0] for lo in lows])
-    t_nb = np.array([lo.size for lo in lows])
-    t_start = np.cumsum(t_nb) - t_nb
-    t_ndim = np.array([d.size for d in dims])
-    t_lo = np.concatenate([lo.ravel() for lo in lows])
-    t_hi = np.concatenate([hi.ravel() for hi in highs])
-    t_dim = np.concatenate([np.tile(d, lo.shape[0]) for d, lo in zip(dims, lows)])
-    t_time = np.array([t for t, _ in items])
-
-    births = np.array([b for b, _ in pairs])
-    step_dim = np.array([g.dim for g in conds])
-    sizes = np.array([g.mean.size for g in conds])
     pp, ii = np.nonzero(active)  # the (pair, item)s, pair after pair
-    # Flat coordinate of each (pair, item)'s step in its conditional.
-    step = (t_time[ii] - births[pp]) * step_dim[pp]
-
-    # Step 2 over every bound: bound -> (pair, item) -> template entry, and box.
-    nb, nbox = t_nb[ii], t_nbox[ii]
-    rep = np.repeat(np.arange(ii.size), nb)
-    tidx = np.repeat(t_start[ii] - (np.cumsum(nb) - nb), nb) + np.arange(rep.size)
-    col = ((np.cumsum(sizes) - sizes)[pp] + step)[rep] + t_dim[tidx]
-    box_item = np.repeat(np.arange(ii.size), nbox)
-    bound_box = np.repeat(np.arange(box_item.size), t_ndim[ii][box_item])
+    regions = [region for _, region in items]
+    sizes = np.array([g.mean.size for g in conds])
+    steps = np.array([t for t, _ in items])[ii] - np.array([b for b, _ in pairs])[pp]
+    # Flat column of each (pair, item)'s step in the concatenated conditionals.
+    base = (np.cumsum(sizes) - sizes)[pp] + steps * np.array([g.dim for g in conds])[pp]
     mean = np.concatenate([g.mean for g in conds])
     var = np.concatenate([g.cov.diagonal() for g in conds])
-    p_in, p_out = _interval_masses(t_lo[tidx], t_hi[tidx], mean[col], np.sqrt(var[col]))
-    # The bounds of step 2: per box the min of P(in) and the sum of P(outside)
-    # over its dims, then per item the sum and the max over its boxes.
-    box_in = np.ones(box_item.size)
-    np.minimum.at(box_in, bound_box, p_in)
-    lower = np.full(ii.size, -np.inf)
-    np.maximum.at(lower, box_item, 1.0 - np.bincount(bound_box, p_out, box_item.size))
+
+    # Steps 1-2, one pass per distinct region object.
+    passes: Dict[int, List[int]] = {}
+    for i, region in enumerate(regions):
+        passes.setdefault(id(region), []).append(i)
+    upper, lower, q = np.empty(ii.size), np.empty(ii.size), np.empty(ii.size)
+    for its in passes.values():
+        region = regions[its[0]]
+        dims = region.bounded_dims
+        ks = np.flatnonzero(np.isin(ii, its))
+        cols = base[ks, None, None] + dims
+        p_in, p_out = _interval_masses(region.lows[:, dims], region.highs[:, dims], mean[cols], np.sqrt(var[cols]))
+        upper[ks] = p_in.min(axis=2, initial=1.0).sum(axis=1)
+        lower[ks] = (1.0 - p_out.sum(axis=2)).max(axis=1)
+        # A single-box item's P(inside) is the product over its dims.
+        q[ks] = p_in[:, 0].prod(axis=1)
     holds = lower >= 1.0 - _PIN_TOL
-    fails = ~holds & (np.bincount(box_item, box_in, ii.size) <= _PIN_TOL)
+    fails = ~holds & (upper <= _PIN_TOL)
     free = ~(holds | fails)
     if want is not None:
         w = want[pp, ii]
         dead = np.bincount(pp, np.where(w, fails, holds), n) > 0
         free &= ~dead[pp]
 
-    # Step 3. A single-box item's P(inside) is the product over its dims.
-    q = np.ones(ii.size)
-    np.multiply.at(q, rep, p_in)
+    # Step 3.
     n_free = np.bincount(pp, free, n)
-    multi = np.bincount(pp, free & (nbox > 1), n) > 0
-    n_cols = np.bincount(pp, free * t_ndim[ii], n)
+    multi = np.bincount(pp, free & np.array([r.n_boxes > 1 for r in regions])[ii], n) > 0
+    n_cols = np.bincount(pp, free * np.array([r.bounded_dims.size for r in regions])[ii], n)
     first = np.searchsorted(pp, np.arange(n + 1))
 
     def free_of(p: int) -> np.ndarray:
         return first[p] + np.flatnonzero(free[first[p] : first[p + 1]])
 
-    def free_cols(ks: np.ndarray) -> np.ndarray:
-        return np.concatenate([step[k] + dims[ii[k]] for k in ks.tolist()])
+    def free_cols(p: int, ks: np.ndarray) -> np.ndarray:
+        return np.concatenate([_bounded_cols(pairs[p], conds[p].dim, *items[i]) for i in ii[ks].tolist()])
 
     paths = [PINNED if nf == 0 else MC if mu else CLOSED_FORM for nf, mu in zip(n_free.tolist(), multi.tolist())]
     for p in np.flatnonzero(~multi & (n_cols > 1)).tolist():
-        cols = free_cols(free_of(p))
+        cols = free_cols(p, free_of(p))
         cov = conds[p].cov[np.ix_(cols, cols)]
         if np.any(cov - np.diag(np.diag(cov))):
             paths[p] = MC
 
     def draw_masks(p: int) -> Tuple[np.ndarray, np.ndarray]:
         ks = free_of(p)
-        cols = free_cols(ks)
+        cols = free_cols(p, ks)
         g = conds[p]
         x = GaussianSequence(g.mean[cols], g.cov[np.ix_(cols, cols)], 1).draw(int(mc_budget), child_rng(seed(p)))
-        return ks, _bounded_masks([(lows[i], highs[i], None) for i in ii[ks].tolist()], x)
+        return ks, _bounded_masks([regions[i] for i in ii[ks].tolist()], x)
 
     out: List[Tuple[Union[float, np.ndarray], str]] = []
     if want is not None:

@@ -29,7 +29,7 @@ from .engine import (
     constrained_marginals,
 )
 from .errors import LowAcceptanceError
-from .gaussian import Pair, TrajectoryDensity, child_rng, stratified_chunks
+from .gaussian import Pair, TrajectoryDensity, _check_draws, child_rng, stratified_chunks
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Draws behind the engine's step means that oracle_bernoulli checks.
@@ -148,6 +148,7 @@ def oracle_bernoulli(
     """Check constrained existence, pair pmf and per-step moments by rejection.
     The engine's step means are ``constrained_marginals`` at ``_MOMENT_BUDGET``
     draws, seed ``rng_seed + 1``; their SE adds in quadrature to the empirical SE."""
+    _check_draws("n", n)
     rng = child_rng(rng_seed, 11)
     entries: List[OracleEntry] = []
 
@@ -214,6 +215,7 @@ def oracle_ppp(
 ) -> OracleReport:
     """Check constrained intensity scale by thinning, plus Poisson dispersion
     and independence of surviving vs removed counts."""
+    _check_draws("n_runs", n_runs)
     rng = child_rng(rng_seed, 13)
     counts = rng.poisson(p.mu, size=n_runs)
     total = int(counts.sum())
@@ -257,6 +259,7 @@ def oracle_pmbm(
     rng_seed: int = 0,
 ) -> OracleReport:
     """Componentwise Bernoulli/PPP checks plus the whole-set expected cardinality."""
+    _check_draws("n", n)
     entries: List[OracleEntry] = []
     rep = oracle_ppp(m.ppp, constrained.ppp, cs, min(n, 20_000), z_threshold, rng_seed)
     entries.extend(OracleEntry("ppp." + e.name, e.analytic, e.empirical, e.se, e.z, e.passed) for e in rep.entries)

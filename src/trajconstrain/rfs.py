@@ -7,6 +7,7 @@ set realizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -38,8 +39,8 @@ class PppTrajectory:
     density: TrajectoryDensity
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"expected count mu={self.mu} must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"expected count mu={self.mu} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class GlobalHypothesis:
     tracks: Tuple[BernoulliTrajectory, ...]
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValueError(f"hypothesis weight {self.weight} must be nonnegative")
+        if not self.weight >= 0.0:
+            raise ValueError(f"hypothesis weight {self.weight} must be a nonnegative number")
         object.__setattr__(self, "tracks", tuple(self.tracks))
 
 

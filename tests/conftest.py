@@ -14,7 +14,7 @@ from trajconstrain import (
     existence_pairs,
 )
 from trajconstrain.engine import _component_seed
-from trajconstrain.gaussian import _bounded, _bounded_masks, _interval_masses, _PIN_TOL, child_rng
+from trajconstrain.gaussian import _bounded_masks, _interval_masses, _PIN_TOL, child_rng
 from trajconstrain.kernels import pattern_codes
 
 
@@ -80,7 +80,10 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     were batched: the reference that the batch must equal bit for bit.
     Returns (P(pattern == want) or cells, exact)."""
     m = len(items)
-    bounded = [_bounded(gs, pair, t, region) for t, region in items]
+    bounded = [
+        (region.lows[:, region.bounded_dims], region.highs[:, region.bounded_dims], gs.coords(pair, [t])[region.bounded_dims])
+        for t, region in items
+    ]
     n_boxes = [lows.shape[0] for lows, _, _ in bounded]
     starts = [0]
     for lows, _, _ in bounded:
@@ -111,7 +114,7 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
         q = [math.prod(p_in[starts[i] : starts[i + 1]].tolist()) for i in free]
     else:
         x = GaussianSequence(gs.mean[cols], cov, 1).draw(int(mc_budget), child_rng(rng_seed))
-        masks = _bounded_masks([bounded[i] for i in free], x)
+        masks = _bounded_masks([items[i][1] for i in free], x)
 
     if want is not None:
         if exact:

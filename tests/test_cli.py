@@ -243,6 +243,19 @@ class TestConfigErrors:
         assert f"config error: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "lower, upper",
+        [(float("nan"), 6.0), (0.0, float("nan")), (float("inf"), None), (None, float("-inf"))],
+    )
+    def test_nan_or_empty_bound_exits_with_config_error(self, tmp_path, capsys, lower, upper):
+        # json writes and reads the NaN, Infinity and -Infinity tokens
+        cfg = base_config()
+        cfg["constraints"]["items"][0]["boxes"] = [{"lower": [lower, None], "upper": [upper, None]}]
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_CONFIG
+        assert "config error: constraints.items[0].boxes:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("window", "alpha", None), ("window", "gamma", [12]), ("motion", "birth_schedule", [1, None])],
     )

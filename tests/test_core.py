@@ -67,6 +67,16 @@ class TestStateRegion:
         with pytest.raises(ValueError):
             StateRegion.box([(1, 1)])
 
+    @pytest.mark.parametrize(
+        "bound",
+        [(float("nan"), 1.0), (0.0, float("nan")), (float("nan"), None), (float("inf"), None), (None, float("-inf"))],
+    )
+    def test_nan_or_empty_bound_rejected(self, bound):
+        # NaN would read as unbounded in the engine and as a half-line in
+        # contains; an infinite bound on the wrong side describes an empty set
+        with pytest.raises(ValueError):
+            StateRegion.box([bound, (0.0, 1.0)])
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             StateRegion.box([(-1, 1)]).contains([0.0, 0.0])

@@ -333,6 +333,20 @@ class TestRejectionSampling:
         with pytest.raises(ValueError, match="fewer than 2"):
             ctd.moment_matched(2, rng_seed=0)
 
+    @pytest.mark.parametrize("mc_budget", [0, 1, -5])
+    @pytest.mark.parametrize("view", ["constrained_marginals", "moment_matched", "sample_cloud"])
+    def test_views_reject_a_budget_below_two(self, view, mc_budget):
+        # each used to draw y twice per pair, whatever the budget
+        td = std_density([(0, 0)], [1.0])
+        ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE)], "conjunct"))
+        call = {
+            "constrained_marginals": lambda: constrained_marginals(ctd, mc_budget),
+            "moment_matched": lambda: ctd.moment_matched(mc_budget),
+            "sample_cloud": lambda: ctd.sample_cloud(mc_budget),
+        }[view]
+        with pytest.raises(ValueError, match="mc_budget"):
+            call()
+
     def test_step_ess_counts_draws_alive_at_the_step(self):
         # step 1 is alive only in stratum (0, 1); step 0 in both strata, whose
         # per-draw weights differ, so its ESS is below the accepted total

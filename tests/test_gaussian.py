@@ -48,6 +48,10 @@ class TestBirthDeathPmf:
         with pytest.raises(ValueError):
             BirthDeathPmf(((0, 0), (0, 0)), np.array([0.5, 0.5]))
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError):
+            BirthDeathPmf(((0, 0), (0, 1)), np.array([1.0, np.nan]))
+
     def test_total_mass_is_one(self, rng):
         td = random_density(rng)
         assert abs(td.pmf.probs.sum() - 1.0) <= 1e-12
@@ -58,6 +62,20 @@ class TestGaussianSequence:
         cov = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
             GaussianSequence(np.zeros(2), cov, 1)
+
+    @pytest.mark.parametrize("where", ["mean", "cov diagonal", "cov off-diagonal", "cov inf"])
+    def test_non_finite_rejected(self, where):
+        mean, cov = np.zeros(2), np.eye(2)
+        if where == "mean":
+            mean[1] = np.nan
+        elif where == "cov diagonal":
+            cov[0, 0] = np.nan
+        elif where == "cov off-diagonal":
+            cov[0, 1] = cov[1, 0] = np.nan
+        else:
+            cov[1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            GaussianSequence(mean, cov, 1)
 
     def test_negative_eigenvalue_rejected_on_draw(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric, indefinite
@@ -432,14 +450,23 @@ class TestPatternBatch:
                 (b, _), g = td.pmf.pairs[alive], td.conditionals[alive]
                 mean = g.mean[(t - b) * td.dim : (t - b + 1) * td.dim]
                 items.append((t, _region(rng, td.dim, mean, self.KINDS[int(rng.integers(0, len(self.KINDS)))])))
+            # At times not yet taken: a full-space region, a second time of item
+            # 0's region object, and item 0's boxes with one that pins them
+            # inside; then a time no pair meets.
+            unused = [t for t in range(last + 1) if t not in times]
+            first = items[0][1]
+            pinning = StateRegion(np.vstack([first.lows, [-60.0] * td.dim]), np.vstack([first.highs, [60.0] * td.dim]))
+            items += [(t, r) for t, r in zip(unused, [StateRegion.full_space(td.dim), first, pinning])]
+            items.append((last + 1, StateRegion.box([(0.0, 1.0)] + [None] * (td.dim - 1))))
             # pairs meeting no item are left out, as the engine leaves them out
-            rows = [(j, [b <= t <= e for t in times]) for j, (b, e) in enumerate(td.pmf.pairs)]
+            rows = [(j, [b <= t <= e for t, _ in items]) for j, (b, e) in enumerate(td.pmf.pairs)]
             rows = [(j, act) for j, act in rows if any(act)]
             conds = [td.conditionals[j] for j, _ in rows]
             pairs = [td.pmf.pairs[j] for j, _ in rows]
             active = np.array([act for _, act in rows])
+            assert not active[:, -1].any()
             conjunct = np.ones_like(active)
-            disjunct = np.repeat(active.sum(axis=1, keepdims=True) == 1, len(times), axis=1)
+            disjunct = np.repeat(active.sum(axis=1, keepdims=True) == 1, len(items), axis=1)
             for want in (conjunct, disjunct, None):
                 asked = []
 
@@ -464,9 +491,11 @@ class TestPatternBatch:
                             seen.add("pinned against want" if value == 0.0 else "all pinned")
                     seen.add(path)
                     seen.update(f"{r.n_boxes} boxes, {r.bounded_dims.size}-d" for _, r in its)
+                    if len({id(r) for _, r in its}) < len(its):
+                        seen.add("shared region")
                 assert asked == [p for p, (_, path) in enumerate(out) if path == gaussian.MC]
-        assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.MC} <= seen
-        assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d"} <= seen
+        assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.MC, "shared region"} <= seen
+        assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d", "1 boxes, 0-d"} <= seen
 
 
 class TestAliveProbability:

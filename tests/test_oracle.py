@@ -132,6 +132,25 @@ class TestOraclePpp:
         assert any(e.name == "mu_constrained" and not e.passed for e in rep.entries)
 
 
+class TestDrawCounts:
+    """Every oracle needs at least 2 draws, the minimum the CLI enforces."""
+
+    @pytest.mark.parametrize("n", [0, 1, -5])
+    @pytest.mark.parametrize("oracle", ["bernoulli", "ppp", "pmbm"])
+    def test_below_two_rejected(self, oracle, n):
+        td = std_density([(0, 0)], [1.0])
+        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        b, p = BernoulliTrajectory(0.5, td), PppTrajectory(1.0, td)
+        m = PmbmDensity(p, (GlobalHypothesis(1.0, (b,)),))
+        call = {
+            "bernoulli": lambda: oracle_bernoulli(b, constrain_bernoulli(b, cs), cs, n),
+            "ppp": lambda: oracle_ppp(p, constrain_ppp(p, cs), cs, n),
+            "pmbm": lambda: oracle_pmbm(m, constrain_pmbm(m, cs), cs, n),
+        }[oracle]
+        with pytest.raises(ValueError, match="n_runs" if oracle == "ppp" else "n must"):
+            call()
+
+
 class TestOraclePmbm:
     def test_componentwise_pass(self, rng):
         ppp = PppTrajectory(1.5, random_density(rng, TimeWindow(0, 2), 1))

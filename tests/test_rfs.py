@@ -38,6 +38,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             PppTrajectory(0.0, point_density())
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_mu_non_finite(self, mu):
+        with pytest.raises(ValueError):
+            PppTrajectory(mu, point_density())
+
+    def test_nan_hypothesis_weight(self):
+        with pytest.raises(ValueError):
+            GlobalHypothesis(math.nan, ())
+
     def test_hypothesis_weights_must_sum_to_one(self):
         ppp = PppTrajectory(1.0, point_density())
         hyps = (GlobalHypothesis(0.6, ()), GlobalHypothesis(0.6, ()))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,25 @@ class TestPmbmRoundTrip:
     def test_schema_mismatch(self):
         with pytest.raises(ValueError):
             pmbm_from_json('{"schema": "something-else"}')
+
+    @pytest.mark.parametrize("field", ["mu", "weight", "prob", "mean", "cov"])
+    def test_nan_token_rejected(self, rng, field):
+        # Python's json reads a bare NaN token as a float
+        s = pmbm_to_json(random_pmbm(rng))
+        d = json.loads(s)
+        density = d["ppp"]["density"]
+        if field == "mu":
+            d["ppp"]["mu"] = "NaN"
+        elif field == "weight":
+            d["hypotheses"][0]["weight"] = "NaN"
+        elif field == "prob":
+            density["pmf"][0]["prob"] = "NaN"
+        else:
+            density["conditionals"][0][field][0] = "NaN" if field == "mean" else ["NaN"] * len(density["conditionals"][0]["cov"][0])
+        text = json.dumps(d).replace('"NaN"', "NaN")
+        assert "NaN" in text
+        with pytest.raises(ValueError):
+            pmbm_from_json(text)
 
 
 class TestScenarioRoundTrip:
