@@ -23,9 +23,9 @@ import numpy as np
 
 from . import serialize
 from .core import Constraint, ConstraintSet, StateRegion, TimeWindow
-from .engine import constrain_bernoulli, constrain_ppp, constrained_marginals
+from .engine import ConstrainedPpp, constrain_bernoulli, constrained_marginals
 from .errors import ConfigError, TrajConstrainError, ZeroSupportError
-from .gaussian import CLOSED_FORM, MC, PINNED, step_moments
+from .gaussian import CLOSED_FORM, MC, PINNED, QMC, step_moments
 from .oracle import oracle_bernoulli, oracle_ppp
 from .rfs import PppTrajectory
 from .scenario import (
@@ -284,7 +284,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
         },
         "acceptance_rate": acceptance,
         "dropped_strata": dropped,
-        "pair_paths": {path: paths.count(path) for path in (PINNED, CLOSED_FORM, MC)},
+        "pair_paths": {path: paths.count(path) for path in (PINNED, CLOSED_FORM, QMC, MC)},
         "mc_budget": budget,
         "seed": seed,
     }
@@ -313,8 +313,10 @@ def cmd_oracle(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     reports = {"bernoulli": oracle_bernoulli(bern, constrained, cs, n, z, seed + 2)}
 
     if mu is not None:
+        # The PPP has the Bernoulli's density, constrained with the same budget
+        # and seed, so it shares the Bernoulli's constrained density and report.
         ppp = PppTrajectory(mu, bern.density)
-        cp = constrain_ppp(ppp, cs, budget, seed)
+        cp = ConstrainedPpp(mu * constrained.report.joint, constrained.density, constrained.report)
         reports["ppp"] = oracle_ppp(ppp, cp, cs, n_runs, z, seed + 3)
 
     combined = {k: r.to_dict() for k, r in reports.items()}

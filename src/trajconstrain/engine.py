@@ -13,11 +13,12 @@ density is constrained once per call and its result reused for every slot.
 
 Per pair, both modes ask for one pattern probability (all constraints
 inside, or in disjunct mode with two or more active constraints all in the
-complement), which is settled exactly where it can and by Monte Carlo on the
-bounded coordinates otherwise. The pairs of all the densities constrained
-together (one for ``constrain_density``, the distinct components for
-``constrain_pmbm``) go through the primitive in one ``_pattern_batch`` call,
-and each pair records the path that settled it.
+complement), which is settled exactly where it can, by randomized QMC where
+the constraints are single boxes on correlated coordinates, and by Monte
+Carlo on the bounded coordinates otherwise. The pairs of all the densities
+constrained together (one for ``constrain_density``, the distinct components
+for ``constrain_pmbm``) go through the primitive in one ``_pattern_batch``
+call, and each pair records the path that settled it.
 
 In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets. Constraining
@@ -53,14 +54,12 @@ from .errors import (
     ZeroSupportError,
 )
 from .gaussian import (
-    MC,
     BirthDeathPmf,
     GaussianSequence,
     Pair,
     SampleCloud,
     Stratum,
     TrajectoryDensity,
-    _binomial_se,
     _bounded_cols,
     _bounded_masks,
     _check_draws,
@@ -95,8 +94,12 @@ class PairConstraintInfo:
     """Per-(birth, death) constraint data of a constrained density.
 
     ``path`` is how the spatial probability was settled: ``"pinned"`` (no
-    constraint left after the 1-D bounds), ``"closed_form"`` or ``"mc"``
-    (``mc_budget`` draws; the only path with ``spatial_se`` > 0).
+    constraint left after the 1-D bounds), ``"closed_form"``, ``"qmc"``
+    (single boxes on correlated coordinates: randomized QMC over about
+    ``mc_budget // 16`` lattice points, ``spatial_se`` the spread across
+    its random shifts; a pair byte-identical to another shares its
+    estimate) or ``"mc"`` (``mc_budget`` draws, binomial ``spatial_se``).
+    Only the last two have ``spatial_se`` > 0.
     """
 
     pair: Pair
@@ -112,6 +115,9 @@ class ConstraintReport:
 
     ``prob_spatial`` is the alive-conditioned pmf-weighted average of the
     per-pair spatial probabilities, so joint = prob_alive * prob_spatial.
+    ``joint_se`` adds the pmf-weighted pair standard errors linearly within
+    each group of pairs that share one estimate, and in quadrature across
+    groups; ``spatial_se`` is joint_se / prob_alive.
     """
 
     prob_alive: float
@@ -189,16 +195,28 @@ class ConstrainedTrajectoryDensity:
         """Per pair the Gaussian given the accepted y of the draw all three
         views share (``sample_cloud`` draws joint samples from it by pathwise
         conditioning; none is drawn here); the pmf is renormalized over the
-        pairs that accepted a draw. Raises ValueError for a pair with a single
-        accepted draw."""
+        pairs that accepted at least 2 draws. A pair that accepted a single
+        draw is dropped and logged, as one that accepted none; ValueError
+        when no pair is left."""
         pairs, probs, conds = [], [], []
+        single = []
         for prob, pair, gs, cols, y, gain in _accepted_y(self, mc_budget, rng_seed)[0]:
             if y.shape[0] == 1:
-                raise ValueError(f"stratum {pair} has fewer than 2 effective samples")
+                single.append(prob)
+                continue
             pairs.append(pair)
             probs.append(prob)
             mean, cov = _given_y(gs, cols, y, gain)
             conds.append(GaussianSequence(mean, 0.5 * (cov + cov.T), self.dim))
+        if single:
+            logger.warning(
+                "%d (birth, death) strata accepted a single draw and were dropped from the moment match "
+                "(constrained mass %.3g)",
+                len(single),
+                math.fsum(single),
+            )
+        if not pairs:
+            raise ValueError("every stratum has fewer than 2 accepted draws; increase mc_budget")
         probs = np.asarray(probs)
         return TrajectoryDensity(BirthDeathPmf(tuple(pairs), probs / probs.sum()), tuple(conds))
 
@@ -250,8 +268,10 @@ def _constrain_densities(
     ``_pattern_batch`` call for the qualifying pairs of them all.
 
     Pair j of density k draws (when it draws at all) on stream
-    ``_pair_seed(component_seed(k), j)``. A density whose support meets no
-    constraint time with positive mass gives None.
+    ``_pair_seed(component_seed(k), j)``, unless it is a QMC pair that
+    takes the estimate of a byte-identical earlier pair of the batch. A
+    density whose support meets no constraint time with positive mass gives
+    None.
     """
     for td in tds:
         if td.dim != cs.dim:
@@ -289,10 +309,13 @@ def _constrain_densities(
             results.append(None)
             continue
         pair_info: Dict[Pair, PairConstraintInfo] = {}
-        for pair, _, act in qual:
-            (p, path), flip = next(settled)
-            se = _binomial_se(p, int(mc_budget)) if path == MC else 0.0
+        # The p-weighted SEs of pairs that share one estimate add linearly:
+        # their errors are the same error.
+        group_se: Dict[int, float] = {}
+        for pair, prob, act in qual:
+            (p, se, path, leader), flip = next(settled)
             pair_info[pair] = PairConstraintInfo(pair, act, 1.0 - p if flip else p, se, path)
+            group_se[leader] = group_se.get(leader, 0.0) + prob * se
 
         # Summed pmf masses may exceed 1 by rounding; reported probabilities are clipped to [0, 1].
         prob_alive = min(math.fsum(p for _, p, _ in qual), 1.0)
@@ -301,7 +324,7 @@ def _constrain_densities(
         masses = np.array([p * pair_info[pair].spatial_prob for pair, p, _ in qual])
         total = math.fsum(masses)
         joint = min(total, 1.0)
-        joint_se = math.sqrt(sum((p * pair_info[pair].spatial_se) ** 2 for pair, p, _ in qual))
+        joint_se = math.sqrt(sum(se**2 for se in group_se.values()))
         prob_spatial = min(joint / prob_alive, 1.0)
         report = ConstraintReport(prob_alive, prob_spatial, joint, joint_se / prob_alive, joint_se)
         pmf = None
@@ -346,11 +369,14 @@ def disjunct_partitions(
 
     One entry per nonempty satisfied set, in bit-code order 1..2^m - 1:
     ``raw_weight`` is the probability that exactly those constraints hold and
-    ``weight`` that probability normalized over the entries. Called with the
-    ``mc_budget`` and ``rng_seed`` of the ``constrain_density`` call, it uses
-    the same draws, so the raw weights sum to the pair's ``spatial_prob`` up
-    to rounding. Raises PartitionBudgetError above MAX_ACTIVE_FOR_PARTITIONS
-    active constraints (2^m - 1 entries).
+    ``weight`` that probability normalized over the entries. The cells come
+    from ``_pattern_batch``'s cells path (pinned, closed form, or
+    ``mc_budget`` Monte Carlo draws on stream ``_pair_seed(rng_seed, j)``;
+    never QMC), and are scaled so that the raw weights sum to the pair's
+    ``spatial_prob`` within 1e-12, whichever path settled that; draws that
+    leave every cell but the empty one at 0 give raw weights of 0. Raises
+    PartitionBudgetError above MAX_ACTIVE_FOR_PARTITIONS active constraints
+    (2^m - 1 entries).
     """
     if ctd.cs.mode != DISJUNCT:
         raise ValueError(f"partitions need a disjunct constraint set, got {ctd.cs.mode!r}")
@@ -365,10 +391,10 @@ def disjunct_partitions(
         )
     j = ctd.base.pmf.pairs.index(pair)
     items = [(ctd.cs.constraints[i].time, ctd.cs.constraints[i].region) for i in active]
-    cells, _ = _pattern_probabilities(ctd.base.conditionals[j], pair, items, mc_budget, _pair_seed(rng_seed, j))
-    raw = cells[1:]
-    total = float(raw.sum())
-    weights = raw / total if total > 0 else np.zeros(raw.size)
+    cells = _pattern_probabilities(ctd.base.conditionals[j], pair, items, mc_budget, _pair_seed(rng_seed, j)).value
+    total = float(cells[1:].sum())
+    weights = cells[1:] / total if total > 0 else np.zeros(cells.size - 1)
+    raw = weights * ctd.pair_info[pair].spatial_prob
     return tuple(
         PartitionEntry(
             tuple(active[t] for t in range(m) if code >> t & 1),
@@ -430,7 +456,8 @@ def constrain_pmbm(
     PPP first, and density k is constrained with seed
     ``_component_seed(rng_seed, k)``, so the components' Monte Carlo errors
     are independent; the result equals constraining each slot on its own
-    with its component's seed.
+    with its component's seed, except that a QMC pair byte-identical to a
+    pair of an earlier component takes that pair's estimate.
     """
     distinct: Dict[int, TrajectoryDensity] = {}
     for td in [m.ppp.density] + [t.density for h in m.hypotheses for t in h.tracks]:

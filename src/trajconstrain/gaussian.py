@@ -5,22 +5,27 @@ A trajectory density factorizes into a probability mass function over
 sequence. This module provides marginalization onto time subsets, region
 probabilities (one primitive, ``_pattern_batch``, over any number of pairs:
 settle what the 1-D bounds settle, closed form where the remaining bounded
-coordinates are independent single boxes, Monte Carlo on those coordinates
-otherwise; ``region_probability`` is a batch of one pair), stratified
-sampling (streamed in chunks of at most ``DRAW_CHUNK`` rows, or gathered per
-pair), and moment matching of weighted sample clouds.
+coordinates are independent single boxes, randomized quasi-Monte Carlo
+(Genz's separation of variables on a shifted lattice) where they are single
+boxes on correlated coordinates, Monte Carlo on those coordinates otherwise;
+``region_probability`` is a batch of one pair), stratified sampling
+(streamed in chunks of at most ``DRAW_CHUNK`` rows, or gathered per pair),
+and moment matching of weighted sample clouds.
 
-It needs numpy only: the normal CDF of the 1-D bounds is ``_ndtr``, the
-C library's ``erfc`` taken element-wise (the formula of Cephes' ``ndtr``),
-and the bounds of a batch go through it in one call per distinct region.
+It needs numpy only: the normal CDF is ``_ndtr``, a vectorized port of
+Cody's rational ``erfc`` (the formula of Cephes' ``ndtr``), and its inverse
+``_ndtri`` a port of Wichura's AS 241; the bounds of a batch go through
+``_ndtr`` in one call per distinct region.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,14 +35,17 @@ from .kernels import pattern_codes
 
 Pair = Tuple[int, int]
 
+logger = logging.getLogger("trajconstrain")
+
 INSIDE = "inside"
 COMPLEMENT = "complement"
 
 # How a pair's probability was settled: every item pinned by its 1-D bounds
 # (or one pinned against the wanted pattern), the unpinned ones in closed
-# form, or by Monte Carlo draws.
+# form, by randomized quasi-Monte Carlo, or by Monte Carlo draws.
 PINNED = "pinned"
 CLOSED_FORM = "closed_form"
+QMC = "qmc"
 MC = "mc"
 
 _PMF_TOL = 1e-12
@@ -47,9 +55,33 @@ _EIG_TOL = 1e-10
 # distance of 0 or 1 is settled (pinned) without sampling.
 _PIN_TOL = 1e-12
 _SQRT1_2 = math.sqrt(0.5)
+# A QMC pair evaluates about mc_budget // _QMC_COST lattice points, spread
+# over _QMC_SHIFTS random shifts whose spread gives its standard error; a pair
+# whose complements split into more than _MAX_QMC_CELLS product cells is
+# settled by Monte Carlo instead.
+_QMC_COST = 16
+_QMC_SHIFTS = 10
+_MAX_QMC_CELLS = 64
+# Most lattice points (cells x shifts x points) a QMC step conditions at once:
+# a step's temporaries are a few dozen arrays of that size.
+_QMC_CHUNK = 2**13
+# A Cholesky pivot at most this fraction of its variance is taken as 0.
+_CHOL_TOL = 1e-12
 # Most rows ``stratified_chunks`` draws at once: memory is O(DRAW_CHUNK x
 # sequence dim) however many draws are asked for.
 DRAW_CHUNK = 2**15
+
+
+class Settled(NamedTuple):
+    """How ``_pattern_batch`` settled one pair: ``value`` is P(pattern ==
+    want) or the cells, ``se`` its standard error (None for cells), ``path``
+    the path that ran and ``leader`` the pair whose estimate it shares: a QMC
+    pair byte-identical to an earlier one of the batch takes that pair's."""
+
+    value: Union[float, np.ndarray]
+    se: Optional[float]
+    path: str
+    leader: int
 
 
 def child_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -263,11 +295,147 @@ def _bounded_masks(regions: Sequence[StateRegion], y: np.ndarray) -> np.ndarray:
     return masks
 
 
+# Cody's rational Chebyshev approximations of erf and erfc (W. J. Cody,
+# Math. Comp. 23, 1969), with the coefficients of his CALERF: |x| <= 0.46875,
+# 0.46875 < |x| <= 4 and |x| > 4.
+_ERFC_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02, 3.20937758913846947e03,
+           1.85777706184603153e-1)
+_ERFC_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01, 2.98635138197400131e02,
+           8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03,
+           2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+           3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1, 1.60837851487422766e-2,
+           6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+           2.33520497626869185e-3)
+_1_SQRTPI = 5.6418958354775628695e-1
+# erfc(40) underflows to 0; larger arguments are clipped to it so inf stays finite in the arithmetic.
+_ERFC_BIG = 40.0
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function element-wise, branch-free: each of Cody's
+    three ranges is evaluated on its argument clipped into that range (so no
+    range divides by 0) and the right one is selected. exp(-y^2) is taken as
+    exp(-s^2) exp(-(y - s)(y + s)) with s = y rounded down to 1/16, as in
+    CALERF, which keeps the relative accuracy of the far tail. The Horner
+    steps run in place and each range's temporaries are dropped before the
+    next, so few arrays of x's size are alive at once."""
+    y = np.abs(x)
+    mid = np.clip(y, 0.46875, 4.0)
+    tail, den = _horner(_ERFC_C[8], mid, _ERFC_C[:7], _ERFC_D[:7])
+    del mid
+    tail += _ERFC_C[7]
+    den += _ERFC_D[7]
+    tail /= den
+    far = np.clip(y, 4.0, _ERFC_BIG)
+    s = far * far
+    np.divide(1.0, s, out=s)
+    num, den = _horner(_ERFC_P[5], s, _ERFC_P[:4], _ERFC_Q[:4])
+    num += _ERFC_P[4]
+    num *= s
+    den += _ERFC_Q[4]
+    num /= den
+    del den, s
+    np.subtract(_1_SQRTPI, num, out=num)
+    num /= far
+    np.copyto(tail, num, where=y > 4.0)
+    del far, num
+    big = np.minimum(y, _ERFC_BIG)
+    s = np.trunc(big * 16.0) / 16.0
+    tail *= np.exp(-s * s)
+    big -= s
+    s += np.minimum(y, _ERFC_BIG)
+    big *= s
+    del s
+    np.negative(big, out=big)
+    np.exp(big, out=big)
+    tail *= big
+    del big
+    np.copyto(tail, 2.0 - tail, where=x < 0.0)
+    s = np.minimum(y, 0.46875)
+    s *= s
+    num, den = _horner(_ERFC_A[4], s, _ERFC_A[:3], _ERFC_B[:3])
+    del s
+    num += _ERFC_A[3]
+    num *= x
+    den += _ERFC_B[3]
+    num /= den
+    np.subtract(1.0, num, out=num)
+    np.copyto(tail, num, where=y <= 0.46875)
+    return tail
+
+
+def _horner(lead: float, r: np.ndarray, num: Sequence[float], den: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """CALERF's interleaved Horner steps, in place: from lead * r and r,
+    (n + num[i]) * r and (d + den[i]) * r for each i."""
+    n = lead * r
+    d = r.copy()
+    for a, b in zip(num, den):
+        n += a
+        n *= r
+        d += b
+        d *= r
+    return n, d
+
+
 def _ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF element-wise: 0.5 erfc(-x / sqrt(2)), as Cephes' ndtr."""
+    """Standard normal CDF element-wise: 0.5 erfc(-x / sqrt(2)), as Cephes' ndtr,
+    with ``_erfc``."""
     x = np.asarray(x, dtype=np.float64)
-    erfc = math.erfc
-    return np.array([0.5 * erfc(-v * _SQRT1_2) for v in x.ravel().tolist()]).reshape(x.shape)
+    return (0.5 * _erfc(-x.ravel() * _SQRT1_2)).reshape(x.shape)
+
+
+# Wichura's PPND16 (Appl. Statist. 37, 1988, algorithm AS 241): numerator and
+# denominator coefficients, lowest power first, for |p - 0.5| <= 0.425 (in
+# r = 0.180625 - (p - 0.5)^2), and for the tails in r = sqrt(-log(min(p,
+# 1 - p))) - 1.6 when that root is at most 5, else the root - 5.
+_NDTRI_A = (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3, 1.3731693765509461125e4,
+            4.5921953931549871457e4, 6.7265770927008700853e4, 3.3430575583588128105e4, 2.5090809287301226727e3)
+_NDTRI_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+            2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4, 5.2264952788528545610e3)
+_NDTRI_C = (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0, 3.64784832476320460504e0,
+            1.27045825245236838258e0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4)
+_NDTRI_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+            1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9)
+_NDTRI_E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0, 2.96560571828504891230e-1,
+            2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7)
+_NDTRI_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+            7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15)
+
+
+def _rational(num: Sequence[float], den: Sequence[float], r: np.ndarray) -> np.ndarray:
+    """num(r) / den(r) by Horner's rule, in place; coefficients lowest power first."""
+    n = num[-1] * r
+    d = den[-1] * r
+    for a, b in zip(num[-2:0:-1], den[-2:0:-1]):
+        n += a
+        n *= r
+        d += b
+        d *= r
+    n += num[0]
+    d += den[0]
+    n /= d
+    return n
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile element-wise for p in [0, 1] (AS 241,
+    branch-free like ``_erfc``): -inf at 0, +inf at 1, NaN outside [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    q = p - 0.5
+    central = np.clip(q, -0.425, 0.425)
+    central = central * _rational(_NDTRI_A, _NDTRI_B, 0.180625 - central * central)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    tail = _rational(_NDTRI_C, _NDTRI_D, np.clip(r, 1.6, 5.0) - 1.6)
+    far = r > 5.0  # p below about 1.4e-11: rare, so evaluated only when present
+    if np.any(far):
+        tail = np.where(far, _rational(_NDTRI_E, _NDTRI_F, np.clip(r, 5.0, _ERFC_BIG) - 5.0), tail)
+    x = np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
+    return np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, x))
 
 
 def _interval_masses(
@@ -298,6 +466,195 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(q * (1.0 - q) / n)
 
 
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack (..., k, k) of PSD matrices, one
+    column at a time over the whole stack. A pivot at most ``_CHOL_TOL``
+    times its original variance (a coordinate that earlier ones determine)
+    gets a zero column instead of rounding noise."""
+    a = np.array(cov, dtype=np.float64)
+    k = a.shape[-1]
+    tol = _CHOL_TOL * a.diagonal(axis1=-2, axis2=-1)
+    factor = np.zeros_like(a)
+    for j in range(k):
+        pivot = a[..., j, j]
+        keep = pivot > tol[..., j]
+        root = np.sqrt(np.where(keep, pivot, 1.0))
+        col = np.where(keep[..., None], a[..., j + 1 :, j] / root[..., None], 0.0)
+        factor[..., j, j] = np.where(keep, root, 0.0)
+        factor[..., j + 1 :, j] = col
+        a[..., j + 1 :, j + 1 :] -= col[..., :, None] * col[..., None, :]
+    return factor
+
+
+def _primes(n: int) -> List[int]:
+    """The first n primes."""
+    out: List[int] = []
+    k = 2
+    while len(out) < n:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _qmc_points(mc_budget: int) -> int:
+    """Lattice points per shift of a QMC pair: about mc_budget // 16 in all."""
+    return max(mc_budget // _QMC_COST // _QMC_SHIFTS, 1)
+
+
+def _lattice_coordinate(n: int, g: float, shifts: np.ndarray) -> np.ndarray:
+    """The coordinate with generator g of an n-point rank-1 lattice,
+    frac(i g) for i < n, randomly shifted by each of ``shifts`` (..., R) and
+    baker-transformed: shape (..., R, n)."""
+    x = (np.arange(n) * g)[None, :] + shifts[..., None]
+    x -= np.floor(x)
+    return 1.0 - np.abs(2.0 * x - 1.0)
+
+
+def _conditional_step(
+    centre: np.ndarray, sd: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray, u: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One step of the separation of variables: the mass e of a coordinate's
+    admissible set ([lo, hi], or outside it where ``out``) under N(centre,
+    sd^2), and, given uniforms u, the standard normal z whose point centre +
+    sd z is the u-quantile of that set. Every mass and quantile is taken
+    from the tail it lies in; sd == 0 is a point mass."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (lo - centre) / sd
+        b = (hi - centre) / sd
+    point = sd == 0.0
+    if np.any(point):
+        a = np.where(point, np.where(lo <= centre, -np.inf, np.inf), a)
+        b = np.where(point, np.where(hi >= centre, np.inf, -np.inf), b)
+    # Two tails per coordinate: P(below lo) and P(above hi) outside; inside,
+    # P(below lo) and P(below hi), or (a > 0) P(above lo) and P(above hi).
+    upper = ~out & (a > 0.0)
+    tail_a, tail_b = _ndtr(np.stack((np.where(upper, -a, a), np.where(upper | out, -b, b))))
+    e = np.where(out, tail_a + tail_b, np.where(upper, tail_a - tail_b, tail_b - tail_a))
+    if u is None:
+        return e, None
+    v = u * e
+    # Inside: from the lower tail up, or (a > 0) from the upper tail down.
+    # Outside: v < P(below lo) walks the lower half-line from lo down to
+    # -inf, the rest the upper one from +inf down to hi. The two meet at
+    # infinity, where every later mass has the same limit, so the weight is
+    # continuous in u: a jump would leave the lattice estimate biased for
+    # some shifts, too many to show in their spread.
+    low_side = np.where(out, v < tail_a, ~upper)
+    arg = np.where(out, np.where(low_side, tail_a - v, v - tail_a), np.where(upper, tail_a - v, tail_a + v))
+    z = _ndtri(np.clip(arg, 0.0, 1.0))
+    z = np.where(low_side, z, -z)
+    return e, np.clip(z, -_ERFC_BIG, _ERFC_BIG)
+
+
+def _product_cells(regions: Sequence[StateRegion], inside: Sequence[bool]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wanted sides of single-box regions as disjoint product cells over
+    their bounded coordinates side by side: (lo, hi, out), each (cells,
+    coordinates). An inside box is one cell; the outside of a box bounding k
+    dims is k cells, cell j inside on dims before j, outside on dim j and
+    free after it. The cells of several regions are the product of theirs."""
+    options = []
+    for region, want_in in zip(regions, inside):
+        dims = region.bounded_dims
+        low, high = region.lows[0, dims], region.highs[0, dims]
+        if want_in:
+            options.append([(low, high, np.zeros(dims.size, dtype=bool))])
+            continue
+        steps = np.arange(dims.size)
+        options.append(
+            [
+                (np.where(steps <= j, low, -np.inf), np.where(steps <= j, high, np.inf), steps == j)
+                for j in steps.tolist()
+            ]
+        )
+    cells = [[np.concatenate(part) for part in zip(*combo)] for combo in itertools.product(*options)]
+    return tuple(np.array(part) for part in zip(*cells))
+
+
+def _qmc_settle(
+    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]], mc_budget: int
+) -> List[Tuple[float, float]]:
+    """(probability, standard error) of each problem by randomized QMC
+    separation of variables (Genz, JCGS 1992).
+
+    A problem is (mean (k,), cov (k, k), lo, hi, out (cells, k), seed): the
+    probability that y ~ N(mean, cov) lies in one of the disjoint product
+    cells, cell c being the product over coordinates of [lo, hi], or its
+    outside where ``out``. The coordinates are conditioned on one after
+    another in the order of their smallest admissible mass over the cells,
+    through one Cholesky factor; each step multiplies the weight by the
+    step's mass and draws its z from a lattice coordinate. All problems
+    share one Richtmyer lattice (``_qmc_points`` points, generator
+    frac(sqrt(prime_j)) for coordinate j, padded to the largest k); problem
+    i's ``_QMC_SHIFTS`` random shifts come from child_rng(seed). The
+    standard error is the spread of the per-shift estimates.
+    """
+    if not problems:
+        return []
+    # Largest problems first, so that the rows still conditioning at step j
+    # are a prefix of every chunk and padding costs nothing.
+    sizes = np.array([m.size for m, _, _, _, _, _ in problems])
+    rank = np.argsort(-sizes, kind="stable")
+    problems = [problems[i] for i in rank.tolist()]
+    n = _qmc_points(mc_budget)
+    k = int(sizes.max())
+    generator = np.sqrt(_primes(k - 1)) % 1.0
+    cells = np.array([lo.shape[0] for _, _, lo, _, _, _ in problems])
+    owner = np.repeat(np.arange(len(problems)), cells)
+    mean = np.zeros((len(problems), k))
+    cov = np.tile(np.eye(k), (len(problems), 1, 1))
+    lo = np.full((owner.size, k), -np.inf)
+    hi = np.full((owner.size, k), np.inf)
+    out = np.zeros((owner.size, k), dtype=bool)
+    shifts = np.zeros((len(problems), max(k - 1, 1), _QMC_SHIFTS))
+    row = 0
+    for i, (m, c, l, h, o, seed) in enumerate(problems):
+        size = m.size
+        mean[i, :size], cov[i, :size, :size] = m, c
+        lo[row : row + cells[i], :size], hi[row : row + cells[i], :size], out[row : row + cells[i], :size] = l, h, o
+        shifts[i, : size - 1] = child_rng(seed).random((_QMC_SHIFTS, size - 1)).T
+        row += cells[i]
+
+    # Smallest admissible mass over the cells first; padding stays last.
+    p_in, p_out = _interval_masses(lo, hi, mean[owner], np.sqrt(cov.diagonal(axis1=1, axis2=2))[owner])
+    mass = np.ones_like(mean)
+    np.minimum.at(mass, owner, np.where(out, p_out, p_in))
+    padded = np.arange(k) >= sizes[rank][:, None]
+    order = np.lexsort((mass, padded), axis=1)
+    mean = np.take_along_axis(mean, order, axis=1)
+    cov = cov[np.arange(len(problems))[:, None, None], order[:, :, None], order[:, None, :]]
+    lo, hi, out = (np.take_along_axis(x, order[owner], axis=1) for x in (lo, hi, out))
+    factor = _cholesky(cov)
+
+    # The conditioning, in chunks of rows (cells) of at most _QMC_CHUNK points.
+    est = np.zeros((len(problems), _QMC_SHIFTS))
+    row_size = sizes[rank][owner]
+    step = max(_QMC_CHUNK // (_QMC_SHIFTS * n), 1)
+    for start in range(0, owner.size, step):
+        rows = np.arange(start, min(start + step, owner.size))
+        own = owner[rows]
+        fac = factor[own]
+        offset = np.zeros((own.size, k, _QMC_SHIFTS, n))
+        weight = np.ones((own.size, _QMC_SHIFTS, n))
+        for j in range(k):
+            live = int(np.count_nonzero(row_size[rows] > j))
+            r, o = rows[:live], own[:live]
+            u = _lattice_coordinate(n, generator[j], shifts[o, j]) if j < k - 1 else None
+            e, z = _conditional_step(
+                mean[o, j, None, None] + offset[:live, j], fac[:live, j, j, None, None],
+                lo[r, j, None, None], hi[r, j, None, None], out[r, j, None, None], u,
+            )
+            weight[:live] *= e
+            if z is not None:
+                offset[:live, j + 1 :] += fac[:live, j + 1 :, j, None, None] * z[:, None]
+        np.add.at(est, own, weight.mean(axis=2))
+    value = np.empty(len(problems))
+    se = np.empty(len(problems))
+    value[rank] = np.minimum(est.mean(axis=1), 1.0)
+    se[rank] = est.std(axis=1, ddof=1) / math.sqrt(_QMC_SHIFTS)
+    return list(zip(value.tolist(), se.tolist()))
+
+
 def _pattern_batch(
     conds: Sequence[GaussianSequence],
     pairs: Sequence[Pair],
@@ -306,7 +663,7 @@ def _pattern_batch(
     want: Optional[np.ndarray],
     mc_budget: int,
     seed: Callable[[int], int],
-) -> List[Tuple[Union[float, np.ndarray], str]]:
+) -> List[Settled]:
     """Probabilities of inside/outside patterns of many pairs in one pass.
 
     Pair p (conditional ``conds[p]`` of lifetime ``pairs[p]``) has the items
@@ -314,8 +671,9 @@ def _pattern_batch(
     must lie in the lifetime. With ``want`` (the required inside-bit of each
     (pair, item), same shape as ``active``) each pair gives P(pattern ==
     want); without it, cells, where cells[code] is the probability that
-    exactly the pair's items whose bit is set in ``code`` hold. Returns (value, path) per pair, path ``PINNED``,
-    ``CLOSED_FORM`` or ``MC``; only ``MC`` has a nonzero standard error.
+    exactly the pair's items whose bit is set in ``code`` hold. Returns a
+    ``Settled`` per pair, path ``PINNED``, ``CLOSED_FORM``, ``QMC`` or
+    ``MC``; only the last two have a nonzero standard error.
 
     1. Each region is marginalized onto its bounded coordinates only, in one
        pass per distinct region object over every (pair, item) that uses it:
@@ -328,10 +686,19 @@ def _pattern_batch(
        each an axis reduction of the pass. A pinned item's bit is fixed; a
        pinned item against ``want`` gives 0 at once.
     3. A pair's unpinned items are evaluated in closed form when each is a
-       single box and their bounded coordinates are uncorrelated, else by
-       ``mc_budget`` draws of those coordinates alone on stream
-       child_rng(seed(p)), which is asked for only for such pairs; the
-       sub-pattern codes are scattered back into the full cells.
+       single box and their bounded coordinates are uncorrelated. With
+       ``want``, single boxes on correlated coordinates go to QMC
+       (``_qmc_settle``, all such pairs of the batch at once, about
+       mc_budget // 16 lattice points each) when their wanted sides split
+       into at most ``_MAX_QMC_CELLS`` product cells; a pair byte-identical
+       (bounded means, covariance and cells) to an earlier QMC pair of the
+       batch takes that pair's estimate. Every other pair, multi-box items
+       and all cells included, draws ``mc_budget`` samples of those
+       coordinates alone on stream child_rng(seed(p)); the sub-pattern codes
+       are scattered back into the full cells. ``seed(p)`` is asked for
+       only for pairs that sample, once each; each fallback from QMC to
+       Monte Carlo is counted by reason and logged at INFO on the
+       ``trajconstrain`` logger.
     """
     _check_draws("mc_budget", mc_budget)
     n = len(conds)
@@ -382,11 +749,39 @@ def _pattern_batch(
         return np.concatenate([_bounded_cols(pairs[p], conds[p].dim, *items[i]) for i in ii[ks].tolist()])
 
     paths = [PINNED if nf == 0 else MC if mu else CLOSED_FORM for nf, mu in zip(n_free.tolist(), multi.tolist())]
-    for p in np.flatnonzero(~multi & (n_cols > 1)).tolist():
-        cols = free_cols(p, free_of(p))
-        cov = conds[p].cov[np.ix_(cols, cols)]
-        if np.any(cov - np.diag(np.diag(cov))):
-            paths[p] = MC
+    fallbacks: Dict[str, int] = {}
+    problems, leader, keys = [], list(range(n)), {}
+    for p in np.flatnonzero(n_free).tolist():
+        if multi[p]:
+            reason = "multi-box item"
+        else:
+            ks = free_of(p)
+            cols = free_cols(p, ks)
+            cov = conds[p].cov[np.ix_(cols, cols)]
+            if not np.any(cov - np.diag(np.diag(cov))):
+                continue
+            if want is None:
+                reason = "partition cells"
+            elif math.prod(regions[i].bounded_dims.size for i in ii[ks][~w[ks]].tolist()) > _MAX_QMC_CELLS:
+                reason = f"over {_MAX_QMC_CELLS} cells"
+            else:
+                paths[p] = QMC
+                lo, hi, out = _product_cells([regions[i] for i in ii[ks].tolist()], w[ks].tolist())
+                mean = conds[p].mean[cols]
+                key = (lo.shape, mean.tobytes(), cov.tobytes(), lo.tobytes(), hi.tobytes(), out.tobytes())
+                leader[p] = keys.setdefault(key, p)
+                if leader[p] == p:
+                    problems.append((mean, cov, lo, hi, out, seed(p)))
+                continue
+        paths[p] = MC
+        fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    if fallbacks:
+        logger.info(
+            "%d of %d pairs settled by Monte Carlo instead of QMC (%s)",
+            sum(fallbacks.values()),
+            n,
+            ", ".join(f"{reason}: {count}" for reason, count in fallbacks.items()),
+        )
 
     def draw_masks(p: int) -> Tuple[np.ndarray, np.ndarray]:
         ks = free_of(p)
@@ -395,20 +790,25 @@ def _pattern_batch(
         x = GaussianSequence(g.mean[cols], g.cov[np.ix_(cols, cols)], 1).draw(int(mc_budget), child_rng(seed(p)))
         return ks, _bounded_masks([regions[i] for i in ii[ks].tolist()], x)
 
-    out: List[Tuple[Union[float, np.ndarray], str]] = []
+    out: List[Settled] = []
     if want is not None:
         value = np.ones(n)
         np.multiply.at(value, pp[free], np.where(w, q, 1.0 - q)[free])
         value[dead] = 0.0
+        leaders = [p for p in range(n) if paths[p] == QMC and leader[p] == p]
+        settled = dict(zip(leaders, _qmc_settle(problems, mc_budget)))
         for p, path in enumerate(paths):
             if path == MC:
                 ks, masks = draw_masks(p)
                 hit = np.ones(masks.shape[1], dtype=bool)
                 for row, k in zip(masks, ks.tolist()):
                     hit &= row if w[k] else ~row
-                out.append((float(hit.mean()), MC))
+                v = float(hit.mean())
+                out.append(Settled(v, _binomial_se(v, int(mc_budget)), MC, p))
+            elif path == QMC:
+                out.append(Settled(*settled[leader[p]], QMC, leader[p]))
             else:
-                out.append((float(value[p]), path))
+                out.append(Settled(float(value[p]), 0.0, path, p))
         return out
 
     for p, path in enumerate(paths):
@@ -428,7 +828,7 @@ def _pattern_batch(
             full |= (sub >> k & 1) << i
         cells = np.zeros(2 ** (first[p + 1] - first[p]))
         cells[full] = sub_cells
-        out.append((cells, path))
+        out.append(Settled(cells, None, path, p))
     return out
 
 
@@ -439,15 +839,14 @@ def _pattern_probabilities(
     mc_budget: int,
     rng_seed: int,
     want: Optional[Sequence[bool]] = None,
-) -> Tuple[Union[float, np.ndarray], bool]:
+) -> Settled:
     """``_pattern_batch`` of one pair with every item active, on stream
-    child_rng(rng_seed): (P(pattern == want) or cells, exact), where exact
-    means standard error 0."""
+    child_rng(rng_seed)."""
     gs.coords(pair, [t for t, _ in items])  # ValueError unless each time is in the pair's lifetime
     active = np.ones((1, len(items)), dtype=bool)
     wanted = None if want is None else np.array([want], dtype=bool)
-    ((value, path),) = _pattern_batch([gs], [pair], items, active, wanted, mc_budget, lambda _: rng_seed)
-    return value, path != MC
+    (settled,) = _pattern_batch([gs], [pair], items, active, wanted, mc_budget, lambda _: rng_seed)
+    return settled
 
 
 def region_probability(
@@ -465,9 +864,12 @@ def region_probability(
     coordinates; entries that their 1-D bounds settle within 1e-12 are
     pinned (one pinned against its side gives exactly 0, with no draws);
     the rest are evaluated in closed form (standard error 0) when they are
-    single boxes on uncorrelated coordinates, else by plain Monte Carlo on
-    their bounded coordinates. A Monte Carlo estimate of exactly 0 or 1
-    reports a standard error of about 1/mc_budget, not 0 (mc_budget >= 2).
+    single boxes on uncorrelated coordinates, by randomized QMC when they
+    are single boxes on correlated ones (about mc_budget // 16 lattice
+    points; the standard error is the spread across random shifts), else
+    by plain Monte Carlo on their bounded coordinates. A Monte Carlo
+    estimate of exactly 0 or 1 reports a standard error of about
+    1/mc_budget, not 0 (mc_budget >= 2).
     """
     if not entries:
         raise ValueError("entries must be nonempty")
@@ -478,8 +880,8 @@ def region_probability(
             raise DimensionMismatchError(f"region dim {region.dim} != state dim {gs.dim}")
     items = [(t, region) for t, region, _ in entries]
     want = [side == INSIDE for _, _, side in entries]
-    p, exact = _pattern_probabilities(gs, pair, items, mc_budget, rng_seed, want)
-    return p, 0.0 if exact else _binomial_se(p, int(mc_budget))
+    settled = _pattern_probabilities(gs, pair, items, mc_budget, rng_seed, want)
+    return settled.value, settled.se
 
 
 def alive_probability(pmf: BirthDeathPmf, predicate: Callable[[Pair], bool]) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from trajconstrain import (
     existence_pairs,
 )
 from trajconstrain.engine import _component_seed
-from trajconstrain.gaussian import _bounded_masks, _interval_masses, _PIN_TOL, child_rng
+from trajconstrain import gaussian
+from trajconstrain.gaussian import _binomial_se, _bounded_masks, _interval_masses, _PIN_TOL, child_rng
 from trajconstrain.kernels import pattern_codes
 
 
@@ -75,10 +77,87 @@ def component_seeds(m, rng_seed):
     return seeds
 
 
+def _quantile(p):
+    return gaussian._ndtri(np.clip(p, 0.0, 1.0))
+
+
+def qmc_per_pair(mean, cov, lo, hi, out, mc_budget, rng_seed):
+    """Randomized QMC separation of variables for one problem of
+    ``gaussian._qmc_settle``, cell by cell and coordinate by coordinate:
+    the reference that the batch must equal bit for bit. Shares only the
+    Cholesky factor and the normal CDF and quantile with the library."""
+    k = mean.size
+    shifts, n = gaussian._QMC_SHIFTS, gaussian._qmc_points(mc_budget)
+    sd = np.sqrt(np.diag(cov))
+    mass = np.ones(k)
+    for c in range(lo.shape[0]):
+        p_in, p_out = _interval_masses(lo[c], hi[c], mean, sd)
+        mass = np.minimum(mass, np.where(out[c], p_out, p_in))
+    order = np.argsort(mass, kind="stable")
+    mean, cov, lo, hi, out = mean[order], cov[np.ix_(order, order)], lo[:, order], hi[:, order], out[:, order]
+    factor = gaussian._cholesky(cov[None])[0]
+    shift = child_rng(rng_seed).random((shifts, k - 1)).T
+    primes = gaussian._primes(k)
+    est = np.zeros(shifts)
+    for c in range(lo.shape[0]):
+        offset = np.zeros((k, shifts, n))
+        weight = np.ones((shifts, n))
+        for j in range(k):
+            s = factor[j, j]
+            centre = mean[j] + offset[j]
+            if s > 0.0:
+                a, b = (lo[c, j] - centre) / s, (hi[c, j] - centre) / s
+            else:
+                a = np.where(lo[c, j] <= centre, -np.inf, np.inf)
+                b = np.where(hi[c, j] >= centre, np.inf, -np.inf)
+            cdf_a, cdf_neg_a, cdf_b, cdf_neg_b = (gaussian._ndtr(x) for x in (a, -a, b, -b))
+            if out[c, j]:
+                e = cdf_a + cdf_neg_b
+            else:
+                e = np.where(a > 0.0, cdf_neg_a - cdf_neg_b, cdf_b - cdf_a)
+            weight *= e
+            if j == k - 1:
+                break
+            x = (np.arange(n) * (math.sqrt(primes[j]) % 1.0))[None, :] + shift[j][:, None]
+            x -= np.floor(x)
+            v = (1.0 - np.abs(2.0 * x - 1.0)) * e
+            if out[c, j]:
+                # lo down to -inf, then +inf down to hi
+                z = np.where(v < cdf_a, _quantile(cdf_a - v), -_quantile(v - cdf_a))
+            else:
+                z = np.where(a > 0.0, -_quantile(cdf_neg_a - v), _quantile(cdf_a + v))
+            z = np.clip(z, -40.0, 40.0)
+            for i in range(j + 1, k):
+                offset[i] += factor[i, j] * z
+        est += weight.mean(axis=1)
+    return min(est.mean(), 1.0), est.std(ddof=1) / math.sqrt(shifts)
+
+
+def product_cells(boxes):
+    """(lo, hi, out) cells of single boxes (low, high, inside) side by side:
+    a complement of k bounded dims is k cells, "the first dim outside is j"."""
+    options = []
+    for low, high, inside in boxes:
+        k = low.size
+        if inside:
+            options.append([(low, high, [False] * k)])
+        else:
+            cells = []
+            for j in range(k):
+                lows = [low[d] if d <= j else -np.inf for d in range(k)]
+                highs = [high[d] if d <= j else np.inf for d in range(k)]
+                cells.append((lows, highs, [d == j for d in range(k)]))
+            options.append(cells)
+    cells = [tuple(np.concatenate(part) for part in zip(*combo)) for combo in itertools.product(*options)]
+    return tuple(np.array([cell[i] for cell in cells]) for i in range(3))
+
+
 def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=None):
     """The primitive one pair at a time, item by item, as it was before pairs
     were batched: the reference that the batch must equal bit for bit.
-    Returns (P(pattern == want) or cells, exact)."""
+    Returns (P(pattern == want) or cells, standard error, path), the path
+    "exact" (pinned or closed form), "qmc" or "mc" and the standard error
+    None for cells."""
     m = len(items)
     bounded = [
         (region.lows[:, region.bounded_dims], region.highs[:, region.bounded_dims], gs.coords(pair, [t])[region.bounded_dims])
@@ -104,12 +183,18 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     holds = lower >= 1.0 - _PIN_TOL
     fails = ~holds & (np.bincount(box_item, box_in, m) <= _PIN_TOL)
     if want is not None and np.any(np.where(want, fails, holds)):
-        return 0.0, True
+        return 0.0, 0.0, "exact"
     free = np.flatnonzero(~(holds | fails)).tolist()
 
     cols = np.concatenate([bounded[i][2] for i in free]) if free else np.empty(0, dtype=np.intp)
     cov = gs.cov[np.ix_(cols, cols)]
-    exact = all(n_boxes[i] == 1 for i in free) and not np.any(cov - np.diag(np.diag(cov)))
+    single = all(n_boxes[i] == 1 for i in free)
+    exact = single and not np.any(cov - np.diag(np.diag(cov)))
+    if want is not None and single and not exact:
+        boxes = [(bounded[i][0][0], bounded[i][1][0], want[i]) for i in free]
+        if math.prod(low.size for low, _, inside in boxes if not inside) <= 64:
+            value, se = qmc_per_pair(gs.mean[cols], cov, *product_cells(boxes), mc_budget, rng_seed)
+            return value, se, "qmc"
     if exact:
         q = [math.prod(p_in[starts[i] : starts[i + 1]].tolist()) for i in free]
     else:
@@ -118,11 +203,12 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
 
     if want is not None:
         if exact:
-            return float(np.prod([q[k] if want[i] else 1.0 - q[k] for k, i in enumerate(free)])), True
+            return float(np.prod([q[k] if want[i] else 1.0 - q[k] for k, i in enumerate(free)])), 0.0, "exact"
         hit = np.ones(masks.shape[1], dtype=bool)
         for k, i in enumerate(free):
             hit &= masks[k] if want[i] else ~masks[k]
-        return float(hit.mean()), False
+        p = float(hit.mean())
+        return p, _binomial_se(p, int(mc_budget)), "mc"
 
     sub = np.arange(2 ** len(free))
     if exact:
@@ -136,7 +222,7 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
         full |= (sub >> k & 1) << i
     cells = np.zeros(2**m)
     cells[full] = sub_cells
-    return cells, exact
+    return cells, None, "exact" if exact else "mc"
 
 
 @pytest.fixture

@@ -136,7 +136,7 @@ class TestConstrain:
         cfg = base_config()
         # The hypotheses die at 5, 6 or 7. Death 5 meets only the gate at 3
         # (closed form); death 6 also the gate at 6, correlated with it
-        # (Monte Carlo); death 7 also a gate 50 sd away, pinned outside (0).
+        # (QMC); death 7 also a gate 50 sd away, pinned outside (0).
         cfg["constraints"]["items"] = [
             {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
             {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
@@ -154,9 +154,9 @@ class TestConstrain:
         assert code == EXIT_OK
         infos = list(seen[0].density.pair_info.values())
         paths = json.loads((out / "summary.json").read_text())["pair_paths"]
-        assert paths == {"pinned": 3, "closed_form": 3, "mc": 3}
+        assert paths == {"pinned": 3, "closed_form": 3, "qmc": 3, "mc": 0}
         assert paths == {path: sum(i.path == path for i in infos) for path in paths}
-        assert all((i.path == "mc") == (i.spatial_se > 0.0) for i in infos)
+        assert all((i.path in ("mc", "qmc")) == (i.spatial_se > 0.0) for i in infos)
 
     def test_zero_support_is_numeric_error(self, tmp_path):
         cfg = base_config()

@@ -168,12 +168,12 @@ class TestDisjunct:
 
     @pytest.mark.parametrize("mc_budget", [0, 1])
     def test_partitions_reject_a_budget_below_two(self, mc_budget):
-        # a Monte Carlo pair: two correlated steps, two half-line gates
+        # a pair that samples: two correlated steps, two half-line gates
         gs = GaussianSequence(np.zeros(2), np.array([[1.0, 0.9], [0.9, 1.0]]), 1)
         td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,))
         cs = ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, HALF_LINE)], "disjunct")
         ctd, _ = constrain_density(td, cs, 1_000)
-        assert ctd.pair_info[(0, 1)].path == "mc"
+        assert ctd.pair_info[(0, 1)].path in ("mc", "qmc")
         with pytest.raises(ValueError, match="mc_budget"):
             disjunct_partitions(ctd, (0, 1), mc_budget)
         with pytest.raises(ValueError, match="mc_budget"):
@@ -332,6 +332,29 @@ class TestRejectionSampling:
         assert constrained_marginals(ctd, 2, rng_seed=0).accepted[(0, 0)] == 1
         with pytest.raises(ValueError, match="fewer than 2"):
             ctd.moment_matched(2, rng_seed=0)
+
+    def test_moment_matched_drops_single_draw_pairs(self, caplog):
+        """On the 40 conftest densities (window 0..5, both modes, budgets 2e3
+        and 2e4), a pair that accepted one draw is dropped and logged
+        instead of failing the whole call."""
+        window = TimeWindow(0, 5)
+        dropped = 0
+        with caplog.at_level(logging.WARNING, logger="trajconstrain"):
+            for seed in range(40):
+                for mode in ("conjunct", "disjunct"):
+                    rng = np.random.default_rng(seed)
+                    td = random_density(rng, window)
+                    cs = random_constraint_set(rng, window, td.dim, mode=mode)
+                    for budget in (2_000, 20_000):
+                        ctd, _ = constrain_density(td, cs, budget, rng_seed=seed)
+                        if ctd.degenerate:
+                            continue
+                        mm = ctd.moment_matched(budget, rng_seed=seed)
+                        accepted = constrained_marginals(ctd, budget, rng_seed=seed).accepted
+                        assert set(mm.pmf.pairs) == {pair for pair, n in accepted.items() if n >= 2}
+                        dropped += any(n == 1 for n in accepted.values())
+        assert dropped > 0
+        assert sum("single draw" in r.getMessage() for r in caplog.records) == dropped
 
     @pytest.mark.parametrize("mc_budget", [0, 1, -5])
     @pytest.mark.parametrize("view", ["constrained_marginals", "moment_matched", "sample_cloud"])
@@ -608,6 +631,66 @@ class TestDroppedStrata:
             assert not dropped, (seed, dropped)
 
 
+class TestQmcPairs:
+    def two_deaths(self):
+        """Pairs (0, 1) and (0, 2) whose steps 0-1 are byte-identical, as the
+        deaths of one birth of a smoothed track are; correlated steps."""
+        a = np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0], [0.5, 0.5, 0.7]])
+        long = GaussianSequence(np.array([0.1, -0.2, 0.3]), a @ a.T, 1)
+        short = gaussian.marginal(long, (0, 2), [0, 1])
+        return TrajectoryDensity(BirthDeathPmf(((0, 1), (0, 2)), np.array([0.3, 0.7])), (short, long))
+
+    def test_identical_pairs_share_one_estimate(self):
+        td = self.two_deaths()
+        items = [(0, HALF_LINE), (1, StateRegion.box([(-0.5, 0.5)]))]
+        asked = []
+
+        def stream(p):
+            asked.append(p)
+            return 11 + p
+
+        out = gaussian._pattern_batch(
+            td.conditionals, td.pmf.pairs, items, np.ones((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool), 20_000, stream
+        )
+        assert [s.path for s in out] == [gaussian.QMC, gaussian.QMC]
+        assert [s.leader for s in out] == [0, 0]
+        assert out[0][:2] == out[1][:2] and out[0].se > 0.0
+        assert asked == [0]
+
+    def test_joint_se_adds_a_groups_errors_linearly(self):
+        td = self.two_deaths()
+        cs = ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, StateRegion.box([(-0.5, 0.5)]))], "disjunct")
+        ctd, report = constrain_density(td, cs, 20_000, rng_seed=3)
+        first, second = ctd.pair_info[(0, 1)], ctd.pair_info[(0, 2)]
+        assert first.path == second.path == "qmc"
+        assert (first.spatial_prob, first.spatial_se) == (second.spatial_prob, second.spatial_se)
+        # perfectly correlated errors: 0.3 se + 0.7 se, not sqrt(0.3^2 + 0.7^2) se
+        assert report.joint_se == pytest.approx(first.spatial_se, rel=1e-12)
+
+    def test_fallbacks_to_monte_carlo_are_logged_with_their_reason(self, caplog):
+        a = np.array([[1.0, 0.0], [0.9, 0.4]])
+        gs = GaussianSequence(np.zeros(2), a @ a.T, 1)
+        two_boxes = StateRegion.boxes([[(-1.0, 0.0)], [(0.5, 1.5)]])
+        with caplog.at_level(logging.INFO, logger="trajconstrain"):
+            _, se = gaussian.region_probability(gs, (0, 1), [(0, two_boxes, "inside"), (1, HALF_LINE, "inside")], 1_000, 1)
+            # three complements of 5-d boxes split into 5^3 = 125 cells, over the cap of 64
+            d = 5
+            b = np.random.default_rng(0).standard_normal((3 * d, 3 * d))
+            wide = GaussianSequence(np.zeros(3 * d), b @ b.T / d + np.eye(3 * d), d)
+            box = StateRegion.box([(-1.0, 1.0)] * d)
+            settled = gaussian._pattern_probabilities(wide, (0, 2), [(t, box) for t in range(3)], 1_000, 2, [False] * 3)
+            td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,))
+            ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, HALF_LINE)], "disjunct"), 1_000)
+            disjunct_partitions(ctd, (0, 1), 1_000)
+        assert se > 0.0 and settled.path == gaussian.MC
+        messages = [r.getMessage() for r in caplog.records if r.name == "trajconstrain"]
+        assert messages == [
+            "1 of 1 pairs settled by Monte Carlo instead of QMC (multi-box item: 1)",
+            "1 of 1 pairs settled by Monte Carlo instead of QMC (over 64 cells: 1)",
+            "1 of 1 pairs settled by Monte Carlo instead of QMC (partition cells: 1)",
+        ]
+
+
 class TestPmbm:
     def test_componentwise_and_weights(self, rng):
         ppp = PppTrajectory(2.0, random_density(rng, TimeWindow(0, 3), 1))
@@ -706,14 +789,15 @@ class TestPmbm:
                     info = c.density.pair_info[pair]
                     items = [(cs.constraints[i].time, cs.constraints[i].region) for i in info.active]
                     flip = mode == "disjunct" and len(items) > 1
-                    p, exact = pattern_probabilities_per_pair(
+                    p, se, kind = pattern_probabilities_per_pair(
                         td.conditionals[j], pair, items, budget, engine._pair_seed(seeds[id(td)], j), [not flip] * len(items)
                     )
                     assert info.spatial_prob == (1.0 - p if flip else p)
-                    assert info.spatial_se == (0.0 if exact else gaussian._binomial_se(p, budget))
-                    assert (info.path == "mc") == (not exact) == (info.spatial_se > 0.0)
+                    assert info.spatial_se == se
+                    assert (info.path in ("mc", "qmc")) == (kind != "exact") == (info.spatial_se > 0.0)
                     paths.add(info.path)
-        assert paths == {"no support", "pinned", "closed_form", "mc"}
+        # single-box regions only: every pair that the 1-D bounds and the closed form leave is QMC
+        assert paths == {"no support", "pinned", "closed_form", "qmc"}
 
     def test_track_missing_every_constraint_time(self, rng):
         window = TimeWindow(0, 5)

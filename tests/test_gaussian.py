@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
+from scipy.stats import binom, multivariate_normal
+from scipy.stats import t as student_t
 
 from trajconstrain import (
     BirthDeathPmf,
@@ -20,10 +22,13 @@ from trajconstrain import (
 )
 from trajconstrain import gaussian
 from trajconstrain.gaussian import (
+    COMPLEMENT,
+    INSIDE,
     SampleCloud,
     Stratum,
     _interval_masses,
     _ndtr,
+    _ndtri,
     _pattern_probabilities,
     step_moments,
 )
@@ -156,6 +161,31 @@ class TestNdtr:
             for got, want in zip(_interval_masses(lows, highs, mean, sd), reference(lows, highs, mean, sd)):
                 assert got.shape == (boxes, dims)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+class TestNdtri:
+    def test_matches_scipy(self):
+        p = np.concatenate(
+            [
+                np.logspace(-300, -1e-16, 100_001),
+                1.0 - np.logspace(-16, -0.31, 20_001),
+                np.linspace(1e-9, 1.0 - 1e-9, 100_001),
+            ]
+        )
+        p = p[(p > 1e-300) & (p < 1.0 - 1e-16)]
+        got, ref = _ndtri(p), ndtri(p)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    def test_special_values_and_shape(self):
+        np.testing.assert_array_equal(_ndtri(np.array([0.0, 0.5, 1.0])), [-np.inf, 0.0, np.inf])
+        assert np.isnan(_ndtri(np.array([-0.1, 1.1, np.nan]))).all()
+        for shape in [(), (0,), (2, 3)]:
+            assert _ndtri(np.full(shape, 0.3)).shape == shape
+
+    def test_inverts_ndtr_in_the_lower_tail(self):
+        # where Phi(x) keeps its relative precision (x <= 0), the quantile gives x back
+        x = np.linspace(-37.0, 0.0, 10_001)
+        np.testing.assert_allclose(_ndtri(_ndtr(x)), x, rtol=1e-13, atol=1e-15)
 
 
 class TestMarginal:
@@ -376,7 +406,8 @@ class TestPatternProbabilities:
                 mean = gs.mean[t * dim : (t + 1) * dim]
                 items.append((t, _region(rng, dim, mean, "near-2" if kind == "near-1" and dim == 1 else kind)))
             brute = _brute_cells(gs, (0, length - 1), items, self.N_BRUTE, 10_000 + i)
-            cells, exact = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i)
+            cells, _, path, _ = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i)
+            exact = path in (gaussian.PINNED, gaussian.CLOSED_FORM)
             paths.add("exact" if exact else "mc")
             assert cells.sum() == pytest.approx(1.0, abs=1e-12)
             var = cells * (1 - cells) * (0.0 if exact else 1.0 / self.BUDGET) + brute * (1 - brute) / self.N_BRUTE
@@ -387,7 +418,8 @@ class TestPatternProbabilities:
 
             want = [bool(b) for b in rng.integers(0, 2, m)]
             code = sum(w << k for k, w in enumerate(want))
-            p, exact_w = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i, want)
+            p, _, path, _ = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i, want)
+            exact_w = path in (gaussian.PINNED, gaussian.CLOSED_FORM)
             var = p * (1 - p) * (0.0 if exact_w else 1.0 / self.BUDGET) + brute[code] * (1 - brute[code]) / self.N_BRUTE
             assert abs(p - brute[code]) <= max(4 * math.sqrt(var), 1e-9), (i, chosen, want, p, brute[code])
             if exact_w and diag and all(r.n_boxes == 1 for _, r in items):
@@ -420,8 +452,8 @@ class TestPatternProbabilities:
             (1, StateRegion.box([(50, None)]), "complement"),
         ]
         assert region_probability(gs, (0, 1), entries) == (0.5, 0.0)
-        cells, exact = _pattern_probabilities(gs, (0, 1), [(0, StateRegion.full_space(1)), (1, StateRegion.full_space(1))], 10, 0)
-        assert exact and cells.tolist() == [0.0, 0.0, 0.0, 1.0]
+        cells, _, path, _ = _pattern_probabilities(gs, (0, 1), [(0, StateRegion.full_space(1)), (1, StateRegion.full_space(1))], 10, 0)
+        assert path == gaussian.PINNED and cells.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def conftest_densities(diag=False):
@@ -431,7 +463,8 @@ def conftest_densities(diag=False):
 
 class TestPatternBatch:
     """``_pattern_batch`` over many pairs equals the per-pair reference of
-    conftest bit for bit, and asks for the stream of Monte Carlo pairs only."""
+    conftest bit for bit, and asks for the stream of QMC and Monte Carlo
+    pairs only, once each."""
 
     BUDGET = 2_000
     KINDS = ["near-1", "near-2", "multi", "wide", "tail", "far", "huge"]
@@ -476,11 +509,14 @@ class TestPatternBatch:
 
                 out = gaussian._pattern_batch(conds, pairs, items, active, want, self.BUDGET, stream)
                 assert len(out) == len(rows)
-                for p, (value, path) in enumerate(out):
+                for p, (value, se, path, leader) in enumerate(out):
                     its = [items[i] for i in np.flatnonzero(active[p])]
                     w = None if want is None else want[p][active[p]].tolist()
-                    ref, exact = pattern_probabilities_per_pair(conds[p], pairs[p], its, self.BUDGET, 100 * seed + p, w)
-                    assert exact == (path != gaussian.MC), (seed, p)
+                    ref, ref_se, kind = pattern_probabilities_per_pair(conds[p], pairs[p], its, self.BUDGET, 100 * seed + p, w)
+                    assert kind == {gaussian.MC: "mc", gaussian.QMC: "qmc"}.get(path, "exact"), (seed, p)
+                    # random conditionals: no two pairs share an estimate
+                    assert leader == p
+                    assert se == ref_se, (seed, p, se, ref_se)
                     if want is None:
                         assert np.array_equal(value, ref), (seed, p, value, ref)
                         if path == gaussian.PINNED:
@@ -493,9 +529,103 @@ class TestPatternBatch:
                     seen.update(f"{r.n_boxes} boxes, {r.bounded_dims.size}-d" for _, r in its)
                     if len({id(r) for _, r in its}) < len(its):
                         seen.add("shared region")
-                assert asked == [p for p, (_, path) in enumerate(out) if path == gaussian.MC]
-        assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.MC, "shared region"} <= seen
+                assert sorted(asked) == [p for p, s in enumerate(out) if s.path in (gaussian.MC, gaussian.QMC)]
+                assert len(set(asked)) == len(asked)
+        assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.QMC, gaussian.MC, "shared region"} <= seen
         assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d", "1 boxes, 0-d"} <= seen
+
+
+def _box_probability(mean, cov, cols, lo, hi):
+    """P(lo <= y[cols] <= hi) for y ~ N(mean, cov), by scipy (Genz's MVNDST)."""
+    if not cols:
+        return 1.0
+    m, c = mean[cols], cov[np.ix_(cols, cols)]
+    if len(cols) == 1:
+        sd = math.sqrt(c[0, 0])
+        return float(ndtr((hi[0] - m[0]) / sd) - ndtr((lo[0] - m[0]) / sd))
+    return float(multivariate_normal.cdf(hi, m, c, abseps=1e-10, releps=1e-10, lower_limit=lo))
+
+
+def _sides_probability(mean, cov, boxes):
+    """P(every box (cols, lo, hi, inside) is on its side) by inclusion-exclusion
+    over the boxes wanted outside: sum over subsets S of them of (-1)^|S|
+    P(inside the wanted-inside boxes and the boxes of S)."""
+    ins = [b for b in boxes if b[3]]
+    outs = [b for b in boxes if not b[3]]
+    total = 0.0
+    for mask in range(2 ** len(outs)):
+        chosen = ins + [b for k, b in enumerate(outs) if mask >> k & 1]
+        cols = [c for b in chosen for c in b[0]]
+        lo = np.concatenate([b[1] for b in chosen]) if chosen else np.empty(0)
+        hi = np.concatenate([b[2] for b in chosen]) if chosen else np.empty(0)
+        total += (-1) ** bin(mask).count("1") * _box_probability(mean, cov, cols, lo, hi)
+    return total
+
+
+def _qmc_cases(n_cases):
+    """QMC problems on the conftest densities: per density, one pair of at
+    least 2 steps with 2-3 gates on its dim 0 (or, on dim-2 densities every
+    third case, a box bounding both dims, whose complement is 2 cells) and a
+    want pattern cycling conjunct, disjunct (all outside) and mixed. Yields
+    (gs, pair, items, want, boxes, exact probability)."""
+    densities = conftest_densities()
+    for case in range(n_cases):
+        td = densities[case % len(densities)]
+        rng = np.random.default_rng(5000 + case)
+        long = [j for j, (b, e) in enumerate(td.pmf.pairs) if e - b >= 1]
+        j = long[int(rng.integers(0, len(long)))]
+        (b, e), gs, d = td.pmf.pairs[j], td.conditionals[j], td.dim
+        times = sorted(int(t) for t in rng.choice(np.arange(b, e + 1), min(e - b + 1, 3 if d == 1 else 2), replace=False))
+        items, want, boxes = [], [], []
+        for k, t in enumerate(times):
+            both = d == 2 and case % 3 == 0 and k == 0
+            dims = [0, 1] if both else [0]
+            cols = [(t - b) * d + x for x in dims]
+            sd = np.sqrt(gs.cov.diagonal()[cols])
+            lo = gs.mean[cols] + sd * rng.uniform(-1.5, 0.5, len(cols))
+            hi = lo + sd * rng.uniform(0.5, 2.0, len(cols))
+            inside = [True, False, bool(rng.integers(0, 2))][case % 3] and not both
+            bounds = [(float(l), float(h)) for l, h in zip(lo, hi)] + [None] * (d - len(dims))
+            items.append((t, StateRegion.box(bounds)))
+            want.append(inside)
+            boxes.append((cols, lo, hi, inside))
+        yield gs, (b, e), items, want, boxes, _sides_probability(gs.mean, gs.cov, boxes)
+
+
+class TestQmcPairs:
+    """Pairs of single boxes on correlated coordinates, settled by
+    randomized QMC, against scipy's multivariate normal CDF."""
+
+    def test_against_scipy_by_inclusion_exclusion(self):
+        seen = set()
+        worst = 0.0
+        for case, (gs, pair, items, want, boxes, exact) in enumerate(_qmc_cases(80)):
+            settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
+            assert settled.path == gaussian.QMC
+            assert 0.0 < settled.se <= 1e-3
+            z = abs(settled.value - exact) / settled.se
+            assert z <= 6.0, (case, settled, exact)
+            worst = max(worst, z)
+            seen.add("conjunct" if all(want) else "disjunct" if not any(want) else "mixed")
+            seen.update("2-cell complement" for cols, _, _, inside in boxes if len(cols) == 2 and not inside)
+        assert seen == {"conjunct", "disjunct", "mixed", "2-cell complement"}
+        assert worst > 0.5  # the bound is met by estimates with error, not by exact ones
+
+    def test_standard_errors_are_honest(self):
+        """On fresh streams, an estimate's error over its standard error is
+        about t-distributed with R - 1 degrees of freedom (R random shifts):
+        |z| > 4 may occur as often as that distribution says, with a
+        binomial allowance at 1e-4."""
+        zs = []
+        for gs, pair, items, want, _, exact in _qmc_cases(30):
+            for seed in range(8):
+                settled = _pattern_probabilities(gs, pair, items, 4_000, 900 + seed, want)
+                zs.append((settled.value - exact) / settled.se)
+        zs = np.array(zs)
+        allowed = binom.isf(1e-4, zs.size, 2.0 * student_t.sf(4.0, gaussian._QMC_SHIFTS - 1))
+        assert np.sum(np.abs(zs) > 4.0) <= allowed, np.sort(np.abs(zs))[-5:]
+        # neither far too small nor far too large a standard error
+        assert 0.5 <= np.std(zs) <= 2.0
 
 
 class TestAliveProbability:
