@@ -11,6 +11,7 @@ require the trajectory to be alive at at least one constraint time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -140,6 +141,11 @@ class StateRegion:
             np.vstack([r.lows for r in regions]),
             np.vstack([r.highs for r in regions]),
         )
+
+    @cached_property
+    def bounded_region(self) -> "StateRegion":
+        """The region over its bounded dimensions only, built on first use."""
+        return StateRegion(self.lows[:, self.bounded_dims], self.highs[:, self.bounded_dims])
 
     @property
     def dim(self) -> int:

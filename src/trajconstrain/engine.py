@@ -286,15 +286,20 @@ def _constrain_densities(
         probs = td.pmf.probs.tolist()
         if not any(probs[j] > 0.0 for j in meets):
             meets = []
-        qualifying.append([(td.pmf.pairs[j], probs[j], tuple(np.flatnonzero(active[j]).tolist())) for j in meets])
+        qualifying.append([(td.pmf.pairs[j], probs[j]) for j in meets])
         conds.extend(td.conditionals[j] for j in meets)
         pairs.extend(td.pmf.pairs[j] for j in meets)
         rows.append(active[meets])
         owners.extend((k, j) for j in meets)
     active = np.concatenate(rows)
+    n_active = active.sum(axis=1)
+    # The active constraint indices of every pair, from one nonzero over the batch.
+    ends = np.cumsum(n_active).tolist()
+    cols = np.nonzero(active)[1].tolist()
+    acts = [tuple(cols[i:j]) for i, j in zip([0] + ends[:-1], ends)]
     # A disjunct pair holds unless every active constraint fails. With one
     # active constraint both modes take P(inside), so they agree exactly.
-    complement = (cs.mode == DISJUNCT) & (active.sum(axis=1) > 1)
+    complement = (cs.mode == DISJUNCT) & (n_active > 1)
     want = np.repeat(~complement[:, None], len(cs), axis=1)
     items = [(c.time, c.region) for c in cs.constraints]
 
@@ -302,7 +307,7 @@ def _constrain_densities(
         k, j = owners[p]
         return _pair_seed(component_seed(k), j)
 
-    settled = iter(zip(_pattern_batch(conds, pairs, items, active, want, mc_budget, seed), complement.tolist()))
+    settled = iter(zip(_pattern_batch(conds, pairs, items, active, want, mc_budget, seed), complement.tolist(), acts))
     results: List[Optional[Tuple[ConstrainedTrajectoryDensity, ConstraintReport]]] = []
     for td, qual in zip(tds, qualifying):
         if not qual:
@@ -312,16 +317,16 @@ def _constrain_densities(
         # The p-weighted SEs of pairs that share one estimate add linearly:
         # their errors are the same error.
         group_se: Dict[int, float] = {}
-        for pair, prob, act in qual:
-            (p, se, path, leader), flip = next(settled)
+        for pair, prob in qual:
+            (p, se, path, leader), flip, act = next(settled)
             pair_info[pair] = PairConstraintInfo(pair, act, 1.0 - p if flip else p, se, path)
             group_se[leader] = group_se.get(leader, 0.0) + prob * se
 
         # Summed pmf masses may exceed 1 by rounding; reported probabilities are clipped to [0, 1].
-        prob_alive = min(math.fsum(p for _, p, _ in qual), 1.0)
+        prob_alive = min(math.fsum(p for _, p in qual), 1.0)
         # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
         # which is what rejection sampling through the constraint indicators yields.
-        masses = np.array([p * pair_info[pair].spatial_prob for pair, p, _ in qual])
+        masses = np.array([p * pair_info[pair].spatial_prob for pair, p in qual])
         total = math.fsum(masses)
         joint = min(total, 1.0)
         joint_se = math.sqrt(sum(se**2 for se in group_se.values()))
@@ -330,7 +335,7 @@ def _constrain_densities(
         pmf = None
         if total > 0.0:
             keep = masses > 0.0
-            pmf = BirthDeathPmf(tuple(pair for (pair, _, _), k in zip(qual, keep) if k), masses[keep] / total)
+            pmf = BirthDeathPmf(tuple(pair for (pair, _), k in zip(qual, keep) if k), masses[keep] / total)
         results.append((ConstrainedTrajectoryDensity(td, cs, pmf, pair_info), report))
     return results
 

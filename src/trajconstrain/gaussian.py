@@ -288,10 +288,9 @@ def _bounded_masks(regions: Sequence[StateRegion], y: np.ndarray) -> np.ndarray:
     masks = np.empty((len(regions), y.shape[0]), dtype=bool)
     start = 0
     for k, region in enumerate(regions):
-        dims = region.bounded_dims
-        box = StateRegion(region.lows[:, dims], region.highs[:, dims])
-        masks[k] = box.contains_batch(y[:, start : start + dims.size])
-        start += dims.size
+        box = region.bounded_region
+        masks[k] = box.contains_batch(y[:, start : start + box.dim])
+        start += box.dim
     return masks
 
 
@@ -555,12 +554,12 @@ def _product_cells(regions: Sequence[StateRegion], inside: Sequence[bool]) -> Tu
     free after it. The cells of several regions are the product of theirs."""
     options = []
     for region, want_in in zip(regions, inside):
-        dims = region.bounded_dims
-        low, high = region.lows[0, dims], region.highs[0, dims]
+        box = region.bounded_region
+        low, high = box.lows[0], box.highs[0]
         if want_in:
-            options.append([(low, high, np.zeros(dims.size, dtype=bool))])
+            options.append([(low, high, np.zeros(box.dim, dtype=bool))])
             continue
-        steps = np.arange(dims.size)
+        steps = np.arange(box.dim)
         options.append(
             [
                 (np.where(steps <= j, low, -np.inf), np.where(steps <= j, high, np.inf), steps == j)
@@ -723,7 +722,8 @@ def _pattern_batch(
         dims = region.bounded_dims
         ks = np.flatnonzero(np.isin(ii, its))
         cols = base[ks, None, None] + dims
-        p_in, p_out = _interval_masses(region.lows[:, dims], region.highs[:, dims], mean[cols], np.sqrt(var[cols]))
+        box = region.bounded_region
+        p_in, p_out = _interval_masses(box.lows, box.highs, mean[cols], np.sqrt(var[cols]))
         upper[ks] = p_in.min(axis=2, initial=1.0).sum(axis=1)
         lower[ks] = (1.0 - p_out.sum(axis=2)).max(axis=1)
         # A single-box item's P(inside) is the product over its dims.

@@ -4,9 +4,11 @@ Ground truth follows the standard linear-Gaussian point-target model:
 Poisson births, per-step survival, linear transition with additive noise.
 Measurements are linear detections plus uniform Poisson clutter.
 ``fit_bernoulli_track`` turns one associated measurement sequence into a
-Bernoulli trajectory density by filtering/smoothing every plausible
-(birth, death) hypothesis and weighting hypotheses by measurement evidence
-and birth/survival priors.
+Bernoulli trajectory density over every plausible (birth, death) hypothesis:
+one Kalman filter and RTS smoother pass carries all births of the track in
+lockstep (``_smooth_births``), each death's Gaussian is the leading block of
+its birth's smoothed joint, and hypotheses are weighted by measurement
+evidence and birth/survival priors.
 """
 
 from __future__ import annotations
@@ -170,6 +172,85 @@ def simulate_measurements(
     return out
 
 
+def _smooth_births(
+    births: Sequence[int],
+    eps: int,
+    meas: Dict[int, np.ndarray],
+    mm: MotionModel,
+    sm: SensorModel,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kalman filter + RTS smoother over b..eps for every b of the ascending
+    ``births`` at once, on a leading batch axis.
+
+    Returns the joint smoothed means (len(births), N * d), covariances
+    (len(births), N * d, N * d) with cross-time blocks from the smoother gains,
+    and log marginal measurement likelihoods (len(births),), where
+    N = eps - births[0] + 1. Birth i's joint is the trailing block from
+    coordinate (births[i] - births[0]) * d; the leading coordinates of its
+    row are unused. At global step s the live births, those born at or
+    before s, are a prefix of the batch, so every operation runs on a
+    prefix; each is a stacked copy of the one-birth operation, which keeps
+    every number bit-identical to smoothing the births one at a time.
+    """
+    F, Q, H, R = mm.transition, mm.process_noise, sm.measurement, sm.noise
+    d = mm.dim
+    nb, b0 = len(births), births[0]
+    nu = eps - b0 + 1
+    # live[s]: births alive at step b0 + s
+    live = np.searchsorted(births, np.arange(b0, eps + 1), side="right").tolist()
+    means_f = np.empty((nb, nu, d))
+    covs_f = np.empty((nb, nu, d, d))
+    means_p = np.empty((nb, nu, d))
+    covs_p = np.empty((nb, nu, d, d))
+    log_lik = np.zeros(nb)
+    m = np.empty((nb, d))
+    P = np.empty((nb, d, d))
+    was = 0
+    for s, a in enumerate(live):
+        m[:was] = (F @ m[:was, :, None])[..., 0]
+        P[:was] = F @ P[:was] @ F.T + Q
+        m[was:a], P[was:a] = mm.birth_mean, mm.birth_cov
+        means_p[:a, s], covs_p[:a, s] = m[:a], P[:a]
+        z = meas.get(b0 + s)
+        if z is not None:
+            S = H @ P[:a] @ H.T + R
+            S = 0.5 * (S + S.swapaxes(1, 2))
+            innov = z - (H @ m[:a, :, None])[..., 0]
+            _, logdet = np.linalg.slogdet(S)
+            sol = np.linalg.solve(S, innov[..., None])[..., 0]
+            log_lik[:a] += -0.5 * (z.size * math.log(2 * math.pi) + logdet + (innov[:, None] @ sol[..., None])[:, 0, 0])
+            K = np.linalg.solve(S, H @ P[:a]).swapaxes(1, 2)
+            m[:a] = m[:a] + (K @ innov[..., None])[..., 0]
+            P[:a] = P[:a] - K @ S @ K.swapaxes(1, 2)
+            P[:a] = 0.5 * (P[:a] + P[:a].swapaxes(1, 2))
+        means_f[:a, s], covs_f[:a, s] = m[:a], P[:a]
+        was = a
+    # RTS backward pass over the births alive at each step
+    means_s = means_f.copy()
+    covs_s = covs_f.copy()
+    gains = np.empty((nb, nu - 1, d, d))
+    for s in range(nu - 2, -1, -1):
+        a = live[s]
+        G = np.linalg.solve(covs_p[:a, s + 1], F @ covs_f[:a, s]).swapaxes(1, 2)
+        gains[:a, s] = G
+        means_s[:a, s] = means_f[:a, s] + (G @ (means_s[:a, s + 1] - means_p[:a, s + 1])[..., None])[..., 0]
+        covs_s[:a, s] = covs_f[:a, s] + G @ (covs_s[:a, s + 1] - covs_p[:a, s + 1]) @ G.swapaxes(1, 2)
+        covs_s[:a, s] = 0.5 * (covs_s[:a, s] + covs_s[:a, s].swapaxes(1, 2))
+    # Joint covariance: Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t) for s < t, built
+    # one block row at a time from the row below and mirrored into the column.
+    joint_mean = means_s.reshape(nb, -1)
+    joint_cov = np.zeros((nb, nu * d, nu * d))
+    joint_cov[:, -d:, -d:] = covs_s[:, -1]
+    for s in range(nu - 2, -1, -1):
+        a = live[s]
+        here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
+        cross = gains[:a, s] @ joint_cov[:a, (s + 1) * d : (s + 2) * d, later]
+        joint_cov[:a, here, here] = covs_s[:a, s]
+        joint_cov[:a, here, later] = cross
+        joint_cov[:a, later, here] = cross.swapaxes(1, 2)
+    return joint_mean, joint_cov, log_lik
+
+
 def _smooth_hypothesis(
     beta: int,
     eps: int,
@@ -177,58 +258,10 @@ def _smooth_hypothesis(
     mm: MotionModel,
     sm: SensorModel,
 ) -> Tuple[GaussianSequence, float]:
-    """Kalman filter + RTS smoother over beta..eps; returns the joint smoothed
-    Gaussian (with cross-time covariances from the smoother gains) and the
-    log marginal measurement likelihood."""
-    F, Q, H, R = mm.transition, mm.process_noise, sm.measurement, sm.noise
-    d = mm.dim
-    nu = eps - beta + 1
-    means_f = np.empty((nu, d))
-    covs_f = np.empty((nu, d, d))
-    means_p = np.empty((nu, d))
-    covs_p = np.empty((nu, d, d))
-    log_lik = 0.0
-    m, P = mm.birth_mean.copy(), mm.birth_cov.copy()
-    for i, k in enumerate(range(beta, eps + 1)):
-        if i > 0:
-            m = F @ m
-            P = F @ P @ F.T + Q
-        means_p[i], covs_p[i] = m, P
-        z = meas.get(k)
-        if z is not None:
-            S = H @ P @ H.T + R
-            S = 0.5 * (S + S.T)
-            innov = z - H @ m
-            sign, logdet = np.linalg.slogdet(S)
-            sol = np.linalg.solve(S, innov)
-            log_lik += -0.5 * (z.size * math.log(2 * math.pi) + logdet + innov @ sol)
-            K = np.linalg.solve(S, H @ P).T
-            m = m + K @ innov
-            P = P - K @ S @ K.T
-            P = 0.5 * (P + P.T)
-        means_f[i], covs_f[i] = m, P
-    # RTS backward pass
-    means_s = means_f.copy()
-    covs_s = covs_f.copy()
-    gains = np.empty((nu - 1, d, d)) if nu > 1 else np.empty((0, d, d))
-    for i in range(nu - 2, -1, -1):
-        G = np.linalg.solve(covs_p[i + 1], F @ covs_f[i]).T
-        gains[i] = G
-        means_s[i] = means_f[i] + G @ (means_s[i + 1] - means_p[i + 1])
-        covs_s[i] = covs_f[i] + G @ (covs_s[i + 1] - covs_p[i + 1]) @ G.T
-        covs_s[i] = 0.5 * (covs_s[i] + covs_s[i].T)
-    # Joint covariance: Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t) for s < t, built
-    # one block row at a time from the row below and mirrored into the column.
-    joint_mean = means_s.reshape(-1)
-    joint_cov = np.zeros((nu * d, nu * d))
-    joint_cov[-d:, -d:] = covs_s[-1]
-    for s in range(nu - 2, -1, -1):
-        here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
-        cross = gains[s] @ joint_cov[(s + 1) * d : (s + 2) * d, later]
-        joint_cov[here, here] = covs_s[s]
-        joint_cov[here, later] = cross
-        joint_cov[later, here] = cross.T
-    return GaussianSequence(joint_mean, joint_cov, d), log_lik
+    """The joint smoothed Gaussian of one (beta, eps) hypothesis and its log
+    marginal measurement likelihood: ``_smooth_births`` of the one birth."""
+    mean, cov, log_lik = _smooth_births([beta], eps, meas, mm, sm)
+    return GaussianSequence(mean[0], cov[0], mm.dim), float(log_lik[0])
 
 
 def fit_bernoulli_track(
@@ -242,7 +275,13 @@ def fit_bernoulli_track(
     """Bernoulli density from one associated measurement sequence.
 
     Hypothesized births lie within ``slack`` steps before the first
-    measurement and deaths within ``slack`` steps after the last one.
+    measurement and deaths within ``slack`` steps after the last one, both
+    clamped to the window. One lockstep ``_smooth_births`` pass smooths every
+    birth through the last death; the (b, e) conditional is the leading block
+    of b's joint, and all deaths of b share b's log-likelihood. The log-weight
+    of (b, e) adds to it the uniform birth prior -log(#births), survival
+    (e - b) log(survival) and, unless e is the window's last step, death
+    log(1 - survival); the pmf is the max-shifted, normalized weights.
     Existence r is the supplied prior, not estimated from data.
     """
     if not measurements:
@@ -261,12 +300,13 @@ def fit_bernoulli_track(
     log_w: List[float] = []
     n_betas = len(betas)
     d = mm.dim
-    for b in betas:
-        # No measurement lies after times[-1] <= e, so the (b, e) smoothed joint
-        # is the leading block of the (b, epss[-1]) joint, with the same likelihood.
-        full, log_lik = _smooth_hypothesis(b, epss[-1], meas, mm, sm)
+    # No measurement lies after times[-1] <= e, so the (b, e) smoothed joint is
+    # the leading block of the (b, epss[-1]) joint, with the same likelihood.
+    means, covs, log_liks = _smooth_births(betas, epss[-1], meas, mm, sm)
+    for b, mean, cov, log_lik in zip(betas, means, covs, log_liks.tolist()):
+        lo = (b - betas[0]) * d
         for e in epss:
-            n = (e - b + 1) * d
+            hi = (e - betas[0] + 1) * d
             surv = math.log(mm.survival) * (e - b) if mm.survival > 0 else (0.0 if e == b else -np.inf)
             if e == window.gamma:
                 death = 0.0
@@ -274,7 +314,7 @@ def fit_bernoulli_track(
                 death = math.log(1.0 - mm.survival) if mm.survival < 1.0 else -np.inf
             prior = -math.log(n_betas) + surv + death
             pairs.append((b, e))
-            conds.append(GaussianSequence(full.mean[:n], full.cov[:n, :n], d))
+            conds.append(GaussianSequence(mean[lo:hi], cov[lo:hi, lo:hi], d))
             log_w.append(log_lik + prior)
     log_w = np.asarray(log_w)
     probs = np.exp(log_w - log_w.max())

@@ -225,6 +225,59 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     return cells, None, "exact" if exact else "mc"
 
 
+def smooth_hypothesis_per_birth(beta, eps, meas, mm, sm):
+    """Kalman filter + RTS smoother of one birth over beta..eps, as it ran
+    before the births of a track were smoothed in lockstep: the reference that
+    ``scenario._smooth_births`` must equal bit for bit. Returns the joint
+    smoothed mean, covariance (cross-time blocks from the smoother gains) and
+    log marginal measurement likelihood."""
+    F, Q, H, R = mm.transition, mm.process_noise, sm.measurement, sm.noise
+    d = mm.dim
+    nu = eps - beta + 1
+    means_f = np.empty((nu, d))
+    covs_f = np.empty((nu, d, d))
+    means_p = np.empty((nu, d))
+    covs_p = np.empty((nu, d, d))
+    log_lik = 0.0
+    m, P = mm.birth_mean.copy(), mm.birth_cov.copy()
+    for i, k in enumerate(range(beta, eps + 1)):
+        if i > 0:
+            m = F @ m
+            P = F @ P @ F.T + Q
+        means_p[i], covs_p[i] = m, P
+        z = meas.get(k)
+        if z is not None:
+            S = H @ P @ H.T + R
+            S = 0.5 * (S + S.T)
+            innov = z - H @ m
+            sign, logdet = np.linalg.slogdet(S)
+            sol = np.linalg.solve(S, innov)
+            log_lik += -0.5 * (z.size * math.log(2 * math.pi) + logdet + innov @ sol)
+            K = np.linalg.solve(S, H @ P).T
+            m = m + K @ innov
+            P = P - K @ S @ K.T
+            P = 0.5 * (P + P.T)
+        means_f[i], covs_f[i] = m, P
+    means_s = means_f.copy()
+    covs_s = covs_f.copy()
+    gains = np.empty((nu - 1, d, d)) if nu > 1 else np.empty((0, d, d))
+    for i in range(nu - 2, -1, -1):
+        G = np.linalg.solve(covs_p[i + 1], F @ covs_f[i]).T
+        gains[i] = G
+        means_s[i] = means_f[i] + G @ (means_s[i + 1] - means_p[i + 1])
+        covs_s[i] = covs_f[i] + G @ (covs_s[i + 1] - covs_p[i + 1]) @ G.T
+        covs_s[i] = 0.5 * (covs_s[i] + covs_s[i].T)
+    joint_cov = np.zeros((nu * d, nu * d))
+    joint_cov[-d:, -d:] = covs_s[-1]
+    for s in range(nu - 2, -1, -1):
+        here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
+        cross = gains[s] @ joint_cov[(s + 1) * d : (s + 2) * d, later]
+        joint_cov[here, here] = covs_s[s]
+        joint_cov[here, later] = cross
+        joint_cov[later, here] = cross.T
+    return means_s.reshape(-1), joint_cov, log_lik
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

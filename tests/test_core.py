@@ -81,6 +81,15 @@ class TestStateRegion:
         with pytest.raises(DimensionMismatchError):
             StateRegion.box([(-1, 1)]).contains([0.0, 0.0])
 
+    def test_bounded_region_built_once(self):
+        # the boxes over the dims some box bounds, one object per region
+        r = StateRegion.boxes([[None, (0.0, 1.0), (None, 2.0)], [None, (3.0, 4.0), None]])
+        box = r.bounded_region
+        assert box is r.bounded_region
+        np.testing.assert_array_equal(box.lows, [[0.0, -np.inf], [3.0, -np.inf]])
+        np.testing.assert_array_equal(box.highs, [[1.0, 2.0], [4.0, np.inf]])
+        assert StateRegion.full_space(2).bounded_region.dim == 0
+
 
 class TestExistencePairs:
     def test_single_step(self):

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from trajconstrain import TimeWindow, scenario
+from conftest import smooth_hypothesis_per_birth
+from trajconstrain import GaussianSequence, TimeWindow, scenario
 from trajconstrain.scenario import (
     Measurement,
     MotionModel,
     SensorModel,
+    _smooth_births,
     _smooth_hypothesis,
     fit_bernoulli_track,
     simulate_measurements,
@@ -36,6 +38,25 @@ def pos_sensor(r=0.25, detection=0.9, clutter_rate=1.0):
         clutter_rate,
         np.array([-50.0]),
         np.array([50.0]),
+    )
+
+
+def plane_motion(q=0.1):
+    """Constant velocity in the plane (state = [x, y, vx, vy]), unit step."""
+    F = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    Q = q * np.kron(np.array([[1 / 3, 1 / 2], [1 / 2, 1.0]]), np.eye(2))
+    return MotionModel(F, Q, 0.9, 0.2, np.array([0.0, 0.0, 1.0, 0.5]), np.diag([4.0, 4.0, 1.0, 1.0]))
+
+
+def plane_sensor(r=0.25):
+    """Position detections in the plane, with noise correlated across axes."""
+    return SensorModel(
+        np.hstack([np.eye(2), np.zeros((2, 2))]),
+        r * np.array([[1.0, 0.3], [0.3, 1.0]]),
+        0.9,
+        1.0,
+        np.array([-50.0, -50.0]),
+        np.array([50.0, 50.0]),
     )
 
 
@@ -229,7 +250,46 @@ FIT_FIXTURES = {
         3,
     ),
     "good": ([(k, [1.0 + 1.0 * k]) for k in range(3, 8)], good_track_motion(), pos_sensor(r=0.01), TimeWindow(0, 10), 3),
+    # births 0..1: the window clamps the slack before the first measurement
+    "clamped": ([(1, [1.5]), (2, [2.2]), (4, [3.9])], cv_motion(), pos_sensor(), TimeWindow(0, 10), 3),
+    "no_slack": ([(3, [3.1]), (5, [4.8]), (6, [6.3])], cv_motion(), pos_sensor(), TimeWindow(0, 10), 0),
+    "plane": (
+        [(k, [0.9 * k, 0.4 * k + 0.1]) for k in (2, 3, 5, 6)], plane_motion(), plane_sensor(), TimeWindow(0, 9), 2,
+    ),
+    "no_process_noise": ([(k, [1.1 * k]) for k in (3, 4, 6)], cv_motion(q=0.0), pos_sensor(), TimeWindow(0, 10), 2),
 }
+
+# (births, eps, measured steps, motion, sensor) of the lockstep smoother checks
+LOCKSTEP_CASES = {
+    "one_step_lifetime": ((3, 4, 5), 5, (3, 5), cv_motion(), pos_sensor()),
+    "single_step": ((5,), 5, (5,), cv_motion(), pos_sensor()),
+    "measured_at_every_birth": ((2, 3, 4), 7, (2, 3, 4, 6), cv_motion(), pos_sensor()),
+    "spread_births_with_gap": ((0, 2, 5), 11, (2, 5, 6, 9, 10), cv_motion(), pos_sensor()),
+    "unmeasured": ((1, 2), 4, (), cv_motion(), pos_sensor()),
+    "plane": ((1, 2, 3), 8, (3, 4, 7), plane_motion(), plane_sensor()),
+    "no_process_noise": ((0, 1, 2), 6, (2, 3, 5), cv_motion(q=0.0), pos_sensor()),
+}
+
+
+def assert_equals_per_birth(births, eps, meas, mm, sm):
+    """``_smooth_births`` equals ``smooth_hypothesis_per_birth`` bit for bit:
+    each birth's trailing block of the joint and its log-likelihood."""
+    means, covs, log_liks = _smooth_births(births, eps, meas, mm, sm)
+    assert means.shape == (len(births), (eps - births[0] + 1) * mm.dim)
+    for b, mean, cov, log_lik in zip(births, means, covs, log_liks):
+        ref_mean, ref_cov, ref_log_lik = smooth_hypothesis_per_birth(b, eps, meas, mm, sm)
+        lo = (b - births[0]) * mm.dim
+        np.testing.assert_array_equal(mean[lo:], ref_mean)
+        np.testing.assert_array_equal(cov[lo:, lo:], ref_cov)
+        np.testing.assert_array_equal(log_lik, ref_log_lik)
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_equals_per_birth(case):
+    births, eps, times, mm, sm = LOCKSTEP_CASES[case]
+    rng = np.random.default_rng(3)
+    meas = {k: rng.normal(k, 1.0, sm.meas_dim) for k in times}
+    assert_equals_per_birth(births, eps, meas, mm, sm)
 
 
 @pytest.fixture(params=sorted(FIT_FIXTURES))
@@ -298,18 +358,38 @@ class TestFitBernoulliTrack:
         ref = np.exp(np.asarray(log_w) - logsumexp(log_w))
         np.testing.assert_allclose(out.density.pmf.probs, ref / ref.sum(), rtol=0, atol=1e-12)
 
+    def test_conditionals_equal_per_birth(self, fit_case):
+        # one lockstep pass gives every birth's joint and likelihood bit for
+        # bit, and each (b, e) conditional is the leading block of b's joint
+        meas, mm, sm, window, slack = fit_case
+        out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
+        by_time = {k: np.asarray(z, dtype=float) for k, z in meas}
+        births = sorted({b for b, _ in out.density.pmf.pairs})
+        last = max(e for _, e in out.density.pmf.pairs)
+        assert_equals_per_birth(births, last, by_time, mm, sm)
+        for (b, e), gs in zip(out.density.pmf.pairs, out.density.conditionals):
+            mean, cov, _ = smooth_hypothesis_per_birth(b, last, by_time, mm, sm)
+            n = (e - b + 1) * mm.dim
+            ref = GaussianSequence(mean[:n], cov[:n, :n], mm.dim)
+            np.testing.assert_array_equal(gs.mean, ref.mean)
+            np.testing.assert_array_equal(gs.cov, ref.cov)
+
     def test_pmf_finite_at_tiny_log_weights(self, fit_case, monkeypatch):
         # every log-weight around -1e4, where exp alone underflows to 0
         meas, mm, sm, window, slack = fit_case
         plain = fit_bernoulli_track(meas, mm, sm, window, slack=slack).density.pmf.probs
-        smooth = scenario._smooth_hypothesis
+        smooth = scenario._smooth_births
+        calls = []
 
         def shifted(*args):
-            gs, log_lik = smooth(*args)
-            return gs, log_lik - 1e4
+            means, covs, log_liks = smooth(*args)
+            calls.append(log_liks.size)
+            return means, covs, log_liks - 1e4
 
-        monkeypatch.setattr(scenario, "_smooth_hypothesis", shifted)
-        probs = fit_bernoulli_track(meas, mm, sm, window, slack=slack).density.pmf.probs
+        monkeypatch.setattr(scenario, "_smooth_births", shifted)
+        out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
+        assert calls == [len({b for b, _ in out.density.pmf.pairs})]
+        probs = out.density.pmf.probs
         assert np.all(np.isfinite(probs))
         assert abs(probs.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(probs, plain, rtol=0, atol=1e-9)
