@@ -1,27 +1,41 @@
 """Brute-force verification of constrained densities.
 
-Every constrained quantity is re-estimated by sampling unconstrained
-realizations and filtering them through the trajectory-level satisfaction
-test (vectorized ``satisfies_batch``), then compared to the analytic engine
-value with a z-score at a stated threshold. No probability math is shared
-with the engine.
+Every constrained quantity is re-estimated by rejection: unconstrained
+realizations are drawn and filtered through the trajectory-level
+satisfaction test (vectorized ``satisfies_batch``), then compared with the
+engine's value by a z-score at a stated threshold. No probability math is
+shared with the engine.
 
-The draws stream: ``stratified_chunks`` yields at most ``DRAW_CHUNK`` rows
-at a time, and each chunk is reduced to acceptance counts and to per-step
-count, mean and sum of squared deviations, merged with Chan, Golub &
-LeVeque's pairwise update ("Algorithms for computing the sample variance",
-Amer. Statist. 1983). Memory is O(chunk x sequence dim), not O(n).
+Whether a draw is kept depends only on its states at the active constraint
+steps, so each draw is screened before it is paid for in full (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. II.3). Per (birth, death)
+pair the coordinates are reordered with those steps first (the head) and the
+rest after (the tail), and the reordered covariance gets one Cholesky
+factor L. A chunk of at most ``gaussian.DRAW_CHUNK`` rows draws the head
+normals z_h only, and ``satisfies_batch`` tests the head states
+m_h + L_hh z_h. Only where per-step moments are checked are the accepted
+rows completed, in blocks of at most ``_COMPLETE_BLOCK`` rows, as
+m_t + L_th z_h + L_tt z_t, with the tail normals z_t from a second stream.
+z_t is independent of the head and of the test, so every completed row is an
+exact unconstrained draw that satisfies the constraints, and the chunk size
+changes no draw. Counting callers never complete a row.
+
+The accepted rows are reduced to counts and to per-step count, mean and sum
+of squared deviations, merged with Chan, Golub & LeVeque's pairwise update
+("Algorithms for computing the sample variance", Amer. Statist. 1983), so
+memory is O(chunk x head dim + block x sequence dim), not O(n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConstraintSet, satisfies_batch
+from . import gaussian
+from .core import Constraint, ConstraintSet, active_indices, satisfies_batch
 from .engine import (
     ConstrainedBernoulli,
     ConstrainedPmbm,
@@ -29,11 +43,13 @@ from .engine import (
     constrained_marginals,
 )
 from .errors import LowAcceptanceError
-from .gaussian import Pair, TrajectoryDensity, _check_draws, child_rng, stratified_chunks
+from .gaussian import GaussianSequence, Pair, TrajectoryDensity, _check_draws, _cholesky, child_rng
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Draws behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
+# Most accepted rows completed to full sequences at once.
+_COMPLETE_BLOCK = 2**12
 
 
 @dataclass
@@ -111,14 +127,23 @@ class _StepMoments:
         self.mean = np.zeros((span, td.dim))
         self.m2 = np.zeros((span, td.dim))
 
-    def add(self, birth: int, kept: np.ndarray) -> None:
-        """Merge accepted states ``kept`` (count, length, dim) born at ``birth``."""
-        steps = slice(birth - self.t0, birth - self.t0 + kept.shape[1])
+    def add(self, birth: int, order: np.ndarray, kept: np.ndarray) -> None:
+        """Merge accepted sequences ``kept`` (count, length * dim) born at
+        ``birth``, whose column j holds flat coordinate ``order[j]``."""
+        dim = self.mean.shape[1]
+        steps = slice(birth - self.t0, birth - self.t0 + kept.shape[1] // dim)
         mean = kept.mean(axis=0)
         centered = kept - mean
-        m2 = np.einsum("ijk,ijk->jk", centered, centered)
+        flat_mean, flat_m2 = np.empty_like(mean), np.empty_like(mean)
+        flat_mean[order] = mean
+        flat_m2[order] = np.einsum("ij,ij->j", centered, centered)
         self.n[steps], self.mean[steps], self.m2[steps] = _merge(
-            self.n[steps], self.mean[steps], self.m2[steps], kept.shape[0], mean, m2
+            self.n[steps],
+            self.mean[steps],
+            self.m2[steps],
+            kept.shape[0],
+            flat_mean.reshape(-1, dim),
+            flat_m2.reshape(-1, dim),
         )
 
     def per_step(self, min_count: int) -> Dict[int, Tuple[np.ndarray, np.ndarray, int]]:
@@ -131,9 +156,109 @@ class _StepMoments:
         }
 
 
+class _Screen:
+    """One pair's conditional, reordered with the states at the active
+    constraint steps first (the head) and the rest after (the tail).
+
+    With L the lower Cholesky factor of the reordered covariance (zero
+    columns where it is singular), the head m_h + L_hh z_h needs only the
+    head normals. ``cs`` holds the active constraints renumbered to the head
+    steps 0, 1, ..., so that ``satisfies_batch`` reads the head states alone.
+    Without ``complete`` only the head is reordered and factored: the
+    leading block of a Cholesky factor is the factor of the leading block."""
+
+    def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
+        steps = np.array([cs.constraints[i].time - birth for i in idx], dtype=np.intp)
+        head = (steps[:, None] * g.dim + np.arange(g.dim)).ravel()
+        self.order = np.concatenate([head, np.setdiff1d(np.arange(g.mean.size), head)]) if complete else head
+        self.mean = g.mean[self.order]
+        factor = _cholesky(g.cov[np.ix_(self.order, self.order)])
+        h = head.size
+        # Transposed blocks, contiguous: numpy's matmul runs a strided
+        # operand such as factor[h:, h:].T through a loop many times slower
+        # than BLAS.
+        self.l_hh, self.l_th, self.l_tt = (
+            np.ascontiguousarray(block.T) for block in (factor[:h, :h], factor[h:, :h], factor[h:, h:])
+        )
+        self.h = h
+        self.dim = g.dim
+        self.cs = ConstraintSet([Constraint(k, cs.constraints[i].region) for k, i in enumerate(idx)], cs.mode)
+
+    def screen(self, z_head: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Head states (rows, h) of head normals ``z_head`` and which satisfy the constraints."""
+        x_head = z_head @ self.l_hh
+        x_head += self.mean[: self.h]
+        rows, steps = x_head.shape[0], self.h // self.dim
+        return x_head, satisfies_batch(0, steps - 1, x_head.reshape(rows, steps, self.dim), self.cs)
+
+    def complete(self, z_head: np.ndarray, x_head: np.ndarray, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """Full sequences (rows, length * dim), columns in ``order``, of the
+        rows with head normals ``z_head`` and states ``x_head``, in blocks of
+        at most ``_COMPLETE_BLOCK`` rows; the tail normals come from ``rng``."""
+        h, k = self.h, self.mean.size
+        for start in range(0, z_head.shape[0], _COMPLETE_BLOCK):
+            z_h = z_head[start : start + _COMPLETE_BLOCK]
+            tail = rng.standard_normal((z_h.shape[0], k - h)) @ self.l_tt
+            tail += z_h @ self.l_th
+            tail += self.mean[h:]
+            x = np.empty((z_h.shape[0], k))
+            x[:, :h] = x_head[start : start + _COMPLETE_BLOCK]
+            x[:, h:] = tail
+            yield x
+
+
+def _screened_chunks(
+    td: TrajectoryDensity, n: int, rng: np.random.Generator, cs: ConstraintSet, complete: bool = False
+) -> Iterator[Tuple[Pair, _Screen, np.ndarray, np.ndarray, np.ndarray]]:
+    """n i.i.d. draws of td screened on ``cs``, as (pair, screen, head
+    normals, head states, accepted mask) chunks.
+
+    One multinomial over the pmf, then each pair with a nonzero count in pmf
+    order, at most ``gaussian.DRAW_CHUNK`` rows at a time (read per call).
+    numpy fills normals row by row, so the chunks of a pair take the head
+    normals of one draw of its whole count. A pair with no active constraint
+    keeps no draw and draws nothing. ``complete`` factors the whole
+    reordered covariance, for ``_Screen.complete``.
+    """
+    if n == 0:
+        return
+    counts = rng.multinomial(n, td.pmf.probs)
+    for pair, g, c in zip(td.pmf.pairs, td.conditionals, counts.tolist()):
+        idx = active_indices(cs, *pair)
+        if c == 0 or not idx:
+            continue
+        screen = _Screen(g, pair[0], idx, cs, complete)
+        chunk = gaussian.DRAW_CHUNK
+        for start in range(0, c, chunk):
+            z_head = rng.standard_normal((min(chunk, c - start), screen.h))
+            x_head, acc = screen.screen(z_head)
+            yield pair, screen, z_head, x_head, acc
+
+
+def _accepted(
+    td: TrajectoryDensity,
+    n: int,
+    rng: np.random.Generator,
+    cs: ConstraintSet,
+    moments: Optional[_StepMoments] = None,
+    tail_rng: Optional[np.random.Generator] = None,
+) -> Dict[Pair, int]:
+    """How many of n draws of td satisfy ``cs``, per pair. With ``moments``,
+    the accepted draws are completed (tail normals from ``tail_rng``) and
+    merged into it."""
+    per_pair: Dict[Pair, int] = {}
+    for pair, screen, z_head, x_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
+        count = int(acc.sum())
+        per_pair[pair] = per_pair.get(pair, 0) + count
+        if moments is not None and count:
+            for x in screen.complete(z_head[acc], x_head[acc], tail_rng):
+                moments.add(pair[0], screen.order, x)
+    return per_pair
+
+
 def _accepted_count(td: TrajectoryDensity, n: int, rng: np.random.Generator, cs: ConstraintSet) -> int:
     """How many of n draws of td satisfy ``cs``."""
-    return sum(int(satisfies_batch(b, e, states, cs).sum()) for (b, e), states in stratified_chunks(td, n, rng))
+    return sum(_accepted(td, n, rng, cs).values())
 
 
 def oracle_bernoulli(
@@ -154,13 +279,7 @@ def oracle_bernoulli(
 
     n_exist = int(rng.binomial(n, b.r)) if b.r > 0 else 0
     moments = _StepMoments(b.density) if check_moments and constrained.density.pmf is not None else None
-    per_pair: Dict[Pair, int] = {}
-    for (birth, death), states in stratified_chunks(b.density, n_exist, rng):
-        acc = satisfies_batch(birth, death, states, cs)
-        count = int(acc.sum())
-        per_pair[(birth, death)] = per_pair.get((birth, death), 0) + count
-        if moments is not None and count:
-            moments.add(birth, states[acc])
+    per_pair = _accepted(b.density, n_exist, rng, cs, moments, child_rng(rng_seed, 11, 1))
     accepted = sum(per_pair.values())
     r_hat = accepted / n
     r_c = constrained.r
@@ -220,12 +339,8 @@ def oracle_ppp(
     counts = rng.poisson(p.mu, size=n_runs)
     total = int(counts.sum())
 
-    # Acceptance flags in draw order, then a random assignment of points to runs.
-    flags = np.empty(total, dtype=bool)
-    offset = 0
-    for (b, e), states in stratified_chunks(p.density, total, rng):
-        flags[offset : offset + states.shape[0]] = satisfies_batch(b, e, states, cs)
-        offset += states.shape[0]
+    # The accepted points, then a uniformly random assignment of points to runs.
+    flags = np.arange(total) < _accepted_count(p.density, total, rng, cs)
     flags = flags[rng.permutation(total)]
     run_id = np.repeat(np.arange(n_runs), counts)
     surviving = np.bincount(run_id, weights=flags.astype(np.float64), minlength=n_runs)
@@ -258,13 +373,20 @@ def oracle_pmbm(
     z_threshold: float = 4.0,
     rng_seed: int = 0,
 ) -> OracleReport:
-    """Componentwise Bernoulli/PPP checks plus the whole-set expected cardinality."""
+    """Componentwise Bernoulli/PPP checks plus the whole-set expected cardinality.
+
+    A track (by identity: its r enters the check) held by several global
+    hypotheses is checked once, named after and seeded by its first slot."""
     _check_draws("n", n)
     entries: List[OracleEntry] = []
     rep = oracle_ppp(m.ppp, constrained.ppp, cs, min(n, 20_000), z_threshold, rng_seed)
     entries.extend(OracleEntry("ppp." + e.name, e.analytic, e.empirical, e.se, e.z, e.passed) for e in rep.entries)
+    checked = set()
     for a, (h, hc) in enumerate(zip(m.hypotheses, constrained.hypotheses)):
         for i, (t, tc) in enumerate(zip(h.tracks, hc.tracks)):
+            if id(t) in checked:
+                continue
+            checked.add(id(t))
             rep = oracle_bernoulli(
                 t, tc, cs, n, z_threshold, rng_seed + 1000 * a + i, check_moments=False
             )

@@ -15,7 +15,8 @@ from trajconstrain import (
     existence_pairs,
 )
 from trajconstrain.engine import _component_seed
-from trajconstrain import gaussian
+from trajconstrain import gaussian, oracle
+from trajconstrain.core import satisfies_batch
 from trajconstrain.gaussian import _binomial_se, _bounded_masks, _interval_masses, _PIN_TOL, child_rng
 from trajconstrain.kernels import pattern_codes
 
@@ -276,6 +277,23 @@ def smooth_hypothesis_per_birth(beta, eps, meas, mm, sm):
         joint_cov[here, later] = cross
         joint_cov[later, here] = cross.T
     return means_s.reshape(-1), joint_cov, log_lik
+
+
+def eager_accepted(td, n, rng, cs):
+    """Per-pair accepted counts and per-step moments (an ``oracle._StepMoments``)
+    of n draws of td under cs by whole-sequence rejection, as the oracle ran
+    before it screened its draws: every draw in full from
+    ``stratified_chunks``, then ``satisfies_batch`` on the whole sequence.
+    The reference that the screened draws must agree with in law."""
+    moments = oracle._StepMoments(td)
+    per_pair = {}
+    for (b, e), states in gaussian.stratified_chunks(td, n, rng):
+        acc = satisfies_batch(b, e, states, cs)
+        count = int(acc.sum())
+        per_pair[(b, e)] = per_pair.get((b, e), 0) + count
+        if count:
+            moments.add(b, np.arange(states[0].size), states[acc].reshape(count, -1))
+    return per_pair, moments
 
 
 @pytest.fixture

@@ -20,11 +20,21 @@ from trajconstrain import (
     constrain_pmbm,
     constrain_ppp,
 )
-from trajconstrain import gaussian
+from trajconstrain import gaussian, oracle
+from trajconstrain.core import satisfies_batch
 from trajconstrain.engine import ConstrainedBernoulli
-from trajconstrain.oracle import _merge, oracle_bernoulli, oracle_pmbm, oracle_ppp
+from trajconstrain.oracle import (
+    _accepted,
+    _merge,
+    _screened_chunks,
+    _StepMoments,
+    oracle_bernoulli,
+    oracle_pmbm,
+    oracle_ppp,
+)
+from trajconstrain.scenario import MotionModel, SensorModel, fit_bernoulli_track
 
-from conftest import random_constraint_set, random_density, random_gaussian_sequence
+from conftest import eager_accepted, random_constraint_set, random_density, random_gaussian_sequence
 
 HALF_LINE = StateRegion.box([(0, None)])
 
@@ -227,6 +237,33 @@ class TestOraclePmbm:
         assert engine_se > 0.0
         assert not entry.passed, entry
 
+    def test_shared_track_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        window = TimeWindow(0, 2)
+        shared, other = (BernoulliTrajectory(r, random_density(rng, window, 1)) for r in (0.7, 0.5))
+        m = PmbmDensity(
+            PppTrajectory(1.0, random_density(rng, window, 1)),
+            (GlobalHypothesis(0.5, (shared,)), GlobalHypothesis(0.5, (other, shared))),
+        )
+        cs = ConstraintSet([Constraint(1, HALF_LINE)], "conjunct")
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=1)
+        checked = []
+        inner = oracle.oracle_bernoulli
+
+        def counted(t, *args, **kwargs):
+            checked.append(t)
+            return inner(t, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "oracle_bernoulli", counted)
+        rep = oracle_pmbm(m, out, cs, n=20_000, rng_seed=2)
+        assert rep.passed, rep.to_table()
+        assert [id(t) for t in checked] == [id(shared), id(other)]
+        names = [e.name for e in rep.entries]
+        # each track is named after its first slot
+        assert any(name.startswith("hyp[0].track[0].") for name in names)
+        assert any(name.startswith("hyp[1].track[0].") for name in names)
+        assert not any(name.startswith("hyp[1].track[1].") for name in names)
+
 
 class TestStreaming:
     def test_merge_matches_numpy(self):
@@ -259,12 +296,24 @@ class TestStreaming:
         ]
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
+        screened = []  # rows of each screening chunk, in call order
+
+        def counted(*args):
+            screened.append(args[2].shape[0])
+            return satisfies_batch(*args)
+
+        monkeypatch.setattr(oracle, "satisfies_batch", counted)
         whole = self.reports(15)
+        n_whole = len(screened)
         monkeypatch.setattr(gaussian, "DRAW_CHUNK", 1000)
         td = random_density(np.random.default_rng(0), TimeWindow(0, 1), 1)
         chunks = list(gaussian.stratified_chunks(td, 5_000, np.random.default_rng(0)))
         assert max(x.shape[0] for _, x in chunks) == 1000 and len(chunks) > len(td.pmf.pairs)
         chunked = self.reports(15)
+        # the oracle read the patched size: more, smaller chunks over the same rows
+        assert max(screened[n_whole:]) == 1000 < max(screened[:n_whole])
+        assert len(screened) - n_whole > n_whole
+        assert sum(screened[n_whole:]) == sum(screened[:n_whole])
         assert any(e.name.startswith("mean[") for e in whole[0].entries)
         for a, b in zip(whole, chunked):
             assert [e.name for e in a.entries] == [e.name for e in b.entries]
@@ -305,4 +354,82 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert any(e.name.startswith("mean[") for e in rep.entries)
-        assert peak < 48e6, peak / 1e6
+        assert peak < 16e6, peak / 1e6
+
+
+def no_process_noise_density():
+    """A fitted track with constant velocity and no process noise: every
+    (birth, death) joint covariance has rank 2 (the initial state's)."""
+    mm = MotionModel(
+        np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)), 0.95, 0.2, np.array([0.0, 1.0]), np.diag([4.0, 1.0])
+    )
+    sm = SensorModel(np.array([[1.0, 0.0]]), np.array([[0.25]]), 0.9, 1.0, np.array([-50.0]), np.array([50.0]))
+    return fit_bernoulli_track([(k, [1.1 * k]) for k in (3, 4, 6)], mm, sm, TimeWindow(0, 10), slack=2).density
+
+
+class TestScreenedDraws:
+    """The oracle draws the states at the active constraint steps (the head)
+    first, tests them, and completes only the accepted rows."""
+
+    @pytest.mark.parametrize("case", ["correlated", "no_process_noise"])
+    def test_full_space_keeps_every_row_with_the_conditional_law(self, case):
+        if case == "correlated":
+            pair = (0, 5)
+            g = random_gaussian_sequence(np.random.default_rng(20), pair, 2)
+        else:
+            fitted = no_process_noise_density()
+            pair, g = fitted.pmf.pairs[0], fitted.conditionals[0]
+        td = TrajectoryDensity(BirthDeathPmf((pair,), np.array([1.0])), (g,))
+        # two head steps, neither the first: the reordering moves columns
+        full = StateRegion.full_space(2)
+        cs = ConstraintSet([Constraint(pair[0] + 3, full), Constraint(pair[0] + 1, full)], "conjunct")
+        n = 50_000
+        tail_rng = np.random.default_rng(22)
+        blocks = []
+        for _, screen, z_head, x_head, acc in _screened_chunks(td, n, np.random.default_rng(21), cs, complete=True):
+            assert acc.all()
+            for x in screen.complete(z_head, x_head, tail_rng):
+                block = np.empty_like(x)
+                block[:, screen.order] = x
+                blocks.append(block)
+        x = np.concatenate(blocks)
+        assert x.shape == (n, g.mean.size)
+        var = np.diag(g.cov)
+        z_mean = (x.mean(axis=0) - g.mean) / np.sqrt(var / n)
+        z_cov = (np.cov(x, rowvar=False) - g.cov) / np.sqrt((np.outer(var, var) + g.cov**2) / n)
+        assert np.abs(z_mean).max() < 4.5, z_mean
+        assert np.abs(z_cov).max() < 4.5, z_cov
+        w, v = np.linalg.eigh(g.cov)
+        null = v[:, w < 1e-9 * w.max()]
+        if case == "no_process_noise":
+            # the draws stay on the covariance's range, as exact draws do
+            assert null.shape[1] == g.mean.size - 2
+            assert np.abs((x - g.mean) @ null).max() < 1e-6 * math.sqrt(w.max())
+        else:
+            assert null.shape[1] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_whole_sequence_rejection(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        window = TimeWindow(0, 4)
+        td = random_density(rng, window, 2)
+        cs = random_constraint_set(rng, window, 2, mode="conjunct" if seed % 2 else "disjunct")
+        n = 200_000
+        moments = _StepMoments(td)
+        screened = _accepted(td, n, np.random.default_rng(40 + seed), cs, moments, np.random.default_rng(50 + seed))
+        eager, eager_moments = eager_accepted(td, n, np.random.default_rng(60 + seed), cs)
+        z = []
+        for pair in td.pmf.pairs:
+            a, b = screened.get(pair, 0), eager.get(pair, 0)
+            q = (a + b) / (2 * n)
+            if q == 0.0:
+                continue
+            z.append((a - b) / math.sqrt(2 * n * q * (1 - q)))
+        steps = eager_moments.per_step(min_count=100)
+        assert len(steps) > 0
+        for t, (mean, se, count) in moments.per_step(min_count=100).items():
+            if t in steps:
+                e_mean, e_se, _ = steps[t]
+                z.extend((mean - e_mean) / np.sqrt(se**2 + e_se**2))
+        assert len(z) > 2 * len(td.pmf.pairs) // 3
+        assert np.abs(z).max() < 4.5, z
