@@ -164,10 +164,16 @@ class GaussianSequence:
             raise ValueError(f"mean size {mean.size} not a multiple of dim {self.dim}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and cov must be finite")
-        asym = np.max(np.abs(cov - cov.T), initial=0.0)
-        if asym > _SYM_TOL:
-            raise ValueError(f"covariance asymmetry {asym} exceeds {_SYM_TOL}")
-        cov = 0.5 * (cov + cov.T)
+        if np.array_equal(cov, cov.T):
+            # Exactly symmetric, as every block of a fit is: symmetrizing
+            # would copy the same numbers. A view, so that freezing it leaves
+            # the caller's array writeable.
+            cov = cov.view()
+        else:
+            asym = np.max(np.abs(cov - cov.T), initial=0.0)
+            if asym > _SYM_TOL:
+                raise ValueError(f"covariance asymmetry {asym} exceeds {_SYM_TOL}")
+            cov = 0.5 * (cov + cov.T)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

@@ -6,24 +6,28 @@ satisfaction test (vectorized ``satisfies_batch``), then compared with the
 engine's value by a z-score at a stated threshold. No probability math is
 shared with the engine.
 
-Whether a draw is kept depends only on its states at the active constraint
-steps, so each draw is screened before it is paid for in full (Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. II.3). Per (birth, death)
-pair the coordinates are reordered with those steps first (the head) and the
-rest after (the tail), and the reordered covariance gets one Cholesky
-factor L. A chunk of at most ``gaussian.DRAW_CHUNK`` rows draws the head
-normals z_h only, and ``satisfies_batch`` tests the head states
-m_h + L_hh z_h. Only where per-step moments are checked are the accepted
-rows completed, in blocks of at most ``_COMPLETE_BLOCK`` rows, as
-m_t + L_th z_h + L_tt z_t, with the tail normals z_t from a second stream.
-z_t is independent of the head and of the test, so every completed row is an
-exact unconstrained draw that satisfies the constraints, and the chunk size
-changes no draw. Counting callers never complete a row.
+Whether a draw is kept depends only on the coordinates that the active
+constraints bound, so each draw is screened before it is paid for in full
+(Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. II.3). Per
+(birth, death) pair the coordinates are reordered with those (the head:
+step * dim + ``region.bounded_dims`` per active constraint) first and the
+rest after (the tail), and the reordered covariance gets one Cholesky factor
+F. A chunk of at most ``gaussian.DRAW_CHUNK`` rows draws the head normals z_h
+only, and ``satisfies_batch`` tests the head states m_h + F_hh z_h, placed in
+states whose unbounded coordinates are 0. A pair whose active constraints
+are all full space has an empty head and keeps every row.
 
-The accepted rows are reduced to counts and to per-step count, mean and sum
-of squared deviations, merged with Chan, Golub & LeVeque's pairwise update
+Only where per-step moments are checked do the accepted rows get tail normals
+z_t, from a second stream, at most ``_TAIL_BLOCK`` rows at a time. z_t is
+independent of the head and of the test, so each accepted m + F [z_h z_t] is
+an exact unconstrained draw that satisfies the constraints, and the chunk
+size changes no draw. Those rows are never built: a block of n rows of
+normals Z with column means zbar has per-coordinate mean m + F zbar and sum
+of squared deviations diag(F C F^T), with C = Z^T Z - n zbar zbar^T. The
+block moments are merged with Chan, Golub & LeVeque's pairwise update
 ("Algorithms for computing the sample variance", Amer. Statist. 1983), so
-memory is O(chunk x head dim + block x sequence dim), not O(n).
+memory is O(chunk x active steps x dim + block x sequence dim), not O(n).
+Counting callers never draw a tail normal.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Draws behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
-# Most accepted rows completed to full sequences at once.
-_COMPLETE_BLOCK = 2**12
+# Most accepted rows whose tail normals are drawn at once.
+_TAIL_BLOCK = 2**12
 
 
 @dataclass
@@ -127,23 +131,13 @@ class _StepMoments:
         self.mean = np.zeros((span, td.dim))
         self.m2 = np.zeros((span, td.dim))
 
-    def add(self, birth: int, order: np.ndarray, kept: np.ndarray) -> None:
-        """Merge accepted sequences ``kept`` (count, length * dim) born at
-        ``birth``, whose column j holds flat coordinate ``order[j]``."""
+    def add(self, birth: int, n: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        """Merge the count ``n``, per-coordinate mean and M2 (flat, in
+        coordinate order) of accepted sequences born at ``birth``."""
         dim = self.mean.shape[1]
-        steps = slice(birth - self.t0, birth - self.t0 + kept.shape[1] // dim)
-        mean = kept.mean(axis=0)
-        centered = kept - mean
-        flat_mean, flat_m2 = np.empty_like(mean), np.empty_like(mean)
-        flat_mean[order] = mean
-        flat_m2[order] = np.einsum("ij,ij->j", centered, centered)
+        steps = slice(birth - self.t0, birth - self.t0 + mean.size // dim)
         self.n[steps], self.mean[steps], self.m2[steps] = _merge(
-            self.n[steps],
-            self.mean[steps],
-            self.m2[steps],
-            kept.shape[0],
-            flat_mean.reshape(-1, dim),
-            flat_m2.reshape(-1, dim),
+            self.n[steps], self.mean[steps], self.m2[steps], n, mean.reshape(-1, dim), m2.reshape(-1, dim)
         )
 
     def per_step(self, min_count: int) -> Dict[int, Tuple[np.ndarray, np.ndarray, int]]:
@@ -157,68 +151,87 @@ class _StepMoments:
 
 
 class _Screen:
-    """One pair's conditional, reordered with the states at the active
-    constraint steps first (the head) and the rest after (the tail).
+    """One pair's conditional, reordered with the coordinates that the active
+    constraints bound first (the head) and the rest after (the tail).
 
-    With L the lower Cholesky factor of the reordered covariance (zero
-    columns where it is singular), the head m_h + L_hh z_h needs only the
-    head normals. ``cs`` holds the active constraints renumbered to the head
-    steps 0, 1, ..., so that ``satisfies_batch`` reads the head states alone.
-    Without ``complete`` only the head is reordered and factored: the
-    leading block of a Cholesky factor is the factor of the leading block."""
+    The head is step * dim + ``region.bounded_dims`` per active constraint,
+    so a full-space constraint adds nothing to it. With F the lower Cholesky
+    factor of the reordered covariance (zero columns where it is singular),
+    the head m_h + F_hh z_h needs only the head normals. ``cs`` holds the
+    active constraints renumbered to the head steps 0, 1, ..., and
+    ``slots`` places the head in a (steps, dim) state whose other coordinates
+    are 0, which ``satisfies_batch`` never compares. Without ``complete``
+    only the head is reordered and factored: the leading block of a Cholesky
+    factor is the factor of the leading block."""
 
     def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
-        steps = np.array([cs.constraints[i].time - birth for i in idx], dtype=np.intp)
-        head = (steps[:, None] * g.dim + np.arange(g.dim)).ravel()
+        regions = [cs.constraints[i].region for i in idx]
+        head = np.concatenate(
+            [(cs.constraints[i].time - birth) * g.dim + r.bounded_dims for i, r in zip(idx, regions)]
+        )
+        self.slots = np.concatenate([k * g.dim + r.bounded_dims for k, r in enumerate(regions)])
         self.order = np.concatenate([head, np.setdiff1d(np.arange(g.mean.size), head)]) if complete else head
         self.mean = g.mean[self.order]
-        factor = _cholesky(g.cov[np.ix_(self.order, self.order)])
-        h = head.size
-        # Transposed blocks, contiguous: numpy's matmul runs a strided
-        # operand such as factor[h:, h:].T through a loop many times slower
-        # than BLAS.
-        self.l_hh, self.l_th, self.l_tt = (
-            np.ascontiguousarray(block.T) for block in (factor[:h, :h], factor[h:, :h], factor[h:, h:])
-        )
-        self.h = h
+        self.factor = _cholesky(g.cov[np.ix_(self.order, self.order)])
+        self.h = head.size
+        # Transposed, contiguous: numpy's matmul runs a strided operand such
+        # as factor[:h, :h].T through a loop many times slower than BLAS.
+        self.l_hh = np.ascontiguousarray(self.factor[: self.h, : self.h].T)
         self.dim = g.dim
-        self.cs = ConstraintSet([Constraint(k, cs.constraints[i].region) for k, i in enumerate(idx)], cs.mode)
+        self.cs = ConstraintSet([Constraint(k, r) for k, r in enumerate(regions)], cs.mode)
 
-    def screen(self, z_head: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Head states (rows, h) of head normals ``z_head`` and which satisfy the constraints."""
-        x_head = z_head @ self.l_hh
-        x_head += self.mean[: self.h]
-        rows, steps = x_head.shape[0], self.h // self.dim
-        return x_head, satisfies_batch(0, steps - 1, x_head.reshape(rows, steps, self.dim), self.cs)
+    def screen(self, z_head: np.ndarray) -> np.ndarray:
+        """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints."""
+        rows, steps = z_head.shape[0], len(self.cs)
+        states = np.zeros((rows, steps * self.dim))
+        states[:, self.slots] = z_head @ self.l_hh + self.mean[: self.h]
+        return satisfies_batch(0, steps - 1, states.reshape(rows, steps, self.dim), self.cs)
 
-    def complete(self, z_head: np.ndarray, x_head: np.ndarray, rng: np.random.Generator) -> Iterator[np.ndarray]:
-        """Full sequences (rows, length * dim), columns in ``order``, of the
-        rows with head normals ``z_head`` and states ``x_head``, in blocks of
-        at most ``_COMPLETE_BLOCK`` rows; the tail normals come from ``rng``."""
+    def moments(self, z_head: np.ndarray, rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Count, mean and M2 per coordinate (flat, in coordinate order) of
+        the sequences m + F [z_h z_t] with head normals ``z_head``, whose tail
+        normals z_t ``rng`` draws at most ``_TAIL_BLOCK`` rows at a time.
+
+        The rows are never built. A block of n rows of normals Z with
+        column means zbar and centred Gram matrix C = Z^T Z - n zbar zbar^T
+        has mean m + F zbar and M2 diag(F C F^T); the blocks merge by
+        ``_merge``."""
         h, k = self.h, self.mean.size
-        for start in range(0, z_head.shape[0], _COMPLETE_BLOCK):
-            z_h = z_head[start : start + _COMPLETE_BLOCK]
-            tail = rng.standard_normal((z_h.shape[0], k - h)) @ self.l_tt
-            tail += z_h @ self.l_th
-            tail += self.mean[h:]
-            x = np.empty((z_h.shape[0], k))
-            x[:, :h] = x_head[start : start + _COMPLETE_BLOCK]
-            x[:, h:] = tail
-            yield x
+        total = None
+        for start in range(0, z_head.shape[0], _TAIL_BLOCK):
+            z_h = z_head[start : start + _TAIL_BLOCK]
+            n = z_h.shape[0]
+            z_t = rng.standard_normal((n, k - h))
+            gram = np.empty((k, k))
+            gram[:h, :h] = z_h.T @ z_h
+            gram[:h, h:] = z_h.T @ z_t
+            gram[h:, :h] = gram[:h, h:].T
+            gram[h:, h:] = z_t.T @ z_t
+            z_bar = np.concatenate([z_h.mean(axis=0), z_t.mean(axis=0)])
+            gram -= n * np.outer(z_bar, z_bar)
+            # a sum of squares, whatever the rounding of the difference above
+            m2 = np.maximum(np.einsum("ij,ij->i", self.factor @ gram, self.factor), 0.0)
+            block = (n, self.mean + self.factor @ z_bar, m2)
+            total = block if total is None else _merge(*total, *block)
+        n, mean, m2 = total
+        flat_mean, flat_m2 = np.empty(k), np.empty(k)
+        flat_mean[self.order], flat_m2[self.order] = mean, m2
+        return n, flat_mean, flat_m2
 
 
 def _screened_chunks(
     td: TrajectoryDensity, n: int, rng: np.random.Generator, cs: ConstraintSet, complete: bool = False
-) -> Iterator[Tuple[Pair, _Screen, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[Tuple[Pair, _Screen, np.ndarray, np.ndarray]]:
     """n i.i.d. draws of td screened on ``cs``, as (pair, screen, head
-    normals, head states, accepted mask) chunks.
+    normals, accepted mask) chunks.
 
     One multinomial over the pmf, then each pair with a nonzero count in pmf
     order, at most ``gaussian.DRAW_CHUNK`` rows at a time (read per call).
     numpy fills normals row by row, so the chunks of a pair take the head
     normals of one draw of its whole count. A pair with no active constraint
-    keeps no draw and draws nothing. ``complete`` factors the whole
-    reordered covariance, for ``_Screen.complete``.
+    keeps no draw and draws nothing; one whose head is empty (every active
+    constraint full space) keeps every row. ``complete`` factors the whole
+    reordered covariance, for ``_Screen.moments``.
     """
     if n == 0:
         return
@@ -231,8 +244,7 @@ def _screened_chunks(
         chunk = gaussian.DRAW_CHUNK
         for start in range(0, c, chunk):
             z_head = rng.standard_normal((min(chunk, c - start), screen.h))
-            x_head, acc = screen.screen(z_head)
-            yield pair, screen, z_head, x_head, acc
+            yield pair, screen, z_head, screen.screen(z_head)
 
 
 def _accepted(
@@ -244,15 +256,14 @@ def _accepted(
     tail_rng: Optional[np.random.Generator] = None,
 ) -> Dict[Pair, int]:
     """How many of n draws of td satisfy ``cs``, per pair. With ``moments``,
-    the accepted draws are completed (tail normals from ``tail_rng``) and
-    merged into it."""
+    the step moments of the accepted draws, completed with tail normals from
+    ``tail_rng``, are merged into it."""
     per_pair: Dict[Pair, int] = {}
-    for pair, screen, z_head, x_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
+    for pair, screen, z_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
         count = int(acc.sum())
         per_pair[pair] = per_pair.get(pair, 0) + count
         if moments is not None and count:
-            for x in screen.complete(z_head[acc], x_head[acc], tail_rng):
-                moments.add(pair[0], screen.order, x)
+            moments.add(pair[0], *screen.moments(z_head[acc], tail_rng))
     return per_pair
 
 

@@ -279,12 +279,39 @@ def smooth_hypothesis_per_birth(beta, eps, meas, mm, sm):
     return means_s.reshape(-1), joint_cov, log_lik
 
 
+def row_moments(x):
+    """Count, per-column mean and M2 of the rows x (count, columns), in three
+    passes over the rows (mean, centring, sum of squares): the reference for
+    the oracle's reduction from the normals' Gram matrix."""
+    mean = x.mean(axis=0)
+    centered = x - mean
+    return x.shape[0], mean, np.einsum("ij,ij->j", centered, centered)
+
+
+def screened_rows(td, n, rng, cs, tail_rng):
+    """The whole sequences behind ``oracle._accepted`` with moments, as
+    (pair, accepted rows (count, length * dim)) per screening chunk: each row
+    built as m + F [z_h z_t] from the oracle's screen, the same head normals
+    and the tail normals that ``_Screen.moments`` draws from the same
+    ``tail_rng`` (numpy fills normals row by row, so its blocks draw the same
+    numbers as one draw per chunk)."""
+    for pair, screen, z_head, acc in oracle._screened_chunks(td, n, rng, cs, complete=True):
+        count = int(acc.sum())
+        if not count:
+            continue
+        z = np.hstack([z_head[acc], tail_rng.standard_normal((count, screen.mean.size - screen.h))])
+        x = np.empty_like(z)
+        x[:, screen.order] = z @ screen.factor.T + screen.mean
+        yield pair, x
+
+
 def eager_accepted(td, n, rng, cs):
     """Per-pair accepted counts and per-step moments (an ``oracle._StepMoments``)
     of n draws of td under cs by whole-sequence rejection, as the oracle ran
     before it screened its draws: every draw in full from
-    ``stratified_chunks``, then ``satisfies_batch`` on the whole sequence.
-    The reference that the screened draws must agree with in law."""
+    ``stratified_chunks``, then ``satisfies_batch`` on the whole sequence, and
+    the accepted rows reduced by ``row_moments``. The reference that the
+    screened draws must agree with in law."""
     moments = oracle._StepMoments(td)
     per_pair = {}
     for (b, e), states in gaussian.stratified_chunks(td, n, rng):
@@ -292,7 +319,7 @@ def eager_accepted(td, n, rng, cs):
         count = int(acc.sum())
         per_pair[(b, e)] = per_pair.get((b, e), 0) + count
         if count:
-            moments.add(b, np.arange(states[0].size), states[acc].reshape(count, -1))
+            moments.add(b, *row_moments(states[acc].reshape(count, -1)))
     return per_pair, moments
 
 

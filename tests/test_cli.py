@@ -284,6 +284,24 @@ class TestOracleCommand:
         txt = (out / "oracle_report.txt").read_text()
         assert "[bernoulli]" in txt and "pass" in txt
 
+    def test_qmc_pairs_pass(self, tmp_path):
+        # gates at 3 and 6 on correlated positions: the pairs alive at both
+        # are settled by randomized QMC, which the oracle then checks
+        cfg = base_config()
+        cfg["constraints"]["items"] = [
+            {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
+            {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
+        ]
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["pair_paths"]["qmc"] > 0
+        code, out = run(tmp_path, cfg, "oracle")
+        assert code == EXIT_OK
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["passed"] is True and report["bernoulli"]["z_threshold"] == 4.0
+        names = [e["name"] for e in report["bernoulli"]["entries"]]
+        assert "r_constrained" in names and any(name.startswith("mean[") for name in names)
+
     def test_with_ppp_check(self, tmp_path):
         cfg = base_config()
         cfg["oracle"]["mu"] = 2.0

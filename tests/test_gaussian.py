@@ -68,6 +68,17 @@ class TestGaussianSequence:
         with pytest.raises(ValueError):
             GaussianSequence(np.zeros(2), cov, 1)
 
+    def test_symmetric_cov_kept_and_slight_asymmetry_averaged(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        gs = GaussianSequence(np.zeros(2), cov, 1)
+        np.testing.assert_array_equal(gs.cov, cov)
+        # frozen in the sequence, still writeable for the caller
+        assert not gs.cov.flags.writeable and cov.flags.writeable
+        cov = cov.copy()
+        cov[0, 1] += 4e-11
+        gs = GaussianSequence(np.zeros(2), cov, 1)
+        assert gs.cov[0, 1] == gs.cov[1, 0] == 0.5 * (cov[0, 1] + cov[1, 0])
+
     @pytest.mark.parametrize("where", ["mean", "cov diagonal", "cov off-diagonal", "cov inf"])
     def test_non_finite_rejected(self, where):
         mean, cov = np.zeros(2), np.eye(2)

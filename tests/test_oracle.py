@@ -21,12 +21,12 @@ from trajconstrain import (
     constrain_ppp,
 )
 from trajconstrain import gaussian, oracle
-from trajconstrain.core import satisfies_batch
+from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.oracle import (
     _accepted,
     _merge,
-    _screened_chunks,
+    _Screen,
     _StepMoments,
     oracle_bernoulli,
     oracle_pmbm,
@@ -34,9 +34,18 @@ from trajconstrain.oracle import (
 )
 from trajconstrain.scenario import MotionModel, SensorModel, fit_bernoulli_track
 
-from conftest import eager_accepted, random_constraint_set, random_density, random_gaussian_sequence
+from conftest import (
+    eager_accepted,
+    random_constraint_set,
+    random_density,
+    random_gaussian_sequence,
+    random_region,
+    row_moments,
+    screened_rows,
+)
 
 HALF_LINE = StateRegion.box([(0, None)])
+HALF_PLANE = StateRegion.box([(0, None), None])
 
 
 def std_density(pairs, probs):
@@ -368,8 +377,9 @@ def no_process_noise_density():
 
 
 class TestScreenedDraws:
-    """The oracle draws the states at the active constraint steps (the head)
-    first, tests them, and completes only the accepted rows."""
+    """The oracle draws the coordinates that the active constraints bound (the
+    head) first, tests them, and reduces only the accepted rows, from the
+    Gram matrix of their normals."""
 
     @pytest.mark.parametrize("case", ["correlated", "no_process_noise"])
     def test_full_space_keeps_every_row_with_the_conditional_law(self, case):
@@ -380,19 +390,22 @@ class TestScreenedDraws:
             fitted = no_process_noise_density()
             pair, g = fitted.pmf.pairs[0], fitted.conditionals[0]
         td = TrajectoryDensity(BirthDeathPmf((pair,), np.array([1.0])), (g,))
-        # two head steps, neither the first: the reordering moves columns
-        full = StateRegion.full_space(2)
-        cs = ConstraintSet([Constraint(pair[0] + 3, full), Constraint(pair[0] + 1, full)], "conjunct")
+        # a full-space step and two steps whose boxes bound one dim each, so
+        # widely that every row is kept: the head is dim 1 at birth + 3, then
+        # dim 0 at birth + 1, and the reordering moves columns
+        wide = 1e6
+        cs = ConstraintSet(
+            [
+                Constraint(pair[0] + 4, StateRegion.full_space(2)),
+                Constraint(pair[0] + 3, StateRegion.box([None, (-wide, wide)])),
+                Constraint(pair[0] + 1, StateRegion.box([(-wide, wide), None])),
+            ],
+            "conjunct",
+        )
         n = 50_000
-        tail_rng = np.random.default_rng(22)
-        blocks = []
-        for _, screen, z_head, x_head, acc in _screened_chunks(td, n, np.random.default_rng(21), cs, complete=True):
-            assert acc.all()
-            for x in screen.complete(z_head, x_head, tail_rng):
-                block = np.empty_like(x)
-                block[:, screen.order] = x
-                blocks.append(block)
-        x = np.concatenate(blocks)
+        x = np.concatenate(
+            [rows for _, rows in screened_rows(td, n, np.random.default_rng(21), cs, np.random.default_rng(22))]
+        )
         assert x.shape == (n, g.mean.size)
         var = np.diag(g.cov)
         z_mean = (x.mean(axis=0) - g.mean) / np.sqrt(var / n)
@@ -407,14 +420,19 @@ class TestScreenedDraws:
             assert np.abs((x - g.mean) @ null).max() < 1e-6 * math.sqrt(w.max())
         else:
             assert null.shape[1] == 0
+        # the Gram reduction of the same normals gives the rows' moments
+        gram, rows = _StepMoments(td), _StepMoments(td)
+        accepted = _accepted(td, n, np.random.default_rng(21), cs, gram, np.random.default_rng(22))
+        assert accepted == {pair: n}
+        rows.add(pair[0], *row_moments(x))
+        assert np.array_equal(gram.n, rows.n)
+        np.testing.assert_allclose(gram.mean, rows.mean, rtol=1e-12, atol=1e-12 * math.sqrt(var.max()))
+        np.testing.assert_allclose(gram.m2, rows.m2, rtol=1e-12, atol=1e-12 * n * var.max())
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_agrees_with_whole_sequence_rejection(self, seed):
-        rng = np.random.default_rng(30 + seed)
-        window = TimeWindow(0, 4)
-        td = random_density(rng, window, 2)
-        cs = random_constraint_set(rng, window, 2, mode="conjunct" if seed % 2 else "disjunct")
-        n = 200_000
+    @staticmethod
+    def assert_agrees_with_eager(td, cs, seed, n=200_000):
+        """Per-pair counts and per-step means of the screened draws agree with
+        whole-sequence rejection (``conftest.eager_accepted``) within SE."""
         moments = _StepMoments(td)
         screened = _accepted(td, n, np.random.default_rng(40 + seed), cs, moments, np.random.default_rng(50 + seed))
         eager, eager_moments = eager_accepted(td, n, np.random.default_rng(60 + seed), cs)
@@ -433,3 +451,45 @@ class TestScreenedDraws:
                 z.extend((mean - e_mean) / np.sqrt(se**2 + e_se**2))
         assert len(z) > 2 * len(td.pmf.pairs) // 3
         assert np.abs(z).max() < 4.5, z
+        return screened
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_whole_sequence_rejection(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        window = TimeWindow(0, 4)
+        td = random_density(rng, window, 2)
+        cs = random_constraint_set(rng, window, 2, mode="conjunct" if seed % 2 else "disjunct")
+        self.assert_agrees_with_eager(td, cs, seed)
+
+    def test_full_space_constraints_have_an_empty_head_and_keep_every_row(self):
+        td = random_density(np.random.default_rng(70), TimeWindow(0, 4), 2)
+        cs = time_window_constraints(2, 3, 2)
+        for pair, g in zip(td.pmf.pairs, td.conditionals):
+            idx = active_indices(cs, *pair)
+            if idx:
+                screen = _Screen(g, pair[0], idx, cs, complete=True)
+                assert screen.h == 0
+                assert screen.screen(np.empty((7, 0))).all()
+        screened = self.assert_agrees_with_eager(td, cs, 4)
+        # every draw alive in the window is kept, and no other
+        alive = [pair for pair in td.pmf.pairs if active_indices(cs, *pair)]
+        assert set(screened) == set(alive)
+
+    def test_two_boxes_bounding_different_dims(self):
+        # box 0 bounds dim 0, box 1 dim 2; dim 1 is free. Neither box holds
+        # the origin, where a coordinate left out of the head would sit.
+        region = StateRegion.boxes([[(1.0, 2.5), None, None], [None, None, (-2.0, -0.5)]])
+        assert region.bounded_dims.tolist() == [0, 2]
+        rng = np.random.default_rng(71)
+        td = random_density(rng, TimeWindow(0, 3), 3)
+        cs = ConstraintSet([Constraint(1, region), Constraint(2, random_region(rng, 3))], "conjunct")
+        self.assert_agrees_with_eager(td, cs, 5)
+        screen = _Screen(td.conditional((0, 3)), 0, (0, 1), cs, complete=False)
+        assert screen.order[:2].tolist() == [3, 5]
+
+    def test_region_bounding_every_dim(self):
+        rng = np.random.default_rng(72)
+        td = random_density(rng, TimeWindow(0, 3), 2)
+        region = StateRegion.box([(-1.0, 1.5), (-0.5, 2.0)])
+        cs = ConstraintSet([Constraint(2, region), Constraint(0, HALF_PLANE)], "disjunct")
+        self.assert_agrees_with_eager(td, cs, 6)
