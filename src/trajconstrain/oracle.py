@@ -17,17 +17,25 @@ only, and ``satisfies_batch`` tests the head states m_h + F_hh z_h, placed in
 states whose unbounded coordinates are 0. A pair whose active constraints
 are all full space has an empty head and keeps every row.
 
-Only where per-step moments are checked do the accepted rows get tail normals
-z_t, from a second stream, at most ``_TAIL_BLOCK`` rows at a time. z_t is
-independent of the head and of the test, so each accepted m + F [z_h z_t] is
-an exact unconstrained draw that satisfies the constraints, and the chunk
-size changes no draw. Those rows are never built: a block of n rows of
-normals Z with column means zbar has per-coordinate mean m + F zbar and sum
-of squared deviations diag(F C F^T), with C = Z^T Z - n zbar zbar^T. The
-block moments are merged with Chan, Golub & LeVeque's pairwise update
-("Algorithms for computing the sample variance", Amer. Statist. 1983), so
-memory is O(chunk x active steps x dim + block x sequence dim), not O(n).
-Counting callers never draw a tail normal.
+Only where per-step moments are checked are the accepted draws completed,
+and then only as the statistics their moments need. Each pair's accepted
+head normals are cut into blocks of ``_TAIL_BLOCK`` rows (the pair's last
+block shorter). A block of n rows of normals Z = [z_h z_t] with column means
+zbar has per-coordinate mean m + F zbar and sum of squared deviations
+diag(F C F^T), C = Z^T Z - n zbar zbar^T: everything comes from the
+augmented Gram matrix of [A z_t], A = [1 z_h]. Its head block is computed;
+the blocks that involve the tail normals, A^T z_t and z_t^T z_t, are drawn
+from a second stream in their exact law given A (a matrix normal and a
+Wishart matrix by Bartlett's decomposition; see ``_augmented_gram``), so
+(h + 1) q + q (q + 1) / 2 numbers stand in for n q tail normals. z_t is
+independent of the head and of the test, so the accepted rows are exact
+unconstrained draws that satisfy the constraints, and every reported number
+has the law it has under whole-sequence rejection. Blocks are cut by
+accepted row, so the chunk size changes no draw. Block moments merge with
+Chan, Golub & LeVeque's pairwise update ("Algorithms for computing the
+sample variance", Amer. Statist. 1983), so memory is O(chunk x active steps
+x dim + block x head + sequence dim^2), not O(n). Counting callers draw no
+tail statistic.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Draws behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
-# Most accepted rows whose tail normals are drawn at once.
+# Accepted rows of a pair per block whose tail statistics are drawn at once.
 _TAIL_BLOCK = 2**12
 
 
@@ -187,36 +195,65 @@ class _Screen:
         states[:, self.slots] = z_head @ self.l_hh + self.mean[: self.h]
         return satisfies_batch(0, steps - 1, states.reshape(rows, steps, self.dim), self.cs)
 
-    def moments(self, z_head: np.ndarray, rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
+    def reduce(self, gram: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
         """Count, mean and M2 per coordinate (flat, in coordinate order) of
-        the sequences m + F [z_h z_t] with head normals ``z_head``, whose tail
-        normals z_t ``rng`` draws at most ``_TAIL_BLOCK`` rows at a time.
+        the sequences m + F z over a block of n rows of normals Z whose
+        augmented Gram matrix [1 Z]^T [1 Z] is ``gram`` (n at [0, 0], the
+        column sums in row 0, Z^T Z below them).
 
-        The rows are never built. A block of n rows of normals Z with
-        column means zbar and centred Gram matrix C = Z^T Z - n zbar zbar^T
-        has mean m + F zbar and M2 diag(F C F^T); the blocks merge by
-        ``_merge``."""
-        h, k = self.h, self.mean.size
-        total = None
-        for start in range(0, z_head.shape[0], _TAIL_BLOCK):
-            z_h = z_head[start : start + _TAIL_BLOCK]
-            n = z_h.shape[0]
-            z_t = rng.standard_normal((n, k - h))
-            gram = np.empty((k, k))
-            gram[:h, :h] = z_h.T @ z_h
-            gram[:h, h:] = z_h.T @ z_t
-            gram[h:, :h] = gram[:h, h:].T
-            gram[h:, h:] = z_t.T @ z_t
-            z_bar = np.concatenate([z_h.mean(axis=0), z_t.mean(axis=0)])
-            gram -= n * np.outer(z_bar, z_bar)
-            # a sum of squares, whatever the rounding of the difference above
-            m2 = np.maximum(np.einsum("ij,ij->i", self.factor @ gram, self.factor), 0.0)
-            block = (n, self.mean + self.factor @ z_bar, m2)
-            total = block if total is None else _merge(*total, *block)
-        n, mean, m2 = total
-        flat_mean, flat_m2 = np.empty(k), np.empty(k)
+        With zbar the column means and C = Z^T Z - n zbar zbar^T, the block
+        has mean m + F zbar and M2 diag(F C F^T); the rows are never built."""
+        n, sums = gram[0, 0], gram[0, 1:]
+        z_bar = sums / n
+        c = gram[1:, 1:] - np.outer(sums, z_bar)
+        # a sum of squares, whatever the rounding of the difference above
+        m2 = np.maximum(np.einsum("ij,ij->i", self.factor @ c, self.factor), 0.0)
+        mean = self.mean + self.factor @ z_bar
+        flat_mean, flat_m2 = np.empty_like(mean), np.empty_like(m2)
         flat_mean[self.order], flat_m2[self.order] = mean, m2
-        return n, flat_mean, flat_m2
+        return int(n), flat_mean, flat_m2
+
+    def moments(self, z_head: np.ndarray, rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``reduce`` of one block of accepted head normals ``z_head``, with
+        the tail's part of its Gram matrix drawn from ``rng`` given the head
+        (``_augmented_gram``)."""
+        return self.reduce(_augmented_gram(z_head, self.mean.size - self.h, rng))
+
+
+def _augmented_gram(z_head: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
+    """[A Z_t]^T [A Z_t] for A = [1 z_head] (n, h + 1) and tail normals Z_t
+    (n, q) independent of A, with the blocks that involve Z_t drawn from
+    ``rng`` in their exact law given A; Z_t itself is never drawn.
+
+    With A^T A = L L^T (L lower), A^T Z_t = L G for G (h + 1, q) standard
+    normal, and Z_t^T Z_t = G^T G + W, with W ~ Wishart_q(n - h - 1, I)
+    independent of G: the projections of Z_t's columns on the range of A and
+    on its orthogonal complement (Anderson, *An Introduction to Multivariate
+    Statistical Analysis*, 3rd ed., 2003, sec. 7.2). W = B B^T by Bartlett's
+    decomposition: B lower triangular, B_ii^2 ~ chi^2(n - h - 1 - i) for
+    i = 0, ..., q - 1, standard normals below the diagonal. A block with
+    fewer than h + 1 + q rows draws Z_t explicitly instead."""
+    n, h = z_head.shape
+    a = h + 1
+    gram = np.empty((a + q, a + q))
+    gram[0, 0] = n
+    gram[0, 1:a] = gram[1:a, 0] = z_head.sum(axis=0)
+    gram[1:a, 1:a] = z_head.T @ z_head
+    if q and n >= a + q:
+        g = rng.standard_normal((a, q))
+        cross = np.linalg.cholesky(gram[:a, :a]) @ g
+        bartlett = np.zeros((q, q))
+        bartlett[np.diag_indices(q)] = np.sqrt(rng.chisquare(n - a - np.arange(q)))
+        bartlett[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
+        tail = g.T @ g + bartlett @ bartlett.T
+    else:
+        z_t = rng.standard_normal((n, q))
+        cross = np.vstack([z_t.sum(axis=0), z_head.T @ z_t])
+        tail = z_t.T @ z_t
+    gram[:a, a:] = cross
+    gram[a:, :a] = cross.T
+    gram[a:, a:] = tail
+    return gram
 
 
 def _screened_chunks(
@@ -256,14 +293,36 @@ def _accepted(
     tail_rng: Optional[np.random.Generator] = None,
 ) -> Dict[Pair, int]:
     """How many of n draws of td satisfy ``cs``, per pair. With ``moments``,
-    the step moments of the accepted draws, completed with tail normals from
-    ``tail_rng``, are merged into it."""
+    the step moments of the accepted draws, completed from ``tail_rng``, are
+    merged into it.
+
+    Each pair's accepted head normals reach ``_Screen.moments`` in blocks of
+    ``_TAIL_BLOCK`` rows, cut by accepted row and the pair's last block
+    shorter, so the screening chunk size changes no block and no tail draw.
+    Fewer than a block of rows is held between chunks."""
     per_pair: Dict[Pair, int] = {}
+    held: Optional[Tuple[Pair, _Screen, np.ndarray]] = None  # a pair's rows short of a block
+
+    def add_block(pair: Pair, screen: _Screen, block: np.ndarray) -> None:
+        moments.add(pair[0], *screen.moments(block, tail_rng))
+
     for pair, screen, z_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
         count = int(acc.sum())
         per_pair[pair] = per_pair.get(pair, 0) + count
-        if moments is not None and count:
-            moments.add(pair[0], *screen.moments(z_head[acc], tail_rng))
+        if moments is None or not count:
+            continue
+        rows = z_head[acc]
+        if held is not None and held[1] is screen:
+            rows = np.concatenate([held[2], rows])
+        elif held is not None:
+            add_block(*held)
+        full = rows.shape[0] - rows.shape[0] % _TAIL_BLOCK
+        for start in range(0, full, _TAIL_BLOCK):
+            add_block(pair, screen, rows[start : start + _TAIL_BLOCK])
+        held = (pair, screen, rows[full:].copy()) if full < rows.shape[0] else None
+        del rows  # not kept through the next chunk's screening
+    if held is not None:
+        add_block(*held)
     return per_pair
 
 

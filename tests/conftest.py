@@ -289,12 +289,12 @@ def row_moments(x):
 
 
 def screened_rows(td, n, rng, cs, tail_rng):
-    """The whole sequences behind ``oracle._accepted`` with moments, as
-    (pair, accepted rows (count, length * dim)) per screening chunk: each row
-    built as m + F [z_h z_t] from the oracle's screen, the same head normals
-    and the tail normals that ``_Screen.moments`` draws from the same
-    ``tail_rng`` (numpy fills normals row by row, so its blocks draw the same
-    numbers as one draw per chunk)."""
+    """The whole sequences that ``oracle._accepted`` with moments stands for,
+    as (pair, screen, normals (count, length * dim) in head/tail order,
+    accepted rows (count, length * dim)) per screening chunk: each row built
+    as m + F [z_h z_t] from the oracle's screen and the same head normals,
+    with explicit tail normals z_t from ``tail_rng``, whose Gram blocks the
+    oracle draws instead (``oracle._augmented_gram``)."""
     for pair, screen, z_head, acc in oracle._screened_chunks(td, n, rng, cs, complete=True):
         count = int(acc.sum())
         if not count:
@@ -302,7 +302,7 @@ def screened_rows(td, n, rng, cs, tail_rng):
         z = np.hstack([z_head[acc], tail_rng.standard_normal((count, screen.mean.size - screen.h))])
         x = np.empty_like(z)
         x[:, screen.order] = z @ screen.factor.T + screen.mean
-        yield pair, x
+        yield pair, screen, z, x
 
 
 def eager_accepted(td, n, rng, cs):

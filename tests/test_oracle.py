@@ -24,7 +24,9 @@ from trajconstrain import gaussian, oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.oracle import (
+    _TAIL_BLOCK,
     _accepted,
+    _augmented_gram,
     _merge,
     _Screen,
     _StepMoments,
@@ -403,9 +405,8 @@ class TestScreenedDraws:
             "conjunct",
         )
         n = 50_000
-        x = np.concatenate(
-            [rows for _, rows in screened_rows(td, n, np.random.default_rng(21), cs, np.random.default_rng(22))]
-        )
+        chunks = list(screened_rows(td, n, np.random.default_rng(21), cs, np.random.default_rng(22)))
+        x = np.concatenate([rows for _, _, _, rows in chunks])
         assert x.shape == (n, g.mean.size)
         var = np.diag(g.cov)
         z_mean = (x.mean(axis=0) - g.mean) / np.sqrt(var / n)
@@ -420,11 +421,14 @@ class TestScreenedDraws:
             assert np.abs((x - g.mean) @ null).max() < 1e-6 * math.sqrt(w.max())
         else:
             assert null.shape[1] == 0
-        # the Gram reduction of the same normals gives the rows' moments
+        moments = _StepMoments(td)
+        assert _accepted(td, n, np.random.default_rng(21), cs, moments, np.random.default_rng(22)) == {pair: n}
+        # the Gram reduction of the explicit normals gives their rows' moments
         gram, rows = _StepMoments(td), _StepMoments(td)
-        accepted = _accepted(td, n, np.random.default_rng(21), cs, gram, np.random.default_rng(22))
-        assert accepted == {pair: n}
-        rows.add(pair[0], *row_moments(x))
+        for _, screen, z, chunk in chunks:
+            ones_z = np.hstack([np.ones((z.shape[0], 1)), z])
+            gram.add(pair[0], *screen.reduce(ones_z.T @ ones_z))
+            rows.add(pair[0], *row_moments(chunk))
         assert np.array_equal(gram.n, rows.n)
         np.testing.assert_allclose(gram.mean, rows.mean, rtol=1e-12, atol=1e-12 * math.sqrt(var.max()))
         np.testing.assert_allclose(gram.m2, rows.m2, rtol=1e-12, atol=1e-12 * n * var.max())
@@ -493,3 +497,109 @@ class TestScreenedDraws:
         region = StateRegion.box([(-1.0, 1.5), (-0.5, 2.0)])
         cs = ConstraintSet([Constraint(2, region), Constraint(0, HALF_PLANE)], "disjunct")
         self.assert_agrees_with_eager(td, cs, 6)
+
+
+def explicit_gram(z_head, q, rng):
+    """[A Z_t]^T [A Z_t] for A = [1 z_head] and explicit tail normals Z_t
+    (n, q) from ``rng``: the reference for ``oracle._augmented_gram``."""
+    n = z_head.shape[0]
+    full = np.hstack([np.ones((n, 1)), z_head, rng.standard_normal((n, q))])
+    return full.T @ full
+
+
+class TestDrawnTailGram:
+    """Each block's tail Gram blocks are drawn given its head normals, in the
+    law that explicit tail normals give them."""
+
+    @staticmethod
+    def head(n, h):
+        # not standard normal, as accepted head normals are not: shifted and
+        # correlated columns, so that A^T A is far from diagonal
+        rng = np.random.default_rng(90 + n + h)
+        mix = np.tril(rng.uniform(0.3, 1.0, (h, h)))
+        return 0.5 + rng.standard_normal((n, h)) @ mix
+
+    @pytest.mark.parametrize(
+        "h, q, n",
+        [
+            (3, 5, 9),  # n = h + 1 + q: the Bartlett boundary, the last chi^2 has 1 df
+            (4, 6, 30),
+            (6, 10, 4096),
+            (0, 6, 30),  # empty head: A is the ones column
+            (4, 6, 10),  # small block: explicit tail normals
+            (4, 6, 3),  # fewer rows than h + 1
+        ],
+        ids=["boundary", "n30", "n4096", "empty_head", "small_block", "short_head"],
+    )
+    def test_agrees_in_law_with_explicit_tail_normals(self, h, q, n):
+        z_head = self.head(n, h)
+        a, reps = h + 1, 2_000
+        drawn_rng, explicit_rng = np.random.default_rng(91), np.random.default_rng(92)
+        head_gram = explicit_gram(z_head, 0, explicit_rng)
+        upper = np.triu_indices(q)
+
+        def stats(gram):
+            # the blocks that involve the tail: A^T Z_t, the upper triangle of
+            # Z_t^T Z_t and its trace
+            np.testing.assert_allclose(gram[:a, :a], head_gram, rtol=1e-12, atol=1e-12 * n)
+            assert np.array_equal(gram[a:, :a], gram[:a, a:].T)
+            tail = gram[a:, a:]
+            return np.concatenate([gram[:a, a:].ravel(), tail[upper], [np.trace(tail)]])
+
+        drawn = np.array([stats(_augmented_gram(z_head, q, drawn_rng)) for _ in range(reps)])
+        explicit = np.array([stats(explicit_gram(z_head, q, explicit_rng)) for _ in range(reps)])
+        # the first two moments of every statistic agree
+        z = []
+        for x, y in ((drawn, explicit), ((drawn - drawn.mean(0)) ** 2, (explicit - explicit.mean(0)) ** 2)):
+            z.extend((x.mean(0) - y.mean(0)) / np.sqrt((x.var(0) + y.var(0)) / reps))
+        assert np.abs(z).max() < 4.5, z
+        # below the Bartlett boundary the draw is the explicit one
+        same = np.random.default_rng(93), np.random.default_rng(93)
+        gram = _augmented_gram(z_head, q, same[0])
+        reference = explicit_gram(z_head, q, same[1])
+        assert np.allclose(gram, reference, rtol=1e-12, atol=1e-12 * n) == (n < a + q)
+
+    def test_no_tail_draws_nothing(self):
+        z_head = self.head(30, 4)
+        rng = np.random.default_rng(94)
+        state = rng.bit_generator.state
+        gram = _augmented_gram(z_head, 0, rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_allclose(gram, explicit_gram(z_head, 0, rng), rtol=1e-12)
+
+    def test_blocks_are_cut_by_accepted_row(self, monkeypatch):
+        rng = np.random.default_rng(95)
+        window = TimeWindow(0, 3)
+        td = random_density(rng, window, 2)
+        box = StateRegion.box([(-1.0, 1.5), (None, None)])
+        cs = ConstraintSet([Constraint(1, box), Constraint(2, HALF_PLANE)], "conjunct")
+        calls = []  # (screen, rows) per moments call
+        original = _Screen.moments
+
+        def spy(self, z_head, rng):
+            calls.append((self, z_head.shape[0]))
+            return original(self, z_head, rng)
+
+        monkeypatch.setattr(_Screen, "moments", spy)
+
+        def blocks():
+            calls.clear()
+            moments = _StepMoments(td)
+            per_pair = _accepted(td, 100_000, np.random.default_rng(96), cs, moments, np.random.default_rng(97))
+            groups = []  # the sizes of each pair's calls, in call order
+            for i, (screen, rows) in enumerate(calls):
+                if i == 0 or screen is not calls[i - 1][0]:
+                    groups.append([])
+                groups[-1].append(rows)
+            return per_pair, groups
+
+        whole = blocks()
+        monkeypatch.setattr(gaussian, "DRAW_CHUNK", 1000)
+        per_pair, groups = blocks()
+        assert len({id(screen) for screen, _ in calls}) == len(groups)  # a pair's calls are consecutive
+        assert [sum(g) for g in groups] == [per_pair[p] for p in td.pmf.pairs if per_pair.get(p)]
+        for sizes in groups:
+            assert all(rows == _TAIL_BLOCK for rows in sizes[:-1]) and 0 < sizes[-1] <= _TAIL_BLOCK
+        assert max(map(len, groups)) >= 3
+        # so the blocks, and every tail draw, are those of the unpatched chunk size
+        assert (per_pair, groups) == whole
