@@ -37,7 +37,6 @@ from .gaussian import (
     TrajectoryDensity,
     alive_probability,
     marginal,
-    moment_match,
     region_probability,
     sample,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import serialize
 from .core import Constraint, ConstraintSet, StateRegion, TimeWindow
-from .engine import ConstrainedPpp, constrain_bernoulli, constrained_marginals
+from .engine import EXACT, LATTICE, ConstrainedPpp, constrain_bernoulli, constrained_marginals
 from .errors import ConfigError, TrajConstrainError, ZeroSupportError
 from .gaussian import CLOSED_FORM, MC, PINNED, QMC, step_moments
 from .oracle import oracle_bernoulli, oracle_ppp
@@ -243,11 +243,13 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
         c_times, c_means, c_covs = [], None, None
         acceptance = 0.0
         dropped = 0
+        view_paths = []
     else:
         mmarg = constrained_marginals(constrained.density, budget, seed + 1)
         c_times, c_means, c_covs = mmarg.times, mmarg.means, mmarg.covs
         acceptance = mmarg.acceptance_rate
-        dropped = sum(n == 0 for n in mmarg.accepted.values())
+        dropped = len(mmarg.dropped)
+        view_paths = list(mmarg.view_paths.values())
     c_index = {t: k for k, t in enumerate(c_times)}
 
     d = mm.dim
@@ -285,6 +287,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
         "acceptance_rate": acceptance,
         "dropped_strata": dropped,
         "pair_paths": {path: paths.count(path) for path in (PINNED, CLOSED_FORM, QMC, MC)},
+        "view_paths": {path: view_paths.count(path) for path in (EXACT, LATTICE, MC)},
         "mc_budget": budget,
         "seed": seed,
     }

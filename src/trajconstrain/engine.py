@@ -23,16 +23,23 @@ call, and each pair records the path that settled it.
 In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets. Constraining
 needs only its total mass, 1 - P(every active constraint fails), and the
-views below accept draws against the indicators, so any number of active
-constraints works. The 2^m - 1 partition weights are built only on request,
-by ``disjunct_partitions``, which alone caps m.
+views below restrict y to the disjoint cells where constraint k is the first
+to hold, so any number of active constraints works. The 2^m - 1 partition
+weights are built only on request, by ``disjunct_partitions``, which alone
+caps m.
 
 The indicators read only y, the bounded coordinates at the active constraint
-times, and given y the whole sequence is exactly Gaussian. So one accepted-y
-draw per pair serves all three views: ``constrained_marginals`` and
-``moment_matched`` take the Gaussian given the accepted draws' mean and
-covariance (Rao-Blackwellization); ``sample_cloud`` completes each accepted y
-to a joint sample by pathwise conditioning.
+times, and given y the whole sequence is exactly Gaussian. So one batched
+lattice pass over the distinct y problems of a density (``_accepted_y``, the
+separation of variables of the QMC pair probabilities with every coordinate
+on the lattice) gives each pair weighted points y inside its accepted cells,
+a GHK draw, and serves all three views: ``constrained_marginals`` and
+``moment_matched`` take the Gaussian given the points' weighted mean and
+covariance (Rao-Blackwellization), with a step-mean standard error from the
+spread across the lattice's random shifts; ``sample_cloud`` completes each
+point to a joint sample by pathwise conditioning. Pinned pairs are exact;
+pairs with multi-box items or too many cells fall back to Monte Carlo draws
+of y weighted by their indicators.
 """
 
 from __future__ import annotations
@@ -40,11 +47,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConstraintSet, CONJUNCT, DISJUNCT, active_indices
+from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion, active_indices
 from .core import satisfies_batch  # noqa: F401  (not called here; perfbench/tracing.py patches engine.satisfies_batch)
 from .errors import (
     DegenerateDensityError,
@@ -54,6 +61,10 @@ from .errors import (
     ZeroSupportError,
 )
 from .gaussian import (
+    _MAX_QMC_CELLS,
+    _QMC_SHIFTS,
+    MC,
+    PINNED,
     BirthDeathPmf,
     GaussianSequence,
     Pair,
@@ -63,8 +74,11 @@ from .gaussian import (
     _bounded_cols,
     _bounded_masks,
     _check_draws,
+    _lattice_points,
     _pattern_batch,
     _pattern_probabilities,
+    _product_cells,
+    _qmc_points,
     _step_blocks,
     _step_mixture,
     child_rng,
@@ -75,6 +89,11 @@ from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pa
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 MAX_ACTIVE_FOR_PARTITIONS = 20
+
+# How a view settled a pair: its unconstrained conditional exactly, weighted
+# lattice points, or Monte Carlo draws weighted by their indicators (``MC``).
+EXACT = "exact"
+LATTICE = "lattice"
 
 logger = logging.getLogger("trajconstrain")
 
@@ -131,11 +150,16 @@ class ConstraintReport:
 class MarginalMoments:
     """Per-time-step moment-matched summary of a constrained density.
 
-    ``ess`` is, per step, the Kish effective sample size (sum w)^2 / sum w^2
-    of the accepted draws alive at that step; the standard error of a step
-    mean is at most about sd / sqrt(ess), whereas ``n_accepted`` counts every
-    accepted draw, alive at the step or not. ``accepted`` holds the accepted
-    draws of each (birth, death) pair; a pair with 0 was dropped.
+    ``mean_se`` (steps, dim) is the standard error of each step mean: the
+    spread of the pmf-mixed per-shift step mean over the ``_QMC_SHIFTS``
+    lattice shifts (a Monte Carlo pair's equal blocks of draws) over
+    sqrt(shifts); an exact pair adds none. Per (birth, death) pair,
+    ``view_paths`` says how its view was settled (``"exact"``, ``"lattice"``
+    or ``"mc"``) and ``accepted`` counts its points of positive weight: 0
+    for an exact pair, and for a Monte Carlo pair its accepted draws, 0 if
+    it was dropped. ``acceptance_rate`` is the Kish effective sample size of
+    all the points' weights over their number (rejected draws included; 1
+    without points), in (0, 1].
     """
 
     times: List[int]
@@ -143,24 +167,33 @@ class MarginalMoments:
     covs: np.ndarray
     alive_probs: np.ndarray
     acceptance_rate: float
-    ess: np.ndarray
+    mean_se: np.ndarray
     accepted: Dict[Pair, int]
+    view_paths: Dict[Pair, str]
 
     @property
     def n_accepted(self) -> int:
         return sum(self.accepted.values())
+
+    @property
+    def dropped(self) -> List[Pair]:
+        """Pairs left out of every view: Monte Carlo pairs that accepted nothing."""
+        return [pair for pair, n in self.accepted.items() if n == 0 and self.view_paths[pair] != EXACT]
 
 
 @dataclass
 class ConstrainedTrajectoryDensity:
     """Indicator-truncated trajectory density under a constraint set.
 
-    ``pmf`` is the constrained (birth, death) mass. One accepted-y draw per
-    pair (the same for the same ``mc_budget`` and ``rng_seed``) serves all
-    three views: ``constrained_marginals``, ``moment_matched`` and the joint
-    samples of ``sample_cloud``, which come from pathwise conditioning. A
-    degenerate instance (zero spatial probability everywhere, or a support
-    meeting no constraint time) carries no pmf; ``degenerate`` derives from it.
+    ``pmf`` is the constrained (birth, death) mass. One pass per call (the
+    same for the same ``mc_budget`` and ``rng_seed``; ``_accepted_y``) gives
+    each pair weighted points y of its bounded coordinates inside the
+    accepted cells, and all three views read it: ``constrained_marginals``
+    and ``moment_matched`` take each pair's Gaussian given the points'
+    weighted mean and covariance, and ``sample_cloud`` completes the points
+    to joint samples by pathwise conditioning. A degenerate instance (zero
+    spatial probability everywhere, or a support meeting no constraint time)
+    carries no pmf; ``degenerate`` derives from it.
     """
 
     base: TrajectoryDensity
@@ -177,46 +210,49 @@ class ConstrainedTrajectoryDensity:
         return self.pmf is None
 
     def sample_cloud(self, mc_budget: int = 100_000, rng_seed: int = 0) -> SampleCloud:
-        """Joint samples from the accepted-y draw that all three views share:
-        each accepted y is completed by pathwise conditioning, x = x* + K (y -
-        x*_y) with x* an unconstrained draw (exact given y), and y is written
-        back exactly, so every sample satisfies the constraints. Each sample
-        of a pair weighs prob / n_acc."""
+        """Joint samples from the pass all three views share: each point y of
+        a pair with positive weight w is completed by pathwise conditioning,
+        x = x* + K (y - x*_y) with x* an unconstrained draw (exact given y),
+        and y is written back exactly, so every sample satisfies the
+        constraints. A sample weighs prob * w / (sum of the pair's w), so a
+        pair's samples weigh its constrained mass. A lattice pair has at most
+        about mc_budget // 16 samples, a Monte Carlo pair its accepted draws;
+        an exact pair has ``_QMC_SHIFTS * _qmc_points(mc_budget)``
+        unconstrained draws of equal weight. Dropped pairs have none."""
         strata: Dict[Pair, Stratum] = {}
-        for prob, (b, e), gs, cols, y, gain in _accepted_y(self, mc_budget, rng_seed)[0]:
-            n_acc = y.shape[0]
-            x = gs.draw(n_acc, child_rng(rng_seed, 2, self.pmf.pairs.index((b, e))))
-            x += (y - x[:, cols]) @ gain.T
-            x[:, cols] = y
-            strata[(b, e)] = Stratum(x.reshape(n_acc, e - b + 1, self.dim), np.full(n_acc, prob / n_acc))
+        for j, v in enumerate(_accepted_y(self, mc_budget, rng_seed)):
+            if v.dropped:
+                continue
+            (b, e), rng = v.pair, child_rng(rng_seed, 2, j)
+            if v.path == EXACT:
+                n = _QMC_SHIFTS * _qmc_points(mc_budget)
+                x, weights = v.gs.draw(n, rng), np.full(n, v.prob / n)
+            else:
+                w = v.w.ravel()
+                keep = w > 0.0
+                y = v.y.reshape(w.size, -1)[keep]
+                x = v.gs.draw(y.shape[0], rng)
+                x += (y - x[:, v.cols]) @ v.gain.T
+                x[:, v.cols] = y
+                weights = w[keep] * (v.prob / w.sum())
+            strata[(b, e)] = Stratum(x.reshape(x.shape[0], e - b + 1, self.dim), weights)
         return SampleCloud(self.dim, strata)
 
     def moment_matched(self, mc_budget: int = 100_000, rng_seed: int = 0) -> TrajectoryDensity:
-        """Per pair the Gaussian given the accepted y of the draw all three
-        views share (``sample_cloud`` draws joint samples from it by pathwise
+        """Per pair the Gaussian given y of the pass all three views share
+        (``sample_cloud`` draws joint samples from it by pathwise
         conditioning; none is drawn here); the pmf is renormalized over the
-        pairs that accepted at least 2 draws. A pair that accepted a single
-        draw is dropped and logged, as one that accepted none; ValueError
-        when no pair is left."""
+        pairs left after dropped ones (Monte Carlo pairs that accepted
+        nothing, logged)."""
         pairs, probs, conds = [], [], []
-        single = []
-        for prob, pair, gs, cols, y, gain in _accepted_y(self, mc_budget, rng_seed)[0]:
-            if y.shape[0] == 1:
-                single.append(prob)
+        for v in _accepted_y(self, mc_budget, rng_seed):
+            if v.dropped:
                 continue
-            pairs.append(pair)
-            probs.append(prob)
-            mean, cov = _given_y(gs, cols, y, gain)
+            mean, delta, _ = _given_y(v)
+            cov = v.gs.cov if delta is None else v.gs.cov + v.gain @ delta @ v.gain.T
+            pairs.append(v.pair)
+            probs.append(v.prob)
             conds.append(GaussianSequence(mean, 0.5 * (cov + cov.T), self.dim))
-        if single:
-            logger.warning(
-                "%d (birth, death) strata accepted a single draw and were dropped from the moment match "
-                "(constrained mass %.3g)",
-                len(single),
-                math.fsum(single),
-            )
-        if not pairs:
-            raise ValueError("every stratum has fewer than 2 accepted draws; increase mc_budget")
         probs = np.asarray(probs)
         return TrajectoryDensity(BirthDeathPmf(tuple(pairs), probs / probs.sum()), tuple(conds))
 
@@ -247,10 +283,11 @@ class ConstrainedPmbm:
     hypotheses: List[ConstrainedHypothesis]
 
 
-def _pair_seed(rng_seed: int, pair_index: int) -> int:
+def _pair_seed(rng_seed: int, pair_index: int, stream: int = 0) -> int:
     # One stream per pair, folded into a single int seed for the primitive's
-    # child_rng; the trailing 0 is part of each stream's key.
-    return int(np.random.SeedSequence([int(rng_seed), pair_index, 0]).generate_state(1)[0])
+    # child_rng; the trailing stream (0 constraining, 1 the views' lattice)
+    # is part of each stream's key.
+    return int(np.random.SeedSequence([int(rng_seed), pair_index, stream]).generate_state(1)[0])
 
 
 def _component_seed(rng_seed: int, k: int) -> int:
@@ -483,71 +520,192 @@ def constrain_pmbm(
     return ConstrainedPmbm(ppp_c, hyps)
 
 
-def _accepted_y(
-    ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
-) -> Tuple[list, Dict[Pair, int], float]:
-    """The one Monte Carlo draw behind every view of a constrained density.
+class _ViewPair(NamedTuple):
+    """One pair's part of the pass behind every view: ``path`` is ``EXACT``
+    (no points: the unconstrained conditional is the constrained one),
+    ``LATTICE`` or ``MC``. The points y (shifts or blocks, points, k) are
+    the bounded coordinates ``cols`` at the active constraint times, w
+    (shifts or blocks, points) their weights, ``kept`` the count of positive
+    ones, ``y_mean`` (R, k) and ``y_cov`` (R, k, k) their moments per shift
+    or block (``_y_moments``) and ``gain`` K = C_xy pinv(S_yy)."""
 
-    Per pair j in pmf order, y (the bounded coordinates ``cols`` at the active
-    constraint times, ascending as the times are distinct and sorted) is drawn
-    ceil(mc_budget * prob / spatial_prob) times, clipped to [2, mc_budget],
-    on stream child_rng(rng_seed, 1, j) and accepted by the regions (all in
-    conjunct mode, any in disjunct). A pair thus expects about mc_budget *
-    prob accepted draws, however low its spatial probability, unless the cap
-    binds. Returns (prob, pair, conditional, cols, accepted y, K = C_xy
-    pinv(S_yy)) per pair that accepted a draw, the accepted counts and the
-    overall rate. Pairs that accepted nothing are logged; a rate below 1e-6
-    raises LowAcceptanceError.
+    prob: float
+    pair: Pair
+    gs: GaussianSequence
+    path: str
+    cols: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+    kept: int = 0
+    y_mean: Optional[np.ndarray] = None
+    y_cov: Optional[np.ndarray] = None
+    gain: Optional[np.ndarray] = None
+
+    @property
+    def dropped(self) -> bool:
+        return self.path != EXACT and not self.kept
+
+
+def _view_cells(regions: Sequence[StateRegion], mode: str):
+    """The accepted cells (lo, hi, out) of single-box ``regions`` (in time
+    order), or the reason they take plain Monte Carlo instead: the inside
+    cell in conjunct mode or for one region; in disjunct mode the cells where
+    region k is the first to hold (the earlier ones outside, k inside, the
+    later ones free), disjoint and together the union."""
+    if any(r.n_boxes > 1 for r in regions):
+        return "multi-box item"
+    m = len(regions)
+    if mode == CONJUNCT or m == 1:
+        return _product_cells(regions, [True] * m)
+    dims = [r.bounded_dims.size for r in regions]
+    if sum(math.prod(dims[:k]) for k in range(m)) > _MAX_QMC_CELLS:
+        return f"over {_MAX_QMC_CELLS} cells"
+    parts = [_product_cells(regions, [False] * k + [True] + [None] * (m - k - 1)) for k in range(m)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _y_moments(y: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Self-normalized weighted mean (R, k) and covariance (R, k, k) of y per
+    shift or block, y (R, points, k) with weights w (R, points). A block
+    with no weight (a Monte Carlo block that accepted nothing) takes the
+    moments of all the blocks together."""
+    total = w.sum(axis=1)
+    empty = total == 0.0
+    total[empty] = 1.0
+    mean = (w[:, None, :] @ y)[:, 0] / total[:, None]
+    centred = y - mean[:, None, :]
+    cov = (centred.transpose(0, 2, 1) * w[:, None, :]) @ centred / total[:, None, None]
+    if empty.any():
+        pooled_mean, pooled_cov = _y_moments(y.reshape(1, -1, y.shape[2]), w.reshape(1, -1))
+        mean[empty], cov[empty] = pooled_mean, pooled_cov
+    return mean, cov
+
+
+def _weighted(y: np.ndarray, w: np.ndarray) -> dict:
+    """The ``_ViewPair`` fields of points y with weights w: the count of
+    positive weights, and the per-shift moments when there is one."""
+    kept = int(np.count_nonzero(w))
+    y_mean, y_cov = _y_moments(y, w) if kept else (None, None)
+    return {"y": y, "w": w, "kept": kept, "y_mean": y_mean, "y_cov": y_cov}
+
+
+def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int) -> List[_ViewPair]:
+    """The one pass behind every view of a constrained density, a
+    ``_ViewPair`` per pair in pmf order.
+
+    The indicators read only y, the bounded coordinates at the active
+    constraint times (ascending, as the times are distinct and sorted),
+    and given y the sequence is exactly Gaussian. A pinned pair, and a
+    disjunct pair with a full-space active constraint, always holds, so its
+    view is ``EXACT``. Every other pair's y lies in the accepted cells of
+    its regions (``_view_cells``, built once per set of active constraints;
+    full-space regions dropped), drawn by ``gaussian._lattice_points`` at
+    about mc_budget // 16 points in all: a ``LATTICE`` pair. Pairs with
+    byte-identical (m_y, S_yy, cells) share one problem, seeded by the
+    first of them, j, with ``_pair_seed(rng_seed, j, 1)``. Pairs with a
+    multi-box item or over ``_MAX_QMC_CELLS`` cells draw y ``mc_budget``
+    times (rounded up to ``_QMC_SHIFTS`` equal blocks) on stream
+    child_rng(rng_seed, 1, j) and weigh each draw by its indicator: ``MC``,
+    each fallback counted by reason and logged at INFO. An MC pair that
+    accepted no draw is dropped and logged at WARNING; LowAcceptanceError
+    when every pair was dropped.
     """
     _check_draws("mc_budget", mc_budget)
     if ctd.degenerate:
         raise DegenerateDensityError("cannot sample a degenerate constrained density")
     cs = ctd.cs
-    draws = []
-    accepted: Dict[Pair, int] = {}
-    drawn = 0
+    views: List[_ViewPair] = []
+    cells_of: Dict[Tuple[int, ...], tuple] = {}
+    problems, keys, slots = [], {}, []
+    fallbacks: Dict[str, int] = {}
     for j, (pair, prob) in enumerate(ctd.pmf.items()):
-        spatial = ctd.pair_info[pair].spatial_prob
-        n_pair = max(math.ceil(min(mc_budget * prob / spatial, mc_budget)), 2)
+        info = ctd.pair_info[pair]
         gs = ctd.base.conditional(pair)
-        active = sorted((cs.constraints[i] for i in ctd.pair_info[pair].active), key=lambda c: c.time)
-        cols = np.concatenate([_bounded_cols(pair, gs.dim, c.time, c.region) for c in active])
-        s_yy = gs.cov[np.ix_(cols, cols)]
-        y = GaussianSequence(gs.mean[cols], s_yy, 1).draw(n_pair, child_rng(rng_seed, 1, j))
-        masks = _bounded_masks([c.region for c in active], y)
-        acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
-        drawn += n_pair
-        accepted[pair] = int(acc.sum())
-        if accepted[pair]:
+        if info.active not in cells_of:
+            active = sorted(info.active, key=lambda i: cs.constraints[i].time)
+            bounded = [cs.constraints[i] for i in active if not cs.constraints[i].region.is_full_space]
+            regions = [c.region for c in bounded]
+            holds = not bounded or (cs.mode == DISJUNCT and len(bounded) < len(active))
+            cells_of[info.active] = (bounded, None if holds else _view_cells(regions, cs.mode))
+        bounded, cells = cells_of[info.active]
+        if info.path == PINNED or cells is None:
+            views.append(_ViewPair(float(prob), pair, gs, EXACT))
+            continue
+        cols = np.concatenate([_bounded_cols(pair, gs.dim, c.time, c.region) for c in bounded])
+        m_y, s_yy = gs.mean[cols], gs.cov[np.ix_(cols, cols)]
+        if isinstance(cells, str):
+            fallbacks[cells] = fallbacks.get(cells, 0) + 1
+            block = -(-mc_budget // _QMC_SHIFTS)
+            y = GaussianSequence(m_y, s_yy, 1).draw(block * _QMC_SHIFTS, child_rng(rng_seed, 1, j))
+            masks = _bounded_masks([c.region for c in bounded], y)
+            acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
+            points = _weighted(y.reshape(_QMC_SHIFTS, block, -1), acc.reshape(_QMC_SHIFTS, block) * 1.0)
             # pinv: S_yy is singular when bounded coordinates are degenerate or collinear.
-            draws.append((float(prob), pair, gs, cols, y[acc], gs.cov[:, cols] @ np.linalg.pinv(s_yy)))
-    dropped = [pair for pair, n in accepted.items() if n == 0]
+            gain = gs.cov[:, cols] @ np.linalg.pinv(s_yy)
+            views.append(_ViewPair(float(prob), pair, gs, MC, cols, gain=gain, **points))
+            continue
+        lo, hi, out = cells
+        key = (m_y.tobytes(), s_yy.tobytes(), lo.shape, lo.tobytes(), hi.tobytes(), out.tobytes())
+        if key not in keys:
+            keys[key] = (len(problems), np.linalg.pinv(s_yy))
+            problems.append((m_y, s_yy, lo, hi, out, _pair_seed(rng_seed, j, 1)))
+        problem, inverse = keys[key]
+        slots.append((len(views), problem))
+        views.append(_ViewPair(float(prob), pair, gs, LATTICE, cols, gain=gs.cov[:, cols] @ inverse))
+    if fallbacks:
+        logger.info(
+            "%d of %d pairs' views drawn by Monte Carlo instead of the lattice (%s)",
+            sum(fallbacks.values()),
+            len(views),
+            ", ".join(f"{reason}: {count}" for reason, count in fallbacks.items()),
+        )
+    drawn = [_weighted(y, w) for y, w in _lattice_points(problems, mc_budget)]
+    for v, p in slots:
+        views[v] = views[v]._replace(**drawn[p])
+    dropped = [v for v in views if v.dropped]
     if dropped:
         logger.warning(
             "%d of %d (birth, death) strata accepted no draw and were dropped (constrained mass %.3g)",
             len(dropped),
-            len(accepted),
-            math.fsum(ctd.pmf.prob(pair) for pair in dropped),
+            len(views),
+            math.fsum(v.prob for v in dropped),
         )
-    rate = sum(accepted.values()) / drawn if drawn else 0.0
-    if rate < 1e-6:
-        raise LowAcceptanceError(
-            f"acceptance rate {rate} below 1e-6 over budget {drawn}; increase mc_budget"
-        )
-    return draws, accepted, rate
+        if len(dropped) == len(views):
+            raise LowAcceptanceError(f"no (birth, death) stratum accepted a draw of {mc_budget}; increase mc_budget")
+    return views
 
 
-def _given_y(
-    gs: GaussianSequence, cols: np.ndarray, y: np.ndarray, gain: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the whole sequence when y has the accepted draws'
-    mean ybar and covariance Sigma: m + K (ybar - m_y), P + K (Sigma - S_yy) K'."""
-    y_mean = y.mean(axis=0)
-    centered = y - y_mean
-    sigma = centered.T @ centered / y.shape[0]
-    mean = gs.mean + gain @ (y_mean - gs.mean[cols])
-    cov = gs.cov + gain @ (sigma - gs.cov[np.ix_(cols, cols)]) @ gain.T
-    return mean, cov
+def _given_y(v: _ViewPair) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The pair's Gaussian given y: its mean m + K (ybar - m_y), the
+    correction Sigma - S_yy such that its covariance is P + K (Sigma -
+    S_yy) K', and the per-shift deviations K (ybar_r - ybar) of its mean,
+    (R, sequence dim). ybar is the mean of the per-shift means ybar_r and
+    Sigma that of the per-shift covariances plus the spread of ybar_r about
+    ybar: the covariance of all the points about ybar, each shift weighing
+    alike. An exact pair has no correction and no deviation."""
+    gs = v.gs
+    if v.path == EXACT:
+        return gs.mean, None, np.zeros((1, gs.mean.size))
+    y_bar = v.y_mean.mean(axis=0)
+    dev = v.y_mean - y_bar
+    sigma = v.y_cov.mean(axis=0) + dev.T @ dev / dev.shape[0]
+    return gs.mean + v.gain @ (y_bar - gs.mean[v.cols]), sigma - gs.cov[np.ix_(v.cols, v.cols)], dev @ v.gain.T
+
+
+def _kish_rate(views: Sequence[_ViewPair]) -> float:
+    """Kish effective sample size (sum w)^2 / sum w^2 of every point of the
+    views, each weighing prob * w / (sum of its pair's w), over the number
+    of points (rejected Monte Carlo draws included), at most 1 whatever the
+    rounding; 1 without points."""
+    total, squares, count = 0.0, 0.0, 0
+    for v in views:
+        if not v.kept:
+            continue
+        w = v.w * (v.prob / v.w.sum())
+        total += float(w.sum())
+        squares += float(np.sum(w * w))
+        count += w.size
+    return min(total * total / squares / count, 1.0) if count else 1.0
 
 
 def constrained_marginals(
@@ -556,18 +714,35 @@ def constrained_marginals(
     rng_seed: int = 0,
 ) -> MarginalMoments:
     """Per-time-step moment-matched mean/covariance of the constrained density:
-    the step blocks of each pair's Gaussian given the accepted y, mixed over
-    pairs by their constrained pmf mass."""
-    draws, accepted, rate = _accepted_y(ctd, mc_budget, rng_seed)
+    each pair's step means and step blocks P_tt + K_t (Sigma - S_yy) K_t'
+    given y (``_given_y``; the whole covariance is never formed), mixed over
+    pairs by their constrained pmf mass, with the standard error of each step
+    mean from the spread of the mixed per-shift means."""
+    views = _accepted_y(ctd, mc_budget, rng_seed)
     d = ctd.dim
-    strata = []
-    for prob, (b, _), gs, cols, y, gain in draws:
-        mean, cov = _given_y(gs, cols, y, gain)
-        strata.append((prob, b, mean.reshape(-1, d), _step_blocks(cov, d)))
+    strata, spread = [], []
+    for v in views:
+        if v.dropped:
+            continue
+        mean, delta, dev = _given_y(v)
+        blocks = _step_blocks(v.gs.cov, d)
+        if delta is not None:
+            k_t = v.gain.reshape(-1, d, v.gain.shape[1])
+            blocks += k_t @ delta @ k_t.transpose(0, 2, 1)
+        strata.append((v.prob, v.pair[0], mean.reshape(-1, d), blocks))
+        spread.append((v.prob, v.pair[0], dev.reshape(dev.shape[0], -1, d)))
     times, means, covs, alive = _step_mixture(strata, d)
-    # Kish ESS per step: each accepted draw of a pair carries weight prob / n_acc.
-    sq = np.zeros(len(times))
-    for prob, (b, e), _, _, y, _ in draws:
-        sq[times.index(b) : times.index(e) + 1] += prob * prob / y.shape[0]
-    ess = alive * alive / sq
-    return MarginalMoments(times, means, covs, alive, rate, ess, accepted)
+    # The mixed per-shift deviations of the step means: pairs on one problem
+    # share their shifts, pairs on different problems are independent.
+    t0 = times[0]
+    dev = np.zeros((_QMC_SHIFTS, times[-1] - t0 + 1, d))
+    for prob, b, pair_dev in spread:
+        dev[:, b - t0 : b - t0 + pair_dev.shape[1]] += prob * pair_dev
+    dev = dev[:, np.array(times) - t0]
+    live = alive > 0.0
+    mean_se = np.full((len(times), d), np.nan)
+    mean_se[live] = dev[:, live].std(axis=0, ddof=1) / alive[live, None] / math.sqrt(_QMC_SHIFTS)
+    return MarginalMoments(
+        times, means, covs, alive, _kish_rate(views), mean_se,
+        {v.pair: v.kept for v in views}, {v.pair: v.path for v in views},
+    )

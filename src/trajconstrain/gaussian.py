@@ -8,9 +8,11 @@ settle what the 1-D bounds settle, closed form where the remaining bounded
 coordinates are independent single boxes, randomized quasi-Monte Carlo
 (Genz's separation of variables on a shifted lattice) where they are single
 boxes on correlated coordinates, Monte Carlo on those coordinates otherwise;
-``region_probability`` is a batch of one pair), stratified sampling
-(streamed in chunks of at most ``DRAW_CHUNK`` rows, or gathered per pair),
-and moment matching of weighted sample clouds.
+``region_probability`` is a batch of one pair), weighted lattice points of
+Gaussians restricted to product cells (the same lattice pass, for the views
+of a constrained density), stratified sampling (streamed in chunks of at
+most ``DRAW_CHUNK`` rows, or gathered per pair) and per-step moments of
+mixtures.
 
 It needs numpy only: the normal CDF is ``_ndtr``, a vectorized port of
 Cody's rational ``erfc`` (the formula of Cephes' ``ndtr``), and its inverse
@@ -552,16 +554,22 @@ def _conditional_step(
     return e, np.clip(z, -_ERFC_BIG, _ERFC_BIG)
 
 
-def _product_cells(regions: Sequence[StateRegion], inside: Sequence[bool]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _product_cells(
+    regions: Sequence[StateRegion], inside: Sequence[Optional[bool]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The wanted sides of single-box regions as disjoint product cells over
     their bounded coordinates side by side: (lo, hi, out), each (cells,
     coordinates). An inside box is one cell; the outside of a box bounding k
     dims is k cells, cell j inside on dims before j, outside on dim j and
-    free after it. The cells of several regions are the product of theirs."""
+    free after it; ``None`` leaves a region free, one cell unbounded on its
+    dims. The cells of several regions are the product of theirs."""
     options = []
     for region, want_in in zip(regions, inside):
         box = region.bounded_region
         low, high = box.lows[0], box.highs[0]
+        if want_in is None:
+            options.append([(np.full(box.dim, -np.inf), np.full(box.dim, np.inf), np.zeros(box.dim, dtype=bool))])
+            continue
         if want_in:
             options.append([(low, high, np.zeros(box.dim, dtype=bool))])
             continue
@@ -576,34 +584,42 @@ def _product_cells(regions: Sequence[StateRegion], inside: Sequence[bool]) -> Tu
     return tuple(np.array(part) for part in zip(*cells))
 
 
-def _qmc_settle(
-    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]], mc_budget: int
-) -> List[Tuple[float, float]]:
-    """(probability, standard error) of each problem by randomized QMC
-    separation of variables (Genz, JCGS 1992).
+def _lattice_pass(
+    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]],
+    n: int,
+    points: bool,
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Randomized QMC separation of variables (Genz, JCGS 1992) over the
+    cells of each problem, ``n`` lattice points per cell and shift.
 
-    A problem is (mean (k,), cov (k, k), lo, hi, out (cells, k), seed): the
-    probability that y ~ N(mean, cov) lies in one of the disjoint product
-    cells, cell c being the product over coordinates of [lo, hi], or its
-    outside where ``out``. The coordinates are conditioned on one after
-    another in the order of their smallest admissible mass over the cells,
-    through one Cholesky factor; each step multiplies the weight by the
-    step's mass and draws its z from a lattice coordinate. All problems
-    share one Richtmyer lattice (``_qmc_points`` points, generator
-    frac(sqrt(prime_j)) for coordinate j, padded to the largest k); problem
-    i's ``_QMC_SHIFTS`` random shifts come from child_rng(seed). The
-    standard error is the spread of the per-shift estimates.
+    A problem is (mean (k,), cov (k, k), lo, hi, out (cells, k), seed): y ~
+    N(mean, cov) restricted to the disjoint product cells, cell c being the
+    product over coordinates of [lo, hi], or its outside where ``out``. The
+    coordinates are conditioned on one after another in the order of their
+    smallest admissible mass over the cells, through one Cholesky factor;
+    each step multiplies the weight by the step's mass and draws its z from
+    a lattice coordinate. All problems share one Richtmyer lattice
+    (generator frac(sqrt(prime_j)) for coordinate j, padded to the largest
+    k); problem i's ``_QMC_SHIFTS`` random shifts come from child_rng(seed).
+
+    Returns the per-shift estimates (problems, shifts) of the cells' total
+    probability. Without ``points`` the last coordinate needs no z, so the
+    lattice has k - 1 coordinates. With ``points`` it has k, and each problem
+    also gets its points y = mean + L z, in its own coordinate order and
+    clipped into [lo, hi] on the coordinates its cell wants inside, with
+    their weights (the product of the step masses), shapes (shifts, cells x
+    n, k) and (shifts, cells x n), cell after cell: a GHK draw (Hajivassiliou,
+    McFadden & Ruud, J. Econometrics 1996), E[w f(y)] summed over cells
+    being the integral of f over them.
     """
-    if not problems:
-        return []
     # Largest problems first, so that the rows still conditioning at step j
     # are a prefix of every chunk and padding costs nothing.
     sizes = np.array([m.size for m, _, _, _, _, _ in problems])
     rank = np.argsort(-sizes, kind="stable")
     problems = [problems[i] for i in rank.tolist()]
-    n = _qmc_points(mc_budget)
     k = int(sizes.max())
-    generator = np.sqrt(_primes(k - 1)) % 1.0
+    n_lattice = k if points else k - 1
+    generator = np.sqrt(_primes(n_lattice)) % 1.0
     cells = np.array([lo.shape[0] for _, _, lo, _, _, _ in problems])
     owner = np.repeat(np.arange(len(problems)), cells)
     mean = np.zeros((len(problems), k))
@@ -611,13 +627,14 @@ def _qmc_settle(
     lo = np.full((owner.size, k), -np.inf)
     hi = np.full((owner.size, k), np.inf)
     out = np.zeros((owner.size, k), dtype=bool)
-    shifts = np.zeros((len(problems), max(k - 1, 1), _QMC_SHIFTS))
+    shifts = np.zeros((len(problems), max(n_lattice, 1), _QMC_SHIFTS))
     row = 0
     for i, (m, c, l, h, o, seed) in enumerate(problems):
         size = m.size
         mean[i, :size], cov[i, :size, :size] = m, c
         lo[row : row + cells[i], :size], hi[row : row + cells[i], :size], out[row : row + cells[i], :size] = l, h, o
-        shifts[i, : size - 1] = child_rng(seed).random((_QMC_SHIFTS, size - 1)).T
+        width = size if points else size - 1
+        shifts[i, :width] = child_rng(seed).random((_QMC_SHIFTS, width)).T
         row += cells[i]
 
     # Smallest admissible mass over the cells first; padding stays last.
@@ -635,29 +652,80 @@ def _qmc_settle(
     est = np.zeros((len(problems), _QMC_SHIFTS))
     row_size = sizes[rank][owner]
     step = max(_QMC_CHUNK // (_QMC_SHIFTS * n), 1)
+    ys, weights = [], []
     for start in range(0, owner.size, step):
         rows = np.arange(start, min(start + step, owner.size))
         own = owner[rows]
         fac = factor[own]
         offset = np.zeros((own.size, k, _QMC_SHIFTS, n))
         weight = np.ones((own.size, _QMC_SHIFTS, n))
+        y = np.zeros((own.size, k, _QMC_SHIFTS, n)) if points else None
         for j in range(k):
             live = int(np.count_nonzero(row_size[rows] > j))
             r, o = rows[:live], own[:live]
-            u = _lattice_coordinate(n, generator[j], shifts[o, j]) if j < k - 1 else None
-            e, z = _conditional_step(
-                mean[o, j, None, None] + offset[:live, j], fac[:live, j, j, None, None],
-                lo[r, j, None, None], hi[r, j, None, None], out[r, j, None, None], u,
-            )
+            u = _lattice_coordinate(n, generator[j], shifts[o, j]) if j < n_lattice else None
+            # The first step's centre is the same at every point: its masses
+            # are computed once a row.
+            centre = mean[o, j, None, None] + offset[:live, j] if j else mean[o, j, None, None]
+            sd = fac[:live, j, j, None, None]
+            low, high, outside = lo[r, j, None, None], hi[r, j, None, None], out[r, j, None, None]
+            e, z = _conditional_step(centre, sd, low, high, outside, u)
             weight[:live] *= e
             if z is not None:
                 offset[:live, j + 1 :] += fac[:live, j + 1 :, j, None, None] * z[:, None]
+            if points:
+                point = centre + sd * z
+                y[:live, j] = np.where(outside, point, np.clip(point, low, high))
         np.add.at(est, own, weight.mean(axis=2))
-    value = np.empty(len(problems))
-    se = np.empty(len(problems))
-    value[rank] = np.minimum(est.mean(axis=1), 1.0)
-    se[rank] = est.std(axis=1, ddof=1) / math.sqrt(_QMC_SHIFTS)
+        if points:
+            ys.append(y)
+            weights.append(weight)
+    per_shift = np.empty_like(est)
+    per_shift[rank] = est
+    if not points:
+        return per_shift, []
+    y, weight = np.concatenate(ys), np.concatenate(weights)
+    drawn: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(problems)
+    ends = np.cumsum(cells).tolist()
+    for i, (size, end) in enumerate(zip(sizes[rank].tolist(), ends)):
+        block = slice(end - cells[i], end)
+        # (cells, k, shifts, n) -> (shifts, cells x n, k), back in the problem's order
+        sorted_y = y[block, :size].transpose(2, 0, 3, 1).reshape(_QMC_SHIFTS, -1, size)
+        own_y = np.empty_like(sorted_y)
+        own_y[..., order[i, :size]] = sorted_y
+        drawn[rank[i]] = (own_y, weight[block].transpose(1, 0, 2).reshape(_QMC_SHIFTS, -1))
+    return per_shift, drawn
+
+
+def _qmc_settle(
+    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]], mc_budget: int
+) -> List[Tuple[float, float]]:
+    """(probability, standard error) of each problem of ``_lattice_pass`` at
+    ``_qmc_points`` points per cell and shift. The standard error is the
+    spread of the per-shift estimates."""
+    if not problems:
+        return []
+    est, _ = _lattice_pass(problems, _qmc_points(mc_budget), False)
+    value = np.minimum(est.mean(axis=1), 1.0)
+    se = est.std(axis=1, ddof=1) / math.sqrt(_QMC_SHIFTS)
     return list(zip(value.tolist(), se.tolist()))
+
+
+def _lattice_points(
+    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]], mc_budget: int
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The weighted points (y, w) of each problem of ``_lattice_pass``, with
+    the ``_qmc_points`` points of a shift split evenly over its cells (at
+    least one a cell). Problems with the same points per cell share a pass."""
+    groups: Dict[int, List[int]] = {}
+    for i, (_, _, lo, _, _, _) in enumerate(problems):
+        groups.setdefault(max(_qmc_points(mc_budget) // lo.shape[0], 1), []).append(i)
+    drawn: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(problems)
+    for n, members in groups.items():
+        _, points = _lattice_pass([problems[i] for i in members], n, True)
+        for i, p in zip(members, points):
+            drawn[i] = p
+    return drawn
 
 
 def _pattern_batch(
@@ -985,27 +1053,3 @@ def step_moments(td: TrajectoryDensity) -> Tuple[List[int], np.ndarray, np.ndarr
         for ((b, _), w), g in zip(td.pmf.items(), td.conditionals)
     ]
     return _step_mixture(strata, d)
-
-
-def moment_match(cloud: SampleCloud) -> TrajectoryDensity:
-    """Per-stratum weighted mean/covariance; pmf proportional to stratum weights."""
-    if not cloud.strata:
-        raise ValueError("cloud has no strata")
-    pairs, probs, conds = [], [], []
-    for pair in sorted(cloud.strata):
-        s = cloud.strata[pair]
-        w = s.weights
-        total = w.sum()
-        ess = total * total / float((w * w).sum()) if total > 0 else 0.0
-        if ess < 2.0:
-            raise ValueError(f"stratum {pair} has fewer than 2 effective samples")
-        flat = s.states.reshape(s.states.shape[0], -1)
-        mean = (w[:, None] * flat).sum(axis=0) / total
-        centered = flat - mean
-        cov = (w[:, None] * centered).T @ centered / total
-        cov = 0.5 * (cov + cov.T)
-        pairs.append(pair)
-        probs.append(total)
-        conds.append(GaussianSequence(mean, cov, cloud.dim))
-    probs = np.asarray(probs)
-    return TrajectoryDensity(BirthDeathPmf(tuple(pairs), probs / probs.sum()), tuple(conds))

@@ -58,7 +58,7 @@ from .errors import LowAcceptanceError
 from .gaussian import GaussianSequence, Pair, TrajectoryDensity, _check_draws, _cholesky, child_rng
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
-# Draws behind the engine's step means that oracle_bernoulli checks.
+# Budget behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
 # Accepted rows of a pair per block whose tail statistics are drawn at once.
 _TAIL_BLOCK = 2**12
@@ -341,8 +341,9 @@ def oracle_bernoulli(
     check_moments: bool = True,
 ) -> OracleReport:
     """Check constrained existence, pair pmf and per-step moments by rejection.
-    The engine's step means are ``constrained_marginals`` at ``_MOMENT_BUDGET``
-    draws, seed ``rng_seed + 1``; their SE adds in quadrature to the empirical SE."""
+    The engine's step means are ``constrained_marginals`` at ``_MOMENT_BUDGET``,
+    seed ``rng_seed + 1``; their own standard error (``mean_se``) adds in
+    quadrature to the empirical SE."""
     _check_draws("n", n)
     rng = child_rng(rng_seed, 11)
     entries: List[OracleEntry] = []
@@ -379,8 +380,7 @@ def oracle_bernoulli(
                     continue
                 e_mean, e_se, n_t = emp[t]
                 for j in range(constrained.density.dim):
-                    eng_se = math.sqrt(mm.covs[k, j, j] / max(mm.ess[k], 1.0))
-                    se_m = math.sqrt(e_se[j] ** 2 + eng_se**2)
+                    se_m = math.sqrt(e_se[j] ** 2 + mm.mean_se[k, j] ** 2)
                     entries.append(
                         _entry(
                             f"mean[t={t},dim={j}]",

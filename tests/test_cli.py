@@ -120,17 +120,25 @@ class TestConstrain:
 
     def test_dropped_strata(self, tmp_path):
         _, out = run(tmp_path, base_config(), "constrain", subdir="normal")
-        assert json.loads((out / "summary.json").read_text())["dropped_strata"] == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["dropped_strata"] == 0
+        assert summary["view_paths"] == {"exact": 9, "lattice": 0, "mc": 0}  # the wide gate is pinned
         cfg = base_config()
-        # x >= 5 at step 0 is ~1e-7 likely for the 3 hypotheses born at 0, so
-        # each gets the 2-draw minimum and accepts neither
+        # two boxes at step 0, ~3 sd from the hypotheses born at 0: their
+        # views draw y by Monte Carlo, and one of them accepts no draw
         cfg["constraints"]["items"] = [
-            {"time": 0, "boxes": [{"lower": [5.0, None], "upper": [None, None]}]},
+            {
+                "time": 0,
+                "boxes": [{"lower": [4.0, None], "upper": [4.5, None]}, {"lower": [5.0, None], "upper": [5.5, None]}],
+            },
             {"time": 3, "boxes": [{"lower": [0.0, None], "upper": [6.0, None]}]},
         ]
         code, out = run(tmp_path, cfg, "constrain", subdir="tiny")
         assert code == EXIT_OK
-        assert json.loads((out / "summary.json").read_text())["dropped_strata"] == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["dropped_strata"] == 1
+        assert summary["view_paths"] == {"exact": 6, "lattice": 0, "mc": 2}
+        assert 0.0 < summary["acceptance_rate"] <= 1.0
 
     def test_pair_paths(self, tmp_path, monkeypatch):
         cfg = base_config()

@@ -16,7 +16,6 @@ from trajconstrain import (
     alive_probability,
     existence_pairs,
     marginal,
-    moment_match,
     region_probability,
     sample,
 )
@@ -24,8 +23,6 @@ from trajconstrain import gaussian
 from trajconstrain.gaussian import (
     COMPLEMENT,
     INSIDE,
-    SampleCloud,
-    Stratum,
     _interval_masses,
     _ndtr,
     _ndtri,
@@ -688,40 +685,6 @@ class TestSample:
         assert set(a.strata) == set(b.strata)
         for pair in a.strata:
             np.testing.assert_array_equal(a.strata[pair].states, b.strata[pair].states)
-
-
-class TestMomentMatch:
-    def test_identical_points(self):
-        states = np.full((100, 2, 1), 1.5)
-        cloud = SampleCloud(1, {(0, 1): Stratum(states, np.ones(100))})
-        td = moment_match(cloud)
-        g = td.conditionals[0]
-        np.testing.assert_allclose(g.mean, [1.5, 1.5])
-        np.testing.assert_allclose(g.cov, 0, atol=1e-12)
-
-    def test_recovers_known_gaussian(self, rng):
-        gs = random_gaussian_sequence(rng, (0, 1), 2)
-        td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.array([1.0])), (gs,))
-        cloud = sample(td, 100_000, rng_seed=11)
-        out = moment_match(cloud)
-        g = out.conditionals[0]
-        n = 100_000
-        se = np.sqrt(np.diag(gs.cov) / n)
-        assert np.all(np.abs(g.mean - gs.mean) <= 4 * se)
-        se_cov = np.sqrt((np.outer(np.diag(gs.cov), np.diag(gs.cov)) + gs.cov**2) / n)
-        assert np.all(np.abs(g.cov - gs.cov) <= 4 * se_cov)
-
-    def test_weight_ratio_pmf(self):
-        s1 = Stratum(np.zeros((10, 1, 1)), np.full(10, 0.3))
-        s2 = Stratum(np.zeros((10, 2, 1)), np.full(10, 0.1))
-        cloud = SampleCloud(1, {(0, 0): s1, (0, 1): s2})
-        td = moment_match(cloud)
-        assert td.pmf.prob((0, 0)) == pytest.approx(0.75)
-        assert td.pmf.prob((0, 1)) == pytest.approx(0.25)
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
-            moment_match(SampleCloud(1, {}))
 
 
 class TestStepMoments:
