@@ -39,7 +39,8 @@ covariance (Rao-Blackwellization), with a step-mean standard error from the
 spread across the lattice's random shifts; ``sample_cloud`` completes each
 point to a joint sample by pathwise conditioning. Pinned pairs are exact;
 pairs with multi-box items or too many cells fall back to Monte Carlo draws
-of y weighted by their indicators.
+of y weighted by their indicators, by the same cell rule as the pair
+probabilities (``gaussian._product_cells``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .errors import (
     ZeroSupportError,
 )
 from .gaussian import (
-    _MAX_QMC_CELLS,
     _QMC_SHIFTS,
     MC,
     PINNED,
@@ -75,6 +75,7 @@ from .gaussian import (
     _bounded_masks,
     _check_draws,
     _lattice_points,
+    _log_fallbacks,
     _pattern_batch,
     _pattern_probabilities,
     _product_cells,
@@ -283,16 +284,11 @@ class ConstrainedPmbm:
     hypotheses: List[ConstrainedHypothesis]
 
 
-def _pair_seed(rng_seed: int, pair_index: int, stream: int = 0) -> int:
-    # One stream per pair, folded into a single int seed for the primitive's
-    # child_rng; the trailing stream (0 constraining, 1 the views' lattice)
-    # is part of each stream's key.
-    return int(np.random.SeedSequence([int(rng_seed), pair_index, stream]).generate_state(1)[0])
-
-
-def _component_seed(rng_seed: int, k: int) -> int:
-    # The stream of the k-th distinct component of a PMBM, folded like _pair_seed.
-    return int(np.random.SeedSequence([int(rng_seed), k]).generate_state(1)[0])
+def _seed(*keys: int) -> int:
+    # A stream folded into a single int seed for child_rng: (rng_seed, j, 0)
+    # constrains pair j, (rng_seed, j, 1) draws its views' lattice, and
+    # (rng_seed, k) is the k-th distinct component of a PMBM.
+    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
 def _constrain_densities(
@@ -305,7 +301,7 @@ def _constrain_densities(
     ``_pattern_batch`` call for the qualifying pairs of them all.
 
     Pair j of density k draws (when it draws at all) on stream
-    ``_pair_seed(component_seed(k), j)``, unless it is a QMC pair that
+    ``_seed(component_seed(k), j, 0)``, unless it is a QMC pair that
     takes the estimate of a byte-identical earlier pair of the batch. A
     density whose support meets no constraint time with positive mass gives
     None.
@@ -342,7 +338,7 @@ def _constrain_densities(
 
     def seed(p: int) -> int:
         k, j = owners[p]
-        return _pair_seed(component_seed(k), j)
+        return _seed(component_seed(k), j, 0)
 
     settled = iter(zip(_pattern_batch(conds, pairs, items, active, want, mc_budget, seed), complement.tolist(), acts))
     results: List[Optional[Tuple[ConstrainedTrajectoryDensity, ConstraintReport]]] = []
@@ -413,7 +409,7 @@ def disjunct_partitions(
     ``raw_weight`` is the probability that exactly those constraints hold and
     ``weight`` that probability normalized over the entries. The cells come
     from ``_pattern_batch``'s cells path (pinned, closed form, or
-    ``mc_budget`` Monte Carlo draws on stream ``_pair_seed(rng_seed, j)``;
+    ``mc_budget`` Monte Carlo draws on stream ``_seed(rng_seed, j, 0)``;
     never QMC), and are scaled so that the raw weights sum to the pair's
     ``spatial_prob`` within 1e-12, whichever path settled that; draws that
     leave every cell but the empty one at 0 give raw weights of 0. Raises
@@ -433,7 +429,7 @@ def disjunct_partitions(
         )
     j = ctd.base.pmf.pairs.index(pair)
     items = [(ctd.cs.constraints[i].time, ctd.cs.constraints[i].region) for i in active]
-    cells = _pattern_probabilities(ctd.base.conditionals[j], pair, items, mc_budget, _pair_seed(rng_seed, j)).value
+    cells = _pattern_probabilities(ctd.base.conditionals[j], pair, items, mc_budget, _seed(rng_seed, j, 0)).value
     total = float(cells[1:].sum())
     weights = cells[1:] / total if total > 0 else np.zeros(cells.size - 1)
     raw = weights * ctd.pair_info[pair].spatial_prob
@@ -496,7 +492,7 @@ def constrain_pmbm(
     every slot that holds it, scaled by that slot's r or mu. The distinct
     densities are numbered k = 0, 1, ... in order of first appearance, the
     PPP first, and density k is constrained with seed
-    ``_component_seed(rng_seed, k)``, so the components' Monte Carlo errors
+    ``_seed(rng_seed, k)``, so the components' Monte Carlo errors
     are independent; the result equals constraining each slot on its own
     with its component's seed, except that a QMC pair byte-identical to a
     pair of an earlier component takes that pair's estimate.
@@ -505,7 +501,7 @@ def constrain_pmbm(
     for td in [m.ppp.density] + [t.density for h in m.hypotheses for t in h.tracks]:
         distinct.setdefault(id(td), td)
     tds = list(distinct.values())
-    results = _constrain_densities(tds, cs, mc_budget, lambda k: _component_seed(rng_seed, k))
+    results = _constrain_densities(tds, cs, mc_budget, lambda k: _seed(rng_seed, k))
     done = {id(td): _no_support(td, cs) if r is None else r for td, r in zip(tds, results)}
 
     ctd, report = done[id(m.ppp.density)]
@@ -547,21 +543,14 @@ class _ViewPair(NamedTuple):
 
 
 def _view_cells(regions: Sequence[StateRegion], mode: str):
-    """The accepted cells (lo, hi, out) of single-box ``regions`` (in time
-    order), or the reason they take plain Monte Carlo instead: the inside
-    cell in conjunct mode or for one region; in disjunct mode the cells where
-    region k is the first to hold (the earlier ones outside, k inside, the
-    later ones free), disjoint and together the union."""
-    if any(r.n_boxes > 1 for r in regions):
-        return "multi-box item"
+    """``_product_cells`` of the accepted sides of ``regions`` (in time
+    order): the inside in conjunct mode or for one region; in disjunct mode
+    the sides where region k is the first to hold (the earlier ones outside,
+    k inside, the later ones free), disjoint and together the union."""
     m = len(regions)
     if mode == CONJUNCT or m == 1:
-        return _product_cells(regions, [True] * m)
-    dims = [r.bounded_dims.size for r in regions]
-    if sum(math.prod(dims[:k]) for k in range(m)) > _MAX_QMC_CELLS:
-        return f"over {_MAX_QMC_CELLS} cells"
-    parts = [_product_cells(regions, [False] * k + [True] + [None] * (m - k - 1)) for k in range(m)]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+        return _product_cells(regions, [[True] * m])
+    return _product_cells(regions, [[False] * k + [True] + [None] * (m - k - 1) for k in range(m)])
 
 
 def _y_moments(y: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -602,13 +591,13 @@ def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
     full-space regions dropped), drawn by ``gaussian._lattice_points`` at
     about mc_budget // 16 points in all: a ``LATTICE`` pair. Pairs with
     byte-identical (m_y, S_yy, cells) share one problem, seeded by the
-    first of them, j, with ``_pair_seed(rng_seed, j, 1)``. Pairs with a
-    multi-box item or over ``_MAX_QMC_CELLS`` cells draw y ``mc_budget``
-    times (rounded up to ``_QMC_SHIFTS`` equal blocks) on stream
-    child_rng(rng_seed, 1, j) and weigh each draw by its indicator: ``MC``,
-    each fallback counted by reason and logged at INFO. An MC pair that
-    accepted no draw is dropped and logged at WARNING; LowAcceptanceError
-    when every pair was dropped.
+    first of them, j, with ``_seed(rng_seed, j, 1)``. Pairs whose cells
+    ``_product_cells`` refuses (a multi-box item, or over 64 cells) draw y
+    ``mc_budget`` times (rounded up to ``_QMC_SHIFTS`` equal blocks) on
+    stream child_rng(rng_seed, 1, j) and weigh each draw by its indicator:
+    ``MC``, each fallback counted by reason and logged (``_log_fallbacks``).
+    An MC pair that accepted no draw is dropped and logged at WARNING;
+    LowAcceptanceError when every pair was dropped.
     """
     _check_draws("mc_budget", mc_budget)
     if ctd.degenerate:
@@ -648,17 +637,11 @@ def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
         key = (m_y.tobytes(), s_yy.tobytes(), lo.shape, lo.tobytes(), hi.tobytes(), out.tobytes())
         if key not in keys:
             keys[key] = (len(problems), np.linalg.pinv(s_yy))
-            problems.append((m_y, s_yy, lo, hi, out, _pair_seed(rng_seed, j, 1)))
+            problems.append((m_y, s_yy, lo, hi, out, _seed(rng_seed, j, 1)))
         problem, inverse = keys[key]
         slots.append((len(views), problem))
         views.append(_ViewPair(float(prob), pair, gs, LATTICE, cols, gain=gs.cov[:, cols] @ inverse))
-    if fallbacks:
-        logger.info(
-            "%d of %d pairs' views drawn by Monte Carlo instead of the lattice (%s)",
-            sum(fallbacks.values()),
-            len(views),
-            ", ".join(f"{reason}: {count}" for reason, count in fallbacks.items()),
-        )
+    _log_fallbacks(fallbacks, len(views), "pairs' views drawn by Monte Carlo instead of the lattice")
     drawn = [_weighted(y, w) for y, w in _lattice_points(problems, mc_budget)]
     for v, p in slots:
         views[v] = views[v]._replace(**drawn[p])

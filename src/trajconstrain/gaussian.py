@@ -10,9 +10,8 @@ coordinates are independent single boxes, randomized quasi-Monte Carlo
 boxes on correlated coordinates, Monte Carlo on those coordinates otherwise;
 ``region_probability`` is a batch of one pair), weighted lattice points of
 Gaussians restricted to product cells (the same lattice pass, for the views
-of a constrained density), stratified sampling (streamed in chunks of at
-most ``DRAW_CHUNK`` rows, or gathered per pair) and per-step moments of
-mixtures.
+of a constrained density), stratified sampling (one draw per pair) and
+per-step moments of mixtures.
 
 It needs numpy only: the normal CDF is ``_ndtr``, a vectorized port of
 Cody's rational ``erfc`` (the formula of Cephes' ``ndtr``), and its inverse
@@ -27,7 +26,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +58,7 @@ _PIN_TOL = 1e-12
 _SQRT1_2 = math.sqrt(0.5)
 # A QMC pair evaluates about mc_budget // _QMC_COST lattice points, spread
 # over _QMC_SHIFTS random shifts whose spread gives its standard error; a pair
-# whose complements split into more than _MAX_QMC_CELLS product cells is
+# or view with more than _MAX_QMC_CELLS product cells (``_product_cells``) is
 # settled by Monte Carlo instead.
 _QMC_COST = 16
 _QMC_SHIFTS = 10
@@ -69,9 +68,6 @@ _MAX_QMC_CELLS = 64
 _QMC_CHUNK = 2**13
 # A Cholesky pivot at most this fraction of its variance is taken as 0.
 _CHOL_TOL = 1e-12
-# Most rows ``stratified_chunks`` draws at once: memory is O(DRAW_CHUNK x
-# sequence dim) however many draws are asked for.
-DRAW_CHUNK = 2**15
 
 
 class Settled(NamedTuple):
@@ -445,27 +441,6 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, x))
 
 
-def _interval_masses(
-    lows: np.ndarray, highs: np.ndarray, mean: np.ndarray, sd: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """P(low <= x <= high) and P(x outside [low, high]) per coordinate, x ~ N(mean, sd^2).
-
-    Broadcasts over boxes. Each mass is taken from the tail it lies in, so
-    masses near 0 keep their relative precision; sd == 0 is a point mass.
-    One ``_ndtr`` call covers every bound.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (lows - mean) / sd
-        b = (highs - mean) / sd
-    point = sd == 0.0
-    if np.any(point):
-        a = np.where(point, np.where(lows <= mean, -np.inf, np.inf), a)
-        b = np.where(point, np.where(highs >= mean, np.inf, -np.inf), b)
-    cdf_a, cdf_neg_a, cdf_b, cdf_neg_b = _ndtr(np.stack((a, -a, b, -b)))
-    inside = np.where(a > 0.0, cdf_neg_a - cdf_neg_b, cdf_b - cdf_a)
-    return inside, cdf_a + cdf_neg_b
-
-
 def _binomial_se(p: float, n: int) -> float:
     """Standard error of a Monte Carlo frequency p of n draws. An estimate of
     exactly 0 or 1 is moved 1/n inward, so its SE is about 1/n, not 0."""
@@ -555,32 +530,43 @@ def _conditional_step(
 
 
 def _product_cells(
-    regions: Sequence[StateRegion], inside: Sequence[Optional[bool]]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The wanted sides of single-box regions as disjoint product cells over
-    their bounded coordinates side by side: (lo, hi, out), each (cells,
-    coordinates). An inside box is one cell; the outside of a box bounding k
-    dims is k cells, cell j inside on dims before j, outside on dim j and
-    free after it; ``None`` leaves a region free, one cell unbounded on its
-    dims. The cells of several regions are the product of theirs."""
-    options = []
-    for region, want_in in zip(regions, inside):
-        box = region.bounded_region
-        low, high = box.lows[0], box.highs[0]
-        if want_in is None:
-            options.append([(np.full(box.dim, -np.inf), np.full(box.dim, np.inf), np.zeros(box.dim, dtype=bool))])
-            continue
-        if want_in:
-            options.append([(low, high, np.zeros(box.dim, dtype=bool))])
-            continue
-        steps = np.arange(box.dim)
-        options.append(
-            [
-                (np.where(steps <= j, low, -np.inf), np.where(steps <= j, high, np.inf), steps == j)
-                for j in steps.tolist()
-            ]
-        )
-    cells = [[np.concatenate(part) for part in zip(*combo)] for combo in itertools.product(*options)]
+    regions: Sequence[StateRegion], sides: Sequence[Sequence[Optional[bool]]]
+) -> Union[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The disjoint product cells of ``sides`` of single-box regions over
+    their bounded coordinates side by side, (lo, hi, out), each (cells,
+    coordinates), or the reason they are left to Monte Carlo: ``"multi-box
+    item"``, or ``"over 64 cells"`` (``_MAX_QMC_CELLS``) in all.
+
+    A side gives each region True (inside: one cell), False (outside: a box
+    bounding k dims is k cells, cell j inside on dims before j, outside on
+    dim j and free after it) or None (free: one cell unbounded on its dims).
+    A side's cells are the product of its regions'; the sides' cells are
+    concatenated in order."""
+    if any(r.n_boxes > 1 for r in regions):
+        return "multi-box item"
+    dims = [r.bounded_dims.size for r in regions]
+    if sum(math.prod(k for k, s in zip(dims, side) if s is not None and not s) for side in sides) > _MAX_QMC_CELLS:
+        return f"over {_MAX_QMC_CELLS} cells"
+    cells = []
+    for side in sides:
+        options = []
+        for region, want_in in zip(regions, side):
+            box = region.bounded_region
+            low, high = box.lows[0], box.highs[0]
+            if want_in is None:
+                options.append([(np.full(box.dim, -np.inf), np.full(box.dim, np.inf), np.zeros(box.dim, dtype=bool))])
+                continue
+            if want_in:
+                options.append([(low, high, np.zeros(box.dim, dtype=bool))])
+                continue
+            steps = np.arange(box.dim)
+            options.append(
+                [
+                    (np.where(steps <= j, low, -np.inf), np.where(steps <= j, high, np.inf), steps == j)
+                    for j in steps.tolist()
+                ]
+            )
+        cells.extend([np.concatenate(part) for part in zip(*combo)] for combo in itertools.product(*options))
     return tuple(np.array(part) for part in zip(*cells))
 
 
@@ -638,9 +624,9 @@ def _lattice_pass(
         row += cells[i]
 
     # Smallest admissible mass over the cells first; padding stays last.
-    p_in, p_out = _interval_masses(lo, hi, mean[owner], np.sqrt(cov.diagonal(axis1=1, axis2=2))[owner])
+    e, _ = _conditional_step(mean[owner], np.sqrt(cov.diagonal(axis1=1, axis2=2))[owner], lo, hi, out, None)
     mass = np.ones_like(mean)
-    np.minimum.at(mass, owner, np.where(out, p_out, p_in))
+    np.minimum.at(mass, owner, e)
     padded = np.arange(k) >= sizes[rank][:, None]
     order = np.lexsort((mass, padded), axis=1)
     mean = np.take_along_axis(mean, order, axis=1)
@@ -697,18 +683,12 @@ def _lattice_pass(
     return per_shift, drawn
 
 
-def _qmc_settle(
-    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]], mc_budget: int
-) -> List[Tuple[float, float]]:
-    """(probability, standard error) of each problem of ``_lattice_pass`` at
-    ``_qmc_points`` points per cell and shift. The standard error is the
-    spread of the per-shift estimates."""
-    if not problems:
-        return []
-    est, _ = _lattice_pass(problems, _qmc_points(mc_budget), False)
-    value = np.minimum(est.mean(axis=1), 1.0)
-    se = est.std(axis=1, ddof=1) / math.sqrt(_QMC_SHIFTS)
-    return list(zip(value.tolist(), se.tolist()))
+def _log_fallbacks(fallbacks: Dict[str, int], n: int, what: str) -> None:
+    """Log at INFO, if any of ``n`` pairs fell back to Monte Carlo, how many
+    did (``what`` names the pairs and the path they left) and why, by reason."""
+    if fallbacks:
+        reasons = ", ".join(f"{reason}: {count}" for reason, count in fallbacks.items())
+        logger.info("%d of %d %s (%s)", sum(fallbacks.values()), n, what, reasons)
 
 
 def _lattice_points(
@@ -752,7 +732,8 @@ def _pattern_batch(
        pass per distinct region object over every (pair, item) that uses it:
        the means and SDs at columns ``_bounded_cols`` of each such (pair,
        item) are gathered into dense (pairs, boxes, bounded dims) arrays, and
-       one ``_interval_masses`` call covers their bounds.
+       one ``_conditional_step`` call gives the masses inside and outside
+       each bound.
     2. An item is pinned when its 1-D bounds settle it within ``_PIN_TOL``:
        P(inside) <= sum over boxes of min over dims of P(in the interval),
        and P(inside) >= max over boxes of 1 - sum over dims of P(outside),
@@ -760,18 +741,18 @@ def _pattern_batch(
        pinned item against ``want`` gives 0 at once.
     3. A pair's unpinned items are evaluated in closed form when each is a
        single box and their bounded coordinates are uncorrelated. With
-       ``want``, single boxes on correlated coordinates go to QMC
-       (``_qmc_settle``, all such pairs of the batch at once, about
-       mc_budget // 16 lattice points each) when their wanted sides split
-       into at most ``_MAX_QMC_CELLS`` product cells; a pair byte-identical
-       (bounded means, covariance and cells) to an earlier QMC pair of the
-       batch takes that pair's estimate. Every other pair, multi-box items
-       and all cells included, draws ``mc_budget`` samples of those
-       coordinates alone on stream child_rng(seed(p)); the sub-pattern codes
-       are scattered back into the full cells. ``seed(p)`` is asked for
-       only for pairs that sample, once each; each fallback from QMC to
-       Monte Carlo is counted by reason and logged at INFO on the
-       ``trajconstrain`` logger.
+       ``want``, single boxes on correlated coordinates go to QMC (one
+       ``_lattice_pass`` over all such pairs of the batch, about
+       mc_budget // 16 lattice points each; the standard error is the spread
+       of the per-shift estimates) when ``_product_cells`` splits their
+       wanted side into cells; a pair byte-identical (bounded means,
+       covariance and cells) to an earlier QMC pair of the batch takes that
+       pair's estimate. Every other pair, multi-box items and all cells
+       included, draws ``mc_budget`` samples of those coordinates alone on
+       stream child_rng(seed(p)); the sub-pattern codes are scattered back
+       into the full cells. ``seed(p)`` is asked for only for pairs that
+       sample, once each; each fallback from QMC to Monte Carlo is counted
+       by reason and logged (``_log_fallbacks``).
     """
     _check_draws("mc_budget", mc_budget)
     n = len(conds)
@@ -791,13 +772,14 @@ def _pattern_batch(
     for i, region in enumerate(regions):
         passes.setdefault(id(region), []).append(i)
     upper, lower, q = np.empty(ii.size), np.empty(ii.size), np.empty(ii.size)
+    sides = np.array([False, True])[:, None, None, None]  # inside, outside
     for its in passes.values():
         region = regions[its[0]]
         dims = region.bounded_dims
         ks = np.flatnonzero(np.isin(ii, its))
         cols = base[ks, None, None] + dims
         box = region.bounded_region
-        p_in, p_out = _interval_masses(box.lows, box.highs, mean[cols], np.sqrt(var[cols]))
+        (p_in, p_out), _ = _conditional_step(mean[cols], np.sqrt(var[cols]), box.lows, box.highs, sides, None)
         upper[ks] = p_in.min(axis=2, initial=1.0).sum(axis=1)
         lower[ks] = (1.0 - p_out.sum(axis=2)).max(axis=1)
         # A single-box item's P(inside) is the product over its dims.
@@ -813,7 +795,6 @@ def _pattern_batch(
     # Step 3.
     n_free = np.bincount(pp, free, n)
     multi = np.bincount(pp, free & np.array([r.n_boxes > 1 for r in regions])[ii], n) > 0
-    n_cols = np.bincount(pp, free * np.array([r.bounded_dims.size for r in regions])[ii], n)
     first = np.searchsorted(pp, np.arange(n + 1))
 
     def free_of(p: int) -> np.ndarray:
@@ -826,36 +807,26 @@ def _pattern_batch(
     fallbacks: Dict[str, int] = {}
     problems, leader, keys = [], list(range(n)), {}
     for p in np.flatnonzero(n_free).tolist():
-        if multi[p]:
-            reason = "multi-box item"
-        else:
-            ks = free_of(p)
-            cols = free_cols(p, ks)
-            cov = conds[p].cov[np.ix_(cols, cols)]
-            if not np.any(cov - np.diag(np.diag(cov))):
-                continue
-            if want is None:
-                reason = "partition cells"
-            elif math.prod(regions[i].bounded_dims.size for i in ii[ks][~w[ks]].tolist()) > _MAX_QMC_CELLS:
-                reason = f"over {_MAX_QMC_CELLS} cells"
-            else:
-                paths[p] = QMC
-                lo, hi, out = _product_cells([regions[i] for i in ii[ks].tolist()], w[ks].tolist())
-                mean = conds[p].mean[cols]
-                key = (lo.shape, mean.tobytes(), cov.tobytes(), lo.tobytes(), hi.tobytes(), out.tobytes())
-                leader[p] = keys.setdefault(key, p)
-                if leader[p] == p:
-                    problems.append((mean, cov, lo, hi, out, seed(p)))
-                continue
-        paths[p] = MC
-        fallbacks[reason] = fallbacks.get(reason, 0) + 1
-    if fallbacks:
-        logger.info(
-            "%d of %d pairs settled by Monte Carlo instead of QMC (%s)",
-            sum(fallbacks.values()),
-            n,
-            ", ".join(f"{reason}: {count}" for reason, count in fallbacks.items()),
-        )
+        ks = free_of(p)
+        cols = free_cols(p, ks)
+        cov = conds[p].cov[np.ix_(cols, cols)]
+        if not multi[p] and not np.any(cov - np.diag(np.diag(cov))):
+            continue
+        # A probability has one side, its wanted pattern; cells have no QMC path.
+        cells = _product_cells([regions[i] for i in ii[ks].tolist()], [] if want is None else [w[ks].tolist()])
+        if want is None or isinstance(cells, str):
+            reason = cells if isinstance(cells, str) else "partition cells"
+            paths[p] = MC
+            fallbacks[reason] = fallbacks.get(reason, 0) + 1
+            continue
+        paths[p] = QMC
+        lo, hi, out = cells
+        mean = conds[p].mean[cols]
+        key = (lo.shape, mean.tobytes(), cov.tobytes(), lo.tobytes(), hi.tobytes(), out.tobytes())
+        leader[p] = keys.setdefault(key, p)
+        if leader[p] == p:
+            problems.append((mean, cov, lo, hi, out, seed(p)))
+    _log_fallbacks(fallbacks, n, "pairs settled by Monte Carlo instead of QMC")
 
     def draw_masks(p: int) -> Tuple[np.ndarray, np.ndarray]:
         ks = free_of(p)
@@ -869,8 +840,13 @@ def _pattern_batch(
         value = np.ones(n)
         np.multiply.at(value, pp[free], np.where(w, q, 1.0 - q)[free])
         value[dead] = 0.0
-        leaders = [p for p in range(n) if paths[p] == QMC and leader[p] == p]
-        settled = dict(zip(leaders, _qmc_settle(problems, mc_budget)))
+        settled = {}
+        if problems:
+            est, _ = _lattice_pass(problems, _qmc_points(mc_budget), False)
+            prob = np.minimum(est.mean(axis=1), 1.0)
+            se = est.std(axis=1, ddof=1) / math.sqrt(_QMC_SHIFTS)
+            leaders = [p for p in range(n) if paths[p] == QMC and leader[p] == p]
+            settled = dict(zip(leaders, zip(prob.tolist(), se.tolist())))
         for p, path in enumerate(paths):
             if path == MC:
                 ks, masks = draw_masks(p)
@@ -963,33 +939,18 @@ def alive_probability(pmf: BirthDeathPmf, predicate: Callable[[Pair], bool]) -> 
     return float(sum(p for pair, p in pmf.items() if predicate(pair)))
 
 
-def stratified_chunks(
-    td: TrajectoryDensity, n: int, rng: np.random.Generator
-) -> Iterator[Tuple[Pair, np.ndarray]]:
-    """n i.i.d. draws of td as (pair, states (count, length, dim)) chunks.
-
-    One multinomial over the pmf, then each pair with a nonzero count in pmf
-    order, at most ``DRAW_CHUNK`` rows at a time. numpy fills normal draws row
-    by row, so the chunks of a pair take the normals of one draw of its whole
-    count and leave the generator in the same state; only the product with
-    the factor may round differently in the last bit.
-    """
-    if n == 0:
-        return
-    counts = rng.multinomial(n, td.pmf.probs)
-    for (b, e), g, c in zip(td.pmf.pairs, td.conditionals, counts.tolist()):
-        for start in range(0, c, DRAW_CHUNK):
-            rows = min(DRAW_CHUNK, c - start)
-            yield (b, e), g.draw(rows, rng).reshape(rows, e - b + 1, td.dim)
-
-
 def stratified_draws(td: TrajectoryDensity, n: int, rng: np.random.Generator) -> Dict[Pair, np.ndarray]:
-    """The chunks of ``stratified_chunks`` gathered per pair, in pmf order;
-    pairs drawn 0 times are left out."""
-    chunks: Dict[Pair, List[np.ndarray]] = {}
-    for pair, x in stratified_chunks(td, n, rng):
-        chunks.setdefault(pair, []).append(x)
-    return {pair: xs[0] if len(xs) == 1 else np.concatenate(xs) for pair, xs in chunks.items()}
+    """n i.i.d. draws of td as states (count, length, dim) per pair: one
+    multinomial over the pmf, then one draw of each pair with a nonzero
+    count, in pmf order; pairs drawn 0 times are left out."""
+    if n == 0:
+        return {}
+    counts = rng.multinomial(n, td.pmf.probs)
+    return {
+        (b, e): g.draw(c, rng).reshape(c, e - b + 1, td.dim)
+        for (b, e), g, c in zip(td.pmf.pairs, td.conditionals, counts.tolist())
+        if c
+    }
 
 
 def sample(td: TrajectoryDensity, n: int, rng_seed: int = 0) -> SampleCloud:

@@ -12,7 +12,7 @@ constraints bound, so each draw is screened before it is paid for in full
 (birth, death) pair the coordinates are reordered with those (the head:
 step * dim + ``region.bounded_dims`` per active constraint) first and the
 rest after (the tail), and the reordered covariance gets one Cholesky factor
-F. A chunk of at most ``gaussian.DRAW_CHUNK`` rows draws the head normals z_h
+F. A chunk of at most ``DRAW_CHUNK`` rows draws the head normals z_h
 only, and ``satisfies_batch`` tests the head states m_h + F_hh z_h, placed in
 states whose unbounded coordinates are 0. A pair whose active constraints
 are all full space has an empty head and keeps every row.
@@ -46,7 +46,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gaussian
 from .core import Constraint, ConstraintSet, active_indices, satisfies_batch
 from .engine import (
     ConstrainedBernoulli,
@@ -62,6 +61,9 @@ from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 _MOMENT_BUDGET = 100_000
 # Accepted rows of a pair per block whose tail statistics are drawn at once.
 _TAIL_BLOCK = 2**12
+# Most rows screened at once: memory is O(DRAW_CHUNK x head dim) however
+# many draws are asked for.
+DRAW_CHUNK = 2**15
 
 
 @dataclass
@@ -263,7 +265,7 @@ def _screened_chunks(
     normals, accepted mask) chunks.
 
     One multinomial over the pmf, then each pair with a nonzero count in pmf
-    order, at most ``gaussian.DRAW_CHUNK`` rows at a time (read per call).
+    order, at most ``DRAW_CHUNK`` rows at a time (read per call).
     numpy fills normals row by row, so the chunks of a pair take the head
     normals of one draw of its whole count. A pair with no active constraint
     keeps no draw and draws nothing; one whose head is empty (every active
@@ -278,7 +280,7 @@ def _screened_chunks(
         if c == 0 or not idx:
             continue
         screen = _Screen(g, pair[0], idx, cs, complete)
-        chunk = gaussian.DRAW_CHUNK
+        chunk = DRAW_CHUNK
         for start in range(0, c, chunk):
             z_head = rng.standard_normal((min(chunk, c - start), screen.h))
             yield pair, screen, z_head, screen.screen(z_head)

@@ -251,19 +251,6 @@ def _smooth_births(
     return joint_mean, joint_cov, log_lik
 
 
-def _smooth_hypothesis(
-    beta: int,
-    eps: int,
-    meas: Dict[int, np.ndarray],
-    mm: MotionModel,
-    sm: SensorModel,
-) -> Tuple[GaussianSequence, float]:
-    """The joint smoothed Gaussian of one (beta, eps) hypothesis and its log
-    marginal measurement likelihood: ``_smooth_births`` of the one birth."""
-    mean, cov, log_lik = _smooth_births([beta], eps, meas, mm, sm)
-    return GaussianSequence(mean[0], cov[0], mm.dim), float(log_lik[0])
-
-
 def fit_bernoulli_track(
     measurements: Sequence[Tuple[int, np.ndarray]],
     mm: MotionModel,

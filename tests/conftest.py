@@ -14,10 +14,10 @@ from trajconstrain import (
     TrajectoryDensity,
     existence_pairs,
 )
-from trajconstrain.engine import _component_seed
+from trajconstrain.engine import _seed
 from trajconstrain import gaussian, oracle
 from trajconstrain.core import satisfies_batch
-from trajconstrain.gaussian import _binomial_se, _bounded_masks, _interval_masses, _PIN_TOL, child_rng
+from trajconstrain.gaussian import _binomial_se, _bounded_masks, _conditional_step, _PIN_TOL, child_rng
 from trajconstrain.kernels import pattern_codes
 
 
@@ -74,7 +74,7 @@ def component_seeds(m, rng_seed):
     the k-th in order of first appearance, the PPP first, gets stream k."""
     seeds = {}
     for td in [m.ppp.density] + [t.density for h in m.hypotheses for t in h.tracks]:
-        seeds.setdefault(id(td), _component_seed(rng_seed, len(seeds)))
+        seeds.setdefault(id(td), _seed(rng_seed, len(seeds)))
     return seeds
 
 
@@ -83,8 +83,8 @@ def _quantile(p):
 
 
 def qmc_per_pair(mean, cov, lo, hi, out, mc_budget, rng_seed):
-    """Randomized QMC separation of variables for one problem of
-    ``gaussian._qmc_settle``, cell by cell and coordinate by coordinate:
+    """Randomized QMC separation of variables for one QMC problem of
+    ``gaussian._pattern_batch``, cell by cell and coordinate by coordinate:
     the reference that the batch must equal bit for bit. Shares only the
     Cholesky factor and the normal CDF and quantile with the library."""
     k = mean.size
@@ -92,8 +92,8 @@ def qmc_per_pair(mean, cov, lo, hi, out, mc_budget, rng_seed):
     sd = np.sqrt(np.diag(cov))
     mass = np.ones(k)
     for c in range(lo.shape[0]):
-        p_in, p_out = _interval_masses(lo[c], hi[c], mean, sd)
-        mass = np.minimum(mass, np.where(out[c], p_out, p_in))
+        e, _ = _conditional_step(mean, sd, lo[c], hi[c], out[c], None)
+        mass = np.minimum(mass, e)
     order = np.argsort(mass, kind="stable")
     mean, cov, lo, hi, out = mean[order], cov[np.ix_(order, order)], lo[:, order], hi[:, order], out[:, order]
     factor = gaussian._cholesky(cov[None])[0]
@@ -169,11 +169,13 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     for lows, _, _ in bounded:
         starts.append(starts[-1] + lows.size)
     flat_cols = np.concatenate([cols for (_, _, cols), n in zip(bounded, n_boxes) for _ in range(n)])
-    p_in, p_out = _interval_masses(
-        np.concatenate([lows.ravel() for lows, _, _ in bounded]),
-        np.concatenate([highs.ravel() for _, highs, _ in bounded]),
+    (p_in, p_out), _ = _conditional_step(
         gs.mean[flat_cols],
         np.sqrt(gs.cov.diagonal()[flat_cols]),
+        np.concatenate([lows.ravel() for lows, _, _ in bounded]),
+        np.concatenate([highs.ravel() for _, highs, _ in bounded]),
+        np.array([[False], [True]]),
+        None,
     )
     box_item = np.repeat(np.arange(m), n_boxes)
     bound_box = np.repeat(np.arange(box_item.size), np.repeat([cols.size for _, _, cols in bounded], n_boxes))
@@ -309,12 +311,12 @@ def eager_accepted(td, n, rng, cs):
     """Per-pair accepted counts and per-step moments (an ``oracle._StepMoments``)
     of n draws of td under cs by whole-sequence rejection, as the oracle ran
     before it screened its draws: every draw in full from
-    ``stratified_chunks``, then ``satisfies_batch`` on the whole sequence, and
+    ``stratified_draws``, then ``satisfies_batch`` on the whole sequence, and
     the accepted rows reduced by ``row_moments``. The reference that the
     screened draws must agree with in law."""
     moments = oracle._StepMoments(td)
     per_pair = {}
-    for (b, e), states in gaussian.stratified_chunks(td, n, rng):
+    for (b, e), states in gaussian.stratified_draws(td, n, rng).items():
         acc = satisfies_batch(b, e, states, cs)
         count = int(acc.sum())
         per_pair[(b, e)] = per_pair.get((b, e), 0) + count

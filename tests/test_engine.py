@@ -966,6 +966,58 @@ class TestQmcPairs:
         ]
 
 
+class TestCellCap:
+    """One rule caps the product cells of a pair probability (its wanted
+    side) and of a view (its "first to hold" sides together) at 64."""
+
+    @staticmethod
+    def density(dim, steps, seed):
+        n = dim * steps
+        b = np.random.default_rng(seed).standard_normal((n, n))
+        gs = GaussianSequence(np.zeros(n), b @ b.T / n + np.eye(n), dim)
+        return TrajectoryDensity(BirthDeathPmf(((0, steps - 1),), np.ones(1)), (gs,))
+
+    @staticmethod
+    def gates(dims, dim):
+        # the gate at time t bounds the first dims[t] of the dim state dims
+        return [Constraint(t, StateRegion.box([(-1.0, 1.0)] * k + [None] * (dim - k))) for t, k in enumerate(dims)]
+
+    @staticmethod
+    def messages(caplog):
+        return [r.getMessage() for r in caplog.records if r.name == "trajconstrain"]
+
+    @pytest.mark.parametrize("dims, path", [((4, 4, 4), "qmc"), ((5, 13), "mc")], ids=["64-cells", "65-cells"])
+    def test_probability(self, dims, path, caplog):
+        # every complement wanted: 4 x 4 x 4 = 64 cells, at the cap; 5 x 13 = 65, one over
+        dim = max(dims)
+        td = self.density(dim, len(dims), 0)
+        cs = ConstraintSet(self.gates(dims, dim), "disjunct")
+        if path == "qmc":
+            lo, _, _ = gaussian._product_cells([c.region for c in cs.constraints], [[False] * len(dims)])
+            assert lo.shape[0] == 64
+        with caplog.at_level(logging.INFO, logger="trajconstrain"):
+            ctd, _ = constrain_density(td, cs, 2_000, 1)
+        assert ctd.pair_info[td.pmf.pairs[0]].path == path
+        over = ["1 of 1 pairs settled by Monte Carlo instead of QMC (over 64 cells: 1)"]
+        assert self.messages(caplog) == ([] if path == "qmc" else over)
+
+    @pytest.mark.parametrize("dims, path", [((7, 8, 2), "lattice"), ((8, 7, 2), "mc")], ids=["64-cells", "65-cells"])
+    def test_view(self, dims, path, caplog):
+        # "first to hold" sides: 1 + 7 + 7 x 8 = 64 cells, at the cap; 1 + 8 + 8 x 7 = 65, one over
+        td = self.density(8, 3, 1)
+        cs = ConstraintSet(self.gates(dims, 8), "disjunct")
+        ctd, _ = constrain_density(td, cs, 2_000, 1)
+        assert ctd.pair_info[(0, 2)].path == "mc"  # its complements are 7 x 8 x 2 = 112 cells
+        if path == "lattice":
+            lo, _, _ = engine._view_cells([c.region for c in cs.constraints], "disjunct")
+            assert lo.shape[0] == 64
+        with caplog.at_level(logging.INFO, logger="trajconstrain"):
+            mm = constrained_marginals(ctd, 2_000, 2)
+        assert mm.view_paths == {(0, 2): path} and mm.n_accepted > 0
+        over = ["1 of 1 pairs' views drawn by Monte Carlo instead of the lattice (over 64 cells: 1)"]
+        assert self.messages(caplog) == ([] if path == "lattice" else over)
+
+
 class TestPmbm:
     def test_componentwise_and_weights(self, rng):
         ppp = PppTrajectory(2.0, random_density(rng, TimeWindow(0, 3), 1))
@@ -981,7 +1033,7 @@ class TestPmbm:
         assert [h.weight for h in out.hypotheses] == [0.6, 0.4]
         # identical to constraining each component with its component's seed
         seeds = component_seeds(m, 9)
-        assert list(seeds.values()) == [engine._component_seed(9, k) for k in range(3)]
+        assert list(seeds.values()) == [engine._seed(9, k) for k in range(3)]
         solo_ppp = constrain_ppp(ppp, cs, 20_000, rng_seed=seeds[id(ppp.density)])
         assert out.ppp.mu == solo_ppp.mu
         assert out.ppp.report == solo_ppp.report
@@ -1023,7 +1075,7 @@ class TestPmbm:
             assert tc.density is first.density and tc.report == first.report
         monkeypatch.undo()
         # the alias shares component 1 (PPP 0, shared 1, other 2) and its stream
-        solo = constrain_bernoulli(alias, cs, 20_000, rng_seed=engine._component_seed(4, 1))
+        solo = constrain_bernoulli(alias, cs, 20_000, rng_seed=engine._seed(4, 1))
         assert out.hypotheses[2].tracks[1].r == solo.r
 
     @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
@@ -1065,7 +1117,7 @@ class TestPmbm:
                     items = [(cs.constraints[i].time, cs.constraints[i].region) for i in info.active]
                     flip = mode == "disjunct" and len(items) > 1
                     p, se, kind = pattern_probabilities_per_pair(
-                        td.conditionals[j], pair, items, budget, engine._pair_seed(seeds[id(td)], j), [not flip] * len(items)
+                        td.conditionals[j], pair, items, budget, engine._seed(seeds[id(td)], j, 0), [not flip] * len(items)
                     )
                     assert info.spatial_prob == (1.0 - p if flip else p)
                     assert info.spatial_se == se

@@ -23,7 +23,7 @@ from trajconstrain import gaussian
 from trajconstrain.gaussian import (
     COMPLEMENT,
     INSIDE,
-    _interval_masses,
+    _conditional_step,
     _ndtr,
     _ndtri,
     _pattern_probabilities,
@@ -150,7 +150,8 @@ class TestNdtr:
             np.testing.assert_allclose(_ndtr(x), ndtr(x), rtol=1e-14, atol=0)
 
     def test_interval_masses_match_scipy_formula(self, rng):
-        # the per-element formula, with scipy's ndtr, that _interval_masses evaluates in one pass
+        # the per-element formula, with scipy's ndtr, whose inside and outside
+        # masses _conditional_step evaluates in one pass
         def reference(lows, highs, mean, sd):
             with np.errstate(divide="ignore", invalid="ignore"):
                 a, b = (lows - mean) / sd, (highs - mean) / sd
@@ -166,8 +167,13 @@ class TestNdtr:
             highs = lows + rng.exponential(3.0, (boxes, dims))
             lows[rng.random((boxes, dims)) < 0.2] = -np.inf
             highs[rng.random((boxes, dims)) < 0.2] = np.inf
-            for got, want in zip(_interval_masses(lows, highs, mean, sd), reference(lows, highs, mean, sd)):
-                assert got.shape == (boxes, dims)
+            # both sides in one broadcast call, and each side on its own
+            sides = np.array([False, True])[:, None, None]
+            both, z = _conditional_step(mean, sd, lows, highs, sides, None)
+            assert z is None and both.shape == (2, boxes, dims)
+            for out, got, want in zip([False, True], both, reference(lows, highs, mean, sd)):
+                alone, _ = _conditional_step(mean, sd, lows, highs, np.full((boxes, dims), out), None)
+                np.testing.assert_array_equal(alone, got)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
@@ -685,6 +691,25 @@ class TestSample:
         assert set(a.strata) == set(b.strata)
         for pair in a.strata:
             np.testing.assert_array_equal(a.strata[pair].states, b.strata[pair].states)
+
+    def test_stratified_draws_is_one_draw_per_pair(self):
+        # one multinomial over the pmf, then one draw of each drawn pair in
+        # pmf order, leaving the generator where that sequence leaves it;
+        # 0 draws draw nothing, 3 leave pairs out, 20,000 draw every pair
+        td = random_density(np.random.default_rng(16), TimeWindow(0, 2), 2)
+        for n, n_pairs in [(0, 0), (3, 3), (20_000, len(td.pmf.pairs))]:
+            rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+            got = gaussian.stratified_draws(td, n, rng_a)
+            want = {}
+            if n:
+                counts = rng_b.multinomial(n, td.pmf.probs).tolist()
+                for (b, e), g, c in zip(td.pmf.pairs, td.conditionals, counts):
+                    if c:
+                        want[(b, e)] = g.draw(c, rng_b).reshape(c, e - b + 1, 2)
+            assert list(got) == list(want) and len(want) == n_pairs
+            for pair in want:
+                np.testing.assert_array_equal(got[pair], want[pair])
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestStepMoments:

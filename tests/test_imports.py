@@ -37,3 +37,35 @@ def test_benchmark_tracer_restores_every_hook(monkeypatch):
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_tracer_records_a_constrained_density(monkeypatch):
+    # a hook that the library stops calling raises nothing; it only records
+    # nothing, so a traced call must leave its span and counters
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import numpy as np
+    import tracing
+    from trajconstrain import (
+        BernoulliTrajectory,
+        BirthDeathPmf,
+        Constraint,
+        ConstraintSet,
+        GaussianSequence,
+        StateRegion,
+        TrajectoryDensity,
+        constrain_bernoulli,
+    )
+
+    gs = GaussianSequence(np.zeros(2), np.array([[1.0, 0.8], [0.8, 1.0]]), 1)
+    b = BernoulliTrajectory(0.8, TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,)))
+    gate = StateRegion.box([(-0.5, 0.5)])
+    cs = ConstraintSet([Constraint(0, gate), Constraint(1, gate)], "disjunct")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        constrain_bernoulli(b, cs, 2_000, 1)
+    finally:
+        tracer.uninstall()
+    assert "engine.constrain_density" in [span[0] for span in tracer.spans]
+    assert tracer.counters["engine.pairs"] > 0

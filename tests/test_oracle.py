@@ -20,7 +20,7 @@ from trajconstrain import (
     constrain_pmbm,
     constrain_ppp,
 )
-from trajconstrain import gaussian, oracle
+from trajconstrain import oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.oracle import (
@@ -316,10 +316,7 @@ class TestStreaming:
         monkeypatch.setattr(oracle, "satisfies_batch", counted)
         whole = self.reports(15)
         n_whole = len(screened)
-        monkeypatch.setattr(gaussian, "DRAW_CHUNK", 1000)
-        td = random_density(np.random.default_rng(0), TimeWindow(0, 1), 1)
-        chunks = list(gaussian.stratified_chunks(td, 5_000, np.random.default_rng(0)))
-        assert max(x.shape[0] for _, x in chunks) == 1000 and len(chunks) > len(td.pmf.pairs)
+        monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
         chunked = self.reports(15)
         # the oracle read the patched size: more, smaller chunks over the same rows
         assert max(screened[n_whole:]) == 1000 < max(screened[:n_whole])
@@ -335,19 +332,6 @@ class TestStreaming:
                     assert eb.se == pytest.approx(ea.se, rel=1e-12)
                 else:  # counts: the same draws up to rounding accept the same way
                     assert eb == ea
-
-    def test_stratified_draws_gathers_the_chunks(self, monkeypatch):
-        td = random_density(np.random.default_rng(16), TimeWindow(0, 2), 2)
-        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
-        whole = gaussian.stratified_draws(td, 20_000, rng_a)
-        monkeypatch.setattr(gaussian, "DRAW_CHUNK", 300)
-        chunked = gaussian.stratified_draws(td, 20_000, rng_b)
-        assert list(whole) == list(chunked)
-        for pair in whole:
-            # the same normals; BLAS may round the product of a shorter block
-            # differently in the last bit
-            np.testing.assert_allclose(chunked[pair], whole[pair], rtol=1e-12, atol=1e-12)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 2e5 draws of a 20-step, dim-2 sequence: one copy of all of them is 64 MB
@@ -594,7 +578,7 @@ class TestDrawnTailGram:
             return per_pair, groups
 
         whole = blocks()
-        monkeypatch.setattr(gaussian, "DRAW_CHUNK", 1000)
+        monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
         per_pair, groups = blocks()
         assert len({id(screen) for screen, _ in calls}) == len(groups)  # a pair's calls are consecutive
         assert [sum(g) for g in groups] == [per_pair[p] for p in td.pmf.pairs if per_pair.get(p)]

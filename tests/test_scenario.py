@@ -12,7 +12,6 @@ from trajconstrain.scenario import (
     MotionModel,
     SensorModel,
     _smooth_births,
-    _smooth_hypothesis,
     fit_bernoulli_track,
     simulate_measurements,
     simulate_truth,
@@ -185,20 +184,20 @@ class TestSmoother:
         mm = cv_motion()
         sm = pos_sensor()
         meas = self.make_meas(rng, [0, 1, 3, 5])
-        gs, log_lik = _smooth_hypothesis(0, 6, meas, mm, sm)
+        (mean,), (cov,), (log_lik,) = _smooth_births([0], 6, meas, mm, sm)
         mean_o, cov_o, log_o = batch_posterior(0, 6, meas, mm, sm)
-        np.testing.assert_allclose(gs.mean, mean_o, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(gs.cov, cov_o, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(mean, mean_o, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(cov, cov_o, rtol=0, atol=1e-8)
         assert log_lik == pytest.approx(log_o, abs=1e-8)
 
     def test_no_measurements_is_prior(self):
         mm = cv_motion()
         sm = pos_sensor()
-        gs, log_lik = _smooth_hypothesis(2, 5, {}, mm, sm)
+        (mean,), (cov,), (log_lik,) = _smooth_births([2], 5, {}, mm, sm)
         mean_o, cov_o, _ = batch_posterior(2, 5, {}, mm, sm)
         assert log_lik == 0.0
-        np.testing.assert_allclose(gs.mean, mean_o, atol=1e-10)
-        np.testing.assert_allclose(gs.cov, cov_o, atol=1e-10)
+        np.testing.assert_allclose(mean, mean_o, atol=1e-10)
+        np.testing.assert_allclose(cov, cov_o, atol=1e-10)
 
     def test_noise_free_recovers_truth(self):
         # deterministic dynamics and exact position sensing over a fully
@@ -220,10 +219,10 @@ class TestSmoother:
         for k in range(5):
             meas[k] = np.array([x[0]])
             x = mm.transition @ x
-        gs, _ = _smooth_hypothesis(0, 4, meas, mm, sm)
+        (mean,), _, _ = _smooth_births([0], 4, meas, mm, sm)
         x = np.array([2.0, 0.5])
         for k in range(5):
-            np.testing.assert_allclose(gs.mean[2 * k : 2 * k + 2], x, atol=1e-6)
+            np.testing.assert_allclose(mean[2 * k : 2 * k + 2], x, atol=1e-6)
             x = mm.transition @ x
 
 
@@ -335,9 +334,9 @@ class TestFitBernoulliTrack:
         by_time = {k: np.asarray(z, dtype=float) for k, z in meas}
         log_w = []
         for (b, e), gs in zip(out.density.pmf.pairs, out.density.conditionals):
-            ref, log_lik = _smooth_hypothesis(b, e, by_time, mm, sm)
-            np.testing.assert_allclose(gs.mean, ref.mean, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(gs.cov, ref.cov, rtol=0, atol=1e-10)
+            ref_mean, ref_cov, log_lik = smooth_hypothesis_per_birth(b, e, by_time, mm, sm)
+            np.testing.assert_allclose(gs.mean, ref_mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(gs.cov, ref_cov, rtol=0, atol=1e-10)
             death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
             log_w.append(log_lik - math.log(2) + math.log(mm.survival) * (e - b) + death)
         w = np.exp(np.asarray(log_w) - max(log_w))
@@ -352,7 +351,7 @@ class TestFitBernoulliTrack:
         n_betas = len({b for b, _ in out.density.pmf.pairs})
         log_w = []
         for b, e in out.density.pmf.pairs:
-            _, log_lik = _smooth_hypothesis(b, e, by_time, mm, sm)
+            _, _, log_lik = smooth_hypothesis_per_birth(b, e, by_time, mm, sm)
             death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
             log_w.append(log_lik - math.log(n_betas) + math.log(mm.survival) * (e - b) + death)
         ref = np.exp(np.asarray(log_w) - logsumexp(log_w))
