@@ -14,34 +14,35 @@ step * dim + ``region.bounded_dims`` per active constraint) first and the
 rest after (the tail), and the reordered covariance gets one Cholesky factor
 F. A chunk of at most ``DRAW_CHUNK`` rows draws the head normals z_h
 only, and ``satisfies_batch`` tests the head states m_h + F_hh z_h, placed in
-states whose unbounded coordinates are 0. A pair whose active constraints
-are all full space has an empty head and keeps every row.
+coordinate-major states whose unbounded coordinates are 0. A pair whose
+active constraints are all full space has an empty head and keeps every row.
 
 Only where per-step moments are checked are the accepted draws completed,
-and then only as the statistics their moments need. Each pair's accepted
-head normals are cut into blocks of ``_TAIL_BLOCK`` rows (the pair's last
-block shorter). A block of n rows of normals Z = [z_h z_t] with column means
-zbar has per-coordinate mean m + F zbar and sum of squared deviations
-diag(F C F^T), C = Z^T Z - n zbar zbar^T: everything comes from the
-augmented Gram matrix of [A z_t], A = [1 z_h]. Its head block is computed;
-the blocks that involve the tail normals, A^T z_t and z_t^T z_t, are drawn
-from a second stream in their exact law given A (a matrix normal and a
-Wishart matrix by Bartlett's decomposition; see ``_augmented_gram``), so
-(h + 1) q + q (q + 1) / 2 numbers stand in for n q tail normals. z_t is
-independent of the head and of the test, so the accepted rows are exact
-unconstrained draws that satisfy the constraints, and every reported number
-has the law it has under whole-sequence rejection. Blocks are cut by
-accepted row, so the chunk size changes no draw. Block moments merge with
-Chan, Golub & LeVeque's pairwise update ("Algorithms for computing the
-sample variance", Amer. Statist. 1983), so memory is O(chunk x active steps
-x dim + block x head + sequence dim^2), not O(n). Counting callers draw no
-tail statistic.
+and then only as the statistics their moments need. n rows of normals
+Z = [z_h z_t] with column means zbar have per-coordinate mean m + F zbar and
+sum of squared deviations diag(F C F^T), C = Z^T Z - n zbar zbar^T:
+everything comes from the augmented Gram matrix of [A z_t], A = [1 z_h].
+Its head block A^T A is accumulated over a pair's screening chunks by a
+product masked with the test's outcome, so accepted rows are never gathered.
+The blocks that involve the tail normals, A^T z_t and z_t^T z_t, are then
+drawn once per pair, from a second stream, in their exact law given A (a
+matrix normal and a Wishart matrix by Bartlett's decomposition; see
+``_augmented_gram``), so (h + 1) q + q (q + 1) / 2 numbers stand in for
+n q tail normals. z_t is independent of the head and of the test, so the
+accepted rows are exact unconstrained draws that satisfy the constraints,
+and every reported number has the law it has under whole-sequence
+rejection. What the tail draw reads from its stream depends on the pair's
+accepted count alone, so the chunk size changes no draw. Per-pair moments
+merge with Chan, Golub & LeVeque's pairwise update ("Algorithms for
+computing the sample variance", Amer. Statist. 1983), so memory is
+O(chunk x (active steps x dim + head) + sequence dim^2), not O(n). Counting
+callers draw no tail statistic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,8 +60,6 @@ from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Budget behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
-# Accepted rows of a pair per block whose tail statistics are drawn at once.
-_TAIL_BLOCK = 2**12
 # Most rows screened at once: memory is O(DRAW_CHUNK x head dim) however
 # many draws are asked for.
 DRAW_CHUNK = 2**15
@@ -97,7 +96,7 @@ class OracleReport:
             "seed": self.seed,
             "z_threshold": self.z_threshold,
             "passed": self.passed,
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [dict(vars(e)) for e in self.entries],
         }
 
     def to_table(self) -> str:
@@ -169,10 +168,11 @@ class _Screen:
     factor of the reordered covariance (zero columns where it is singular),
     the head m_h + F_hh z_h needs only the head normals. ``cs`` holds the
     active constraints renumbered to the head steps 0, 1, ..., and
-    ``slots`` places the head in a (steps, dim) state whose other coordinates
-    are 0, which ``satisfies_batch`` never compares. Without ``complete``
-    only the head is reordered and factored: the leading block of a Cholesky
-    factor is the factor of the leading block."""
+    ``slots`` places the head among the rows of coordinate-major
+    (steps * dim, rows) states whose other coordinates are 0, which
+    ``satisfies_batch`` never compares. Without ``complete`` only the head is
+    reordered and factored: the leading block of a Cholesky factor is the
+    factor of the leading block."""
 
     def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
         regions = [cs.constraints[i].region for i in idx]
@@ -184,27 +184,33 @@ class _Screen:
         self.mean = g.mean[self.order]
         self.factor = _cholesky(g.cov[np.ix_(self.order, self.order)])
         self.h = head.size
-        # Transposed, contiguous: numpy's matmul runs a strided operand such
-        # as factor[:h, :h].T through a loop many times slower than BLAS.
-        self.l_hh = np.ascontiguousarray(self.factor[: self.h, : self.h].T)
+        # Contiguous, and applied as F_hh z_h^T: numpy's matmul runs a
+        # transposed slice such as factor[:h, :h].T through a loop many times
+        # slower than BLAS.
+        self.f_hh = np.ascontiguousarray(self.factor[: self.h, : self.h])
+        self.m_h = self.mean[: self.h, None]
         self.dim = g.dim
         self.cs = ConstraintSet([Constraint(k, r) for k, r in enumerate(regions)], cs.mode)
 
     def screen(self, z_head: np.ndarray) -> np.ndarray:
-        """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints."""
+        """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints.
+
+        ``satisfies_batch`` reads the states through a (rows, steps, dim)
+        view of the coordinate-major array, so every column it compares is
+        contiguous."""
         rows, steps = z_head.shape[0], len(self.cs)
-        states = np.zeros((rows, steps * self.dim))
-        states[:, self.slots] = z_head @ self.l_hh + self.mean[: self.h]
-        return satisfies_batch(0, steps - 1, states.reshape(rows, steps, self.dim), self.cs)
+        states = np.zeros((steps * self.dim, rows))
+        states[self.slots] = self.f_hh @ z_head.T + self.m_h
+        return satisfies_batch(0, steps - 1, states.reshape(steps, self.dim, rows).transpose(2, 0, 1), self.cs)
 
     def reduce(self, gram: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
         """Count, mean and M2 per coordinate (flat, in coordinate order) of
-        the sequences m + F z over a block of n rows of normals Z whose
-        augmented Gram matrix [1 Z]^T [1 Z] is ``gram`` (n at [0, 0], the
-        column sums in row 0, Z^T Z below them).
+        the sequences m + F z over n rows of normals Z whose augmented Gram
+        matrix [1 Z]^T [1 Z] is ``gram`` (n at [0, 0], the column sums in
+        row 0, Z^T Z below them).
 
-        With zbar the column means and C = Z^T Z - n zbar zbar^T, the block
-        has mean m + F zbar and M2 diag(F C F^T); the rows are never built."""
+        With zbar the column means and C = Z^T Z - n zbar zbar^T, the rows
+        have mean m + F zbar and M2 diag(F C F^T); they are never built."""
         n, sums = gram[0, 0], gram[0, 1:]
         z_bar = sums / n
         c = gram[1:, 1:] - np.outer(sums, z_bar)
@@ -215,17 +221,52 @@ class _Screen:
         flat_mean[self.order], flat_m2[self.order] = mean, m2
         return int(n), flat_mean, flat_m2
 
-    def moments(self, z_head: np.ndarray, rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``reduce`` of one block of accepted head normals ``z_head``, with
-        the tail's part of its Gram matrix drawn from ``rng`` given the head
-        (``_augmented_gram``)."""
-        return self.reduce(_augmented_gram(z_head, self.mean.size - self.h, rng))
+
+class _HeadGram:
+    """A^T A for A = [1 z_h] over one pair's accepted head normals,
+    accumulated chunk by chunk as a product masked with the test's outcome,
+    so the accepted rows are never gathered. While fewer than h + 1 + q rows
+    are accepted (q the tail's size), those rows are kept as well: below
+    that count ``_augmented_gram`` draws the tail normals explicitly."""
+
+    def __init__(self, screen: _Screen):
+        self.screen = screen
+        self.gram = np.zeros((screen.h + 1, screen.h + 1))
+        self.rows: List[np.ndarray] = []
+
+    @property
+    def n(self) -> int:
+        return int(self.gram[0, 0])
+
+    def add(self, z_head: np.ndarray, acc: np.ndarray, count: int) -> None:
+        """Add the ``count`` rows of ``z_head`` where ``acc`` holds."""
+        # cast once: a float-by-bool product converts element by element
+        weight = acc.astype(np.float64)
+        sums = z_head.T @ weight
+        self.gram[0, 0] += count
+        self.gram[0, 1:] += sums
+        self.gram[1:, 0] += sums
+        self.gram[1:, 1:] += (z_head.T * weight) @ z_head
+        if self.n <= self.screen.mean.size:  # fewer than h + 1 + q
+            self.rows.append(z_head[acc])
+        else:
+            self.rows.clear()
+
+    def reduce(self, tail_rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``_Screen.reduce`` of the pair's accepted rows, with the tail's
+        part of their Gram matrix drawn from ``tail_rng`` given the head."""
+        rows = np.concatenate(self.rows) if self.rows else None
+        q = self.screen.mean.size - self.screen.h
+        return self.screen.reduce(_augmented_gram(self.gram, q, tail_rng, rows))
 
 
-def _augmented_gram(z_head: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
-    """[A Z_t]^T [A Z_t] for A = [1 z_head] (n, h + 1) and tail normals Z_t
-    (n, q) independent of A, with the blocks that involve Z_t drawn from
-    ``rng`` in their exact law given A; Z_t itself is never drawn.
+def _augmented_gram(
+    head: np.ndarray, q: int, rng: np.random.Generator, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """[A Z_t]^T [A Z_t] given the head Gram ``head`` = A^T A (h + 1, h + 1)
+    of A = [1 z_h] over n = head[0, 0] rows, for tail normals Z_t (n, q)
+    independent of A, with the blocks that involve Z_t drawn from ``rng`` in
+    their exact law given A; Z_t itself is never drawn.
 
     With A^T A = L L^T (L lower), A^T Z_t = L G for G (h + 1, q) standard
     normal, and Z_t^T Z_t = G^T G + W, with W ~ Wishart_q(n - h - 1, I)
@@ -233,24 +274,22 @@ def _augmented_gram(z_head: np.ndarray, q: int, rng: np.random.Generator) -> np.
     on its orthogonal complement (Anderson, *An Introduction to Multivariate
     Statistical Analysis*, 3rd ed., 2003, sec. 7.2). W = B B^T by Bartlett's
     decomposition: B lower triangular, B_ii^2 ~ chi^2(n - h - 1 - i) for
-    i = 0, ..., q - 1, standard normals below the diagonal. A block with
-    fewer than h + 1 + q rows draws Z_t explicitly instead."""
-    n, h = z_head.shape
-    a = h + 1
+    i = 0, ..., q - 1, standard normals below the diagonal. With fewer than
+    h + 1 + q rows, Z_t is drawn explicitly instead, against the head
+    normals ``rows`` (n, h) themselves."""
+    a, n = head.shape[0], int(head[0, 0])
     gram = np.empty((a + q, a + q))
-    gram[0, 0] = n
-    gram[0, 1:a] = gram[1:a, 0] = z_head.sum(axis=0)
-    gram[1:a, 1:a] = z_head.T @ z_head
-    if q and n >= a + q:
+    gram[:a, :a] = head
+    if n >= a + q:
         g = rng.standard_normal((a, q))
-        cross = np.linalg.cholesky(gram[:a, :a]) @ g
+        cross = np.linalg.cholesky(head) @ g
         bartlett = np.zeros((q, q))
         bartlett[np.diag_indices(q)] = np.sqrt(rng.chisquare(n - a - np.arange(q)))
         bartlett[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
         tail = g.T @ g + bartlett @ bartlett.T
     else:
         z_t = rng.standard_normal((n, q))
-        cross = np.vstack([z_t.sum(axis=0), z_head.T @ z_t])
+        cross = np.vstack([z_t.sum(axis=0), rows.T @ z_t])
         tail = z_t.T @ z_t
     gram[:a, a:] = cross
     gram[a:, :a] = cross.T
@@ -270,7 +309,7 @@ def _screened_chunks(
     normals of one draw of its whole count. A pair with no active constraint
     keeps no draw and draws nothing; one whose head is empty (every active
     constraint full space) keeps every row. ``complete`` factors the whole
-    reordered covariance, for ``_Screen.moments``.
+    reordered covariance, for ``_Screen.reduce``.
     """
     if n == 0:
         return
@@ -298,33 +337,21 @@ def _accepted(
     the step moments of the accepted draws, completed from ``tail_rng``, are
     merged into it.
 
-    Each pair's accepted head normals reach ``_Screen.moments`` in blocks of
-    ``_TAIL_BLOCK`` rows, cut by accepted row and the pair's last block
-    shorter, so the screening chunk size changes no block and no tail draw.
-    Fewer than a block of rows is held between chunks."""
+    Each pair's head Gram is accumulated over its screening chunks
+    (``_HeadGram``), and its tail statistics are drawn once, for its whole
+    accepted count, so one ``reduce`` serves the pair and the screening chunk
+    size changes no tail draw."""
     per_pair: Dict[Pair, int] = {}
-    held: Optional[Tuple[Pair, _Screen, np.ndarray]] = None  # a pair's rows short of a block
-
-    def add_block(pair: Pair, screen: _Screen, block: np.ndarray) -> None:
-        moments.add(pair[0], *screen.moments(block, tail_rng))
-
+    heads: Dict[Pair, _HeadGram] = {}  # of the pairs with accepted rows, in pmf order
     for pair, screen, z_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
-        count = int(acc.sum())
+        count = int(np.count_nonzero(acc))
         per_pair[pair] = per_pair.get(pair, 0) + count
-        if moments is None or not count:
-            continue
-        rows = z_head[acc]
-        if held is not None and held[1] is screen:
-            rows = np.concatenate([held[2], rows])
-        elif held is not None:
-            add_block(*held)
-        full = rows.shape[0] - rows.shape[0] % _TAIL_BLOCK
-        for start in range(0, full, _TAIL_BLOCK):
-            add_block(pair, screen, rows[start : start + _TAIL_BLOCK])
-        held = (pair, screen, rows[full:].copy()) if full < rows.shape[0] else None
-        del rows  # not kept through the next chunk's screening
-    if held is not None:
-        add_block(*held)
+        if moments is not None and count:
+            if pair not in heads:
+                heads[pair] = _HeadGram(screen)
+            heads[pair].add(z_head, acc, count)
+    for (birth, _), head in heads.items():
+        moments.add(birth, *head.reduce(tail_rng))
     return per_pair
 
 

@@ -290,21 +290,30 @@ def row_moments(x):
     return x.shape[0], mean, np.einsum("ij,ij->j", centered, centered)
 
 
+def whole_rows(screen, z):
+    """The whole sequences m + F z, (rows, length * dim) in coordinate order,
+    of normals z (rows, length * dim) in the head/tail order of ``screen``
+    (an ``oracle._Screen`` built with ``complete``)."""
+    x = np.empty_like(z)
+    x[:, screen.order] = z @ screen.factor.T + screen.mean
+    return x
+
+
 def screened_rows(td, n, rng, cs, tail_rng):
     """The whole sequences that ``oracle._accepted`` with moments stands for,
     as (pair, screen, normals (count, length * dim) in head/tail order,
     accepted rows (count, length * dim)) per screening chunk: each row built
-    as m + F [z_h z_t] from the oracle's screen and the same head normals,
-    with explicit tail normals z_t from ``tail_rng``, whose Gram blocks the
-    oracle draws instead (``oracle._augmented_gram``)."""
+    by ``whole_rows`` from the oracle's screen and the same head normals,
+    with explicit tail normals z_t from ``tail_rng``. The oracle never
+    builds these rows: it accumulates the head Gram of each pair's accepted
+    normals over its chunks and draws the blocks that involve z_t once per
+    pair (``oracle._augmented_gram``)."""
     for pair, screen, z_head, acc in oracle._screened_chunks(td, n, rng, cs, complete=True):
         count = int(acc.sum())
         if not count:
             continue
         z = np.hstack([z_head[acc], tail_rng.standard_normal((count, screen.mean.size - screen.h))])
-        x = np.empty_like(z)
-        x[:, screen.order] = z @ screen.factor.T + screen.mean
-        yield pair, screen, z, x
+        yield pair, screen, z, whole_rows(screen, z)
 
 
 def eager_accepted(td, n, rng, cs):

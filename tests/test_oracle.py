@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -24,9 +26,9 @@ from trajconstrain import oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.oracle import (
-    _TAIL_BLOCK,
     _accepted,
     _augmented_gram,
+    _entry,
     _merge,
     _Screen,
     _StepMoments,
@@ -44,6 +46,7 @@ from conftest import (
     random_region,
     row_moments,
     screened_rows,
+    whole_rows,
 )
 
 HALF_LINE = StateRegion.box([(0, None)])
@@ -121,6 +124,27 @@ class TestOracleBernoulli:
         assert d["passed"] == rep.passed
         assert len(d["entries"]) == len(rep.entries)
         assert "result" in rep.to_table().splitlines()[0]
+
+    def test_report_json_is_that_of_asdict(self, rng):
+        td = random_density(rng, TimeWindow(0, 2), 1)
+        cs = random_constraint_set(rng, TimeWindow(0, 2), 1)
+        b = BernoulliTrajectory(0.6, td)
+        good = constrain_bernoulli(b, cs)
+        bad = ConstrainedBernoulli(good.r * 1.5, good.density, good.report)
+        rep = oracle_bernoulli(b, bad, cs, n=20_000, rng_seed=5)
+        rep.entries.append(_entry("exact", 0.25, 0.5, 0.0, rep.z_threshold, rep.n))
+        assert math.isinf(rep.entries[-1].z) and not rep.passed
+        d = rep.to_dict()
+        old = {
+            "n": rep.n,
+            "seed": rep.seed,
+            "z_threshold": rep.z_threshold,
+            "passed": rep.passed,
+            "entries": [dataclasses.asdict(e) for e in rep.entries],
+        }
+        assert json.dumps(d, indent=2, sort_keys=True) == json.dumps(old, indent=2, sort_keys=True)
+        d["entries"][0]["z"] = None  # a copy: the report is unchanged
+        assert rep.entries[0].z is not None
 
 
 class TestOraclePpp:
@@ -482,6 +506,51 @@ class TestScreenedDraws:
         cs = ConstraintSet([Constraint(2, region), Constraint(0, HALF_PLANE)], "disjunct")
         self.assert_agrees_with_eager(td, cs, 6)
 
+    @pytest.mark.parametrize(
+        "case", ["conjunct", "disjunct", "two_boxes", "full_space_item", "empty_head", "no_process_noise"]
+    )
+    def test_screen_is_the_whole_sequence_test(self, case):
+        """``_Screen.screen`` on head normals gives exactly the mask that
+        ``satisfies_batch`` gives on the whole sequences m + F z."""
+        rng = np.random.default_rng(80)
+        gate = StateRegion.box([(-0.5, 1.0), None])
+        other = StateRegion.box([(-1.0, None), (None, 0.8)])
+        if case == "no_process_noise":
+            td = no_process_noise_density()
+            position, velocity = StateRegion.box([(4.0, 4.6), None]), StateRegion.box([None, (1.0, 1.2)])
+            cs = ConstraintSet([Constraint(4, position), Constraint(6, velocity)], "conjunct")
+        elif case == "two_boxes":
+            td = random_density(rng, TimeWindow(0, 3), 3)
+            region = StateRegion.boxes([[(0.5, 2.5), None, None], [None, None, (-2.0, -0.5)]])
+            cs = ConstraintSet([Constraint(1, region), Constraint(2, StateRegion.box([(-1.0, 1.0), None, None]))],
+                               "conjunct")
+        else:
+            td = random_density(rng, TimeWindow(0, 4), 2)
+            cs = {
+                "conjunct": ConstraintSet([Constraint(1, gate), Constraint(3, other)], "conjunct"),
+                "disjunct": ConstraintSet([Constraint(1, gate), Constraint(3, other)], "disjunct"),
+                "full_space_item": ConstraintSet(
+                    [Constraint(2, StateRegion.full_space(2)), Constraint(1, gate)], "conjunct"
+                ),
+                "empty_head": time_window_constraints(2, 3, 2),
+            }[case]
+        masks = []
+        for (b, e), g in zip(td.pmf.pairs, td.conditionals):
+            idx = active_indices(cs, b, e)
+            if not idx:
+                continue
+            screen = _Screen(g, b, idx, cs, complete=True)
+            z = rng.standard_normal((4_000, g.mean.size))
+            mask = screen.screen(z[:, : screen.h])
+            states = whole_rows(screen, z).reshape(z.shape[0], e - b + 1, g.dim)
+            assert np.array_equal(mask, satisfies_batch(b, e, states, cs))
+            masks.append(mask)
+        masks = np.concatenate(masks)
+        if case == "empty_head":
+            assert masks.all()
+        else:  # both outcomes are tested
+            assert 0.02 < masks.mean() < 0.98, masks.mean()
+
 
 def explicit_gram(z_head, q, rng):
     """[A Z_t]^T [A Z_t] for A = [1 z_head] and explicit tail normals Z_t
@@ -520,6 +589,7 @@ class TestDrawnTailGram:
         a, reps = h + 1, 2_000
         drawn_rng, explicit_rng = np.random.default_rng(91), np.random.default_rng(92)
         head_gram = explicit_gram(z_head, 0, explicit_rng)
+        rows = z_head if n < a + q else None  # as a pair keeps its rows only below the boundary
         upper = np.triu_indices(q)
 
         def stats(gram):
@@ -530,7 +600,7 @@ class TestDrawnTailGram:
             tail = gram[a:, a:]
             return np.concatenate([gram[:a, a:].ravel(), tail[upper], [np.trace(tail)]])
 
-        drawn = np.array([stats(_augmented_gram(z_head, q, drawn_rng)) for _ in range(reps)])
+        drawn = np.array([stats(_augmented_gram(head_gram, q, drawn_rng, rows)) for _ in range(reps)])
         explicit = np.array([stats(explicit_gram(z_head, q, explicit_rng)) for _ in range(reps)])
         # the first two moments of every statistic agree
         z = []
@@ -539,51 +609,74 @@ class TestDrawnTailGram:
         assert np.abs(z).max() < 4.5, z
         # below the Bartlett boundary the draw is the explicit one
         same = np.random.default_rng(93), np.random.default_rng(93)
-        gram = _augmented_gram(z_head, q, same[0])
+        gram = _augmented_gram(head_gram, q, same[0], rows)
         reference = explicit_gram(z_head, q, same[1])
         assert np.allclose(gram, reference, rtol=1e-12, atol=1e-12 * n) == (n < a + q)
 
     def test_no_tail_draws_nothing(self):
-        z_head = self.head(30, 4)
-        rng = np.random.default_rng(94)
-        state = rng.bit_generator.state
-        gram = _augmented_gram(z_head, 0, rng)
-        assert rng.bit_generator.state == state
-        np.testing.assert_allclose(gram, explicit_gram(z_head, 0, rng), rtol=1e-12)
+        for n in (30, 3):  # on either side of the boundary h + 1 + q = 5
+            z_head = self.head(n, 4)
+            head_gram = explicit_gram(z_head, 0, np.random.default_rng(0))
+            rng = np.random.default_rng(94)
+            state = rng.bit_generator.state
+            gram = _augmented_gram(head_gram, 0, rng, z_head if n < 5 else None)
+            assert rng.bit_generator.state == state
+            np.testing.assert_array_equal(gram, head_gram)
 
-    def test_blocks_are_cut_by_accepted_row(self, monkeypatch):
+    @staticmethod
+    def tail_draws(monkeypatch):
+        """The augmented Gram matrices ``_accepted`` draws, in call order."""
+        grams = []
+        original = oracle._augmented_gram
+
+        def spy(head, q, rng, rows=None):
+            grams.append(original(head, q, rng, rows))
+            return grams[-1]
+
+        monkeypatch.setattr(oracle, "_augmented_gram", spy)
+        return grams
+
+    def test_one_tail_draw_per_pair(self, monkeypatch):
         rng = np.random.default_rng(95)
         window = TimeWindow(0, 3)
         td = random_density(rng, window, 2)
         box = StateRegion.box([(-1.0, 1.5), (None, None)])
         cs = ConstraintSet([Constraint(1, box), Constraint(2, HALF_PLANE)], "conjunct")
-        calls = []  # (screen, rows) per moments call
-        original = _Screen.moments
+        grams = self.tail_draws(monkeypatch)
 
-        def spy(self, z_head, rng):
-            calls.append((self, z_head.shape[0]))
-            return original(self, z_head, rng)
+        def draws():
+            grams.clear()
+            tail_rng = np.random.default_rng(97)
+            per_pair = _accepted(td, 100_000, np.random.default_rng(96), cs, _StepMoments(td), tail_rng)
+            return per_pair, [int(g[0, 0]) for g in grams], tail_rng.bit_generator.state
 
-        monkeypatch.setattr(_Screen, "moments", spy)
-
-        def blocks():
-            calls.clear()
-            moments = _StepMoments(td)
-            per_pair = _accepted(td, 100_000, np.random.default_rng(96), cs, moments, np.random.default_rng(97))
-            groups = []  # the sizes of each pair's calls, in call order
-            for i, (screen, rows) in enumerate(calls):
-                if i == 0 or screen is not calls[i - 1][0]:
-                    groups.append([])
-                groups[-1].append(rows)
-            return per_pair, groups
-
-        whole = blocks()
+        whole = draws()
         monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
-        per_pair, groups = blocks()
-        assert len({id(screen) for screen, _ in calls}) == len(groups)  # a pair's calls are consecutive
-        assert [sum(g) for g in groups] == [per_pair[p] for p in td.pmf.pairs if per_pair.get(p)]
-        for sizes in groups:
-            assert all(rows == _TAIL_BLOCK for rows in sizes[:-1]) and 0 < sizes[-1] <= _TAIL_BLOCK
-        assert max(map(len, groups)) >= 3
-        # so the blocks, and every tail draw, are those of the unpatched chunk size
-        assert (per_pair, groups) == whole
+        per_pair, counts, state = draws()
+        # one draw per pair with accepted rows, in pmf order, for its whole count
+        assert counts == [per_pair[p] for p in td.pmf.pairs if per_pair.get(p)]
+        assert max(counts) > 3 * 1000  # over several screening chunks
+        # so the counts, and every tail draw, are those of the unpatched chunk size
+        assert (per_pair, counts, state) == whole
+
+    def test_short_pair_keeps_its_rows_across_chunks(self, monkeypatch):
+        # one 12-dim pair under a gate on 1 coordinate: h = 1 and q = 11, so
+        # the boundary h + 1 + q is 13 rows; about 6 of 3,000 draws are kept
+        g = random_gaussian_sequence(np.random.default_rng(98), (0, 5), 2)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 5),), np.array([1.0])), (g,))
+        lo = g.mean[2] + 2.9 * math.sqrt(g.cov[2, 2])
+        cs = ConstraintSet([Constraint(1, StateRegion.box([(lo, None), None]))], "conjunct")
+        monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
+        n = 3_000
+        screened = oracle._screened_chunks(td, n, np.random.default_rng(99), cs, complete=True)
+        chunks = [(z[acc], screen) for _, screen, z, acc in screened]
+        rows = np.concatenate([r for r, _ in chunks])
+        screen = chunks[0][1]
+        assert (screen.h, screen.mean.size - screen.h) == (1, 11)
+        assert 2 <= rows.shape[0] < 13 and sum(r.shape[0] > 0 for r, _ in chunks) >= 2
+        grams = self.tail_draws(monkeypatch)
+        moments = _StepMoments(td)
+        per_pair = _accepted(td, n, np.random.default_rng(99), cs, moments, np.random.default_rng(100))
+        assert per_pair == {(0, 5): rows.shape[0]}
+        [gram] = grams
+        np.testing.assert_allclose(gram, explicit_gram(rows, 11, np.random.default_rng(100)), rtol=1e-12, atol=1e-12)
