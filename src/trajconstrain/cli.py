@@ -56,9 +56,20 @@ def _get(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
+def _section(cfg: dict, name: str, required: bool = True) -> dict:
+    """The JSON object at ``name`` ({} if optional and absent or null), else a ConfigError."""
+    node = _get(cfg, name, required)
+    if node is None and not required:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {type(node).__name__}")
+    return node
+
+
 def _parse_int(value, field: str, minimum: int) -> int:
-    """``value`` as an integer of at least ``minimum``, else a ConfigError naming ``field``."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an integer of at least ``minimum``, else a ConfigError naming ``field``.
+    JSON true and false are not integers."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{field}: {value!r} is not an integer")
     try:
         n = int(value)
@@ -69,12 +80,20 @@ def _parse_int(value, field: str, minimum: int) -> int:
     return n
 
 
-def _parse_positive(value, field: str) -> float:
-    """``value`` as a finite number > 0, else a ConfigError naming ``field``."""
+def _parse_number(value, field: str) -> float:
+    """``value`` as a float, else a ConfigError naming ``field``. JSON true and
+    false are not numbers."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{field}: {value!r} is not a number")
     try:
-        x = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field}: {value!r} is not a number") from None
+
+
+def _parse_positive(value, field: str) -> float:
+    """``value`` as a finite number > 0, else a ConfigError naming ``field``."""
+    x = _parse_number(value, field)
     if not (math.isfinite(x) and x > 0.0):
         raise ConfigError(f"{field}: must be a finite number > 0, got {value!r}")
     return x
@@ -102,7 +121,7 @@ def parse_window(cfg: dict) -> TimeWindow:
 
 
 def parse_motion(cfg: dict) -> MotionModel:
-    m = _get(cfg, "motion")
+    m = _section(cfg, "motion")
     try:
         schedule = m.get("birth_schedule")
         return MotionModel(
@@ -121,7 +140,7 @@ def parse_motion(cfg: dict) -> MotionModel:
 
 
 def parse_sensor(cfg: dict) -> SensorModel:
-    s = _get(cfg, "sensor")
+    s = _section(cfg, "sensor")
     try:
         return SensorModel(
             np.array(s["measurement"]),
@@ -133,12 +152,12 @@ def parse_sensor(cfg: dict) -> SensorModel:
         )
     except KeyError as exc:
         raise ConfigError(f"sensor: missing field {exc}") from exc
-    except (ValueError, TrajConstrainError) as exc:
+    except (TypeError, ValueError, TrajConstrainError) as exc:
         raise ConfigError(f"sensor: {exc}") from exc
 
 
 def parse_constraints(cfg: dict, window: TimeWindow, dim: int) -> ConstraintSet:
-    c = _get(cfg, "constraints")
+    c = _section(cfg, "constraints")
     items = c.get("items")
     if not items:
         raise ConfigError("constraints.items: must be a nonempty list")
@@ -202,7 +221,7 @@ def cmd_simulate(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
 
 
 def _fit_track(cfg: dict, window: TimeWindow, mm: MotionModel, sm: SensorModel):
-    track = _get(cfg, "track")
+    track = _section(cfg, "track")
     meas = track.get("measurements")
     if not meas:
         raise ConfigError("track.measurements: must be a nonempty list")
@@ -214,8 +233,9 @@ def _fit_track(cfg: dict, window: TimeWindow, mm: MotionModel, sm: SensorModel):
         if t not in window:
             raise ConfigError(f"track.measurements: time {t} outside window")
     slack = _parse_int(track.get("slack", 3), "track.slack", 0)
+    r0 = _parse_number(track.get("r0", 0.9), "track.r0")
     try:
-        return fit_bernoulli_track(pairs, mm, sm, window, float(track.get("r0", 0.9)), slack)
+        return fit_bernoulli_track(pairs, mm, sm, window, r0, slack)
     except ValueError as exc:
         raise ConfigError(f"track: {exc}") from exc
 
@@ -303,7 +323,7 @@ def cmd_oracle(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
     sm = parse_sensor(cfg)
     cs = parse_constraints(cfg, window, mm.dim)
     budget = _parse_int(_get(cfg, "mc_budget", required=False, default=100_000), "mc_budget", 2)
-    ocfg = _get(cfg, "oracle", required=False, default={}) or {}
+    ocfg = _section(cfg, "oracle", required=False)
     n = _parse_int(ocfg.get("n", 200_000), "oracle.n", 2)
     n_runs = _parse_int(ocfg.get("n_runs", 10_000), "oracle.n_runs", 2)
     z = _parse_positive(ocfg.get("z_threshold", 4.0), "oracle.z_threshold")

@@ -66,8 +66,10 @@ _MAX_QMC_CELLS = 64
 # Most lattice points (cells x shifts x points) a QMC step conditions at once:
 # a step's temporaries are a few dozen arrays of that size.
 _QMC_CHUNK = 2**13
-# A Cholesky pivot at most this fraction of its variance is taken as 0.
+# A Cholesky pivot at most this fraction of its variance is taken as 0; one
+# below -_NOT_PSD_TOL of it marks a covariance that is not PSD.
 _CHOL_TOL = 1e-12
+_NOT_PSD_TOL = 1e-8
 
 
 class Settled(NamedTuple):
@@ -452,13 +454,21 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a stack (..., k, k) of PSD matrices, one
     column at a time over the whole stack. A pivot at most ``_CHOL_TOL``
     times its original variance (a coordinate that earlier ones determine)
-    gets a zero column instead of rounding noise."""
+    gets a zero column instead of rounding noise. A pivot below
+    -``_NOT_PSD_TOL`` times it, far beyond rounding, raises ``ValueError``:
+    the matrix is not PSD, and truncating it would hide that."""
     a = np.array(cov, dtype=np.float64)
     k = a.shape[-1]
-    tol = _CHOL_TOL * a.diagonal(axis1=-2, axis2=-1)
+    var = a.diagonal(axis1=-2, axis2=-1)
+    tol, floor = _CHOL_TOL * var, -_NOT_PSD_TOL * var
     factor = np.zeros_like(a)
     for j in range(k):
         pivot = a[..., j, j]
+        if np.any(pivot < floor[..., j]):
+            raise ValueError(
+                f"covariance is not PSD: Cholesky pivot {np.min(pivot):.3g} of coordinate {j} "
+                f"is below -{_NOT_PSD_TOL} times its variance"
+            )
         keep = pivot > tol[..., j]
         root = np.sqrt(np.where(keep, pivot, 1.0))
         col = np.where(keep[..., None], a[..., j + 1 :, j] / root[..., None], 0.0)

@@ -26,8 +26,9 @@ Its head block A^T A is accumulated over a pair's screening chunks by a
 product masked with the test's outcome, so accepted rows are never gathered.
 The blocks that involve the tail normals, A^T z_t and z_t^T z_t, are then
 drawn once per pair, from a second stream, in their exact law given A (a
-matrix normal and a Wishart matrix by Bartlett's decomposition; see
-``_augmented_gram``), so (h + 1) q + q (q + 1) / 2 numbers stand in for
+matrix normal and a Wishart matrix, singular below q degrees of freedom, by
+Bartlett's decomposition; see ``_augmented_gram``), by one law for every
+accepted count, so at most (h + 1) q + q (q + 1) / 2 numbers stand in for
 n q tail normals. z_t is independent of the head and of the test, so the
 accepted rows are exact unconstrained draws that satisfy the constraints,
 and every reported number has the law it has under whole-sequence
@@ -161,7 +162,8 @@ class _StepMoments:
 
 class _Screen:
     """One pair's conditional, reordered with the coordinates that the active
-    constraints bound first (the head) and the rest after (the tail).
+    constraints bound first (the head) and the rest after (the tail), and
+    the head Gram of its accepted rows.
 
     The head is step * dim + ``region.bounded_dims`` per active constraint,
     so a full-space constraint adds nothing to it. With F the lower Cholesky
@@ -172,7 +174,11 @@ class _Screen:
     (steps * dim, rows) states whose other coordinates are 0, which
     ``satisfies_batch`` never compares. Without ``complete`` only the head is
     reordered and factored: the leading block of a Cholesky factor is the
-    factor of the leading block."""
+    factor of the leading block.
+
+    ``gram`` is A^T A for A = [1 z_h] over the accepted head normals that
+    ``add`` has seen, accumulated chunk by chunk as a product masked with the
+    test's outcome, so the accepted rows are never gathered."""
 
     def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
         regions = [cs.constraints[i].region for i in idx]
@@ -191,6 +197,7 @@ class _Screen:
         self.m_h = self.mean[: self.h, None]
         self.dim = g.dim
         self.cs = ConstraintSet([Constraint(k, r) for k, r in enumerate(regions)], cs.mode)
+        self.gram = np.zeros((self.h + 1, self.h + 1))
 
     def screen(self, z_head: np.ndarray) -> np.ndarray:
         """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints.
@@ -202,6 +209,21 @@ class _Screen:
         states = np.zeros((steps * self.dim, rows))
         states[self.slots] = self.f_hh @ z_head.T + self.m_h
         return satisfies_batch(0, steps - 1, states.reshape(steps, self.dim, rows).transpose(2, 0, 1), self.cs)
+
+    def add(self, z_head: np.ndarray, acc: np.ndarray, count: int) -> None:
+        """Add the ``count`` rows of ``z_head`` where ``acc`` holds to ``gram``."""
+        # cast once: a float-by-bool product converts element by element
+        weight = acc.astype(np.float64)
+        sums = z_head.T @ weight
+        self.gram[0, 0] += count
+        self.gram[0, 1:] += sums
+        self.gram[1:, 0] += sums
+        self.gram[1:, 1:] += (z_head.T * weight) @ z_head
+
+    def tail_moments(self, tail_rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``reduce`` of the accepted rows, with the tail's part of their Gram
+        matrix drawn from ``tail_rng`` given ``gram``."""
+        return self.reduce(_augmented_gram(self.gram, self.mean.size - self.h, tail_rng))
 
     def reduce(self, gram: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
         """Count, mean and M2 per coordinate (flat, in coordinate order) of
@@ -222,78 +244,41 @@ class _Screen:
         return int(n), flat_mean, flat_m2
 
 
-class _HeadGram:
-    """A^T A for A = [1 z_h] over one pair's accepted head normals,
-    accumulated chunk by chunk as a product masked with the test's outcome,
-    so the accepted rows are never gathered. While fewer than h + 1 + q rows
-    are accepted (q the tail's size), those rows are kept as well: below
-    that count ``_augmented_gram`` draws the tail normals explicitly."""
-
-    def __init__(self, screen: _Screen):
-        self.screen = screen
-        self.gram = np.zeros((screen.h + 1, screen.h + 1))
-        self.rows: List[np.ndarray] = []
-
-    @property
-    def n(self) -> int:
-        return int(self.gram[0, 0])
-
-    def add(self, z_head: np.ndarray, acc: np.ndarray, count: int) -> None:
-        """Add the ``count`` rows of ``z_head`` where ``acc`` holds."""
-        # cast once: a float-by-bool product converts element by element
-        weight = acc.astype(np.float64)
-        sums = z_head.T @ weight
-        self.gram[0, 0] += count
-        self.gram[0, 1:] += sums
-        self.gram[1:, 0] += sums
-        self.gram[1:, 1:] += (z_head.T * weight) @ z_head
-        if self.n <= self.screen.mean.size:  # fewer than h + 1 + q
-            self.rows.append(z_head[acc])
-        else:
-            self.rows.clear()
-
-    def reduce(self, tail_rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``_Screen.reduce`` of the pair's accepted rows, with the tail's
-        part of their Gram matrix drawn from ``tail_rng`` given the head."""
-        rows = np.concatenate(self.rows) if self.rows else None
-        q = self.screen.mean.size - self.screen.h
-        return self.screen.reduce(_augmented_gram(self.gram, q, tail_rng, rows))
-
-
-def _augmented_gram(
-    head: np.ndarray, q: int, rng: np.random.Generator, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _augmented_gram(head: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
     """[A Z_t]^T [A Z_t] given the head Gram ``head`` = A^T A (h + 1, h + 1)
-    of A = [1 z_h] over n = head[0, 0] rows, for tail normals Z_t (n, q)
+    of A = [1 z_h] over n = head[0, 0] >= 1 rows, for tail normals Z_t (n, q)
     independent of A, with the blocks that involve Z_t drawn from ``rng`` in
     their exact law given A; Z_t itself is never drawn.
 
-    With A^T A = L L^T (L lower), A^T Z_t = L G for G (h + 1, q) standard
-    normal, and Z_t^T Z_t = G^T G + W, with W ~ Wishart_q(n - h - 1, I)
-    independent of G: the projections of Z_t's columns on the range of A and
-    on its orthogonal complement (Anderson, *An Introduction to Multivariate
-    Statistical Analysis*, 3rd ed., 2003, sec. 7.2). W = B B^T by Bartlett's
-    decomposition: B lower triangular, B_ii^2 ~ chi^2(n - h - 1 - i) for
-    i = 0, ..., q - 1, standard normals below the diagonal. With fewer than
-    h + 1 + q rows, Z_t is drawn explicitly instead, against the head
-    normals ``rows`` (n, h) themselves."""
+    A has rank r = min(n, h + 1), and its first r columns are independent
+    almost surely; the rank is taken from n, not from a factor's pivots,
+    which rounding can push past it. With L the lower Cholesky factor of
+    head[:r, :r] and F (h + 1, r) = [L; (L^-1 head[:r, r:])^T], F F^T = A^T A,
+    A^T Z_t = F G for G (r, q) standard normal, and Z_t^T Z_t = G^T G + W,
+    with W ~ Wishart_q(n - r, I) independent of G: the projections of Z_t's
+    columns on the range of A and on its orthogonal complement (Anderson,
+    *An Introduction to Multivariate Statistical Analysis*, 3rd ed., 2003,
+    sec. 7.2). W = B B^T by Bartlett's decomposition, with B (q, min(q, n - r))
+    lower trapezoidal, B_ii^2 ~ chi^2(n - r - i) and standard normals below
+    the diagonal; below q degrees of freedom W is singular and B is
+    trapezoidal, not triangular (Srivastava, "Singular Wishart and
+    multivariate beta distributions", *Ann. Statist.* 31, 2003). What is
+    read from ``rng`` depends on n, h and q alone."""
     a, n = head.shape[0], int(head[0, 0])
+    r = min(n, a)
+    k = min(q, n - r)
+    factor = np.linalg.cholesky(head[:r, :r])
+    factor = np.vstack([factor, np.linalg.solve(factor, head[:r, r:]).T])
+    g = rng.standard_normal((r, q))
+    bartlett = np.zeros((q, k))
+    bartlett[np.diag_indices(k)] = np.sqrt(rng.chisquare(n - r - np.arange(k)))
+    bartlett[np.tril_indices(q, -1, k)] = rng.standard_normal(q * k - k * (k + 1) // 2)
+    cross = factor @ g
     gram = np.empty((a + q, a + q))
     gram[:a, :a] = head
-    if n >= a + q:
-        g = rng.standard_normal((a, q))
-        cross = np.linalg.cholesky(head) @ g
-        bartlett = np.zeros((q, q))
-        bartlett[np.diag_indices(q)] = np.sqrt(rng.chisquare(n - a - np.arange(q)))
-        bartlett[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
-        tail = g.T @ g + bartlett @ bartlett.T
-    else:
-        z_t = rng.standard_normal((n, q))
-        cross = np.vstack([z_t.sum(axis=0), rows.T @ z_t])
-        tail = z_t.T @ z_t
     gram[:a, a:] = cross
     gram[a:, :a] = cross.T
-    gram[a:, a:] = tail
+    gram[a:, a:] = g.T @ g + bartlett @ bartlett.T
     return gram
 
 
@@ -338,20 +323,19 @@ def _accepted(
     merged into it.
 
     Each pair's head Gram is accumulated over its screening chunks
-    (``_HeadGram``), and its tail statistics are drawn once, for its whole
+    (``_Screen.add``), and its tail statistics are drawn once, for its whole
     accepted count, so one ``reduce`` serves the pair and the screening chunk
     size changes no tail draw."""
     per_pair: Dict[Pair, int] = {}
-    heads: Dict[Pair, _HeadGram] = {}  # of the pairs with accepted rows, in pmf order
+    screens: Dict[Pair, _Screen] = {}  # of the pairs with accepted rows, in pmf order
     for pair, screen, z_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
         count = int(np.count_nonzero(acc))
         per_pair[pair] = per_pair.get(pair, 0) + count
         if moments is not None and count:
-            if pair not in heads:
-                heads[pair] = _HeadGram(screen)
-            heads[pair].add(z_head, acc, count)
-    for (birth, _), head in heads.items():
-        moments.add(birth, *head.reduce(tail_rng))
+            screens[pair] = screen
+            screen.add(z_head, acc, count)
+    for (birth, _), screen in screens.items():
+        moments.add(birth, *screen.tail_moments(tail_rng))
     return per_pair
 
 

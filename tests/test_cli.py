@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,7 +268,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("window", "alpha", None), ("window", "gamma", [12]), ("motion", "birth_schedule", [1, None])],
+        [
+            ("window", "alpha", None),
+            ("window", "gamma", [12]),
+            ("motion", "birth_schedule", [1, None]),
+            ("sensor", "detection", [0.9]),
+        ],
     )
     def test_integer_of_wrong_type_exits_with_config_error(self, tmp_path, capsys, section, key, value):
         cfg = base_config()
@@ -273,6 +281,40 @@ class TestConfigErrors:
         code, _ = run(tmp_path, cfg, "simulate")
         assert code == EXIT_CONFIG
         assert f"config error: {section}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("track", []),
+            ("motion", [1.0]),
+            ("sensor", []),
+            ("constraints", [{"time": 3}]),
+            ("oracle", [{"n": 100}]),
+            ("track.r0", [1]),
+            ("seed", True),
+            ("track.slack", True),
+            ("oracle.mu", True),
+        ],
+    )
+    def test_value_of_wrong_json_type_exits_with_config_error(self, tmp_path, field, value):
+        """Run as a program: the error is one ``config error:`` line, with no traceback."""
+        cfg = base_config()
+        *parents, key = field.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["oracle", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "trajconstrain.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert f"config error: {field}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "constrain"])
     def test_non_psd_birth_cov(self, tmp_path, command):

@@ -19,8 +19,10 @@ from trajconstrain import (
     TimeWindow,
     TrajectoryDensity,
     constrain_bernoulli,
+    constrain_density,
     constrain_pmbm,
     constrain_ppp,
+    constrained_marginals,
 )
 from trajconstrain import oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
@@ -575,21 +577,24 @@ class TestDrawnTailGram:
     @pytest.mark.parametrize(
         "h, q, n",
         [
-            (3, 5, 9),  # n = h + 1 + q: the Bartlett boundary, the last chi^2 has 1 df
+            (3, 5, 9),  # n = h + 1 + q: W is full rank, the last chi^2 has 1 df
             (4, 6, 30),
             (6, 10, 4096),
             (0, 6, 30),  # empty head: A is the ones column
-            (4, 6, 10),  # small block: explicit tail normals
-            (4, 6, 3),  # fewer rows than h + 1
+            (4, 6, 10),  # singular W: 5 degrees of freedom for q = 6
+            (4, 6, 3),  # fewer rows than h + 1: A has rank n and W = 0
+            (4, 6, 1),  # one row
+            (4, 6, 5),  # n = h + 1: A has full rank and W = 0
+            (3, 5, 8),  # n = h + q, one row below the boundary case: the last singular W
         ],
-        ids=["boundary", "n30", "n4096", "empty_head", "small_block", "short_head"],
+        ids=["boundary", "n30", "n4096", "empty_head", "small_block", "short_head", "one_row", "rank_boundary",
+             "last_singular"],
     )
     def test_agrees_in_law_with_explicit_tail_normals(self, h, q, n):
         z_head = self.head(n, h)
         a, reps = h + 1, 2_000
         drawn_rng, explicit_rng = np.random.default_rng(91), np.random.default_rng(92)
         head_gram = explicit_gram(z_head, 0, explicit_rng)
-        rows = z_head if n < a + q else None  # as a pair keeps its rows only below the boundary
         upper = np.triu_indices(q)
 
         def stats(gram):
@@ -600,26 +605,21 @@ class TestDrawnTailGram:
             tail = gram[a:, a:]
             return np.concatenate([gram[:a, a:].ravel(), tail[upper], [np.trace(tail)]])
 
-        drawn = np.array([stats(_augmented_gram(head_gram, q, drawn_rng, rows)) for _ in range(reps)])
+        drawn = np.array([stats(_augmented_gram(head_gram, q, drawn_rng)) for _ in range(reps)])
         explicit = np.array([stats(explicit_gram(z_head, q, explicit_rng)) for _ in range(reps)])
         # the first two moments of every statistic agree
         z = []
         for x, y in ((drawn, explicit), ((drawn - drawn.mean(0)) ** 2, (explicit - explicit.mean(0)) ** 2)):
             z.extend((x.mean(0) - y.mean(0)) / np.sqrt((x.var(0) + y.var(0)) / reps))
         assert np.abs(z).max() < 4.5, z
-        # below the Bartlett boundary the draw is the explicit one
-        same = np.random.default_rng(93), np.random.default_rng(93)
-        gram = _augmented_gram(head_gram, q, same[0], rows)
-        reference = explicit_gram(z_head, q, same[1])
-        assert np.allclose(gram, reference, rtol=1e-12, atol=1e-12 * n) == (n < a + q)
 
     def test_no_tail_draws_nothing(self):
-        for n in (30, 3):  # on either side of the boundary h + 1 + q = 5
+        for n in (30, 5, 3):  # above, at and below the rank h + 1 = 5 of A
             z_head = self.head(n, 4)
             head_gram = explicit_gram(z_head, 0, np.random.default_rng(0))
             rng = np.random.default_rng(94)
             state = rng.bit_generator.state
-            gram = _augmented_gram(head_gram, 0, rng, z_head if n < 5 else None)
+            gram = _augmented_gram(head_gram, 0, rng)
             assert rng.bit_generator.state == state
             np.testing.assert_array_equal(gram, head_gram)
 
@@ -629,8 +629,8 @@ class TestDrawnTailGram:
         grams = []
         original = oracle._augmented_gram
 
-        def spy(head, q, rng, rows=None):
-            grams.append(original(head, q, rng, rows))
+        def spy(head, q, rng):
+            grams.append(original(head, q, rng))
             return grams[-1]
 
         monkeypatch.setattr(oracle, "_augmented_gram", spy)
@@ -659,24 +659,92 @@ class TestDrawnTailGram:
         # so the counts, and every tail draw, are those of the unpatched chunk size
         assert (per_pair, counts, state) == whole
 
-    def test_short_pair_keeps_its_rows_across_chunks(self, monkeypatch):
+    def test_short_pair_takes_one_tail_draw_across_chunks(self, monkeypatch):
         # one 12-dim pair under a gate on 1 coordinate: h = 1 and q = 11, so
-        # the boundary h + 1 + q is 13 rows; about 6 of 3,000 draws are kept
+        # h + 1 + q is 13 rows; about 6 of 3,000 draws are kept, a singular
+        # Wishart's worth, in several screening chunks of 1,000
         g = random_gaussian_sequence(np.random.default_rng(98), (0, 5), 2)
         td = TrajectoryDensity(BirthDeathPmf(((0, 5),), np.array([1.0])), (g,))
         lo = g.mean[2] + 2.9 * math.sqrt(g.cov[2, 2])
         cs = ConstraintSet([Constraint(1, StateRegion.box([(lo, None), None]))], "conjunct")
-        monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
         n = 3_000
+        grams = self.tail_draws(monkeypatch)
+
+        def draws():
+            grams.clear()
+            tail_rng = np.random.default_rng(100)
+            per_pair = _accepted(td, n, np.random.default_rng(99), cs, _StepMoments(td), tail_rng)
+            return per_pair, [int(gram[0, 0]) for gram in grams], tail_rng.bit_generator.state
+
+        whole = draws()
+        monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
         screened = oracle._screened_chunks(td, n, np.random.default_rng(99), cs, complete=True)
-        chunks = [(z[acc], screen) for _, screen, z, acc in screened]
-        rows = np.concatenate([r for r, _ in chunks])
+        chunks = [(int(acc.sum()), screen) for _, screen, _, acc in screened]
         screen = chunks[0][1]
         assert (screen.h, screen.mean.size - screen.h) == (1, 11)
-        assert 2 <= rows.shape[0] < 13 and sum(r.shape[0] > 0 for r, _ in chunks) >= 2
-        grams = self.tail_draws(monkeypatch)
-        moments = _StepMoments(td)
-        per_pair = _accepted(td, n, np.random.default_rng(99), cs, moments, np.random.default_rng(100))
-        assert per_pair == {(0, 5): rows.shape[0]}
-        [gram] = grams
-        np.testing.assert_allclose(gram, explicit_gram(rows, 11, np.random.default_rng(100)), rtol=1e-12, atol=1e-12)
+        accepted = sum(c for c, _ in chunks)
+        assert 2 <= accepted < 13 and sum(c > 0 for c, _ in chunks) >= 2
+        per_pair, counts, state = draws()
+        # one tail draw, for the pair's whole count, as at the default chunk size
+        assert per_pair == {(0, 5): accepted} and counts == [accepted]
+        assert (per_pair, counts, state) == whole
+
+
+def not_psd_density():
+    """One pair of 1-D states whose covariance [[1, 2], [2, 1]] has
+    eigenvalues 3 and -1: not a covariance."""
+    g = GaussianSequence(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+    return TrajectoryDensity(BirthDeathPmf(((0, 1),), np.array([1.0])), (g,))
+
+
+def no_process_noise_track():
+    """A constant-velocity track fitted as the benchmark's CLI track is, but
+    with no process noise, under three narrow disjunct position gates: every
+    (birth, death) covariance has rank 2."""
+    rng, steps = np.random.default_rng(2026), 100
+    mm = MotionModel(
+        np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)), 0.99, 0.0, np.array([0.0, 1.0]), np.diag([25.0, 1.0])
+    )
+    sm = SensorModel(np.array([[1.0, 0.0]]), np.array([[1.0]]), 0.9, 0.0, np.array([-1e3]), np.array([1e3]))
+    start = np.array([0.0, 1.0]) + np.array([5.0, 1.0]) * rng.standard_normal(2)
+    truth = [start[0] + start[1] * k for k in range(steps)]
+    meas = [(k, [truth[k] + rng.standard_normal()]) for k in range(5, steps - 5) if rng.random() < 0.9]
+    b = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, steps - 1), 0.9, 3)
+    gates = [
+        Constraint(t, StateRegion.box([(truth[t] - 0.4, truth[t] + 0.4), None])) for t in (30, 50, 70)
+    ]
+    return b, ConstraintSet(gates, "disjunct")
+
+
+class TestNotPsdCovariance:
+    """A conditional whose covariance is not PSD is rejected where it is
+    factored, not truncated to a PSD one that the oracle then agrees with."""
+
+    def test_two_gates_raise_from_constrain_density(self):
+        gate = StateRegion.box([(-0.5, 1.0)])
+        cs = ConstraintSet([Constraint(0, gate), Constraint(1, gate)], "conjunct")
+        with pytest.raises(ValueError, match="not PSD"):
+            constrain_density(not_psd_density(), cs, 20_000, 1)
+
+    def test_one_gate_raises_from_the_oracle_with_moments(self):
+        b = BernoulliTrajectory(0.9, not_psd_density())
+        cs = ConstraintSet([Constraint(1, StateRegion.box([(-0.5, 1.0)]))], "conjunct")
+        constrained = constrain_bernoulli(b, cs, 20_000, 3)
+        oracle_bernoulli(b, constrained, cs, 20_000, rng_seed=4, check_moments=False)  # counts only
+        with pytest.raises(ValueError, match="not PSD"):
+            oracle_bernoulli(b, constrained, cs, 20_000, rng_seed=4)
+
+    @pytest.mark.parametrize("case", ["no_process_noise_density", "cli_track_fit"])
+    def test_rank_deficient_fits_are_not_rejected(self, case):
+        if case == "cli_track_fit":
+            b, cs = no_process_noise_track()
+        else:
+            b = BernoulliTrajectory(0.9, no_process_noise_density())
+            gate = StateRegion.box([(4.0, 5.0), None])
+            cs = ConstraintSet([Constraint(4, gate), Constraint(6, StateRegion.box([None, (0.8, 1.4)]))], "conjunct")
+        constrained = constrain_bernoulli(b, cs, 50_000, 5)
+        views = constrained_marginals(constrained.density, 50_000, 6)
+        assert views.times and np.isfinite(views.means).all()
+        rep = oracle_bernoulli(b, constrained, cs, 50_000, rng_seed=7)
+        assert any(e.name.startswith("mean[") for e in rep.entries)
+        assert rep.passed, rep.to_table()
