@@ -127,8 +127,8 @@ def parse_motion(cfg: dict) -> MotionModel:
         return MotionModel(
             np.array(m["transition"]),
             np.array(m["process_noise"]),
-            float(m["survival"]),
-            float(m.get("birth_rate", 0.0)),
+            _parse_number(m["survival"], "survival"),
+            _parse_number(m.get("birth_rate", 0.0), "birth_rate"),
             np.array(m["birth_mean"]),
             np.array(m["birth_cov"]),
             tuple(int(t) for t in schedule) if schedule is not None else None,
@@ -145,8 +145,8 @@ def parse_sensor(cfg: dict) -> SensorModel:
         return SensorModel(
             np.array(s["measurement"]),
             np.array(s["noise"]),
-            float(s["detection"]),
-            float(s.get("clutter_rate", 0.0)),
+            _parse_number(s["detection"], "detection"),
+            _parse_number(s.get("clutter_rate", 0.0), "clutter_rate"),
             np.array(s.get("clutter_low", [])),
             np.array(s.get("clutter_high", [])),
         )

@@ -224,7 +224,7 @@ class ConstrainedTrajectoryDensity:
         for j, v in enumerate(_accepted_y(self, mc_budget, rng_seed)):
             if v.dropped:
                 continue
-            (b, e), rng = v.pair, child_rng(rng_seed, 2, j)
+            (b, e), rng = v.pair, child_rng(_seed(rng_seed, j, 2))
             if v.path == EXACT:
                 n = _QMC_SHIFTS * _qmc_points(mc_budget)
                 x, weights = v.gs.draw(n, rng), np.full(n, v.prob / n)
@@ -285,9 +285,9 @@ class ConstrainedPmbm:
 
 
 def _seed(*keys: int) -> int:
-    # A stream folded into a single int seed for child_rng: (rng_seed, j, 0)
-    # constrains pair j, (rng_seed, j, 1) draws its views' lattice, and
-    # (rng_seed, k) is the k-th distinct component of a PMBM.
+    # A stream folded into a single int seed for child_rng: (rng_seed, j, s)
+    # constrains pair j (s = 0), draws its views' y (1) or completes its cloud
+    # samples (2); (rng_seed, k) is the k-th distinct component of a PMBM.
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
@@ -594,8 +594,8 @@ def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
     first of them, j, with ``_seed(rng_seed, j, 1)``. Pairs whose cells
     ``_product_cells`` refuses (a multi-box item, or over 64 cells) draw y
     ``mc_budget`` times (rounded up to ``_QMC_SHIFTS`` equal blocks) on
-    stream child_rng(rng_seed, 1, j) and weigh each draw by its indicator:
-    ``MC``, each fallback counted by reason and logged (``_log_fallbacks``).
+    the stream their problem would have had and weigh each draw by its
+    indicator: ``MC``, each fallback counted by reason and logged.
     An MC pair that accepted no draw is dropped and logged at WARNING;
     LowAcceptanceError when every pair was dropped.
     """
@@ -625,7 +625,7 @@ def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
         if isinstance(cells, str):
             fallbacks[cells] = fallbacks.get(cells, 0) + 1
             block = -(-mc_budget // _QMC_SHIFTS)
-            y = GaussianSequence(m_y, s_yy, 1).draw(block * _QMC_SHIFTS, child_rng(rng_seed, 1, j))
+            y = GaussianSequence(m_y, s_yy, 1).draw(block * _QMC_SHIFTS, child_rng(_seed(rng_seed, j, 1)))
             masks = _bounded_masks([c.region for c in bounded], y)
             acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
             points = _weighted(y.reshape(_QMC_SHIFTS, block, -1), acc.reshape(_QMC_SHIFTS, block) * 1.0)

@@ -51,7 +51,6 @@ MC = "mc"
 
 _PMF_TOL = 1e-12
 _SYM_TOL = 1e-10
-_EIG_TOL = 1e-10
 # A constraint whose satisfaction probability the 1-D bounds place within this
 # distance of 0 or 1 is settled (pinned) without sampling.
 _PIN_TOL = 1e-12
@@ -66,8 +65,7 @@ _MAX_QMC_CELLS = 64
 # Most lattice points (cells x shifts x points) a QMC step conditions at once:
 # a step's temporaries are a few dozen arrays of that size.
 _QMC_CHUNK = 2**13
-# A Cholesky pivot at most this fraction of its variance is taken as 0; one
-# below -_NOT_PSD_TOL of it marks a covariance that is not PSD.
+# Cholesky pivot tolerances, as fractions of the variances (``_cholesky``).
 _CHOL_TOL = 1e-12
 _NOT_PSD_TOL = 1e-8
 
@@ -128,21 +126,6 @@ class BirthDeathPmf:
         return zip(self.pairs, self.probs)
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix A with A @ A.T = cov, via eigendecomposition with eigenvalue floor.
-
-    A PSD matrix has a zero row wherever its variance is 0; those rows of A
-    are set to exactly 0, so such coordinates draw exactly their mean instead
-    of eigh's rounding noise.
-    """
-    w, v = np.linalg.eigh(cov)
-    if w.min(initial=0.0) < -_EIG_TOL:
-        raise ValueError(f"covariance has eigenvalue {w.min()} below -{_EIG_TOL}")
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    factor[np.diag(cov) == 0.0] = 0.0
-    return factor
-
-
 @dataclass(frozen=True)
 class GaussianSequence:
     """Joint Gaussian over a stacked state sequence.
@@ -200,7 +183,7 @@ class GaussianSequence:
     def _factor(self) -> np.ndarray:
         # Computed on the first draw and kept in the instance dict; not a
         # field, so equality and serialization ignore it.
-        return _psd_factor(self.cov)
+        return _cholesky(self.cov)
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n joint samples, shape (n, length * dim)."""
@@ -451,27 +434,40 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack (..., k, k) of PSD matrices, one
-    column at a time over the whole stack. A pivot at most ``_CHOL_TOL``
-    times its original variance (a coordinate that earlier ones determine)
-    gets a zero column instead of rounding noise. A pivot below
-    -``_NOT_PSD_TOL`` times it, far beyond rounding, raises ``ValueError``:
+    """Lower Cholesky factors of a stack (..., k, k) of PSD matrices: the
+    library's one factor routine and one PSD rule.
+
+    LAPACK's factors are kept when every pivot (diagonal entry squared)
+    exceeds ``_CHOL_TOL`` times its variance. Otherwise, where a matrix is
+    singular or not PSD, the stack is factored column by column: a pivot at
+    most ``_CHOL_TOL`` times its variance gets a zero column, so a
+    coordinate that earlier ones determine carries no rounding noise. A
+    pivot below -``_NOT_PSD_TOL`` times its variance, or one taken as 0 with
+    an entry s_ij below it where s_ij^2 > ``_NOT_PSD_TOL`` var_i var_j (a
+    PSD matrix has a zero row there; Higham, "Analysis of the Cholesky
+    decomposition of a semi-definite matrix", 1990), raises ``ValueError``:
     the matrix is not PSD, and truncating it would hide that."""
-    a = np.array(cov, dtype=np.float64)
-    k = a.shape[-1]
-    var = a.diagonal(axis1=-2, axis2=-1)
-    tol, floor = _CHOL_TOL * var, -_NOT_PSD_TOL * var
-    factor = np.zeros_like(a)
-    for j in range(k):
-        pivot = a[..., j, j]
-        if np.any(pivot < floor[..., j]):
-            raise ValueError(
-                f"covariance is not PSD: Cholesky pivot {np.min(pivot):.3g} of coordinate {j} "
-                f"is below -{_NOT_PSD_TOL} times its variance"
-            )
+    cov = np.asarray(cov, dtype=np.float64)
+    var = cov.diagonal(axis1=-2, axis2=-1)
+    tol = _CHOL_TOL * var
+    try:
+        factor = np.linalg.cholesky(cov)
+        if np.all(factor.diagonal(axis1=-2, axis2=-1) ** 2 > tol):
+            return factor
+    except np.linalg.LinAlgError:
+        pass
+    a, factor = cov.copy(), np.zeros_like(cov)
+    for j in range(a.shape[-1]):
+        pivot, below = a[..., j, j], a[..., j + 1 :, j]
         keep = pivot > tol[..., j]
+        coupled = ~keep[..., None] & (below * below > _NOT_PSD_TOL * var[..., j, None] * var[..., j + 1 :])
+        if np.any(pivot < -_NOT_PSD_TOL * var[..., j]) or np.any(coupled):
+            raise ValueError(
+                f"covariance is not PSD: Cholesky pivot {j} is below -{_NOT_PSD_TOL} of its variance, or 0 "
+                "above a nonzero entry"
+            )
         root = np.sqrt(np.where(keep, pivot, 1.0))
-        col = np.where(keep[..., None], a[..., j + 1 :, j] / root[..., None], 0.0)
+        col = np.where(keep[..., None], below / root[..., None], 0.0)
         factor[..., j, j] = np.where(keep, root, 0.0)
         factor[..., j + 1 :, j] = col
         a[..., j + 1 :, j + 1 :] -= col[..., :, None] * col[..., None, :]

@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import Trajectory
-from .gaussian import TrajectoryDensity, child_rng, stratified_draws
+from .gaussian import TrajectoryDensity, _cholesky, child_rng, stratified_draws
 
 _WEIGHT_TOL = 1e-12
 
@@ -143,9 +143,10 @@ def validate(m) -> List[str]:
             report.append(f"{comp_name}: pmf sums to {s!r}, expected 1")
         conds = getattr(density, "conditionals", ())
         for (pair, g) in zip(pmf.pairs, conds):
-            w = np.linalg.eigvalsh(g.cov)
-            if w.size and w.min() < -1e-10:
-                report.append(f"{comp_name}: covariance for pair {pair} has eigenvalue {w.min()}")
+            try:
+                _cholesky(g.cov)
+            except ValueError as exc:
+                report.append(f"{comp_name}: pair {pair}: {exc}")
     for a, h in enumerate(m.hypotheses):
         for i, t in enumerate(h.tracks):
             if not (0.0 <= t.r <= 1.0):

@@ -21,8 +21,18 @@ import numpy as np
 
 from .core import TimeWindow, Trajectory
 from .errors import DimensionMismatchError
-from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _psd_factor, child_rng
+from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _cholesky, child_rng
 from .rfs import BernoulliTrajectory
+
+
+def _check_psd(cov: np.ndarray, name: str) -> np.ndarray:
+    """The symmetric part of ``cov``; a ValueError naming it if ``_cholesky`` rejects that."""
+    sym = 0.5 * (cov + cov.T)
+    try:
+        _cholesky(sym)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be PSD: {exc}") from None
+    return sym
 
 
 @dataclass(frozen=True)
@@ -46,17 +56,13 @@ class MotionModel:
         if F.shape != (d, d) or Q.shape != (d, d) or bm.size != d or bc.shape != (d, d):
             raise DimensionMismatchError("motion model matrices have inconsistent shapes")
         if not (0.0 <= self.survival <= 1.0):
-            raise ValueError(f"survival probability {self.survival} outside [0, 1]")
-        if self.birth_rate < 0.0:
-            raise ValueError(f"birth rate {self.birth_rate} must be >= 0")
-        if np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() < -1e-10:
-            raise ValueError("process noise must be PSD")
-        if np.linalg.eigvalsh(0.5 * (bc + bc.T)).min() < -1e-10:
-            raise ValueError("birth covariance must be PSD")
+            raise ValueError(f"survival: {self.survival} is not a probability in [0, 1]")
+        if not 0.0 <= self.birth_rate < math.inf:
+            raise ValueError(f"birth_rate: {self.birth_rate} is not a finite number >= 0")
         object.__setattr__(self, "transition", F)
-        object.__setattr__(self, "process_noise", 0.5 * (Q + Q.T))
+        object.__setattr__(self, "process_noise", _check_psd(Q, "process noise"))
         object.__setattr__(self, "birth_mean", bm)
-        object.__setattr__(self, "birth_cov", 0.5 * (bc + bc.T))
+        object.__setattr__(self, "birth_cov", _check_psd(bc, "birth covariance"))
 
     @property
     def dim(self) -> int:
@@ -83,13 +89,11 @@ class SensorModel:
         if R.shape != (m, m) or lo.size != m or hi.size != m:
             raise DimensionMismatchError("sensor model matrices have inconsistent shapes")
         if not (0.0 <= self.detection <= 1.0):
-            raise ValueError(f"detection probability {self.detection} outside [0, 1]")
-        if self.clutter_rate < 0.0:
-            raise ValueError(f"clutter rate {self.clutter_rate} must be >= 0")
-        if np.linalg.eigvalsh(0.5 * (R + R.T)).min() < -1e-10:
-            raise ValueError("measurement noise must be PSD")
+            raise ValueError(f"detection: {self.detection} is not a probability in [0, 1]")
+        if not 0.0 <= self.clutter_rate < math.inf:
+            raise ValueError(f"clutter_rate: {self.clutter_rate} is not a finite number >= 0")
         object.__setattr__(self, "measurement", H)
-        object.__setattr__(self, "noise", 0.5 * (R + R.T))
+        object.__setattr__(self, "noise", _check_psd(R, "measurement noise"))
         object.__setattr__(self, "clutter_low", lo)
         object.__setattr__(self, "clutter_high", hi)
 
@@ -124,8 +128,8 @@ def simulate_truth(mm: MotionModel, window: TimeWindow, rng_seed: int = 0) -> Li
     per listed time step.
     """
     rng = child_rng(rng_seed)
-    q_fac = _psd_factor(mm.process_noise)
-    b_fac = _psd_factor(mm.birth_cov)
+    q_fac = _cholesky(mm.process_noise)
+    b_fac = _cholesky(mm.birth_cov)
     alive: List[Tuple[int, List[np.ndarray]]] = []
     done: List[Trajectory] = []
     for k in window.steps():
@@ -159,7 +163,7 @@ def simulate_measurements(
 ) -> Dict[int, List[Measurement]]:
     """Per-step detections (probability ``detection``) plus uniform Poisson clutter."""
     rng = child_rng(rng_seed)
-    r_fac = _psd_factor(sm.noise)
+    r_fac = _cholesky(sm.noise)
     out: Dict[int, List[Measurement]] = {k: [] for k in window.steps()}
     for k in window.steps():
         for i, traj in enumerate(truth):
@@ -262,14 +266,15 @@ def fit_bernoulli_track(
     """Bernoulli density from one associated measurement sequence.
 
     Hypothesized births lie within ``slack`` steps before the first
-    measurement and deaths within ``slack`` steps after the last one, both
-    clamped to the window. One lockstep ``_smooth_births`` pass smooths every
-    birth through the last death; the (b, e) conditional is the leading block
-    of b's joint, and all deaths of b share b's log-likelihood. The log-weight
-    of (b, e) adds to it the uniform birth prior -log(#births), survival
-    (e - b) log(survival) and, unless e is the window's last step, death
-    log(1 - survival); the pmf is the max-shifted, normalized weights.
-    Existence r is the supplied prior, not estimated from data.
+    measurement and deaths within ``slack`` steps after the last one (with
+    survival 1, the window's end only), clamped to the window. One lockstep
+    ``_smooth_births`` pass smooths every birth through the last death; the
+    (b, e) conditional is the leading block of b's joint, and all deaths of
+    b share b's log-likelihood. The log-weight of (b, e) adds to it the
+    uniform birth prior -log(#births), survival (e - b) log(survival) and,
+    unless e is the window's last step, death log(1 - survival); the pmf is
+    the max-shifted, normalized weights. Existence r is the supplied prior,
+    not estimated from data.
     """
     if not measurements:
         raise ValueError("measurement list is empty")
@@ -281,7 +286,7 @@ def fit_bernoulli_track(
     meas = {int(t): np.asarray(z, dtype=np.float64).ravel() for t, z in measurements}
 
     betas = range(max(window.alpha, times[0] - slack), times[0] + 1)
-    epss = range(times[-1], min(window.gamma, times[-1] + slack) + 1)
+    epss = [window.gamma] if mm.survival == 1.0 else range(times[-1], min(window.gamma, times[-1] + slack) + 1)
     pairs: List[Tuple[int, int]] = []
     conds: List[GaussianSequence] = []
     log_w: List[float] = []
@@ -295,10 +300,7 @@ def fit_bernoulli_track(
         for e in epss:
             hi = (e - betas[0] + 1) * d
             surv = math.log(mm.survival) * (e - b) if mm.survival > 0 else (0.0 if e == b else -np.inf)
-            if e == window.gamma:
-                death = 0.0
-            else:
-                death = math.log(1.0 - mm.survival) if mm.survival < 1.0 else -np.inf
+            death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
             prior = -math.log(n_betas) + surv + death
             pairs.append((b, e))
             conds.append(GaussianSequence(mean[lo:hi], cov[lo:hi, lo:hi], d))

@@ -74,8 +74,13 @@ def _fresh_spatial_estimate(ctd, pair, n, seed):
 
 def test_criterion_1_normalization(rng):
     """Constrained pmfs sum to 1; the MC integral of each constrained state
-    density is 1 within 3 standard errors at a 1e5 budget."""
-    failures = []
+    density is 1 at a 1e5 budget: no instance's z = (integral - 1) / SE
+    beyond 4, and the mean z^2 over the instances with SE > 0 in [0.7, 1.3].
+
+    A bound of 3 SE on each of ~146 instances alone fails about a third of
+    correct runs by chance; the mean z^2 keeps the power that bound had: it
+    fails when every spatial probability is 1% off."""
+    failures, z2 = [], []
     for i in range(50):
         window = TimeWindow(0, int(rng.integers(2, 8)))
         dim = int(rng.integers(1, 3))
@@ -95,8 +100,12 @@ def test_criterion_1_normalization(rng):
                 var += (q / info.spatial_prob) ** 2 * a_hat * (1 - a_hat) / n_pair
                 var += (q * info.spatial_se / info.spatial_prob) ** 2
             se = math.sqrt(var)
-            if abs(est - 1.0) > 3 * max(se, 1e-12):
+            if se > 0.0:
+                z2.append(((est - 1.0) / se) ** 2)
+            if abs(est - 1.0) > 4 * max(se, 1e-12):
                 failures.append(f"inst {i}/{mode}: integral {est} +- {se}")
+    if not 0.7 <= np.mean(z2) <= 1.3:
+        failures.append(f"mean z^2 {np.mean(z2):.3f} over {len(z2)} instances outside [0.7, 1.3]")
     _report(1, "constrained pmf normalization and MC density integral", failures)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,20 +116,42 @@ class TestConstrain:
         assert csv[0] == f"# schema={CSV_SCHEMA}"
         assert "constrained_mean_x0" in csv[1]
 
+    def test_full_survival_dies_at_the_window_end(self, tmp_path, monkeypatch):
+        # The last detection is at 5 and slack 2 ends every death candidate
+        # before the window's last step, 12. With survival 1 a target alive
+        # at its last detection lives to 12, the only death.
+        cfg = base_config()
+        cfg["motion"]["survival"] = 1.0
+        fits = []
+        inner = cli.fit_bernoulli_track
+
+        def spy(*args, **kwargs):
+            fits.append(inner(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "fit_bernoulli_track", spy)
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_OK
+        (bern,) = fits
+        assert {e for _, e in bern.density.pmf.pairs} == {12}
+        assert all(math.isfinite(p) for p in bern.density.pmf.probs)
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 < summary["r_constrained"] <= 0.9
+
     def test_deterministic(self, tmp_path):
         _, out1 = run(tmp_path, base_config(), "constrain", subdir="a")
         _, out2 = run(tmp_path, base_config(), "constrain", subdir="b")
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
         assert (out1 / "constrained.csv").read_bytes() == (out2 / "constrained.csv").read_bytes()
 
-    def test_dropped_strata(self, tmp_path):
+    def test_dropped_strata(self, tmp_path, monkeypatch):
         _, out = run(tmp_path, base_config(), "constrain", subdir="normal")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["dropped_strata"] == 0
         assert summary["view_paths"] == {"exact": 9, "lattice": 0, "mc": 0}  # the wide gate is pinned
         cfg = base_config()
         # two boxes at step 0, ~3 sd from the hypotheses born at 0: their
-        # views draw y by Monte Carlo, and one of them accepts no draw
+        # views draw y by Monte Carlo, and at least one accepts no draw
         cfg["constraints"]["items"] = [
             {
                 "time": 0,
@@ -136,10 +159,21 @@ class TestConstrain:
             },
             {"time": 3, "boxes": [{"lower": [0.0, None], "upper": [6.0, None]}]},
         ]
+        seen = []
+        inner = cli.constrained_marginals
+
+        def spy(*args):
+            seen.append(inner(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "constrained_marginals", spy)
         code, out = run(tmp_path, cfg, "constrain", subdir="tiny")
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["dropped_strata"] == 1
+        (views,) = seen
+        # every view pair that accepted no draw is counted as dropped
+        empty = [pair for pair, path in views.view_paths.items() if path != "exact" and views.accepted[pair] == 0]
+        assert summary["dropped_strata"] == len(empty) >= 1
         assert summary["view_paths"] == {"exact": 6, "lattice": 0, "mc": 2}
         assert 0.0 < summary["acceptance_rate"] <= 1.0
 
@@ -281,6 +315,31 @@ class TestConfigErrors:
         code, _ = run(tmp_path, cfg, "simulate")
         assert code == EXIT_CONFIG
         assert f"config error: {section}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("motion", "survival", True),
+            ("motion", "survival", 1.5),
+            ("motion", "survival", float("nan")),
+            ("motion", "birth_rate", True),
+            ("motion", "birth_rate", -1.0),
+            ("motion", "birth_rate", float("inf")),
+            ("sensor", "detection", True),
+            ("sensor", "detection", "high"),
+            ("sensor", "clutter_rate", False),
+            ("sensor", "clutter_rate", float("nan")),
+        ],
+    )
+    def test_bad_probability_or_rate_exits_with_config_error(self, tmp_path, capsys, section, key, value):
+        # JSON true is not read as 1; the error names the section and the field
+        cfg = base_config()
+        cfg[section][key] = value
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {section}: {key}: " in err
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(
         "field, value",

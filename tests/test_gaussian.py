@@ -105,22 +105,25 @@ class TestGaussianSequence:
         mean = rng.standard_normal(5)
         x = GaussianSequence(mean, cov, 1).draw(10_000, np.random.default_rng(3))
         assert np.all(x[:, 2] == mean[2])
-        # every other coordinate draws as from the plain eigh factor
-        w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+        # every other coordinate draws as from the library's Cholesky factor,
+        # which has a zero row at the constant and a zero column at the repeat
+        factor = gaussian._cholesky(0.5 * (cov + cov.T))
+        assert not factor[2].any() and not factor[:, 3].any()
+        np.testing.assert_allclose(factor @ factor.T, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
         z = np.random.default_rng(3).standard_normal((10_000, 5))
-        plain = mean + z @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+        plain = mean + z @ factor.T
         others = [0, 1, 3, 4]
         np.testing.assert_array_equal(x[:, others], plain[:, others])
 
     def test_factor_computed_once_per_sequence(self, rng, monkeypatch):
         calls = []
-        inner = gaussian._psd_factor
+        inner = gaussian._cholesky
 
         def spy(cov):
             calls.append(cov)
             return inner(cov)
 
-        monkeypatch.setattr(gaussian, "_psd_factor", spy)
+        monkeypatch.setattr(gaussian, "_cholesky", spy)
         gs = random_gaussian_sequence(rng, (0, 2), 2)
         twin = GaussianSequence(gs.mean, gs.cov, gs.dim)
         first = gs.draw(4, np.random.default_rng(5))

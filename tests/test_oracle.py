@@ -24,7 +24,7 @@ from trajconstrain import (
     constrain_ppp,
     constrained_marginals,
 )
-from trajconstrain import oracle
+from trajconstrain import gaussian, oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.oracle import (
@@ -716,9 +716,86 @@ def no_process_noise_track():
     return b, ConstraintSet(gates, "disjunct")
 
 
+# Symmetric matrices that are not PSD, each with a Schur pivot of exactly 0
+# that has a nonzero entry below it: [[0, 1], [1, 1]] (eigenvalue -0.618) and
+# [[1, 1, 0], [1, 1, 1], [0, 1, 1]] (eigenvalue -0.414). Truncating the zero
+# pivot's column would factor them as PSD matrices.
+ZERO_PIVOT_NOT_PSD = {
+    "2x2": np.array([[0.0, 1.0], [1.0, 1.0]]),
+    "3x3": np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+}
+
+
+def one_step_density(cov):
+    """One pair (0, 0) whose single state has covariance ``cov``."""
+    g = GaussianSequence(np.zeros(cov.shape[0]), cov, cov.shape[0])
+    return TrajectoryDensity(BirthDeathPmf(((0, 0),), np.array([1.0])), (g,))
+
+
+def every_dim_gate(k):
+    """A conjunct box [-0.5, 1] on every dim of the state at step 0: not
+    settled by the 1-D bounds, so the pair is settled on its joint."""
+    return ConstraintSet([Constraint(0, StateRegion.box([(-0.5, 1.0)] * k))], "conjunct")
+
+
 class TestNotPsdCovariance:
     """A conditional whose covariance is not PSD is rejected where it is
     factored, not truncated to a PSD one that the oracle then agrees with."""
+
+    @pytest.mark.parametrize("name", sorted(ZERO_PIVOT_NOT_PSD))
+    def test_zero_pivot_with_entries_below_is_rejected_everywhere(self, name):
+        cov = ZERO_PIVOT_NOT_PSD[name]
+        k = cov.shape[0]
+        with pytest.raises(ValueError, match="not PSD"):
+            gaussian._cholesky(cov)
+        with pytest.raises(ValueError, match="not PSD"):
+            gaussian._cholesky(np.stack([np.eye(k), cov]))  # one bad matrix in a stack
+        with pytest.raises(ValueError, match="not PSD"):
+            GaussianSequence(np.zeros(k), cov, k).draw(5, np.random.default_rng(0))
+        cs = every_dim_gate(k)
+        with pytest.raises(ValueError, match="not PSD"):
+            constrain_density(one_step_density(cov), cs, 20_000, 1)
+        # the engine's answer for a PSD twin; the oracle factors its own input
+        constrained = constrain_bernoulli(BernoulliTrajectory(0.9, one_step_density(np.eye(k))), cs, 20_000, 3)
+        bad = BernoulliTrajectory(0.9, one_step_density(cov))
+        with pytest.raises(ValueError, match="not PSD"):
+            oracle_bernoulli(bad, constrained, cs, 20_000, 4, check_moments=False)
+
+    def test_lapack_and_the_column_loop_agree(self, monkeypatch):
+        rng = np.random.default_rng(404)
+        covs = [g.cov for _ in range(40) for g in random_density(rng).conditionals]
+        lapack = [gaussian._cholesky(c) for c in covs]
+        for c, f in zip(covs, lapack):
+            np.testing.assert_array_equal(f, np.linalg.cholesky(c))
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("refused")
+
+        monkeypatch.setattr(gaussian.np.linalg, "cholesky", refuse)
+        for c, f in zip(covs, lapack):
+            loop = gaussian._cholesky(c)
+            # each row of a factor has the norm of its coordinate's SD
+            scale = np.sqrt(np.diag(c))[:, None]
+            assert np.max(np.abs(loop - f) / scale) <= 1e-12
+
+    def test_no_process_noise_fit_takes_the_loop(self):
+        b, _ = no_process_noise_track()
+        rng = np.random.default_rng(8)
+        for g in b.density.conditionals[:: max(len(b.density.conditionals) // 4, 1)]:
+            try:
+                pivots = np.diag(np.linalg.cholesky(g.cov)) ** 2
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                assert np.any(pivots <= gaussian._CHOL_TOL * np.diag(g.cov))
+            # rank 2, the initial state's: every later column is 0 but for
+            # rounding, whose pivots reach about 1.4e-12 of their variance
+            sd = np.sqrt(np.diag(g.cov).max())
+            assert np.abs(g._factor[:, :2]).max(axis=0).min() > 0.0
+            assert np.abs(g._factor[:, 2:]).max() <= 1e-5 * sd
+            x = g.draw(1_000, rng).reshape(1_000, -1, 2)
+            # each draw keeps the velocity it was born with, to the smoother's rounding
+            np.testing.assert_allclose(x[:, :, 1], np.repeat(x[:, :1, 1], x.shape[1], axis=1), rtol=0, atol=1e-7)
 
     def test_two_gates_raise_from_constrain_density(self):
         gate = StateRegion.box([(-0.5, 1.0)])
