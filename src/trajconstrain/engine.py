@@ -13,12 +13,14 @@ density is constrained once per call and its result reused for every slot.
 
 Per pair, both modes ask for one pattern probability (all constraints
 inside, or in disjunct mode with two or more active constraints all in the
-complement), which is settled exactly where it can, by randomized QMC where
-the constraints are single boxes on correlated coordinates, and by Monte
-Carlo on the bounded coordinates otherwise. The pairs of all the densities
-constrained together (one for ``constrain_density``, the distinct components
-for ``constrain_pmbm``) go through the primitive in one ``_pattern_batch``
-call, and each pair records the path that settled it.
+complement), which is settled exactly where it can (single boxes on
+uncorrelated coordinates, or on two correlated ones), by randomized QMC
+where the constraints are single boxes on three or more correlated
+coordinates, and by Monte Carlo on the bounded coordinates otherwise. The
+pairs of all the densities constrained together (one for
+``constrain_density``, the distinct components for ``constrain_pmbm``) go
+through the primitive in one ``_pattern_batch`` call, and each pair records
+the path that settled it.
 
 In disjunct mode the constrained conditional is a mixture over partitions of
 the active constraints into satisfied/unsatisfied index sets. Constraining
@@ -114,10 +116,11 @@ class PairConstraintInfo:
     """Per-(birth, death) constraint data of a constrained density.
 
     ``path`` is how the spatial probability was settled: ``"pinned"`` (no
-    constraint left after the 1-D bounds), ``"closed_form"``, ``"qmc"``
-    (single boxes on correlated coordinates: randomized QMC over about
-    ``mc_budget // 16`` lattice points, ``spatial_se`` the spread across
-    its random shifts; a pair byte-identical to another shares its
+    constraint left after the 1-D bounds), ``"closed_form"`` (single boxes
+    on uncorrelated coordinates, or on two correlated ones), ``"qmc"``
+    (single boxes on three or more correlated coordinates: randomized QMC
+    over about ``mc_budget // 16`` lattice points, ``spatial_se`` the spread
+    across its random shifts; a pair byte-identical to another shares its
     estimate) or ``"mc"`` (``mc_budget`` draws, binomial ``spatial_se``).
     Only the last two have ``spatial_se`` > 0.
     """
@@ -309,22 +312,27 @@ def _constrain_densities(
     for td in tds:
         if td.dim != cs.dim:
             raise DimensionMismatchError(f"density dim {td.dim} != constraint dim {cs.dim}")
+    # Every component's pairs, probabilities and active rows in one pass.
+    counts = [len(td.pmf.pairs) for td in tds]
+    every = [pair for td in tds for pair in td.pmf.pairs]
+    probs = np.concatenate([td.pmf.probs for td in tds])
+    component = np.repeat(np.arange(len(tds)), counts)
+    births, deaths = np.array(every).T
     times = np.array(cs.times)
-    qualifying: List[list] = []
-    conds, pairs, rows, owners = [], [], [], []
-    for k, td in enumerate(tds):
-        births, deaths = np.array(td.pmf.pairs).T
-        active = (births[:, None] <= times) & (times <= deaths[:, None])
-        meets = np.flatnonzero(active.any(axis=1)).tolist()
-        probs = td.pmf.probs.tolist()
-        if not any(probs[j] > 0.0 for j in meets):
-            meets = []
-        qualifying.append([(td.pmf.pairs[j], probs[j]) for j in meets])
-        conds.extend(td.conditionals[j] for j in meets)
-        pairs.extend(td.pmf.pairs[j] for j in meets)
-        rows.append(active[meets])
-        owners.extend((k, j) for j in meets)
-    active = np.concatenate(rows)
+    active = (births[:, None] <= times) & (times <= deaths[:, None])
+    meets = active.any(axis=1)
+    # A density qualifies when a pair that meets a constraint time has positive mass.
+    meets &= (np.bincount(component, meets & (probs > 0.0), len(tds)) > 0)[component]
+    rows = np.flatnonzero(meets)
+    active = active[rows]
+    owner, local = component[rows], rows - (np.cumsum(counts) - counts)[component[rows]]
+    every_cond = [g for td in tds for g in td.conditionals]
+    conds = [every_cond[r] for r in rows.tolist()]
+    pairs = [every[r] for r in rows.tolist()]
+    owners = list(zip(owner.tolist(), local.tolist()))
+    qualifying: List[list] = [[] for _ in tds]
+    for (k, _), pair, prob in zip(owners, pairs, probs[rows].tolist()):
+        qualifying[k].append((pair, prob))
     n_active = active.sum(axis=1)
     # The active constraint indices of every pair, from one nonzero over the batch.
     ends = np.cumsum(n_active).tolist()
@@ -340,27 +348,31 @@ def _constrain_densities(
         k, j = owners[p]
         return _seed(component_seed(k), j, 0)
 
-    settled = iter(zip(_pattern_batch(conds, pairs, items, active, want, mc_budget, seed), complement.tolist(), acts))
+    settled = _pattern_batch(conds, pairs, items, active, want, mc_budget, seed)
+    spatial = [1.0 - s.value if flip else s.value for s, flip in zip(settled, complement.tolist())]
+    # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
+    # which is what rejection sampling through the constraint indicators yields.
+    mass = probs[rows] * np.array(spatial)
     results: List[Optional[Tuple[ConstrainedTrajectoryDensity, ConstraintReport]]] = []
+    end = 0
     for td, qual in zip(tds, qualifying):
         if not qual:
             results.append(None)
             continue
+        start, end = end, end + len(qual)
         pair_info: Dict[Pair, PairConstraintInfo] = {}
         # The p-weighted SEs of pairs that share one estimate add linearly:
         # their errors are the same error.
         group_se: Dict[int, float] = {}
-        for pair, prob in qual:
-            (p, se, path, leader), flip, act = next(settled)
-            pair_info[pair] = PairConstraintInfo(pair, act, 1.0 - p if flip else p, se, path)
+        for j, (pair, prob) in enumerate(qual, start):
+            _, se, path, leader = settled[j]
+            pair_info[pair] = PairConstraintInfo(pair, acts[j], spatial[j], se, path)
             group_se[leader] = group_se.get(leader, 0.0) + prob * se
 
         # Summed pmf masses may exceed 1 by rounding; reported probabilities are clipped to [0, 1].
         prob_alive = min(math.fsum(p for _, p in qual), 1.0)
-        # Spatially weighted pmf: mass proportional to P(pair) * spatial_prob(pair),
-        # which is what rejection sampling through the constraint indicators yields.
-        masses = np.array([p * pair_info[pair].spatial_prob for pair, p in qual])
-        total = math.fsum(masses)
+        masses = mass[start:end]
+        total = math.fsum(masses.tolist())
         joint = min(total, 1.0)
         joint_se = math.sqrt(sum(se**2 for se in group_se.values()))
         prob_spatial = min(joint / prob_alive, 1.0)
@@ -368,7 +380,7 @@ def _constrain_densities(
         pmf = None
         if total > 0.0:
             keep = masses > 0.0
-            pmf = BirthDeathPmf(tuple(pair for (pair, _), k in zip(qual, keep) if k), masses[keep] / total)
+            pmf = BirthDeathPmf(tuple(pair for (pair, _), k in zip(qual, keep.tolist()) if k), masses[keep] / total)
         results.append((ConstrainedTrajectoryDensity(td, cs, pmf, pair_info), report))
     return results
 

@@ -5,13 +5,14 @@ A trajectory density factorizes into a probability mass function over
 sequence. This module provides marginalization onto time subsets, region
 probabilities (one primitive, ``_pattern_batch``, over any number of pairs:
 settle what the 1-D bounds settle, closed form where the remaining bounded
-coordinates are independent single boxes, randomized quasi-Monte Carlo
-(Genz's separation of variables on a shifted lattice) where they are single
-boxes on correlated coordinates, Monte Carlo on those coordinates otherwise;
-``region_probability`` is a batch of one pair), weighted lattice points of
-Gaussians restricted to product cells (the same lattice pass, for the views
-of a constrained density), stratified sampling (one draw per pair) and
-per-step moments of mixtures.
+coordinates are independent single boxes or single boxes on two correlated
+coordinates (Genz's bivariate normal), randomized quasi-Monte Carlo (Genz's
+separation of variables on a shifted lattice) where they are single boxes on
+three or more correlated coordinates, Monte Carlo on those coordinates
+otherwise; ``region_probability`` is a batch of one pair), weighted lattice
+points of Gaussians restricted to product cells (the same lattice pass, for
+the views of a constrained density), stratified sampling (one draw per pair)
+and per-step moments of mixtures.
 
 It needs numpy only: the normal CDF is ``_ndtr``, a vectorized port of
 Cody's rational ``erfc`` (the formula of Cephes' ``ndtr``), and its inverse
@@ -68,6 +69,18 @@ _QMC_CHUNK = 2**13
 # Cholesky pivot tolerances, as fractions of the variances (``_cholesky``).
 _CHOL_TOL = 1e-12
 _NOT_PSD_TOL = 1e-8
+# Genz's 20-point Gauss-Legendre rule (Statistics and Computing 14, 2004),
+# taken on [0, 2]: nodes 1 - x and 1 + x for each positive node x of the rule
+# on [-1, 1], each with x's weight; one node a row. ``_bvn_upper`` takes
+# Genz's expansion at and above |correlation| ``_BVN_FAR``.
+_GL_X = (0.9931285991850949, 0.9639719272779138, 0.9122344282513259, 0.8391169718222188, 0.7463319064601508,
+         0.6360536807265150, 0.5108670019508271, 0.3737060887154196, 0.2277858511416451, 0.07652652113349733)
+_GL_W = (0.01761400713915212, 0.04060142980038694, 0.06267204833410906, 0.08327674157670475, 0.1019301198172404,
+         0.1181945319615184, 0.1316886384491766, 0.1420961093183821, 0.1491729864726037, 0.1527533871307259)
+_GL_NODES = np.concatenate((1.0 - np.array(_GL_X), 1.0 + np.array(_GL_X)))[:, None]
+_GL_WEIGHTS = np.array(_GL_W + _GL_W)[:, None]
+_BVN_FAR = 0.925
+_TWO_PI = 2.0 * math.pi
 
 
 class Settled(NamedTuple):
@@ -446,8 +459,11 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
     an entry s_ij below it where s_ij^2 > ``_NOT_PSD_TOL`` var_i var_j (a
     PSD matrix has a zero row there; Higham, "Analysis of the Cholesky
     decomposition of a semi-definite matrix", 1990), raises ``ValueError``:
-    the matrix is not PSD, and truncating it would hide that."""
+    the matrix is not PSD, and truncating it would hide that. So does a
+    non-finite entry, which every pivot comparison would pass over."""
     cov = np.asarray(cov, dtype=np.float64)
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance has a non-finite entry")
     var = cov.diagonal(axis1=-2, axis2=-1)
     tol = _CHOL_TOL * var
     try:
@@ -499,6 +515,21 @@ def _lattice_coordinate(n: int, g: float, shifts: np.ndarray) -> np.ndarray:
     return 1.0 - np.abs(2.0 * x - 1.0)
 
 
+def _standardized(
+    centre: np.ndarray, sd: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounds (lo - centre) / sd and (hi - centre) / sd; where sd == 0,
+    -inf or +inf by the side of centre they lie on (a point mass)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (lo - centre) / sd
+        b = (hi - centre) / sd
+    point = sd == 0.0
+    if np.any(point):
+        a = np.where(point, np.where(lo <= centre, -np.inf, np.inf), a)
+        b = np.where(point, np.where(hi >= centre, np.inf, -np.inf), b)
+    return a, b
+
+
 def _conditional_step(
     centre: np.ndarray, sd: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray, u: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -507,13 +538,7 @@ def _conditional_step(
     sd^2), and, given uniforms u, the standard normal z whose point centre +
     sd z is the u-quantile of that set. Every mass and quantile is taken
     from the tail it lies in; sd == 0 is a point mass."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (lo - centre) / sd
-        b = (hi - centre) / sd
-    point = sd == 0.0
-    if np.any(point):
-        a = np.where(point, np.where(lo <= centre, -np.inf, np.inf), a)
-        b = np.where(point, np.where(hi >= centre, np.inf, -np.inf), b)
+    a, b = _standardized(centre, sd, lo, hi)
     # Two tails per coordinate: P(below lo) and P(above hi) outside; inside,
     # P(below lo) and P(below hi), or (a > 0) P(above lo) and P(above hi).
     upper = ~out & (a > 0.0)
@@ -533,6 +558,109 @@ def _conditional_step(
     z = _ndtri(np.clip(arg, 0.0, 1.0))
     z = np.where(low_side, z, -z)
     return e, np.clip(z, -_ERFC_BIG, _ERFC_BIG)
+
+
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis by halving (rows i and i + n // 2 are
+    added, an odd last row carried), so that an element's sum takes the
+    same steps whatever the other elements, as a BLAS or pairwise
+    reduction's may not."""
+    while terms.shape[0] > 1:
+        half = terms.shape[0] // 2
+        added = terms[:half] + terms[half : 2 * half]
+        terms = np.concatenate((added, terms[2 * half :])) if terms.shape[0] % 2 else added
+    return terms[0]
+
+
+def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """P(X > h, Y > k) of standard normals X, Y of correlation r, element-wise
+    over 1-D arrays: Genz's BVNU (Statistics and Computing 14, 2004; about
+    1e-15 absolute). Below |r| = 0.925 it is Drezner and Wesolowsky's
+    integral over the angle from 0 to asin(r), at and above it Genz's
+    expansion in sqrt(1 - r^2), each on ``_GL_NODES``; exact at |r| = 1.
+    Bounds are clipped to +-``_ERFC_BIG``, where the normal tails are 0 and
+    1 and every exponential term underflows, so infinite ones give the exact
+    limits. Every normal CDF is taken in one ``_ndtr`` call, and each
+    element is computed on its own: its value does not depend on the
+    others."""
+    h, k = (np.minimum(np.maximum(x, -_ERFC_BIG), _ERFC_BIG) for x in (h, k))
+    is_far = np.abs(r) >= _BVN_FAR
+    near, far = np.flatnonzero(~is_far), np.flatnonzero(is_far)
+    args = [-h, -k]
+    if far.size:
+        hf, rf = h[far], r[far]
+        # Genz's expansion works on (h, sign(r) k).
+        ks = np.where(rf < 0.0, -k[far], k[far])
+        s2 = (1.0 - np.abs(rf)) * (1.0 + np.abs(rf))
+        a = np.sqrt(s2)
+        b = np.abs(hf - ks)
+        one = s2 == 0.0
+        args += [-b / np.where(one, 1.0, a), -np.maximum(hf, ks), ks, hf, -ks]
+    cdf = _ndtr(np.concatenate(args))
+    tail_h, tail_k = cdf[: h.size], cdf[h.size : 2 * h.size]
+    p = np.empty(h.size)
+
+    if near.size:
+        hn, kn = h[near], k[near]
+        half = np.arcsin(r[near]) / 2.0
+        sn = np.sin(half * _GL_NODES)
+        terms = _GL_WEIGHTS * np.exp((sn * (hn * kn) - (hn * hn + kn * kn) / 2.0) / (1.0 - sn * sn))
+        p[near] = _node_sum(terms) * half / _TWO_PI + tail_h[near] * tail_k[near]
+
+    if far.size:
+        tail_b, tail_max, below_k, below_h, above_k = cdf[2 * h.size :].reshape(5, -1)
+        hk, bs = hf * ks, b * b
+        c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = -(bs / s2 + hk) / 2.0
+            lead = a * np.exp(e) * (1.0 - c * (bs - s2) * (1.0 - d * bs) / 3.0 + c * d * s2 * s2)
+            far_p = np.where(e > -100.0, lead, 0.0)
+            tail = np.exp(-hk / 2.0) * math.sqrt(_TWO_PI) * tail_b * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
+            far_p -= np.where(hk > -100.0, tail, 0.0)
+            xs = (a / 2.0 * _GL_NODES) ** 2
+            e = -(bs / xs + hk) / 2.0
+            rs = np.sqrt(1.0 - xs)
+            gap = 1.0 + c * xs * (1.0 + 5.0 * d * xs) - np.exp(-hk / 2.0 * xs / (1.0 + rs) ** 2) / rs
+            terms = np.where(e > -100.0, _GL_WEIGHTS * np.exp(e) * gap, 0.0)
+            far_p = np.where(one, 0.0, (a / 2.0 * _node_sum(terms) - far_p) / _TWO_PI)
+        between = np.where(hf < 0.0, below_k - below_h, tail_h[far] - above_k)
+        p[far] = np.where(rf > 0.0, far_p + tail_max, np.where(hf >= ks, -far_p, between - far_p))
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _bvn_cells(mean: np.ndarray, cov: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P(y in the cells) of y ~ N(mean, cov) on two coordinates, per
+    problem: mean (P, 2), cov (P, 2, 2) and lo, hi, out (P, cells, 2) the
+    disjoint product cells of ``_product_cells`` (a cell with lo = hi = inf
+    is empty). The covariances go through ``_cholesky``, the one PSD rule;
+    a second coordinate it finds determined by the first has correlation
+    +-1. A coordinate's set is two signed upper tails, each taken on the
+    side its mass lies, as in ``_conditional_step``: inside [a, b] it is
+    P(> a) - P(> b), or P(< b) - P(< a) when a <= 0; outside, P(< a) +
+    P(> b). A lower tail is the upper tail of -y. So a cell is four corners
+    of ``_bvn_upper``, all of the batch in one call."""
+    factor = _cholesky(cov)
+    sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
+    scale = sd[:, 0] * sd[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(np.maximum(cov[:, 0, 1] / scale, -1.0), 1.0)
+    rho = np.where(scale > 0.0, np.where(factor[:, 1, 1] == 0.0, np.sign(cov[:, 0, 1]), rho), 0.0)
+    a, b = _standardized(mean[:, None, :], sd[:, None, :], lo, hi)
+    upper = ~out & (a > 0.0)
+    both = upper | out
+    # (tail, problem, cell, coordinate): each tail's threshold, direction
+    # (-1 for a lower tail) and sign; corner (i, j) pairs tail i of the
+    # first coordinate with tail j of the second.
+    tail = np.array((np.where(upper, a, np.where(out, -a, -b)), np.where(both, b, -a)))
+    way = np.array((np.where(upper, 1.0, -1.0), np.where(both, 1.0, -1.0)))
+    sign = np.array((np.ones_like(a), np.where(out, 1.0, -1.0)))
+    corners = (2, 2) + a.shape[:2]
+    h = np.broadcast_to(tail[:, None, ..., 0], corners).ravel()
+    k = np.broadcast_to(tail[None, :, ..., 1], corners).ravel()
+    r = (way[:, None, ..., 0] * way[None, :, ..., 1] * rho[:, None]).ravel()
+    s = (sign[:, None, ..., 0] * sign[None, :, ..., 1]).reshape((4,) + a.shape[:2])
+    p = _bvn_upper(h, k, r).reshape(s.shape) * s
+    return np.minimum(np.maximum(_node_sum(_node_sum(p).T), 0.0), 1.0)
 
 
 def _product_cells(
@@ -714,6 +842,63 @@ def _lattice_points(
     return drawn
 
 
+def _two_coordinates(
+    conds: Sequence[GaussianSequence],
+    regions: Sequence[StateRegion],
+    pp: np.ndarray,
+    ii: np.ndarray,
+    base: np.ndarray,
+    offset: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
+    inside: np.ndarray,
+) -> Dict[int, float]:
+    """Step 3 of ``_pattern_batch`` for its single-box pairs whose free items
+    bound two coordinates in all: their free (pair, item)s, pair after pair,
+    with pair ``pp``, item ``ii``, flat column ``base`` of the step in the
+    concatenated conditionals (mean ``mean``, variances ``var``; pair p's
+    start at ``offset[p]``) and wanted bit ``inside``.
+
+    Returns P(pattern == want) of each pair whose two coordinates are
+    correlated, by pair index, from one ``_bvn_cells`` call: one cell, or
+    for one item of two bounded dims wanted outside, the two cells of
+    ``_product_cells`` (outside on the first dim; inside on it and outside
+    on the second). The bounds are gathered from per-item arrays and each
+    covariance is one lookup; uncorrelated pairs are left out."""
+    dims = [r.bounded_dims for r in regions]
+    n_dims = np.array([d.size for d in dims])[ii]
+    of = np.repeat(np.arange(pp.size), n_dims)  # the (pair, item) of each coordinate
+    # Each coordinate's place among its item's bounded dims, and in all the
+    # items' bounded dims concatenated.
+    place = np.arange(of.size) - np.repeat(np.cumsum(n_dims) - n_dims, n_dims)
+    at = np.cumsum([0] + [d.size for d in dims])[ii[of]] + place
+    cols = (base[of] + np.concatenate(dims)[at]).reshape(-1, 2)
+    owner = pp[of[::2]]
+    local = (cols - offset[owner, None]).tolist()
+    c12 = np.array([conds[p].cov[i, j] for p, (i, j) in zip(owner.tolist(), local)])
+    keep = np.flatnonzero(c12 != 0.0)
+    if not keep.size:
+        return {}
+    cols, owner, of = cols[keep], owner[keep], of.reshape(-1, 2)[keep]
+    boxes = [r.bounded_region for r in regions]
+    lo = np.concatenate([b.lows[0] for b in boxes])[at].reshape(-1, 2)[keep]
+    hi = np.concatenate([b.highs[0] for b in boxes])[at].reshape(-1, 2)[keep]
+    want_in = inside[of]
+    cov = np.empty((keep.size, 2, 2))
+    cov[:, 0, 0], cov[:, 1, 1] = var[cols[:, 0]], var[cols[:, 1]]
+    cov[:, 0, 1] = cov[:, 1, 0] = c12[keep]
+    # Cells (pairs, 2, 2): the second is empty (lo = hi = inf) but where one
+    # item of two dims is wanted outside.
+    split = (of[:, 0] == of[:, 1]) & ~want_in[:, 0]
+    lo_c = np.stack((lo, np.full_like(lo, np.inf)), axis=1)
+    hi_c = np.stack((hi, np.full_like(hi, np.inf)), axis=1)
+    out_c = np.stack((~want_in, np.zeros_like(want_in)), axis=1)
+    lo_c[split, 0, 1], hi_c[split, 0, 1], out_c[split, 0, 1] = -np.inf, np.inf, False
+    lo_c[split, 1], hi_c[split, 1], out_c[split, 1] = lo[split], hi[split], [False, True]
+    value = _bvn_cells(mean[cols], cov, lo_c, hi_c, out_c)
+    return dict(zip(owner.tolist(), value.tolist()))
+
+
 def _pattern_batch(
     conds: Sequence[GaussianSequence],
     pairs: Sequence[Pair],
@@ -746,8 +931,12 @@ def _pattern_batch(
        each an axis reduction of the pass. A pinned item's bit is fixed; a
        pinned item against ``want`` gives 0 at once.
     3. A pair's unpinned items are evaluated in closed form when each is a
-       single box and their bounded coordinates are uncorrelated. With
-       ``want``, single boxes on correlated coordinates go to QMC (one
+       single box and their bounded coordinates are uncorrelated, or, with
+       ``want``, when they bound two correlated coordinates in all: the
+       latter from per-item bound arrays, with no per-pair covariance slice
+       or ``_product_cells`` call, and one ``_bvn_cells`` call over all such
+       pairs of the batch (``_two_coordinates``). With ``want``, single
+       boxes on three or more correlated coordinates go to QMC (one
        ``_lattice_pass`` over all such pairs of the batch, about
        mc_budget // 16 lattice points each; the standard error is the spread
        of the per-shift estimates) when ``_product_cells`` splits their
@@ -767,9 +956,10 @@ def _pattern_batch(
     pp, ii = np.nonzero(active)  # the (pair, item)s, pair after pair
     regions = [region for _, region in items]
     sizes = np.array([g.mean.size for g in conds])
+    offset = np.cumsum(sizes) - sizes
     steps = np.array([t for t, _ in items])[ii] - np.array([b for b, _ in pairs])[pp]
     # Flat column of each (pair, item)'s step in the concatenated conditionals.
-    base = (np.cumsum(sizes) - sizes)[pp] + steps * np.array([g.dim for g in conds])[pp]
+    base = offset[pp] + steps * np.array([g.dim for g in conds])[pp]
     mean = np.concatenate([g.mean for g in conds])
     var = np.concatenate([g.cov.diagonal() for g in conds])
 
@@ -782,7 +972,7 @@ def _pattern_batch(
     for its in passes.values():
         region = regions[its[0]]
         dims = region.bounded_dims
-        ks = np.flatnonzero(np.isin(ii, its))
+        ks = slice(None) if len(passes) == 1 else np.flatnonzero(np.isin(ii, its))
         cols = base[ks, None, None] + dims
         box = region.bounded_region
         (p_in, p_out), _ = _conditional_step(mean[cols], np.sqrt(var[cols]), box.lows, box.highs, sides, None)
@@ -801,6 +991,7 @@ def _pattern_batch(
     # Step 3.
     n_free = np.bincount(pp, free, n)
     multi = np.bincount(pp, free & np.array([r.n_boxes > 1 for r in regions])[ii], n) > 0
+    n_coords = np.bincount(pp, free * np.array([r.bounded_dims.size for r in regions])[ii], n)
     first = np.searchsorted(pp, np.arange(n + 1))
 
     def free_of(p: int) -> np.ndarray:
@@ -810,9 +1001,16 @@ def _pattern_batch(
         return np.concatenate([_bounded_cols(pairs[p], conds[p].dim, *items[i]) for i in ii[ks].tolist()])
 
     paths = [PINNED if nf == 0 else MC if mu else CLOSED_FORM for nf, mu in zip(n_free.tolist(), multi.tolist())]
+    # Single-box pairs with one free coordinate, and with ``want`` those with
+    # two (``_two_coordinates``), are in closed form without a QMC problem.
+    two = (n_coords == 2) & ~multi & (want is not None)
+    bivariate = {}
+    if two.any():
+        ks = np.flatnonzero(free & two[pp])
+        bivariate = _two_coordinates(conds, regions, pp[ks], ii[ks], base[ks], offset, mean, var, w[ks])
     fallbacks: Dict[str, int] = {}
     problems, leader, keys = [], list(range(n)), {}
-    for p in np.flatnonzero(n_free).tolist():
+    for p in np.flatnonzero((n_free > 0) & (multi | (n_coords > 1)) & ~two).tolist():
         ks = free_of(p)
         cols = free_cols(p, ks)
         cov = conds[p].cov[np.ix_(cols, cols)]
@@ -827,11 +1025,11 @@ def _pattern_batch(
             continue
         paths[p] = QMC
         lo, hi, out = cells
-        mean = conds[p].mean[cols]
-        key = (lo.shape, mean.tobytes(), cov.tobytes(), lo.tobytes(), hi.tobytes(), out.tobytes())
+        m = conds[p].mean[cols]
+        key = (lo.shape, m.tobytes(), cov.tobytes(), lo.tobytes(), hi.tobytes(), out.tobytes())
         leader[p] = keys.setdefault(key, p)
         if leader[p] == p:
-            problems.append((mean, cov, lo, hi, out, seed(p)))
+            problems.append((m, cov, lo, hi, out, seed(p)))
     _log_fallbacks(fallbacks, n, "pairs settled by Monte Carlo instead of QMC")
 
     def draw_masks(p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -846,6 +1044,7 @@ def _pattern_batch(
         value = np.ones(n)
         np.multiply.at(value, pp[free], np.where(w, q, 1.0 - q)[free])
         value[dead] = 0.0
+        value[list(bivariate)] = list(bivariate.values())
         settled = {}
         if problems:
             est, _ = _lattice_pass(problems, _qmc_points(mc_budget), False)
@@ -920,9 +1119,10 @@ def region_probability(
     coordinates; entries that their 1-D bounds settle within 1e-12 are
     pinned (one pinned against its side gives exactly 0, with no draws);
     the rest are evaluated in closed form (standard error 0) when they are
-    single boxes on uncorrelated coordinates, by randomized QMC when they
-    are single boxes on correlated ones (about mc_budget // 16 lattice
-    points; the standard error is the spread across random shifts), else
+    single boxes on uncorrelated coordinates or on two correlated ones
+    (Genz's bivariate normal), by randomized QMC when they are single boxes
+    on three or more correlated ones (about mc_budget // 16 lattice points;
+    the standard error is the spread across random shifts), else
     by plain Monte Carlo on their bounded coordinates. A Monte Carlo
     estimate of exactly 0 or 1 reports a standard error of about
     1/mc_budget, not 0 (mc_budget >= 2).

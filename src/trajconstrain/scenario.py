@@ -25,6 +25,13 @@ from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _chole
 from .rfs import BernoulliTrajectory
 
 
+def _check_finite(**arrays: np.ndarray) -> None:
+    """A ValueError naming the first of ``arrays`` with a NaN or infinite entry."""
+    for name, x in arrays.items():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite, got {x.tolist()}")
+
+
 def _check_psd(cov: np.ndarray, name: str) -> np.ndarray:
     """The symmetric part of ``cov``; a ValueError naming it if ``_cholesky`` rejects that."""
     sym = 0.5 * (cov + cov.T)
@@ -55,6 +62,7 @@ class MotionModel:
         d = F.shape[0]
         if F.shape != (d, d) or Q.shape != (d, d) or bm.size != d or bc.shape != (d, d):
             raise DimensionMismatchError("motion model matrices have inconsistent shapes")
+        _check_finite(transition=F, process_noise=Q, birth_mean=bm, birth_cov=bc)
         if not (0.0 <= self.survival <= 1.0):
             raise ValueError(f"survival: {self.survival} is not a probability in [0, 1]")
         if not 0.0 <= self.birth_rate < math.inf:
@@ -88,6 +96,7 @@ class SensorModel:
         m = H.shape[0]
         if R.shape != (m, m) or lo.size != m or hi.size != m:
             raise DimensionMismatchError("sensor model matrices have inconsistent shapes")
+        _check_finite(measurement=H, noise=R, clutter_low=lo, clutter_high=hi)
         if not (0.0 <= self.detection <= 1.0):
             raise ValueError(f"detection: {self.detection} is not a probability in [0, 1]")
         if not 0.0 <= self.clutter_rate < math.inf:
@@ -283,6 +292,11 @@ def fit_bernoulli_track(
         raise ValueError("measurement times must be strictly increasing")
     if times[0] < window.alpha or times[-1] > window.gamma:
         raise ValueError("measurement times must lie within the window")
+    if mm.survival == 0.0 and times[-1] > times[0]:
+        raise ValueError(
+            "motion.survival is 0, so no target lives from one measurement time to the next: "
+            "every (birth, death) hypothesis of measurements at two or more times is impossible"
+        )
     meas = {int(t): np.asarray(z, dtype=np.float64).ravel() for t, z in measurements}
 
     betas = range(max(window.alpha, times[0] - slack), times[0] + 1)

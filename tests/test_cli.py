@@ -179,11 +179,13 @@ class TestConstrain:
 
     def test_pair_paths(self, tmp_path, monkeypatch):
         cfg = base_config()
-        # The hypotheses die at 5, 6 or 7. Death 5 meets only the gate at 3
-        # (closed form); death 6 also the gate at 6, correlated with it
-        # (QMC); death 7 also a gate 50 sd away, pinned outside (0).
+        # The hypotheses die at 5, 6 or 7. Death 5 meets the gates at 3 and
+        # 4, on correlated positions (closed form); death 6 also the gate at
+        # 6 (QMC on three coordinates); death 7 also a gate 50 sd away,
+        # pinned outside (0).
         cfg["constraints"]["items"] = [
             {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
+            {"time": 4, "boxes": [{"lower": [3.6, None], "upper": [4.8, None]}]},
             {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
             {"time": 7, "boxes": [{"lower": [60.0, None], "upper": [70.0, None]}]},
         ]
@@ -376,6 +378,39 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "constrain"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("motion", "process_noise", [[float("nan"), 0.0], [0.0, 0.1]]),
+            ("motion", "transition", [[1.0, float("inf")], [0.0, 1.0]]),
+            ("sensor", "noise", [[float("nan")]]),
+        ],
+    )
+    def test_non_finite_matrix_exits_with_config_error(self, tmp_path, capsys, command, section, key, value):
+        # the error names the matrix; a NaN would pass every PSD comparison
+        cfg = base_config()
+        cfg[section][key] = value
+        code, _ = run(tmp_path, cfg, command)
+        assert code == EXIT_CONFIG
+        assert f"config error: {section}: {key} must be finite" in capsys.readouterr().err
+
+    def test_zero_survival_names_the_field(self, tmp_path, capsys):
+        # the CI run.json config: measurements at 2, 3 and 5, so no (birth,
+        # death) hypothesis survives from one to the next and the fit has no
+        # pmf to give
+        cfg = base_config(mc_budget=20_000, oracle={"n": 20_000, "n_runs": 2_000, "mu": 2})
+        cfg["constraints"] = {"mode": "disjunct", "items": [
+            {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
+            {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
+        ]}
+        cfg["motion"]["survival"] = 0.0
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: track: motion.survival is 0" in err and "nonnegative" not in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "constrain"])
     def test_non_psd_birth_cov(self, tmp_path, command):
         cfg = base_config()
         cfg["motion"]["birth_cov"] = [[4.0, 0.0], [0.0, -1.0]]
@@ -394,16 +429,25 @@ class TestOracleCommand:
         assert "[bernoulli]" in txt and "pass" in txt
 
     def test_qmc_pairs_pass(self, tmp_path):
-        # gates at 3 and 6 on correlated positions: the pairs alive at both
-        # are settled by randomized QMC, which the oracle then checks
+        self.check_correlated_gates(tmp_path, (3, 4, 6), "qmc")
+
+    def test_two_gate_pairs_settle_in_closed_form_and_pass(self, tmp_path):
+        self.check_correlated_gates(tmp_path, (3, 6), "closed_form")
+
+    @staticmethod
+    def check_correlated_gates(tmp_path, times, path):
+        # gates on correlated positions: the pairs alive at two of them are
+        # settled in closed form, those alive at three by randomized QMC;
+        # the oracle then checks them
         cfg = base_config()
+        gates = {3: (2.8, 3.4), 4: (3.6, 4.8), 6: (5.8, 6.6)}
         cfg["constraints"]["items"] = [
-            {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
-            {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
+            {"time": t, "boxes": [{"lower": [gates[t][0], None], "upper": [gates[t][1], None]}]} for t in times
         ]
         code, out = run(tmp_path, cfg, "constrain")
         assert code == EXIT_OK
-        assert json.loads((out / "summary.json").read_text())["pair_paths"]["qmc"] > 0
+        paths = json.loads((out / "summary.json").read_text())["pair_paths"]
+        assert paths[path] > 0 and (path == "qmc" or paths["qmc"] == 0), paths
         code, out = run(tmp_path, cfg, "oracle")
         assert code == EXIT_OK
         report = json.loads((out / "oracle_report.json").read_text())

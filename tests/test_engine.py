@@ -169,14 +169,14 @@ class TestDisjunct:
 
     @pytest.mark.parametrize("mc_budget", [0, 1])
     def test_partitions_reject_a_budget_below_two(self, mc_budget):
-        # a pair that samples: two correlated steps, two half-line gates
-        gs = GaussianSequence(np.zeros(2), np.array([[1.0, 0.9], [0.9, 1.0]]), 1)
-        td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,))
-        cs = ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, HALF_LINE)], "disjunct")
+        # a pair that samples: three correlated steps, three half-line gates
+        gs = GaussianSequence(np.zeros(3), np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.9], [0.8, 0.9, 1.0]]), 1)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 2),), np.ones(1)), (gs,))
+        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(3)], "disjunct")
         ctd, _ = constrain_density(td, cs, 1_000)
-        assert ctd.pair_info[(0, 1)].path in ("mc", "qmc")
+        assert ctd.pair_info[(0, 2)].path in ("mc", "qmc")
         with pytest.raises(ValueError, match="mc_budget"):
-            disjunct_partitions(ctd, (0, 1), mc_budget)
+            disjunct_partitions(ctd, (0, 2), mc_budget)
         with pytest.raises(ValueError, match="mc_budget"):
             constrain_density(td, cs, mc_budget)
 
@@ -908,16 +908,19 @@ class TestDroppedStrata:
 
 class TestQmcPairs:
     def two_deaths(self):
-        """Pairs (0, 1) and (0, 2) whose steps 0-1 are byte-identical, as the
+        """Pairs (0, 2) and (0, 3) whose steps 0-2 are byte-identical, as the
         deaths of one birth of a smoothed track are; correlated steps."""
-        a = np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0], [0.5, 0.5, 0.7]])
-        long = GaussianSequence(np.array([0.1, -0.2, 0.3]), a @ a.T, 1)
-        short = gaussian.marginal(long, (0, 2), [0, 1])
-        return TrajectoryDensity(BirthDeathPmf(((0, 1), (0, 2)), np.array([0.3, 0.7])), (short, long))
+        a = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, 0.6, 0.0, 0.0], [0.5, 0.5, 0.7, 0.0], [0.3, 0.4, 0.5, 0.7]])
+        long = GaussianSequence(np.array([0.1, -0.2, 0.3, 0.0]), a @ a.T, 1)
+        short = gaussian.marginal(long, (0, 3), [0, 1, 2])
+        return TrajectoryDensity(BirthDeathPmf(((0, 2), (0, 3)), np.array([0.3, 0.7])), (short, long))
+
+    def gates(self):
+        return [(0, HALF_LINE), (1, StateRegion.box([(-0.5, 0.5)])), (2, StateRegion.box([(-1.0, 1.5)]))]
 
     def test_identical_pairs_share_one_estimate(self):
         td = self.two_deaths()
-        items = [(0, HALF_LINE), (1, StateRegion.box([(-0.5, 0.5)]))]
+        items = self.gates()
         asked = []
 
         def stream(p):
@@ -925,7 +928,7 @@ class TestQmcPairs:
             return 11 + p
 
         out = gaussian._pattern_batch(
-            td.conditionals, td.pmf.pairs, items, np.ones((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool), 20_000, stream
+            td.conditionals, td.pmf.pairs, items, np.ones((2, 3), dtype=bool), np.zeros((2, 3), dtype=bool), 20_000, stream
         )
         assert [s.path for s in out] == [gaussian.QMC, gaussian.QMC]
         assert [s.leader for s in out] == [0, 0]
@@ -934,9 +937,9 @@ class TestQmcPairs:
 
     def test_joint_se_adds_a_groups_errors_linearly(self):
         td = self.two_deaths()
-        cs = ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, StateRegion.box([(-0.5, 0.5)]))], "disjunct")
+        cs = ConstraintSet([Constraint(t, region) for t, region in self.gates()], "disjunct")
         ctd, report = constrain_density(td, cs, 20_000, rng_seed=3)
-        first, second = ctd.pair_info[(0, 1)], ctd.pair_info[(0, 2)]
+        first, second = ctd.pair_info[(0, 2)], ctd.pair_info[(0, 3)]
         assert first.path == second.path == "qmc"
         assert (first.spatial_prob, first.spatial_se) == (second.spatial_prob, second.spatial_se)
         # perfectly correlated errors: 0.3 se + 0.7 se, not sqrt(0.3^2 + 0.7^2) se
@@ -1125,6 +1128,34 @@ class TestPmbm:
                     paths.add(info.path)
         # single-box regions only: every pair that the 1-D bounds and the closed form leave is QMC
         assert paths == {"no support", "pinned", "closed_form", "qmc"}
+
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_closed_form_pair_alone_equals_its_batch(self, mode):
+        """A pair settled in closed form on two correlated coordinates gets
+        the same bits in a PMBM's batch as alone: no reduction runs across
+        the pairs of a batch."""
+        rng = np.random.default_rng(31)
+        window = TimeWindow(0, 4)
+        tracks = tuple(BernoulliTrajectory(r, random_density(rng, window, 1)) for r in (0.9, 0.6, 0.4))
+        m = PmbmDensity(
+            PppTrajectory(1.5, random_density(rng, window, 1)),
+            (GlobalHypothesis(0.5, tracks[:2]), GlobalHypothesis(0.5, tracks)),
+        )
+        gates = [Constraint(1, StateRegion.box([(-1.0, 1.5)])), Constraint(3, StateRegion.box([(-0.5, 2.0)]))]
+        cs = ConstraintSet(gates, mode)
+        out = constrain_pmbm(m, cs, 2_000, rng_seed=5)
+        side = "inside" if mode == "conjunct" else "complement"
+        compared = 0
+        for src, c in [(m.ppp.density, out.ppp)] + [(t.density, tc) for t, tc in zip(tracks, out.hypotheses[1].tracks)]:
+            for pair, info in c.density.pair_info.items():
+                if len(info.active) < 2:
+                    continue
+                assert info.path == "closed_form" and info.spatial_se == 0.0
+                entries = [(gates[i].time, gates[i].region, side) for i in info.active]
+                p, se = gaussian.region_probability(src.conditional(pair), pair, entries, 2_000, 0)
+                assert (p if mode == "conjunct" else 1.0 - p, se) == (info.spatial_prob, info.spatial_se)
+                compared += 1
+        assert compared >= 10
 
     def test_track_missing_every_constraint_time(self, rng):
         window = TimeWindow(0, 5)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 from scipy.stats import binom, multivariate_normal
 from scipy.stats import t as student_t
 
@@ -270,6 +270,7 @@ class TestRegionProbability:
         assert p == pytest.approx(0.25, abs=1e-15)
 
     def test_correlated_orthant_vs_quadrature_oracle(self):
+        # two correlated coordinates: settled in closed form, exact to rounding
         cov = np.array([[1.0, 0.9], [0.9, 1.0]])
         gs = GaussianSequence(np.zeros(2), cov, 1)
         entries = [
@@ -277,8 +278,20 @@ class TestRegionProbability:
             (1, StateRegion.box([(0, None)]), "inside"),
         ]
         p, se = region_probability(gs, (0, 1), entries, mc_budget=200_000, rng_seed=3)
-        assert se > 0.0
-        assert abs(p - ORTHANT_RHO09) <= 4 * se
+        assert se == 0.0
+        assert abs(p - ORTHANT_RHO09) <= 5e-7
+        assert abs(p - (0.25 + math.asin(0.9) / (2.0 * math.pi))) <= 1e-15
+
+    def test_correlated_trivariate_orthant_by_qmc(self):
+        # three correlated coordinates: randomized QMC, against Sheppard's
+        # formula 1/8 + (asin r12 + asin r13 + asin r23) / (4 pi)
+        cov = np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.9], [0.8, 0.9, 1.0]])
+        gs = GaussianSequence(np.zeros(3), cov, 1)
+        entries = [(t, StateRegion.box([(0, None)]), "inside") for t in range(3)]
+        settled = _pattern_probabilities(gs, (0, 2), [(t, r) for t, r, _ in entries], 200_000, 3, [True] * 3)
+        exact = 0.125 + (2.0 * math.asin(0.9) + math.asin(0.8)) / (4.0 * math.pi)
+        assert settled.path == gaussian.QMC and settled.se > 0.0
+        assert abs(settled.value - exact) <= 4 * settled.se
 
     def test_inside_plus_complement_is_one(self, rng):
         gs = random_gaussian_sequence(rng, (0, 2), 1)
@@ -488,8 +501,9 @@ class TestPatternBatch:
 
     def test_equals_the_per_pair_reference(self):
         seen = set()
-        # Correlated coordinates leave the closed form to 1-D remainders, so
-        # the densities also come with diagonal covariances.
+        # Correlated coordinates leave the closed form to 1-D remainders and
+        # wanted patterns on two coordinates, so the densities also come with
+        # diagonal covariances.
         for seed, td in enumerate(conftest_densities() + conftest_densities(diag=True)):
             rng = np.random.default_rng(1000 + seed)
             last = max(e for _, e in td.pmf.pairs)
@@ -579,23 +593,27 @@ def _sides_probability(mean, cov, boxes):
     return total
 
 
-def _qmc_cases(n_cases):
-    """QMC problems on the conftest densities: per density, one pair of at
-    least 2 steps with 2-3 gates on its dim 0 (or, on dim-2 densities every
-    third case, a box bounding both dims, whose complement is 2 cells) and a
-    want pattern cycling conjunct, disjunct (all outside) and mixed. Yields
-    (gs, pair, items, want, boxes, exact probability)."""
+def _box_cases(n_cases, n_coords):
+    """Single-box problems on the conftest densities with ``n_coords`` (2 or
+    3) correlated coordinates: per density, one pair with a gate on dim 0 at
+    each of ``n_coords`` steps (or, on dim-2 densities every third case, a
+    box bounding both dims, whose complement is 2 cells, and gates at the
+    remaining steps) and a want pattern cycling conjunct, disjunct (all
+    outside) and mixed. Yields (gs, pair, items, want, boxes, exact
+    probability)."""
     densities = conftest_densities()
     for case in range(n_cases):
         td = densities[case % len(densities)]
         rng = np.random.default_rng(5000 + case)
-        long = [j for j, (b, e) in enumerate(td.pmf.pairs) if e - b >= 1]
+        split = td.dim == 2 and case % 3 == 0
+        n_times = n_coords - 1 if split else n_coords
+        long = [j for j, (b, e) in enumerate(td.pmf.pairs) if e - b + 1 >= n_times]
         j = long[int(rng.integers(0, len(long)))]
         (b, e), gs, d = td.pmf.pairs[j], td.conditionals[j], td.dim
-        times = sorted(int(t) for t in rng.choice(np.arange(b, e + 1), min(e - b + 1, 3 if d == 1 else 2), replace=False))
+        times = sorted(int(t) for t in rng.choice(np.arange(b, e + 1), n_times, replace=False))
         items, want, boxes = [], [], []
         for k, t in enumerate(times):
-            both = d == 2 and case % 3 == 0 and k == 0
+            both = split and k == 0
             dims = [0, 1] if both else [0]
             cols = [(t - b) * d + x for x in dims]
             sd = np.sqrt(gs.cov.diagonal()[cols])
@@ -610,13 +628,13 @@ def _qmc_cases(n_cases):
 
 
 class TestQmcPairs:
-    """Pairs of single boxes on correlated coordinates, settled by
+    """Pairs of single boxes on three correlated coordinates, settled by
     randomized QMC, against scipy's multivariate normal CDF."""
 
     def test_against_scipy_by_inclusion_exclusion(self):
         seen = set()
         worst = 0.0
-        for case, (gs, pair, items, want, boxes, exact) in enumerate(_qmc_cases(80)):
+        for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(80, 3)):
             settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
             assert settled.path == gaussian.QMC
             assert 0.0 < settled.se <= 1e-3
@@ -634,7 +652,7 @@ class TestQmcPairs:
         |z| > 4 may occur as often as that distribution says, with a
         binomial allowance at 1e-4."""
         zs = []
-        for gs, pair, items, want, _, exact in _qmc_cases(30):
+        for gs, pair, items, want, _, exact in _box_cases(30, 3):
             for seed in range(8):
                 settled = _pattern_probabilities(gs, pair, items, 4_000, 900 + seed, want)
                 zs.append((settled.value - exact) / settled.se)
@@ -643,6 +661,83 @@ class TestQmcPairs:
         assert np.sum(np.abs(zs) > 4.0) <= allowed, np.sort(np.abs(zs))[-5:]
         # neither far too small nor far too large a standard error
         assert 0.5 <= np.std(zs) <= 2.0
+
+
+class TestBivariateNormal:
+    """Two correlated coordinates are settled in closed form: Genz's
+    bivariate normal (``_bvn_upper``) at the corners of their cells."""
+
+    RHOS = [-1.0, -0.999, -0.925, -0.75, -0.3, 0.0, 0.3, 0.75, 0.925, 0.999, 1.0]
+    BOUNDS = [-math.inf, -38.0, -9.0, -2.5, -0.7, 0.0, 0.4, 1.9, 6.0, 38.0, math.inf]
+
+    def test_upper_tails_against_scipy_on_a_grid(self):
+        h, k, r = (x.ravel() for x in np.meshgrid(self.BOUNDS, self.BOUNDS, self.RHOS, indexing="ij"))
+        got = gaussian._bvn_upper(h, k, r)
+        # P(X > h, Y > k) = P(-X < -h, -Y < -k), a lower orthant of the same correlation
+        ref = np.array(
+            [
+                multivariate_normal([0.0, 0.0], [[1.0, c], [c, 1.0]], allow_singular=True).cdf([-a, -b])
+                for a, b, c in zip(h, k, r)
+            ]
+        )
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_lower_orthants_against_owens_t(self):
+        # P(X < h, Y < k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
+        # a_h = (k - r h) / (h sqrt(1 - r^2)), beta = 1/2 where h k < 0
+        rng = np.random.default_rng(8)
+        h, k = rng.uniform(-8.0, 8.0, (2, 2000))
+        r = rng.choice([-0.999, -0.925, -0.75, -0.3, 0.3, 0.75, 0.925, 0.999], 2000)
+        s = np.sqrt(1.0 - r * r)
+        ref = (ndtr(h) + ndtr(k)) / 2.0 - owens_t(h, (k - r * h) / (h * s)) - owens_t(k, (h - r * k) / (k * s))
+        ref -= np.where(h * k < 0.0, 0.5, 0.0)
+        assert np.max(np.abs(gaussian._bvn_upper(-h, -k, r) - ref)) <= 1e-14
+
+    def test_two_coordinate_pairs_against_scipy_by_inclusion_exclusion(self):
+        seen = set()
+        for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(60, 2)):
+            settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
+            assert settled.path == gaussian.CLOSED_FORM and settled.se == 0.0, case
+            assert abs(settled.value - exact) <= 1e-14, (case, settled, exact)
+            seen.add("conjunct" if all(want) else "disjunct" if not any(want) else "mixed")
+            seen.update("2-cell complement" for cols, _, _, inside in boxes if len(cols) == 2 and not inside)
+        assert seen == {"conjunct", "disjunct", "mixed", "2-cell complement"}
+
+    def test_box_on_a_two_d_state(self):
+        # inside the box is one cell, outside it two: outside on dim 0, or
+        # inside on dim 0 and outside on dim 1
+        mean, cov = np.array([0.3, -0.2]), np.array([[1.0, 0.6], [0.6, 2.0]])
+        gs = GaussianSequence(mean, cov, 2)
+        box = StateRegion.box([(-0.5, 0.7), (-1.0, 1.2)])
+        assert [gaussian._product_cells([box], [[side]])[0].shape[0] for side in (True, False)] == [1, 2]
+        p_in, se_in = region_probability(gs, (0, 0), [(0, box, INSIDE)])
+        p_out, se_out = region_probability(gs, (0, 0), [(0, box, COMPLEMENT)])
+        exact = multivariate_normal(mean, cov).cdf([0.7, 1.2], lower_limit=[-0.5, -1.0])
+        assert se_in == se_out == 0.0
+        assert abs(p_in - exact) <= 1e-15 and abs(p_out - (1.0 - exact)) <= 1e-15
+        assert abs(p_in + p_out - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_process_noise_pair(self, sign):
+        # without process noise a step is determined by the one before: here
+        # y1 = sign * y0, correlation +-1, which _cholesky gives a zero column
+        sd = 1.5
+        gs = GaussianSequence(np.array([0.2, 0.2 * sign]), sd**2 * np.array([[1.0, sign], [sign, 1.0]]), 1)
+        assert gaussian._cholesky(gs.cov)[1, 1] == 0.0
+        gates = [StateRegion.box([(-1.0, 2.0)]), StateRegion.box([(0.5, 3.0) if sign > 0 else (-3.0, -0.5)])]
+        items = [(0, gates[0]), (1, gates[1])]
+        both = _pattern_probabilities(gs, (0, 1), items, 2_000, 1, [True, True])
+        neither = _pattern_probabilities(gs, (0, 1), items, 2_000, 1, [False, False])
+        # y0 in [-1, 2] and in [0.5, 3]: y0 in [0.5, 2]; outside both: y0 < -1 or y0 > 3
+        cdf = lambda x: float(ndtr((x - 0.2) / sd))  # noqa: E731
+        assert both.path == neither.path == gaussian.CLOSED_FORM and both.se == neither.se == 0.0
+        assert abs(both.value - (cdf(2.0) - cdf(0.5))) <= 1e-15
+        assert abs(neither.value - (cdf(-1.0) + 1.0 - cdf(3.0))) <= 1e-15
+
+    def test_non_finite_covariance_is_rejected(self):
+        for bad in ([[np.nan, 0.0], [0.0, 0.1]], [[1.0, np.inf], [np.inf, 1.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                gaussian._cholesky(np.array(bad))
 
 
 class TestAliveProbability:

@@ -219,7 +219,8 @@ class TestOraclePmbm:
 
     @staticmethod
     def mc_pmbm():
-        # correlated 2-D states under a 2-D box: every component is settled by Monte Carlo
+        # correlated 2-D states under a region of two 2-D boxes: every
+        # component is settled by Monte Carlo
         rng = np.random.default_rng(12)
         window = TimeWindow(0, 2)
         tracks = tuple(BernoulliTrajectory(r, random_density(rng, window, 2)) for r in (0.9, 0.8))
@@ -227,7 +228,27 @@ class TestOraclePmbm:
             PppTrajectory(1.0, random_density(rng, window, 2)),
             (GlobalHypothesis(0.4, tracks[:1]), GlobalHypothesis(0.6, tracks)),
         )
-        return m, ConstraintSet([Constraint(1, StateRegion.box([(-1.5, 1.5), (-1.5, 1.5)]))], "conjunct")
+        region = StateRegion.boxes([[(-1.5, 1.5), (-1.5, 1.5)], [(1.5, 3.0), (-1.5, 0.0)]])
+        return m, ConstraintSet([Constraint(1, region)], "conjunct")
+
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_closed_form_pairs_pass(self, mode):
+        # gates at two steps of correlated 1-D states: every pair alive at
+        # both is settled in closed form, which the oracle then checks
+        rng = np.random.default_rng(23)
+        window = TimeWindow(0, 3)
+        tracks = tuple(BernoulliTrajectory(r, random_density(rng, window, 1)) for r in (0.9, 0.7))
+        m = PmbmDensity(
+            PppTrajectory(1.2, random_density(rng, window, 1)),
+            (GlobalHypothesis(0.3, tracks[:1]), GlobalHypothesis(0.7, tracks)),
+        )
+        gates = [Constraint(1, StateRegion.box([(-1.0, 1.0)])), Constraint(2, StateRegion.box([(-0.5, 1.5)]))]
+        cs = ConstraintSet(gates, mode)
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=4)
+        infos = [i for c in [out.ppp] + out.hypotheses[1].tracks for i in c.density.pair_info.values()]
+        assert {i.path for i in infos if len(i.active) == 2} == {"closed_form"}
+        rep = oracle_pmbm(m, out, cs, n=60_000, rng_seed=5)
+        assert rep.passed, rep.to_table()
 
     @staticmethod
     def cardinality_entry(m, out, cs, n):
