@@ -307,7 +307,7 @@ def cmd_constrain(cfg: dict, seed: int, out_dir: Path, verbose: bool) -> int:
         "acceptance_rate": acceptance,
         "dropped_strata": dropped,
         "pair_paths": {path: paths.count(path) for path in (PINNED, CLOSED_FORM, QMC, MC)},
-        "view_paths": {path: view_paths.count(path) for path in (EXACT, LATTICE, MC)},
+        "view_paths": {path: view_paths.count(path) for path in (EXACT, CLOSED_FORM, LATTICE, MC)},
         "mc_budget": budget,
         "seed": seed,
     }

@@ -14,9 +14,10 @@ density is constrained once per call and its result reused for every slot.
 Per pair, both modes ask for one pattern probability (all constraints
 inside, or in disjunct mode with two or more active constraints all in the
 complement), which is settled exactly where it can (single boxes on
-uncorrelated coordinates, or on two correlated ones), by randomized QMC
-where the constraints are single boxes on three or more correlated
-coordinates, and by Monte Carlo on the bounded coordinates otherwise. The
+uncorrelated coordinates, or on two or three correlated ones), by randomized
+QMC where the constraints are single boxes on four or more correlated
+coordinates (or three near-singular ones), and by Monte Carlo on the bounded
+coordinates otherwise. The
 pairs of all the densities constrained together (one for
 ``constrain_density``, the distinct components for ``constrain_pmbm``) go
 through the primitive in one ``_pattern_batch`` call, and each pair records
@@ -31,18 +32,23 @@ weights are built only on request, by ``disjunct_partitions``, which alone
 caps m.
 
 The indicators read only y, the bounded coordinates at the active constraint
-times, and given y the whole sequence is exactly Gaussian. So one batched
-lattice pass over the distinct y problems of a density (``_accepted_y``, the
-separation of variables of the QMC pair probabilities with every coordinate
-on the lattice) gives each pair weighted points y inside its accepted cells,
-a GHK draw, and serves all three views: ``constrained_marginals`` and
-``moment_matched`` take the Gaussian given the points' weighted mean and
-covariance (Rao-Blackwellization), with a step-mean standard error from the
-spread across the lattice's random shifts; ``sample_cloud`` completes each
-point to a joint sample by pathwise conditioning. Pinned pairs are exact;
-pairs with multi-box items or too many cells fall back to Monte Carlo draws
-of y weighted by their indicators, by the same cell rule as the pair
-probabilities (``gaussian._product_cells``).
+times, and given y the whole sequence is exactly Gaussian. So
+``constrained_marginals`` and ``moment_matched`` need only the mean and
+covariance of y in its accepted cells, and take the Gaussian given them
+(Rao-Blackwellization). Where y has at most three coordinates (and a
+correlation ``gaussian._well_conditioned`` accepts) these are exact, by
+Tallis's formulas through the pair probabilities' primitive
+(``gaussian._truncated_moments``), with a step-mean standard error of 0.
+Otherwise one batched lattice pass over the distinct y problems of a
+density (the separation of variables of the QMC pair probabilities with
+every coordinate on the lattice) gives each pair weighted points y inside
+its accepted cells, a GHK draw, whose weighted moments stand in for them,
+with a step-mean standard error from the spread across the lattice's random
+shifts. ``sample_cloud`` needs points: it takes that pass for every pair and
+completes each point to a joint sample by pathwise conditioning (both in
+``_accepted_y``). Pinned pairs are exact; pairs with multi-box items or too
+many cells fall back to Monte Carlo draws of y weighted by their indicators,
+by the same cell rule as the pair probabilities (``gaussian._product_cells``).
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from .errors import (
 )
 from .gaussian import (
     _QMC_SHIFTS,
+    CLOSED_FORM,
     MC,
     PINNED,
     BirthDeathPmf,
@@ -84,6 +91,8 @@ from .gaussian import (
     _qmc_points,
     _step_blocks,
     _step_mixture,
+    _truncated_moments,
+    _well_conditioned,
     child_rng,
     marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
     region_probability,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.region_probability)
@@ -117,8 +126,9 @@ class PairConstraintInfo:
 
     ``path`` is how the spatial probability was settled: ``"pinned"`` (no
     constraint left after the 1-D bounds), ``"closed_form"`` (single boxes
-    on uncorrelated coordinates, or on two correlated ones), ``"qmc"``
-    (single boxes on three or more correlated coordinates: randomized QMC
+    on uncorrelated coordinates, or on two or three correlated ones),
+    ``"qmc"`` (single boxes on four or more correlated coordinates, or three
+    near-singular ones: randomized QMC
     over about ``mc_budget // 16`` lattice points, ``spatial_se`` the spread
     across its random shifts; a pair byte-identical to another shares its
     estimate) or ``"mc"`` (``mc_budget`` draws, binomial ``spatial_se``).
@@ -157,13 +167,14 @@ class MarginalMoments:
     ``mean_se`` (steps, dim) is the standard error of each step mean: the
     spread of the pmf-mixed per-shift step mean over the ``_QMC_SHIFTS``
     lattice shifts (a Monte Carlo pair's equal blocks of draws) over
-    sqrt(shifts); an exact pair adds none. Per (birth, death) pair,
-    ``view_paths`` says how its view was settled (``"exact"``, ``"lattice"``
-    or ``"mc"``) and ``accepted`` counts its points of positive weight: 0
-    for an exact pair, and for a Monte Carlo pair its accepted draws, 0 if
-    it was dropped. ``acceptance_rate`` is the Kish effective sample size of
-    all the points' weights over their number (rejected draws included; 1
-    without points), in (0, 1].
+    sqrt(shifts); an exact or closed-form pair adds none. Per (birth, death)
+    pair, ``view_paths`` says how its view was settled (``"exact"``,
+    ``"closed_form"``, ``"lattice"`` or ``"mc"``) and ``accepted`` counts its
+    points of positive weight: 0 for an exact or closed-form pair (it has
+    no points and is never dropped), and for a Monte Carlo pair its accepted
+    draws, 0 if it was dropped. ``acceptance_rate`` is the Kish effective
+    sample size of all the points' weights over their number (rejected draws
+    included; 1 when no view has points), in (0, 1].
     """
 
     times: List[int]
@@ -182,7 +193,7 @@ class MarginalMoments:
     @property
     def dropped(self) -> List[Pair]:
         """Pairs left out of every view: Monte Carlo pairs that accepted nothing."""
-        return [pair for pair, n in self.accepted.items() if n == 0 and self.view_paths[pair] != EXACT]
+        return [pair for pair, n in self.accepted.items() if n == 0 and self.view_paths[pair] in (LATTICE, MC)]
 
 
 @dataclass
@@ -191,10 +202,11 @@ class ConstrainedTrajectoryDensity:
 
     ``pmf`` is the constrained (birth, death) mass. One pass per call (the
     same for the same ``mc_budget`` and ``rng_seed``; ``_accepted_y``) gives
-    each pair weighted points y of its bounded coordinates inside the
-    accepted cells, and all three views read it: ``constrained_marginals``
-    and ``moment_matched`` take each pair's Gaussian given the points'
-    weighted mean and covariance, and ``sample_cloud`` completes the points
+    each pair the mean and covariance of its bounded coordinates y inside
+    the accepted cells, in closed form for at most three coordinates and
+    else from weighted lattice points: ``constrained_marginals`` and
+    ``moment_matched`` take each pair's Gaussian given them. For
+    ``sample_cloud`` the pass gives every pair points y, which it completes
     to joint samples by pathwise conditioning. A degenerate instance (zero
     spatial probability everywhere, or a support meeting no constraint time)
     carries no pmf; ``degenerate`` derives from it.
@@ -214,7 +226,7 @@ class ConstrainedTrajectoryDensity:
         return self.pmf is None
 
     def sample_cloud(self, mc_budget: int = 100_000, rng_seed: int = 0) -> SampleCloud:
-        """Joint samples from the pass all three views share: each point y of
+        """Joint samples from the points of ``_accepted_y``: each point y of
         a pair with positive weight w is completed by pathwise conditioning,
         x = x* + K (y - x*_y) with x* an unconstrained draw (exact given y),
         and y is written back exactly, so every sample satisfies the
@@ -224,7 +236,7 @@ class ConstrainedTrajectoryDensity:
         an exact pair has ``_QMC_SHIFTS * _qmc_points(mc_budget)``
         unconstrained draws of equal weight. Dropped pairs have none."""
         strata: Dict[Pair, Stratum] = {}
-        for j, v in enumerate(_accepted_y(self, mc_budget, rng_seed)):
+        for j, v in enumerate(_accepted_y(self, mc_budget, rng_seed, points=True)):
             if v.dropped:
                 continue
             (b, e), rng = v.pair, child_rng(_seed(rng_seed, j, 2))
@@ -243,11 +255,10 @@ class ConstrainedTrajectoryDensity:
         return SampleCloud(self.dim, strata)
 
     def moment_matched(self, mc_budget: int = 100_000, rng_seed: int = 0) -> TrajectoryDensity:
-        """Per pair the Gaussian given y of the pass all three views share
-        (``sample_cloud`` draws joint samples from it by pathwise
-        conditioning; none is drawn here); the pmf is renormalized over the
-        pairs left after dropped ones (Monte Carlo pairs that accepted
-        nothing, logged)."""
+        """Per pair the Gaussian given the moments of y from ``_accepted_y``,
+        as ``constrained_marginals`` takes them (none is drawn here); the pmf
+        is renormalized over the pairs left after dropped ones (lattice or
+        Monte Carlo pairs that accepted nothing, logged)."""
         pairs, probs, conds = [], [], []
         for v in _accepted_y(self, mc_budget, rng_seed):
             if v.dropped:
@@ -379,8 +390,11 @@ def _constrain_densities(
         report = ConstraintReport(prob_alive, prob_spatial, joint, joint_se / prob_alive, joint_se)
         pmf = None
         if total > 0.0:
+            # A subset of a validated pmf's pairs, with positive masses
+            # normalized here: valid without checking again.
             keep = masses > 0.0
-            pmf = BirthDeathPmf(tuple(pair for (pair, _), k in zip(qual, keep.tolist()) if k), masses[keep] / total)
+            kept = tuple(pair for (pair, _), k in zip(qual, keep.tolist()) if k)
+            pmf = BirthDeathPmf._valid(kept, masses[keep] / total)
         results.append((ConstrainedTrajectoryDensity(td, cs, pmf, pair_info), report))
     return results
 
@@ -531,11 +545,13 @@ def constrain_pmbm(
 class _ViewPair(NamedTuple):
     """One pair's part of the pass behind every view: ``path`` is ``EXACT``
     (no points: the unconstrained conditional is the constrained one),
-    ``LATTICE`` or ``MC``. The points y (shifts or blocks, points, k) are
-    the bounded coordinates ``cols`` at the active constraint times, w
-    (shifts or blocks, points) their weights, ``kept`` the count of positive
-    ones, ``y_mean`` (R, k) and ``y_cov`` (R, k, k) their moments per shift
-    or block (``_y_moments``) and ``gain`` K = C_xy pinv(S_yy)."""
+    ``CLOSED_FORM`` (no points: ``y_mean`` (1, k) and ``y_cov`` (1, k, k)
+    are the exact moments), ``LATTICE`` or ``MC``. The points y (shifts or
+    blocks, points, k) are the bounded coordinates ``cols`` at the active
+    constraint times, w (shifts or blocks, points) their weights, ``kept``
+    the count of positive ones, ``y_mean`` (R, k) and ``y_cov`` (R, k, k)
+    their moments per shift or block (``_y_moments``) and ``gain`` K = C_xy
+    pinv(S_yy). Only a pair with points can be dropped."""
 
     prob: float
     pair: Pair
@@ -551,7 +567,7 @@ class _ViewPair(NamedTuple):
 
     @property
     def dropped(self) -> bool:
-        return self.path != EXACT and not self.kept
+        return self.path in (LATTICE, MC) and not self.kept
 
 
 def _view_cells(regions: Sequence[StateRegion], mode: str):
@@ -590,9 +606,12 @@ def _weighted(y: np.ndarray, w: np.ndarray) -> dict:
     return {"y": y, "w": w, "kept": kept, "y_mean": y_mean, "y_cov": y_cov}
 
 
-def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int) -> List[_ViewPair]:
+def _accepted_y(
+    ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int, points: bool = False
+) -> List[_ViewPair]:
     """The one pass behind every view of a constrained density, a
-    ``_ViewPair`` per pair in pmf order.
+    ``_ViewPair`` per pair in pmf order; with ``points`` (``sample_cloud``)
+    every pair that is not exact gets points.
 
     The indicators read only y, the bounded coordinates at the active
     constraint times (ascending, as the times are distinct and sorted),
@@ -600,10 +619,15 @@ def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
     disjunct pair with a full-space active constraint, always holds, so its
     view is ``EXACT``. Every other pair's y lies in the accepted cells of
     its regions (``_view_cells``, built once per set of active constraints;
-    full-space regions dropped), drawn by ``gaussian._lattice_points`` at
-    about mc_budget // 16 points in all: a ``LATTICE`` pair. Pairs with
-    byte-identical (m_y, S_yy, cells) share one problem, seeded by the
-    first of them, j, with ``_seed(rng_seed, j, 1)``. Pairs whose cells
+    full-space regions dropped). Pairs with byte-identical (m_y, S_yy,
+    cells) share one problem. Without ``points``, a problem of at most
+    three coordinates whose covariance ``_well_conditioned`` accepts gets
+    its exact moments from ``gaussian._truncated_moments``: a
+    ``CLOSED_FORM`` pair; each of the others (near-singular, or with no
+    mass in closed form) is counted by reason and logged. The rest draw y
+    by ``gaussian._lattice_points`` at about mc_budget // 16 points in all,
+    seeded by the first pair j of the problem with ``_seed(rng_seed, j,
+    1)``: a ``LATTICE`` pair. Pairs whose cells
     ``_product_cells`` refuses (a multi-box item, or over 64 cells) draw y
     ``mc_budget`` times (rounded up to ``_QMC_SHIFTS`` equal blocks) on
     the stream their problem would have had and weigh each draw by its
@@ -654,9 +678,29 @@ def _accepted_y(ctd: ConstrainedTrajectoryDensity, mc_budget: int, rng_seed: int
         slots.append((len(views), problem))
         views.append(_ViewPair(float(prob), pair, gs, LATTICE, cols, gain=gs.cov[:, cols] @ inverse))
     _log_fallbacks(fallbacks, len(views), "pairs' views drawn by Monte Carlo instead of the lattice")
-    drawn = [_weighted(y, w) for y, w in _lattice_points(problems, mc_budget)]
+    settled: Dict[int, dict] = {}
+    if not points:
+        # Problems of at most three coordinates are in closed form, unless
+        # near-singular or without mass there.
+        reasons: Dict[int, str] = {}
+        few = [i for i, (m_y, *_) in enumerate(problems) if m_y.size <= 3]
+        good = [i for i in few if _well_conditioned(problems[i][1][None])[0]]
+        reasons.update((i, "near-singular correlation") for i in few if i not in good)
+        for i, moments in zip(good, _truncated_moments([problems[i] for i in good])):
+            if moments is None:
+                reasons[i] = "no mass in closed form"
+            else:
+                settled[i] = {"path": CLOSED_FORM, "y_mean": moments[0][None], "y_cov": moments[1][None]}
+        fallbacks = {}
+        for _, p in slots:
+            if p in reasons:
+                fallbacks[reasons[p]] = fallbacks.get(reasons[p], 0) + 1
+        _log_fallbacks(fallbacks, len(views), "pairs' views drawn on the lattice instead of in closed form")
+    lattice = [i for i in range(len(problems)) if i not in settled]
+    for i, (y, w) in zip(lattice, _lattice_points([problems[i] for i in lattice], mc_budget)):
+        settled[i] = _weighted(y, w)
     for v, p in slots:
-        views[v] = views[v]._replace(**drawn[p])
+        views[v] = views[v]._replace(**settled[p])
     dropped = [v for v in views if v.dropped]
     if dropped:
         logger.warning(
@@ -677,7 +721,8 @@ def _given_y(v: _ViewPair) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray
     (R, sequence dim). ybar is the mean of the per-shift means ybar_r and
     Sigma that of the per-shift covariances plus the spread of ybar_r about
     ybar: the covariance of all the points about ybar, each shift weighing
-    alike. An exact pair has no correction and no deviation."""
+    alike. An exact pair has no correction and no deviation; a closed-form
+    pair has one "shift", its exact moments, and deviations of 0."""
     gs = v.gs
     if v.path == EXACT:
         return gs.mean, None, np.zeros((1, gs.mean.size))
@@ -712,7 +757,8 @@ def constrained_marginals(
     each pair's step means and step blocks P_tt + K_t (Sigma - S_yy) K_t'
     given y (``_given_y``; the whole covariance is never formed), mixed over
     pairs by their constrained pmf mass, with the standard error of each step
-    mean from the spread of the mixed per-shift means."""
+    mean from the spread of the mixed per-shift means (0 from exact and
+    closed-form pairs)."""
     views = _accepted_y(ctd, mc_budget, rng_seed)
     d = ctd.dim
     strata, spread = [], []

@@ -5,14 +5,17 @@ A trajectory density factorizes into a probability mass function over
 sequence. This module provides marginalization onto time subsets, region
 probabilities (one primitive, ``_pattern_batch``, over any number of pairs:
 settle what the 1-D bounds settle, closed form where the remaining bounded
-coordinates are independent single boxes or single boxes on two correlated
-coordinates (Genz's bivariate normal), randomized quasi-Monte Carlo (Genz's
-separation of variables on a shifted lattice) where they are single boxes on
-three or more correlated coordinates, Monte Carlo on those coordinates
-otherwise; ``region_probability`` is a batch of one pair), weighted lattice
-points of Gaussians restricted to product cells (the same lattice pass, for
-the views of a constrained density), stratified sampling (one draw per pair)
-and per-step moments of mixtures.
+coordinates are independent single boxes or single boxes on two or three
+correlated coordinates (Genz's bivariate normal, and Plackett's integral of
+it for the trivariate), randomized quasi-Monte Carlo (Genz's separation of
+variables on a shifted lattice) where they are single boxes on four or more
+correlated coordinates or three near-singular ones, Monte Carlo on those
+coordinates otherwise; ``region_probability`` is a batch of one pair), the
+mean and covariance of a Gaussian restricted to product cells (Tallis's
+formulas through the same closed form for at most three coordinates,
+``_truncated_moments``; else weighted points of the same lattice pass, which
+also serve the samples of a constrained density), stratified sampling (one
+draw per pair) and per-step moments of mixtures.
 
 It needs numpy only: the normal CDF is ``_ndtr``, a vectorized port of
 Cody's rational ``erfc`` (the formula of Cephes' ``ndtr``), and its inverse
@@ -26,7 +29,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -81,6 +84,18 @@ _GL_NODES = np.concatenate((1.0 - np.array(_GL_X), 1.0 + np.array(_GL_X)))[:, No
 _GL_WEIGHTS = np.array(_GL_W + _GL_W)[:, None]
 _BVN_FAR = 0.925
 _TWO_PI = 2.0 * math.pi
+# ``_upper_orthants`` integrates Plackett's identity for three coordinates on
+# this many Gauss-Legendre nodes; pairs of three coordinates and views of at
+# most three are settled in closed form only where their correlation
+# determinant is at least _DET_FLOOR (``_well_conditioned``), so the
+# integrand and Tallis's conditionals stay smooth.
+_PLACKETT_NODES = 64
+_DET_FLOOR = 0.01
+# Per three-coordinate row of ``_upper_orthants``, by which of r23, r13, r12
+# is the largest |r|: the coordinate order that makes it the last pair's.
+_LAST_PAIR_ORDERS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+# Column of r = (r12, r13, r23) holding the correlation of coordinates i, j.
+_PAIR_COLUMN = np.array([[0, 0, 1], [0, 0, 2], [1, 2, 0]])
 
 
 class Settled(NamedTuple):
@@ -123,6 +138,18 @@ class BirthDeathPmf:
         probs.setflags(write=False)
         object.__setattr__(self, "pairs", tuple((int(b), int(e)) for b, e in self.pairs))
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _valid(cls, pairs: Tuple[Pair, ...], probs: np.ndarray) -> "BirthDeathPmf":
+        """A pmf whose pairs and probabilities are valid by construction
+        (distinct int pairs with birth <= death, nonnegative probabilities
+        summing to 1 within ``_PMF_TOL``), built without checking them
+        again."""
+        pmf = object.__new__(cls)
+        probs.setflags(write=False)
+        object.__setattr__(pmf, "pairs", pairs)
+        object.__setattr__(pmf, "probs", probs)
+        return pmf
 
     @classmethod
     def uniform_over_window(cls, window: TimeWindow) -> "BirthDeathPmf":
@@ -628,39 +655,150 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
-def _bvn_cells(mean: np.ndarray, cov: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """P(y in the cells) of y ~ N(mean, cov) on two coordinates, per
-    problem: mean (P, 2), cov (P, 2, 2) and lo, hi, out (P, cells, 2) the
-    disjoint product cells of ``_product_cells`` (a cell with lo = hi = inf
-    is empty). The covariances go through ``_cholesky``, the one PSD rule;
-    a second coordinate it finds determined by the first has correlation
-    +-1. A coordinate's set is two signed upper tails, each taken on the
-    side its mass lies, as in ``_conditional_step``: inside [a, b] it is
-    P(> a) - P(> b), or P(< b) - P(< a) when a <= 0; outside, P(< a) +
-    P(> b). A lower tail is the upper tail of -y. So a cell is four corners
-    of ``_bvn_upper``, all of the batch in one call."""
-    factor = _cholesky(cov)
+@lru_cache(maxsize=None)
+def _plackett_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """``_PLACKETT_NODES`` Gauss-Legendre nodes and weights on [0, 1], one
+    node a row, read-only; computed on first use, not at import."""
+    x, w = np.polynomial.legendre.leggauss(_PLACKETT_NODES)
+    rule = ((x + 1.0) / 2.0)[:, None], (w / 2.0)[:, None]
+    for part in rule:
+        part.setflags(write=False)
+    return rule
+
+
+def _upper_orthants(h: np.ndarray, r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """P(X_1 > h_1, ..., X_k > h_k) of standard normals of correlations r =
+    (r12, r13, r23), per row of h (n, 3) and r (n, 3) with k (n,) = 1, 2 or 3
+    coordinates (columns past k are ignored).
+
+    One coordinate is ``_ndtr`` of -h, two are ``_bvn_upper``. Three follow
+    Plackett's identity along the path from (0, 0, r23) to (r12, r13, r23)
+    (Genz, Statistics and Computing 14, 2004), with the coordinates first
+    reordered so that r23 has the largest |r|: P(X1 > h1) P(X2 > h2, X3 >
+    h3; r23) plus the integral over t in [0, 1] of r12 phi2(h1, h2; t r12)
+    P(X3 > h3 | h1, h2) + r13 phi2(h1, h3; t r13) P(X2 > h2 | h1, h3), on
+    ``_PLACKETT_NODES`` Gauss-Legendre nodes. The correlation determinant
+    only grows towards t = 0, so where the caller keeps it at least
+    ``_DET_FLOOR`` the integrand is smooth. A three-coordinate row with a
+    threshold at +inf is 0, and one at -inf drops that coordinate; a
+    two-coordinate row is ``_bvn_upper`` as it stands. Thresholds are
+    clipped to +-``_ERFC_BIG`` as there. Every bivariate normal of the call
+    is one ``_bvn_upper`` call, every other normal CDF one ``_ndtr`` call,
+    and the node sums run by ``_node_sum``, so a row's value does not depend
+    on the other rows."""
+    h = np.minimum(np.maximum(h, -_ERFC_BIG), _ERFC_BIG)
+    dim = k.copy()
+    zero = np.zeros(k.size, dtype=bool)
+    three = np.flatnonzero(k == 3)
+    if three.size:
+        # Live coordinates first; three of them with the largest |r| last.
+        h3, r3 = h[three], r[three]
+        live = h3 > -_ERFC_BIG
+        zero[three] = np.any(h3 >= _ERFC_BIG, axis=1)
+        dim[three] = live.sum(axis=1)
+        last = np.argmax(np.abs(r3[:, ::-1]), axis=1)
+        order = np.where((dim[three] == 3)[:, None], _LAST_PAIR_ORDERS[last], np.argsort(~live, axis=1, kind="stable"))
+        h[three] = np.take_along_axis(h3, order, axis=1)
+        r = r.copy()
+        r[three] = r3[np.arange(three.size)[:, None], _PAIR_COLUMN[order[:, [0, 0, 1]], order[:, [1, 2, 2]]]]
+    one, two, tri = (np.flatnonzero(~zero & (dim == d)) for d in (1, 2, 3))
+
+    cdf, bvn = [-h[one, 0]], [(h[two, 0], h[two, 1], r[two, 0])]
+    if tri.size:
+        t, weight = _plackett_rule()
+        h1, h2, h3 = h[tri].T
+        s12, s13, s23 = r[tri].T
+        a12, a13 = t * s12, t * s13
+        q12, q13 = (1.0 - a12) * (1.0 + a12), (1.0 - a13) * (1.0 + a13)
+        det = q12 - a13 * a13 - s23 * s23 + 2.0 * a12 * a13 * s23
+        # X3 given (X1, X2) = (h1, h2), and X2 given (X1, X3) = (h1, h3): how
+        # far each conditional mean lies above the threshold, in conditional SDs.
+        above3 = (((a13 - a12 * s23) * h1 + (s23 - a12 * a13) * h2) / q12 - h3) / np.sqrt(det / q12)
+        above2 = (((a12 - a13 * s23) * h1 + (s23 - a12 * a13) * h3) / q13 - h2) / np.sqrt(det / q13)
+        cdf += [-h1, above3.ravel(), above2.ravel()]
+        bvn.append((h2, h3, s23))
+    cdf = np.concatenate(cdf)
+    cdf = _ndtr(cdf) if cdf.size else cdf
+    bvn = _bvn_upper(*(np.concatenate(x) for x in zip(*bvn))) if two.size or tri.size else np.empty(0)
+
+    p = np.where(dim == 0, 1.0, 0.0)
+    p[one], p[two] = cdf[: one.size], bvn[: two.size]
+    if tri.size:
+        tail1, cond3, cond2 = cdf[one.size : one.size + tri.size], *cdf[one.size + tri.size :].reshape(2, *a12.shape)
+        terms = s12 * np.exp(-(h1 * h1 - 2.0 * a12 * h1 * h2 + h2 * h2) / (2.0 * q12)) / np.sqrt(q12) * cond3
+        terms += s13 * np.exp(-(h1 * h1 - 2.0 * a13 * h1 * h3 + h3 * h3) / (2.0 * q13)) / np.sqrt(q13) * cond2
+        p[tri] = tail1 * bvn[two.size :] + _node_sum(weight * terms) / _TWO_PI
+    p[zero] = 0.0
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _well_conditioned(cov: np.ndarray) -> np.ndarray:
+    """Per covariance of a stack (P, k, k): whether every variance is
+    positive and the correlation determinant is at least ``_DET_FLOOR``,
+    the rule for settling three coordinates, or a view, in closed form."""
     sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
-    scale = sd[:, 0] * sd[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.minimum(np.maximum(cov[:, 0, 1] / scale, -1.0), 1.0)
-    rho = np.where(scale > 0.0, np.where(factor[:, 1, 1] == 0.0, np.sign(cov[:, 0, 1]), rho), 0.0)
-    a, b = _standardized(mean[:, None, :], sd[:, None, :], lo, hi)
-    upper = ~out & (a > 0.0)
-    both = upper | out
-    # (tail, problem, cell, coordinate): each tail's threshold, direction
-    # (-1 for a lower tail) and sign; corner (i, j) pairs tail i of the
-    # first coordinate with tail j of the second.
-    tail = np.array((np.where(upper, a, np.where(out, -a, -b)), np.where(both, b, -a)))
-    way = np.array((np.where(upper, 1.0, -1.0), np.where(both, 1.0, -1.0)))
-    sign = np.array((np.ones_like(a), np.where(out, 1.0, -1.0)))
-    corners = (2, 2) + a.shape[:2]
-    h = np.broadcast_to(tail[:, None, ..., 0], corners).ravel()
-    k = np.broadcast_to(tail[None, :, ..., 1], corners).ravel()
-    r = (way[:, None, ..., 0] * way[None, :, ..., 1] * rho[:, None]).ravel()
-    s = (sign[:, None, ..., 0] * sign[None, :, ..., 1]).reshape((4,) + a.shape[:2])
-    p = _bvn_upper(h, k, r).reshape(s.shape) * s
-    return np.minimum(np.maximum(_node_sum(_node_sum(p).T), 0.0), 1.0)
+    positive = np.all(sd > 0.0, axis=1)
+    sd = np.where(positive[:, None], sd, 1.0)
+    return positive & (np.linalg.det(cov / (sd[:, :, None] * sd[:, None, :])) >= _DET_FLOOR)
+
+
+def _cell_probabilities(
+    stacks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+) -> List[np.ndarray]:
+    """P(y in the cell) of y ~ N(mean, cov), (problems, cells) per stack of
+    problems of k = 1, 2 or 3 coordinates: mean (P, k), cov (P, k, k) and
+    lo, hi, out (P, cells, k) product cells as ``_product_cells`` builds
+    them (a cell with lo = hi = inf is empty).
+
+    Each stack's covariances go through ``_cholesky``, the one PSD rule; a
+    second coordinate it finds determined by the first has correlation +-1.
+    A coordinate's set is two signed upper tails, each taken on the side its
+    mass lies, as in ``_conditional_step``: inside [a, b] it is P(> a) -
+    P(> b), or P(< b) - P(< a) when a <= 0; outside, P(< a) + P(> b). A
+    lower tail is the upper tail of -y. So a cell is 2^k signed corners of
+    ``_upper_orthants``, one call for every stack, summed by
+    ``_node_sum``."""
+    hs, rs, ks, plans = [], [], [], []
+    for mean, cov, lo, hi, out in stacks:
+        k = mean.shape[1]
+        pairs = list(itertools.combinations(range(k), 2))
+        factor = _cholesky(cov)
+        sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
+        rho = np.zeros((mean.shape[0], 3))
+        for col, (i, j) in enumerate(pairs):
+            scale = sd[:, i] * sd[:, j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rho[:, col] = np.minimum(np.maximum(cov[:, i, j] / scale, -1.0), 1.0)
+            if col == 0:
+                rho[:, 0] = np.where(factor[:, 1, 1] == 0.0, np.sign(cov[:, 0, 1]), rho[:, 0])
+            rho[:, col] = np.where(scale > 0.0, rho[:, col], 0.0)
+        a, b = _standardized(mean[:, None, :], sd[:, None, :], lo, hi)
+        upper = ~out & (a > 0.0)
+        both = upper | out
+        # (problem, cell, coordinate, tail): each tail's threshold, direction
+        # (-1 for a lower tail) and sign; corner c takes tail combo[c, i] of
+        # coordinate i, the first coordinate's slowest.
+        tail = np.stack((np.where(upper, a, np.where(out, -a, -b)), np.where(both, b, -a)), axis=-1)
+        way = np.stack((np.where(upper, 1.0, -1.0), np.where(both, 1.0, -1.0)), axis=-1)
+        sign = np.stack((np.ones_like(a), np.where(out, 1.0, -1.0)), axis=-1)
+        combo = np.array(list(itertools.product((0, 1), repeat=k)))
+        dims = np.arange(k)
+        h, w, s = (np.moveaxis(x[..., dims, combo], 2, 0) for x in (tail, way, sign))  # (corners, P, C, k)
+        r = np.zeros(h.shape[:3] + (3,))
+        for col, (i, j) in enumerate(pairs):
+            r[..., col] = w[..., i] * w[..., j] * rho[:, None, col]
+        padded = np.zeros(h.shape[:3] + (3,))
+        padded[..., :k] = h
+        hs.append(padded.reshape(-1, 3))
+        rs.append(r.reshape(-1, 3))
+        ks.append(np.full(h[..., 0].size, k))
+        plans.append(s.prod(axis=-1))
+    p = _upper_orthants(np.concatenate(hs), np.concatenate(rs), np.concatenate(ks))
+    out_p, start = [], 0
+    for s in plans:
+        out_p.append(_node_sum(p[start : start + s.size].reshape(s.shape) * s))
+        start += s.size
+    return out_p
 
 
 def _product_cells(
@@ -817,9 +955,116 @@ def _lattice_pass(
     return per_shift, drawn
 
 
+def _truncated_moments(
+    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]
+) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The mean (k,) and covariance (k, k) of y ~ N(mean, cov) restricted to
+    the cells of each problem of ``_lattice_pass`` that has k <= 3
+    coordinates and a covariance ``_well_conditioned`` accepts; None where
+    the cells hold no mass.
+
+    Tallis's formulas (JRSS-B 23, 1961; Manjunath & Wilhelm, 2021) for the
+    standardized z ~ N(0, R), summed over the cells, as every term is linear
+    in the set. A coordinate's faces are its finite bounds, signed +1 where
+    its set begins and -1 where it ends; an outside coordinate is free minus
+    inside, so its faces are the inside's with the opposite sign. With
+    F_i(x) = phi(x) P(rest of the cell | z_i = x) and F_iq(x, w) = phi2(x,
+    w; R_iq) P(rest | z_i = x, z_q = w), A_i = sum of s F_i(x), B_i = sum of
+    s x F_i(x) and D_iq = sum of s s' F_iq(x, w) over the faces, M0 = P(the
+    cells) gives M0 E[z] = R A and M0 E[z z'] = M0 R + R G, G_ij = R_ij B_i
+    + sum over q != i of (R_jq - R_ji R_iq) D_iq. Every probability (of the
+    cells, and of each rest given one or two faces) is taken in one
+    ``_cell_probabilities`` call."""
+    if not problems:
+        return []
+    groups: Dict[int, List[int]] = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault(problem[0].size, []).append(i)
+    stacks, plans = [], []
+
+    def given(centre: np.ndarray, cov: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
+        # One stack for the rest (d coordinates) of each cell given each of
+        # G faces, or face pairs, and each of their F positions: conditional
+        # means centre (cells, G, F, d), covariances (cells, G, d, d) and the
+        # rest's bounds (cells, G, d).
+        n_faces, d = centre.shape[2:]
+        stacks.append(
+            (centre.reshape(-1, d), np.repeat(cov, n_faces, axis=1).reshape(-1, d, d))
+            + tuple(np.repeat(v, n_faces, axis=1).reshape(-1, 1, d) for v in (lo, hi, out))
+        )
+
+    for k, members in groups.items():
+        mean, cov = (np.array([problems[i][j] for i in members]) for j in (0, 1))
+        sd = np.sqrt(cov.diagonal(axis1=1, axis2=2))
+        corr = cov / (sd[:, :, None] * sd[:, None, :])
+        own = np.repeat(np.arange(len(members)), [problems[i][2].shape[0] for i in members])
+        lo, hi, out = (np.concatenate([problems[i][j] for i in members]) for j in (2, 3, 4))
+        a, b = (lo - mean[own]) / sd[own], (hi - mean[own]) / sd[own]
+        r = corr[own]
+        # Faces (cell, coordinate, lower or upper bound) and their signs; an
+        # infinite bound is no face.
+        x = np.stack((a, b), axis=-1)
+        finite = np.isfinite(x)
+        sign = np.where(out[..., None], np.array([-1.0, 1.0]), np.array([1.0, -1.0])) * finite
+        x = np.where(finite, x, 0.0)
+        plans.append((k, members, own, corr, x, sign, len(stacks)))
+        stacks.append((np.zeros((own.size, k)), r, a[:, None], b[:, None], out[:, None]))
+        if k > 1:
+            # The rest given z_i = x: mean R_ri x, covariance R_rr - R_ri R_ir.
+            rest = np.array([[j for j in range(k) if j != i] for i in range(k)])
+            slope = r[:, rest, np.arange(k)[:, None]]
+            cond = r[:, rest[:, :, None], rest[:, None, :]] - slope[..., :, None] * slope[..., None, :]
+            given(slope[:, :, None, :] * x[..., None], cond, a[:, rest], b[:, rest], out[:, rest])
+        if k > 2:
+            # The rest j given (z_i, z_q) = (x, w), for each pair i < q.
+            i, q = np.array(list(itertools.combinations(range(k), 2))).T
+            j = 3 - i - q
+            rho = r[:, i, q]
+            bi = (r[:, j, i] - rho * r[:, j, q]) / (1.0 - rho * rho)
+            bq = (r[:, j, q] - rho * r[:, j, i]) / (1.0 - rho * rho)
+            centre = bi[:, :, None, None] * x[:, i, :, None] + bq[:, :, None, None] * x[:, q, None, :]
+            cond = (1.0 - bi * r[:, j, i] - bq * r[:, j, q])[:, :, None, None]
+            given(centre.reshape(*centre.shape[:2], 4, 1), cond, a[:, j, None], b[:, j, None], out[:, j, None])
+
+    probs = _cell_probabilities(stacks)
+    moments: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(problems)
+    for k, members, own, corr, x, sign, at in plans:
+        n_cells, n = own.size, len(members)
+        rest = probs[at + 1].reshape(n_cells, k, 2) if k > 1 else 1.0
+        f = sign * np.exp(-0.5 * x * x) / math.sqrt(_TWO_PI) * rest
+        total, a_sum, b_sum, d_sum = np.zeros(n), np.zeros((n, k)), np.zeros((n, k)), np.zeros((n, k, k))
+        np.add.at(total, own, probs[at][:, 0])
+        np.add.at(a_sum, own, f.sum(axis=2))
+        np.add.at(b_sum, own, (f * x).sum(axis=2))
+        for m, (i, q) in enumerate(itertools.combinations(range(k), 2)):
+            rho = corr[own, i, q][:, None, None]
+            xi, xq = x[:, i, :, None], x[:, q, None, :]
+            phi2 = np.exp(-(xi * xi - 2.0 * rho * xi * xq + xq * xq) / (2.0 * (1.0 - rho * rho)))
+            phi2 /= _TWO_PI * np.sqrt(1.0 - rho * rho)
+            if k > 2:
+                phi2 *= probs[at + 2].reshape(n_cells, 3, 2, 2)[:, m]
+            d = np.sum(sign[:, i, :, None] * sign[:, q, None, :] * phi2, axis=(1, 2))
+            np.add.at(d_sum[:, i, q], own, d)
+            d_sum[:, q, i] = d_sum[:, i, q]
+        first = corr @ a_sum[:, :, None]
+        dr = d_sum @ corr
+        g = dr + corr * (b_sum - dr.diagonal(axis1=1, axis2=2))[:, :, None]
+        second = total[:, None, None] * corr + corr @ g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_z = first[:, :, 0] / total[:, None]
+            c_z = second / total[:, None, None] - e_z[:, :, None] * e_z[:, None, :]
+        c_z = 0.5 * (c_z + c_z.transpose(0, 2, 1))
+        for s, i in enumerate(members):
+            if total[s] > 0.0 and np.isfinite(e_z[s]).all() and np.isfinite(c_z[s]).all():
+                scale = np.sqrt(problems[i][1].diagonal())
+                moments[i] = (problems[i][0] + scale * e_z[s], scale[:, None] * c_z[s] * scale[None, :])
+    return moments
+
+
 def _log_fallbacks(fallbacks: Dict[str, int], n: int, what: str) -> None:
-    """Log at INFO, if any of ``n`` pairs fell back to Monte Carlo, how many
-    did (``what`` names the pairs and the path they left) and why, by reason."""
+    """Log at INFO, if any of ``n`` pairs fell back from their path, how many
+    did (``what`` names the pairs, the path they took and the one they left)
+    and why, by reason."""
     if fallbacks:
         reasons = ", ".join(f"{reason}: {count}" for reason, count in fallbacks.items())
         logger.info("%d of %d %s (%s)", sum(fallbacks.values()), n, what, reasons)
@@ -842,7 +1087,7 @@ def _lattice_points(
     return drawn
 
 
-def _two_coordinates(
+def _few_coordinates(
     conds: Sequence[GaussianSequence],
     regions: Sequence[StateRegion],
     pp: np.ndarray,
@@ -852,19 +1097,23 @@ def _two_coordinates(
     mean: np.ndarray,
     var: np.ndarray,
     inside: np.ndarray,
-) -> Dict[int, float]:
+) -> Tuple[Dict[int, float], List[int]]:
     """Step 3 of ``_pattern_batch`` for its single-box pairs whose free items
-    bound two coordinates in all: their free (pair, item)s, pair after pair,
-    with pair ``pp``, item ``ii``, flat column ``base`` of the step in the
-    concatenated conditionals (mean ``mean``, variances ``var``; pair p's
-    start at ``offset[p]``) and wanted bit ``inside``.
+    bound two or three coordinates in all: their free (pair, item)s, pair
+    after pair, with pair ``pp``, item ``ii``, flat column ``base`` of the
+    step in the concatenated conditionals (mean ``mean``, variances ``var``;
+    pair p's start at ``offset[p]``) and wanted bit ``inside``.
 
-    Returns P(pattern == want) of each pair whose two coordinates are
-    correlated, by pair index, from one ``_bvn_cells`` call: one cell, or
-    for one item of two bounded dims wanted outside, the two cells of
-    ``_product_cells`` (outside on the first dim; inside on it and outside
-    on the second). The bounds are gathered from per-item arrays and each
-    covariance is one lookup; uncorrelated pairs are left out."""
+    Returns P(pattern == want) of each pair whose coordinates are
+    correlated, by pair index, and the three-coordinate pairs that
+    ``_well_conditioned`` refuses, left to QMC. The bounds are gathered from
+    per-item arrays and each covariance entry is one lookup; the cells are
+    those of ``_product_cells`` (one, or for an item of d >= 2 bounded dims
+    wanted outside, d: outside on its first dim; inside on it and outside on
+    the second; ...), padded with empty cells to one a coordinate. Pairs
+    byte-identical (means, covariance and cells) to an earlier one share its
+    value, and one ``_cell_probabilities`` call takes the rest; uncorrelated
+    pairs are left out."""
     dims = [r.bounded_dims for r in regions]
     n_dims = np.array([d.size for d in dims])[ii]
     of = np.repeat(np.arange(pp.size), n_dims)  # the (pair, item) of each coordinate
@@ -872,31 +1121,61 @@ def _two_coordinates(
     # items' bounded dims concatenated.
     place = np.arange(of.size) - np.repeat(np.cumsum(n_dims) - n_dims, n_dims)
     at = np.cumsum([0] + [d.size for d in dims])[ii[of]] + place
-    cols = (base[of] + np.concatenate(dims)[at]).reshape(-1, 2)
-    owner = pp[of[::2]]
-    local = (cols - offset[owner, None]).tolist()
-    c12 = np.array([conds[p].cov[i, j] for p, (i, j) in zip(owner.tolist(), local)])
-    keep = np.flatnonzero(c12 != 0.0)
-    if not keep.size:
-        return {}
-    cols, owner, of = cols[keep], owner[keep], of.reshape(-1, 2)[keep]
+    col = base[of] + np.concatenate(dims)[at]
     boxes = [r.bounded_region for r in regions]
-    lo = np.concatenate([b.lows[0] for b in boxes])[at].reshape(-1, 2)[keep]
-    hi = np.concatenate([b.highs[0] for b in boxes])[at].reshape(-1, 2)[keep]
-    want_in = inside[of]
-    cov = np.empty((keep.size, 2, 2))
-    cov[:, 0, 0], cov[:, 1, 1] = var[cols[:, 0]], var[cols[:, 1]]
-    cov[:, 0, 1] = cov[:, 1, 0] = c12[keep]
-    # Cells (pairs, 2, 2): the second is empty (lo = hi = inf) but where one
-    # item of two dims is wanted outside.
-    split = (of[:, 0] == of[:, 1]) & ~want_in[:, 0]
-    lo_c = np.stack((lo, np.full_like(lo, np.inf)), axis=1)
-    hi_c = np.stack((hi, np.full_like(hi, np.inf)), axis=1)
-    out_c = np.stack((~want_in, np.zeros_like(want_in)), axis=1)
-    lo_c[split, 0, 1], hi_c[split, 0, 1], out_c[split, 0, 1] = -np.inf, np.inf, False
-    lo_c[split, 1], hi_c[split, 1], out_c[split, 1] = lo[split], hi[split], [False, True]
-    value = _bvn_cells(mean[cols], cov, lo_c, hi_c, out_c)
-    return dict(zip(owner.tolist(), value.tolist()))
+    low = np.concatenate([b.lows[0] for b in boxes])[at]
+    high = np.concatenate([b.highs[0] for b in boxes])[at]
+    k_of = np.bincount(pp[of])[pp[of]]  # the coordinate count of each coordinate's pair
+    stacks, owners, leaders, near = [], [], [], []
+    for k in (2, 3):
+        sel = np.flatnonzero(k_of == k)
+        if not sel.size:
+            continue
+        cols, items = col[sel].reshape(-1, k), of[sel].reshape(-1, k)
+        owner = pp[items[:, 0]]
+        upper = np.triu_indices(k, 1)
+        local = (cols - offset[owner, None]).tolist()
+        off = np.array([[conds[p].cov[c[i], c[j]] for i, j in zip(*upper)] for p, c in zip(owner.tolist(), local)])
+        cov = np.empty((owner.size, k, k))
+        cov[:, np.arange(k), np.arange(k)] = var[cols]
+        cov[:, upper[0], upper[1]] = cov[:, upper[1], upper[0]] = off
+        keep = np.any(off != 0.0, axis=1)
+        if k == 3:
+            ok = _well_conditioned(cov)
+            near += owner[keep & ~ok].tolist()
+            keep &= ok
+        keep = np.flatnonzero(keep)
+        cols, items, owner, cov = cols[keep], items[keep], owner[keep], cov[keep]
+        lo, hi = low[sel].reshape(-1, k)[keep], high[sel].reshape(-1, k)[keep]
+        want_in = inside[items]
+        spot, size = place[sel].reshape(-1, k)[keep], n_dims[items]
+        # Cells (pairs, k, k): cell j of a split item (d >= 2 dims wanted
+        # outside) is inside on its dims before j, outside on dim j and free
+        # after it; cells past the item's d, or past the first elsewhere,
+        # are empty (lo = hi = inf).
+        split = (size > 1) & ~want_in
+        n_cells = np.where(split.any(axis=1), np.max(np.where(split, size, 1), axis=1), 1)
+        cell = np.arange(k)[None, :, None]
+        real = cell < n_cells[:, None, None]
+        free = split[:, None, :] & (spot[:, None, :] > cell)
+        lo_c = np.where(real, np.where(free, -np.inf, lo[:, None, :]), np.inf)
+        hi_c = np.where(real, np.where(free, np.inf, hi[:, None, :]), np.inf)
+        out_c = real & np.where(split[:, None, :], spot[:, None, :] == cell, ~want_in[:, None, :])
+        m = mean[cols]
+        first: Dict[bytes, int] = {}
+        keys = [b"".join(x[i].tobytes() for x in (m, cov, lo_c, hi_c, out_c)) for i in range(owner.size)]
+        lead = [first.setdefault(key, i) for i, key in enumerate(keys)]
+        unique = sorted(set(lead))
+        stacks.append(tuple(x[unique] for x in (m, cov, lo_c, hi_c, out_c)))
+        owners.append(owner)
+        leaders.append(np.searchsorted(unique, lead))
+    if not stacks:
+        return {}, near
+    value = {}
+    for owner, lead, cells in zip(owners, leaders, _cell_probabilities(stacks)):
+        total = np.minimum(np.maximum(_node_sum(cells.T), 0.0), 1.0)
+        value.update(zip(owner.tolist(), total[lead].tolist()))
+    return value, near
 
 
 def _pattern_batch(
@@ -932,11 +1211,16 @@ def _pattern_batch(
        pinned item against ``want`` gives 0 at once.
     3. A pair's unpinned items are evaluated in closed form when each is a
        single box and their bounded coordinates are uncorrelated, or, with
-       ``want``, when they bound two correlated coordinates in all: the
-       latter from per-item bound arrays, with no per-pair covariance slice
-       or ``_product_cells`` call, and one ``_bvn_cells`` call over all such
-       pairs of the batch (``_two_coordinates``). With ``want``, single
-       boxes on three or more correlated coordinates go to QMC (one
+       ``want``, when they bound two correlated coordinates in all, or three
+       whose correlation determinant is at least ``_DET_FLOOR``: the latter
+       from per-item bound arrays, with no per-pair covariance slice or
+       ``_product_cells`` call, and one ``_cell_probabilities`` call over
+       all such pairs of the batch (``_few_coordinates``): one
+       ``_bvn_upper`` and one ``_ndtr`` call, and every sum by
+       ``_node_sum``, so a pair's bits do not depend on its batch. A
+       near-singular three-coordinate pair is logged (``_log_fallbacks``)
+       and goes to QMC. With ``want``, single boxes on four or more
+       correlated coordinates go to QMC (one
        ``_lattice_pass`` over all such pairs of the batch, about
        mc_budget // 16 lattice points each; the standard error is the spread
        of the per-shift estimates) when ``_product_cells`` splits their
@@ -1002,15 +1286,19 @@ def _pattern_batch(
 
     paths = [PINNED if nf == 0 else MC if mu else CLOSED_FORM for nf, mu in zip(n_free.tolist(), multi.tolist())]
     # Single-box pairs with one free coordinate, and with ``want`` those with
-    # two (``_two_coordinates``), are in closed form without a QMC problem.
-    two = (n_coords == 2) & ~multi & (want is not None)
-    bivariate = {}
-    if two.any():
-        ks = np.flatnonzero(free & two[pp])
-        bivariate = _two_coordinates(conds, regions, pp[ks], ii[ks], base[ks], offset, mean, var, w[ks])
+    # two or three (``_few_coordinates``), are in closed form without a QMC
+    # problem, but for near-singular three-coordinate ones.
+    few = (n_coords >= 2) & (n_coords <= 3) & ~multi & (want is not None)
+    closed: Dict[int, float] = {}
+    if few.any():
+        ks = np.flatnonzero(free & few[pp])
+        closed, near = _few_coordinates(conds, regions, pp[ks], ii[ks], base[ks], offset, mean, var, w[ks])
+        few[near] = False
+        reasons = {"near-singular correlation": len(near)} if near else {}
+        _log_fallbacks(reasons, n, "pairs settled by QMC instead of in closed form")
     fallbacks: Dict[str, int] = {}
     problems, leader, keys = [], list(range(n)), {}
-    for p in np.flatnonzero((n_free > 0) & (multi | (n_coords > 1)) & ~two).tolist():
+    for p in np.flatnonzero((n_free > 0) & (multi | (n_coords > 1)) & ~few).tolist():
         ks = free_of(p)
         cols = free_cols(p, ks)
         cov = conds[p].cov[np.ix_(cols, cols)]
@@ -1044,7 +1332,7 @@ def _pattern_batch(
         value = np.ones(n)
         np.multiply.at(value, pp[free], np.where(w, q, 1.0 - q)[free])
         value[dead] = 0.0
-        value[list(bivariate)] = list(bivariate.values())
+        value[list(closed)] = list(closed.values())
         settled = {}
         if problems:
             est, _ = _lattice_pass(problems, _qmc_points(mc_budget), False)
@@ -1119,9 +1407,11 @@ def region_probability(
     coordinates; entries that their 1-D bounds settle within 1e-12 are
     pinned (one pinned against its side gives exactly 0, with no draws);
     the rest are evaluated in closed form (standard error 0) when they are
-    single boxes on uncorrelated coordinates or on two correlated ones
-    (Genz's bivariate normal), by randomized QMC when they are single boxes
-    on three or more correlated ones (about mc_budget // 16 lattice points;
+    single boxes on uncorrelated coordinates or on two or three correlated
+    ones (Genz's bivariate normal; for three, Plackett's integral of it
+    where the correlation determinant is at least 0.01), by randomized QMC
+    when they are single boxes on four or more correlated ones, or three
+    near-singular ones (about mc_budget // 16 lattice points;
     the standard error is the spread across random shifts), else
     by plain Monte Carlo on their bounded coordinates. A Monte Carlo
     estimate of exactly 0 or 1 reports a standard error of about

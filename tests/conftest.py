@@ -156,9 +156,10 @@ def product_cells(boxes):
 def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=None):
     """The primitive one pair at a time, item by item, as it was before pairs
     were batched: the reference that the batch must equal bit for bit. A
-    wanted pattern on two correlated coordinates calls ``gaussian._bvn_cells``
-    on this pair's cells alone (``product_cells``), where the batch calls it
-    on every such pair at once.
+    wanted pattern on two correlated coordinates, or on three whose
+    correlation ``gaussian._well_conditioned`` accepts, calls
+    ``gaussian._cell_probabilities`` on this pair's cells alone
+    (``product_cells``), where the batch calls it on every such pair at once.
     Returns (P(pattern == want) or cells, standard error, path), the path
     "exact" (pinned or closed form), "qmc" or "mc" and the standard error
     None for cells."""
@@ -198,11 +199,11 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     exact = single and not np.any(cov - np.diag(np.diag(cov)))
     if want is not None and single and not exact:
         boxes = [(bounded[i][0][0], bounded[i][1][0], want[i]) for i in free]
-        if cols.size == 2:
-            # two correlated coordinates: their cells in closed form
+        if cols.size == 2 or (cols.size == 3 and gaussian._well_conditioned(cov[None])[0]):
+            # two or three correlated coordinates: their cells in closed form
             lo, hi, out = product_cells(boxes)
-            value = gaussian._bvn_cells(gs.mean[cols][None], cov[None], lo[None], hi[None], out[None])[0]
-            return float(value), 0.0, "exact"
+            (cells,) = gaussian._cell_probabilities([(gs.mean[cols][None], cov[None], lo[None], hi[None], out[None])])
+            return float(np.minimum(np.maximum(gaussian._node_sum(cells[0]), 0.0), 1.0)), 0.0, "exact"
         if math.prod(low.size for low, _, inside in boxes if not inside) <= 64:
             value, se = qmc_per_pair(gs.mean[cols], cov, *product_cells(boxes), mc_budget, rng_seed)
             return value, se, "qmc"

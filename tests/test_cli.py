@@ -148,7 +148,7 @@ class TestConstrain:
         _, out = run(tmp_path, base_config(), "constrain", subdir="normal")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["dropped_strata"] == 0
-        assert summary["view_paths"] == {"exact": 9, "lattice": 0, "mc": 0}  # the wide gate is pinned
+        assert summary["view_paths"] == {"exact": 9, "closed_form": 0, "lattice": 0, "mc": 0}  # the wide gate is pinned
         cfg = base_config()
         # two boxes at step 0, ~3 sd from the hypotheses born at 0: their
         # views draw y by Monte Carlo, and at least one accepts no draw
@@ -172,20 +172,21 @@ class TestConstrain:
         summary = json.loads((out / "summary.json").read_text())
         (views,) = seen
         # every view pair that accepted no draw is counted as dropped
-        empty = [pair for pair, path in views.view_paths.items() if path != "exact" and views.accepted[pair] == 0]
+        empty = [pair for pair, path in views.view_paths.items() if path in ("lattice", "mc") and not views.accepted[pair]]
         assert summary["dropped_strata"] == len(empty) >= 1
-        assert summary["view_paths"] == {"exact": 6, "lattice": 0, "mc": 2}
+        assert summary["view_paths"] == {"exact": 6, "closed_form": 0, "lattice": 0, "mc": 2}
         assert 0.0 < summary["acceptance_rate"] <= 1.0
 
     def test_pair_paths(self, tmp_path, monkeypatch):
         cfg = base_config()
-        # The hypotheses die at 5, 6 or 7. Death 5 meets the gates at 3 and
-        # 4, on correlated positions (closed form); death 6 also the gate at
-        # 6 (QMC on three coordinates); death 7 also a gate 50 sd away,
+        # The hypotheses die at 5, 6 or 7. Death 5 meets the gates at 3, 4
+        # and 5, on correlated positions (closed form); death 6 also the gate
+        # at 6 (QMC on four coordinates); death 7 also a gate 50 sd away,
         # pinned outside (0).
         cfg["constraints"]["items"] = [
             {"time": 3, "boxes": [{"lower": [2.8, None], "upper": [3.4, None]}]},
             {"time": 4, "boxes": [{"lower": [3.6, None], "upper": [4.8, None]}]},
+            {"time": 5, "boxes": [{"lower": [4.7, None], "upper": [5.7, None]}]},
             {"time": 6, "boxes": [{"lower": [5.8, None], "upper": [6.6, None]}]},
             {"time": 7, "boxes": [{"lower": [60.0, None], "upper": [70.0, None]}]},
         ]
@@ -429,18 +430,21 @@ class TestOracleCommand:
         assert "[bernoulli]" in txt and "pass" in txt
 
     def test_qmc_pairs_pass(self, tmp_path):
-        self.check_correlated_gates(tmp_path, (3, 4, 6), "qmc")
+        self.check_correlated_gates(tmp_path, (3, 4, 5, 6), "qmc")
 
     def test_two_gate_pairs_settle_in_closed_form_and_pass(self, tmp_path):
         self.check_correlated_gates(tmp_path, (3, 6), "closed_form")
 
+    def test_three_gate_pairs_settle_in_closed_form_and_pass(self, tmp_path):
+        self.check_correlated_gates(tmp_path, (3, 4, 6), "closed_form")
+
     @staticmethod
     def check_correlated_gates(tmp_path, times, path):
-        # gates on correlated positions: the pairs alive at two of them are
-        # settled in closed form, those alive at three by randomized QMC;
-        # the oracle then checks them
+        # gates on correlated positions: the pairs alive at two or three of
+        # them are settled in closed form, those alive at four by randomized
+        # QMC; the oracle then checks them
         cfg = base_config()
-        gates = {3: (2.8, 3.4), 4: (3.6, 4.8), 6: (5.8, 6.6)}
+        gates = {3: (2.8, 3.4), 4: (3.6, 4.8), 5: (4.7, 5.7), 6: (5.8, 6.6)}
         cfg["constraints"]["items"] = [
             {"time": t, "boxes": [{"lower": [gates[t][0], None], "upper": [gates[t][1], None]}]} for t in times
         ]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from trajconstrain import (
     BernoulliTrajectory,
@@ -89,6 +90,25 @@ class TestConjunct:
         # exact path: no Monte Carlo error
         assert report.joint_se == 0.0
 
+    def test_constrained_pmf_passes_the_pmf_checks(self):
+        # the constrained pmf is built without checking it again: its pairs
+        # are a validated pmf's and its masses are normalized by construction
+        built = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            td = random_density(rng)
+            cs = random_constraint_set(rng, TimeWindow(0, max(e for _, e in td.pmf.pairs)), td.dim)
+            ctd, _ = constrain_density(td, cs, 2_000, rng_seed=seed)
+            if ctd.degenerate:
+                continue
+            checked = BirthDeathPmf(ctd.pmf.pairs, ctd.pmf.probs)
+            assert checked.pairs == ctd.pmf.pairs
+            assert all(type(x) is int for pair in ctd.pmf.pairs for x in pair)
+            np.testing.assert_array_equal(checked.probs, ctd.pmf.probs)
+            assert not ctd.pmf.probs.flags.writeable
+            built += 1
+        assert built >= 15
+
     def test_bernoulli_scale_product(self):
         # r^C = r * Pr(alive at constraint time) * Pr(inside | alive)
         td = std_density([(0, 0), (0, 1), (1, 1)], [1 / 3, 1 / 3, 1 / 3])
@@ -169,14 +189,14 @@ class TestDisjunct:
 
     @pytest.mark.parametrize("mc_budget", [0, 1])
     def test_partitions_reject_a_budget_below_two(self, mc_budget):
-        # a pair that samples: three correlated steps, three half-line gates
-        gs = GaussianSequence(np.zeros(3), np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.9], [0.8, 0.9, 1.0]]), 1)
-        td = TrajectoryDensity(BirthDeathPmf(((0, 2),), np.ones(1)), (gs,))
-        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(3)], "disjunct")
+        # a pair that samples: four correlated steps, four half-line gates
+        gs = GaussianSequence(np.zeros(4), 0.5 * (np.eye(4) + np.ones((4, 4))), 1)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 3),), np.ones(1)), (gs,))
+        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(4)], "disjunct")
         ctd, _ = constrain_density(td, cs, 1_000)
-        assert ctd.pair_info[(0, 2)].path in ("mc", "qmc")
+        assert ctd.pair_info[(0, 3)].path in ("mc", "qmc")
         with pytest.raises(ValueError, match="mc_budget"):
-            disjunct_partitions(ctd, (0, 2), mc_budget)
+            disjunct_partitions(ctd, (0, 3), mc_budget)
         with pytest.raises(ValueError, match="mc_budget"):
             constrain_density(td, cs, mc_budget)
 
@@ -291,17 +311,19 @@ class TestEdgeCases:
 
 class TestRejectionSampling:
     def test_half_normal_moments(self):
-        # standard normal truncated to x >= 0: mean sqrt(2/pi), var 1 - 2/pi
+        # standard normal truncated to x >= 0: mean sqrt(2/pi), var 1 - 2/pi,
+        # in closed form with no points
         td = std_density([(0, 0)], [1.0])
         cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
         ctd, _ = constrain_density(td, cs)
-        n = 100_000
-        mm = ctd.moment_matched(mc_budget=2 * n, rng_seed=4)
+        mm = ctd.moment_matched(mc_budget=200_000, rng_seed=4)
         g = mm.conditional((0, 0))
-        n_acc = constrained_marginals(ctd, 2 * n, rng_seed=4).accepted[(0, 0)]
+        marginals = constrained_marginals(ctd, 200_000, rng_seed=4)
+        assert marginals.view_paths == {(0, 0): gaussian.CLOSED_FORM} and marginals.accepted == {(0, 0): 0}
+        assert not marginals.dropped and marginals.mean_se[0, 0] == 0.0 and marginals.acceptance_rate == 1.0
         mean_t, var_t = math.sqrt(2 / math.pi), 1 - 2 / math.pi
-        assert abs(g.mean[0] - mean_t) <= 4 * math.sqrt(var_t / n_acc)
-        assert abs(g.cov[0, 0] - var_t) <= 4 * math.sqrt(2 * var_t**2 / n_acc)
+        assert abs(g.mean[0] - mean_t) <= 1e-15
+        assert abs(g.cov[0, 0] - var_t) <= 1e-15
 
     def test_all_samples_satisfy(self, rng):
         td = random_density(rng, TimeWindow(0, 3), 1)
@@ -327,29 +349,30 @@ class TestRejectionSampling:
             assert s.total_weight == pytest.approx(ctd.pmf.prob(pair))
 
     def test_moment_matched_cache_respects_arguments(self):
-        td = std_density([(0, 1)], [1.0])
-        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        # four gated steps: a lattice view, whose points follow the seed
+        td = std_density([(0, 4)], [1.0])
+        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(4)], "conjunct")
         ctd, _ = constrain_density(td, cs)
-        a = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 1))
-        b = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 1))
-        c = ctd.moment_matched(mc_budget=5_000, rng_seed=2).conditional((0, 1))
-        again = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 1))
+        a = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 4))
+        b = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 4))
+        c = ctd.moment_matched(mc_budget=5_000, rng_seed=2).conditional((0, 4))
+        again = ctd.moment_matched(mc_budget=5_000, rng_seed=1).conditional((0, 4))
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov, b.cov)
         assert not np.array_equal(a.mean, c.mean)
         np.testing.assert_array_equal(a.mean, again.mean)
 
     def test_moment_matched_at_a_budget_of_two(self):
-        # budget 2 leaves one lattice point per shift, 10 in all: the
-        # moment match needs no minimum count of draws
-        td = std_density([(0, 1)], [1.0])
-        ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE)], "conjunct"))
+        # budget 2 leaves one lattice point per shift, 10 in all, for the
+        # four gated steps: the moment match needs no minimum count of draws
+        td = std_density([(0, 4)], [1.0])
+        ctd, _ = constrain_density(td, ConstraintSet([Constraint(t, HALF_LINE) for t in range(4)], "conjunct"))
         mm = constrained_marginals(ctd, 2, rng_seed=0)
-        assert mm.accepted[(0, 1)] == gaussian._QMC_SHIFTS and mm.view_paths[(0, 1)] == engine.LATTICE
-        g = ctd.moment_matched(2, rng_seed=0).conditional((0, 1))
+        assert mm.accepted[(0, 4)] == gaussian._QMC_SHIFTS and mm.view_paths[(0, 4)] == engine.LATTICE
+        g = ctd.moment_matched(2, rng_seed=0).conditional((0, 4))
         assert g.mean[0] > 0.0 and 0.0 < g.cov[0, 0] < 1.0  # all 10 points pooled
-        # the unconstrained step 1 is independent of y, so it stays exact
-        assert (g.mean[1], g.cov[1, 1], g.cov[0, 1]) == (0.0, 1.0, 0.0)
+        # the unconstrained step 4 is independent of y, so it stays exact
+        assert (g.mean[4], g.cov[4, 4], g.cov[0, 4]) == (0.0, 1.0, 0.0)
 
     def test_moment_matched_keeps_every_pair(self, caplog):
         """On the 40 conftest densities (window 0..5, both modes, budgets 2e3
@@ -407,17 +430,19 @@ class TestRejectionSampling:
             call()
 
     def test_step_mean_se_mixes_the_pairs_alive_at_the_step(self):
-        # step 1 is alive only in stratum (0, 1), step 0 in both; the two
-        # strata share one y problem (byte-identical step 0), so their
-        # per-shift deviations are the same and their SEs add linearly
-        td = std_density([(0, 0), (0, 1)], [0.3, 0.7])
-        cs = ConstraintSet([Constraint(0, HALF_LINE)], "conjunct")
+        # step 4 is alive only in stratum (0, 4), steps 0-3 in both; the two
+        # strata share one y problem (byte-identical gated steps 0-3, a
+        # lattice view), so their per-shift deviations are the same and
+        # their SEs add linearly
+        td = std_density([(0, 3), (0, 4)], [0.3, 0.7])
+        cs = ConstraintSet([Constraint(t, HALF_LINE) for t in range(4)], "conjunct")
         ctd, _ = constrain_density(td, cs)
         mm = constrained_marginals(ctd, mc_budget=20_000, rng_seed=5)
-        alone = constrained_marginals(constrain_density(std_density([(0, 0)], [1.0]), cs)[0], 20_000, rng_seed=5)
+        alone = constrained_marginals(constrain_density(std_density([(0, 3)], [1.0]), cs)[0], 20_000, rng_seed=5)
+        assert set(mm.view_paths.values()) == {engine.LATTICE}
         assert mm.mean_se[mm.times.index(0), 0] == pytest.approx(alone.mean_se[0, 0], rel=1e-12)
-        # step 1 is independent of y: exact
-        assert mm.mean_se[mm.times.index(1), 0] == 0.0
+        # step 4 is independent of y: exact
+        assert mm.mean_se[mm.times.index(4), 0] == 0.0
         assert 0.0 < mm.mean_se[0, 0] < 1e-2
 
     def test_marginals_shape_and_alive(self):
@@ -589,7 +614,9 @@ class TestRaoBlackwellMarginals:
 
     def test_views_share_one_accepted_draw(self, monkeypatch):
         # single boxes in disjunct mode: each pair's lattice points lie in
-        # the cells where gate k is the first to hold
+        # the cells where gate k is the first to hold (position at step 3
+        # repeats step 1 and velocity is fixed, so y is singular and its
+        # view stays on the lattice)
         td = degenerate_window_density()
         gate = StateRegion.box([(-0.3, 0.6), None])
         cs = ConstraintSet([Constraint(1, gate), Constraint(3, POS_VEL_GATE)], "disjunct")
@@ -597,8 +624,8 @@ class TestRaoBlackwellMarginals:
         seen = []
         inner = engine._accepted_y
 
-        def spy(*args):
-            out = inner(*args)
+        def spy(*args, **kwargs):
+            out = inner(*args, **kwargs)
             seen.append(out)
             return out
 
@@ -684,7 +711,7 @@ def lattice_case(name):
         "1": ([gate(1, 0.6)], 1),
         "2": ([gate(0, 0.5), gate(2, 0.7)], 2),
         "3": ([gate(0, 0.4), gate(1, 0.6), gate(2, 0.5)], 3),
-        "box": ([gate(0, 0.4), box, gate(2, 0.5)], 4),  # the box's outside is 2 cells
+        "box": ([gate(0, 0.4), box, gate(2, 0.5)], 4),  # the box's outside is 2 cells; four coordinates
         "full": ([Constraint(0, StateRegion.full_space(2)), gate(1, 0.5), gate(2, 0.6)], 2),
     }
     items, cells = cases[count]
@@ -693,13 +720,43 @@ def lattice_case(name):
     return td, ConstraintSet(items, mode), cells
 
 
+def brute_moments(td, cs, n, seed, chunk=100_000):
+    """Accepted count, mean, covariance and the standard errors of each of
+    the whole sequence (6 coordinates) of ``lattice_case``'s pair (0, 2),
+    from n draws by rejection under ``cs``: two passes over the same draws,
+    for the mean and then the centred second moments."""
+
+    def accepted():
+        rng = np.random.default_rng(seed)
+        for start in range(0, n, chunk):
+            x = td.conditionals[0].draw(min(chunk, n - start), rng)
+            yield x[satisfies_batch(0, 2, x.reshape(-1, 3, 2), cs)]
+
+    count, total = 0, np.zeros(6)
+    for x in accepted():
+        count += x.shape[0]
+        total += x.sum(axis=0)
+    mean = total / count
+    second, fourth = np.zeros((6, 6)), np.zeros((6, 6))
+    for x in accepted():
+        c = x - mean
+        prods = c[:, :, None] * c[:, None, :]
+        second += prods.sum(axis=0)
+        fourth += (prods * prods).sum(axis=0)
+    cov = second / count
+    return count, mean, np.sqrt(np.diag(cov) / count), cov, np.sqrt((fourth / count - cov * cov) / count)
+
+
 class TestLatticeMoments:
-    """The lattice points of the views against brute-force rejection of the
-    whole sequence: the pass's probability (sum of weights over points per
+    """The views against brute-force rejection of the whole sequence. A y of
+    at most three coordinates is in closed form: its moments and the step
+    means and covariances within 4 SE of 4e6 draws. On the lattice (four
+    coordinates): the pass's probability (sum of weights over points per
     cell), the weighted moments of y and the step means, within 4 SE."""
 
     BUDGET = 100_000
     N_BRUTE = 400_000
+    N_CLOSED = 4_000_000
 
     @pytest.mark.parametrize(
         "name",
@@ -707,6 +764,7 @@ class TestLatticeMoments:
             "conjunct-1-uncorrelated",
             "conjunct-2-correlated",
             "conjunct-3-correlated",
+            "conjunct-box-correlated",
             "conjunct-box-zero-variance",
             "conjunct-full-correlated",
             "disjunct-2-uncorrelated",
@@ -721,6 +779,9 @@ class TestLatticeMoments:
         td, cs, cells = lattice_case(name)
         ctd, _ = constrain_density(td, cs, self.BUDGET, rng_seed=1)
         [v] = engine._accepted_y(ctd, self.BUDGET, 2)
+        if v.cols.size <= 3:
+            self.closed_form(td, cs, ctd, v)
+            return
         assert v.path == engine.LATTICE
         n_cell = gaussian._qmc_points(self.BUDGET) // cells
         assert v.w.shape == (gaussian._QMC_SHIFTS, cells * n_cell)
@@ -761,6 +822,56 @@ class TestLatticeMoments:
         mm = constrained_marginals(ctd, self.BUDGET, 2)
         kept_states = states[acc]
         z_ok(mm.means, kept_states.mean(axis=0), np.hypot(kept_states.std(axis=0) / math.sqrt(n_acc), mm.mean_se))
+
+    def closed_form(self, td, cs, ctd, v):
+        """y's moments, and the step means and covariances, against 4e6 draws:
+        exact, so within 4 of the draws' SEs."""
+        assert v.path == gaussian.CLOSED_FORM and v.y is None and v.kept == 0 and not v.dropped
+        assert v.y_mean.shape == (1, v.cols.size) and v.y_cov.shape == (1, v.cols.size, v.cols.size)
+        count, mean, mean_se, cov, cov_se = brute_moments(td, cs, self.N_CLOSED, 3)
+        assert count > 100_000
+        block = np.ix_(v.cols, v.cols)
+        mm = constrained_marginals(ctd, self.BUDGET, 2)
+        steps = np.arange(3)
+        step_cov = cov.reshape(3, 2, 3, 2)[steps, :, steps, :]
+        step_cov_se = cov_se.reshape(3, 2, 3, 2)[steps, :, steps, :]
+        assert mm.view_paths == {(0, 2): gaussian.CLOSED_FORM} and mm.accepted == {(0, 2): 0}
+        assert np.all(mm.mean_se == 0.0) and mm.acceptance_rate == 1.0
+        for got, want, se in (
+            (v.y_mean[0], mean[v.cols], mean_se[v.cols]),
+            (v.y_cov[0], cov[block], cov_se[block]),
+            (mm.means, mean.reshape(3, 2), mean_se.reshape(3, 2)),
+            (mm.covs, step_cov, step_cov_se),
+        ):
+            z = (got - want) / se
+            assert np.all(np.abs(z) <= 4.0), z
+
+    @pytest.mark.parametrize("det, path", [(0.0101, gaussian.CLOSED_FORM), (0.0099, engine.LATTICE)])
+    def test_determinant_floor(self, det, path, caplog):
+        # three gated steps of equal correlation rho, det (1 - rho)^2 (1 + 2 rho)
+        # on either side of 0.01: closed form above it, the lattice below,
+        # which is logged; the views agree within the lattice's SEs
+        rho = optimize.brentq(lambda x: (1.0 - x) ** 2 * (1.0 + 2.0 * x) - det, 0.5, 1.0)
+        cov = np.eye(4)
+        cov[:3, :3] = (1.0 - rho) * np.eye(3) + rho
+        gs = GaussianSequence(np.zeros(4), cov, 1)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 3),), np.ones(1)), (gs,))
+        gates = [Constraint(0, StateRegion.box([(-0.5, 1.0)])), Constraint(1, HALF_LINE), Constraint(2, StateRegion.box([(-1.0, 0.3)]))]
+        ctd, _ = constrain_density(td, ConstraintSet(gates, "disjunct"), self.BUDGET, rng_seed=1)
+        with caplog.at_level(logging.INFO, logger="trajconstrain"):
+            mm = constrained_marginals(ctd, self.BUDGET, 2)
+        messages = [r.getMessage() for r in caplog.records if r.name == "trajconstrain"]
+        assert mm.view_paths == {(0, 3): path}
+        if path == engine.LATTICE:
+            assert messages == ["1 of 1 pairs' views drawn on the lattice instead of in closed form (near-singular correlation: 1)"]
+            assert np.all(mm.mean_se[:3] > 0.0)
+        else:
+            assert not messages and np.all(mm.mean_se == 0.0)
+        # the brute-force step means, as far as the draws tell
+        x = gs.draw(1_000_000, np.random.default_rng(4))
+        kept = x[satisfies_batch(0, 3, x.reshape(-1, 4, 1), ctd.cs)]
+        se = np.hypot(kept.std(axis=0) / math.sqrt(kept.shape[0]), mm.mean_se[:, 0])
+        assert np.all(np.abs(mm.means[:, 0] - kept.mean(axis=0)) <= 4.0 * se)
 
     def test_view_fallbacks_are_logged_with_their_reason(self, caplog):
         # four 5-d boxes in disjunct mode: 1 + 5 + 25 + 125 "first to hold"
@@ -815,13 +926,14 @@ class TestStepMeanSe:
     def test_calibrated_against_a_reference(self):
         """Over 40 seeds, the squared errors of the step means against a
         64x-budget reference average to the squared ``mean_se``: their ratio
-        is within [0.8, 1.25] pooled over lattice densities in both modes, a
-        zero-variance coordinate, several pairs on independent problems and
-        a Monte Carlo (two-box) pair's blocks, and within [0.5, 2] for each.
+        is within [0.8, 1.25] pooled over lattice densities (four
+        coordinates, or a singular y) in both modes, a zero-variance
+        coordinate, several pairs on independent problems and a Monte Carlo
+        (two-box) pair's blocks, and within [0.5, 2] for each.
         (The mean z^2 itself would be about 9/7: each SE has 9 degrees of
         freedom.) Exact entries (SE 0) must have no error at all."""
         td = degenerate_window_density()
-        cases = [lattice_case(name)[:2] for name in ("conjunct-3-correlated", "disjunct-3-correlated", "disjunct-box-correlated", "conjunct-box-zero-variance")]
+        cases = [lattice_case(name)[:2] for name in ("conjunct-box-correlated", "disjunct-box-zero-variance", "disjunct-box-correlated", "conjunct-box-zero-variance")]
         cases.append((td, ConstraintSet([Constraint(1, SPLIT_GATE), Constraint(3, POS_VEL_GATE)], "disjunct")))
         cases.append((td, ConstraintSet([Constraint(1, StateRegion.box([(-0.3, 0.6), None])), Constraint(3, POS_VEL_GATE)], "disjunct")))
         errors, variances = [], []
@@ -882,8 +994,9 @@ class TestDroppedStrata:
         assert not [r for r in caplog.records if r.name == "trajconstrain"]
 
     def test_no_stratum_of_material_mass_dropped(self):
-        # single boxes: every pair's view is exact or lattice, and a lattice
-        # pair keeps points however rarely it meets the constraints
+        # single boxes: every pair's view is exact, closed form or lattice,
+        # and a lattice pair keeps points however rarely it meets the
+        # constraints
         window = TimeWindow(0, 5)
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -892,7 +1005,7 @@ class TestDroppedStrata:
             ctd, _ = constrain_density(td, cs, 20_000, rng_seed=seed)
             mm = constrained_marginals(ctd, 20_000, rng_seed=seed)
             assert not mm.dropped, seed
-            assert set(mm.view_paths.values()) <= {engine.EXACT, engine.LATTICE}, seed
+            assert set(mm.view_paths.values()) <= {engine.EXACT, gaussian.CLOSED_FORM, engine.LATTICE}, seed
             for pair, path in mm.view_paths.items():
                 assert (mm.accepted[pair] > 0) == (path == engine.LATTICE), (seed, pair)
 
@@ -908,15 +1021,29 @@ class TestDroppedStrata:
 
 class TestQmcPairs:
     def two_deaths(self):
-        """Pairs (0, 2) and (0, 3) whose steps 0-2 are byte-identical, as the
+        """Pairs (0, 3) and (0, 4) whose steps 0-3 are byte-identical, as the
         deaths of one birth of a smoothed track are; correlated steps."""
-        a = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, 0.6, 0.0, 0.0], [0.5, 0.5, 0.7, 0.0], [0.3, 0.4, 0.5, 0.7]])
-        long = GaussianSequence(np.array([0.1, -0.2, 0.3, 0.0]), a @ a.T, 1)
-        short = gaussian.marginal(long, (0, 3), [0, 1, 2])
-        return TrajectoryDensity(BirthDeathPmf(((0, 2), (0, 3)), np.array([0.3, 0.7])), (short, long))
+        a = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0, 0.0],
+                [0.8, 0.6, 0.0, 0.0, 0.0],
+                [0.5, 0.5, 0.7, 0.0, 0.0],
+                [0.3, 0.4, 0.5, 0.7, 0.0],
+                [0.2, 0.3, 0.4, 0.5, 0.7],
+            ]
+        )
+        long = GaussianSequence(np.array([0.1, -0.2, 0.3, 0.0, 0.2]), a @ a.T, 1)
+        short = gaussian.marginal(long, (0, 4), [0, 1, 2, 3])
+        return TrajectoryDensity(BirthDeathPmf(((0, 3), (0, 4)), np.array([0.3, 0.7])), (short, long))
 
     def gates(self):
-        return [(0, HALF_LINE), (1, StateRegion.box([(-0.5, 0.5)])), (2, StateRegion.box([(-1.0, 1.5)]))]
+        # four gates: QMC (three would be in closed form)
+        return [
+            (0, HALF_LINE),
+            (1, StateRegion.box([(-0.5, 0.5)])),
+            (2, StateRegion.box([(-1.0, 1.5)])),
+            (3, StateRegion.box([(-1.5, 1.0)])),
+        ]
 
     def test_identical_pairs_share_one_estimate(self):
         td = self.two_deaths()
@@ -928,7 +1055,7 @@ class TestQmcPairs:
             return 11 + p
 
         out = gaussian._pattern_batch(
-            td.conditionals, td.pmf.pairs, items, np.ones((2, 3), dtype=bool), np.zeros((2, 3), dtype=bool), 20_000, stream
+            td.conditionals, td.pmf.pairs, items, np.ones((2, 4), dtype=bool), np.zeros((2, 4), dtype=bool), 20_000, stream
         )
         assert [s.path for s in out] == [gaussian.QMC, gaussian.QMC]
         assert [s.leader for s in out] == [0, 0]
@@ -939,7 +1066,7 @@ class TestQmcPairs:
         td = self.two_deaths()
         cs = ConstraintSet([Constraint(t, region) for t, region in self.gates()], "disjunct")
         ctd, report = constrain_density(td, cs, 20_000, rng_seed=3)
-        first, second = ctd.pair_info[(0, 2)], ctd.pair_info[(0, 3)]
+        first, second = ctd.pair_info[(0, 3)], ctd.pair_info[(0, 4)]
         assert first.path == second.path == "qmc"
         assert (first.spatial_prob, first.spatial_se) == (second.spatial_prob, second.spatial_se)
         # perfectly correlated errors: 0.3 se + 0.7 se, not sqrt(0.3^2 + 0.7^2) se
@@ -1129,11 +1256,11 @@ class TestPmbm:
         # single-box regions only: every pair that the 1-D bounds and the closed form leave is QMC
         assert paths == {"no support", "pinned", "closed_form", "qmc"}
 
-    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
-    def test_closed_form_pair_alone_equals_its_batch(self, mode):
-        """A pair settled in closed form on two correlated coordinates gets
-        the same bits in a PMBM's batch as alone: no reduction runs across
-        the pairs of a batch."""
+    @staticmethod
+    def alone_equals_batch(mode, gates):
+        """A PMBM's pairs alive at two or more of ``gates`` are settled in
+        closed form and get the same bits in its batch as alone; returns how
+        many were compared."""
         rng = np.random.default_rng(31)
         window = TimeWindow(0, 4)
         tracks = tuple(BernoulliTrajectory(r, random_density(rng, window, 1)) for r in (0.9, 0.6, 0.4))
@@ -1141,7 +1268,6 @@ class TestPmbm:
             PppTrajectory(1.5, random_density(rng, window, 1)),
             (GlobalHypothesis(0.5, tracks[:2]), GlobalHypothesis(0.5, tracks)),
         )
-        gates = [Constraint(1, StateRegion.box([(-1.0, 1.5)])), Constraint(3, StateRegion.box([(-0.5, 2.0)]))]
         cs = ConstraintSet(gates, mode)
         out = constrain_pmbm(m, cs, 2_000, rng_seed=5)
         side = "inside" if mode == "conjunct" else "complement"
@@ -1154,8 +1280,27 @@ class TestPmbm:
                 entries = [(gates[i].time, gates[i].region, side) for i in info.active]
                 p, se = gaussian.region_probability(src.conditional(pair), pair, entries, 2_000, 0)
                 assert (p if mode == "conjunct" else 1.0 - p, se) == (info.spatial_prob, info.spatial_se)
-                compared += 1
-        assert compared >= 10
+                compared += len(info.active) == len(gates)
+        return compared
+
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_closed_form_pair_alone_equals_its_batch(self, mode):
+        """A pair settled in closed form on two correlated coordinates gets
+        the same bits in a PMBM's batch as alone: no reduction runs across
+        the pairs of a batch."""
+        gates = [Constraint(1, StateRegion.box([(-1.0, 1.5)])), Constraint(3, StateRegion.box([(-0.5, 2.0)]))]
+        assert self.alone_equals_batch(mode, gates) >= 10
+
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_three_coordinate_pair_alone_equals_its_batch(self, mode):
+        """Likewise on three correlated coordinates (the trivariate normal),
+        beside two-coordinate pairs of the same batch."""
+        gates = [
+            Constraint(1, StateRegion.box([(-1.0, 1.5)])),
+            Constraint(2, StateRegion.box([(-2.0, 0.5)])),
+            Constraint(3, StateRegion.box([(-0.5, 2.0)])),
+        ]
+        assert self.alone_equals_batch(mode, gates) >= 10
 
     def test_track_missing_every_constraint_time(self, rng):
         window = TimeWindow(0, 5)

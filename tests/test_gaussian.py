@@ -1,9 +1,13 @@
 import dataclasses
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 from scipy.special import ndtr, ndtri, owens_t
+from scipy.stats import norm
 from scipy.stats import binom, multivariate_normal
 from scipy.stats import t as student_t
 
@@ -282,16 +286,26 @@ class TestRegionProbability:
         assert abs(p - ORTHANT_RHO09) <= 5e-7
         assert abs(p - (0.25 + math.asin(0.9) / (2.0 * math.pi))) <= 1e-15
 
-    def test_correlated_trivariate_orthant_by_qmc(self):
-        # three correlated coordinates: randomized QMC, against Sheppard's
-        # formula 1/8 + (asin r12 + asin r13 + asin r23) / (4 pi)
+    def test_correlated_trivariate_orthant_in_closed_form(self):
+        # three correlated coordinates: the trivariate normal, against
+        # Sheppard's formula 1/8 + (asin r12 + asin r13 + asin r23) / (4 pi)
         cov = np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.9], [0.8, 0.9, 1.0]])
         gs = GaussianSequence(np.zeros(3), cov, 1)
         entries = [(t, StateRegion.box([(0, None)]), "inside") for t in range(3)]
         settled = _pattern_probabilities(gs, (0, 2), [(t, r) for t, r, _ in entries], 200_000, 3, [True] * 3)
         exact = 0.125 + (2.0 * math.asin(0.9) + math.asin(0.8)) / (4.0 * math.pi)
+        assert settled.path == gaussian.CLOSED_FORM and settled.se == 0.0
+        assert abs(settled.value - exact) <= 1e-15
+
+    def test_correlated_four_coordinate_orthant_by_qmc(self):
+        # four coordinates of equal correlation 1/2: randomized QMC, against
+        # the orthant probability 1 / (n + 1) = 1/5
+        cov = 0.5 * (np.eye(4) + np.ones((4, 4)))
+        gs = GaussianSequence(np.zeros(4), cov, 1)
+        items = [(t, StateRegion.box([(0, None)])) for t in range(4)]
+        settled = _pattern_probabilities(gs, (0, 3), items, 200_000, 3, [True] * 4)
         assert settled.path == gaussian.QMC and settled.se > 0.0
-        assert abs(settled.value - exact) <= 4 * settled.se
+        assert abs(settled.value - 0.2) <= 4 * settled.se
 
     def test_inside_plus_complement_is_one(self, rng):
         gs = random_gaussian_sequence(rng, (0, 2), 1)
@@ -566,7 +580,7 @@ class TestPatternBatch:
         assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d", "1 boxes, 0-d"} <= seen
 
 
-def _box_probability(mean, cov, cols, lo, hi):
+def _box_probability(mean, cov, cols, lo, hi, abseps=1e-10):
     """P(lo <= y[cols] <= hi) for y ~ N(mean, cov), by scipy (Genz's MVNDST)."""
     if not cols:
         return 1.0
@@ -574,10 +588,10 @@ def _box_probability(mean, cov, cols, lo, hi):
     if len(cols) == 1:
         sd = math.sqrt(c[0, 0])
         return float(ndtr((hi[0] - m[0]) / sd) - ndtr((lo[0] - m[0]) / sd))
-    return float(multivariate_normal.cdf(hi, m, c, abseps=1e-10, releps=1e-10, lower_limit=lo))
+    return float(multivariate_normal.cdf(hi, m, c, abseps=abseps, releps=abseps, lower_limit=lo))
 
 
-def _sides_probability(mean, cov, boxes):
+def _sides_probability(mean, cov, boxes, abseps=1e-10):
     """P(every box (cols, lo, hi, inside) is on its side) by inclusion-exclusion
     over the boxes wanted outside: sum over subsets S of them of (-1)^|S|
     P(inside the wanted-inside boxes and the boxes of S)."""
@@ -589,19 +603,20 @@ def _sides_probability(mean, cov, boxes):
         cols = [c for b in chosen for c in b[0]]
         lo = np.concatenate([b[1] for b in chosen]) if chosen else np.empty(0)
         hi = np.concatenate([b[2] for b in chosen]) if chosen else np.empty(0)
-        total += (-1) ** bin(mask).count("1") * _box_probability(mean, cov, cols, lo, hi)
+        total += (-1) ** bin(mask).count("1") * _box_probability(mean, cov, cols, lo, hi, abseps)
     return total
 
 
-def _box_cases(n_cases, n_coords):
-    """Single-box problems on the conftest densities with ``n_coords`` (2 or
-    3) correlated coordinates: per density, one pair with a gate on dim 0 at
+def _box_cases(n_cases, n_coords, abseps=1e-10):
+    """Single-box problems on the conftest densities with ``n_coords`` (2, 3
+    or 4) correlated coordinates: per density, one pair with a gate on dim 0 at
     each of ``n_coords`` steps (or, on dim-2 densities every third case, a
     box bounding both dims, whose complement is 2 cells, and gates at the
     remaining steps) and a want pattern cycling conjunct, disjunct (all
     outside) and mixed. Yields (gs, pair, items, want, boxes, exact
     probability)."""
-    densities = conftest_densities()
+    # the densities with a pair of at least n_coords steps
+    densities = [td for td in conftest_densities() if max(e - b + 1 for b, e in td.pmf.pairs) >= n_coords]
     for case in range(n_cases):
         td = densities[case % len(densities)]
         rng = np.random.default_rng(5000 + case)
@@ -624,17 +639,22 @@ def _box_cases(n_cases, n_coords):
             items.append((t, StateRegion.box(bounds)))
             want.append(inside)
             boxes.append((cols, lo, hi, inside))
-        yield gs, (b, e), items, want, boxes, _sides_probability(gs.mean, gs.cov, boxes)
+        yield gs, (b, e), items, want, boxes, _sides_probability(gs.mean, gs.cov, boxes, abseps)
+
+
+# scipy's absolute and relative error target for the references of QMC
+# pairs, whose standard errors are 1e-6 and above
+QMC_REFERENCE_EPS = 1e-8
 
 
 class TestQmcPairs:
-    """Pairs of single boxes on three correlated coordinates, settled by
+    """Pairs of single boxes on four correlated coordinates, settled by
     randomized QMC, against scipy's multivariate normal CDF."""
 
     def test_against_scipy_by_inclusion_exclusion(self):
         seen = set()
         worst = 0.0
-        for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(80, 3)):
+        for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(80, 4, QMC_REFERENCE_EPS)):
             settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
             assert settled.path == gaussian.QMC
             assert 0.0 < settled.se <= 1e-3
@@ -652,7 +672,7 @@ class TestQmcPairs:
         |z| > 4 may occur as often as that distribution says, with a
         binomial allowance at 1e-4."""
         zs = []
-        for gs, pair, items, want, _, exact in _box_cases(30, 3):
+        for gs, pair, items, want, _, exact in _box_cases(30, 4, QMC_REFERENCE_EPS):
             for seed in range(8):
                 settled = _pattern_probabilities(gs, pair, items, 4_000, 900 + seed, want)
                 zs.append((settled.value - exact) / settled.se)
@@ -738,6 +758,79 @@ class TestBivariateNormal:
         for bad in ([[np.nan, 0.0], [0.0, 0.1]], [[1.0, np.inf], [np.inf, 1.0]]):
             with pytest.raises(ValueError, match="non-finite"):
                 gaussian._cholesky(np.array(bad))
+
+
+class TestTrivariateNormal:
+    """Three correlated coordinates are settled in closed form where their
+    correlation determinant is at least 0.01: Plackett's integral
+    (``_upper_orthants``) at the corners of their cells."""
+
+    @staticmethod
+    def quadrature(h, r):
+        """P(X > h) by quad over x1 of phi(x1) times the conditional
+        bivariate normal of (X2, X3) from scipy.stats.multivariate_normal."""
+        r12, r13, r23 = r
+        cond = np.array([[1.0 - r12 * r12, r23 - r12 * r13], [r23 - r12 * r13, 1.0 - r13 * r13]])
+        upper = np.minimum(np.maximum(-np.asarray(h[1:]), -40.0), 40.0)
+
+        def f(x1):
+            # P(X2 > h2, X3 > h3 | x1) = P(-X2 < -h2, -X3 < -h3 | x1)
+            return norm.pdf(x1) * multivariate_normal([-r12 * x1, -r13 * x1], cond).cdf(upper)
+
+        # phi is below 1e-18 beyond |x1| = 9
+        lo = min(max(h[0], -9.0), 9.0)
+        return integrate.quad(f, lo, 9.0, epsabs=1e-17, epsrel=1e-14, limit=400)[0]
+
+    def test_orthants_against_quadrature(self):
+        rng = np.random.default_rng(17)
+        h, r = [], []
+        while len(h) < 100:
+            c = rng.uniform(-1.0, 1.0, 3)
+            if np.linalg.det(np.array([[1.0, c[0], c[1]], [c[0], 1.0, c[2]], [c[1], c[2], 1.0]])) < 0.01:
+                continue
+            x = rng.uniform(-6.0, 6.0, 3)
+            far = rng.random(3)
+            x = np.where(far < 0.1, rng.choice([-38.0, 38.0], 3), np.where(far < 0.2, rng.choice([-np.inf, np.inf], 3), x))
+            h.append(x)
+            r.append(c)
+        h, r = np.array(h), np.array(r)
+        assert {-38.0, 38.0, -np.inf, np.inf} <= set(h.ravel().tolist())
+        got = gaussian._upper_orthants(h, r, np.full(len(h), 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            ref = np.array([self.quadrature(a, b) for a, b in zip(h, r)])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_three_coordinate_pairs_against_scipy_by_inclusion_exclusion(self):
+        # scipy's trivariate CDF is itself good to about 1e-10 here
+        seen = set()
+        for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(60, 3)):
+            settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
+            assert settled.path == gaussian.CLOSED_FORM and settled.se == 0.0, case
+            assert abs(settled.value - exact) <= 1e-9, (case, settled, exact)
+            seen.add("conjunct" if all(want) else "disjunct" if not any(want) else "mixed")
+            seen.update("2-cell complement" for cols, _, _, inside in boxes if len(cols) == 2 and not inside)
+        assert seen == {"conjunct", "disjunct", "mixed", "2-cell complement"}
+
+    @pytest.mark.parametrize("det, path", [(0.0101, gaussian.CLOSED_FORM), (0.0099, gaussian.QMC), (0.0, gaussian.QMC)])
+    def test_determinant_floor(self, det, path, caplog):
+        # equal correlations rho with det = (1 - rho)^2 (1 + 2 rho) on either
+        # side of 0.01, and rho = 1 (y0 = y1 = y2, as without process noise)
+        rho = 1.0 if det == 0.0 else optimize.brentq(lambda x: (1.0 - x) ** 2 * (1.0 + 2.0 * x) - det, 0.5, 1.0)
+        cov = (1.0 - rho) * np.eye(3) + rho * np.ones((3, 3))
+        gs = GaussianSequence(np.zeros(3), cov, 1)
+        items = [(t, StateRegion.box([(0, None)])) for t in range(3)]
+        with caplog.at_level(logging.INFO, logger="trajconstrain"):
+            settled = _pattern_probabilities(gs, (0, 2), items, 200_000, 3, [True] * 3)
+        exact = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
+        assert settled.path == path
+        messages = [r.getMessage() for r in caplog.records if r.name == "trajconstrain"]
+        if path == gaussian.CLOSED_FORM:
+            assert settled.se == 0.0 and abs(settled.value - exact) <= 1e-15 and not messages
+        else:
+            # at rho = 1 the lattice meets one coordinate: exact, with SE 0
+            assert abs(settled.value - exact) <= max(4 * settled.se, 1e-15)
+            assert messages == ["1 of 1 pairs settled by QMC instead of in closed form (near-singular correlation: 1)"]
 
 
 class TestAliveProbability:
