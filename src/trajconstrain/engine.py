@@ -60,7 +60,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion, active_indices
+from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion
+from .core import active_indices  # noqa: F401  (not called here; perfbench/tests imports it from engine)
 from .core import satisfies_batch  # noqa: F401  (not called here; perfbench/tracing.py patches engine.satisfies_batch)
 from .errors import (
     DegenerateDensityError,
@@ -412,9 +413,9 @@ def constrain_density(
 ) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
     """Constrained trajectory density and its satisfaction report.
 
-    Raises ZeroSupportError when no support pair overlaps any constraint
-    time. A zero spatial probability everywhere yields a degenerate (but
-    valid) result instead.
+    Raises ZeroSupportError when no support pair of positive mass overlaps
+    any constraint time. A zero spatial probability everywhere yields a
+    degenerate (but valid) result instead.
     """
     (result,) = _constrain_densities([td], cs, mc_budget, lambda _: rng_seed)
     if result is None:
@@ -474,11 +475,14 @@ def _constrain_component(
     td: TrajectoryDensity, cs: ConstraintSet, mc_budget: int, rng_seed: int
 ) -> Tuple[ConstrainedTrajectoryDensity, ConstraintReport]:
     """``constrain_density``, except that a density whose support meets no
-    constraint time gives a degenerate result with an all-zero report."""
-    meets = any(p > 0.0 and active_indices(cs, *pair) for pair, p in td.pmf.items())
-    if td.dim == cs.dim and not meets:
+    constraint time with positive mass gives a degenerate result with an
+    all-zero report. The rule is ``_constrain_densities``' alone; going
+    through ``constrain_density`` keeps these calls inside the span that
+    perfbench's tracer times and counts."""
+    try:
+        return constrain_density(td, cs, mc_budget, rng_seed)
+    except ZeroSupportError:
         return _no_support(td, cs)
-    return constrain_density(td, cs, mc_budget, rng_seed)
 
 
 def constrain_bernoulli(

@@ -3,19 +3,23 @@
 A trajectory density factorizes into a probability mass function over
 (birth, death) pairs and, per pair, a joint Gaussian over the stacked state
 sequence. This module provides marginalization onto time subsets, region
-probabilities (one primitive, ``_pattern_batch``, over any number of pairs:
-settle what the 1-D bounds settle, closed form where the remaining bounded
-coordinates are independent single boxes or single boxes on two or three
-correlated coordinates (Genz's bivariate normal, and Plackett's integral of
-it for the trivariate), randomized quasi-Monte Carlo (Genz's separation of
-variables on a shifted lattice) where they are single boxes on four or more
-correlated coordinates or three near-singular ones, Monte Carlo on those
-coordinates otherwise; ``region_probability`` is a batch of one pair), the
-mean and covariance of a Gaussian restricted to product cells (Tallis's
-formulas through the same closed form for at most three coordinates,
-``_truncated_moments``; else weighted points of the same lattice pass, which
-also serve the samples of a constrained density), stratified sampling (one
-draw per pair) and per-step moments of mixtures.
+probabilities, the mean and covariance of a Gaussian restricted to product
+cells, stratified sampling (one draw per pair) and per-step moments of
+mixtures.
+
+Region probabilities have one primitive, ``_pattern_batch``, over any number
+of pairs (``region_probability`` is a batch of one pair). It settles what the
+1-D bounds settle and takes independent single boxes as a product. Every
+other pair is a problem (mean, covariance, cells), its cells built by
+``_product_cells``: the one cell rule of closed-form, QMC and Monte Carlo
+pairs and of views, whose refusal (a multi-box item, or too many cells)
+sends a pair or view to Monte Carlo. Two correlated coordinates, and three
+that are not near-singular, are in closed form (Genz's bivariate normal, and
+Plackett's integral of it); the rest go to randomized quasi-Monte Carlo
+(Genz's separation of variables on a shifted lattice). Restricted moments
+take Tallis's formulas through the same closed form for at most three
+coordinates (``_truncated_moments``), else weighted points of the same
+lattice pass, which also serve the samples of a constrained density.
 
 It needs numpy only: the normal CDF is ``_ndtr``, a vectorized port of
 Cody's rational ``erfc`` (the formula of Cephes' ``ndtr``), and its inverse
@@ -60,9 +64,10 @@ _SYM_TOL = 1e-10
 _PIN_TOL = 1e-12
 _SQRT1_2 = math.sqrt(0.5)
 # A QMC pair evaluates about mc_budget // _QMC_COST lattice points, spread
-# over _QMC_SHIFTS random shifts whose spread gives its standard error; a pair
-# or view with more than _MAX_QMC_CELLS product cells (``_product_cells``) is
-# settled by Monte Carlo instead.
+# over _QMC_SHIFTS random shifts whose spread gives its standard error.
+# ``_product_cells``, the one cell rule of closed-form, QMC and Monte Carlo
+# pairs and of views, refuses more than _MAX_QMC_CELLS cells: a pair or view
+# it refuses is settled by Monte Carlo.
 _QMC_COST = 16
 _QMC_SHIFTS = 10
 _MAX_QMC_CELLS = 64
@@ -1087,97 +1092,6 @@ def _lattice_points(
     return drawn
 
 
-def _few_coordinates(
-    conds: Sequence[GaussianSequence],
-    regions: Sequence[StateRegion],
-    pp: np.ndarray,
-    ii: np.ndarray,
-    base: np.ndarray,
-    offset: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    inside: np.ndarray,
-) -> Tuple[Dict[int, float], List[int]]:
-    """Step 3 of ``_pattern_batch`` for its single-box pairs whose free items
-    bound two or three coordinates in all: their free (pair, item)s, pair
-    after pair, with pair ``pp``, item ``ii``, flat column ``base`` of the
-    step in the concatenated conditionals (mean ``mean``, variances ``var``;
-    pair p's start at ``offset[p]``) and wanted bit ``inside``.
-
-    Returns P(pattern == want) of each pair whose coordinates are
-    correlated, by pair index, and the three-coordinate pairs that
-    ``_well_conditioned`` refuses, left to QMC. The bounds are gathered from
-    per-item arrays and each covariance entry is one lookup; the cells are
-    those of ``_product_cells`` (one, or for an item of d >= 2 bounded dims
-    wanted outside, d: outside on its first dim; inside on it and outside on
-    the second; ...), padded with empty cells to one a coordinate. Pairs
-    byte-identical (means, covariance and cells) to an earlier one share its
-    value, and one ``_cell_probabilities`` call takes the rest; uncorrelated
-    pairs are left out."""
-    dims = [r.bounded_dims for r in regions]
-    n_dims = np.array([d.size for d in dims])[ii]
-    of = np.repeat(np.arange(pp.size), n_dims)  # the (pair, item) of each coordinate
-    # Each coordinate's place among its item's bounded dims, and in all the
-    # items' bounded dims concatenated.
-    place = np.arange(of.size) - np.repeat(np.cumsum(n_dims) - n_dims, n_dims)
-    at = np.cumsum([0] + [d.size for d in dims])[ii[of]] + place
-    col = base[of] + np.concatenate(dims)[at]
-    boxes = [r.bounded_region for r in regions]
-    low = np.concatenate([b.lows[0] for b in boxes])[at]
-    high = np.concatenate([b.highs[0] for b in boxes])[at]
-    k_of = np.bincount(pp[of])[pp[of]]  # the coordinate count of each coordinate's pair
-    stacks, owners, leaders, near = [], [], [], []
-    for k in (2, 3):
-        sel = np.flatnonzero(k_of == k)
-        if not sel.size:
-            continue
-        cols, items = col[sel].reshape(-1, k), of[sel].reshape(-1, k)
-        owner = pp[items[:, 0]]
-        upper = np.triu_indices(k, 1)
-        local = (cols - offset[owner, None]).tolist()
-        off = np.array([[conds[p].cov[c[i], c[j]] for i, j in zip(*upper)] for p, c in zip(owner.tolist(), local)])
-        cov = np.empty((owner.size, k, k))
-        cov[:, np.arange(k), np.arange(k)] = var[cols]
-        cov[:, upper[0], upper[1]] = cov[:, upper[1], upper[0]] = off
-        keep = np.any(off != 0.0, axis=1)
-        if k == 3:
-            ok = _well_conditioned(cov)
-            near += owner[keep & ~ok].tolist()
-            keep &= ok
-        keep = np.flatnonzero(keep)
-        cols, items, owner, cov = cols[keep], items[keep], owner[keep], cov[keep]
-        lo, hi = low[sel].reshape(-1, k)[keep], high[sel].reshape(-1, k)[keep]
-        want_in = inside[items]
-        spot, size = place[sel].reshape(-1, k)[keep], n_dims[items]
-        # Cells (pairs, k, k): cell j of a split item (d >= 2 dims wanted
-        # outside) is inside on its dims before j, outside on dim j and free
-        # after it; cells past the item's d, or past the first elsewhere,
-        # are empty (lo = hi = inf).
-        split = (size > 1) & ~want_in
-        n_cells = np.where(split.any(axis=1), np.max(np.where(split, size, 1), axis=1), 1)
-        cell = np.arange(k)[None, :, None]
-        real = cell < n_cells[:, None, None]
-        free = split[:, None, :] & (spot[:, None, :] > cell)
-        lo_c = np.where(real, np.where(free, -np.inf, lo[:, None, :]), np.inf)
-        hi_c = np.where(real, np.where(free, np.inf, hi[:, None, :]), np.inf)
-        out_c = real & np.where(split[:, None, :], spot[:, None, :] == cell, ~want_in[:, None, :])
-        m = mean[cols]
-        first: Dict[bytes, int] = {}
-        keys = [b"".join(x[i].tobytes() for x in (m, cov, lo_c, hi_c, out_c)) for i in range(owner.size)]
-        lead = [first.setdefault(key, i) for i, key in enumerate(keys)]
-        unique = sorted(set(lead))
-        stacks.append(tuple(x[unique] for x in (m, cov, lo_c, hi_c, out_c)))
-        owners.append(owner)
-        leaders.append(np.searchsorted(unique, lead))
-    if not stacks:
-        return {}, near
-    value = {}
-    for owner, lead, cells in zip(owners, leaders, _cell_probabilities(stacks)):
-        total = np.minimum(np.maximum(_node_sum(cells.T), 0.0), 1.0)
-        value.update(zip(owner.tolist(), total[lead].tolist()))
-    return value, near
-
-
 def _pattern_batch(
     conds: Sequence[GaussianSequence],
     pairs: Sequence[Pair],
@@ -1209,29 +1123,28 @@ def _pattern_batch(
        and P(inside) >= max over boxes of 1 - sum over dims of P(outside),
        each an axis reduction of the pass. A pinned item's bit is fixed; a
        pinned item against ``want`` gives 0 at once.
-    3. A pair's unpinned items are evaluated in closed form when each is a
-       single box and their bounded coordinates are uncorrelated, or, with
-       ``want``, when they bound two correlated coordinates in all, or three
-       whose correlation determinant is at least ``_DET_FLOOR``: the latter
-       from per-item bound arrays, with no per-pair covariance slice or
-       ``_product_cells`` call, and one ``_cell_probabilities`` call over
-       all such pairs of the batch (``_few_coordinates``): one
-       ``_bvn_upper`` and one ``_ndtr`` call, and every sum by
-       ``_node_sum``, so a pair's bits do not depend on its batch. A
-       near-singular three-coordinate pair is logged (``_log_fallbacks``)
-       and goes to QMC. With ``want``, single boxes on four or more
-       correlated coordinates go to QMC (one
-       ``_lattice_pass`` over all such pairs of the batch, about
-       mc_budget // 16 lattice points each; the standard error is the spread
-       of the per-shift estimates) when ``_product_cells`` splits their
-       wanted side into cells; a pair byte-identical (bounded means,
-       covariance and cells) to an earlier QMC pair of the batch takes that
-       pair's estimate. Every other pair, multi-box items and all cells
-       included, draws ``mc_budget`` samples of those coordinates alone on
-       stream child_rng(seed(p)); the sub-pattern codes are scattered back
-       into the full cells. ``seed(p)`` is asked for only for pairs that
-       sample, once each; each fallback from QMC to Monte Carlo is counted
-       by reason and logged (``_log_fallbacks``).
+    3. A pair's unpinned items are a product of their masses when each is a
+       single box and their bounded coordinates are uncorrelated. Every
+       other pair with unpinned items gets its problem in one loop: the
+       means and covariance of those coordinates and, with ``want``, the
+       cells of its wanted side by ``_product_cells``, built once per (free
+       items, wanted bits). A problem byte-identical to an earlier pair's is
+       that pair's, its leader's. Two coordinates, or three that
+       ``_well_conditioned`` accepts (one call for the batch), are in closed
+       form: one ``_cell_probabilities`` call, a stack per (cells,
+       coordinates), with one ``_bvn_upper`` and one ``_ndtr`` call and
+       every sum by ``_node_sum``, so a pair's bits do not depend on its
+       batch. Four or more coordinates, and three near-singular ones (logged
+       by ``_log_fallbacks``), go to QMC: one ``_lattice_pass`` over the
+       batch's problems, about mc_budget // 16 lattice points each, the
+       standard error being the spread of the per-shift estimates; a QMC
+       pair reports its leader's estimate. The rest (a multi-box item, over
+       64 cells, or cells without ``want``) draw ``mc_budget`` samples of
+       those coordinates alone on stream child_rng(seed(p)); the sub-pattern
+       codes are scattered back into the full cells. ``seed(p)`` is asked
+       for only for QMC leaders and pairs that sample, once each; each
+       fallback to Monte Carlo is counted by reason and logged
+       (``_log_fallbacks``).
     """
     _check_draws("mc_budget", mc_budget)
     n = len(conds)
@@ -1285,39 +1198,48 @@ def _pattern_batch(
         return np.concatenate([_bounded_cols(pairs[p], conds[p].dim, *items[i]) for i in ii[ks].tolist()])
 
     paths = [PINNED if nf == 0 else MC if mu else CLOSED_FORM for nf, mu in zip(n_free.tolist(), multi.tolist())]
-    # Single-box pairs with one free coordinate, and with ``want`` those with
-    # two or three (``_few_coordinates``), are in closed form without a QMC
-    # problem, but for near-singular three-coordinate ones.
-    few = (n_coords >= 2) & (n_coords <= 3) & ~multi & (want is not None)
-    closed: Dict[int, float] = {}
-    if few.any():
-        ks = np.flatnonzero(free & few[pp])
-        closed, near = _few_coordinates(conds, regions, pp[ks], ii[ks], base[ks], offset, mean, var, w[ks])
-        few[near] = False
-        reasons = {"near-singular correlation": len(near)} if near else {}
-        _log_fallbacks(reasons, n, "pairs settled by QMC instead of in closed form")
+    # The problem (m, S, cells) of each pair whose free items are single boxes
+    # on two or more correlated coordinates, kept by its leader: the first
+    # pair of the batch with that problem byte for byte. Uncorrelated ones
+    # stay a product of their items' masses.
     fallbacks: Dict[str, int] = {}
-    problems, leader, keys = [], list(range(n)), {}
-    for p in np.flatnonzero((n_free > 0) & (multi | (n_coords > 1)) & ~few).tolist():
+    cells_of: Dict[tuple, Union[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    problems: Dict[int, Tuple[np.ndarray, ...]] = {}
+    leader, keys = list(range(n)), {}
+    for p in np.flatnonzero((n_free > 0) & (multi | (n_coords > 1))).tolist():
         ks = free_of(p)
         cols = free_cols(p, ks)
         cov = conds[p].cov[np.ix_(cols, cols)]
         if not multi[p] and not np.any(cov - np.diag(np.diag(cov))):
             continue
-        # A probability has one side, its wanted pattern; cells have no QMC path.
-        cells = _product_cells([regions[i] for i in ii[ks].tolist()], [] if want is None else [w[ks].tolist()])
+        # A probability has one side, its wanted pattern; cells have no
+        # closed-form or QMC path. The cells of each (free items, sides) are
+        # built once.
+        sides = () if want is None else (tuple(w[ks].tolist()),)
+        cell_key = (tuple(ii[ks].tolist()), sides)
+        if cell_key not in cells_of:
+            cells_of[cell_key] = _product_cells([regions[i] for i in cell_key[0]], sides)
+        cells = cells_of[cell_key]
         if want is None or isinstance(cells, str):
             reason = cells if isinstance(cells, str) else "partition cells"
             paths[p] = MC
             fallbacks[reason] = fallbacks.get(reason, 0) + 1
             continue
-        paths[p] = QMC
-        lo, hi, out = cells
         m = conds[p].mean[cols]
-        key = (lo.shape, m.tobytes(), cov.tobytes(), lo.tobytes(), hi.tobytes(), out.tobytes())
+        key = (cells[0].shape, m.tobytes(), cov.tobytes()) + tuple(c.tobytes() for c in cells)
         leader[p] = keys.setdefault(key, p)
         if leader[p] == p:
-            problems.append((m, cov, lo, hi, out, seed(p)))
+            problems[p] = (m, cov) + cells
+    # Two coordinates, or three that ``_well_conditioned`` accepts, are in
+    # closed form; four or more, and three near-singular ones, go to QMC.
+    three = [p for p, problem in problems.items() if problem[0].size == 3]
+    ok = _well_conditioned(np.array([problems[p][1] for p in three])).tolist() if three else []
+    near = {p for p, good in zip(three, ok) if not good}
+    qmc = {p for p, problem in problems.items() if problem[0].size > 3} | near
+    paths = [QMC if leader[p] in qmc else path for p, path in enumerate(paths)]
+    n_near = sum(lead in near for lead in leader)
+    reasons = {"near-singular correlation": n_near} if n_near else {}
+    _log_fallbacks(reasons, n, "pairs settled by QMC instead of in closed form")
     _log_fallbacks(fallbacks, n, "pairs settled by Monte Carlo instead of QMC")
 
     def draw_masks(p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1332,14 +1254,22 @@ def _pattern_batch(
         value = np.ones(n)
         np.multiply.at(value, pp[free], np.where(w, q, 1.0 - q)[free])
         value[dead] = 0.0
-        value[list(closed)] = list(closed.values())
+        # One ``_cell_probabilities`` stack per (cells, coordinates).
+        stacks: Dict[Tuple[int, int], List[int]] = {}
+        for p, problem in problems.items():
+            if p not in qmc:
+                stacks.setdefault(problem[2].shape, []).append(p)
+        if stacks:
+            stacked = [tuple(np.array(x) for x in zip(*(problems[p] for p in ps))) for ps in stacks.values()]
+            for ps, cells in zip(stacks.values(), _cell_probabilities(stacked)):
+                value[ps] = np.minimum(np.maximum(_node_sum(cells.T), 0.0), 1.0)
         settled = {}
-        if problems:
-            est, _ = _lattice_pass(problems, _qmc_points(mc_budget), False)
+        lattice = [p for p in problems if p in qmc]
+        if lattice:
+            est, _ = _lattice_pass([problems[p] + (seed(p),) for p in lattice], _qmc_points(mc_budget), False)
             prob = np.minimum(est.mean(axis=1), 1.0)
             se = est.std(axis=1, ddof=1) / math.sqrt(_QMC_SHIFTS)
-            leaders = [p for p in range(n) if paths[p] == QMC and leader[p] == p]
-            settled = dict(zip(leaders, zip(prob.tolist(), se.tolist())))
+            settled = dict(zip(lattice, zip(prob.tolist(), se.tolist())))
         for p, path in enumerate(paths):
             if path == MC:
                 ks, masks = draw_masks(p)
@@ -1351,7 +1281,7 @@ def _pattern_batch(
             elif path == QMC:
                 out.append(Settled(*settled[leader[p]], QMC, leader[p]))
             else:
-                out.append(Settled(float(value[p]), 0.0, path, p))
+                out.append(Settled(float(value[leader[p]]), 0.0, path, p))
         return out
 
     for p, path in enumerate(paths):
@@ -1405,16 +1335,18 @@ def region_probability(
     Returns (probability, standard error). Evaluated by ``_pattern_batch``
     as a batch of one pair: each region is marginalized onto its bounded
     coordinates; entries that their 1-D bounds settle within 1e-12 are
-    pinned (one pinned against its side gives exactly 0, with no draws);
-    the rest are evaluated in closed form (standard error 0) when they are
-    single boxes on uncorrelated coordinates or on two or three correlated
-    ones (Genz's bivariate normal; for three, Plackett's integral of it
-    where the correlation determinant is at least 0.01), by randomized QMC
-    when they are single boxes on four or more correlated ones, or three
-    near-singular ones (about mc_budget // 16 lattice points;
-    the standard error is the spread across random shifts), else
-    by plain Monte Carlo on their bounded coordinates. A Monte Carlo
-    estimate of exactly 0 or 1 reports a standard error of about
+    pinned (one pinned against its side gives exactly 0, with no draws).
+    The rest are a product in closed form when they are single boxes on
+    uncorrelated coordinates. Otherwise ``_product_cells``, the cell rule
+    of every path, cuts their wanted sides into product cells: two or three
+    correlated coordinates are in closed form (Genz's bivariate normal; for
+    three, Plackett's integral of it where the correlation determinant is
+    at least 0.01), four or more, or three near-singular ones, by
+    randomized QMC (about mc_budget // 16 lattice points; the standard
+    error is the spread across random shifts). Entries it refuses (a
+    multi-box entry, or over 64 cells) are drawn by plain Monte Carlo on
+    their bounded coordinates. Closed form has standard error 0. A Monte
+    Carlo estimate of exactly 0 or 1 reports a standard error of about
     1/mc_budget, not 0 (mc_budget >= 2).
     """
     if not entries:

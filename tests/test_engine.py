@@ -1323,3 +1323,27 @@ class TestPmbm:
                     assert tc.r == solo.r > 0.0 and tc.report == solo.report
         assert out.ppp.mu == constrain_ppp(m.ppp, cs, 20_000, rng_seed=seeds[id(m.ppp.density)]).mu
         assert constrain_ppp(PppTrajectory(3.0, late.density), cs).mu == 0.0
+
+    def test_only_pair_meeting_a_constraint_time_has_no_mass(self):
+        """Support under the constraints needs a pair that meets a
+        constraint time with positive mass: without one, constrain_density
+        raises, and a Bernoulli, a PPP or a PMBM slot constrains to 0."""
+        massless = std_density([(0, 1), (3, 4)], [1.0, 0.0])
+        cs = ConstraintSet([Constraint(4, HALF_LINE)], "conjunct")
+        assert [bool(active_indices(cs, *pair)) for pair in massless.pmf.pairs] == [False, True]
+        zero = engine.ConstraintReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ZeroSupportError):
+            constrain_density(massless, cs, 2_000)
+        bern = constrain_bernoulli(BernoulliTrajectory(0.8, massless), cs, 2_000)
+        ppp = constrain_ppp(PppTrajectory(3.0, massless), cs, 2_000)
+        assert bern.r == 0.0 and ppp.mu == 0.0 and bern.report == ppp.report == zero
+        assert bern.density.degenerate and ppp.density.pmf is None
+        track = BernoulliTrajectory(0.7, std_density([(2, 4)], [1.0]))
+        m = PmbmDensity(
+            PppTrajectory(2.0, std_density([(4, 5)], [1.0])),
+            (GlobalHypothesis(1.0, (track, BernoulliTrajectory(0.8, massless))),),
+        )
+        out = constrain_pmbm(m, cs, 2_000, rng_seed=2)
+        slot = out.hypotheses[0].tracks[1]
+        assert slot.r == 0.0 and slot.report == zero and slot.density.pmf is None
+        assert out.hypotheses[0].tracks[0].r > 0.0 and out.ppp.mu > 0.0

@@ -579,6 +579,48 @@ class TestPatternBatch:
         assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.QMC, gaussian.MC, "shared region"} <= seen
         assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d", "1 boxes, 0-d"} <= seen
 
+    def test_cells_are_keyed_by_items_and_wanted_bits(self):
+        """One conditional several times in one batch, on two and three
+        correlated coordinates: the same free items under different wanted
+        rows, a box bounding both dims wanted outside (two cells) and a
+        byte-identical duplicate. Each pair has the bits of its batch of one,
+        and the duplicates have one value."""
+        rng = np.random.default_rng(26)
+        b = rng.standard_normal((6, 6))
+        gs = GaussianSequence(rng.standard_normal(6) * 0.3, b @ b.T / 6 + 0.5 * np.eye(6), 2)
+        sd = np.sqrt(gs.cov.diagonal())
+        m = gs.mean
+        box = StateRegion.box([(m[0] - sd[0], m[0] + 0.5 * sd[0]), (m[1] - 0.5 * sd[1], m[1] + sd[1])])
+        gates = [StateRegion.box([(m[c] - 0.8 * sd[c], m[c] + sd[c]), None]) for c in (2, 4)]
+        items = [(0, box), (1, gates[0]), (2, gates[1])]
+        # (active, want): the box and a gate (3 coordinates) with the box out,
+        # then in; the two gates (2 coordinates) under two wanted rows; and
+        # the first row again
+        rows = [
+            ([1, 1, 0], [0, 1, 0]),
+            ([1, 1, 0], [1, 1, 0]),
+            ([0, 1, 1], [0, 1, 0]),
+            ([0, 1, 1], [0, 0, 1]),
+            ([1, 1, 0], [0, 1, 0]),
+        ]
+        active, want = (np.array([r[k] for r in rows], dtype=bool) for k in (0, 1))
+        assert [gaussian._product_cells([box], [[side]])[0].shape[0] for side in (True, False)] == [1, 2]
+        asked = []
+
+        def stream(p):
+            asked.append(p)
+            return p
+
+        out = gaussian._pattern_batch([gs] * len(rows), [(0, 2)] * len(rows), items, active, want, 2_000, stream)
+        for p, settled in enumerate(out):
+            (alone,) = gaussian._pattern_batch([gs], [(0, 2)], items, active[p : p + 1], want[p : p + 1], 2_000, stream)
+            assert settled.path == alone.path == gaussian.CLOSED_FORM and settled.se == 0.0, (p, settled)
+            assert settled.value == alone.value and 0.0 < settled.value < 1.0, (p, settled, alone)
+        assert asked == []
+        values = [s.value for s in out]
+        assert values[4] == values[0]
+        assert len(set(values[:4])) == 4
+
 
 def _box_probability(mean, cov, cols, lo, hi, abseps=1e-10):
     """P(lo <= y[cols] <= hi) for y ~ N(mean, cov), by scipy (Genz's MVNDST)."""
