@@ -207,6 +207,20 @@ class GaussianSequence:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _valid(cls, mean: np.ndarray, cov: np.ndarray, dim: int) -> "GaussianSequence":
+        """A sequence whose float64 mean (n,) and covariance (n, n) are valid
+        by construction (n a multiple of ``dim``, every entry finite, ``cov``
+        exactly symmetric), built without checking them again. Freezes both
+        arrays."""
+        gs = object.__new__(cls)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(gs, "mean", mean)
+        object.__setattr__(gs, "cov", cov)
+        object.__setattr__(gs, "dim", dim)
+        return gs
+
     @property
     def length(self) -> int:
         return self.mean.size // self.dim

@@ -6,9 +6,10 @@ Measurements are linear detections plus uniform Poisson clutter.
 ``fit_bernoulli_track`` turns one associated measurement sequence into a
 Bernoulli trajectory density over every plausible (birth, death) hypothesis:
 one Kalman filter and RTS smoother pass carries all births of the track in
-lockstep (``_smooth_births``), each death's Gaussian is the leading block of
-its birth's smoothed joint, and hypotheses are weighted by measurement
-evidence and birth/survival priors.
+lockstep (``_smooth_births``), by associative scans after the last birth,
+each death's Gaussian is the leading block of its birth's smoothed joint,
+and hypotheses are weighted by measurement evidence and birth/survival
+priors.
 """
 
 from __future__ import annotations
@@ -185,6 +186,84 @@ def simulate_measurements(
     return out
 
 
+def _filter_elements(
+    F: np.ndarray, Q: np.ndarray, H: np.ndarray, R: np.ndarray, seen: np.ndarray, Z: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Filter elements (A, b, C, eta, J) of consecutive steps, ``seen[k]``
+    whether step k has a measurement and the rows of ``Z`` those measurements
+    in order.
+    Step k's element gives p(x_k | x_{k-1}, z_k) = N(A x_{k-1} + b, C) and
+    p(z_k | x_{k-1}) as exp(eta' x_{k-1} - x_{k-1}' J x_{k-1} / 2) up to a
+    constant; an unmeasured step's is (F, 0, Q, 0, 0)."""
+    d = F.shape[0]
+    S = H @ Q @ H.T + R
+    S = 0.5 * (S + S.T)
+    HF = H @ F
+    try:
+        X = np.linalg.solve(S, np.hstack([H @ Q, HF]))
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "H Q H' + R is singular: a step measured without noise along a direction without process noise"
+        ) from None
+    K, SHF = X[:, :d].T, X[:, d:]
+    C_seen, J_seen = Q - K @ S @ K.T, HF.T @ SHF
+    on = seen[:, None, None]
+    A = np.where(on, F - K @ HF, F)
+    C = np.where(on, 0.5 * (C_seen + C_seen.T), Q)
+    J = np.where(on, 0.5 * (J_seen + J_seen.T), 0.0)
+    b = np.zeros((seen.size, d))
+    eta = np.zeros((seen.size, d))
+    b[seen] = Z @ K.T
+    eta[seen] = Z @ SHF
+    return A, b, C, eta, J
+
+
+def _filter_scan(A, b, C, eta, J) -> Tuple[np.ndarray, ...]:
+    """Every prefix a_0 * ... * a_k of filter elements (steps on the leading
+    axis) by a Hillis-Steele scan of Särkkä's combination rule."""
+    n, d = b.shape
+    off = 1
+    while off < n:
+        Ai, bi, Ci, ei, Ji = A[:-off], b[:-off], C[:-off], eta[:-off], J[:-off]
+        Aj, bj, Cj, ej, Jj = A[off:], b[off:], C[off:], eta[off:], J[off:]
+        # W = (I + C_i J_j)^-1 [A_i, b_i + C_i eta_j, C_i]; (I + J_j C_i)^-1 = W'
+        rhs = np.concatenate([Ai, (bi + (Ci @ ej[..., None])[..., 0])[..., None], Ci], axis=-1)
+        W = np.linalg.solve(np.eye(d) + Ci @ Jj, rhs)
+        WA, Wb, WC = W[..., :d], W[..., d], W[..., d + 1 :]
+        Ct = Aj @ WC @ Aj.swapaxes(-1, -2) + Cj
+        Jt = WA.swapaxes(-1, -2) @ Jj @ Ai + Ji
+        et = (WA.swapaxes(-1, -2) @ (ej - (Jj @ bi[..., None])[..., 0])[..., None])[..., 0] + ei
+        A = np.concatenate([A[:off], Aj @ WA])
+        b = np.concatenate([b[:off], (Aj @ Wb[..., None])[..., 0] + bj])
+        C = np.concatenate([C[:off], 0.5 * (Ct + Ct.swapaxes(-1, -2))])
+        eta = np.concatenate([eta[:off], et])
+        J = np.concatenate([J[:off], 0.5 * (Jt + Jt.swapaxes(-1, -2))])
+        off *= 2
+    return A, b, C, eta, J
+
+
+def _smoother_scan(gains, means_f, covs_f, means_p, covs_p) -> Tuple[np.ndarray, np.ndarray]:
+    """Smoothed means and covariances (batch, steps, ...) from the filtered
+    and predicted ones and the RTS gains (batch, steps - 1, d, d), by a
+    reverse Hillis-Steele scan of the affine elements (E, g, L) of
+    x_s = E x_{s+1} + g + N(0, L)."""
+    nu = means_f.shape[1]
+    E = np.zeros_like(covs_f)
+    E[:, :-1] = gains
+    g = means_f.copy()
+    g[:, :-1] -= (gains @ means_p[:, 1:, :, None])[..., 0]
+    L = covs_f.copy()
+    L[:, :-1] -= gains @ covs_p[:, 1:] @ gains.swapaxes(-1, -2)
+    off = 1
+    while off < nu:
+        Ei = E[:, :-off]
+        g[:, :-off] = (Ei @ g[:, off:, :, None])[..., 0] + g[:, :-off]
+        L[:, :-off] = Ei @ L[:, off:] @ Ei.swapaxes(-1, -2) + L[:, :-off]
+        E[:, :-off] = Ei @ E[:, off:]
+        off *= 2
+    return g, 0.5 * (L + L.swapaxes(-1, -2))
+
+
 def _smooth_births(
     births: Sequence[int],
     eps: int,
@@ -199,27 +278,33 @@ def _smooth_births(
     (len(births), N * d, N * d) with cross-time blocks from the smoother gains,
     and log marginal measurement likelihoods (len(births),), where
     N = eps - births[0] + 1. Birth i's joint is the trailing block from
-    coordinate (births[i] - births[0]) * d; the leading coordinates of its
-    row are unused. At global step s the live births, those born at or
-    before s, are a prefix of the batch, so every operation runs on a
-    prefix; each is a stacked copy of the one-birth operation, which keeps
-    every number bit-identical to smoothing the births one at a time.
+    coordinate (births[i] - births[0]) * d; its leading coordinates hold
+    zeros.
+
+    Up to the last birth the filter steps one at a time, on the prefix of
+    the batch born by then. After it every birth is alive and the steps'
+    elements no longer depend on the birth, so the filter runs as one
+    associative scan (Särkkä & García-Fernández, IEEE TAC 66, 2021) of
+    those elements, each prefix combined with every birth's filtered
+    moments at the last birth. The RTS gains come from one batched solve
+    and the smoothed moments from a reverse scan. Slots before a birth hold
+    zeros (a gain of 0), so every scan runs on the whole batch. The scans
+    need no inverse of the process noise.
     """
     F, Q, H, R = mm.transition, mm.process_noise, sm.measurement, sm.noise
     d = mm.dim
-    nb, b0 = len(births), births[0]
+    nb, b0, last = len(births), births[0], births[-1]
     nu = eps - b0 + 1
-    # live[s]: births alive at step b0 + s
-    live = np.searchsorted(births, np.arange(b0, eps + 1), side="right").tolist()
-    means_f = np.empty((nb, nu, d))
-    covs_f = np.empty((nb, nu, d, d))
-    means_p = np.empty((nb, nu, d))
-    covs_p = np.empty((nb, nu, d, d))
+    means_f = np.zeros((nb, nu, d))
+    covs_f = np.zeros((nb, nu, d, d))
+    means_p = np.zeros((nb, nu, d))
+    covs_p = np.zeros((nb, nu, d, d))
     log_lik = np.zeros(nb)
-    m = np.empty((nb, d))
-    P = np.empty((nb, d, d))
+    m = np.zeros((nb, d))
+    P = np.zeros((nb, d, d))
     was = 0
-    for s, a in enumerate(live):
+    # live[s]: births alive at step b0 + s, up to the last birth
+    for s, a in enumerate(np.searchsorted(births, np.arange(b0, last + 1), side="right").tolist()):
         m[:was] = (F @ m[:was, :, None])[..., 0]
         P[:was] = F @ P[:was] @ F.T + Q
         m[was:a], P[was:a] = mm.birth_mean, mm.birth_cov
@@ -238,29 +323,48 @@ def _smooth_births(
             P[:a] = 0.5 * (P[:a] + P[:a].swapaxes(1, 2))
         means_f[:a, s], covs_f[:a, s] = m[:a], P[:a]
         was = a
-    # RTS backward pass over the births alive at each step
-    means_s = means_f.copy()
-    covs_s = covs_f.copy()
-    gains = np.empty((nb, nu - 1, d, d))
-    for s in range(nu - 2, -1, -1):
-        a = live[s]
-        G = np.linalg.solve(covs_p[:a, s + 1], F @ covs_f[:a, s]).swapaxes(1, 2)
-        gains[:a, s] = G
-        means_s[:a, s] = means_f[:a, s] + (G @ (means_s[:a, s + 1] - means_p[:a, s + 1])[..., None])[..., 0]
-        covs_s[:a, s] = covs_f[:a, s] + G @ (covs_s[:a, s + 1] - covs_p[:a, s + 1]) @ G.swapaxes(1, 2)
-        covs_s[:a, s] = 0.5 * (covs_s[:a, s] + covs_s[:a, s].swapaxes(1, 2))
+    after = last - b0 + 1  # first slot after the last birth
+    if after < nu:
+        steps = range(last + 1, eps + 1)
+        seen = np.array([k in meas for k in steps])
+        Z = np.array([meas[k] for k in steps if k in meas]).reshape(-1, H.shape[0])
+        A, b, C, eta, J = _filter_scan(*_filter_elements(F, Q, H, R, seen, Z))
+        # each birth's filtered (m, P) at the last birth, then every prefix:
+        # W = (I + P J)^-1 [m + P eta, P]
+        M = np.eye(d) + P[:, None] @ J
+        m_eta = (m[:, None] + (P[:, None] @ eta[..., None])[..., 0])[..., None]
+        W = np.linalg.solve(M, np.concatenate([m_eta, np.broadcast_to(P[:, None], M.shape)], axis=-1))
+        means_f[:, after:] = (A @ W[..., :1])[..., 0] + b
+        Pf = A @ W[..., 1:] @ A.swapaxes(-1, -2) + C
+        covs_f[:, after:] = 0.5 * (Pf + Pf.swapaxes(-1, -2))
+        means_p[:, after:] = means_f[:, after - 1 : -1] @ F.T
+        covs_p[:, after:] = F @ covs_f[:, after - 1 : -1] @ F.T + Q
+        obs = after + np.flatnonzero(seen)
+        if obs.size:
+            S = H @ covs_p[:, obs] @ H.T + R
+            S = 0.5 * (S + S.swapaxes(-1, -2))
+            innov = Z - means_p[:, obs] @ H.T
+            _, logdet = np.linalg.slogdet(S)
+            sol = np.linalg.solve(S, innov[..., None])[..., 0]
+            quad = np.einsum("...i,...i->...", innov, sol)
+            log_lik += -0.5 * (Z.size * math.log(2 * math.pi) + (logdet + quad).sum(axis=1))
+    # RTS gains G_s = P_s F' (P_{s+1|s})^-1, with identity denominators (so a
+    # gain of 0) at the slots before each birth
+    born = np.arange(nu - 1) >= (np.asarray(births) - b0)[:, None]
+    den = np.where(born[..., None, None], covs_p[:, 1:], np.eye(d))
+    gains = np.linalg.solve(den, F @ covs_f[:, :-1]).swapaxes(-1, -2)
+    means_s, covs_s = _smoother_scan(gains, means_f, covs_f, means_p, covs_p)
     # Joint covariance: Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t) for s < t, built
     # one block row at a time from the row below and mirrored into the column.
     joint_mean = means_s.reshape(nb, -1)
     joint_cov = np.zeros((nb, nu * d, nu * d))
     joint_cov[:, -d:, -d:] = covs_s[:, -1]
     for s in range(nu - 2, -1, -1):
-        a = live[s]
         here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
-        cross = gains[:a, s] @ joint_cov[:a, (s + 1) * d : (s + 2) * d, later]
-        joint_cov[:a, here, here] = covs_s[:a, s]
-        joint_cov[:a, here, later] = cross
-        joint_cov[:a, later, here] = cross.swapaxes(1, 2)
+        cross = gains[:, s] @ joint_cov[:, (s + 1) * d : (s + 2) * d, later]
+        joint_cov[:, here, here] = covs_s[:, s]
+        joint_cov[:, here, later] = cross
+        joint_cov[:, later, here] = cross.swapaxes(1, 2)
     return joint_mean, joint_cov, log_lik
 
 
@@ -278,8 +382,9 @@ def fit_bernoulli_track(
     measurement and deaths within ``slack`` steps after the last one (with
     survival 1, the window's end only), clamped to the window. One lockstep
     ``_smooth_births`` pass smooths every birth through the last death; the
-    (b, e) conditional is the leading block of b's joint, and all deaths of
-    b share b's log-likelihood. The log-weight of (b, e) adds to it the
+    (b, e) conditional is the leading block of b's joint, built without
+    re-validation once the whole output is checked finite, and all deaths
+    of b share b's log-likelihood. The log-weight of (b, e) adds to it the
     uniform birth prior -log(#births), survival (e - b) log(survival) and,
     unless e is the window's last step, death log(1 - survival); the pmf is
     the max-shifted, normalized weights. Existence r is the supplied prior,
@@ -309,6 +414,8 @@ def fit_bernoulli_track(
     # No measurement lies after times[-1] <= e, so the (b, e) smoothed joint is
     # the leading block of the (b, epss[-1]) joint, with the same likelihood.
     means, covs, log_liks = _smooth_births(betas, epss[-1], meas, mm, sm)
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ValueError("mean and cov must be finite")
     for b, mean, cov, log_lik in zip(betas, means, covs, log_liks.tolist()):
         lo = (b - betas[0]) * d
         for e in epss:
@@ -317,7 +424,7 @@ def fit_bernoulli_track(
             death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
             prior = -math.log(n_betas) + surv + death
             pairs.append((b, e))
-            conds.append(GaussianSequence(mean[lo:hi], cov[lo:hi, lo:hi], d))
+            conds.append(GaussianSequence._valid(mean[lo:hi], cov[lo:hi, lo:hi], d))
             log_w.append(log_lik + prior)
     log_w = np.asarray(log_w)
     probs = np.exp(log_w - log_w.max())

@@ -238,9 +238,11 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
 
 
 def smooth_hypothesis_per_birth(beta, eps, meas, mm, sm):
-    """Kalman filter + RTS smoother of one birth over beta..eps, as it ran
-    before the births of a track were smoothed in lockstep: the reference that
-    ``scenario._smooth_births`` must equal bit for bit. Returns the joint
+    """Kalman filter + RTS smoother of one birth over beta..eps, step by
+    step, as it ran before the births of a track were smoothed in lockstep by
+    associative scans: the reference that ``scenario._smooth_births`` must
+    match within 1e-12 normwise relative (the scans associate the same
+    products differently, so bit identity is lost). Returns the joint
     smoothed mean, covariance (cross-time blocks from the smoother gains) and
     log marginal measurement likelihood."""
     F, Q, H, R = mm.transition, mm.process_noise, sm.measurement, sm.noise

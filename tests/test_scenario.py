@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from conftest import smooth_hypothesis_per_birth
-from trajconstrain import GaussianSequence, TimeWindow, scenario
+from trajconstrain import TimeWindow, scenario
 from trajconstrain.scenario import (
     Measurement,
     MotionModel,
@@ -190,6 +190,29 @@ class TestSmoother:
         np.testing.assert_allclose(cov, cov_o, rtol=0, atol=1e-8)
         assert log_lik == pytest.approx(log_o, abs=1e-8)
 
+    def test_long_track_matches_batch_conditioning(self, rng):
+        # 48 steps, three births and scattered misses: the filter scan after
+        # the last birth runs six levels, the smoother scan six
+        mm, sm = cv_motion(), pos_sensor()
+        meas = self.make_meas(rng, [k for k in range(2, 46) if k % 7 != 3])
+        births, eps = (0, 1, 2), 47
+        means, covs, log_liks = _smooth_births(births, eps, meas, mm, sm)
+        for i, b in enumerate(births):
+            mean_o, cov_o, log_o = batch_posterior(b, eps, meas, mm, sm)
+            lo = (b - births[0]) * mm.dim
+            assert_normwise_close(means[i, lo:], mean_o, 1e-9)
+            assert_normwise_close(covs[i, lo:, lo:], cov_o, 1e-9)
+            assert log_liks[i] == pytest.approx(log_o, rel=1e-9)
+
+    def test_noise_free_sensor_on_a_noise_free_coordinate_is_rejected(self):
+        # a measured step's filter element needs H Q H' + R invertible; with
+        # no measurement noise and no process noise on the measured position
+        # it is singular, and the fit says so instead of failing in a solve
+        mm = MotionModel(np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 0.1]), 0.9, 0.0, np.zeros(2), np.eye(2))
+        sm = SensorModel(np.array([[1.0, 0.0]]), np.zeros((1, 1)), 0.9, 0.0, np.array([-50.0]), np.array([50.0]))
+        with pytest.raises(ValueError, match=r"H Q H' \+ R is singular"):
+            fit_bernoulli_track([(k, [1.0 * k]) for k in range(2, 8)], mm, sm, TimeWindow(0, 10), slack=1)
+
     def test_no_measurements_is_prior(self):
         mm = cv_motion()
         sm = pos_sensor()
@@ -267,20 +290,45 @@ LOCKSTEP_CASES = {
     "unmeasured": ((1, 2), 4, (), cv_motion(), pos_sensor()),
     "plane": ((1, 2, 3), 8, (3, 4, 7), plane_motion(), plane_sensor()),
     "no_process_noise": ((0, 1, 2), 6, (2, 3, 5), cv_motion(q=0.0), pos_sensor()),
+    # 97 or more steps, none a power of two, so every level of the scans runs:
+    # the cli-track shape (4 births, 78 measurements with a gap of 5 steps
+    # and scattered misses), births each measured at its own step, no process
+    # noise, and births clamped at the window start
+    "long_track": (
+        (2, 3, 4, 5), 98,
+        tuple(k for k in range(5, 95) if not 40 <= k < 45 and k % 13 != 7),
+        cv_motion(q=0.05, survival=0.99), pos_sensor(),
+    ),
+    "long_measured_at_every_birth": (
+        (10, 11, 12, 13), 112, tuple(range(10, 14)) + tuple(range(20, 110, 2)), cv_motion(), pos_sensor(),
+    ),
+    "long_no_process_noise": ((1, 2, 3), 99, tuple(range(3, 90, 3)), cv_motion(q=0.0), pos_sensor()),
+    "long_clamped": ((0, 1), 100, tuple(range(1, 101, 4)), plane_motion(), plane_sensor()),
 }
 
 
+def assert_normwise_close(x, ref, tol=1e-12):
+    """max |x - ref| <= tol * max |ref|: normwise relative agreement."""
+    x, ref = np.asarray(x), np.asarray(ref)
+    assert x.shape == ref.shape
+    assert np.abs(x - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0), np.abs(x - ref).max(initial=0.0)
+
+
 def assert_equals_per_birth(births, eps, meas, mm, sm):
-    """``_smooth_births`` equals ``smooth_hypothesis_per_birth`` bit for bit:
-    each birth's trailing block of the joint and its log-likelihood."""
-    means, covs, log_liks = _smooth_births(births, eps, meas, mm, sm)
+    """``_smooth_births``, run with every floating-point error raised, matches
+    ``smooth_hypothesis_per_birth`` within 1e-12 normwise relative: each
+    birth's trailing block of the joint mean and covariance, and its
+    log-likelihood. The leading coordinates, before the birth, hold zeros."""
+    with np.errstate(all="raise"):
+        means, covs, log_liks = _smooth_births(births, eps, meas, mm, sm)
     assert means.shape == (len(births), (eps - births[0] + 1) * mm.dim)
     for b, mean, cov, log_lik in zip(births, means, covs, log_liks):
         ref_mean, ref_cov, ref_log_lik = smooth_hypothesis_per_birth(b, eps, meas, mm, sm)
         lo = (b - births[0]) * mm.dim
-        np.testing.assert_array_equal(mean[lo:], ref_mean)
-        np.testing.assert_array_equal(cov[lo:, lo:], ref_cov)
-        np.testing.assert_array_equal(log_lik, ref_log_lik)
+        assert_normwise_close(mean[lo:], ref_mean)
+        assert_normwise_close(cov[lo:, lo:], ref_cov)
+        assert abs(log_lik - ref_log_lik) <= 1e-12 * abs(ref_log_lik)
+        assert not mean[:lo].any() and not cov[:lo].any() and not cov[:, :lo].any()
 
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
@@ -358,20 +406,37 @@ class TestFitBernoulliTrack:
         np.testing.assert_allclose(out.density.pmf.probs, ref / ref.sum(), rtol=0, atol=1e-12)
 
     def test_conditionals_equal_per_birth(self, fit_case):
-        # one lockstep pass gives every birth's joint and likelihood bit for
-        # bit, and each (b, e) conditional is the leading block of b's joint
+        # one lockstep pass gives every birth's joint and likelihood within
+        # 1e-12 of the per-birth smoother, and each (b, e) conditional is
+        # exactly the leading block of b's joint
         meas, mm, sm, window, slack = fit_case
-        out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
+        with np.errstate(all="raise"):
+            out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
         by_time = {k: np.asarray(z, dtype=float) for k, z in meas}
         births = sorted({b for b, _ in out.density.pmf.pairs})
         last = max(e for _, e in out.density.pmf.pairs)
         assert_equals_per_birth(births, last, by_time, mm, sm)
+        means, covs, _ = _smooth_births(births, last, by_time, mm, sm)
         for (b, e), gs in zip(out.density.pmf.pairs, out.density.conditionals):
-            mean, cov, _ = smooth_hypothesis_per_birth(b, last, by_time, mm, sm)
-            n = (e - b + 1) * mm.dim
-            ref = GaussianSequence(mean[:n], cov[:n, :n], mm.dim)
-            np.testing.assert_array_equal(gs.mean, ref.mean)
-            np.testing.assert_array_equal(gs.cov, ref.cov)
+            i, n = births.index(b), (e - b + 1) * mm.dim
+            lo = (b - births[0]) * mm.dim
+            np.testing.assert_array_equal(gs.mean, means[i, lo : lo + n])
+            np.testing.assert_array_equal(gs.cov, covs[i, lo : lo + n, lo : lo + n])
+
+    def test_conditionals_are_frozen_symmetric_leading_blocks(self, fit_case):
+        # built without re-validation, each conditional is still read-only,
+        # exactly symmetric and the leading block of its birth's joint, the
+        # conditional that lives to the last death
+        meas, mm, sm, window, slack = fit_case
+        out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
+        last = max(e for _, e in out.density.pmf.pairs)
+        for (b, e), gs in zip(out.density.pmf.pairs, out.density.conditionals):
+            assert not gs.mean.flags.writeable and not gs.cov.flags.writeable
+            assert np.array_equal(gs.cov, gs.cov.T)
+            assert gs.mean.shape == ((e - b + 1) * mm.dim,) and gs.dim == mm.dim
+            joint = out.density.conditional((b, last))
+            np.testing.assert_array_equal(gs.mean, joint.mean[: gs.mean.size])
+            np.testing.assert_array_equal(gs.cov, joint.cov[: gs.mean.size, : gs.mean.size])
 
     def test_pmf_finite_at_tiny_log_weights(self, fit_case, monkeypatch):
         # every log-weight around -1e4, where exp alone underflows to 0
