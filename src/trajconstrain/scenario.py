@@ -188,33 +188,34 @@ def simulate_measurements(
 
 def _filter_elements(
     F: np.ndarray, Q: np.ndarray, H: np.ndarray, R: np.ndarray, seen: np.ndarray, Z: np.ndarray
-) -> Tuple[np.ndarray, ...]:
+) -> Optional[Tuple[np.ndarray, ...]]:
     """Filter elements (A, b, C, eta, J) of consecutive steps, ``seen[k]``
     whether step k has a measurement and the rows of ``Z`` those measurements
-    in order.
+    in order; None if a measured step's H Q H' + R is singular.
     Step k's element gives p(x_k | x_{k-1}, z_k) = N(A x_{k-1} + b, C) and
     p(z_k | x_{k-1}) as exp(eta' x_{k-1} - x_{k-1}' J x_{k-1} / 2) up to a
     constant; an unmeasured step's is (F, 0, Q, 0, 0)."""
-    d = F.shape[0]
-    S = H @ Q @ H.T + R
-    S = 0.5 * (S + S.T)
-    HF = H @ F
-    try:
-        X = np.linalg.solve(S, np.hstack([H @ Q, HF]))
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "H Q H' + R is singular: a step measured without noise along a direction without process noise"
-        ) from None
-    K, SHF = X[:, :d].T, X[:, d:]
-    C_seen, J_seen = Q - K @ S @ K.T, HF.T @ SHF
-    on = seen[:, None, None]
-    A = np.where(on, F - K @ HF, F)
-    C = np.where(on, 0.5 * (C_seen + C_seen.T), Q)
-    J = np.where(on, 0.5 * (J_seen + J_seen.T), 0.0)
-    b = np.zeros((seen.size, d))
-    eta = np.zeros((seen.size, d))
-    b[seen] = Z @ K.T
-    eta[seen] = Z @ SHF
+    n, d = seen.size, F.shape[0]
+    A = np.broadcast_to(F, (n, d, d)).copy()
+    b = np.zeros((n, d))
+    C = np.broadcast_to(Q, (n, d, d)).copy()
+    eta = np.zeros((n, d))
+    J = np.zeros((n, d, d))
+    if seen.any():
+        S = H @ Q @ H.T + R
+        S = 0.5 * (S + S.T)
+        HF = H @ F
+        try:
+            X = np.linalg.solve(S, np.hstack([H @ Q, HF]))
+        except np.linalg.LinAlgError:
+            return None
+        K, SHF = X[:, :d].T, X[:, d:]
+        C_seen, J_seen = Q - K @ S @ K.T, HF.T @ SHF
+        A[seen] = F - K @ HF
+        b[seen] = Z @ K.T
+        C[seen] = 0.5 * (C_seen + C_seen.T)
+        eta[seen] = Z @ SHF
+        J[seen] = 0.5 * (J_seen + J_seen.T)
     return A, b, C, eta, J
 
 
@@ -286,25 +287,37 @@ def _smooth_births(
     elements no longer depend on the birth, so the filter runs as one
     associative scan (Särkkä & García-Fernández, IEEE TAC 66, 2021) of
     those elements, each prefix combined with every birth's filtered
-    moments at the last birth. The RTS gains come from one batched solve
-    and the smoothed moments from a reverse scan. Slots before a birth hold
-    zeros (a gain of 0), so every scan runs on the whole batch. The scans
-    need no inverse of the process noise.
+    moments at the last birth. A measured step's element needs H Q H' + R
+    invertible; where it is not (a noise-free sensor on a coordinate
+    without process noise), the step-by-step filter runs on to ``eps``
+    instead. The log-likelihoods and RTS gains come from one batched
+    expression or solve each, and the smoothed moments from a reverse scan.
+    Slots before a birth hold zeros (a gain of 0), so every scan runs on
+    the whole batch. The scans need no inverse of the process noise.
     """
     F, Q, H, R = mm.transition, mm.process_noise, sm.measurement, sm.noise
     d = mm.dim
     nb, b0, last = len(births), births[0], births[-1]
+    start = np.asarray(births) - b0  # each birth's slot
     nu = eps - b0 + 1
     means_f = np.zeros((nb, nu, d))
     covs_f = np.zeros((nb, nu, d, d))
     means_p = np.zeros((nb, nu, d))
     covs_p = np.zeros((nb, nu, d, d))
-    log_lik = np.zeros(nb)
+    after = last - b0 + 1  # first slot after the last birth
+    elements = None
+    if after < nu:
+        steps = range(last + 1, eps + 1)
+        seen = np.array([k in meas for k in steps])
+        Z = np.array([meas[k] for k in steps if k in meas]).reshape(-1, H.shape[0])
+        elements = _filter_elements(F, Q, H, R, seen, Z)
     m = np.zeros((nb, d))
     P = np.zeros((nb, d, d))
     was = 0
-    # live[s]: births alive at step b0 + s, up to the last birth
-    for s, a in enumerate(np.searchsorted(births, np.arange(b0, last + 1), side="right").tolist()):
+    # live[s]: births alive at step b0 + s, up to the last birth (or to eps
+    # when there are no elements to scan)
+    stop = eps if elements is None else last
+    for s, a in enumerate(np.searchsorted(births, np.arange(b0, stop + 1), side="right").tolist()):
         m[:was] = (F @ m[:was, :, None])[..., 0]
         P[:was] = F @ P[:was] @ F.T + Q
         m[was:a], P[was:a] = mm.birth_mean, mm.birth_cov
@@ -313,22 +326,14 @@ def _smooth_births(
         if z is not None:
             S = H @ P[:a] @ H.T + R
             S = 0.5 * (S + S.swapaxes(1, 2))
-            innov = z - (H @ m[:a, :, None])[..., 0]
-            _, logdet = np.linalg.slogdet(S)
-            sol = np.linalg.solve(S, innov[..., None])[..., 0]
-            log_lik[:a] += -0.5 * (z.size * math.log(2 * math.pi) + logdet + (innov[:, None] @ sol[..., None])[:, 0, 0])
             K = np.linalg.solve(S, H @ P[:a]).swapaxes(1, 2)
-            m[:a] = m[:a] + (K @ innov[..., None])[..., 0]
+            m[:a] = m[:a] + (K @ (z - (H @ m[:a, :, None])[..., 0])[..., None])[..., 0]
             P[:a] = P[:a] - K @ S @ K.swapaxes(1, 2)
             P[:a] = 0.5 * (P[:a] + P[:a].swapaxes(1, 2))
         means_f[:a, s], covs_f[:a, s] = m[:a], P[:a]
         was = a
-    after = last - b0 + 1  # first slot after the last birth
-    if after < nu:
-        steps = range(last + 1, eps + 1)
-        seen = np.array([k in meas for k in steps])
-        Z = np.array([meas[k] for k in steps if k in meas]).reshape(-1, H.shape[0])
-        A, b, C, eta, J = _filter_scan(*_filter_elements(F, Q, H, R, seen, Z))
+    if elements is not None:
+        A, b, C, eta, J = _filter_scan(*elements)
         # each birth's filtered (m, P) at the last birth, then every prefix:
         # W = (I + P J)^-1 [m + P eta, P]
         M = np.eye(d) + P[:, None] @ J
@@ -339,18 +344,22 @@ def _smooth_births(
         covs_f[:, after:] = 0.5 * (Pf + Pf.swapaxes(-1, -2))
         means_p[:, after:] = means_f[:, after - 1 : -1] @ F.T
         covs_p[:, after:] = F @ covs_f[:, after - 1 : -1] @ F.T + Q
-        obs = after + np.flatnonzero(seen)
-        if obs.size:
-            S = H @ covs_p[:, obs] @ H.T + R
-            S = 0.5 * (S + S.swapaxes(-1, -2))
-            innov = Z - means_p[:, obs] @ H.T
-            _, logdet = np.linalg.slogdet(S)
-            sol = np.linalg.solve(S, innov[..., None])[..., 0]
-            quad = np.einsum("...i,...i->...", innov, sol)
-            log_lik += -0.5 * (Z.size * math.log(2 * math.pi) + (logdet + quad).sum(axis=1))
+    # log p(z | b): the innovations of every measured slot from the predicted
+    # moments, with S = I and no innovation where the birth is not yet alive
+    log_lik = np.zeros(nb)
+    obs = np.flatnonzero([b0 + s in meas for s in range(nu)])
+    if obs.size:
+        alive = obs >= start[:, None]
+        Z = np.array([meas[b0 + s] for s in obs.tolist()]).reshape(obs.size, -1)
+        S = H @ covs_p[:, obs] @ H.T + R
+        S = np.where(alive[..., None, None], 0.5 * (S + S.swapaxes(-1, -2)), np.eye(Z.shape[1]))
+        innov = np.where(alive[..., None], Z - means_p[:, obs] @ H.T, 0.0)
+        _, logdet = np.linalg.slogdet(S)
+        quad = np.einsum("...i,...i->...", innov, np.linalg.solve(S, innov[..., None])[..., 0])
+        log_lik -= 0.5 * (alive.sum(axis=1) * Z.shape[1] * math.log(2 * math.pi) + (logdet + quad).sum(axis=1))
     # RTS gains G_s = P_s F' (P_{s+1|s})^-1, with identity denominators (so a
     # gain of 0) at the slots before each birth
-    born = np.arange(nu - 1) >= (np.asarray(births) - b0)[:, None]
+    born = np.arange(nu - 1) >= start[:, None]
     den = np.where(born[..., None, None], covs_p[:, 1:], np.eye(d))
     gains = np.linalg.solve(den, F @ covs_f[:, :-1]).swapaxes(-1, -2)
     means_s, covs_s = _smoother_scan(gains, means_f, covs_f, means_p, covs_p)

@@ -204,14 +204,25 @@ class TestSmoother:
             assert_normwise_close(covs[i, lo:, lo:], cov_o, 1e-9)
             assert log_liks[i] == pytest.approx(log_o, rel=1e-9)
 
-    def test_noise_free_sensor_on_a_noise_free_coordinate_is_rejected(self):
-        # a measured step's filter element needs H Q H' + R invertible; with
-        # no measurement noise and no process noise on the measured position
-        # it is singular, and the fit says so instead of failing in a solve
+    def test_noise_free_sensor_on_a_noise_free_coordinate_fits(self):
+        # with no measurement noise and no process noise on the measured
+        # position, H Q H' + R is singular, so the filter steps on to the
+        # last death instead of scanning; a single measurement leaves no
+        # measured step to scan at all. Both fit as the per-birth smoother
+        # does, and the pmf is the one the step-by-step fit gave.
         mm = MotionModel(np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 0.1]), 0.9, 0.0, np.zeros(2), np.eye(2))
         sm = SensorModel(np.array([[1.0, 0.0]]), np.zeros((1, 1)), 0.9, 0.0, np.array([-50.0]), np.array([50.0]))
-        with pytest.raises(ValueError, match=r"H Q H' \+ R is singular"):
-            fit_bernoulli_track([(k, [1.0 * k]) for k in range(2, 8)], mm, sm, TimeWindow(0, 10), slack=1)
+        for meas, probs in (
+            ([(k, [1.0 * k]) for k in range(2, 8)], [0.41390519, 0.37251467, 0.1124106, 0.10116954]),
+            ([(3, [1.0])], [0.23667754, 0.21300979, 0.28963825, 0.26067442]),
+        ):
+            with np.errstate(all="raise"):
+                out = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, 10), slack=1)
+            np.testing.assert_allclose(out.density.pmf.probs, probs, rtol=1e-7)
+            births = sorted({b for b, _ in out.density.pmf.pairs})
+            last = max(e for _, e in out.density.pmf.pairs)
+            by_time = {k: np.asarray(z, dtype=float) for k, z in meas}
+            assert_equals_per_birth(births, last, by_time, mm, sm)
 
     def test_no_measurements_is_prior(self):
         mm = cv_motion()
@@ -304,6 +315,13 @@ LOCKSTEP_CASES = {
     ),
     "long_no_process_noise": ((1, 2, 3), 99, tuple(range(3, 90, 3)), cv_motion(q=0.0), pos_sensor()),
     "long_clamped": ((0, 1), 100, tuple(range(1, 101, 4)), plane_motion(), plane_sensor()),
+    # no measurement noise on a coordinate without process noise: H Q H' + R
+    # is singular, so the step-by-step filter runs to the end
+    "long_noise_free_sensor": (
+        (2, 3, 4), 100, tuple(range(4, 96)),
+        MotionModel(np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 0.1]), 0.9, 0.0, np.zeros(2), np.eye(2)),
+        pos_sensor(r=0.0),
+    ),
 }
 
 
