@@ -268,7 +268,7 @@ class ConstrainedTrajectoryDensity:
             cov = v.gs.cov if delta is None else v.gs.cov + v.gain @ delta @ v.gain.T
             pairs.append(v.pair)
             probs.append(v.prob)
-            conds.append(GaussianSequence(mean, 0.5 * (cov + cov.T), self.dim))
+            conds.append(GaussianSequence._valid(mean, 0.5 * (cov + cov.T), self.dim))
         probs = np.asarray(probs)
         return TrajectoryDensity(BirthDeathPmf(tuple(pairs), probs / probs.sum()), tuple(conds))
 
@@ -665,7 +665,7 @@ def _accepted_y(
         if isinstance(cells, str):
             fallbacks[cells] = fallbacks.get(cells, 0) + 1
             block = -(-mc_budget // _QMC_SHIFTS)
-            y = GaussianSequence(m_y, s_yy, 1).draw(block * _QMC_SHIFTS, child_rng(_seed(rng_seed, j, 1)))
+            y = GaussianSequence._valid(m_y, s_yy, 1).draw(block * _QMC_SHIFTS, child_rng(_seed(rng_seed, j, 1)))
             masks = _bounded_masks([c.region for c in bounded], y)
             acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
             points = _weighted(y.reshape(_QMC_SHIFTS, block, -1), acc.reshape(_QMC_SHIFTS, block) * 1.0)

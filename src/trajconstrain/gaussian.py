@@ -75,7 +75,7 @@ _MAX_QMC_CELLS = 64
 # a step's temporaries are a few dozen arrays of that size.
 _QMC_CHUNK = 2**13
 # Cholesky pivot tolerances, as fractions of the variances (``_cholesky``).
-_CHOL_TOL = 1e-12
+_CHOL_TOL = 1e-11
 _NOT_PSD_TOL = 1e-8
 # Genz's 20-point Gauss-Legendre rule (Statistics and Computing 14, 2004),
 # taken on [0, 2]: nodes 1 - x and 1 + x for each positive node x of the rule
@@ -177,6 +177,13 @@ class GaussianSequence:
 
     Time step t of a (birth, death) hypothesis occupies coordinates
     (t - birth) * dim .. (t - birth) * dim + dim - 1.
+
+    The constructor is where a mean and covariance from outside the library
+    are judged, once: shapes, finite entries, symmetry within ``_SYM_TOL``
+    (the symmetric part is kept) and PSD by ``_cholesky``, whose factor is
+    kept for ``draw``; anything else raises ``ValueError``. ``_valid`` builds
+    a sequence the library derives from validated parts without checking it
+    again.
     """
 
     mean: np.ndarray
@@ -192,27 +199,23 @@ class GaussianSequence:
             raise ValueError(f"mean size {mean.size} not a multiple of dim {self.dim}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and cov must be finite")
-        if np.array_equal(cov, cov.T):
-            # Exactly symmetric, as every block of a fit is: symmetrizing
-            # would copy the same numbers. A view, so that freezing it leaves
-            # the caller's array writeable.
-            cov = cov.view()
-        else:
-            asym = np.max(np.abs(cov - cov.T), initial=0.0)
-            if asym > _SYM_TOL:
-                raise ValueError(f"covariance asymmetry {asym} exceeds {_SYM_TOL}")
-            cov = 0.5 * (cov + cov.T)
+        asym = np.max(np.abs(cov - cov.T), initial=0.0)
+        if asym > _SYM_TOL:
+            raise ValueError(f"covariance asymmetry {asym} exceeds {_SYM_TOL}")
+        cov = 0.5 * (cov + cov.T)
+        factor = _cholesky(cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_factor", factor)
 
     @classmethod
     def _valid(cls, mean: np.ndarray, cov: np.ndarray, dim: int) -> "GaussianSequence":
         """A sequence whose float64 mean (n,) and covariance (n, n) are valid
         by construction (n a multiple of ``dim``, every entry finite, ``cov``
-        exactly symmetric), built without checking them again. Freezes both
-        arrays."""
+        exactly symmetric and PSD), built without checking them again; its
+        factor is computed on the first draw. Freezes both arrays."""
         gs = object.__new__(cls)
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -240,8 +243,9 @@ class GaussianSequence:
 
     @cached_property
     def _factor(self) -> np.ndarray:
-        # Computed on the first draw and kept in the instance dict; not a
-        # field, so equality and serialization ignore it.
+        # Set by the constructor, or computed on the first draw of a
+        # ``_valid`` sequence; kept in the instance dict, not a field, so
+        # equality and serialization ignore it.
         return _cholesky(self.cov)
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -315,7 +319,7 @@ def marginal(gs: GaussianSequence, pair: Pair, times: Sequence[int]) -> Gaussian
     if not times:
         raise ValueError("times must be nonempty")
     idx = gs.coords(pair, times)
-    return GaussianSequence(gs.mean[idx], gs.cov[np.ix_(idx, idx)], gs.dim)
+    return GaussianSequence._valid(gs.mean[idx], gs.cov[np.ix_(idx, idx)], gs.dim)
 
 
 def _bounded_cols(pair: Pair, dim: int, t: int, region: StateRegion) -> np.ndarray:
@@ -1260,7 +1264,7 @@ def _pattern_batch(
         ks = free_of(p)
         cols = free_cols(p, ks)
         g = conds[p]
-        x = GaussianSequence(g.mean[cols], g.cov[np.ix_(cols, cols)], 1).draw(int(mc_budget), child_rng(seed(p)))
+        x = GaussianSequence._valid(g.mean[cols], g.cov[np.ix_(cols, cols)], 1).draw(int(mc_budget), child_rng(seed(p)))
         return ks, _bounded_masks([regions[i] for i in ii[ks].tolist()], x)
 
     out: List[Settled] = []

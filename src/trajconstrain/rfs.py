@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import Trajectory
-from .gaussian import TrajectoryDensity, _cholesky, child_rng, stratified_draws
+from .gaussian import TrajectoryDensity, child_rng, stratified_draws
 
 _WEIGHT_TOL = 1e-12
 
@@ -141,12 +141,6 @@ def validate(m) -> List[str]:
         s = float(np.sum(pmf.probs))
         if abs(s - 1.0) > _WEIGHT_TOL:
             report.append(f"{comp_name}: pmf sums to {s!r}, expected 1")
-        conds = getattr(density, "conditionals", ())
-        for (pair, g) in zip(pmf.pairs, conds):
-            try:
-                _cholesky(g.cov)
-            except ValueError as exc:
-                report.append(f"{comp_name}: pair {pair}: {exc}")
     for a, h in enumerate(m.hypotheses):
         for i, t in enumerate(h.tracks):
             if not (0.0 <= t.r <= 1.0):

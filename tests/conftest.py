@@ -1,8 +1,24 @@
+import builtins
 import itertools
 import math
 
 import numpy as np
 import pytest
+
+_import = builtins.__import__
+
+
+def _numpy_only_import(name, globals=None, locals=None, fromlist=(), level=0):
+    """``__import__`` that refuses scipy to the library's own modules. The
+    library needs numpy only at run time; without this, a lazy scipy import
+    on a library path passes wherever a test module has imported scipy."""
+    importer = (globals or {}).get("__name__") or ""
+    if level == 0 and name.split(".")[0] == "scipy" and importer.split(".")[0] == "trajconstrain":
+        raise ImportError(f"{importer} imports {name}; trajconstrain needs numpy only at run time")
+    return _import(name, globals, locals, fromlist, level)
+
+
+builtins.__import__ = _numpy_only_import
 
 from trajconstrain import (
     BirthDeathPmf,

@@ -116,6 +116,24 @@ class TestConstrain:
         assert csv[0] == f"# schema={CSV_SCHEMA}"
         assert "constrained_mean_x0" in csv[1]
 
+    def test_degenerate_constrained_density(self, tmp_path):
+        # a gate far from the track pins every pair outside it: no view is
+        # drawn, the constrained columns stay empty and the summary says so
+        cfg = base_config()
+        cfg["constraints"]["items"][0]["boxes"] = [{"lower": [500.0, None], "upper": [501.0, None]}]
+        code, out = run(tmp_path, cfg, "constrain")
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["degenerate"] is True and summary["r_constrained"] == 0.0
+        assert summary["pair_paths"]["pinned"] == sum(summary["pair_paths"].values()) > 0
+        assert set(summary["view_paths"].values()) == {0}
+        assert summary["acceptance_rate"] == 0.0 and summary["dropped_strata"] == 0
+        header, *rows = [line.split(",") for line in (out / "constrained.csv").read_text().splitlines()[1:]]
+        constrained = [k for k, name in enumerate(header) if name.startswith("constrained_")]
+        assert len(constrained) == 4 and rows
+        assert all(row[k] == "" for row in rows for k in constrained)
+        assert all(row[k] != "" for row in rows for k in range(len(header)) if k not in constrained)
+
     def test_full_survival_dies_at_the_window_end(self, tmp_path, monkeypatch):
         # The last detection is at 5 and slack 2 ends every death candidate
         # before the window's last step, 12. With survival 1 a target alive

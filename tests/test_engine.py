@@ -873,6 +873,24 @@ class TestLatticeMoments:
         se = np.hypot(kept.std(axis=0) / math.sqrt(kept.shape[0]), mm.mean_se[:, 0])
         assert np.all(np.abs(mm.means[:, 0] - kept.mean(axis=0)) <= 4.0 * se)
 
+    def test_no_mass_in_closed_form_falls_back_to_the_lattice(self, monkeypatch, caplog):
+        # a closed-form problem whose Tallis moments have no mass (as where
+        # its cells' probability underflows) is drawn on the lattice, and
+        # logged with that reason
+        td, cs, _ = lattice_case("conjunct-2-correlated")
+        ctd, _ = constrain_density(td, cs, self.BUDGET, rng_seed=1)
+        closed = constrained_marginals(ctd, self.BUDGET, 2)
+        assert closed.view_paths == {(0, 2): gaussian.CLOSED_FORM}
+        monkeypatch.setattr(engine, "_truncated_moments", lambda problems: [None] * len(problems))
+        with caplog.at_level(logging.INFO, logger="trajconstrain"):
+            mm = constrained_marginals(ctd, self.BUDGET, 2)
+        assert mm.view_paths == {(0, 2): engine.LATTICE}
+        assert [r.getMessage() for r in caplog.records if r.name == "trajconstrain"] == [
+            "1 of 1 pairs' views drawn on the lattice instead of in closed form (no mass in closed form: 1)"
+        ]
+        assert np.all(mm.mean_se > 0.0)
+        assert np.all(np.abs(mm.means - closed.means) <= 4.0 * mm.mean_se)
+
     def test_view_fallbacks_are_logged_with_their_reason(self, caplog):
         # four 5-d boxes in disjunct mode: 1 + 5 + 25 + 125 "first to hold"
         # cells, over the cap of 64; and a two-box item
@@ -984,6 +1002,27 @@ class TestDroppedStrata:
         [record] = [r for r in caplog.records if r.name == "trajconstrain" and r.levelno == logging.WARNING]
         assert "1 of 2" in record.getMessage()
         assert f"{ctd.pmf.prob((0, 1)):.3g}" in record.getMessage()
+
+    def test_monte_carlo_block_that_accepts_nothing_takes_the_pooled_moments(self):
+        # a two-box view at a budget of 20: ten blocks of two draws, some of
+        # which accept none; such a block takes the moments of every draw the
+        # pair accepted, so its step means stay finite
+        gs = GaussianSequence(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]), 1)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,))
+        near = StateRegion.boxes([[(-1.0, 0.0)], [(0.5, 1.5)]])
+        ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, near), Constraint(1, HALF_LINE)], "conjunct"), 2_000)
+        [v] = engine._accepted_y(ctd, 20, 0)
+        empty = v.w.sum(axis=1) == 0.0
+        assert v.path == gaussian.MC and empty.any() and not empty.all()
+        kept = v.y[v.w > 0.0]
+        centred = kept - kept.mean(axis=0)
+        for row in range(v.y.shape[0]):
+            own = kept if empty[row] else v.y[row][v.w[row] > 0.0]
+            own_centred = centred if empty[row] else own - own.mean(axis=0)
+            np.testing.assert_allclose(v.y_mean[row], own.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(v.y_cov[row], own_centred.T @ own_centred / own.shape[0], rtol=1e-12, atol=1e-15)
+        mm = constrained_marginals(ctd, 20, 0)
+        assert np.isfinite(mm.means).all() and np.isfinite(mm.mean_se).all()
 
     def test_nothing_logged_when_every_stratum_accepts(self, caplog):
         td = std_density([(0, 0), (0, 1)], [0.5, 0.5])

@@ -96,8 +96,13 @@ class TestGaussianSequence:
 
     def test_negative_eigenvalue_rejected_on_draw(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric, indefinite
-        gs = GaussianSequence(np.zeros(2), cov, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not PSD"):
+            GaussianSequence(np.zeros(2), cov, 1)
+        with pytest.raises(ValueError, match="not PSD"):
+            dataclasses.replace(GaussianSequence(np.zeros(2), np.eye(2), 1), cov=cov)
+        # a sequence built without the check still refuses to draw
+        gs = GaussianSequence._valid(np.zeros(2), cov, 1)
+        with pytest.raises(ValueError, match="not PSD"):
             gs.draw(5, np.random.default_rng(0))
 
     def test_zero_variance_coordinate_draws_its_mean(self, rng):
@@ -130,10 +135,20 @@ class TestGaussianSequence:
         monkeypatch.setattr(gaussian, "_cholesky", spy)
         gs = random_gaussian_sequence(rng, (0, 2), 2)
         twin = GaussianSequence(gs.mean, gs.cov, gs.dim)
+        # one factor per public sequence, at construction, and none per draw
+        assert len(calls) == 2
         first = gs.draw(4, np.random.default_rng(5))
         second = gs.draw(4, np.random.default_rng(5))
-        assert len(calls) == 1
+        assert len(calls) == 2
         np.testing.assert_array_equal(second, first)
+        np.testing.assert_array_equal(twin.draw(4, np.random.default_rng(5)), first)
+        assert len(calls) == 2
+        # a sequence built without the check factors on its first draw only
+        trusted = GaussianSequence._valid(gs.mean.copy(), gs.cov.copy(), gs.dim)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(trusted.draw(4, np.random.default_rng(5)), first)
+        trusted.draw(4, np.random.default_rng(6))
+        assert len(calls) == 3
         # the cached factor is no field: repr and serialization ignore it
         assert [f.name for f in dataclasses.fields(gs)] == ["mean", "cov", "dim"]
         assert repr(gs) == repr(twin)
@@ -946,6 +961,21 @@ class TestSample:
 
 
 class TestStepMoments:
+    def test_zero_weight_pair_adds_nothing(self, rng):
+        # pair (0, 2) has probability 0: its steps are listed, step 2 with
+        # no alive mass and NaN moments, and its moments enter nowhere,
+        # not even as 0 * inf from a mean whose square overflows
+        live = random_gaussian_sequence(rng, (0, 1), 2)
+        huge = GaussianSequence(np.full(6, 1e200), np.eye(6), 2)
+        td = TrajectoryDensity(BirthDeathPmf(((0, 1), (0, 2)), np.array([1.0, 0.0])), (live, huge))
+        times, means, covs, alive = step_moments(td)
+        assert times == [0, 1, 2]
+        np.testing.assert_array_equal(alive, [1.0, 1.0, 0.0])
+        alone = step_moments(TrajectoryDensity(BirthDeathPmf(((0, 1),), np.array([1.0])), (live,)))
+        np.testing.assert_array_equal(means[:2], alone[1])
+        np.testing.assert_array_equal(covs[:2], alone[2])
+        assert np.isnan(means[2]).all() and np.isnan(covs[2]).all()
+
     def test_single_pair_matches_blocks(self, rng):
         gs = random_gaussian_sequence(rng, (2, 4), 2)
         td = TrajectoryDensity(BirthDeathPmf(((2, 4),), np.array([1.0])), (gs,))

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -18,6 +20,18 @@ def test_import_loads_no_scipy():
     where, loaded = out.stdout.splitlines()
     assert Path(where).resolve().is_relative_to(SRC)
     assert loaded == "[]"
+
+
+def test_library_scipy_import_refused_in_process():
+    # conftest refuses scipy to trajconstrain modules even once tests have
+    # imported it, so a lazy import on a library path fails its tests
+    import scipy  # noqa: F401
+
+    with pytest.raises(ImportError, match="numpy only"):
+        exec("import scipy.special", {"__name__": "trajconstrain.gaussian"})
+    with pytest.raises(ImportError, match="numpy only"):
+        exec("from scipy import stats", {"__name__": "trajconstrain"})
+    exec("import scipy.special", {"__name__": "tests.test_gaussian"})
 
 
 def test_benchmark_tracer_restores_every_hook(monkeypatch):

@@ -27,6 +27,7 @@ from trajconstrain import (
 from trajconstrain import gaussian, oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
+from trajconstrain.errors import LowAcceptanceError
 from trajconstrain.oracle import (
     _accepted,
     _augmented_gram,
@@ -105,6 +106,22 @@ class TestOracleBernoulli:
         assert out.r == 0.0
         rep = oracle_bernoulli(b, out, cs, n=10_000, rng_seed=3)
         assert rep.passed, rep.to_table()
+
+    def test_moment_check_skipped_when_every_view_drops(self, monkeypatch):
+        # two far boxes, met with probability ~7e-4: the oracle accepts about
+        # 130 of its draws, but the views' Monte Carlo draws (2,000 here)
+        # accept none, so the moments are not checked and the counts are
+        td = std_density([(0, 0)], [1.0])
+        cs = ConstraintSet([Constraint(0, StateRegion.boxes([[(3.0, 3.1)], [(3.2, 3.4)]]))], "conjunct")
+        b = BernoulliTrajectory(0.9, td)
+        out = constrain_bernoulli(b, cs, 200_000, 1)
+        monkeypatch.setattr(oracle, "_MOMENT_BUDGET", 2_000)
+        seed = 3
+        with pytest.raises(LowAcceptanceError):
+            constrained_marginals(out.density, 2_000, seed + 1)  # the oracle's view stream
+        rep = oracle_bernoulli(b, out, cs, n=200_000, rng_seed=seed)
+        assert rep.passed, rep.to_table()
+        assert [e.name for e in rep.entries] == ["r_constrained", "pmf[(0, 0)]"]
 
     def test_detects_corrupted_scale(self):
         td = std_density([(0, 0)], [1.0])
@@ -711,10 +728,14 @@ class TestDrawnTailGram:
         assert (per_pair, counts, state) == whole
 
 
+NOT_PSD = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
 def not_psd_density():
     """One pair of 1-D states whose covariance [[1, 2], [2, 1]] has
-    eigenvalues 3 and -1: not a covariance."""
-    g = GaussianSequence(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+    eigenvalues 3 and -1: not a covariance. The constructor rejects it, so
+    it is built unchecked, to show that the factors behind it refuse it too."""
+    g = GaussianSequence._valid(np.zeros(2), NOT_PSD.copy(), 1)
     return TrajectoryDensity(BirthDeathPmf(((0, 1),), np.array([1.0])), (g,))
 
 
@@ -748,8 +769,9 @@ ZERO_PIVOT_NOT_PSD = {
 
 
 def one_step_density(cov):
-    """One pair (0, 0) whose single state has covariance ``cov``."""
-    g = GaussianSequence(np.zeros(cov.shape[0]), cov, cov.shape[0])
+    """One pair (0, 0) whose single state has covariance ``cov``, built
+    without the constructor's check."""
+    g = GaussianSequence._valid(np.zeros(cov.shape[0]), cov.copy(), cov.shape[0])
     return TrajectoryDensity(BirthDeathPmf(((0, 0),), np.array([1.0])), (g,))
 
 
@@ -760,8 +782,9 @@ def every_dim_gate(k):
 
 
 class TestNotPsdCovariance:
-    """A conditional whose covariance is not PSD is rejected where it is
-    factored, not truncated to a PSD one that the oracle then agrees with."""
+    """A conditional whose covariance is not PSD is rejected where it
+    enters, and, built unchecked, where it is factored: not truncated to a
+    PSD one that the oracle then agrees with."""
 
     @pytest.mark.parametrize("name", sorted(ZERO_PIVOT_NOT_PSD))
     def test_zero_pivot_with_entries_below_is_rejected_everywhere(self, name):
@@ -772,7 +795,9 @@ class TestNotPsdCovariance:
         with pytest.raises(ValueError, match="not PSD"):
             gaussian._cholesky(np.stack([np.eye(k), cov]))  # one bad matrix in a stack
         with pytest.raises(ValueError, match="not PSD"):
-            GaussianSequence(np.zeros(k), cov, k).draw(5, np.random.default_rng(0))
+            GaussianSequence(np.zeros(k), cov, k)
+        with pytest.raises(ValueError, match="not PSD"):
+            one_step_density(cov).conditionals[0].draw(5, np.random.default_rng(0))
         cs = every_dim_gate(k)
         with pytest.raises(ValueError, match="not PSD"):
             constrain_density(one_step_density(cov), cs, 20_000, 1)
@@ -802,18 +827,18 @@ class TestNotPsdCovariance:
     def test_no_process_noise_fit_takes_the_loop(self):
         b, _ = no_process_noise_track()
         rng = np.random.default_rng(8)
-        for g in b.density.conditionals[:: max(len(b.density.conditionals) // 4, 1)]:
+        for g in b.density.conditionals:
             try:
                 pivots = np.diag(np.linalg.cholesky(g.cov)) ** 2
             except np.linalg.LinAlgError:
                 pass
             else:
                 assert np.any(pivots <= gaussian._CHOL_TOL * np.diag(g.cov))
-            # rank 2, the initial state's: every later column is 0 but for
-            # rounding, whose pivots reach about 1.4e-12 of their variance
-            sd = np.sqrt(np.diag(g.cov).max())
+            # rank 2, the initial state's: every later column is exactly 0,
+            # as rounding leaves those pivots at most about 1.4e-12 of their
+            # variance, below ``_CHOL_TOL``
             assert np.abs(g._factor[:, :2]).max(axis=0).min() > 0.0
-            assert np.abs(g._factor[:, 2:]).max() <= 1e-5 * sd
+            assert not g._factor[:, 2:].any()
             x = g.draw(1_000, rng).reshape(1_000, -1, 2)
             # each draw keeps the velocity it was born with, to the smoother's rounding
             np.testing.assert_allclose(x[:, :, 1], np.repeat(x[:, :1, 1], x.shape[1], axis=1), rtol=0, atol=1e-7)
@@ -825,6 +850,8 @@ class TestNotPsdCovariance:
             constrain_density(not_psd_density(), cs, 20_000, 1)
 
     def test_one_gate_raises_from_the_oracle_with_moments(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            GaussianSequence(np.zeros(2), NOT_PSD, 1)
         b = BernoulliTrajectory(0.9, not_psd_density())
         cs = ConstraintSet([Constraint(1, StateRegion.box([(-0.5, 1.0)]))], "conjunct")
         constrained = constrain_bernoulli(b, cs, 20_000, 3)
