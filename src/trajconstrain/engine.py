@@ -84,13 +84,13 @@ from .gaussian import (
     _bounded_cols,
     _bounded_masks,
     _check_draws,
+    _cov_blocks,
     _lattice_points,
     _log_fallbacks,
     _pattern_batch,
     _pattern_probabilities,
     _product_cells,
     _qmc_points,
-    _step_blocks,
     _step_mixture,
     _truncated_moments,
     _well_conditioned,
@@ -552,16 +552,18 @@ class _ViewPair(NamedTuple):
     ``CLOSED_FORM`` (no points: ``y_mean`` (1, k) and ``y_cov`` (1, k, k)
     are the exact moments), ``LATTICE`` or ``MC``. The points y (shifts or
     blocks, points, k) are the bounded coordinates ``cols`` at the active
-    constraint times, w (shifts or blocks, points) their weights, ``kept``
-    the count of positive ones, ``y_mean`` (R, k) and ``y_cov`` (R, k, k)
-    their moments per shift or block (``_y_moments``) and ``gain`` K = C_xy
-    pinv(S_yy). Only a pair with points can be dropped."""
+    constraint times, of covariance ``s_yy``, w (shifts or blocks, points)
+    their weights, ``kept`` the count of positive ones, ``y_mean`` (R, k)
+    and ``y_cov`` (R, k, k) their moments per shift or block
+    (``_y_moments``) and ``gain`` K = C_xy pinv(S_yy). Only a pair with
+    points can be dropped."""
 
     prob: float
     pair: Pair
     gs: GaussianSequence
     path: str
     cols: Optional[np.ndarray] = None
+    s_yy: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
     w: Optional[np.ndarray] = None
     kept: int = 0
@@ -647,6 +649,7 @@ def _accepted_y(
     cells_of: Dict[Tuple[int, ...], tuple] = {}
     problems, keys, slots = [], {}, []
     fallbacks: Dict[str, int] = {}
+    pending = []
     for j, (pair, prob) in enumerate(ctd.pmf.items()):
         info = ctd.pair_info[pair]
         gs = ctd.base.conditional(pair)
@@ -657,11 +660,15 @@ def _accepted_y(
             holds = not bounded or (cs.mode == DISJUNCT and len(bounded) < len(active))
             cells_of[info.active] = (bounded, None if holds else _view_cells(regions, cs.mode))
         bounded, cells = cells_of[info.active]
-        if info.path == PINNED or cells is None:
-            views.append(_ViewPair(float(prob), pair, gs, EXACT))
-            continue
-        cols = np.concatenate([_bounded_cols(pair, gs.dim, c.time, c.region) for c in bounded])
-        m_y, s_yy = gs.mean[cols], gs.cov[np.ix_(cols, cols)]
+        views.append(_ViewPair(float(prob), pair, gs, EXACT))
+        if info.path != PINNED and cells is not None:
+            cols = np.concatenate([_bounded_cols(pair, gs.dim, c.time, c.region) for c in bounded])
+            pending.append((j, bounded, cells, cols))
+    # C_xy = Cov(x, y) of every pair with y, in one pass; S_yy is its y rows.
+    c_xy = _cov_blocks([views[j].gs for j, *_ in pending], [None] * len(pending), [cols for *_, cols in pending])
+    for (j, bounded, cells, cols), c_x in zip(pending, c_xy):
+        prob, pair, gs, _ = views[j][:4]
+        m_y, s_yy = gs.mean[cols], c_x[cols]
         if isinstance(cells, str):
             fallbacks[cells] = fallbacks.get(cells, 0) + 1
             block = -(-mc_budget // _QMC_SHIFTS)
@@ -670,8 +677,8 @@ def _accepted_y(
             acc = masks.all(axis=0) if cs.mode == CONJUNCT else masks.any(axis=0)
             points = _weighted(y.reshape(_QMC_SHIFTS, block, -1), acc.reshape(_QMC_SHIFTS, block) * 1.0)
             # pinv: S_yy is singular when bounded coordinates are degenerate or collinear.
-            gain = gs.cov[:, cols] @ np.linalg.pinv(s_yy)
-            views.append(_ViewPair(float(prob), pair, gs, MC, cols, gain=gain, **points))
+            gain = c_x @ np.linalg.pinv(s_yy)
+            views[j] = _ViewPair(prob, pair, gs, MC, cols, s_yy, gain=gain, **points)
             continue
         lo, hi, out = cells
         key = (m_y.tobytes(), s_yy.tobytes(), lo.shape, lo.tobytes(), hi.tobytes(), out.tobytes())
@@ -679,8 +686,8 @@ def _accepted_y(
             keys[key] = (len(problems), np.linalg.pinv(s_yy))
             problems.append((m_y, s_yy, lo, hi, out, _seed(rng_seed, j, 1)))
         problem, inverse = keys[key]
-        slots.append((len(views), problem))
-        views.append(_ViewPair(float(prob), pair, gs, LATTICE, cols, gain=gs.cov[:, cols] @ inverse))
+        slots.append((j, problem))
+        views[j] = _ViewPair(prob, pair, gs, LATTICE, cols, s_yy, gain=c_x @ inverse)
     _log_fallbacks(fallbacks, len(views), "pairs' views drawn by Monte Carlo instead of the lattice")
     settled: Dict[int, dict] = {}
     if not points:
@@ -733,7 +740,7 @@ def _given_y(v: _ViewPair) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray
     y_bar = v.y_mean.mean(axis=0)
     dev = v.y_mean - y_bar
     sigma = v.y_cov.mean(axis=0) + dev.T @ dev / dev.shape[0]
-    return gs.mean + v.gain @ (y_bar - gs.mean[v.cols]), sigma - gs.cov[np.ix_(v.cols, v.cols)], dev @ v.gain.T
+    return gs.mean + v.gain @ (y_bar - gs.mean[v.cols]), sigma - v.s_yy, dev @ v.gain.T
 
 
 def _kish_rate(views: Sequence[_ViewPair]) -> float:
@@ -770,10 +777,10 @@ def constrained_marginals(
         if v.dropped:
             continue
         mean, delta, dev = _given_y(v)
-        blocks = _step_blocks(v.gs.cov, d)
+        blocks = v.gs._step_covs()
         if delta is not None:
             k_t = v.gain.reshape(-1, d, v.gain.shape[1])
-            blocks += k_t @ delta @ k_t.transpose(0, 2, 1)
+            blocks = blocks + k_t @ delta @ k_t.transpose(0, 2, 1)
         strata.append((v.prob, v.pair[0], mean.reshape(-1, d), blocks))
         spread.append((v.prob, v.pair[0], dev.reshape(dev.shape[0], -1, d)))
     times, means, covs, alive = _step_mixture(strata, d)

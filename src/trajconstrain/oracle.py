@@ -56,7 +56,7 @@ from .engine import (
     constrained_marginals,
 )
 from .errors import LowAcceptanceError
-from .gaussian import GaussianSequence, Pair, TrajectoryDensity, _check_draws, _cholesky, child_rng
+from .gaussian import GaussianSequence, Pair, TrajectoryDensity, _check_draws, _cholesky, _cov_blocks, child_rng
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Budget behind the engine's step means that oracle_bernoulli checks.
@@ -160,6 +160,14 @@ class _StepMoments:
         }
 
 
+def _head(g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet) -> np.ndarray:
+    """The coordinates of ``g`` (born at ``birth``) that the active
+    constraints ``idx`` of ``cs`` bound, constraint by constraint."""
+    return np.concatenate(
+        [(cs.constraints[i].time - birth) * g.dim + cs.constraints[i].region.bounded_dims for i in idx]
+    )
+
+
 class _Screen:
     """One pair's conditional, reordered with the coordinates that the active
     constraints bound first (the head) and the rest after (the tail), and
@@ -173,22 +181,34 @@ class _Screen:
     ``slots`` places the head among the rows of coordinate-major
     (steps * dim, rows) states whose other coordinates are 0, which
     ``satisfies_batch`` never compares. Without ``complete`` only the head is
-    reordered and factored: the leading block of a Cholesky factor is the
-    factor of the leading block.
+    reordered and factored, from its covariance block ``head_cov`` when the
+    caller has it: the leading block of a Cholesky factor is the factor of
+    the leading block. With ``complete`` the whole reordered sequence is
+    factored, from its dense covariance.
 
     ``gram`` is A^T A for A = [1 z_h] over the accepted head normals that
     ``add`` has seen, accumulated chunk by chunk as a product masked with the
     test's outcome, so the accepted rows are never gathered."""
 
-    def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
+    def __init__(
+        self,
+        g: GaussianSequence,
+        birth: int,
+        idx: Sequence[int],
+        cs: ConstraintSet,
+        complete: bool,
+        head_cov: Optional[np.ndarray] = None,
+    ):
         regions = [cs.constraints[i].region for i in idx]
-        head = np.concatenate(
-            [(cs.constraints[i].time - birth) * g.dim + r.bounded_dims for i, r in zip(idx, regions)]
-        )
+        head = _head(g, birth, idx, cs)
         self.slots = np.concatenate([k * g.dim + r.bounded_dims for k, r in enumerate(regions)])
         self.order = np.concatenate([head, np.setdiff1d(np.arange(g.mean.size), head)]) if complete else head
         self.mean = g.mean[self.order]
-        self.factor = _cholesky(g.cov[np.ix_(self.order, self.order)])
+        if complete:
+            head_cov = g.cov[np.ix_(self.order, self.order)]
+        elif head_cov is None:
+            (head_cov,) = _cov_blocks([g], [head], [head])
+        self.factor = _cholesky(head_cov)
         self.h = head.size
         # Contiguous, and applied as F_hh z_h^T: numpy's matmul runs a
         # transposed slice such as factor[:h, :h].T through a loop many times
@@ -299,11 +319,17 @@ def _screened_chunks(
     if n == 0:
         return
     counts = rng.multinomial(n, td.pmf.probs)
+    drawn = []
     for pair, g, c in zip(td.pmf.pairs, td.conditionals, counts.tolist()):
         idx = active_indices(cs, *pair)
-        if c == 0 or not idx:
-            continue
-        screen = _Screen(g, pair[0], idx, cs, complete)
+        if c and idx:
+            drawn.append((pair, g, c, idx))
+    # The head blocks of every drawn pair in one ``_cov_blocks`` pass; the
+    # whole sequence's factor reads its dense covariance instead.
+    heads = [_head(g, pair[0], idx, cs) for pair, g, _, idx in drawn]
+    blocks = [None] * len(drawn) if complete else _cov_blocks([g for _, g, _, _ in drawn], heads, heads)
+    for (pair, g, c, idx), block in zip(drawn, blocks):
+        screen = _Screen(g, pair[0], idx, cs, complete, block)
         chunk = DRAW_CHUNK
         for start in range(0, c, chunk):
             z_head = rng.standard_normal((min(chunk, c - start), screen.h))

@@ -7,7 +7,7 @@ Measurements are linear detections plus uniform Poisson clutter.
 Bernoulli trajectory density over every plausible (birth, death) hypothesis:
 one Kalman filter and RTS smoother pass carries all births of the track in
 lockstep (``_smooth_births``), by associative scans after the last birth,
-each death's Gaussian is the leading block of its birth's smoothed joint,
+each death's Gaussian is the leading steps of its birth's smoother chain,
 and hypotheses are weighted by measurement evidence and birth/survival
 priors.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import TimeWindow, Trajectory
 from .errors import DimensionMismatchError
-from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _cholesky, child_rng
+from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _Smoothed, _cholesky, child_rng
 from .rfs import BernoulliTrajectory
 
 
@@ -271,16 +271,17 @@ def _smooth_births(
     meas: Dict[int, np.ndarray],
     mm: MotionModel,
     sm: SensorModel,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kalman filter + RTS smoother over b..eps for every b of the ascending
     ``births`` at once, on a leading batch axis.
 
-    Returns the joint smoothed means (len(births), N * d), covariances
-    (len(births), N * d, N * d) with cross-time blocks from the smoother gains,
-    and log marginal measurement likelihoods (len(births),), where
-    N = eps - births[0] + 1. Birth i's joint is the trailing block from
-    coordinate (births[i] - births[0]) * d; its leading coordinates hold
-    zeros.
+    Returns each birth's smoother chain and likelihood: smoothed means
+    (len(births), N, d), step covariances (len(births), N, d, d), RTS gains
+    (len(births), N - 1, d, d) and log marginal measurement likelihoods
+    (len(births),), where N = eps - births[0] + 1. Birth i's chain starts at
+    slot births[i] - births[0]; the slots before it hold zeros. The chain
+    fixes the joint covariance (``gaussian._Smoothed``), which is never
+    built here.
 
     Up to the last birth the filter steps one at a time, on the prefix of
     the batch born by then. After it every birth is alive and the steps'
@@ -363,18 +364,7 @@ def _smooth_births(
     den = np.where(born[..., None, None], covs_p[:, 1:], np.eye(d))
     gains = np.linalg.solve(den, F @ covs_f[:, :-1]).swapaxes(-1, -2)
     means_s, covs_s = _smoother_scan(gains, means_f, covs_f, means_p, covs_p)
-    # Joint covariance: Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t) for s < t, built
-    # one block row at a time from the row below and mirrored into the column.
-    joint_mean = means_s.reshape(nb, -1)
-    joint_cov = np.zeros((nb, nu * d, nu * d))
-    joint_cov[:, -d:, -d:] = covs_s[:, -1]
-    for s in range(nu - 2, -1, -1):
-        here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
-        cross = gains[:, s] @ joint_cov[:, (s + 1) * d : (s + 2) * d, later]
-        joint_cov[:, here, here] = covs_s[:, s]
-        joint_cov[:, here, later] = cross
-        joint_cov[:, later, here] = cross.swapaxes(1, 2)
-    return joint_mean, joint_cov, log_lik
+    return means_s, covs_s, gains, log_lik
 
 
 def fit_bernoulli_track(
@@ -391,9 +381,10 @@ def fit_bernoulli_track(
     measurement and deaths within ``slack`` steps after the last one (with
     survival 1, the window's end only), clamped to the window. One lockstep
     ``_smooth_births`` pass smooths every birth through the last death; the
-    (b, e) conditional is the leading block of b's joint, built without
-    re-validation once the whole output is checked finite, and all deaths
-    of b share b's log-likelihood. The log-weight of (b, e) adds to it the
+    (b, e) conditional is the leading steps of b's smoother chain (no copy,
+    and no dense covariance until one is asked for), built without
+    re-validation once the whole chain is checked finite, and all deaths of
+    b share b's log-likelihood. The log-weight of (b, e) adds to it the
     uniform birth prior -log(#births), survival (e - b) log(survival) and,
     unless e is the window's last step, death log(1 - survival); the pmf is
     the max-shifted, normalized weights. Existence r is the supplied prior,
@@ -419,21 +410,20 @@ def fit_bernoulli_track(
     conds: List[GaussianSequence] = []
     log_w: List[float] = []
     n_betas = len(betas)
-    d = mm.dim
-    # No measurement lies after times[-1] <= e, so the (b, e) smoothed joint is
-    # the leading block of the (b, epss[-1]) joint, with the same likelihood.
-    means, covs, log_liks = _smooth_births(betas, epss[-1], meas, mm, sm)
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+    # No measurement lies after times[-1] <= e, so the (b, e) smoothed chain is
+    # the leading part of the (b, epss[-1]) chain, with the same likelihood.
+    means, steps, gains, log_liks = _smooth_births(betas, epss[-1], meas, mm, sm)
+    if not (np.isfinite(means).all() and np.isfinite(steps).all() and np.isfinite(gains).all()):
         raise ValueError("mean and cov must be finite")
-    for b, mean, cov, log_lik in zip(betas, means, covs, log_liks.tolist()):
-        lo = (b - betas[0]) * d
+    smoothed = _Smoothed(means, steps, gains, [b - betas[0] for b in betas])
+    for i, (b, log_lik) in enumerate(zip(betas, log_liks.tolist())):
+        chain = smoothed.chain(i)
         for e in epss:
-            hi = (e - betas[0] + 1) * d
             surv = math.log(mm.survival) * (e - b) if mm.survival > 0 else (0.0 if e == b else -np.inf)
             death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)
             prior = -math.log(n_betas) + surv + death
             pairs.append((b, e))
-            conds.append(GaussianSequence._valid(mean[lo:hi], cov[lo:hi, lo:hi], d))
+            conds.append(chain.leading(e - b + 1))
             log_w.append(log_lik + prior)
     log_w = np.asarray(log_w)
     probs = np.exp(log_w - log_w.max())

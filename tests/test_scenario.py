@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,18 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from conftest import smooth_hypothesis_per_birth
-from trajconstrain import TimeWindow, scenario
+from trajconstrain import (
+    Constraint,
+    ConstraintSet,
+    GaussianSequence,
+    StateRegion,
+    TimeWindow,
+    constrain_bernoulli,
+    constrained_marginals,
+    gaussian,
+    scenario,
+)
+from trajconstrain.gaussian import CLOSED_FORM, _Smoothed
 from trajconstrain.scenario import (
     Measurement,
     MotionModel,
@@ -184,7 +196,7 @@ class TestSmoother:
         mm = cv_motion()
         sm = pos_sensor()
         meas = self.make_meas(rng, [0, 1, 3, 5])
-        (mean,), (cov,), (log_lik,) = _smooth_births([0], 6, meas, mm, sm)
+        (mean,), (cov,), (log_lik,) = smoothed_joints([0], 6, meas, mm, sm)
         mean_o, cov_o, log_o = batch_posterior(0, 6, meas, mm, sm)
         np.testing.assert_allclose(mean, mean_o, rtol=0, atol=1e-8)
         np.testing.assert_allclose(cov, cov_o, rtol=0, atol=1e-8)
@@ -196,7 +208,7 @@ class TestSmoother:
         mm, sm = cv_motion(), pos_sensor()
         meas = self.make_meas(rng, [k for k in range(2, 46) if k % 7 != 3])
         births, eps = (0, 1, 2), 47
-        means, covs, log_liks = _smooth_births(births, eps, meas, mm, sm)
+        means, covs, log_liks = smoothed_joints(births, eps, meas, mm, sm)
         for i, b in enumerate(births):
             mean_o, cov_o, log_o = batch_posterior(b, eps, meas, mm, sm)
             lo = (b - births[0]) * mm.dim
@@ -227,7 +239,7 @@ class TestSmoother:
     def test_no_measurements_is_prior(self):
         mm = cv_motion()
         sm = pos_sensor()
-        (mean,), (cov,), (log_lik,) = _smooth_births([2], 5, {}, mm, sm)
+        (mean,), (cov,), (log_lik,) = smoothed_joints([2], 5, {}, mm, sm)
         mean_o, cov_o, _ = batch_posterior(2, 5, {}, mm, sm)
         assert log_lik == 0.0
         np.testing.assert_allclose(mean, mean_o, atol=1e-10)
@@ -253,7 +265,7 @@ class TestSmoother:
         for k in range(5):
             meas[k] = np.array([x[0]])
             x = mm.transition @ x
-        (mean,), _, _ = _smooth_births([0], 4, meas, mm, sm)
+        (mean,), _, _ = smoothed_joints([0], 4, meas, mm, sm)
         x = np.array([2.0, 0.5])
         for k in range(5):
             np.testing.assert_allclose(mean[2 * k : 2 * k + 2], x, atol=1e-6)
@@ -325,6 +337,30 @@ LOCKSTEP_CASES = {
 }
 
 
+def smoothed_joints(births, eps, meas, mm, sm):
+    """``_smooth_births`` with every birth's chain expanded into its joint
+    by a batched block-row fill, Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t): means
+    (births, N * d), covariances (births, N * d, N * d) and log-likelihoods,
+    each birth's leading coordinates, before it, zeros. The reference that
+    a fitted conditional's ``cov`` equals bit for bit; the chain slots
+    before each birth must hold zeros too."""
+    means, steps, gains, log_liks = _smooth_births(births, eps, meas, mm, sm)
+    nb, nu, d = means.shape
+    assert steps.shape == (nb, nu, d, d) and gains.shape == (nb, nu - 1, d, d)
+    for i, b in enumerate(births):
+        lo = b - births[0]
+        assert not means[i, :lo].any() and not steps[i, :lo].any() and not gains[i, :lo].any()
+    joint = np.zeros((nb, nu * d, nu * d))
+    joint[:, -d:, -d:] = steps[:, -1]
+    for s in range(nu - 2, -1, -1):
+        here, later = slice(s * d, (s + 1) * d), slice((s + 1) * d, None)
+        cross = gains[:, s] @ joint[:, (s + 1) * d : (s + 2) * d, later]
+        joint[:, here, here] = steps[:, s]
+        joint[:, here, later] = cross
+        joint[:, later, here] = cross.swapaxes(1, 2)
+    return means.reshape(nb, -1), joint, log_liks
+
+
 def assert_normwise_close(x, ref, tol=1e-12):
     """max |x - ref| <= tol * max |ref|: normwise relative agreement."""
     x, ref = np.asarray(x), np.asarray(ref)
@@ -335,10 +371,11 @@ def assert_normwise_close(x, ref, tol=1e-12):
 def assert_equals_per_birth(births, eps, meas, mm, sm):
     """``_smooth_births``, run with every floating-point error raised, matches
     ``smooth_hypothesis_per_birth`` within 1e-12 normwise relative: each
-    birth's trailing block of the joint mean and covariance, and its
-    log-likelihood. The leading coordinates, before the birth, hold zeros."""
+    birth's trailing block of the joint mean and covariance its chain fixes,
+    and its log-likelihood. The leading coordinates, before the birth, hold
+    zeros."""
     with np.errstate(all="raise"):
-        means, covs, log_liks = _smooth_births(births, eps, meas, mm, sm)
+        means, covs, log_liks = smoothed_joints(births, eps, meas, mm, sm)
     assert means.shape == (len(births), (eps - births[0] + 1) * mm.dim)
     for b, mean, cov, log_lik in zip(births, means, covs, log_liks):
         ref_mean, ref_cov, ref_log_lik = smooth_hypothesis_per_birth(b, eps, meas, mm, sm)
@@ -425,8 +462,9 @@ class TestFitBernoulliTrack:
 
     def test_conditionals_equal_per_birth(self, fit_case):
         # one lockstep pass gives every birth's joint and likelihood within
-        # 1e-12 of the per-birth smoother, and each (b, e) conditional is
-        # exactly the leading block of b's joint
+        # 1e-12 of the per-birth smoother, and each (b, e) conditional's
+        # dense covariance, built from its chain on first access, is bit for
+        # bit the leading block of b's joint as the batched fill builds it
         meas, mm, sm, window, slack = fit_case
         with np.errstate(all="raise"):
             out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
@@ -434,7 +472,7 @@ class TestFitBernoulliTrack:
         births = sorted({b for b, _ in out.density.pmf.pairs})
         last = max(e for _, e in out.density.pmf.pairs)
         assert_equals_per_birth(births, last, by_time, mm, sm)
-        means, covs, _ = _smooth_births(births, last, by_time, mm, sm)
+        means, covs, _ = smoothed_joints(births, last, by_time, mm, sm)
         for (b, e), gs in zip(out.density.pmf.pairs, out.density.conditionals):
             i, n = births.index(b), (e - b + 1) * mm.dim
             lo = (b - births[0]) * mm.dim
@@ -464,9 +502,9 @@ class TestFitBernoulliTrack:
         calls = []
 
         def shifted(*args):
-            means, covs, log_liks = smooth(*args)
+            means, steps, gains, log_liks = smooth(*args)
             calls.append(log_liks.size)
-            return means, covs, log_liks - 1e4
+            return means, steps, gains, log_liks - 1e4
 
         monkeypatch.setattr(scenario, "_smooth_births", shifted)
         out = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
@@ -486,3 +524,150 @@ class TestFitBernoulliTrack:
         out = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, 10), slack=3)
         top = max(out.density.pmf.items(), key=lambda kv: kv[1])[0]
         assert top == (3, 7)
+
+
+def cli_track_models():
+    """The constant-velocity motion and position sensor of the ``cli-track`` benchmark inputs."""
+    mm = MotionModel(
+        np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.05 / 3.0, 0.025], [0.025, 0.05]]), 0.99, 0.0,
+        np.array([0.0, 1.0]), np.diag([25.0, 1.0]),
+    )
+    sm = SensorModel(np.array([[1.0, 0.0]]), np.array([[1.0]]), 0.9, 0.0, np.array([-1e3]), np.array([1e3]))
+    return mm, sm
+
+
+def cv_track(rng, mm, steps):
+    """Truth states (steps, 2) of one constant-velocity target and its
+    position detections, each made with probability 0.9, from step 5 to
+    ``steps`` - 6, as in the ``cli-track`` inputs."""
+    q_fac = np.linalg.cholesky(mm.process_noise)
+    x = np.array([0.0, 1.0]) + rng.standard_normal(2)
+    states = np.empty((steps, 2))
+    for k in range(steps):
+        states[k] = x
+        x = mm.transition @ x + q_fac @ rng.standard_normal(2)
+    meas = [(k, [states[k, 0] + rng.standard_normal()]) for k in range(5, steps - 5) if rng.random() < 0.9]
+    return states, meas
+
+
+def fitted_chain_sequences():
+    """(name, conditional) of fitted sequences that read their chain: each
+    birth of every ``LOCKSTEP_CASES`` smoother at its full length and cut
+    short, and every conditional of the no-process-noise, clamped-window and
+    noise-free-sensor track fits."""
+    rng = np.random.default_rng(21)
+    out = []
+    for case in sorted(LOCKSTEP_CASES):
+        births, eps, times, mm, sm = LOCKSTEP_CASES[case]
+        meas = {k: rng.normal(k, 1.0, sm.meas_dim) for k in times}
+        means, steps, gains, _ = _smooth_births(births, eps, meas, mm, sm)
+        smoothed = _Smoothed(means, steps, gains, [b - births[0] for b in births])
+        for i, b in enumerate(births):
+            chain = smoothed.chain(i)
+            n = eps - b + 1
+            out += [(f"{case}/{b}", chain.leading(n)), (f"{case}/{b}/short", chain.leading(max(n // 2, 1)))]
+    noise_free = (
+        [(k, [1.0 * k]) for k in range(2, 8)],
+        MotionModel(np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 0.1]), 0.9, 0.0, np.zeros(2), np.eye(2)),
+        pos_sensor(r=0.0),
+        TimeWindow(0, 10),
+        1,
+    )
+    for name, (meas, mm, sm, window, slack) in (
+        ("no_process_noise", FIT_FIXTURES["no_process_noise"]),
+        ("clamped", FIT_FIXTURES["clamped"]),
+        ("noise_free_sensor", noise_free),
+    ):
+        fit = fit_bernoulli_track(meas, mm, sm, window, slack=slack)
+        out += [(f"{name}/{pair}", g) for pair, g in zip(fit.density.pmf.pairs, fit.density.conditionals)]
+    return out
+
+
+class TestFittedChains:
+    def test_accessors_equal_the_materialized_covariance(self):
+        # variances, step blocks and blocks of unsorted rows and columns read
+        # off the chain agree with indexing the dense covariance built from
+        # it within 1e-12 normwise relative; a dense sequence of that
+        # covariance gives exactly the indexed entries
+        rng = np.random.default_rng(4)
+        for name, g in fitted_chain_sequences():
+            assert "cov" not in g.__dict__, name
+            with np.errstate(all="raise"):
+                var, step_covs = g._variances(), g._step_covs()
+            cov = g.cov
+            steps = gaussian._step_blocks(cov, g.dim)
+            assert_normwise_close(var, cov.diagonal())
+            assert_normwise_close(step_covs, steps)
+            dense = GaussianSequence._valid(np.array(g.mean), np.array(cov), g.dim)
+            np.testing.assert_array_equal(dense._variances(), cov.diagonal())
+            np.testing.assert_array_equal(dense._step_covs(), steps)
+            n, d = cov.shape[0], g.dim
+            for _ in range(4):
+                col_steps = rng.choice(g.length, size=min(g.length, 3), replace=False)
+                cols = rng.permutation(np.concatenate([s * d + rng.choice(d, d, replace=False) for s in col_steps]))
+                # rows at the column steps, and before and after them
+                edge = [0, cols[0], n - 1]
+                rows = rng.permutation(np.concatenate((edge, rng.choice(n, min(n, 7), replace=False))))
+                with np.errstate(all="raise"):
+                    block, full, same = gaussian._cov_blocks([g, g, g], [rows, None, cols], [cols, cols, cols])
+                    # rows that are the columns, as a pair probability asks
+                    (square,) = gaussian._cov_blocks([g], [cols], [cols])
+                assert_normwise_close(block, cov[np.ix_(rows, cols)])
+                assert_normwise_close(full, cov[:, cols])
+                for got in (same, square):
+                    assert_normwise_close(got, cov[np.ix_(cols, cols)])
+                    assert np.array_equal(got, got.T), name
+                for got, want in zip(
+                    gaussian._cov_blocks([dense] * 3, [rows, None, cols], [cols] * 3),
+                    (cov[np.ix_(rows, cols)], cov[:, cols], cov[np.ix_(cols, cols)]),
+                ):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_marginals_leave_the_chain_untouched(self):
+        # constrained_marginals adds K Delta K' to each pair's step blocks,
+        # which a chain lends read-only: two calls give the same bits, and the
+        # chains' step covariances are unchanged
+        mm, sm = cli_track_models()
+        states, meas = cv_track(np.random.default_rng(6), mm, 40)
+        fit = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, 39), slack=3)
+        for g in fit.density.conditionals:
+            assert not g._step_covs().flags.writeable
+            with pytest.raises(ValueError):
+                g._step_covs()[0, 0, 0] = 1.0
+        before = [g._chain.steps.copy() for g in fit.density.conditionals]
+        gates = [Constraint(t, StateRegion.box([(states[t, 0] - 0.5, states[t, 0] + 0.5), None])) for t in (10, 20, 30)]
+        ctd = constrain_bernoulli(fit, ConstraintSet(gates, "disjunct"), 20_000, 1).density
+        first, second = (constrained_marginals(ctd, 20_000, 2) for _ in range(2))
+        for a, b in ((first.means, second.means), (first.covs, second.covs), (first.mean_se, second.mean_se)):
+            assert a.tobytes() == b.tobytes()
+        for g, steps in zip(fit.density.conditionals, before):
+            assert g._chain.steps.tobytes() == steps.tobytes()
+
+    def test_long_track_constrains_in_chain_memory(self):
+        # a 1,200-step track: its four births' dense joints alone would take
+        # 4 x 2,400^2 x 8 B, about 184 MB; fitting it, constraining it by
+        # three disjunct gates and taking its marginals stays below 16 MB,
+        # and no conditional builds its dense covariance
+        mm, sm = cli_track_models()
+        steps = 1200
+        states, meas = cv_track(np.random.default_rng(7), mm, steps)
+        cs = ConstraintSet(
+            [Constraint(t, StateRegion.box([(states[t, 0] - 0.5, states[t, 0] + 0.5), None])) for t in (300, 600, 900)],
+            "disjunct",
+        )
+        tracemalloc.start()
+        try:
+            fit = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, steps - 1), slack=3)
+            constrained = constrain_bernoulli(fit, cs, 20_000, 1)
+            marginals = constrained_marginals(constrained.density, 20_000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        assert len(fit.density.conditionals) == 16
+        assert all("cov" not in g.__dict__ for g in fit.density.conditionals)
+        assert {info.path for info in constrained.density.pair_info.values()} == {CLOSED_FORM}
+        assert set(marginals.view_paths.values()) == {CLOSED_FORM}
+        pairs = fit.density.pmf.pairs
+        assert marginals.times == list(range(pairs[0][0], pairs[-1][1] + 1))
+        assert np.isfinite(marginals.means).all()

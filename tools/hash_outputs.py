@@ -6,7 +6,8 @@ Usage:
 
 TREE is a checkout holding ``src/`` and ``perfbench/`` (the inputs are built by
 ``perfbench/workloads.py`` of that tree). The first form prints one line per
-record, ``name digest path``: each constrained component (r or mu, report and
+record, ``name digest path``: each fitted track (every conditional's mean and
+dense covariance, and the pmf), each constrained component (r or mu, report and
 pmf), each of its pairs (``PairConstraintInfo``, whose path is the line's
 path), each pair's moment-matched conditional (with its view path) and
 sample-cloud points and weights, each component's constrained marginals,
@@ -15,7 +16,8 @@ whole. A record that depends on several pairs carries all their paths. The
 inputs:
 ``cli-track`` and ``oracle-verify`` configs of seeds 2026 and 7 under their own
 gates, conjunct, disjunct, a two-box first gate and a fourth gate; capped
-synthetic cases; 30 ``pmbm-scan`` inputs of seed 515; stratified draws.
+synthetic cases; 30 ``pmbm-scan`` inputs of seed 515 and the fitted tracks of
+its library; stratified draws.
 
 The second form compares two digest files record by record: it counts the
 records that are equal, those whose digest changed while their path did not,
@@ -116,6 +118,12 @@ def component(rec, name, c, engine, budget, seed, views=True):
             rec.add(f"{name}/cloud_weights{pair}", s.weights, pmf_paths)
 
 
+def fit(rec, name, track):
+    """The record of one fitted track (a Bernoulli or a PPP): each
+    conditional's mean and dense covariance, and the pmf."""
+    rec.add(name, ([(g.mean, g.cov) for g in track.density.conditionals], track.density.pmf))
+
+
 def tracks(rec, modules):
     cli, engine, oracle, workloads = (modules[m] for m in ("cli", "engine", "oracle", "workloads"))
     Constraint, ConstraintSet, StateRegion = (modules[m] for m in ("Constraint", "ConstraintSet", "StateRegion"))
@@ -138,6 +146,7 @@ def tracks(rec, modules):
             for i in range(8):
                 cfg = wl.make_input(i)
                 b = workloads._fit_from_config(cfg)
+                fit(rec, f"{name}/{seed}/{i}/fit", b)
                 cs = cli.parse_constraints(cfg, cli.parse_window(cfg), 2)
                 budget = int(cfg["mc_budget"])
                 op_seed = workloads.derived_seed(seed, name, i, 1)
@@ -200,6 +209,10 @@ def synthetic(rec, modules):
 def pmbms(rec, modules):
     engine, rfs, workloads = modules["engine"], modules["rfs"], modules["workloads"]
     wl = workloads.PmbmScan(515, Path(tempfile.gettempdir()))
+    for j, t in enumerate(wl.tracks):
+        fit(rec, f"pmbm/library/track{j}", t)
+    for j, p in enumerate(wl.ppps):
+        fit(rec, f"pmbm/library/ppp{j}", p)
     for i in range(30):
         pmbm, cs = wl.make_input(i)
         out = engine.constrain_pmbm(pmbm, cs, wl.mc_budget, workloads.derived_seed(515, wl.name, i, 1))
