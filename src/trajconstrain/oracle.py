@@ -16,6 +16,11 @@ F. A chunk of at most ``DRAW_CHUNK`` rows draws the head normals z_h
 only, and ``satisfies_batch`` tests the head states m_h + F_hh z_h, placed in
 coordinate-major states whose unbounded coordinates are 0. A pair whose
 active constraints are all full space has an empty head and keeps every row.
+Every chunk of a call is drawn, screened and added to its pair's Gram in one
+workspace (``_Workspace``), allocated for the call's largest pair and freed
+when the call ends, so a chunk allocates nothing larger than the test's
+masks; numpy fills a given array with the normals it would return, so the
+workspace changes no draw.
 
 Only where per-step moments are checked are the accepted draws completed,
 and then only as the statistics their moments need. n rows of normals
@@ -62,8 +67,9 @@ from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 # Budget behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
 # Most rows screened at once: memory is O(DRAW_CHUNK x head dim) however
-# many draws are asked for.
-DRAW_CHUNK = 2**15
+# many draws are asked for. At 2^13 rows a workspace stays below glibc's
+# mmap threshold, so its pages are reused from call to call.
+DRAW_CHUNK = 2**13
 
 
 @dataclass
@@ -168,6 +174,47 @@ def _head(g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet
     )
 
 
+class _Workspace:
+    """The arrays that every screening chunk of one ``_screened_chunks`` call
+    is drawn, screened and added in, allocated once, for the most rows, head
+    coordinates and state coordinates of any of its pairs, and sliced per
+    chunk: a chunk allocates nothing larger than its test's masks.
+
+    ``normals`` gives a (rows, h) head-normal block for
+    ``Generator.standard_normal(out=...)``, which fills it as it fills a new
+    array of that shape. ``head`` gives the (h, rows) block the head states
+    are formed in, which ``_Screen.add`` then reuses for the masked normals.
+    ``states`` is the current pair's coordinate-major (steps * dim, rows)
+    array, zeroed by ``start``; a chunk overwrites its slot rows only, so the
+    others stay 0, and a pair's last, shorter chunk reads leading columns.
+    The other arrays are leading slices of flat buffers, so each block is
+    contiguous.
+
+    Only the call's generator holds it: a ``_Screen`` outlives its chunks,
+    until ``_accepted`` draws the tails, and never keeps it."""
+
+    def __init__(self, rows: int, h: int, coords: int):
+        self._normals = np.empty(rows * h)
+        self._head = np.empty(rows * h)
+        self._states = np.empty(rows * coords)
+        self._weight = np.empty(rows)
+        self.states: Optional[np.ndarray] = None
+
+    def start(self, screen: _Screen, rows: int) -> None:
+        """Zero the states of the pair of ``screen``, whose chunks have at most ``rows`` rows."""
+        self.states = self._states[: len(screen.cs) * screen.dim * rows].reshape(-1, rows)
+        self.states.fill(0.0)
+
+    def normals(self, rows: int, h: int) -> np.ndarray:
+        return self._normals[: rows * h].reshape(rows, h)
+
+    def head(self, h: int, rows: int) -> np.ndarray:
+        return self._head[: h * rows].reshape(h, rows)
+
+    def weight(self, rows: int) -> np.ndarray:
+        return self._weight[:rows]
+
+
 class _Screen:
     """One pair's conditional, reordered with the coordinates that the active
     constraints bound first (the head) and the rest after (the tail), and
@@ -188,7 +235,10 @@ class _Screen:
 
     ``gram`` is A^T A for A = [1 z_h] over the accepted head normals that
     ``add`` has seen, accumulated chunk by chunk as a product masked with the
-    test's outcome, so the accepted rows are never gathered."""
+    test's outcome, so the accepted rows are never gathered. ``screen`` and
+    ``add`` work in the arrays of the caller's ``_Workspace``, which the
+    screen never keeps: ``_accepted`` holds every pair's screen until the
+    tail draws, and a workspace per pair would be held with it."""
 
     def __init__(
         self,
@@ -219,26 +269,45 @@ class _Screen:
         self.cs = ConstraintSet([Constraint(k, r) for k, r in enumerate(regions)], cs.mode)
         self.gram = np.zeros((self.h + 1, self.h + 1))
 
-    def screen(self, z_head: np.ndarray) -> np.ndarray:
+    def screen(self, z_head: np.ndarray, work: Optional[_Workspace] = None) -> np.ndarray:
         """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints.
 
+        The head states are formed and placed in the arrays of ``work``,
+        started on this screen (a workspace of its own when None).
         ``satisfies_batch`` reads the states through a (rows, steps, dim)
         view of the coordinate-major array, so every column it compares is
         contiguous."""
         rows, steps = z_head.shape[0], len(self.cs)
-        states = np.zeros((steps * self.dim, rows))
-        states[self.slots] = self.f_hh @ z_head.T + self.m_h
+        if work is None:
+            work = _Workspace(rows, self.h, steps * self.dim)
+            work.start(self, rows)
+        head = work.head(self.h, rows)
+        np.matmul(self.f_hh, z_head.T, out=head)
+        head += self.m_h
+        states = work.states[:, :rows]
+        states[self.slots] = head
         return satisfies_batch(0, steps - 1, states.reshape(steps, self.dim, rows).transpose(2, 0, 1), self.cs)
 
-    def add(self, z_head: np.ndarray, acc: np.ndarray, count: int) -> None:
-        """Add the ``count`` rows of ``z_head`` where ``acc`` holds to ``gram``."""
+    def add(self, z_head: np.ndarray, acc: np.ndarray, work: _Workspace) -> None:
+        """Add the rows of ``z_head`` where ``acc`` holds to ``gram``, in the
+        arrays of ``work``, once its head states are read."""
+        count = int(np.count_nonzero(acc))
+        if not count:
+            return
+        rows = z_head.shape[0]
         # cast once: a float-by-bool product converts element by element
-        weight = acc.astype(np.float64)
-        sums = z_head.T @ weight
+        weight = work.weight(rows)
+        weight[:] = acc
+        # z_h^T in one contiguous (h, rows) block, so that the masked product
+        # runs along the rows, not along the h columns of each row
+        masked = work.head(self.h, rows)
+        np.copyto(masked, z_head.T)
+        sums = masked @ weight
+        masked *= weight
         self.gram[0, 0] += count
         self.gram[0, 1:] += sums
         self.gram[1:, 0] += sums
-        self.gram[1:, 1:] += (z_head.T * weight) @ z_head
+        self.gram[1:, 1:] += masked @ z_head
 
     def tail_moments(self, tail_rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
         """``reduce`` of the accepted rows, with the tail's part of their Gram
@@ -314,7 +383,12 @@ def _screened_chunks(
     normals of one draw of its whole count. A pair with no active constraint
     keeps no draw and draws nothing; one whose head is empty (every active
     constraint full space) keeps every row. ``complete`` factors the whole
-    reordered covariance, for ``_Screen.reduce``.
+    reordered covariance, for ``_Screen.reduce``, and adds each chunk's
+    accepted rows to its screen's Gram (``_Screen.add``).
+
+    Every chunk is drawn and screened in the call's one ``_Workspace``, so
+    the yielded normals are overwritten when the generator resumes: a
+    caller that keeps them copies them first.
     """
     if n == 0:
         return
@@ -324,16 +398,28 @@ def _screened_chunks(
         idx = active_indices(cs, *pair)
         if c and idx:
             drawn.append((pair, g, c, idx))
+    if not drawn:
+        return
     # The head blocks of every drawn pair in one ``_cov_blocks`` pass; the
     # whole sequence's factor reads its dense covariance instead.
     heads = [_head(g, pair[0], idx, cs) for pair, g, _, idx in drawn]
     blocks = [None] * len(drawn) if complete else _cov_blocks([g for _, g, _, _ in drawn], heads, heads)
+    chunk = DRAW_CHUNK
+    work = _Workspace(
+        min(chunk, max(c for _, _, c, _ in drawn)),
+        max(head.size for head in heads),
+        max(len(idx) * g.dim for _, g, _, idx in drawn),
+    )
     for (pair, g, c, idx), block in zip(drawn, blocks):
         screen = _Screen(g, pair[0], idx, cs, complete, block)
-        chunk = DRAW_CHUNK
+        work.start(screen, min(chunk, c))
         for start in range(0, c, chunk):
-            z_head = rng.standard_normal((min(chunk, c - start), screen.h))
-            yield pair, screen, z_head, screen.screen(z_head)
+            z_head = work.normals(min(chunk, c - start), screen.h)
+            rng.standard_normal(out=z_head)
+            acc = screen.screen(z_head, work)
+            if complete:
+                screen.add(z_head, acc, work)
+            yield pair, screen, z_head, acc
 
 
 def _accepted(
@@ -354,12 +440,11 @@ def _accepted(
     size changes no tail draw."""
     per_pair: Dict[Pair, int] = {}
     screens: Dict[Pair, _Screen] = {}  # of the pairs with accepted rows, in pmf order
-    for pair, screen, z_head, acc in _screened_chunks(td, n, rng, cs, moments is not None):
+    for pair, screen, _, acc in _screened_chunks(td, n, rng, cs, moments is not None):
         count = int(np.count_nonzero(acc))
         per_pair[pair] = per_pair.get(pair, 0) + count
         if moments is not None and count:
             screens[pair] = screen
-            screen.add(z_head, acc, count)
     for (birth, _), screen in screens.items():
         moments.add(birth, *screen.tail_moments(tail_rng))
     return per_pair

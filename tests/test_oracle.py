@@ -24,7 +24,7 @@ from trajconstrain import (
     constrain_ppp,
     constrained_marginals,
 )
-from trajconstrain import gaussian, oracle
+from trajconstrain import engine, gaussian, oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.errors import LowAcceptanceError
@@ -414,6 +414,122 @@ class TestStreaming:
             tracemalloc.stop()
         assert any(e.name.startswith("mean[") for e in rep.entries)
         assert peak < 16e6, peak / 1e6
+
+    def test_memory_of_a_fitted_track_is_bounded_by_the_chunk(self):
+        # 16 pairs of about 90 steps: the screens live until the tail draws,
+        # each with its factor, so a chunk-sized array kept per pair would
+        # add 16 of them; the dense joints are built before tracing
+        b, cs = conjunct_cli_track()
+        assert len(b.density.pmf.pairs) == 16
+        out = constrain_bernoulli(b, cs, 20_000, rng_seed=1)
+        for g in b.density.conditionals:
+            assert g.cov.shape == (g.mean.size, g.mean.size)
+        tracemalloc.start()
+        try:
+            rep = oracle_bernoulli(b, out, cs, n=200_000, rng_seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(e.name.startswith("mean[") for e in rep.entries)
+        assert peak < 12e6, peak / 1e6
+
+    @pytest.mark.parametrize("chunk", [None, 1000])
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_head_normals_are_one_draw_per_pair(self, monkeypatch, mode, chunk):
+        """Pair by pair in pmf order, the head normals of a pair's chunks are
+        one ``standard_normal((count, h))`` of its whole count, drawn after
+        the multinomial, at any chunk size. A yielded block is valid only
+        until the generator resumes, so each is copied first."""
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "DRAW_CHUNK", chunk)
+        td = random_density(np.random.default_rng(110), TimeWindow(0, 4), 2)
+        gate = StateRegion.box([(-0.5, 1.0), None])
+        other = StateRegion.box([(-1.0, None), (None, 0.8)])
+        cs = ConstraintSet([Constraint(1, gate), Constraint(3, other)], mode)
+        n = 30_000
+        if chunk is not None:  # several chunks for some pair
+            assert n * td.pmf.probs.max() > 2 * chunk
+        for complete in (False, True):
+            rng = np.random.default_rng(111)
+            blocks, first = {}, None
+            for pair, screen, z_head, _ in oracle._screened_chunks(td, n, rng, cs, complete):
+                blocks.setdefault(pair, (screen.h, []))[1].append(z_head.copy())
+                if first is None:
+                    first = (z_head, z_head.copy())
+            twin = np.random.default_rng(111)
+            counts = twin.multinomial(n, td.pmf.probs).tolist()
+            drawn = [(pair, c) for pair, c in zip(td.pmf.pairs, counts) if c and active_indices(cs, *pair)]
+            assert list(blocks) == [pair for pair, _ in drawn] and len(drawn) > 2
+            for pair, c in drawn:
+                h, chunks = blocks[pair]
+                np.testing.assert_array_equal(np.concatenate(chunks), twin.standard_normal((c, h)))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert [len(chunks) for _, chunks in blocks.values()] == [-(-c // oracle.DRAW_CHUNK) for _, c in drawn]
+            # the later chunks overwrote the first one in place
+            assert not np.array_equal(*first)
+
+
+def conjunct_cli_track():
+    """A track fitted as the benchmark's CLI track is (100 steps, constant
+    velocity with process noise, slack 3: 4 x 4 (birth, death) pairs), under
+    three wide conjunct position gates."""
+    rng, steps = np.random.default_rng(2027), 100
+    f, q = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.05 / 3.0, 0.025], [0.025, 0.05]])
+    mm = MotionModel(f, q, 0.99, 0.0, np.array([0.0, 1.0]), np.diag([25.0, 1.0]))
+    sm = SensorModel(np.array([[1.0, 0.0]]), np.array([[1.0]]), 0.9, 0.0, np.array([-1e3]), np.array([1e3]))
+    x, truth = np.array([0.0, 1.0]) + np.array([5.0, 1.0]) * rng.standard_normal(2), []
+    for _ in range(steps):
+        truth.append(float(x[0]))
+        x = f @ x + np.linalg.cholesky(q) @ rng.standard_normal(2)
+    meas = [(k, [truth[k] + rng.standard_normal()]) for k in range(5, steps - 5) if rng.random() < 0.9]
+    b = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, steps - 1), 0.9, 3)
+    gates = [Constraint(t, StateRegion.box([(truth[t] - 1.0, truth[t] + 1.0), None])) for t in (30, 50, 70)]
+    return b, ConstraintSet(gates, "conjunct")
+
+
+# The engine's probability math. The oracle shares none of it, so it runs
+# with each of these raising, in ``engine`` and in ``gaussian``.
+ENGINE_MATH = (
+    "_accepted_y",
+    "_given_y",
+    "_pattern_batch",
+    "marginal",
+    "_bounded_cols",
+    "_cell_probabilities",
+    "_truncated_moments",
+    "_lattice_pass",
+)
+
+
+class TestIndependence:
+    def test_oracle_calls_no_engine_probability_math(self, monkeypatch):
+        rng = np.random.default_rng(120)
+        window = TimeWindow(0, 4)
+        b = BernoulliTrajectory(0.9, random_density(rng, window, 2))
+        p = PppTrajectory(3.0, random_density(rng, window, 2))
+        m = PmbmDensity(p, (GlobalHypothesis(0.7, (b,)), GlobalHypothesis(0.3, ())))
+        gate = StateRegion.box([(-0.5, 1.5), None])
+        cs = ConstraintSet([Constraint(1, gate), Constraint(3, HALF_PLANE)], "conjunct")
+        out = constrain_pmbm(m, cs, 20_000, rng_seed=5)
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the oracle called {name}")
+
+            return call
+
+        for name in ENGINE_MATH:
+            modules = [module for module in (engine, gaussian) if hasattr(module, name)]
+            assert modules, name
+            for module in modules:
+                monkeypatch.setattr(module, name, forbidden(name))
+        moments = _StepMoments(b.density)
+        per_pair = _accepted(b.density, 50_000, np.random.default_rng(6), cs, moments, np.random.default_rng(7))
+        assert sum(per_pair.values()) > 100 and moments.per_step(min_count=100)
+        tc = out.hypotheses[0].tracks[0]
+        assert oracle_bernoulli(b, tc, cs, n=50_000, rng_seed=8, check_moments=False).passed
+        assert oracle_ppp(p, out.ppp, cs, n_runs=5_000, rng_seed=9).passed
+        assert oracle_pmbm(m, out, cs, n=30_000, rng_seed=10).passed
 
 
 def no_process_noise_density():

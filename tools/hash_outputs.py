@@ -3,6 +3,7 @@
 Usage:
     python tools/hash_outputs.py TREE > TREE.digests
     python tools/hash_outputs.py --diff A.digests B.digests
+    python tools/hash_outputs.py --values A B
 
 TREE is a checkout holding ``src/`` and ``perfbench/`` (the inputs are built by
 ``perfbench/workloads.py`` of that tree). The first form prints one line per
@@ -17,16 +18,34 @@ inputs:
 ``cli-track`` and ``oracle-verify`` configs of seeds 2026 and 7 under their own
 gates, conjunct, disjunct, a two-box first gate and a fourth gate; capped
 synthetic cases; 30 ``pmbm-scan`` inputs of seed 515 and the fitted tracks of
-its library; stratified draws.
+its library; stratified draws. The oracle records are ``oracle_bernoulli``
+with moments on the first two ``oracle-verify`` inputs of each seed (one
+pair) and on the first ``cli-track`` input of each seed (16 pairs, under
+its own gates), and ``oracle_ppp`` on every ``oracle-verify`` input, as the
+CLI's ``oracle`` command runs it.
 
 The second form compares two digest files record by record: it counts the
 records that are equal, those whose digest changed while their path did not,
 and those whose path moved (by old -> new path), and lists the changed
 records that kept their path.
+
+The third form does the same for two trees, and compares the numbers of
+every record whose digest changed: each array whole and each scalar alone
+(a leaf, named by its place in the record). It gives each changed record's
+largest normwise relative change over its leaves, ||new - old|| / ||old||
+(inf where old is 0 and new is not, or where a leaf's shape changed), with
+that leaf's name, and then the largest change of each kind of leaf (its
+name with every index dropped, such as ``.entries[].z``) over all records. Each tree runs in a
+child process that sends a record's leaves only when asked, since all the
+numbers of one tree (sample-cloud points above all) take several GB.
 """
 
 import dataclasses
 import hashlib
+import math
+import pickle
+import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -72,12 +91,56 @@ def outcome(fn):
         return ("error", type(exc).__name__, str(exc))
 
 
+def leaves(x, where=""):
+    """(name, float64 vector) of each number in x, in ``feed``'s order: each
+    numeric array whole and each scalar alone. Strings and None carry no
+    number; ``feed`` still hashes them."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind in "biuf":
+            yield where, x.astype(np.float64).ravel()
+    elif isinstance(x, (float, int, bool, np.floating, np.integer, np.bool_)):
+        yield where, np.array([float(x)])
+    elif isinstance(x, dict):
+        for k, v in x.items():
+            yield from leaves(v, f"{where}[{k}]")
+    elif isinstance(x, (list, tuple)):
+        for i, v in enumerate(x):
+            yield from leaves(v, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from leaves(getattr(x, f.name), f"{where}.{f.name}")
+
+
+def leaf_changes(old, new):
+    """{leaf: normwise relative change} of the leaves that differ between
+    the leaves ``old`` and ``new`` of one record."""
+    if [where for where, _ in old] != [where for where, _ in new]:
+        return {"(leaves differ)": math.inf}
+    out = {}
+    for (where, a), (_, b) in zip(old, new):
+        if a.shape != b.shape:
+            out[where] = math.inf
+            continue
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        if same.all():
+            continue
+        scale = np.linalg.norm(a[np.isfinite(a)])
+        delta = np.linalg.norm(np.where(same, 0.0, b - a))
+        out[where] = delta / scale if scale > 0 and np.isfinite(delta) else math.inf
+    return out
+
+
 class Records:
-    def __init__(self):
+    """The records' lines; each record also goes to ``sink``, if given."""
+
+    def __init__(self, sink=None):
         self.lines = []
+        self.sink = sink
 
     def add(self, name, value, path="-"):
         self.lines.append(f"{name} {digest(value)} {path}")
+        if self.sink is not None:
+            self.sink(self.lines[-1], value)
 
 
 def joined(paths):
@@ -125,7 +188,7 @@ def fit(rec, name, track):
 
 
 def tracks(rec, modules):
-    cli, engine, oracle, workloads = (modules[m] for m in ("cli", "engine", "oracle", "workloads"))
+    cli, engine, oracle, rfs, workloads = (modules[m] for m in ("cli", "engine", "oracle", "rfs", "workloads"))
     Constraint, ConstraintSet, StateRegion = (modules[m] for m in ("Constraint", "ConstraintSet", "StateRegion"))
 
     def two_box_first(cs):
@@ -174,11 +237,23 @@ def tracks(rec, modules):
                             rec.add(f"{key}/partitions{pair}", [(e.inside, e.outside, e.weight) for e in parts])
                             raw = [e.raw_weight for e in parts]
                             rec.add(f"{key}/partitions_raw{pair}", raw, c.density.pair_info[pair].path)
-                if name == "oracle-verify" and i < 2:
-                    c = engine.constrain_bernoulli(b, cs, budget, op_seed)
+                # with moments: one pair on oracle-verify, 16 pairs on cli-track
+                with_moments = i < {"cli-track": 1, "oracle-verify": 2}[name]
+                if not with_moments and name != "oracle-verify":
+                    continue
+                c = engine.constrain_bernoulli(b, cs, budget, op_seed)
+                pmf_paths = joined(info.path for info in c.density.pair_info.values())
+                if with_moments:
                     mm = engine.constrained_marginals(c.density, 100_000, op_seed + 1)
-                    paths = f"{joined(info.path for info in c.density.pair_info.values())}/{joined(mm.view_paths.values())}"
+                    paths = f"{pmf_paths}/{joined(mm.view_paths.values())}"
                     rec.add(f"{name}/{seed}/{i}/oracle", oracle.oracle_bernoulli(b, c, cs, 200_000, 5.0, op_seed), paths)
+                if name == "oracle-verify":
+                    # as the CLI's oracle command checks a PPP on the track's density
+                    mu = float(cfg["oracle"]["mu"])
+                    cp = engine.ConstrainedPpp(mu * c.report.joint, c.density, c.report)
+                    ppp = rfs.PppTrajectory(mu, b.density)
+                    report = oracle.oracle_ppp(ppp, cp, cs, int(cfg["oracle"]["n_runs"]), 5.0, op_seed)
+                    rec.add(f"{name}/{seed}/{i}/oracle_ppp", report, pmf_paths)
 
 
 def synthetic(rec, modules):
@@ -245,7 +320,7 @@ def draws(rec, modules):
     rec.add("draws/sample", {pair: (s.states, s.weights) for pair, s in cloud.strata.items()})
 
 
-def run(tree: Path) -> None:
+def run(tree: Path, sink=None) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from trajconstrain import cli, engine, gaussian, oracle, rfs
     from trajconstrain.core import Constraint, ConstraintSet, StateRegion
@@ -253,22 +328,40 @@ def run(tree: Path) -> None:
     import workloads
 
     assert Path(engine.__file__).resolve().is_relative_to(tree), engine.__file__
-    modules = dict(locals())
-    rec = Records()
+    modules = {k: v for k, v in locals().items() if k not in ("tree", "sink")}
+    rec = Records(sink)
     for section in (tracks, synthetic, pmbms, draws):
         section(rec, modules)
-    print("\n".join(rec.lines))
+    if sink is None:
+        print("\n".join(rec.lines))
 
 
-def diff(old_file: Path, new_file: Path) -> None:
-    def read(path):
-        out = {}
-        for line in path.read_text().splitlines():
-            name, value, path_tag = line.rsplit(" ", 2)
-            out[name] = (value, path_tag)
-        return out
+def serve(tree: Path) -> None:
+    """The child of ``--values``: each record's line on stdout, then its
+    leaves if stdin answers 1; None after the last record."""
+    out = sys.stdout.buffer
 
-    old, new = read(old_file), read(new_file)
+    def send(line, value):
+        pickle.dump(line, out)
+        out.flush()
+        if sys.stdin.readline().strip() == "1":
+            pickle.dump(list(leaves(value)), out)
+            out.flush()
+
+    run(tree, send)
+    pickle.dump(None, out)
+    out.flush()
+
+
+def parse(line):
+    name, value, path_tag = line.rsplit(" ", 2)
+    return name, (value, path_tag)
+
+
+def report(old, new, changes=None) -> None:
+    """Print the comparison of two trees' records, {name: (digest, path)};
+    ``changes`` gives the ``leaf_changes`` of each record whose digest
+    changed."""
     counts, moved, kept_changed = Counter(), Counter(), []
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
@@ -279,17 +372,71 @@ def diff(old_file: Path, new_file: Path) -> None:
             moved[f"{old[name][1]} -> {new[name][1]}"] += 1
         else:
             counts["changed on the same path"] += 1
-            kept_changed.append(f"{name} ({new[name][1]})")
+            kept_changed.append(name)
     for what, n in sorted(counts.items()):
         print(f"{what}: {n}")
     for what, n in sorted(moved.items()):
         print(f"path moved {what}: {n}")
     for name in kept_changed:
-        print(f"  changed: {name}")
+        if changes is None:
+            print(f"  changed: {name} ({new[name][1]})")
+        else:
+            where = max(changes[name], key=changes[name].get, default="-")
+            print(f"  changed: {name} ({new[name][1]}) by {changes[name].get(where, 0.0):.3g} at {where}")
+    if changes:
+        # per kind of leaf, its place with every index dropped
+        kinds = {}
+        for name, leaves_changed in changes.items():
+            for where, change in leaves_changed.items():
+                kind = re.sub(r"\[[^\]]*\]", "[]", where)
+                kinds[kind] = max(kinds.get(kind, (0.0, "")), (change, name))
+        print("largest normwise relative change by leaf:")
+        for kind, (change, name) in sorted(kinds.items()):
+            print(f"  {kind} {change:.3g} ({name})")
+
+
+def diff(old_file: Path, new_file: Path) -> None:
+    old, new = (dict(parse(line) for line in f.read_text().splitlines()) for f in (old_file, new_file))
+    report(old, new)
+
+
+def compare(old_tree: Path, new_tree: Path) -> None:
+    """Run both trees record by record and compare their changed records' numbers."""
+    children = [
+        subprocess.Popen([sys.executable, __file__, "--serve", str(tree)], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        for tree in (old_tree, new_tree)
+    ]
+    old, new, changes = {}, {}, {}
+    while True:
+        lines = [pickle.load(child.stdout) for child in children]
+        if lines[0] is None or lines[1] is None:
+            if lines != [None, None]:
+                sys.exit(f"one tree ran out of records first: {lines}")
+            break
+        (name, old_tag), (other, new_tag) = (parse(line) for line in lines)
+        if name != other:
+            sys.exit(f"records out of step: {name} and {other}; compare digest files with --diff")
+        old[name], new[name] = old_tag, new_tag
+        ask = old_tag[0] != new_tag[0]
+        for child in children:
+            child.stdin.write(b"1\n" if ask else b"0\n")
+            child.stdin.flush()
+        if ask:
+            changes[name] = leaf_changes(*(pickle.load(child.stdout) for child in children))
+    for child in children:
+        child.stdin.close()
+        if child.wait():
+            sys.exit(f"a child failed with exit code {child.returncode}")
+    report(old, new, changes)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--diff"]:
-        diff(Path(sys.argv[2]), Path(sys.argv[3]))
+    mode, *trees = sys.argv[1:]
+    if mode == "--diff":
+        diff(*(Path(t) for t in trees))
+    elif mode == "--values":
+        compare(*(Path(t).resolve() for t in trees))
+    elif mode == "--serve":
+        serve(Path(trees[0]).resolve())
     else:
-        run(Path(sys.argv[1]).resolve())
+        run(Path(mode).resolve())
