@@ -37,9 +37,9 @@ from .gaussian import (
     TrajectoryDensity,
     alive_probability,
     marginal,
-    region_probability,
     sample,
 )
+from .mvn import region_probability
 from .rfs import (
     BernoulliTrajectory,
     GlobalHypothesis,

@@ -25,7 +25,8 @@ from . import serialize
 from .core import Constraint, ConstraintSet, StateRegion, TimeWindow
 from .engine import EXACT, LATTICE, ConstrainedPpp, constrain_bernoulli, constrained_marginals
 from .errors import ConfigError, TrajConstrainError, ZeroSupportError
-from .gaussian import CLOSED_FORM, MC, PINNED, QMC, step_moments
+from .gaussian import step_moments
+from .mvn import CLOSED_FORM, MC, PINNED, QMC
 from .oracle import oracle_bernoulli, oracle_ppp
 from .rfs import PppTrajectory
 from .scenario import (

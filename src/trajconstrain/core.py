@@ -45,7 +45,7 @@ class TimeWindow:
         return self.gamma - self.alpha + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Birth time, death time and the state sequence in between.
 

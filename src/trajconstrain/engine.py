@@ -36,9 +36,9 @@ times, and given y the whole sequence is exactly Gaussian. So
 ``constrained_marginals`` and ``moment_matched`` need only the mean and
 covariance of y in its accepted cells, and take the Gaussian given them
 (Rao-Blackwellization). Where y has at most three coordinates (and a
-correlation ``gaussian._well_conditioned`` accepts) these are exact, by
+correlation ``mvn._well_conditioned`` accepts) these are exact, by
 Tallis's formulas through the pair probabilities' primitive
-(``gaussian._truncated_moments``), with a step-mean standard error of 0.
+(``mvn._truncated_moments``), with a step-mean standard error of 0.
 Otherwise one batched lattice pass over the distinct y problems of a
 density (the separation of variables of the QMC pair probabilities with
 every coordinate on the lattice) gives each pair weighted points y inside
@@ -48,7 +48,7 @@ shifts. ``sample_cloud`` needs points: it takes that pass for every pair and
 completes each point to a joint sample by pathwise conditioning (both in
 ``_accepted_y``). Pinned pairs are exact; pairs with multi-box items or too
 many cells fall back to Monte Carlo draws of y weighted by their indicators,
-by the same cell rule as the pair probabilities (``gaussian._product_cells``).
+by the same cell rule as the pair probabilities (``mvn._product_cells``).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .chain import _cov_blocks
 from .core import ConstraintSet, CONJUNCT, DISJUNCT, StateRegion
 from .core import active_indices  # noqa: F401  (not called here; perfbench/tests imports it from engine)
 from .core import satisfies_batch  # noqa: F401  (not called here; perfbench/tracing.py patches engine.satisfies_batch)
@@ -71,34 +72,35 @@ from .errors import (
     ZeroSupportError,
 )
 from .gaussian import (
-    _QMC_SHIFTS,
-    CLOSED_FORM,
-    MC,
-    PINNED,
     BirthDeathPmf,
     GaussianSequence,
     Pair,
     SampleCloud,
     Stratum,
     TrajectoryDensity,
+    _check_draws,
+    _step_mixture,
+    child_rng,
+    marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
+)
+from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pattern_codes)
+from .mvn import (
+    _QMC_SHIFTS,
+    CLOSED_FORM,
+    MC,
+    PINNED,
     _bounded_cols,
     _bounded_masks,
-    _check_draws,
-    _cov_blocks,
     _lattice_points,
     _log_fallbacks,
     _pattern_batch,
     _pattern_probabilities,
     _product_cells,
     _qmc_points,
-    _step_mixture,
     _truncated_moments,
     _well_conditioned,
-    child_rng,
-    marginal,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.marginal)
     region_probability,  # noqa: F401  (not called here; perfbench/tracing.py patches engine.region_probability)
 )
-from .kernels import pattern_codes  # noqa: F401  (likewise patched as engine.pattern_codes)
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 MAX_ACTIVE_FOR_PARTITIONS = 20
@@ -628,10 +630,10 @@ def _accepted_y(
     full-space regions dropped). Pairs with byte-identical (m_y, S_yy,
     cells) share one problem. Without ``points``, a problem of at most
     three coordinates whose covariance ``_well_conditioned`` accepts gets
-    its exact moments from ``gaussian._truncated_moments``: a
+    its exact moments from ``mvn._truncated_moments``: a
     ``CLOSED_FORM`` pair; each of the others (near-singular, or with no
     mass in closed form) is counted by reason and logged. The rest draw y
-    by ``gaussian._lattice_points`` at about mc_budget // 16 points in all,
+    by ``mvn._lattice_points`` at about mc_budget // 16 points in all,
     seeded by the first pair j of the problem with ``_seed(rng_seed, j,
     1)``: a ``LATTICE`` pair. Pairs whose cells
     ``_product_cells`` refuses (a multi-box item, or over 64 cells) draw y

@@ -53,6 +53,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .chain import _cov_blocks
 from .core import Constraint, ConstraintSet, active_indices, satisfies_batch
 from .engine import (
     ConstrainedBernoulli,
@@ -61,7 +62,7 @@ from .engine import (
     constrained_marginals,
 )
 from .errors import LowAcceptanceError
-from .gaussian import GaussianSequence, Pair, TrajectoryDensity, _check_draws, _cholesky, _cov_blocks, child_rng
+from .gaussian import GaussianSequence, Pair, TrajectoryDensity, _check_draws, _cholesky, child_rng
 from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 
 # Budget behind the engine's step means that oracle_bernoulli checks.
@@ -269,18 +270,14 @@ class _Screen:
         self.cs = ConstraintSet([Constraint(k, r) for k, r in enumerate(regions)], cs.mode)
         self.gram = np.zeros((self.h + 1, self.h + 1))
 
-    def screen(self, z_head: np.ndarray, work: Optional[_Workspace] = None) -> np.ndarray:
+    def screen(self, z_head: np.ndarray, work: _Workspace) -> np.ndarray:
         """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints.
 
         The head states are formed and placed in the arrays of ``work``,
-        started on this screen (a workspace of its own when None).
-        ``satisfies_batch`` reads the states through a (rows, steps, dim)
-        view of the coordinate-major array, so every column it compares is
-        contiguous."""
+        started on this screen. ``satisfies_batch`` reads the states through
+        a (rows, steps, dim) view of the coordinate-major array, so every
+        column it compares is contiguous."""
         rows, steps = z_head.shape[0], len(self.cs)
-        if work is None:
-            work = _Workspace(rows, self.h, steps * self.dim)
-            work.start(self, rows)
         head = work.head(self.h, rows)
         np.matmul(self.f_hh, z_head.T, out=head)
         head += self.m_h

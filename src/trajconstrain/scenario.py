@@ -20,9 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .chain import _Chain
 from .core import TimeWindow, Trajectory
 from .errors import DimensionMismatchError
-from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _Smoothed, _cholesky, child_rng
+from .gaussian import BirthDeathPmf, GaussianSequence, TrajectoryDensity, _cholesky, child_rng
 from .rfs import BernoulliTrajectory
 
 
@@ -43,7 +44,7 @@ def _check_psd(cov: np.ndarray, name: str) -> np.ndarray:
     return sym
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionModel:
     """Linear-Gaussian dynamics with Poisson birth and per-step survival."""
 
@@ -78,7 +79,7 @@ class MotionModel:
         return self.transition.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorModel:
     """Linear detections with additive noise and uniform Poisson clutter."""
 
@@ -280,7 +281,7 @@ def _smooth_births(
     (len(births), N - 1, d, d) and log marginal measurement likelihoods
     (len(births),), where N = eps - births[0] + 1. Birth i's chain starts at
     slot births[i] - births[0]; the slots before it hold zeros. The chain
-    fixes the joint covariance (``gaussian._Smoothed``), which is never
+    fixes the joint covariance (``chain._Chain``), which is never
     built here.
 
     Up to the last birth the filter steps one at a time, on the prefix of
@@ -415,9 +416,8 @@ def fit_bernoulli_track(
     means, steps, gains, log_liks = _smooth_births(betas, epss[-1], meas, mm, sm)
     if not (np.isfinite(means).all() and np.isfinite(steps).all() and np.isfinite(gains).all()):
         raise ValueError("mean and cov must be finite")
-    smoothed = _Smoothed(means, steps, gains, [b - betas[0] for b in betas])
     for i, (b, log_lik) in enumerate(zip(betas, log_liks.tolist())):
-        chain = smoothed.chain(i)
+        chain = _Chain(*(part[i, b - betas[0] :] for part in (means, steps, gains)))
         for e in epss:
             surv = math.log(mm.survival) * (e - b) if mm.survival > 0 else (0.0 if e == b else -np.inf)
             death = 0.0 if e == window.gamma else math.log(1.0 - mm.survival)

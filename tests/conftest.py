@@ -31,10 +31,11 @@ from trajconstrain import (
     existence_pairs,
 )
 from trajconstrain.engine import _seed
-from trajconstrain import gaussian, oracle
+from trajconstrain import gaussian, mvn, oracle
 from trajconstrain.core import satisfies_batch
-from trajconstrain.gaussian import _binomial_se, _bounded_masks, _conditional_step, _PIN_TOL, child_rng
+from trajconstrain.gaussian import child_rng
 from trajconstrain.kernels import pattern_codes
+from trajconstrain.mvn import _binomial_se, _bounded_masks, _conditional_step, _PIN_TOL
 
 
 def random_gaussian_sequence(rng, pair, dim, diag=False, scale=1.0):
@@ -95,16 +96,16 @@ def component_seeds(m, rng_seed):
 
 
 def _quantile(p):
-    return gaussian._ndtri(np.clip(p, 0.0, 1.0))
+    return mvn._ndtri(np.clip(p, 0.0, 1.0))
 
 
 def qmc_per_pair(mean, cov, lo, hi, out, mc_budget, rng_seed):
     """Randomized QMC separation of variables for one QMC problem of
-    ``gaussian._pattern_batch``, cell by cell and coordinate by coordinate:
+    ``mvn._pattern_batch``, cell by cell and coordinate by coordinate:
     the reference that the batch must equal bit for bit. Shares only the
     Cholesky factor and the normal CDF and quantile with the library."""
     k = mean.size
-    shifts, n = gaussian._QMC_SHIFTS, gaussian._qmc_points(mc_budget)
+    shifts, n = mvn._QMC_SHIFTS, mvn._qmc_points(mc_budget)
     sd = np.sqrt(np.diag(cov))
     mass = np.ones(k)
     for c in range(lo.shape[0]):
@@ -114,7 +115,7 @@ def qmc_per_pair(mean, cov, lo, hi, out, mc_budget, rng_seed):
     mean, cov, lo, hi, out = mean[order], cov[np.ix_(order, order)], lo[:, order], hi[:, order], out[:, order]
     factor = gaussian._cholesky(cov[None])[0]
     shift = child_rng(rng_seed).random((shifts, k - 1)).T
-    primes = gaussian._primes(k)
+    primes = mvn._primes(k)
     est = np.zeros(shifts)
     for c in range(lo.shape[0]):
         offset = np.zeros((k, shifts, n))
@@ -127,7 +128,7 @@ def qmc_per_pair(mean, cov, lo, hi, out, mc_budget, rng_seed):
             else:
                 a = np.where(lo[c, j] <= centre, -np.inf, np.inf)
                 b = np.where(hi[c, j] >= centre, np.inf, -np.inf)
-            cdf_a, cdf_neg_a, cdf_b, cdf_neg_b = (gaussian._ndtr(x) for x in (a, -a, b, -b))
+            cdf_a, cdf_neg_a, cdf_b, cdf_neg_b = (mvn._ndtr(x) for x in (a, -a, b, -b))
             if out[c, j]:
                 e = cdf_a + cdf_neg_b
             else:
@@ -173,8 +174,8 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     """The primitive one pair at a time, item by item, as it was before pairs
     were batched: the reference that the batch must equal bit for bit. A
     wanted pattern on two correlated coordinates, or on three whose
-    correlation ``gaussian._well_conditioned`` accepts, calls
-    ``gaussian._cell_probabilities`` on this pair's cells alone
+    correlation ``mvn._well_conditioned`` accepts, calls
+    ``mvn._cell_probabilities`` on this pair's cells alone
     (``product_cells``), where the batch calls it on every such pair at once.
     Returns (P(pattern == want) or cells, standard error, path), the path
     "exact" (pinned or closed form), "qmc" or "mc" and the standard error
@@ -215,11 +216,11 @@ def pattern_probabilities_per_pair(gs, pair, items, mc_budget, rng_seed, want=No
     exact = single and not np.any(cov - np.diag(np.diag(cov)))
     if want is not None and single and not exact:
         boxes = [(bounded[i][0][0], bounded[i][1][0], want[i]) for i in free]
-        if cols.size == 2 or (cols.size == 3 and gaussian._well_conditioned(cov[None])[0]):
+        if cols.size == 2 or (cols.size == 3 and mvn._well_conditioned(cov[None])[0]):
             # two or three correlated coordinates: their cells in closed form
             lo, hi, out = product_cells(boxes)
-            (cells,) = gaussian._cell_probabilities([(gs.mean[cols][None], cov[None], lo[None], hi[None], out[None])])
-            return float(np.minimum(np.maximum(gaussian._node_sum(cells[0]), 0.0), 1.0)), 0.0, "exact"
+            (cells,) = mvn._cell_probabilities([(gs.mean[cols][None], cov[None], lo[None], hi[None], out[None])])
+            return float(np.minimum(np.maximum(mvn._node_sum(cells[0]), 0.0), 1.0)), 0.0, "exact"
         if math.prod(low.size for low, _, inside in boxes if not inside) <= 64:
             value, se = qmc_per_pair(gs.mean[cols], cov, *product_cells(boxes), mc_budget, rng_seed)
             return value, se, "qmc"

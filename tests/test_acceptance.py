@@ -35,7 +35,7 @@ from trajconstrain import (
 )
 from trajconstrain.cli import main as cli_main
 from trajconstrain.errors import ZeroSupportError
-from trajconstrain.gaussian import COMPLEMENT, region_probability
+from trajconstrain.mvn import COMPLEMENT, region_probability
 from trajconstrain.oracle import oracle_bernoulli, oracle_ppp
 from trajconstrain.rfs import validate
 

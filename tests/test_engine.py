@@ -27,7 +27,7 @@ from trajconstrain import (
     satisfies_batch,
     time_window_constraints,
 )
-from trajconstrain import engine, gaussian
+from trajconstrain import engine, gaussian, mvn
 from trajconstrain.core import active_indices
 from trajconstrain.engine import MAX_ACTIVE_FOR_PARTITIONS
 from trajconstrain.errors import (
@@ -319,7 +319,7 @@ class TestRejectionSampling:
         mm = ctd.moment_matched(mc_budget=200_000, rng_seed=4)
         g = mm.conditional((0, 0))
         marginals = constrained_marginals(ctd, 200_000, rng_seed=4)
-        assert marginals.view_paths == {(0, 0): gaussian.CLOSED_FORM} and marginals.accepted == {(0, 0): 0}
+        assert marginals.view_paths == {(0, 0): mvn.CLOSED_FORM} and marginals.accepted == {(0, 0): 0}
         assert not marginals.dropped and marginals.mean_se[0, 0] == 0.0 and marginals.acceptance_rate == 1.0
         mean_t, var_t = math.sqrt(2 / math.pi), 1 - 2 / math.pi
         assert abs(g.mean[0] - mean_t) <= 1e-15
@@ -368,7 +368,7 @@ class TestRejectionSampling:
         td = std_density([(0, 4)], [1.0])
         ctd, _ = constrain_density(td, ConstraintSet([Constraint(t, HALF_LINE) for t in range(4)], "conjunct"))
         mm = constrained_marginals(ctd, 2, rng_seed=0)
-        assert mm.accepted[(0, 4)] == gaussian._QMC_SHIFTS and mm.view_paths[(0, 4)] == engine.LATTICE
+        assert mm.accepted[(0, 4)] == mvn._QMC_SHIFTS and mm.view_paths[(0, 4)] == engine.LATTICE
         g = ctd.moment_matched(2, rng_seed=0).conditional((0, 4))
         assert g.mean[0] > 0.0 and 0.0 < g.cov[0, 0] < 1.0  # all 10 points pooled
         # the unconstrained step 4 is independent of y, so it stays exact
@@ -605,7 +605,7 @@ class TestRaoBlackwellMarginals:
         ctd, _ = constrain_density(td, cs, 50_000, rng_seed=1)
         mm = constrained_marginals(ctd, mc_budget=50_000, rng_seed=2)
         assert set(mm.accepted) == set(ctd.pmf.pairs)
-        assert set(mm.view_paths.values()) == {gaussian.MC}
+        assert set(mm.view_paths.values()) == {mvn.MC}
         assert mm.n_accepted == sum(mm.accepted.values())
         # Kish ESS of the draws' weights prob / accepted (0 when rejected) over all draws
         probs = np.array([ctd.pmf.prob(pair) for pair in mm.accepted])
@@ -783,8 +783,8 @@ class TestLatticeMoments:
             self.closed_form(td, cs, ctd, v)
             return
         assert v.path == engine.LATTICE
-        n_cell = gaussian._qmc_points(self.BUDGET) // cells
-        assert v.w.shape == (gaussian._QMC_SHIFTS, cells * n_cell)
+        n_cell = mvn._qmc_points(self.BUDGET) // cells
+        assert v.w.shape == (mvn._QMC_SHIFTS, cells * n_cell)
 
         x = td.conditionals[0].draw(self.N_BRUTE, np.random.default_rng(3))
         states = x.reshape(self.N_BRUTE, 3, 2)
@@ -826,7 +826,7 @@ class TestLatticeMoments:
     def closed_form(self, td, cs, ctd, v):
         """y's moments, and the step means and covariances, against 4e6 draws:
         exact, so within 4 of the draws' SEs."""
-        assert v.path == gaussian.CLOSED_FORM and v.y is None and v.kept == 0 and not v.dropped
+        assert v.path == mvn.CLOSED_FORM and v.y is None and v.kept == 0 and not v.dropped
         assert v.y_mean.shape == (1, v.cols.size) and v.y_cov.shape == (1, v.cols.size, v.cols.size)
         count, mean, mean_se, cov, cov_se = brute_moments(td, cs, self.N_CLOSED, 3)
         assert count > 100_000
@@ -835,7 +835,7 @@ class TestLatticeMoments:
         steps = np.arange(3)
         step_cov = cov.reshape(3, 2, 3, 2)[steps, :, steps, :]
         step_cov_se = cov_se.reshape(3, 2, 3, 2)[steps, :, steps, :]
-        assert mm.view_paths == {(0, 2): gaussian.CLOSED_FORM} and mm.accepted == {(0, 2): 0}
+        assert mm.view_paths == {(0, 2): mvn.CLOSED_FORM} and mm.accepted == {(0, 2): 0}
         assert np.all(mm.mean_se == 0.0) and mm.acceptance_rate == 1.0
         for got, want, se in (
             (v.y_mean[0], mean[v.cols], mean_se[v.cols]),
@@ -846,7 +846,7 @@ class TestLatticeMoments:
             z = (got - want) / se
             assert np.all(np.abs(z) <= 4.0), z
 
-    @pytest.mark.parametrize("det, path", [(0.0101, gaussian.CLOSED_FORM), (0.0099, engine.LATTICE)])
+    @pytest.mark.parametrize("det, path", [(0.0101, mvn.CLOSED_FORM), (0.0099, engine.LATTICE)])
     def test_determinant_floor(self, det, path, caplog):
         # three gated steps of equal correlation rho, det (1 - rho)^2 (1 + 2 rho)
         # on either side of 0.01: closed form above it, the lattice below,
@@ -880,7 +880,7 @@ class TestLatticeMoments:
         td, cs, _ = lattice_case("conjunct-2-correlated")
         ctd, _ = constrain_density(td, cs, self.BUDGET, rng_seed=1)
         closed = constrained_marginals(ctd, self.BUDGET, 2)
-        assert closed.view_paths == {(0, 2): gaussian.CLOSED_FORM}
+        assert closed.view_paths == {(0, 2): mvn.CLOSED_FORM}
         monkeypatch.setattr(engine, "_truncated_moments", lambda problems: [None] * len(problems))
         with caplog.at_level(logging.INFO, logger="trajconstrain"):
             mm = constrained_marginals(ctd, self.BUDGET, 2)
@@ -905,7 +905,7 @@ class TestLatticeMoments:
         multi_box, _ = constrain_density(td, ConstraintSet([Constraint(0, two_boxes), Constraint(1, HALF_LINE)], "conjunct"), 2_000)
         with caplog.at_level(logging.INFO, logger="trajconstrain"):
             views = [constrained_marginals(ctd, 2_000, 1).view_paths for ctd in (over_cap, multi_box)]
-        assert views == [{(0, 3): gaussian.MC}, {(0, 1): gaussian.MC}]
+        assert views == [{(0, 3): mvn.MC}, {(0, 1): mvn.MC}]
         assert [r.getMessage() for r in caplog.records if r.name == "trajconstrain"] == [
             "1 of 1 pairs' views drawn by Monte Carlo instead of the lattice (over 64 cells: 1)",
             "1 of 1 pairs' views drawn by Monte Carlo instead of the lattice (multi-box item: 1)",
@@ -1013,7 +1013,7 @@ class TestDroppedStrata:
         ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, near), Constraint(1, HALF_LINE)], "conjunct"), 2_000)
         [v] = engine._accepted_y(ctd, 20, 0)
         empty = v.w.sum(axis=1) == 0.0
-        assert v.path == gaussian.MC and empty.any() and not empty.all()
+        assert v.path == mvn.MC and empty.any() and not empty.all()
         kept = v.y[v.w > 0.0]
         centred = kept - kept.mean(axis=0)
         for row in range(v.y.shape[0]):
@@ -1044,7 +1044,7 @@ class TestDroppedStrata:
             ctd, _ = constrain_density(td, cs, 20_000, rng_seed=seed)
             mm = constrained_marginals(ctd, 20_000, rng_seed=seed)
             assert not mm.dropped, seed
-            assert set(mm.view_paths.values()) <= {engine.EXACT, gaussian.CLOSED_FORM, engine.LATTICE}, seed
+            assert set(mm.view_paths.values()) <= {engine.EXACT, mvn.CLOSED_FORM, engine.LATTICE}, seed
             for pair, path in mm.view_paths.items():
                 assert (mm.accepted[pair] > 0) == (path == engine.LATTICE), (seed, pair)
 
@@ -1093,10 +1093,10 @@ class TestQmcPairs:
             asked.append(p)
             return 11 + p
 
-        out = gaussian._pattern_batch(
+        out = mvn._pattern_batch(
             td.conditionals, td.pmf.pairs, items, np.ones((2, 4), dtype=bool), np.zeros((2, 4), dtype=bool), 20_000, stream
         )
-        assert [s.path for s in out] == [gaussian.QMC, gaussian.QMC]
+        assert [s.path for s in out] == [mvn.QMC, mvn.QMC]
         assert [s.leader for s in out] == [0, 0]
         assert out[0][:2] == out[1][:2] and out[0].se > 0.0
         assert asked == [0]
@@ -1116,17 +1116,17 @@ class TestQmcPairs:
         gs = GaussianSequence(np.zeros(2), a @ a.T, 1)
         two_boxes = StateRegion.boxes([[(-1.0, 0.0)], [(0.5, 1.5)]])
         with caplog.at_level(logging.INFO, logger="trajconstrain"):
-            _, se = gaussian.region_probability(gs, (0, 1), [(0, two_boxes, "inside"), (1, HALF_LINE, "inside")], 1_000, 1)
+            _, se = mvn.region_probability(gs, (0, 1), [(0, two_boxes, "inside"), (1, HALF_LINE, "inside")], 1_000, 1)
             # three complements of 5-d boxes split into 5^3 = 125 cells, over the cap of 64
             d = 5
             b = np.random.default_rng(0).standard_normal((3 * d, 3 * d))
             wide = GaussianSequence(np.zeros(3 * d), b @ b.T / d + np.eye(3 * d), d)
             box = StateRegion.box([(-1.0, 1.0)] * d)
-            settled = gaussian._pattern_probabilities(wide, (0, 2), [(t, box) for t in range(3)], 1_000, 2, [False] * 3)
+            settled = mvn._pattern_probabilities(wide, (0, 2), [(t, box) for t in range(3)], 1_000, 2, [False] * 3)
             td = TrajectoryDensity(BirthDeathPmf(((0, 1),), np.ones(1)), (gs,))
             ctd, _ = constrain_density(td, ConstraintSet([Constraint(0, HALF_LINE), Constraint(1, HALF_LINE)], "disjunct"), 1_000)
             disjunct_partitions(ctd, (0, 1), 1_000)
-        assert se > 0.0 and settled.path == gaussian.MC
+        assert se > 0.0 and settled.path == mvn.MC
         messages = [r.getMessage() for r in caplog.records if r.name == "trajconstrain"]
         assert messages == [
             "1 of 1 pairs settled by Monte Carlo instead of QMC (multi-box item: 1)",
@@ -1162,7 +1162,7 @@ class TestCellCap:
         td = self.density(dim, len(dims), 0)
         cs = ConstraintSet(self.gates(dims, dim), "disjunct")
         if path == "qmc":
-            lo, _, _ = gaussian._product_cells([c.region for c in cs.constraints], [[False] * len(dims)])
+            lo, _, _ = mvn._product_cells([c.region for c in cs.constraints], [[False] * len(dims)])
             assert lo.shape[0] == 64
         with caplog.at_level(logging.INFO, logger="trajconstrain"):
             ctd, _ = constrain_density(td, cs, 2_000, 1)
@@ -1317,7 +1317,7 @@ class TestPmbm:
                     continue
                 assert info.path == "closed_form" and info.spatial_se == 0.0
                 entries = [(gates[i].time, gates[i].region, side) for i in info.active]
-                p, se = gaussian.region_probability(src.conditional(pair), pair, entries, 2_000, 0)
+                p, se = mvn.region_probability(src.conditional(pair), pair, entries, 2_000, 0)
                 assert (p if mode == "conjunct" else 1.0 - p, se) == (info.spatial_prob, info.spatial_se)
                 compared += len(info.active) == len(gates)
         return compared

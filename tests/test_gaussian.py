@@ -23,16 +23,9 @@ from trajconstrain import (
     region_probability,
     sample,
 )
-from trajconstrain import gaussian
-from trajconstrain.gaussian import (
-    COMPLEMENT,
-    INSIDE,
-    _conditional_step,
-    _ndtr,
-    _ndtri,
-    _pattern_probabilities,
-    step_moments,
-)
+from trajconstrain import gaussian, mvn
+from trajconstrain.gaussian import step_moments
+from trajconstrain.mvn import COMPLEMENT, INSIDE, _conditional_step, _ndtr, _ndtri, _pattern_probabilities
 
 from conftest import pattern_probabilities_per_pair, random_density, random_gaussian_sequence
 
@@ -309,7 +302,7 @@ class TestRegionProbability:
         entries = [(t, StateRegion.box([(0, None)]), "inside") for t in range(3)]
         settled = _pattern_probabilities(gs, (0, 2), [(t, r) for t, r, _ in entries], 200_000, 3, [True] * 3)
         exact = 0.125 + (2.0 * math.asin(0.9) + math.asin(0.8)) / (4.0 * math.pi)
-        assert settled.path == gaussian.CLOSED_FORM and settled.se == 0.0
+        assert settled.path == mvn.CLOSED_FORM and settled.se == 0.0
         assert abs(settled.value - exact) <= 1e-15
 
     def test_correlated_four_coordinate_orthant_by_qmc(self):
@@ -319,7 +312,7 @@ class TestRegionProbability:
         gs = GaussianSequence(np.zeros(4), cov, 1)
         items = [(t, StateRegion.box([(0, None)])) for t in range(4)]
         settled = _pattern_probabilities(gs, (0, 3), items, 200_000, 3, [True] * 4)
-        assert settled.path == gaussian.QMC and settled.se > 0.0
+        assert settled.path == mvn.QMC and settled.se > 0.0
         assert abs(settled.value - 0.2) <= 4 * settled.se
 
     def test_inside_plus_complement_is_one(self, rng):
@@ -466,7 +459,7 @@ class TestPatternProbabilities:
                 items.append((t, _region(rng, dim, mean, "near-2" if kind == "near-1" and dim == 1 else kind)))
             brute = _brute_cells(gs, (0, length - 1), items, self.N_BRUTE, 10_000 + i)
             cells, _, path, _ = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i)
-            exact = path in (gaussian.PINNED, gaussian.CLOSED_FORM)
+            exact = path in (mvn.PINNED, mvn.CLOSED_FORM)
             paths.add("exact" if exact else "mc")
             assert cells.sum() == pytest.approx(1.0, abs=1e-12)
             var = cells * (1 - cells) * (0.0 if exact else 1.0 / self.BUDGET) + brute * (1 - brute) / self.N_BRUTE
@@ -478,7 +471,7 @@ class TestPatternProbabilities:
             want = [bool(b) for b in rng.integers(0, 2, m)]
             code = sum(w << k for k, w in enumerate(want))
             p, _, path, _ = _pattern_probabilities(gs, (0, length - 1), items, self.BUDGET, i, want)
-            exact_w = path in (gaussian.PINNED, gaussian.CLOSED_FORM)
+            exact_w = path in (mvn.PINNED, mvn.CLOSED_FORM)
             var = p * (1 - p) * (0.0 if exact_w else 1.0 / self.BUDGET) + brute[code] * (1 - brute[code]) / self.N_BRUTE
             assert abs(p - brute[code]) <= max(4 * math.sqrt(var), 1e-9), (i, chosen, want, p, brute[code])
             if exact_w and diag and all(r.n_boxes == 1 for _, r in items):
@@ -512,7 +505,7 @@ class TestPatternProbabilities:
         ]
         assert region_probability(gs, (0, 1), entries) == (0.5, 0.0)
         cells, _, path, _ = _pattern_probabilities(gs, (0, 1), [(0, StateRegion.full_space(1)), (1, StateRegion.full_space(1))], 10, 0)
-        assert path == gaussian.PINNED and cells.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert path == mvn.PINNED and cells.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def conftest_densities(diag=False):
@@ -567,31 +560,31 @@ class TestPatternBatch:
                     asked.append(p)
                     return 100 * seed + p
 
-                out = gaussian._pattern_batch(conds, pairs, items, active, want, self.BUDGET, stream)
+                out = mvn._pattern_batch(conds, pairs, items, active, want, self.BUDGET, stream)
                 assert len(out) == len(rows)
                 for p, (value, se, path, leader) in enumerate(out):
                     its = [items[i] for i in np.flatnonzero(active[p])]
                     w = None if want is None else want[p][active[p]].tolist()
                     ref, ref_se, kind = pattern_probabilities_per_pair(conds[p], pairs[p], its, self.BUDGET, 100 * seed + p, w)
-                    assert kind == {gaussian.MC: "mc", gaussian.QMC: "qmc"}.get(path, "exact"), (seed, p)
+                    assert kind == {mvn.MC: "mc", mvn.QMC: "qmc"}.get(path, "exact"), (seed, p)
                     # random conditionals: no two pairs share an estimate
                     assert leader == p
                     assert se == ref_se, (seed, p, se, ref_se)
                     if want is None:
                         assert np.array_equal(value, ref), (seed, p, value, ref)
-                        if path == gaussian.PINNED:
+                        if path == mvn.PINNED:
                             assert sorted(value.tolist())[-1] == 1.0
                     else:
                         assert value == ref, (seed, p, value, ref)
-                        if path == gaussian.PINNED:
+                        if path == mvn.PINNED:
                             seen.add("pinned against want" if value == 0.0 else "all pinned")
                     seen.add(path)
                     seen.update(f"{r.n_boxes} boxes, {r.bounded_dims.size}-d" for _, r in its)
                     if len({id(r) for _, r in its}) < len(its):
                         seen.add("shared region")
-                assert sorted(asked) == [p for p, s in enumerate(out) if s.path in (gaussian.MC, gaussian.QMC)]
+                assert sorted(asked) == [p for p, s in enumerate(out) if s.path in (mvn.MC, mvn.QMC)]
                 assert len(set(asked)) == len(asked)
-        assert {"pinned against want", "all pinned", gaussian.CLOSED_FORM, gaussian.QMC, gaussian.MC, "shared region"} <= seen
+        assert {"pinned against want", "all pinned", mvn.CLOSED_FORM, mvn.QMC, mvn.MC, "shared region"} <= seen
         assert {"2 boxes, 1-d", "2 boxes, 2-d", "1 boxes, 2-d", "1 boxes, 0-d"} <= seen
 
     def test_cells_are_keyed_by_items_and_wanted_bits(self):
@@ -619,17 +612,17 @@ class TestPatternBatch:
             ([1, 1, 0], [0, 1, 0]),
         ]
         active, want = (np.array([r[k] for r in rows], dtype=bool) for k in (0, 1))
-        assert [gaussian._product_cells([box], [[side]])[0].shape[0] for side in (True, False)] == [1, 2]
+        assert [mvn._product_cells([box], [[side]])[0].shape[0] for side in (True, False)] == [1, 2]
         asked = []
 
         def stream(p):
             asked.append(p)
             return p
 
-        out = gaussian._pattern_batch([gs] * len(rows), [(0, 2)] * len(rows), items, active, want, 2_000, stream)
+        out = mvn._pattern_batch([gs] * len(rows), [(0, 2)] * len(rows), items, active, want, 2_000, stream)
         for p, settled in enumerate(out):
-            (alone,) = gaussian._pattern_batch([gs], [(0, 2)], items, active[p : p + 1], want[p : p + 1], 2_000, stream)
-            assert settled.path == alone.path == gaussian.CLOSED_FORM and settled.se == 0.0, (p, settled)
+            (alone,) = mvn._pattern_batch([gs], [(0, 2)], items, active[p : p + 1], want[p : p + 1], 2_000, stream)
+            assert settled.path == alone.path == mvn.CLOSED_FORM and settled.se == 0.0, (p, settled)
             assert settled.value == alone.value and 0.0 < settled.value < 1.0, (p, settled, alone)
         assert asked == []
         values = [s.value for s in out]
@@ -713,7 +706,7 @@ class TestQmcPairs:
         worst = 0.0
         for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(80, 4, QMC_REFERENCE_EPS)):
             settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
-            assert settled.path == gaussian.QMC
+            assert settled.path == mvn.QMC
             assert 0.0 < settled.se <= 1e-3
             z = abs(settled.value - exact) / settled.se
             assert z <= 6.0, (case, settled, exact)
@@ -734,7 +727,7 @@ class TestQmcPairs:
                 settled = _pattern_probabilities(gs, pair, items, 4_000, 900 + seed, want)
                 zs.append((settled.value - exact) / settled.se)
         zs = np.array(zs)
-        allowed = binom.isf(1e-4, zs.size, 2.0 * student_t.sf(4.0, gaussian._QMC_SHIFTS - 1))
+        allowed = binom.isf(1e-4, zs.size, 2.0 * student_t.sf(4.0, mvn._QMC_SHIFTS - 1))
         assert np.sum(np.abs(zs) > 4.0) <= allowed, np.sort(np.abs(zs))[-5:]
         # neither far too small nor far too large a standard error
         assert 0.5 <= np.std(zs) <= 2.0
@@ -749,7 +742,7 @@ class TestBivariateNormal:
 
     def test_upper_tails_against_scipy_on_a_grid(self):
         h, k, r = (x.ravel() for x in np.meshgrid(self.BOUNDS, self.BOUNDS, self.RHOS, indexing="ij"))
-        got = gaussian._bvn_upper(h, k, r)
+        got = mvn._bvn_upper(h, k, r)
         # P(X > h, Y > k) = P(-X < -h, -Y < -k), a lower orthant of the same correlation
         ref = np.array(
             [
@@ -768,13 +761,13 @@ class TestBivariateNormal:
         s = np.sqrt(1.0 - r * r)
         ref = (ndtr(h) + ndtr(k)) / 2.0 - owens_t(h, (k - r * h) / (h * s)) - owens_t(k, (h - r * k) / (k * s))
         ref -= np.where(h * k < 0.0, 0.5, 0.0)
-        assert np.max(np.abs(gaussian._bvn_upper(-h, -k, r) - ref)) <= 1e-14
+        assert np.max(np.abs(mvn._bvn_upper(-h, -k, r) - ref)) <= 1e-14
 
     def test_two_coordinate_pairs_against_scipy_by_inclusion_exclusion(self):
         seen = set()
         for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(60, 2)):
             settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
-            assert settled.path == gaussian.CLOSED_FORM and settled.se == 0.0, case
+            assert settled.path == mvn.CLOSED_FORM and settled.se == 0.0, case
             assert abs(settled.value - exact) <= 1e-14, (case, settled, exact)
             seen.add("conjunct" if all(want) else "disjunct" if not any(want) else "mixed")
             seen.update("2-cell complement" for cols, _, _, inside in boxes if len(cols) == 2 and not inside)
@@ -786,7 +779,7 @@ class TestBivariateNormal:
         mean, cov = np.array([0.3, -0.2]), np.array([[1.0, 0.6], [0.6, 2.0]])
         gs = GaussianSequence(mean, cov, 2)
         box = StateRegion.box([(-0.5, 0.7), (-1.0, 1.2)])
-        assert [gaussian._product_cells([box], [[side]])[0].shape[0] for side in (True, False)] == [1, 2]
+        assert [mvn._product_cells([box], [[side]])[0].shape[0] for side in (True, False)] == [1, 2]
         p_in, se_in = region_probability(gs, (0, 0), [(0, box, INSIDE)])
         p_out, se_out = region_probability(gs, (0, 0), [(0, box, COMPLEMENT)])
         exact = multivariate_normal(mean, cov).cdf([0.7, 1.2], lower_limit=[-0.5, -1.0])
@@ -807,7 +800,7 @@ class TestBivariateNormal:
         neither = _pattern_probabilities(gs, (0, 1), items, 2_000, 1, [False, False])
         # y0 in [-1, 2] and in [0.5, 3]: y0 in [0.5, 2]; outside both: y0 < -1 or y0 > 3
         cdf = lambda x: float(ndtr((x - 0.2) / sd))  # noqa: E731
-        assert both.path == neither.path == gaussian.CLOSED_FORM and both.se == neither.se == 0.0
+        assert both.path == neither.path == mvn.CLOSED_FORM and both.se == neither.se == 0.0
         assert abs(both.value - (cdf(2.0) - cdf(0.5))) <= 1e-15
         assert abs(neither.value - (cdf(-1.0) + 1.0 - cdf(3.0))) <= 1e-15
 
@@ -852,7 +845,7 @@ class TestTrivariateNormal:
             r.append(c)
         h, r = np.array(h), np.array(r)
         assert {-38.0, 38.0, -np.inf, np.inf} <= set(h.ravel().tolist())
-        got = gaussian._upper_orthants(h, r, np.full(len(h), 3))
+        got = mvn._upper_orthants(h, r, np.full(len(h), 3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             ref = np.array([self.quadrature(a, b) for a, b in zip(h, r)])
@@ -863,13 +856,13 @@ class TestTrivariateNormal:
         seen = set()
         for case, (gs, pair, items, want, boxes, exact) in enumerate(_box_cases(60, 3)):
             settled = _pattern_probabilities(gs, pair, items, 20_000, 77 + case, want)
-            assert settled.path == gaussian.CLOSED_FORM and settled.se == 0.0, case
+            assert settled.path == mvn.CLOSED_FORM and settled.se == 0.0, case
             assert abs(settled.value - exact) <= 1e-9, (case, settled, exact)
             seen.add("conjunct" if all(want) else "disjunct" if not any(want) else "mixed")
             seen.update("2-cell complement" for cols, _, _, inside in boxes if len(cols) == 2 and not inside)
         assert seen == {"conjunct", "disjunct", "mixed", "2-cell complement"}
 
-    @pytest.mark.parametrize("det, path", [(0.0101, gaussian.CLOSED_FORM), (0.0099, gaussian.QMC), (0.0, gaussian.QMC)])
+    @pytest.mark.parametrize("det, path", [(0.0101, mvn.CLOSED_FORM), (0.0099, mvn.QMC), (0.0, mvn.QMC)])
     def test_determinant_floor(self, det, path, caplog):
         # equal correlations rho with det = (1 - rho)^2 (1 + 2 rho) on either
         # side of 0.01, and rho = 1 (y0 = y1 = y2, as without process noise)
@@ -882,7 +875,7 @@ class TestTrivariateNormal:
         exact = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
         assert settled.path == path
         messages = [r.getMessage() for r in caplog.records if r.name == "trajconstrain"]
-        if path == gaussian.CLOSED_FORM:
+        if path == mvn.CLOSED_FORM:
             assert settled.se == 0.0 and abs(settled.value - exact) <= 1e-15 and not messages
         else:
             # at rho = 1 the lattice meets one coordinate: exact, with SE 0

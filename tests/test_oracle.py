@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +27,7 @@ from trajconstrain import (
     constrain_ppp,
     constrained_marginals,
 )
-from trajconstrain import engine, gaussian, oracle
+from trajconstrain import engine, gaussian, mvn, oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.errors import LowAcceptanceError
@@ -35,6 +38,7 @@ from trajconstrain.oracle import (
     _merge,
     _Screen,
     _StepMoments,
+    _Workspace,
     oracle_bernoulli,
     oracle_pmbm,
     oracle_ppp,
@@ -487,30 +491,50 @@ def conjunct_cli_track():
     return b, ConstraintSet(gates, "conjunct")
 
 
-# The engine's probability math. The oracle shares none of it, so it runs
-# with each of these raising, in ``engine`` and in ``gaussian``.
-ENGINE_MATH = (
-    "_accepted_y",
-    "_given_y",
-    "_pattern_batch",
-    "marginal",
-    "_bounded_cols",
-    "_cell_probabilities",
-    "_truncated_moments",
-    "_lattice_pass",
-)
+def engine_math():
+    """The engine's probability math, which the oracle shares none of: every
+    function defined in ``mvn`` or ``engine``, and ``gaussian.marginal``. The
+    chain algebra (``chain``) and the draws and factors of ``gaussian`` stay
+    allowed."""
+    funcs = [gaussian.marginal]
+    for module in (mvn, engine):
+        funcs += [
+            v for v in vars(module).values()
+            if callable(v) and not isinstance(v, type) and getattr(v, "__module__", None) == module.__name__
+        ]
+    return funcs
+
+
+def mvn_bindings(module):
+    """The names of ``module`` bound to ``mvn`` or to anything ``mvn`` defines."""
+    tree = ast.parse(inspect.getsource(mvn))
+    own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    return [
+        name
+        for name, v in vars(module).items()
+        if v is mvn or getattr(v, "__module__", None) == mvn.__name__ or (name in own and v is vars(mvn)[name])
+    ]
 
 
 class TestIndependence:
     def test_oracle_calls_no_engine_probability_math(self, monkeypatch):
+        # each engine function raises in every trajconstrain namespace that
+        # binds it while the oracle runs, on a dense density and on a fitted
+        # track, whose conditionals read their chains
         rng = np.random.default_rng(120)
         window = TimeWindow(0, 4)
-        b = BernoulliTrajectory(0.9, random_density(rng, window, 2))
-        p = PppTrajectory(3.0, random_density(rng, window, 2))
-        m = PmbmDensity(p, (GlobalHypothesis(0.7, (b,)), GlobalHypothesis(0.3, ())))
+        dense = BernoulliTrajectory(0.9, random_density(rng, window, 2))
         gate = StateRegion.box([(-0.5, 1.5), None])
-        cs = ConstraintSet([Constraint(1, gate), Constraint(3, HALF_PLANE)], "conjunct")
-        out = constrain_pmbm(m, cs, 20_000, rng_seed=5)
+        fitted, fitted_cs = conjunct_cli_track()
+        cases = []
+        for b, cs, mu in (
+            (dense, ConstraintSet([Constraint(1, gate), Constraint(3, HALF_PLANE)], "conjunct"), 3.0),
+            (fitted, fitted_cs, 0.5),
+        ):
+            p = PppTrajectory(mu, b.density)
+            m = PmbmDensity(p, (GlobalHypothesis(0.7, (b,)), GlobalHypothesis(0.3, ())))
+            cases.append((b, p, m, cs, constrain_pmbm(m, cs, 20_000, rng_seed=5)))
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -518,18 +542,32 @@ class TestIndependence:
 
             return call
 
-        for name in ENGINE_MATH:
-            modules = [module for module in (engine, gaussian) if hasattr(module, name)]
-            assert modules, name
-            for module in modules:
-                monkeypatch.setattr(module, name, forbidden(name))
-        moments = _StepMoments(b.density)
-        per_pair = _accepted(b.density, 50_000, np.random.default_rng(6), cs, moments, np.random.default_rng(7))
-        assert sum(per_pair.values()) > 100 and moments.per_step(min_count=100)
-        tc = out.hypotheses[0].tracks[0]
-        assert oracle_bernoulli(b, tc, cs, n=50_000, rng_seed=8, check_moments=False).passed
-        assert oracle_ppp(p, out.ppp, cs, n_runs=5_000, rng_seed=9).passed
-        assert oracle_pmbm(m, out, cs, n=30_000, rng_seed=10).passed
+        funcs = {id(f): f for f in engine_math()}
+        # among them every name the hand-written list of earlier versions held
+        old_list = {"_accepted_y", "_given_y", "_pattern_batch", "marginal", "_bounded_cols", "_cell_probabilities",
+                    "_truncated_moments", "_lattice_pass"}
+        assert old_list <= {f.__name__ for f in funcs.values()}
+        namespaces = [m for name, m in sys.modules.items() if name == "trajconstrain" or name.startswith("trajconstrain.")]
+        patched = set()
+        for module in namespaces:
+            for name, v in list(vars(module).items()):
+                if id(v) in funcs:
+                    monkeypatch.setattr(module, name, forbidden(f"{funcs[id(v)].__module__}.{name}"))
+                    patched.add(id(v))
+        assert patched == set(funcs)
+        for case, (b, p, m, cs, out) in zip(("dense", "fitted"), cases):
+            moments = _StepMoments(b.density)
+            per_pair = _accepted(b.density, 50_000, np.random.default_rng(6), cs, moments, np.random.default_rng(7))
+            assert sum(per_pair.values()) > 100 and moments.per_step(min_count=100), case
+            tc = out.hypotheses[0].tracks[0]
+            assert oracle_bernoulli(b, tc, cs, n=50_000, rng_seed=8, check_moments=False).passed, case
+            assert oracle_ppp(p, out.ppp, cs, n_runs=5_000, rng_seed=9).passed, case
+            assert oracle_pmbm(m, out, cs, n=30_000, rng_seed=10).passed, case
+
+    def test_oracle_binds_nothing_from_mvn(self):
+        assert mvn_bindings(oracle) == []
+        # the check sees what the engine imports from mvn
+        assert {"_pattern_batch", "CLOSED_FORM", "_QMC_SHIFTS"} <= set(mvn_bindings(engine))
 
 
 def no_process_noise_density():
@@ -637,7 +675,9 @@ class TestScreenedDraws:
             if idx:
                 screen = _Screen(g, pair[0], idx, cs, complete=True)
                 assert screen.h == 0
-                assert screen.screen(np.empty((7, 0))).all()
+                work = _Workspace(7, 0, len(screen.cs) * g.dim)
+                work.start(screen, 7)
+                assert screen.screen(np.empty((7, 0)), work).all()
         screened = self.assert_agrees_with_eager(td, cs, 4)
         # every draw alive in the window is kept, and no other
         alive = [pair for pair in td.pmf.pairs if active_indices(cs, *pair)]
@@ -697,7 +737,9 @@ class TestScreenedDraws:
                 continue
             screen = _Screen(g, b, idx, cs, complete=True)
             z = rng.standard_normal((4_000, g.mean.size))
-            mask = screen.screen(z[:, : screen.h])
+            work = _Workspace(4_000, screen.h, len(screen.cs) * g.dim)
+            work.start(screen, 4_000)
+            mask = screen.screen(z[:, : screen.h], work)
             states = whole_rows(screen, z).reshape(z.shape[0], e - b + 1, g.dim)
             assert np.array_equal(mask, satisfies_batch(b, e, states, cs))
             masks.append(mask)

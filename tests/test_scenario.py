@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,17 +9,19 @@ from scipy.stats import multivariate_normal
 
 from conftest import smooth_hypothesis_per_birth
 from trajconstrain import (
+    BirthDeathPmf,
     Constraint,
     ConstraintSet,
     GaussianSequence,
     StateRegion,
     TimeWindow,
+    Trajectory,
     constrain_bernoulli,
     constrained_marginals,
-    gaussian,
     scenario,
 )
-from trajconstrain.gaussian import CLOSED_FORM, _Smoothed
+from trajconstrain.chain import _Chain, _cov_blocks
+from trajconstrain.mvn import CLOSED_FORM
 from trajconstrain.scenario import (
     Measurement,
     MotionModel,
@@ -561,9 +564,9 @@ def fitted_chain_sequences():
         births, eps, times, mm, sm = LOCKSTEP_CASES[case]
         meas = {k: rng.normal(k, 1.0, sm.meas_dim) for k in times}
         means, steps, gains, _ = _smooth_births(births, eps, meas, mm, sm)
-        smoothed = _Smoothed(means, steps, gains, [b - births[0] for b in births])
         for i, b in enumerate(births):
-            chain = smoothed.chain(i)
+            start = b - births[0]
+            chain = _Chain(means[i, start:], steps[i, start:], gains[i, start:])
             n = eps - b + 1
             out += [(f"{case}/{b}", chain.leading(n)), (f"{case}/{b}/short", chain.leading(max(n // 2, 1)))]
     noise_free = (
@@ -595,13 +598,13 @@ class TestFittedChains:
             with np.errstate(all="raise"):
                 var, step_covs = g._variances(), g._step_covs()
             cov = g.cov
-            steps = gaussian._step_blocks(cov, g.dim)
+            n, d = cov.shape[0], g.dim
+            steps = np.array([cov[s * d : (s + 1) * d, s * d : (s + 1) * d] for s in range(g.length)])
             assert_normwise_close(var, cov.diagonal())
             assert_normwise_close(step_covs, steps)
             dense = GaussianSequence._valid(np.array(g.mean), np.array(cov), g.dim)
             np.testing.assert_array_equal(dense._variances(), cov.diagonal())
             np.testing.assert_array_equal(dense._step_covs(), steps)
-            n, d = cov.shape[0], g.dim
             for _ in range(4):
                 col_steps = rng.choice(g.length, size=min(g.length, 3), replace=False)
                 cols = rng.permutation(np.concatenate([s * d + rng.choice(d, d, replace=False) for s in col_steps]))
@@ -609,19 +612,43 @@ class TestFittedChains:
                 edge = [0, cols[0], n - 1]
                 rows = rng.permutation(np.concatenate((edge, rng.choice(n, min(n, 7), replace=False))))
                 with np.errstate(all="raise"):
-                    block, full, same = gaussian._cov_blocks([g, g, g], [rows, None, cols], [cols, cols, cols])
+                    block, full, same = _cov_blocks([g, g, g], [rows, None, cols], [cols, cols, cols])
                     # rows that are the columns, as a pair probability asks
-                    (square,) = gaussian._cov_blocks([g], [cols], [cols])
+                    (square,) = _cov_blocks([g], [cols], [cols])
                 assert_normwise_close(block, cov[np.ix_(rows, cols)])
                 assert_normwise_close(full, cov[:, cols])
                 for got in (same, square):
                     assert_normwise_close(got, cov[np.ix_(cols, cols)])
                     assert np.array_equal(got, got.T), name
                 for got, want in zip(
-                    gaussian._cov_blocks([dense] * 3, [rows, None, cols], [cols] * 3),
+                    _cov_blocks([dense] * 3, [rows, None, cols], [cols] * 3),
                     (cov[np.ix_(rows, cols)], cov[:, cols], cov[np.ix_(cols, cols)]),
                 ):
                     np.testing.assert_array_equal(got, want)
+
+    def test_array_dataclasses_compare_by_identity(self):
+        # an elementwise comparison of array fields has no truth value, so
+        # two distinct instances of equal values compare unequal without
+        # raising, and comparing fitted conditionals builds no dense covariance
+        mm, sm = cli_track_models()
+        _, meas = cv_track(np.random.default_rng(8), mm, 35)
+        assert [k for k, _ in meas][0] >= 5 and [k for k, _ in meas][-1] <= 29
+        fit = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, 34), slack=3)
+        first, second = fit.density.conditionals[:2]
+        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+        twins = [
+            (GaussianSequence(np.zeros(2), cov, 1), GaussianSequence(np.zeros(2), cov, 1)),
+            (BirthDeathPmf(((0, 1),), np.ones(1)), BirthDeathPmf(((0, 1),), np.ones(1))),
+            (Trajectory(0, 1, np.zeros((2, 2))), Trajectory(0, 1, np.zeros((2, 2)))),
+            (mm, dataclasses.replace(mm)),
+            (sm, dataclasses.replace(sm)),
+            (first, first._chain.leading(first.length)),
+            (first, second),
+        ]
+        for a, b in twins:
+            assert a != b and not a == b, type(a)
+            assert a == a and hash(a) == hash(a) and len({a, b}) == 2, type(a)
+        assert all("cov" not in g.__dict__ for g in fit.density.conditionals)
 
     def test_marginals_leave_the_chain_untouched(self):
         # constrained_marginals adds K Delta K' to each pair's step blocks,

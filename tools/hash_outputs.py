@@ -42,8 +42,10 @@ numbers of one tree (sample-cloud points above all) take several GB.
 
 import dataclasses
 import hashlib
+import importlib
 import math
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -256,8 +258,22 @@ def tracks(rec, modules):
                     rec.add(f"{name}/{seed}/{i}/oracle_ppp", report, pmf_paths)
 
 
+def defined(name):
+    """The function ``name`` from the module of the tree under test that
+    defines it, so that one tool runs trees whose modules are split
+    differently."""
+    import trajconstrain
+
+    for info in pkgutil.iter_modules(trajconstrain.__path__):
+        module = importlib.import_module(f"trajconstrain.{info.name}")
+        found = vars(module).get(name)
+        if getattr(found, "__module__", None) == module.__name__:
+            return found
+    raise AttributeError(name)
+
+
 def synthetic(rec, modules):
-    engine, gaussian = modules["engine"], modules["gaussian"]
+    engine = modules["engine"]
     Constraint, ConstraintSet, StateRegion = (modules[m] for m in ("Constraint", "ConstraintSet", "StateRegion"))
     BirthDeathPmf, GaussianSequence, TrajectoryDensity = (
         modules[m] for m in ("BirthDeathPmf", "GaussianSequence", "TrajectoryDensity")
@@ -274,7 +290,7 @@ def synthetic(rec, modules):
             ctd, report = engine.constrain_density(td, cs, 4_000, k)
             c = engine.ConstrainedBernoulli(1.0, ctd, report)
             component(rec, f"synthetic/{mode}/{k}", c, engine, 4_000, 11 * k - 1)
-    settled = gaussian._pattern_probabilities(
+    settled = defined("_pattern_probabilities")(
         GaussianSequence(np.zeros(3 * d), (m @ m.T / d + np.eye(4 * d))[: 3 * d, : 3 * d], d),
         (0, 2), [(t, box) for t in range(3)], 4_000, 2, [False] * 3,
     )
