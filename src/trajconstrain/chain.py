@@ -4,7 +4,8 @@ A fitted track keeps each birth's smoother chain (``_Chain``) instead of
 dense covariances; its (birth, death) conditionals are ``_ChainSequence``s
 over the chain's leading steps, whose accessors read the chain.
 ``_cov_blocks`` gives the covariance blocks of many sequences, dense or
-fitted, the fitted ones in one ``_chain_blocks`` pass.
+fitted, the fitted ones in one ``_chain_blocks`` pass of column scans: one
+column Cov(x_s, x_a) per column step a of a request.
 """
 
 from __future__ import annotations
@@ -102,46 +103,24 @@ def _gain_products(gains: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return x[:, 0]
 
 
-def _run_scans(x: np.ndarray, run: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inclusive products of the matrices ``x`` (n, d, d) within runs:
-    x_i @ ... @ x_{end of its run} and x_{start of its run} @ ... @ x_i,
-    x_i being at position ``pos[i]`` of run ``run[i]``. The runs are laid
-    out side by side, padded with identities, once as they are and once
-    reversed and transposed, and one Hillis-Steele scan takes the prefixes
-    of both: a product to the end of a run is the transposed prefix of the
-    reversed run."""
-    d = x.shape[1]
-    n_runs = int(run.max()) + 1
-    back = np.bincount(run, minlength=n_runs)[run] - 1 - pos  # position in the reversed run
-    pad = np.broadcast_to(np.eye(d), (2 * n_runs, int(pos.max()) + 1, d, d)).copy()
-    pad[run, pos] = x
-    pad[n_runs + run, back] = x.swapaxes(1, 2)
-    off = 1
-    while off < pad.shape[1]:
-        pad[:, off:] = pad[:, :-off] @ pad[:, off:]
-        off *= 2
-    return pad[n_runs + run, back].swapaxes(1, 2), pad[run, pos]
-
-
 def _chain_blocks(chains: Sequence[_Chain], rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Cov(rows, cols) of each request (``chains[k]``, of one state dim, and
     the flat coordinates ``rows[k]`` and ``cols[k]``) from its chain, every
     request in one pass.
 
-    The steps of a request's columns are its anchors a_0 < ... < a_{m-1},
-    padded to the most any request has. With T_j = G_{a_j} ... G_{a_{j+1} -
-    1} (``_gain_products``), Cov(a_j, a_i) = T_j Cov(a_{j+1}, a_i) for j < i,
-    from Cov(a_i, a_i) = P_{a_i} one anchor further at a time, mirrored
-    below the diagonal, so a block over the same rows and columns is exactly
-    symmetric. A row step r between anchors a_j and a_{j+1} takes from scans
-    of the gains within the runs between anchors (``_run_scans``) the
-    product S_r to a_{j+1} and Pf_r from a_j: Cov(r, a_i) = S_r Cov(a_{j+1},
-    a_i) for i > j, and Cov(a_i, r)' for i <= j, with Cov(a_j, r) = Pf_r
-    P_r and Cov(a_i, r) = T_i Cov(a_{i+1}, r) one anchor further at a time.
-    Requests whose rows are their columns (``rows[k] is cols[k]`` for
-    every k) skip the rows."""
-    d = chains[0].steps.shape[1]
-    n_req = len(chains)
+    A request reads its chain at its points, the steps p_0 < ... < p_{n-1}
+    of its rows and columns, with U_i = G_{p_i} ... G_{p_{i+1} - 1}
+    (``_gain_products``) between them. Each column step a = p_q (an anchor)
+    gets one column Cov(x_{p_i}, x_a) over the points from inclusive
+    Hillis-Steele scans, laid out side by side and padded with identities:
+    one back from a, U_i ... U_{q-1} P_a for i <= q, and one on from a,
+    P_{p_i} (U_q ... U_{i-1})' for i > q. At each later anchor of its
+    request, a column takes the transpose of that anchor's column at a, so
+    a block over the same rows and columns is exactly symmetric; each
+    request's block is then one gather. Requests whose rows are their
+    columns (``rows[k] is cols[k]`` for every k) have no other points and
+    scan back only."""
+    d, n_req = chains[0].steps.shape[1], len(chains)
     # Every chain's steps and gains in one array, by distinct chain.
     distinct = {id(c): c for c in chains}
     order = {key: i for i, key in enumerate(distinct)}
@@ -151,87 +130,62 @@ def _chain_blocks(chains: Sequence[_Chain], rows: Sequence[np.ndarray], cols: Se
     steps = np.concatenate([c.steps for c in distinct.values()])
     gains = np.concatenate([c.gains for c in distinct.values()])
 
-    # Steps as sorted keys request * span + step.
+    # Steps as sorted keys request * span + step: the anchors, and the points.
     span = int(sizes.max())
     square = all(r is c for r, c in zip(rows, cols))
     n_cols = np.array([c.size for c in cols])
     flat_cols = np.concatenate(cols)
     col_key = np.repeat(np.arange(n_req) * span, n_cols) + flat_cols // d
-    anchors = _distinct(col_key)
-    a_req = anchors // span
-    m = np.bincount(a_req, minlength=n_req)
-    a_first = np.cumsum(m) - m
-    a_idx = np.arange(anchors.size) - a_first[a_req]
-    width = int(m.max())
-    # Each step's place in ``steps``; its gain's in ``gains`` is less by its chain's index.
-    at = step_at[which[a_req]] + anchors % span
-
-    # T_j, the gains from each anchor to the next of its request, and the anchor blocks.
-    nxt = np.flatnonzero(a_req[:-1] == a_req[1:])
-    t = np.zeros((n_req, width, d, d))
-    flat_rows, row_key, free = flat_cols, col_key, anchors[:0]
+    anchors = points = _distinct(col_key)
+    flat_rows, row_key, n_rows = flat_cols, col_key, n_cols
     if not square:
         flat_rows = np.concatenate(rows)
-        row_key = np.repeat(np.arange(n_req) * span, [r.size for r in rows]) + flat_rows // d
-        row_steps = _distinct(row_key)
-        free = row_steps[anchors[np.minimum(np.searchsorted(anchors, row_steps), anchors.size - 1)] != row_steps]
-    if free.size:
-        # Points: the free rows and the anchors. U: the gains from each point
-        # to the next of its request; a run starts at each anchor and at
-        # each request's first point, and ends before the next anchor.
-        points = _distinct(np.concatenate((free, anchors)))
-        p_req = points // span
-        p_at = step_at[which[p_req]] + points % span
-        u = np.broadcast_to(np.eye(d), (points.size, d, d)).copy()
-        inner = np.flatnonzero(p_req[:-1] == p_req[1:])
-        lo = p_at[inner] - which[p_req[inner]]
-        u[inner] = _gain_products(gains, lo, lo + points[inner + 1] - points[inner])
-        a_point = np.searchsorted(points, anchors)
-        starts = np.concatenate(([True], p_req[1:] != p_req[:-1]))
-        starts[a_point] = True
-        run = np.cumsum(starts) - 1
-        s_to, s_from = _run_scans(u, run, np.arange(points.size) - np.flatnonzero(starts)[run])
-        t[a_req[nxt], a_idx[nxt]] = s_to[a_point[nxt]]
-    else:
-        lo = at[nxt] - which[a_req[nxt]]
-        t[a_req[nxt], a_idx[nxt]] = _gain_products(gains, lo, lo + anchors[nxt + 1] - anchors[nxt])
-    cov = np.zeros((n_req, width, width, d, d))
-    cov[a_req, a_idx, a_idx] = steps[at]
-    for gap in range(1, width):
-        j = np.arange(width - gap)
-        cov[:, j, j + gap] = t[:, j] @ cov[:, j + 1, j + gap]
-        cov[:, j + gap, j] = cov[:, j, j + gap].swapaxes(-1, -2)
-    blocks = cov.reshape(n_req * width, width, d, d)
+        n_rows = np.array([r.size for r in rows])
+        row_key = np.repeat(np.arange(n_req) * span, n_rows) + flat_rows // d
+        points = _distinct(np.concatenate((row_key, anchors)))
+    p_req, a_req = points // span, anchors // span
+    n_pts = np.bincount(p_req, minlength=n_req)
+    p_first = np.cumsum(n_pts) - n_pts
+    # Each point's place in ``steps``; its gain's in ``gains`` is less by its chain's index.
+    p_at = step_at[which[p_req]] + points % span
+    a_pt = np.searchsorted(points, anchors)
+    q = a_pt - p_first[a_req]
+    inner = np.flatnonzero(p_req[:-1] == p_req[1:])
+    lo, u = p_at[inner] - which[p_req[inner]], np.zeros((points.size, d, d))
+    u[inner] = _gain_products(gains, lo, lo + points[inner + 1] - points[inner])
 
-    if free.size:
-        # The free rows' blocks, after the anchors'.
-        f = np.searchsorted(points, free)
-        owner = p_req[f]
-        prev = np.searchsorted(anchors, free) - a_first[owner] - 1  # the anchor before, -1 if none
-        ahead = s_to[f, None] @ cov[owner, np.minimum(prev + 1, width - 1)]
-        # Cov(a_i, r) for i <= prev: Pf_r, the run's inclusive prefix at the
-        # point before (which holds a_prev), times P_r, then T_i times the next.
-        behind = np.zeros((free.size, width, d, d))
-        back = np.flatnonzero(prev >= 0)
-        behind[back, prev[back]] = s_from[f[back] - 1] @ steps[p_at[f[back]]]
-        for gap in range(1, width):
-            sel = back[prev[back] >= gap]
-            i = prev[sel] - gap
-            behind[sel, i] = t[owner[sel], i] @ behind[sel, i + 1]
-        later = np.arange(width) > prev[:, None]
-        blocks = np.concatenate((blocks, np.where(later[..., None, None], ahead, behind.swapaxes(-1, -2))))
+    # The scans: one row back from each anchor, [P_a, U_{q-1}, ..., U_0], and
+    # one on from each anchor with points after it, [U_q', ..., U_{n-2}'].
+    fwd = q[:0] if square else np.flatnonzero(n_pts[a_req] - 1 - q)
+    on = n_pts[a_req[fwd]] - 1 - q[fwd]
+    n_a, j = anchors.size, np.arange(max(int(q.max()) + 1, int(on.max(initial=0))))
+    pad = np.empty((n_a + fwd.size, j.size, d, d))
+    pad[:] = np.eye(d)
+    ra, rj = np.nonzero(j <= q[:, None])
+    pad[ra, rj] = u[a_pt[ra] - rj]
+    pad[:n_a, 0] = steps[p_at[a_pt]]
+    if fwd.size:
+        fa, fj = np.nonzero(j < on[:, None])
+        pad[n_a + fa, fj] = u[a_pt[fwd[fa]] + fj].swapaxes(-1, -2)
+    off = 1
+    while off < j.size:
+        pad[:, off:] = pad[:, off:] @ pad[:, :-off]
+        off *= 2
+    col = np.empty((n_a, int(n_pts.max()), d, d))
+    col[ra, q[ra] - rj] = pad[ra, rj]
+    if fwd.size:
+        f = fwd[fa]
+        col[f, q[f] + 1 + fj] = steps[p_at[a_pt[f] + 1 + fj]] @ pad[n_a + fa, fj]
+    # Each anchor's column at every later anchor b of its request: b's column at it, transposed.
+    m = np.bincount(a_req, minlength=n_req)
+    later = np.arange(n_a)[:, None] + np.arange(1, int(m.max()))
+    a, b = np.nonzero(later < np.cumsum(m)[a_req, None])
+    b = later[a, b]
+    col[a, q[b]] = col[b, q[a]].swapaxes(-1, -2)
 
-    # Each coordinate's row of ``blocks`` (an anchor's, or a free row's after
-    # them), anchor and dim within; one gather per shape of request.
-    hit = np.searchsorted(anchors, col_key)
-    col_at, col_dim = a_idx[hit], flat_cols % d
-    row_at, row_dim = a_req[hit] * width + col_at, col_dim
-    if not square:
-        hit = np.minimum(np.searchsorted(anchors, row_key), anchors.size - 1)
-        row_at, row_dim = a_req[hit] * width + a_idx[hit], flat_rows % d
-        if free.size:
-            row_at = np.where(anchors[hit] == row_key, row_at, n_req * width + np.searchsorted(free, row_key))
-    n_rows = n_cols if square else np.array([r.size for r in rows])
+    # Each coordinate's anchor or point and dim; one gather per shape of request.
+    col_at, col_dim, row_dim = np.searchsorted(anchors, col_key), flat_cols % d, flat_rows % d
+    row_at = q[col_at] if square else np.searchsorted(points, row_key) - p_first[row_key // span]
     shapes: Dict[Tuple[int, int], List[int]] = {}
     for k, shape in enumerate(zip(n_rows.tolist(), n_cols.tolist())):
         shapes.setdefault(shape, []).append(k)
@@ -239,7 +193,7 @@ def _chain_blocks(chains: Sequence[_Chain], rows: Sequence[np.ndarray], cols: Se
     for (nr, nc), ks in shapes.items():
         ri = (np.cumsum(n_rows) - n_rows)[ks, None] + np.arange(nr)
         ci = (np.cumsum(n_cols) - n_cols)[ks, None] + np.arange(nc)
-        got = blocks[row_at[ri][:, :, None], col_at[ci][:, None, :], row_dim[ri][:, :, None], col_dim[ci][:, None, :]]
+        got = col[col_at[ci][:, None, :], row_at[ri][:, :, None], row_dim[ri][:, :, None], col_dim[ci][:, None, :]]
         for k, block in zip(ks, got):
             out[k] = block
     return out

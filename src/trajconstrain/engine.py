@@ -163,7 +163,7 @@ class ConstraintReport:
     joint_se: float
 
 
-@dataclass
+@dataclass(eq=False)
 class MarginalMoments:
     """Per-time-step moment-matched summary of a constrained density.
 

@@ -213,7 +213,7 @@ class TrajectoryDensity:
         return self.conditionals[self.pmf.pairs.index(pair)]
 
 
-@dataclass
+@dataclass(eq=False)
 class Stratum:
     """Weighted samples sharing one (birth, death) pair; states (n, length, dim)."""
 
@@ -225,7 +225,7 @@ class Stratum:
         return float(self.weights.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleCloud:
     """Weighted trajectory samples keyed by (birth, death) stratum."""
 

@@ -53,7 +53,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import _cov_blocks
+from .chain import _ChainSequence
 from .core import Constraint, ConstraintSet, active_indices, satisfies_batch
 from .engine import (
     ConstrainedBernoulli,
@@ -175,6 +175,36 @@ def _head(g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet
     )
 
 
+def _head_cov(g: GaussianSequence, head: np.ndarray) -> np.ndarray:
+    """The covariance block of ``g`` at its coordinates ``head``. A dense
+    sequence indexes its ``cov``. A fitted conditional reads its chain's
+    step covariances P_s and gains G_s alone, by one sweep back from the last
+    head step to the first: Cov(x_s, x_t) = G_s Cov(x_{s+1}, x_t) for every
+    later head step t (Rauch, Tung & Striebel, AIAA J. 3, 1965), whose column
+    starts as P_t at t. The blocks below the diagonal mirror those above."""
+    if not isinstance(g, _ChainSequence):
+        return g.cov[np.ix_(head, head)]
+    if not head.size:
+        return np.zeros((0, 0))
+    d, steps, gains = g.dim, g._chain.steps, g._chain.gains
+    at, where = np.unique(head // d, return_inverse=True)
+    k, first, last = at.size, int(at[0]), int(at[-1])
+    carried = np.zeros((d, k * d))  # Cov(x_s, x_t), 0 while the sweep is after t
+    rows = np.empty((k, d, k * d))
+    for s in range(last, first - 1, -1):
+        if s < last:
+            carried = gains[s] @ carried
+        if s == at[k - 1]:
+            k -= 1
+            carried[:, k * d : (k + 1) * d] = steps[s]
+            rows[k] = carried
+    cov = rows.reshape(at.size * d, -1)
+    block = np.repeat(np.arange(at.size), d)
+    cov = np.where(block[:, None] > block, cov.T, cov)
+    idx = where * d + head % d
+    return cov[np.ix_(idx, idx)]
+
+
 class _Workspace:
     """The arrays that every screening chunk of one ``_screened_chunks`` call
     is drawn, screened and added in, allocated once, for the most rows, head
@@ -229,10 +259,10 @@ class _Screen:
     ``slots`` places the head among the rows of coordinate-major
     (steps * dim, rows) states whose other coordinates are 0, which
     ``satisfies_batch`` never compares. Without ``complete`` only the head is
-    reordered and factored, from its covariance block ``head_cov`` when the
-    caller has it: the leading block of a Cholesky factor is the factor of
-    the leading block. With ``complete`` the whole reordered sequence is
-    factored, from its dense covariance.
+    reordered and factored, from its covariance block (``_head_cov``): the
+    leading block of a Cholesky factor is the factor of the leading block.
+    With ``complete`` the whole reordered sequence is factored, from its
+    dense covariance.
 
     ``gram`` is A^T A for A = [1 z_h] over the accepted head normals that
     ``add`` has seen, accumulated chunk by chunk as a product masked with the
@@ -241,25 +271,13 @@ class _Screen:
     screen never keeps: ``_accepted`` holds every pair's screen until the
     tail draws, and a workspace per pair would be held with it."""
 
-    def __init__(
-        self,
-        g: GaussianSequence,
-        birth: int,
-        idx: Sequence[int],
-        cs: ConstraintSet,
-        complete: bool,
-        head_cov: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
         regions = [cs.constraints[i].region for i in idx]
         head = _head(g, birth, idx, cs)
         self.slots = np.concatenate([k * g.dim + r.bounded_dims for k, r in enumerate(regions)])
         self.order = np.concatenate([head, np.setdiff1d(np.arange(g.mean.size), head)]) if complete else head
         self.mean = g.mean[self.order]
-        if complete:
-            head_cov = g.cov[np.ix_(self.order, self.order)]
-        elif head_cov is None:
-            (head_cov,) = _cov_blocks([g], [head], [head])
-        self.factor = _cholesky(head_cov)
+        self.factor = _cholesky(g.cov[np.ix_(self.order, self.order)] if complete else _head_cov(g, head))
         self.h = head.size
         # Contiguous, and applied as F_hh z_h^T: numpy's matmul runs a
         # transposed slice such as factor[:h, :h].T through a loop many times
@@ -397,18 +415,14 @@ def _screened_chunks(
             drawn.append((pair, g, c, idx))
     if not drawn:
         return
-    # The head blocks of every drawn pair in one ``_cov_blocks`` pass; the
-    # whole sequence's factor reads its dense covariance instead.
-    heads = [_head(g, pair[0], idx, cs) for pair, g, _, idx in drawn]
-    blocks = [None] * len(drawn) if complete else _cov_blocks([g for _, g, _, _ in drawn], heads, heads)
     chunk = DRAW_CHUNK
     work = _Workspace(
         min(chunk, max(c for _, _, c, _ in drawn)),
-        max(head.size for head in heads),
+        max(_head(g, pair[0], idx, cs).size for pair, g, _, idx in drawn),
         max(len(idx) * g.dim for _, g, _, idx in drawn),
     )
-    for (pair, g, c, idx), block in zip(drawn, blocks):
-        screen = _Screen(g, pair[0], idx, cs, complete, block)
+    for pair, g, c, idx in drawn:
+        screen = _Screen(g, pair[0], idx, cs, complete)
         work.start(screen, min(chunk, c))
         for start in range(0, c, chunk):
             z_head = work.normals(min(chunk, c - start), screen.h)

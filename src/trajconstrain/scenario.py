@@ -113,7 +113,7 @@ class SensorModel:
         return self.measurement.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class Measurement:
     time: int
     value: np.ndarray

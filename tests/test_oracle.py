@@ -27,7 +27,7 @@ from trajconstrain import (
     constrain_ppp,
     constrained_marginals,
 )
-from trajconstrain import engine, gaussian, mvn, oracle
+from trajconstrain import chain, engine, gaussian, mvn, oracle
 from trajconstrain.core import active_indices, satisfies_batch, time_window_constraints
 from trajconstrain.engine import ConstrainedBernoulli
 from trajconstrain.errors import LowAcceptanceError
@@ -473,10 +473,11 @@ class TestStreaming:
             assert not np.array_equal(*first)
 
 
-def conjunct_cli_track():
+def conjunct_cli_track(times=(30, 50, 70), half=1.0):
     """A track fitted as the benchmark's CLI track is (100 steps, constant
     velocity with process noise, slack 3: 4 x 4 (birth, death) pairs), under
-    three wide conjunct position gates."""
+    three conjunct position gates at ``times``, ``half`` either side of the
+    true position."""
     rng, steps = np.random.default_rng(2027), 100
     f, q = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.05 / 3.0, 0.025], [0.025, 0.05]])
     mm = MotionModel(f, q, 0.99, 0.0, np.array([0.0, 1.0]), np.diag([25.0, 1.0]))
@@ -487,17 +488,17 @@ def conjunct_cli_track():
         x = f @ x + np.linalg.cholesky(q) @ rng.standard_normal(2)
     meas = [(k, [truth[k] + rng.standard_normal()]) for k in range(5, steps - 5) if rng.random() < 0.9]
     b = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, steps - 1), 0.9, 3)
-    gates = [Constraint(t, StateRegion.box([(truth[t] - 1.0, truth[t] + 1.0), None])) for t in (30, 50, 70)]
+    gates = [Constraint(t, StateRegion.box([(truth[t] - half, truth[t] + half), None])) for t in times]
     return b, ConstraintSet(gates, "conjunct")
 
 
 def engine_math():
     """The engine's probability math, which the oracle shares none of: every
-    function defined in ``mvn`` or ``engine``, and ``gaussian.marginal``. The
-    chain algebra (``chain``) and the draws and factors of ``gaussian`` stay
-    allowed."""
+    function defined in ``mvn``, ``engine`` or ``chain``, and
+    ``gaussian.marginal``. A fitted track's dense ``cov`` (``_Chain.joint``)
+    and the draws and factors of ``gaussian`` stay allowed."""
     funcs = [gaussian.marginal]
-    for module in (mvn, engine):
+    for module in (mvn, engine, chain):
         funcs += [
             v for v in vars(module).values()
             if callable(v) and not isinstance(v, type) and getattr(v, "__module__", None) == module.__name__
@@ -563,6 +564,23 @@ class TestIndependence:
             assert oracle_bernoulli(b, tc, cs, n=50_000, rng_seed=8, check_moments=False).passed, case
             assert oracle_ppp(p, out.ppp, cs, n_runs=5_000, rng_seed=9).passed, case
             assert oracle_pmbm(m, out, cs, n=30_000, rng_seed=10).passed, case
+
+    def test_count_only_oracle_sees_scaled_chain_correlations(self, monkeypatch):
+        # the engine's chain blocks with every correlation between distinct
+        # coordinates scaled by 0.8 move r_constrained of a track gated at
+        # three close steps; the oracle's heads come from its own recursion,
+        # so its counts, which pass on the sound blocks, fail
+        b, cs = conjunct_cli_track((30, 32, 34), 0.5)
+        sound = chain._chain_blocks
+
+        def scaled(chains, rows, cols):
+            return [x * np.where(r[:, None] == c, 1.0, 0.8) for x, r, c in zip(sound(chains, rows, cols), rows, cols)]
+
+        for blocks, passes in ((sound, True), (scaled, False)):
+            monkeypatch.setattr(chain, "_chain_blocks", blocks)
+            out = constrain_bernoulli(b, cs, 20_000, rng_seed=1)
+            rep = oracle_bernoulli(b, out, cs, n=200_000, rng_seed=2, check_moments=False)
+            assert rep.passed is passes, [(e.name, e.z) for e in rep.entries if not e.passed]
 
     def test_oracle_binds_nothing_from_mvn(self):
         assert mvn_bindings(oracle) == []
@@ -678,6 +696,13 @@ class TestScreenedDraws:
                 work = _Workspace(7, 0, len(screen.cs) * g.dim)
                 work.start(screen, 7)
                 assert screen.screen(np.empty((7, 0)), work).all()
+        # a fitted track's counting screen has an empty factor, from no chain
+        fitted = no_process_noise_density()
+        for pair, g in zip(fitted.pmf.pairs, fitted.conditionals):
+            idx = active_indices(cs, *pair)
+            if idx:
+                assert _Screen(g, pair[0], idx, cs, complete=False).factor.shape == (0, 0)
+        assert all("cov" not in g.__dict__ for g in fitted.conditionals)
         screened = self.assert_agrees_with_eager(td, cs, 4)
         # every draw alive in the window is kept, and no other
         alive = [pair for pair in td.pmf.pairs if active_indices(cs, *pair)]

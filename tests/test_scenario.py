@@ -21,7 +21,10 @@ from trajconstrain import (
     scenario,
 )
 from trajconstrain.chain import _Chain, _cov_blocks
+from trajconstrain.engine import MarginalMoments
+from trajconstrain.gaussian import SampleCloud, Stratum
 from trajconstrain.mvn import CLOSED_FORM
+from trajconstrain.oracle import oracle_bernoulli
 from trajconstrain.scenario import (
     Measurement,
     MotionModel,
@@ -591,10 +594,15 @@ class TestFittedChains:
         # variances, step blocks and blocks of unsorted rows and columns read
         # off the chain agree with indexing the dense covariance built from
         # it within 1e-12 normwise relative; a dense sequence of that
-        # covariance gives exactly the indexed entries
+        # covariance gives exactly the indexed entries. Each block has the
+        # same bits alone as in one batch with requests on other chains and
+        # on the longest conditional of its own chain
         rng = np.random.default_rng(4)
-        for name, g in fitted_chain_sequences():
+        sequences = fitted_chain_sequences()
+        for name, g in sequences:
             assert "cov" not in g.__dict__, name
+            others = [h for _, h in sequences if h.dim == g.dim and h._chain is not g._chain][:3]
+            longest = g._chain.leading(g._chain.means.shape[0])
             with np.errstate(all="raise"):
                 var, step_covs = g._variances(), g._step_covs()
             cov = g.cov
@@ -625,6 +633,13 @@ class TestFittedChains:
                     (cov[np.ix_(rows, cols)], cov[:, cols], cov[np.ix_(cols, cols)]),
                 ):
                     np.testing.assert_array_equal(got, want)
+                batch = [(g, rows, cols), (g, None, cols), (g, cols, cols), (longest, None, cols)]
+                for h in others:
+                    at = rng.choice(h.mean.size, min(h.mean.size, 4), replace=False)
+                    batch[1:1] = [(h, at, at), (h, None, at)]
+                for (h, r, c), got in zip(batch, _cov_blocks(*zip(*batch))):
+                    (alone,) = _cov_blocks([h], [r], [c])
+                    assert got.tobytes() == alone.tobytes(), name
 
     def test_array_dataclasses_compare_by_identity(self):
         # an elementwise comparison of array fields has no truth value, so
@@ -636,7 +651,18 @@ class TestFittedChains:
         fit = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, 34), slack=3)
         first, second = fit.density.conditionals[:2]
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+        def moments():
+            return MarginalMoments([0, 1], np.zeros((2, 1)), np.ones((2, 1, 1)), np.ones(2), 1.0, np.zeros((2, 1)), {}, {})
+
+        def stratum():
+            return Stratum(np.zeros((2, 1, 1)), np.ones(2))
+
         twins = [
+            (moments(), moments()),
+            (stratum(), stratum()),
+            (SampleCloud(1, {(0, 0): stratum()}), SampleCloud(1, {(0, 0): stratum()})),
+            (Measurement(0, np.zeros(2)), Measurement(0, np.zeros(2))),
             (GaussianSequence(np.zeros(2), cov, 1), GaussianSequence(np.zeros(2), cov, 1)),
             (BirthDeathPmf(((0, 1),), np.ones(1)), BirthDeathPmf(((0, 1),), np.ones(1))),
             (Trajectory(0, 1, np.zeros((2, 2))), Trajectory(0, 1, np.zeros((2, 2)))),
@@ -673,8 +699,9 @@ class TestFittedChains:
     def test_long_track_constrains_in_chain_memory(self):
         # a 1,200-step track: its four births' dense joints alone would take
         # 4 x 2,400^2 x 8 B, about 184 MB; fitting it, constraining it by
-        # three disjunct gates and taking its marginals stays below 16 MB,
-        # and no conditional builds its dense covariance
+        # three disjunct gates, taking its marginals and checking its counts
+        # by the oracle stays below 16 MB, and no conditional builds its dense
+        # covariance
         mm, sm = cli_track_models()
         steps = 1200
         states, meas = cv_track(np.random.default_rng(7), mm, steps)
@@ -687,10 +714,12 @@ class TestFittedChains:
             fit = fit_bernoulli_track(meas, mm, sm, TimeWindow(0, steps - 1), slack=3)
             constrained = constrain_bernoulli(fit, cs, 20_000, 1)
             marginals = constrained_marginals(constrained.density, 20_000, 2)
+            report = oracle_bernoulli(fit, constrained, cs, n=20_000, rng_seed=3, check_moments=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+        assert report.passed, [(e.name, e.z) for e in report.entries if not e.passed]
         assert len(fit.density.conditionals) == 16
         assert all("cov" not in g.__dict__ for g in fit.density.conditionals)
         assert {info.path for info in constrained.density.pair_info.values()} == {CLOSED_FORM}
