@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .kernels import points_in_boxes
+from .kernels import finite_bounds, points_in_boxes
 
 CONJUNCT = "conjunct"
 DISJUNCT = "disjunct"
@@ -115,6 +115,8 @@ class StateRegion:
         self.highs.setflags(write=False)
         # dimensions some box bounds; a full-space region bounds none
         self.bounded_dims = np.flatnonzero(bounded.any(axis=0))
+        # what every membership test compares, taken once
+        self._bounds = finite_bounds(lows, highs)
 
     @classmethod
     def full_space(cls, dim: int) -> "StateRegion":
@@ -163,13 +165,13 @@ class StateRegion:
         point = np.asarray(point, dtype=np.float64).reshape(1, -1)
         if point.shape[1] != self.dim:
             raise DimensionMismatchError(f"point dim {point.shape[1]} != region dim {self.dim}")
-        return bool(points_in_boxes(point, self.lows, self.highs)[0])
+        return bool(points_in_boxes(point, self.lows, self.highs, bounds=self._bounds)[0])
 
     def contains_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DimensionMismatchError(f"points shape {points.shape} incompatible with dim {self.dim}")
-        return points_in_boxes(points, self.lows, self.highs)
+        return points_in_boxes(points, self.lows, self.highs, bounds=self._bounds)
 
     def __repr__(self):
         return f"StateRegion(dim={self.dim}, boxes={self.n_boxes})"
@@ -265,16 +267,16 @@ def satisfies_batch(birth: int, death: int, states: np.ndarray, cs: ConstraintSe
     idx = active_indices(cs, birth, death)
     if not idx:
         return np.zeros(n, dtype=bool)
-    if cs.mode == CONJUNCT:
-        out = np.ones(n, dtype=bool)
-        for i in idx:
-            c = cs.constraints[i]
-            out &= c.region.contains_batch(states[:, c.time - birth, :])
-    else:
-        out = np.zeros(n, dtype=bool)
-        for i in idx:
-            c = cs.constraints[i]
-            out |= c.region.contains_batch(states[:, c.time - birth, :])
+    out = None
+    for i in idx:
+        c = cs.constraints[i]
+        hit = c.region.contains_batch(states[:, c.time - birth, :])
+        if out is None:
+            out = hit
+        elif cs.mode == CONJUNCT:
+            out &= hit
+        else:
+            out |= hit
     return out
 
 

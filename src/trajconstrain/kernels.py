@@ -9,23 +9,45 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def points_in_boxes(points, lows, highs):
+def finite_bounds(lows, highs):
+    """Per box of (nb, k) ``lows``/``highs``, its finite bounds as
+    (column, bound, is lower) triples, lower bounds first: what
+    ``points_in_boxes`` compares. An empty tuple is a box that bounds
+    nothing, which holds every point."""
+    return tuple(
+        tuple((int(j), float(lo[j]), True) for j in np.flatnonzero(np.isfinite(lo)))
+        + tuple((int(j), float(hi[j]), False) for j in np.flatnonzero(np.isfinite(hi)))
+        for lo, hi in zip(lows, highs)
+    )
+
+
+def points_in_boxes(points, lows, highs, *, bounds=None):
     """Union-of-boxes membership mask.
 
     points: (n, k) float array; lows/highs: (nb, k) with +-inf marking
     unbounded dimensions. Returns (n,) bool, True where the point lies in
     at least one closed box. Only finite bounds are compared, so a box that
-    bounds one coordinate of a k-dim state reads one column.
+    bounds one coordinate of a k-dim state reads one column. ``bounds`` is
+    ``finite_bounds(lows, highs)``, taken from them when not given.
     """
-    inside_any = np.zeros(points.shape[0], dtype=np.bool_)
-    for b in range(lows.shape[0]):
-        inside = np.ones(points.shape[0], dtype=np.bool_)
-        for j in np.flatnonzero(np.isfinite(lows[b])):
-            inside &= points[:, j] >= lows[b, j]
-        for j in np.flatnonzero(np.isfinite(highs[b])):
-            inside &= points[:, j] <= highs[b, j]
-        inside_any |= inside
-    return inside_any
+    if bounds is None:
+        bounds = finite_bounds(lows, highs)
+    inside_any = None
+    for box in bounds:
+        inside = None
+        for j, bound, lower in box:
+            hit = points[:, j] >= bound if lower else points[:, j] <= bound
+            if inside is None:
+                inside = hit
+            else:
+                inside &= hit
+        if inside is None:  # a box that bounds nothing holds every point
+            return np.ones(points.shape[0], dtype=np.bool_)
+        if inside_any is None:
+            inside_any = inside
+        else:
+            inside_any |= inside
+    return np.zeros(points.shape[0], dtype=np.bool_) if inside_any is None else inside_any
 
 
 def pattern_codes(masks):

@@ -6,30 +6,28 @@ satisfaction test (vectorized ``satisfies_batch``), then compared with the
 engine's value by a z-score at a stated threshold. No probability math is
 shared with the engine.
 
-Whether a draw is kept depends only on the coordinates that the active
-constraints bound, so each draw is screened before it is paid for in full
-(Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. II.3). Per
-(birth, death) pair the coordinates are reordered with those (the head:
-step * dim + ``region.bounded_dims`` per active constraint) first and the
-rest after (the tail), and the reordered covariance gets one Cholesky factor
-F. A chunk of at most ``DRAW_CHUNK`` rows draws the head normals z_h
-only, and ``satisfies_batch`` tests the head states m_h + F_hh z_h, placed in
-coordinate-major states whose unbounded coordinates are 0. A pair whose
-active constraints are all full space has an empty head and keeps every row.
-Every chunk of a call is drawn, screened and added to its pair's Gram in one
-workspace (``_Workspace``), allocated for the call's largest pair and freed
-when the call ends, so a chunk allocates nothing larger than the test's
-masks; numpy fills a given array with the normals it would return, so the
-workspace changes no draw.
+A draw is decided as soon as one constraint decides it, so each draw is
+screened one constraint at a time and draws a constraint's normals only
+while it is undecided (Devroye, *Non-Uniform Random Variate Generation*,
+1986, ch. II.3). Each pair's bounded active constraints are its stages,
+most likely to decide a row first (``_Screen``). Its coordinates are
+reordered with the stages' first (the head) and the rest after (the tail),
+under one Cholesky factor F of the reordered covariance, and chunks of at
+most ``DRAW_CHUNK`` rows are screened stage by stage (``_Screen.run``).
+Stage k of every pair of a call takes its normals from its own generator
+(``_stage_streams``), row-major over the rows that reach it, so the chunk
+size changes no draw. Which rows reach stage k depends on the streams
+before k alone, so each row's head normals are i.i.d. standard normal and
+independent of the earlier stages' outcome: each head is N(m_h, S_hh), as
+under whole-sequence rejection.
 
 Only where per-step moments are checked are the accepted draws completed,
 and then only as the statistics their moments need. n rows of normals
 Z = [z_h z_t] with column means zbar have per-coordinate mean m + F zbar and
 sum of squared deviations diag(F C F^T), C = Z^T Z - n zbar zbar^T:
 everything comes from the augmented Gram matrix of [A z_t], A = [1 z_h].
-Its head block A^T A is accumulated over a pair's screening chunks by a
-product masked with the test's outcome, so accepted rows are never gathered.
-The blocks that involve the tail normals, A^T z_t and z_t^T z_t, are then
+Its head block A^T A is summed over the accepted head normals of each
+chunk. The blocks that involve the tail normals, A^T z_t and z_t^T z_t, are then
 drawn once per pair, from a second stream, in their exact law given A (a
 matrix normal and a Wishart matrix, singular below q degrees of freedom, by
 Bartlett's decomposition; see ``_augmented_gram``), by one law for every
@@ -41,12 +39,13 @@ rejection. What the tail draw reads from its stream depends on the pair's
 accepted count alone, so the chunk size changes no draw. Per-pair moments
 merge with Chan, Golub & LeVeque's pairwise update ("Algorithms for
 computing the sample variance", Amer. Statist. 1983), so memory is
-O(chunk x (active steps x dim + head) + sequence dim^2), not O(n). Counting
-callers draw no tail statistic.
+O(chunk x head + sequence dim^2), not O(n). Counting callers draw no tail
+statistic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -54,7 +53,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import _ChainSequence
-from .core import Constraint, ConstraintSet, active_indices, satisfies_batch
+from .core import CONJUNCT, Constraint, ConstraintSet, StateRegion, active_indices, satisfies_batch
 from .engine import (
     ConstrainedBernoulli,
     ConstrainedPmbm,
@@ -68,8 +67,8 @@ from .rfs import BernoulliTrajectory, PmbmDensity, PppTrajectory
 # Budget behind the engine's step means that oracle_bernoulli checks.
 _MOMENT_BUDGET = 100_000
 # Most rows screened at once: memory is O(DRAW_CHUNK x head dim) however
-# many draws are asked for. At 2^13 rows a workspace stays below glibc's
-# mmap threshold, so its pages are reused from call to call.
+# many draws are asked for. At 2^13 rows a call's buffers stay small enough
+# that their pages are reused from call to call.
 DRAW_CHUNK = 2**13
 
 
@@ -167,12 +166,19 @@ class _StepMoments:
         }
 
 
-def _head(g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet) -> np.ndarray:
-    """The coordinates of ``g`` (born at ``birth``) that the active
-    constraints ``idx`` of ``cs`` bound, constraint by constraint."""
-    return np.concatenate(
-        [(cs.constraints[i].time - birth) * g.dim + cs.constraints[i].region.bounded_dims for i in idx]
-    )
+def _pass_guess(mean: np.ndarray, var: np.ndarray, region: StateRegion) -> float:
+    """A guess at the chance that a state whose ``region.bounded_dims`` have
+    ``mean`` and ``var`` lies in ``region``: per box the product of its
+    intervals' normal masses, as if independent, summed over the boxes and
+    capped at 1. It only orders the stages and enters no reported number."""
+    sds = [math.sqrt(max(v, 0.0)) * math.sqrt(2.0) for v in var.tolist()]
+    total, boxes = 0.0, region.bounded_region
+    for lows, highs in zip(boxes.lows.tolist(), boxes.highs.tolist()):
+        p = 1.0
+        for lo, hi, m, s in zip(lows, highs, mean.tolist(), sds):
+            p *= 0.5 * (math.erfc((lo - m) / s) - math.erfc((hi - m) / s)) if s > 0.0 else float(lo <= m <= hi)
+        total += p
+    return min(total, 1.0)
 
 
 def _head_cov(g: GaussianSequence, head: np.ndarray) -> np.ndarray:
@@ -205,124 +211,132 @@ def _head_cov(g: GaussianSequence, head: np.ndarray) -> np.ndarray:
     return cov[np.ix_(idx, idx)]
 
 
-class _Workspace:
-    """The arrays that every screening chunk of one ``_screened_chunks`` call
-    is drawn, screened and added in, allocated once, for the most rows, head
-    coordinates and state coordinates of any of its pairs, and sliced per
-    chunk: a chunk allocates nothing larger than its test's masks.
-
-    ``normals`` gives a (rows, h) head-normal block for
-    ``Generator.standard_normal(out=...)``, which fills it as it fills a new
-    array of that shape. ``head`` gives the (h, rows) block the head states
-    are formed in, which ``_Screen.add`` then reuses for the masked normals.
-    ``states`` is the current pair's coordinate-major (steps * dim, rows)
-    array, zeroed by ``start``; a chunk overwrites its slot rows only, so the
-    others stay 0, and a pair's last, shorter chunk reads leading columns.
-    The other arrays are leading slices of flat buffers, so each block is
-    contiguous.
-
-    Only the call's generator holds it: a ``_Screen`` outlives its chunks,
-    until ``_accepted`` draws the tails, and never keeps it."""
-
-    def __init__(self, rows: int, h: int, coords: int):
-        self._normals = np.empty(rows * h)
-        self._head = np.empty(rows * h)
-        self._states = np.empty(rows * coords)
-        self._weight = np.empty(rows)
-        self.states: Optional[np.ndarray] = None
-
-    def start(self, screen: _Screen, rows: int) -> None:
-        """Zero the states of the pair of ``screen``, whose chunks have at most ``rows`` rows."""
-        self.states = self._states[: len(screen.cs) * screen.dim * rows].reshape(-1, rows)
-        self.states.fill(0.0)
-
-    def normals(self, rows: int, h: int) -> np.ndarray:
-        return self._normals[: rows * h].reshape(rows, h)
-
-    def head(self, h: int, rows: int) -> np.ndarray:
-        return self._head[: h * rows].reshape(h, rows)
-
-    def weight(self, rows: int) -> np.ndarray:
-        return self._weight[:rows]
-
-
 class _Screen:
-    """One pair's conditional, reordered with the coordinates that the active
-    constraints bound first (the head) and the rest after (the tail), and
-    the head Gram of its accepted rows.
+    """One pair's screening stages and conditional, reordered with the
+    coordinates that the stages bound first (the head) and the rest after
+    (the tail), and the head Gram of its accepted rows.
 
-    The head is step * dim + ``region.bounded_dims`` per active constraint,
-    so a full-space constraint adds nothing to it. With F the lower Cholesky
-    factor of the reordered covariance (zero columns where it is singular),
-    the head m_h + F_hh z_h needs only the head normals. ``cs`` holds the
-    active constraints renumbered to the head steps 0, 1, ..., and
-    ``slots`` places the head among the rows of coordinate-major
-    (steps * dim, rows) states whose other coordinates are 0, which
-    ``satisfies_batch`` never compares. Without ``complete`` only the head is
-    reordered and factored, from its covariance block (``_head_cov``): the
-    leading block of a Cholesky factor is the factor of the leading block.
-    With ``complete`` the whole reordered sequence is factored, from its
-    dense covariance.
+    A stage is an active constraint whose region is not full space, over
+    step * dim + ``region.bounded_dims``; a full-space one holds for every
+    row, and in disjunct mode it keeps every row, so that pair has no stage.
+    Conjunct stages run in ascending ``_pass_guess``, disjunct ones in
+    descending, ties by time; the head holds their coordinates in that
+    order. With F the lower Cholesky factor of the reordered covariance
+    (zero columns where it is singular), stage k's states are
+    m_k + F[k, :e_k] z[:e_k], where e_k ends its coordinates. Without
+    ``complete`` only the head is factored, from its block (``_head_cov``;
+    the leading block of a Cholesky factor is the factor of the leading
+    block), and the pairs of one chain with the same head coordinates share
+    block and factor through the call's ``shared``. With ``complete`` the
+    whole reordered sequence is factored, from its dense covariance.
 
-    ``gram`` is A^T A for A = [1 z_h] over the accepted head normals that
-    ``add`` has seen, accumulated chunk by chunk as a product masked with the
-    test's outcome, so the accepted rows are never gathered. ``screen`` and
-    ``add`` work in the arrays of the caller's ``_Workspace``, which the
-    screen never keeps: ``_accepted`` holds every pair's screen until the
-    tail draws, and a workspace per pair would be held with it."""
+    ``stages`` holds per stage its first and end head coordinate, F[k, :e_k]
+    (contiguous), m_k as a column and the one-constraint set of its
+    ``bounded_region``. ``gram`` is A^T A for A = [1 z_h] over the accepted
+    head normals that ``add`` has seen."""
 
-    def __init__(self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool):
-        regions = [cs.constraints[i].region for i in idx]
-        head = _head(g, birth, idx, cs)
-        self.slots = np.concatenate([k * g.dim + r.bounded_dims for k, r in enumerate(regions)])
-        self.order = np.concatenate([head, np.setdiff1d(np.arange(g.mean.size), head)]) if complete else head
-        self.mean = g.mean[self.order]
-        self.factor = _cholesky(g.cov[np.ix_(self.order, self.order)] if complete else _head_cov(g, head))
+    def __init__(
+        self, g: GaussianSequence, birth: int, idx: Sequence[int], cs: ConstraintSet, complete: bool, shared: dict
+    ):
+        items = sorted((cs.constraints[i] for i in idx), key=lambda c: c.time)
+        bounded = [c for c in items if not c.region.is_full_space]
+        self.conjunct = cs.mode == CONJUNCT
+        if not self.conjunct and len(bounded) < len(items):
+            bounded = []
+        coords = [(c.time - birth) * g.dim + c.region.bounded_dims for c in bounded]
+        head = np.concatenate(coords) if coords else np.zeros(0, dtype=np.intp)
+        if complete:
+            var = np.diagonal(g.cov)[head]
+        else:
+            key = (id(g._chain), head.tobytes()) if isinstance(g, _ChainSequence) else None
+            block, factors = shared[key] if key in shared else (_head_cov(g, head), {})
+            if key is not None:
+                shared[key] = block, factors
+            var = np.diagonal(block)
+        ends = list(itertools.accumulate(x.size for x in coords))
+        spans = [np.arange(end - x.size, end) for x, end in zip(coords, ends)]  # of each stage in head
+        guess = [_pass_guess(g.mean[head[p]], var[p], c.region) for c, p in zip(bounded, spans)]
+        rank = sorted(range(len(bounded)), key=lambda k: guess[k] if self.conjunct else -guess[k])
+        perm = np.concatenate([spans[k] for k in rank]) if rank else head
         self.h = head.size
-        # Contiguous, and applied as F_hh z_h^T: numpy's matmul runs a
-        # transposed slice such as factor[:h, :h].T through a loop many times
-        # slower than BLAS.
-        self.f_hh = np.ascontiguousarray(self.factor[: self.h, : self.h])
-        self.m_h = self.mean[: self.h, None]
-        self.dim = g.dim
-        self.cs = ConstraintSet([Constraint(k, r) for k, r in enumerate(regions)], cs.mode)
-        self.gram = np.zeros((self.h + 1, self.h + 1))
+        if complete:
+            self.order = np.concatenate([head[perm], np.setdiff1d(np.arange(g.mean.size), head)])
+            self.factor = _cholesky(g.cov[np.ix_(self.order, self.order)])
+        else:
+            self.order = head[perm]
+            if perm.tobytes() not in factors:  # shared by the chain's pairs of this head and order
+                factors[perm.tobytes()] = _cholesky(block[np.ix_(perm, perm)])
+            self.factor = factors[perm.tobytes()]
+        self.mean = g.mean[self.order]
+        self.stages = []
+        end = 0
+        for k in rank:
+            start, end = end, end + spans[k].size
+            stage_cs = ConstraintSet([Constraint(0, bounded[k].region.bounded_region)], cs.mode)
+            f_k = np.ascontiguousarray(self.factor[start:end, :end])
+            self.stages.append((start, end, f_k, self.mean[start:end, None], stage_cs))
+        self.width = max((e - s for s, e, *_ in self.stages), default=0)
+        self.gram = np.zeros((self.h + 1, self.h + 1)) if complete else None
 
-    def screen(self, z_head: np.ndarray, work: _Workspace) -> np.ndarray:
-        """Which rows of head normals ``z_head`` (rows, h) satisfy the constraints.
+    def run(self, rows: int, streams: List[np.random.Generator], work: Tuple[np.ndarray, ...], complete: bool):
+        """Screen ``rows`` draws stage by stage: the accepted count and,
+        with ``complete``, the accepted rows' head normals (h, count), else
+        None. ``work`` is the call's normals, spare normals, states and draws
+        buffers, viewed as (coordinates, rows). The undecided rows' normals
+        lead a normals buffer; a conjunct stage keeps the rows that pass it,
+        a count-only disjunct stage counts them and keeps the others, and the
+        kept rows are gathered in order into the other buffer, except after
+        the last stage. Disjunct stages with ``complete`` draw every row, and
+        the accepted ones are gathered once."""
+        z, other = (b[: self.h * rows].reshape(self.h, rows) for b in work[:2])
+        m, count, acc, last = rows, 0 if self.stages else rows, None, len(self.stages) - 1
+        for k, (_, end, *_) in enumerate(self.stages):
+            hit = self._stage(k, z, m, streams[k], *work[2:])
+            if self.conjunct:
+                if k == last and not complete:
+                    return int(np.count_nonzero(hit)), None
+            elif complete:
+                acc = hit if acc is None else np.logical_or(acc, hit, out=acc)
+                continue
+            else:
+                count += int(np.count_nonzero(hit))
+                if k == last:
+                    return count, None
+                np.logical_not(hit, out=hit)
+            m = _gather(z, m, end, hit, other)
+            z, other = other, z
+        if acc is not None:
+            m = _gather(z, m, self.h, acc, other)
+            z = other
+        if self.conjunct or complete:
+            count = m
+        return count, z[:, :m] if complete else None
 
-        The head states are formed and placed in the arrays of ``work``,
-        started on this screen. ``satisfies_batch`` reads the states through
-        a (rows, steps, dim) view of the coordinate-major array, so every
-        column it compares is contiguous."""
-        rows, steps = z_head.shape[0], len(self.cs)
-        head = work.head(self.h, rows)
-        np.matmul(self.f_hh, z_head.T, out=head)
-        head += self.m_h
-        states = work.states[:, :rows]
-        states[self.slots] = head
-        return satisfies_batch(0, steps - 1, states.reshape(steps, self.dim, rows).transpose(2, 0, 1), self.cs)
+    def _stage(self, k: int, z: np.ndarray, m: int, stream: np.random.Generator, x_buf: np.ndarray, d_buf: np.ndarray):
+        """Which of the first ``m`` rows of ``z`` (h, rows) pass stage k, once
+        its normals are drawn from ``stream`` into them. The states are formed
+        in ``x_buf`` and tested for every row, stale ones too, so that no
+        temporary's size changes from stage to stage, which fragments the
+        heap; each column tested is contiguous."""
+        start, end, f, m_k, stage_cs = self.stages[k]
+        w, rows = end - start, z.shape[1]
+        if w == 1:  # a (m, 1) draw fills the coordinate's row as it is
+            stream.standard_normal(out=z[start, :m])
+        else:
+            d = d_buf[: m * w].reshape(m, w)
+            stream.standard_normal(out=d)
+            z[start:end, :m] = d.T
+        x = np.dot(f, z[:end], out=x_buf[: w * rows].reshape(w, rows))
+        x += m_k
+        return satisfies_batch(0, 0, x.T[:, None, :], stage_cs)[:m]
 
-    def add(self, z_head: np.ndarray, acc: np.ndarray, work: _Workspace) -> None:
-        """Add the rows of ``z_head`` where ``acc`` holds to ``gram``, in the
-        arrays of ``work``, once its head states are read."""
-        count = int(np.count_nonzero(acc))
-        if not count:
-            return
-        rows = z_head.shape[0]
-        # cast once: a float-by-bool product converts element by element
-        weight = work.weight(rows)
-        weight[:] = acc
-        # z_h^T in one contiguous (h, rows) block, so that the masked product
-        # runs along the rows, not along the h columns of each row
-        masked = work.head(self.h, rows)
-        np.copyto(masked, z_head.T)
-        sums = masked @ weight
-        masked *= weight
-        self.gram[0, 0] += count
+    def add(self, z: np.ndarray) -> None:
+        """Add the accepted head normals ``z`` (h, count) to ``gram``."""
+        sums = z.sum(axis=1)
+        self.gram[0, 0] += z.shape[1]
         self.gram[0, 1:] += sums
         self.gram[1:, 0] += sums
-        self.gram[1:, 1:] += masked @ z_head
+        self.gram[1:, 1:] += z @ z.T
 
     def tail_moments(self, tail_rng: np.random.Generator) -> Tuple[int, np.ndarray, np.ndarray]:
         """``reduce`` of the accepted rows, with the tail's part of their Gram
@@ -346,6 +360,16 @@ class _Screen:
         flat_mean, flat_m2 = np.empty_like(mean), np.empty_like(m2)
         flat_mean[self.order], flat_m2[self.order] = mean, m2
         return int(n), flat_mean, flat_m2
+
+
+def _gather(z: np.ndarray, m: int, end: int, keep: np.ndarray, out: np.ndarray) -> int:
+    """Copy rows :end of the columns :m of ``z`` where ``keep`` holds, in
+    order, to the leading columns of ``out``, row by row so that ``take``
+    writes contiguously; return how many columns were kept."""
+    idx = np.flatnonzero(keep)
+    for j in range(end):
+        np.take(z[j, :m], idx, out=out[j, : idx.size], mode="clip")
+    return idx.size
 
 
 def _augmented_gram(head: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
@@ -386,51 +410,49 @@ def _augmented_gram(head: np.ndarray, q: int, rng: np.random.Generator) -> np.nd
     return gram
 
 
+def _stage_streams(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
+    """One generator per screening stage, seeded from integers drawn from
+    ``rng`` (numpy 1.24 lacks ``spawn``; jumped states of nearby ``rng``
+    states, as in ``oracle_pmbm``'s calls, would overlap)."""
+    return [np.random.default_rng(seed) for seed in rng.integers(2**63, size=count).tolist()]
+
+
 def _screened_chunks(
     td: TrajectoryDensity, n: int, rng: np.random.Generator, cs: ConstraintSet, complete: bool = False
-) -> Iterator[Tuple[Pair, _Screen, np.ndarray, np.ndarray]]:
-    """n i.i.d. draws of td screened on ``cs``, as (pair, screen, head
-    normals, accepted mask) chunks.
+) -> Iterator[Tuple[Pair, _Screen, int, Optional[np.ndarray]]]:
+    """n i.i.d. draws of td screened on ``cs``, as (pair, screen, accepted
+    count, accepted head normals (h, count) or None) chunks.
 
-    One multinomial over the pmf, then each pair with a nonzero count in pmf
-    order, at most ``DRAW_CHUNK`` rows at a time (read per call).
-    numpy fills normals row by row, so the chunks of a pair take the head
-    normals of one draw of its whole count. A pair with no active constraint
-    keeps no draw and draws nothing; one whose head is empty (every active
-    constraint full space) keeps every row. ``complete`` factors the whole
-    reordered covariance, for ``_Screen.reduce``, and adds each chunk's
-    accepted rows to its screen's Gram (``_Screen.add``).
-
-    Every chunk is drawn and screened in the call's one ``_Workspace``, so
-    the yielded normals are overwritten when the generator resumes: a
-    caller that keeps them copies them first.
-    """
+    One multinomial over the pmf, one stream per stage (``_stage_streams``),
+    then each pair with a nonzero count in pmf order, at most ``DRAW_CHUNK``
+    rows at a time (read per call). A pair with no active constraint keeps
+    no draw and draws nothing. ``complete`` factors the whole reordered
+    covariance, for ``_Screen.reduce``, and adds each chunk's accepted
+    normals to its screen's Gram (``_Screen.add``) before they are yielded.
+    The buffers are allocated once per call, for its largest pair, so the
+    yielded normals are overwritten when the generator resumes."""
     if n == 0:
         return
     counts = rng.multinomial(n, td.pmf.probs)
-    drawn = []
+    drawn, shared = [], {}
     for pair, g, c in zip(td.pmf.pairs, td.conditionals, counts.tolist()):
         idx = active_indices(cs, *pair)
         if c and idx:
-            drawn.append((pair, g, c, idx))
+            drawn.append((pair, _Screen(g, pair[0], idx, cs, complete, shared), c))
     if not drawn:
         return
+    streams = _stage_streams(rng, max(len(screen.stages) for _, screen, _ in drawn))
     chunk = DRAW_CHUNK
-    work = _Workspace(
-        min(chunk, max(c for _, _, c, _ in drawn)),
-        max(_head(g, pair[0], idx, cs).size for pair, g, _, idx in drawn),
-        max(len(idx) * g.dim for _, g, _, idx in drawn),
-    )
-    for pair, g, c, idx in drawn:
-        screen = _Screen(g, pair[0], idx, cs, complete)
-        work.start(screen, min(chunk, c))
+    rows = min(chunk, max(c for _, _, c in drawn))
+    h, w = (max(getattr(screen, a) for _, screen, _ in drawn) for a in ("h", "width"))
+    # zeroed: a stage tests every row of its chunk, so a stale row must hold a number
+    work = (np.zeros(h * rows), np.zeros(h * rows), np.empty(w * rows), np.empty(w * rows if w > 1 else 0))
+    for pair, screen, c in drawn:
         for start in range(0, c, chunk):
-            z_head = work.normals(min(chunk, c - start), screen.h)
-            rng.standard_normal(out=z_head)
-            acc = screen.screen(z_head, work)
+            count, z = screen.run(min(chunk, c - start), streams, work, complete)
             if complete:
-                screen.add(z_head, acc, work)
-            yield pair, screen, z_head, acc
+                screen.add(z)
+            yield pair, screen, count, z
 
 
 def _accepted(
@@ -443,16 +465,11 @@ def _accepted(
 ) -> Dict[Pair, int]:
     """How many of n draws of td satisfy ``cs``, per pair. With ``moments``,
     the step moments of the accepted draws, completed from ``tail_rng``, are
-    merged into it.
-
-    Each pair's head Gram is accumulated over its screening chunks
-    (``_Screen.add``), and its tail statistics are drawn once, for its whole
-    accepted count, so one ``reduce`` serves the pair and the screening chunk
-    size changes no tail draw."""
+    merged into it: each pair's tail statistics are drawn once, given its
+    head Gram over all its chunks, so the chunk size changes no tail draw."""
     per_pair: Dict[Pair, int] = {}
     screens: Dict[Pair, _Screen] = {}  # of the pairs with accepted rows, in pmf order
-    for pair, screen, _, acc in _screened_chunks(td, n, rng, cs, moments is not None):
-        count = int(np.count_nonzero(acc))
+    for pair, screen, count, _ in _screened_chunks(td, n, rng, cs, moments is not None):
         per_pair[pair] = per_pair.get(pair, 0) + count
         if moments is not None and count:
             screens[pair] = screen

@@ -331,16 +331,15 @@ def screened_rows(td, n, rng, cs, tail_rng):
     """The whole sequences that ``oracle._accepted`` with moments stands for,
     as (pair, screen, normals (count, length * dim) in head/tail order,
     accepted rows (count, length * dim)) per screening chunk: each row built
-    by ``whole_rows`` from the oracle's screen and the same head normals,
-    with explicit tail normals z_t from ``tail_rng``. The oracle never
-    builds these rows: it accumulates the head Gram of each pair's accepted
+    by ``whole_rows`` from the oracle's screen and the same accepted head
+    normals, with explicit tail normals z_t from ``tail_rng``. The oracle
+    never builds these rows: it sums the head Gram of each pair's accepted
     normals over its chunks and draws the blocks that involve z_t once per
     pair (``oracle._augmented_gram``)."""
-    for pair, screen, z_head, acc in oracle._screened_chunks(td, n, rng, cs, complete=True):
-        count = int(acc.sum())
+    for pair, screen, count, z_head in oracle._screened_chunks(td, n, rng, cs, complete=True):
         if not count:
             continue
-        z = np.hstack([z_head[acc], tail_rng.standard_normal((count, screen.mean.size - screen.h))])
+        z = np.hstack([z_head.T, tail_rng.standard_normal((count, screen.mean.size - screen.h))])
         yield pair, screen, z, whole_rows(screen, z)
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trajconstrain.kernels import pattern_codes, points_in_boxes
+from trajconstrain import StateRegion, kernels
+from trajconstrain.kernels import finite_bounds, pattern_codes, points_in_boxes
 
 
 def all_dims_reference(pts, lows, highs):
@@ -66,6 +67,54 @@ class TestPointsInBoxes:
             np.testing.assert_array_equal(
                 points_in_boxes(pts, lows, highs), all_dims_reference(pts, lows, highs)
             )
+
+
+class TestFiniteBounds:
+    def test_bounds_per_box(self):
+        lows = np.array([[-1.0, -np.inf], [-np.inf, -np.inf], [0.5, 0.5]])
+        highs = np.array([[np.inf, 2.0], [np.inf, np.inf], [1.5, np.inf]])
+        assert finite_bounds(lows, highs) == (
+            ((0, -1.0, True), (1, 2.0, False)),
+            (),  # a full-space box
+            ((0, 0.5, True), (1, 0.5, True), (0, 1.5, False)),
+        )
+        pts = np.array([[-2.0, 5.0], [0.0, 0.0]])
+        # the full-space box holds every point
+        assert points_in_boxes(pts, lows, highs).all()
+        assert points_in_boxes(pts, lows[[0, 2]], highs[[0, 2]]).tolist() == [False, True]
+
+    def test_region_masks_match_the_all_dims_formula(self, monkeypatch):
+        """``StateRegion`` takes its boxes' finite bounds once; its masks are
+        those of every bound compared, on unions, half-lines, full-space
+        boxes and points exactly on a bound."""
+        rng = np.random.default_rng(4)
+        cases = []
+        for trial in range(300):
+            n, k, nb = int(rng.integers(1, 200)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            lows = rng.normal(-1, 1, (nb, k))
+            highs = lows + rng.uniform(0.1, 3, (nb, k))
+            lows[rng.random((nb, k)) < 0.4] = -np.inf  # half-lines and unbounded dims
+            highs[rng.random((nb, k)) < 0.4] = np.inf
+            full = rng.random(nb) < 0.1
+            lows[full], highs[full] = -np.inf, np.inf
+            pts = rng.normal(0, 2, (n, k))
+            for j in range(k):  # some coordinates exactly on a bound of their dim
+                finite = np.concatenate([lows[:, j], highs[:, j]])
+                finite = finite[np.isfinite(finite)]
+                on = rng.random(n) < 0.2
+                if finite.size and on.any():
+                    pts[on, j] = rng.choice(finite, int(on.sum()))
+            cases.append((StateRegion(lows, highs), pts))
+        assert any(r.is_full_space for r, _ in cases) and any(r.n_boxes > 1 for r, _ in cases)
+
+        def recomputed(lows, highs):
+            raise AssertionError("a membership test recomputed its bounds")
+
+        monkeypatch.setattr(kernels, "finite_bounds", recomputed)
+        for region, pts in cases:
+            expected = all_dims_reference(pts, region.lows, region.highs)
+            np.testing.assert_array_equal(region.contains_batch(pts), expected)
+            assert region.contains(pts[0]) == expected[0]
 
 
 class TestPatternCodes:

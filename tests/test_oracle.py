@@ -38,7 +38,6 @@ from trajconstrain.oracle import (
     _merge,
     _Screen,
     _StepMoments,
-    _Workspace,
     oracle_bernoulli,
     oracle_pmbm,
     oracle_ppp,
@@ -438,39 +437,93 @@ class TestStreaming:
         assert peak < 12e6, peak / 1e6
 
     @pytest.mark.parametrize("chunk", [None, 1000])
+    @pytest.mark.parametrize("complete", [False, True])
     @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
-    def test_head_normals_are_one_draw_per_pair(self, monkeypatch, mode, chunk):
-        """Pair by pair in pmf order, the head normals of a pair's chunks are
-        one ``standard_normal((count, h))`` of its whole count, drawn after
-        the multinomial, at any chunk size. A yielded block is valid only
-        until the generator resumes, so each is copied first."""
+    def test_stage_normals_are_the_next_draws_of_their_stream(self, monkeypatch, mode, complete, chunk):
+        """Pair by pair in pmf order, stage k of every pair takes the next
+        normals of stream k, row-major, for the rows that reach it: in
+        conjunct mode the rows that passed every earlier stage, so a row
+        draws nothing after the stage it fails; in count-only disjunct mode
+        the rows that passed none; with moments in disjunct mode every row.
+        The streams are seeded after the multinomial, and at any chunk size
+        the accepted rows, their head normals and every stream's state are
+        those of the whole count screened at once (``staged_reference``). A
+        yielded block is valid only until the generator resumes, so each is
+        copied first."""
         if chunk is not None:
             monkeypatch.setattr(oracle, "DRAW_CHUNK", chunk)
+        made = []
+        real_streams = oracle._stage_streams
+
+        def spy(rng, count):
+            made.append(real_streams(rng, count))
+            return made[-1]
+
+        monkeypatch.setattr(oracle, "_stage_streams", spy)
         td = random_density(np.random.default_rng(110), TimeWindow(0, 4), 2)
         gate = StateRegion.box([(-0.5, 1.0), None])
-        other = StateRegion.box([(-1.0, None), (None, 0.8)])
+        other = StateRegion.box([(-1.0, None), (None, 0.8)])  # a two-coordinate stage
         cs = ConstraintSet([Constraint(1, gate), Constraint(3, other)], mode)
         n = 30_000
         if chunk is not None:  # several chunks for some pair
             assert n * td.pmf.probs.max() > 2 * chunk
-        for complete in (False, True):
-            rng = np.random.default_rng(111)
-            blocks, first = {}, None
-            for pair, screen, z_head, _ in oracle._screened_chunks(td, n, rng, cs, complete):
-                blocks.setdefault(pair, (screen.h, []))[1].append(z_head.copy())
-                if first is None:
-                    first = (z_head, z_head.copy())
-            twin = np.random.default_rng(111)
-            counts = twin.multinomial(n, td.pmf.probs).tolist()
-            drawn = [(pair, c) for pair, c in zip(td.pmf.pairs, counts) if c and active_indices(cs, *pair)]
-            assert list(blocks) == [pair for pair, _ in drawn] and len(drawn) > 2
-            for pair, c in drawn:
-                h, chunks = blocks[pair]
-                np.testing.assert_array_equal(np.concatenate(chunks), twin.standard_normal((c, h)))
-            assert rng.bit_generator.state == twin.bit_generator.state
-            assert [len(chunks) for _, chunks in blocks.values()] == [-(-c // oracle.DRAW_CHUNK) for _, c in drawn]
-            # the later chunks overwrote the first one in place
-            assert not np.array_equal(*first)
+        rng = np.random.default_rng(111)
+        blocks = {}
+        for pair, screen, count, z in oracle._screened_chunks(td, n, rng, cs, complete):
+            assert (z is not None) is complete
+            chunks = blocks.setdefault(pair, (screen, []))[1]
+            chunks.append((count, None if z is None else z.copy()))
+        (streams,) = made
+        twin = np.random.default_rng(111)
+        counts = twin.multinomial(n, td.pmf.probs).tolist()
+        twin_streams = real_streams(twin, len(streams))
+        drawn = [(pair, c) for pair, c in zip(td.pmf.pairs, counts) if c and active_indices(cs, *pair)]
+        assert list(blocks) == [pair for pair, _ in drawn] and len(drawn) > 2
+        assert len(streams) == max(len(screen.stages) for screen, _ in blocks.values()) == 2
+        cut_short = 0
+        for pair, c in drawn:
+            screen, chunks = blocks[pair]
+            z, passed, reached = staged_reference(screen, c, twin_streams, complete)
+            assert sum(count for count, _ in chunks) == passed.sum()
+            if complete:
+                np.testing.assert_array_equal(np.concatenate([block for _, block in chunks], axis=1), z[passed].T)
+            if complete and mode == "disjunct":
+                assert reached == [c] * len(screen.stages)
+            elif len(reached) == 2:
+                cut_short += reached[1] < c
+            assert len(chunks) == -(-c // oracle.DRAW_CHUNK)
+        # some rows drew no normals for their second stage
+        assert cut_short > 0 or (complete and mode == "disjunct")
+        assert rng.bit_generator.state == twin.bit_generator.state
+        for stream, twin_stream in zip(streams, twin_streams):
+            assert stream.bit_generator.state == twin_stream.bit_generator.state
+
+
+def staged_reference(screen, rows, streams, complete, fill=None):
+    """The head normals (rows, h), accepted mask and the number of rows that
+    reach each stage when ``rows`` draws are screened by ``screen`` (an
+    ``oracle._Screen``) by the draw contract, all at once: stage k takes the
+    next normals of ``streams[k]``, row-major, for the rows that reach it
+    (conjunct: passed every earlier stage; count-only disjunct: passed none;
+    disjunct with ``complete``: every row). A coordinate that a row never
+    draws is NaN, or drawn from ``fill``."""
+    z = np.full((rows, screen.h), np.nan)
+    passed = np.full(rows, screen.conjunct or not screen.stages)
+    reach, reached = np.ones(rows, dtype=bool), []
+    for k, (start, end, f, m_k, stage_cs) in enumerate(screen.stages):
+        reached.append(int(reach.sum()))
+        z[reach, start:end] = streams[k].standard_normal((reached[-1], end - start))
+        hit = np.zeros(rows, dtype=bool)
+        hit[reach] = satisfies_batch(0, 0, (z[reach, :end] @ f.T + m_k.T)[:, None, :], stage_cs)
+        if screen.conjunct:
+            passed &= hit
+            reach = passed.copy()
+        else:
+            passed |= hit
+            reach = np.ones(rows, dtype=bool) if complete else ~passed
+    if fill is not None:
+        z[np.isnan(z)] = fill.standard_normal(int(np.isnan(z).sum()))
+    return z, passed, reached
 
 
 def conjunct_cli_track(times=(30, 50, 70), half=1.0):
@@ -655,18 +708,21 @@ class TestScreenedDraws:
 
     @staticmethod
     def assert_agrees_with_eager(td, cs, seed, n=200_000):
-        """Per-pair counts and per-step means of the screened draws agree with
-        whole-sequence rejection (``conftest.eager_accepted``) within SE."""
+        """Per-pair counts of the screened draws, with and without moments,
+        and their per-step means agree with whole-sequence rejection
+        (``conftest.eager_accepted``) within SE."""
         moments = _StepMoments(td)
         screened = _accepted(td, n, np.random.default_rng(40 + seed), cs, moments, np.random.default_rng(50 + seed))
+        counted = _accepted(td, n, np.random.default_rng(70 + seed), cs)
         eager, eager_moments = eager_accepted(td, n, np.random.default_rng(60 + seed), cs)
         z = []
         for pair in td.pmf.pairs:
-            a, b = screened.get(pair, 0), eager.get(pair, 0)
-            q = (a + b) / (2 * n)
-            if q == 0.0:
-                continue
-            z.append((a - b) / math.sqrt(2 * n * q * (1 - q)))
+            for a in (screened.get(pair, 0), counted.get(pair, 0)):
+                b = eager.get(pair, 0)
+                q = (a + b) / (2 * n)
+                if q == 0.0:
+                    continue
+                z.append((a - b) / math.sqrt(2 * n * q * (1 - q)))
         steps = eager_moments.per_step(min_count=100)
         assert len(steps) > 0
         for t, (mean, se, count) in moments.per_step(min_count=100).items():
@@ -685,23 +741,74 @@ class TestScreenedDraws:
         cs = random_constraint_set(rng, window, 2, mode="conjunct" if seed % 2 else "disjunct")
         self.assert_agrees_with_eager(td, cs, seed)
 
+    @pytest.mark.parametrize("mode", ["conjunct", "disjunct"])
+    def test_stages_out_of_time_order_agree_with_whole_sequence_rejection(self, mode):
+        # a union of boxes on both dims at t = 1, a narrow gate at t = 2, a
+        # two-dim box at t = 3 and a full-space item at t = 4: the stages run
+        # out of time order in either mode, and in disjunct mode the pairs
+        # alive at t = 4 keep every row
+        rng = np.random.default_rng(73)
+        td = random_density(rng, TimeWindow(0, 4), 2)
+        cs = ConstraintSet(
+            [
+                Constraint(1, StateRegion.boxes([[(0.0, None), None], [None, (None, -0.5)]])),
+                Constraint(2, StateRegion.box([(-0.4, 0.4), None])),
+                Constraint(3, StateRegion.box([(-2.0, 2.5), (-2.5, 2.0)])),
+                Constraint(4, StateRegion.full_space(2)),
+            ],
+            mode,
+        )
+        out_of_order = 0
+        for pair, g in zip(td.pmf.pairs, td.conditionals):
+            idx = active_indices(cs, *pair)
+            if idx:
+                screen = _Screen(g, pair[0], idx, cs, False, {})
+                steps = [int(screen.order[start]) // 2 for start, *_ in screen.stages]
+                out_of_order += steps != sorted(steps)
+                if mode == "disjunct" and pair[1] == 4:
+                    assert not screen.stages
+        assert out_of_order > 0
+        screened = self.assert_agrees_with_eager(td, cs, 7 if mode == "conjunct" else 8)
+        assert 0 < sum(screened.values()) < 200_000
+
+    def test_stage_order_follows_the_pass_guess(self):
+        # independent standard normal steps: the gates pass with chance
+        # 0.9973 (t = 0), 0.5 (t = 1 and t = 3) and 0.0797 (t = 2); conjunct
+        # stages run from the least likely to pass, disjunct ones from the
+        # most likely, ties by time whatever the order of the items
+        td = std_density([(0, 4)], [1.0])
+        g = td.conditionals[0]
+        gates = {3: (None, 0.0), 0: (-3.0, 3.0), 2: (-0.1, 0.1), 1: (0.0, None)}
+        items = [Constraint(t, StateRegion.box([bounds])) for t, bounds in gates.items()]
+        full = [Constraint(4, StateRegion.full_space(1))]
+        assert oracle._pass_guess(np.zeros(1), np.ones(1), items[2].region) == pytest.approx(0.0797, abs=1e-4)
+        for mode, extra, order in (
+            ("conjunct", full, [2, 1, 3, 0]),
+            ("disjunct", [], [0, 1, 3, 2]),
+            ("disjunct", full, []),
+        ):
+            cs = ConstraintSet(items + extra, mode)
+            for complete in (False, True):
+                screen = _Screen(g, 0, active_indices(cs, 0, 4), cs, complete, {})
+                assert screen.order[: screen.h].tolist() == order, (mode, extra, complete)
+                assert [start for start, *_ in screen.stages] == list(range(len(order)))
+
     def test_full_space_constraints_have_an_empty_head_and_keep_every_row(self):
         td = random_density(np.random.default_rng(70), TimeWindow(0, 4), 2)
         cs = time_window_constraints(2, 3, 2)
         for pair, g in zip(td.pmf.pairs, td.conditionals):
             idx = active_indices(cs, *pair)
             if idx:
-                screen = _Screen(g, pair[0], idx, cs, complete=True)
-                assert screen.h == 0
-                work = _Workspace(7, 0, len(screen.cs) * g.dim)
-                work.start(screen, 7)
-                assert screen.screen(np.empty((7, 0)), work).all()
+                screen = _Screen(g, pair[0], idx, cs, True, {})
+                assert screen.h == 0 and not screen.stages
+                count, z = screen.run(7, [], (np.empty(0),) * 4, complete=True)
+                assert count == 7 and z.shape == (0, 7)
         # a fitted track's counting screen has an empty factor, from no chain
         fitted = no_process_noise_density()
         for pair, g in zip(fitted.pmf.pairs, fitted.conditionals):
             idx = active_indices(cs, *pair)
             if idx:
-                assert _Screen(g, pair[0], idx, cs, complete=False).factor.shape == (0, 0)
+                assert _Screen(g, pair[0], idx, cs, False, {}).factor.shape == (0, 0)
         assert all("cov" not in g.__dict__ for g in fitted.conditionals)
         screened = self.assert_agrees_with_eager(td, cs, 4)
         # every draw alive in the window is kept, and no other
@@ -717,8 +824,8 @@ class TestScreenedDraws:
         td = random_density(rng, TimeWindow(0, 3), 3)
         cs = ConstraintSet([Constraint(1, region), Constraint(2, random_region(rng, 3))], "conjunct")
         self.assert_agrees_with_eager(td, cs, 5)
-        screen = _Screen(td.conditional((0, 3)), 0, (0, 1), cs, complete=False)
-        assert screen.order[:2].tolist() == [3, 5]
+        screen = _Screen(td.conditional((0, 3)), 0, (0, 1), cs, False, {})
+        assert [3, 5] in [screen.order[start:end].tolist() for start, end, *_ in screen.stages]
 
     def test_region_bounding_every_dim(self):
         rng = np.random.default_rng(72)
@@ -731,8 +838,11 @@ class TestScreenedDraws:
         "case", ["conjunct", "disjunct", "two_boxes", "full_space_item", "empty_head", "no_process_noise"]
     )
     def test_screen_is_the_whole_sequence_test(self, case):
-        """``_Screen.screen`` on head normals gives exactly the mask that
-        ``satisfies_batch`` gives on the whole sequences m + F z."""
+        """``_Screen.run``, screening stage by stage from given streams, with
+        and without ``complete``, accepts exactly the rows that
+        ``satisfies_batch`` accepts on the whole sequences m + F z of the
+        same normals (``staged_reference``, with the coordinates a row never
+        draws filled in), and with ``complete`` returns their head normals."""
         rng = np.random.default_rng(80)
         gate = StateRegion.box([(-0.5, 1.0), None])
         other = StateRegion.box([(-1.0, None), (None, 0.8)])
@@ -760,14 +870,23 @@ class TestScreenedDraws:
             idx = active_indices(cs, b, e)
             if not idx:
                 continue
-            screen = _Screen(g, b, idx, cs, complete=True)
-            z = rng.standard_normal((4_000, g.mean.size))
-            work = _Workspace(4_000, screen.h, len(screen.cs) * g.dim)
-            work.start(screen, 4_000)
-            mask = screen.screen(z[:, : screen.h], work)
-            states = whole_rows(screen, z).reshape(z.shape[0], e - b + 1, g.dim)
-            assert np.array_equal(mask, satisfies_batch(b, e, states, cs))
-            masks.append(mask)
+            for complete in (False, True):
+                screen = _Screen(g, b, idx, cs, complete, {})
+                seeds = rng.integers(2**63, size=len(screen.stages)).tolist()
+                work = tuple(np.zeros(4_000 * screen.h) for _ in range(4))
+                count, z_acc = screen.run(4_000, [np.random.default_rng(s) for s in seeds], work, complete)
+                streams = [np.random.default_rng(s) for s in seeds]
+                z, passed, _ = staged_reference(screen, 4_000, streams, complete, fill=rng)
+                if complete:
+                    x = whole_rows(screen, np.hstack([z, rng.standard_normal((4_000, g.mean.size - screen.h))]))
+                else:  # the head alone, the other coordinates 0
+                    x = np.zeros((4_000, g.mean.size))
+                    x[:, screen.order] = z @ screen.factor.T + screen.mean
+                mask = satisfies_batch(b, e, x.reshape(4_000, e - b + 1, g.dim), cs)
+                assert np.array_equal(passed, mask) and count == mask.sum()
+                if complete:
+                    np.testing.assert_array_equal(z_acc, z[mask].T)
+                masks.append(mask)
         masks = np.concatenate(masks)
         if case == "empty_head":
             assert masks.all()
@@ -900,7 +1019,7 @@ class TestDrawnTailGram:
         whole = draws()
         monkeypatch.setattr(oracle, "DRAW_CHUNK", 1000)
         screened = oracle._screened_chunks(td, n, np.random.default_rng(99), cs, complete=True)
-        chunks = [(int(acc.sum()), screen) for _, screen, _, acc in screened]
+        chunks = [(count, screen) for _, screen, count, _ in screened]
         screen = chunks[0][1]
         assert (screen.h, screen.mean.size - screen.h) == (1, 11)
         accepted = sum(c for c, _ in chunks)

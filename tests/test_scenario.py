@@ -24,6 +24,8 @@ from trajconstrain.chain import _Chain, _cov_blocks
 from trajconstrain.engine import MarginalMoments
 from trajconstrain.gaussian import SampleCloud, Stratum
 from trajconstrain.mvn import CLOSED_FORM
+from trajconstrain import oracle
+from trajconstrain.core import active_indices
 from trajconstrain.oracle import oracle_bernoulli
 from trajconstrain.scenario import (
     Measurement,
@@ -696,12 +698,15 @@ class TestFittedChains:
         for g, steps in zip(fit.density.conditionals, before):
             assert g._chain.steps.tobytes() == steps.tobytes()
 
-    def test_long_track_constrains_in_chain_memory(self):
+    def test_long_track_constrains_in_chain_memory(self, monkeypatch):
         # a 1,200-step track: its four births' dense joints alone would take
         # 4 x 2,400^2 x 8 B, about 184 MB; fitting it, constraining it by
         # three disjunct gates, taking its marginals and checking its counts
         # by the oracle stays below 16 MB, and no conditional builds its dense
-        # covariance
+        # covariance. The oracle sweeps each chain once per distinct head.
+        sweeps = []
+        sweep = oracle._head_cov
+        monkeypatch.setattr(oracle, "_head_cov", lambda g, head: sweeps.append(head.tolist()) or sweep(g, head))
         mm, sm = cli_track_models()
         steps = 1200
         states, meas = cv_track(np.random.default_rng(7), mm, steps)
@@ -727,3 +732,5 @@ class TestFittedChains:
         pairs = fit.density.pmf.pairs
         assert marginals.times == list(range(pairs[0][0], pairs[-1][1] + 1))
         assert np.isfinite(marginals.means).all()
+        heads = {(b, tuple(cs.constraints[k].time - b for k in active_indices(cs, b, e))) for b, e in pairs}
+        assert len(sweeps) == len(heads) < len(pairs), (len(sweeps), heads)
